@@ -105,7 +105,10 @@ def cmd_kgroups(args):
 
 def _parse_matrix(text):
     rows = [row.strip() for row in text.split(";") if row.strip()]
-    entries = [[int(x) for x in row.split()] for row in rows]
+    try:
+        entries = [[int(x) for x in row.split()] for row in rows]
+    except ValueError:
+        raise RingError(f"matrix entries must be integers: {text!r}") from None
     if entries and any(len(r) != len(entries) for r in entries):
         raise RingError("automorphism matrix must be square")
     return IntMatrix.from_rows(entries)

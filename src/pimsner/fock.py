@@ -395,7 +395,8 @@ class FockOperator:
     ``covered`` lists the source degrees on which the operator's columns
     are defined; composing operators intersects coverage along the degree
     chains actually reachable, so truncation can never produce a silently
-    wrong column, only a smaller covered set.
+    wrong column, only a smaller covered set.  Columns are clean vectors
+    (see ``funcmod``), so they compare as plain dicts.
     """
 
     __slots__ = ("fock", "side", "_column", "covered", "outs", "label",
@@ -445,8 +446,9 @@ class FockOperator:
             col = self.column(key)
             if col is None:
                 return None
-            out = vadd(k, out, vscale(k, col, c))
-        return out
+            for tgt, c2 in col.items():
+                out[tgt] = k.add(out.get(tgt, k.zero), k.mul(c, c2))
+        return vclean(k, out)
 
     def compose(self, other):
         """self after other; coverage follows the reachable degree chains."""
@@ -500,8 +502,7 @@ class FockOperator:
             if d not in self.covered or d not in other.covered:
                 raise DepthError(f"degree {d} not covered by both operators")
             for key in self._keys_at(d):
-                if vclean(self.fock.k, self.column(key)) != \
-                        vclean(self.fock.k, other.column(key)):
+                if self.column(key) != other.column(key):
                     return False
         return True
 
@@ -510,7 +511,7 @@ class FockOperator:
             if d not in self.covered:
                 raise DepthError(f"degree {d} not covered")
             for key in self._keys_at(d):
-                if vclean(self.fock.k, self.column(key)):
+                if self.column(key):
                     return False
         return True
 
@@ -521,23 +522,8 @@ class FockOperator:
         blocks = set()
         for d in degrees:
             for key in self._keys_at(d):
-                col = self.column(key)
-                for tgt in col:
-                    if not self.fock.k.is_zero(col[tgt]):
-                        blocks.add((tgt[0], d))
+                blocks.update((tgt[0], d) for tgt in self.column(key))
         return blocks
-
-    def block(self, tgt_deg, src_deg):
-        """One block as a dict (tgt_key, src_key) -> coefficient."""
-        out = {}
-        for key in self._keys_at(src_deg):
-            col = self.column(key)
-            if col is None:
-                raise DepthError(f"degree {src_deg} not covered")
-            for tgt, c in col.items():
-                if tgt[0] == tgt_deg:
-                    out[(tgt, key)] = c
-        return out
 
     def __repr__(self):
         return (f"<FockOperator {self.label} side={self.side} "
@@ -1314,10 +1300,11 @@ class HOperator:
     ``low`` maps degree-0/1 model keys to explicit columns (or OVERFLOW
     when the word bound was exceeded); missing keys are zero columns.
     ``high`` is a Fock operator acting on the tensor part of every column
-    of degree >= 2 (the word part is inert there), or None for zero.  A
-    composition whose high part would leak into the explicit columns
-    keeps an evaluator but loses the tensor form; comparing such an
-    operator raises, which never happens for the homotopy identities.
+    of degree >= 2 (the word part is inert there), or None for zero.
+    Columns are clean vectors, as in ``FockOperator``.  A composition
+    whose high part would leak into the explicit columns keeps an
+    evaluator but loses the tensor form; comparing such an operator
+    raises, which never happens for the homotopy identities.
     """
 
     def __init__(self, model, low, high, high_is_tensor=True):
@@ -1351,8 +1338,9 @@ class HOperator:
             sub = self.column(key)
             if sub is OVERFLOW:
                 return OVERFLOW
-            out = vadd(k, out, vscale(k, sub, c))
-        return out
+            for key2, c2 in sub.items():
+                out[key2] = k.add(out.get(key2, k.zero), k.mul(c, c2))
+        return vclean(k, out)
 
     def __add__(self, other):
         low = dict(self.low)
@@ -1411,7 +1399,6 @@ class HOperator:
 
     def eq_report(self, other, report, tag=""):
         """Exact comparison with coverage accounting into a CheckReport."""
-        k = self.model.k
         for key in self.model.low_keys():
             a = self.low.get(key, {})
             b = other.low.get(key, {})
@@ -1419,7 +1406,7 @@ class HOperator:
                 report.skipped += 1
                 continue
             report.checked += 1
-            if vclean(k, a) != vclean(k, b):
+            if a != b:
                 report.failures.append((tag, key))
         if self.high is None and other.high is None:
             return
@@ -1530,14 +1517,13 @@ def homotopy_endpoints_check(model, token):
     H = homotopy_H(model, token)
     report = CheckReport("homotopy-endpoints")
     H.at(0).eq_report(model.pi_tensor(token, "pi0"), report, tag="H(0)")
-    kind, _ = token
+    kind, payload = token
     if kind == "r":
-        rhs = H.at(1)
         # H(r) is constant; its value at 1 must again be r . id
-        H.at(1).eq_report(rhs, report, tag="H(1)")
+        rhs = model.full_scalar(payload)
     else:
         rhs = model.lam1(token) + model.pi_tensor(token, "pi1")
-        H.at(1).eq_report(rhs, report, tag="H(1)")
+    H.at(1).eq_report(rhs, report, tag="H(1)")
     return report
 
 

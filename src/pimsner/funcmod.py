@@ -9,7 +9,11 @@ coefficients, with the pairing and all four R-actions given as tables on
 basis symbols and extended bilinearly.
 
 Vectors are plain dicts mapping basis symbols to coefficients; the ring R
-is a ``ringcore.RingDescriptor``.
+is a ``ringcore.RingDescriptor``.  Vectors are always clean: every
+coefficient is coerced into the ground ring and none is zero.  ``vadd``,
+``vscale`` and ``vclean`` keep that invariant, and so does every routine
+that builds a vector, so two vectors are equal exactly when their dicts
+compare equal.
 
 On top of the module structure this file provides:
 
@@ -43,11 +47,15 @@ from .ringcore import IntegerRing, RingError, ZmodRing
 # Vector helpers: dicts from basis symbols to coefficients
 # ---------------------------------------------------------------------------
 
+# Scalars come out of the ring ops coerced, so a zero test is a plain
+# comparison with ``k.zero``.
+
 def vadd(k, a, b):
+    add, zero = k.add, k.zero
     out = dict(a)
     for sym, c in b.items():
-        s = k.add(out.get(sym, k.zero), c)
-        if k.is_zero(s):
+        s = add(out.get(sym, zero), c)
+        if s == zero:
             out.pop(sym, None)
         else:
             out[sym] = s
@@ -55,19 +63,27 @@ def vadd(k, a, b):
 
 
 def vscale(k, a, coeff):
+    mul, zero = k.mul, k.zero
     coeff = k.coerce(coeff)
-    if k.is_zero(coeff):
+    if coeff == zero:
         return {}
-    return {sym: k.mul(coeff, c) for sym, c in a.items()}
-
-
-def vsub(k, a, b):
-    return vadd(k, a, vscale(k, b, -1))
+    out = {}
+    for sym, c in a.items():
+        # over Z/m a product of nonzero entries can vanish
+        c = mul(coeff, c)
+        if c != zero:
+            out[sym] = c
+    return out
 
 
 def vclean(k, a):
-    return {sym: k.coerce(c) for sym, c in a.items()
-            if not k.is_zero(k.coerce(c))}
+    coerce, zero = k.coerce, k.zero
+    out = {}
+    for sym, c in a.items():
+        c = coerce(c)
+        if c != zero:
+            out[sym] = c
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -166,8 +182,10 @@ class FunctionalModule:
         for sym, c in vec.items():
             for rsym, rc in relt.terms.items():
                 hit = table(rsym, sym) if ring_first else table(sym, rsym)
-                out = vadd(k, out, vscale(k, hit, k.mul(c, rc)))
-        return out
+                coeff = k.mul(c, rc)
+                for hsym, hc in hit.items():
+                    out[hsym] = k.add(out.get(hsym, k.zero), k.mul(coeff, hc))
+        return vclean(k, out)
 
     def act_right(self, xvec, relt):
         """x . r for the structural right action on X."""
@@ -363,8 +381,8 @@ class CompactOperator:
     def __init__(self, module, terms):
         self.module = module
         k = module.k
-        self.terms = [(vclean(k, x), vclean(k, p)) for x, p in terms
-                      if vclean(k, x) and vclean(k, p)]
+        cleaned = ((vclean(k, x), vclean(k, p)) for x, p in terms)
+        self.terms = [(x, p) for x, p in cleaned if x and p]
         self._normal = None
 
     @classmethod

@@ -34,21 +34,17 @@ class RingError(ValueError):
 # ---------------------------------------------------------------------------
 
 class CoefficientRing:
-    """Exact commutative ground ring for all term-map coefficients."""
+    """Exact commutative ground ring for all term-map coefficients.
+
+    Subclasses define ``coerce`` and the coerced constants ``zero`` and
+    ``one``; the generic scalar ops below coerce every result.
+    """
 
     name = "?"
     is_field = False
 
     def coerce(self, value):
         raise NotImplementedError
-
-    @property
-    def zero(self):
-        return self.coerce(0)
-
-    @property
-    def one(self):
-        return self.coerce(1)
 
     def add(self, a, b):
         return self.coerce(a + b)
@@ -75,14 +71,37 @@ class CoefficientRing:
 
 
 class IntegerRing(CoefficientRing):
+    """The integers.  A scalar op whose result is already an ``int``
+    returns it as is; any other result (``bool``, ``Fraction``) is coerced.
+    """
+
     name = "Z"
+    zero = 0
+    one = 1
 
     def coerce(self, value):
+        if type(value) is int:
+            return value
         if isinstance(value, Fraction):
             if value.denominator != 1:
                 raise RingError(f"{value} is not an integer")
             return int(value)
         return int(value)
+
+    def add(self, a, b):
+        s = a + b
+        return s if type(s) is int else self.coerce(s)
+
+    def mul(self, a, b):
+        p = a * b
+        return p if type(p) is int else self.coerce(p)
+
+    def neg(self, a):
+        n = -a
+        return n if type(n) is int else self.coerce(n)
+
+    def is_zero(self, a):
+        return (a if type(a) is int else self.coerce(a)) == 0
 
     def invert(self, a):
         return a if a in (1, -1) else None
@@ -95,6 +114,8 @@ class IntegerRing(CoefficientRing):
 class RationalRing(CoefficientRing):
     name = "Q"
     is_field = True
+    zero = Fraction(0)
+    one = Fraction(1)
 
     def coerce(self, value):
         return Fraction(value)
@@ -108,7 +129,14 @@ class RationalRing(CoefficientRing):
 
 
 class ZmodRing(CoefficientRing):
-    """Integers mod m, m >= 2.  A field exactly when m is prime."""
+    """Integers mod m, m >= 2.  A field exactly when m is prime.
+
+    Elements are ints in ``range(m)``.  A scalar op whose result is an
+    ``int`` only reduces it mod m; any other result is coerced.
+    """
+
+    zero = 0
+    one = 1
 
     def __init__(self, modulus):
         modulus = int(modulus)
@@ -119,12 +147,29 @@ class ZmodRing(CoefficientRing):
         self.is_field = _is_prime(modulus)
 
     def coerce(self, value):
+        if type(value) is int:
+            return value % self.modulus
         if isinstance(value, Fraction):
             inv = self.invert(value.denominator % self.modulus)
             if inv is None:
                 raise RingError(f"denominator {value.denominator} not invertible")
             return (value.numerator * inv) % self.modulus
         return int(value) % self.modulus
+
+    def add(self, a, b):
+        s = a + b
+        return s % self.modulus if type(s) is int else self.coerce(s)
+
+    def mul(self, a, b):
+        p = a * b
+        return p % self.modulus if type(p) is int else self.coerce(p)
+
+    def neg(self, a):
+        n = -a
+        return n % self.modulus if type(n) is int else self.coerce(n)
+
+    def is_zero(self, a):
+        return (a % self.modulus if type(a) is int else self.coerce(a)) == 0
 
     def invert(self, a):
         a = int(a) % self.modulus
@@ -235,10 +280,13 @@ def coefficient_ring(spec):
         return ZZ
     if spec == "q":
         return QQ
-    if spec.startswith("zmod:"):
-        return Zmod(int(spec.split(":", 1)[1]))
-    if spec.startswith("fp:"):
-        return Fp(int(spec.split(":", 1)[1]))
+    for prefix, make in (("zmod:", Zmod), ("fp:", Fp)):
+        if spec.startswith(prefix):
+            try:
+                modulus = int(spec[len(prefix):])
+            except ValueError:
+                raise RingError(f"bad modulus in {spec!r}") from None
+            return make(modulus)
     raise RingError(f"unknown coefficient ring {spec!r}")
 
 
@@ -507,16 +555,6 @@ class RingElement:
         for sym, coeff in sorted(self.terms.items(), key=lambda kv: repr(kv[0])):
             bits.append(f"{coeff}*{sym}" if coeff != 1 else f"{sym}")
         return " + ".join(bits)
-
-
-def add(a, b):
-    """Coefficientwise sum; rejects elements of different rings."""
-    return a + b
-
-
-def mul(a, b):
-    """Bilinear extension of the basis product rule."""
-    return a * b
 
 
 def is_idempotent(a):

@@ -85,6 +85,11 @@ class TestKgroups:
         assert code == 2
         assert "presets" in err
 
+    def test_malformed_modulus_exits_2(self, capsys, rose2_file):
+        code, _, err = run(capsys, "kgroups", rose2_file, "--coeff", "zmod:x")
+        assert code == 2
+        assert "zmod:x" in err
+
 
 class TestPv:
     def test_identity(self, capsys):
@@ -109,6 +114,11 @@ class TestPv:
     def test_non_square_exits_2(self, capsys):
         code, _, err = run(capsys, "pv", "--matrix", "1 0")
         assert code == 2
+
+    def test_non_integer_entry_exits_2(self, capsys):
+        code, _, err = run(capsys, "pv", "--matrix", "1 x")
+        assert code == 2
+        assert "integers" in err
 
 
 class TestVerify:

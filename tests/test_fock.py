@@ -5,8 +5,10 @@ from fractions import Fraction
 
 import pytest
 
+from pimsner import fock as fock_module
 from pimsner.fock import (
     DepthError,
+    HOperator,
     HomotopyModel,
     Poly,
     ToeplitzAlgebra,
@@ -27,7 +29,7 @@ from pimsner.fock import (
 )
 from pimsner.funcmod import free_correspondence
 from pimsner.leavitt import parse_quiver, quiver_correspondence, rose
-from pimsner.ringcore import QQ, ZZ, DirectSumRing
+from pimsner.ringcore import QQ, ZZ, DirectSumRing, Zmod
 
 A2 = parse_quiver("vertices: v w\nedges: e: v -> w")
 
@@ -120,6 +122,23 @@ class TestCreationAnnihilation:
             {(0, 1), (1, 2), (2, 3), (3, 4)}
         i = fk.ring.monomial("v")
         assert p0_compact_form(i, fk).support_blocks() == {(0, 0)}
+
+
+class TestZeroDivisors:
+    """Columns stay clean over Z/6, so dict comparison is exact."""
+
+    def test_scaling_into_zero(self):
+        fk = rose_fock(2, 3, k=Zmod(6))
+        t = fk.token_op("x", "e0")
+        degrees = [0, 1, 2]
+        killed = t.scale(3).scale(2)
+        assert killed.eq_on(fk.zero_op(), degrees)
+        assert killed.is_zero_on(degrees)
+        assert killed.support_blocks(degrees) == set()
+        assert not t.scale(3).is_zero_on(degrees)
+        assert t.scale(3).eq_on(t.scale(9), degrees)
+        assert (t.scale(2) + t.scale(4)).eq_on(fk.zero_op(), degrees)
+        assert not t.scale(2).eq_on(t.scale(4), degrees)
 
 
 class TestAdjoints:
@@ -539,6 +558,26 @@ class TestHomotopy:
             rep = CheckReport("right-law")
             lhs.eq_report(rhs, rep, tag=("right", b))
             assert rep.passed
+
+    def test_endpoints_fail_on_perturbed_scalar_column(self, monkeypatch):
+        # a scalar token's homotopy must be constant: a t^1 part that moves
+        # one column breaks H(1) = r . id while H(0) still holds
+        fk = rose_fock(2, 4)
+        model = HomotopyModel(fk, 3)
+        token = ("r", fk.ring.monomial("v"))
+        assert homotopy_endpoints_check(model, token).passed
+        real_H = fock_module.homotopy_H
+
+        def perturbed(model, token):
+            H = real_H(model, token)
+            key = model.c0_keys[0]
+            H.parts[1] = HOperator(model, low={key: {key: 1}}, high=None)
+            return H
+
+        monkeypatch.setattr(fock_module, "homotopy_H", perturbed)
+        report = homotopy_endpoints_check(model, token)
+        assert not report.passed
+        assert {tag for tag, _ in report.failures} == {"H(1)"}
 
     def test_a2_full_generator_sweep(self):
         fk = a2_fock(4)

@@ -1,6 +1,7 @@
 """Tests for functional modules, compact operators, and correspondences."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -21,6 +22,9 @@ from pimsner.funcmod import (
     tensor,
     theta_apply,
     theta_apply_right,
+    vadd,
+    vclean,
+    vscale,
 )
 from pimsner.leavitt import parse_quiver, quiver_correspondence, rose
 from pimsner.ringcore import ZZ, DirectSumRing, LaurentRing, RingError, Zmod
@@ -30,6 +34,22 @@ A2 = parse_quiver("vertices: v w\nedges: e: v -> w")
 
 def leavitt_module(quiver=None):
     return quiver_correspondence(quiver or rose(2)).module
+
+
+class TestVectors:
+    def test_vscale_drops_zero_divisor_products(self):
+        # 3 * 2 = 0 in Z/6: the product must not stay as an explicit zero
+        assert vscale(Zmod(6), {"a": 2, "b": 1}, 3) == {"b": 3}
+        assert vscale(Zmod(6), {"a": 2, "b": 4}, 3) == {}
+
+    def test_helpers_return_clean_vectors(self):
+        k = Zmod(6)
+        assert vadd(k, {"a": 2, "b": 1}, {"a": 4, "c": 5}) == {"b": 1, "c": 5}
+        assert vscale(k, {"a": 1}, 0) == {}
+        assert vclean(k, {"a": 6, "b": 7, "c": Fraction(1, 5)}) == \
+            {"b": 1, "c": 5}
+        assert vclean(ZZ, {"a": 0, "b": True, "c": Fraction(4, 2)}) == \
+            {"b": 1, "c": 2}
 
 
 class TestPairing:

@@ -4,10 +4,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from pimsner.ringcore import (
     QQ,
     ZZ,
+    CoefficientRing,
     DirectSumRing,
     Fp,
     LaurentRing,
@@ -51,6 +54,11 @@ class TestCoefficientRings:
         with pytest.raises(RingError):
             coefficient_ring("nope")
 
+    def test_malformed_modulus(self):
+        for spec in ("zmod:x", "fp:", "zmod:1.5"):
+            with pytest.raises(RingError):
+                coefficient_ring(spec)
+
     def test_linear_solve(self):
         sol = QQ.solve([[2, 1], [1, 1]], [3, 2])
         assert sol == [Fraction(1), Fraction(1)]
@@ -62,6 +70,73 @@ class TestCoefficientRings:
 
 def laurent_zz():
     return LaurentRing(ZZ)
+
+
+def reference_coerce(k, value):
+    """Coercion through Fraction, independent of the rings' own code."""
+    value = Fraction(value)
+    if k is QQ:
+        return value
+    if k is ZZ:
+        if value.denominator != 1:
+            raise RingError(f"{value} is not an integer")
+        return value.numerator
+    inv = k.invert(value.denominator % k.modulus)
+    if inv is None:
+        raise RingError(f"denominator {value.denominator} not invertible")
+    return value.numerator * inv % k.modulus
+
+
+def outcome(fn, *args):
+    """(type, value) of a call, or RingError if it raises that."""
+    try:
+        value = fn(*args)
+    except RingError:
+        return RingError
+    return type(value), value
+
+
+SCALARS = st.one_of(st.integers(-10**30, 10**30), st.booleans(),
+                    st.fractions(max_denominator=12))
+SCALAR_RINGS = [ZZ, QQ, Zmod(6), Zmod(7)]
+
+
+class TestScalarParity:
+    """The rings' fast scalar ops agree with the generic coerce(a op b)."""
+
+    @pytest.mark.parametrize("k", SCALAR_RINGS, ids=str)
+    @given(a=SCALARS, b=SCALARS)
+    def test_ops_match_generic(self, k, a, b):
+        generic = CoefficientRing
+        assert outcome(k.coerce, a) == outcome(reference_coerce, k, a)
+        assert outcome(k.add, a, b) == outcome(generic.add, k, a, b) \
+            == outcome(reference_coerce, k, a + b)
+        assert outcome(k.mul, a, b) == outcome(generic.mul, k, a, b) \
+            == outcome(reference_coerce, k, a * b)
+        assert outcome(k.neg, a) == outcome(generic.neg, k, a) \
+            == outcome(reference_coerce, k, -a)
+        expected = outcome(reference_coerce, k, a)
+        assert outcome(k.is_zero, a) == (
+            expected if expected is RingError else (bool, expected[1] == 0))
+
+    @pytest.mark.parametrize("k", SCALAR_RINGS, ids=str)
+    def test_constants_are_coerced(self, k):
+        assert outcome(lambda: k.zero) == outcome(reference_coerce, k, 0)
+        assert outcome(lambda: k.one) == outcome(reference_coerce, k, 1)
+
+    @pytest.mark.parametrize("k, bad", [(ZZ, Fraction(1, 2)),
+                                        (Zmod(6), Fraction(1, 2)),
+                                        (Zmod(6), Fraction(5, 3))])
+    def test_fraction_errors_survive(self, k, bad):
+        for op in (lambda: k.coerce(bad), lambda: k.add(bad, 0),
+                   lambda: k.mul(bad, 1), lambda: k.neg(bad),
+                   lambda: k.is_zero(bad)):
+            with pytest.raises(RingError):
+                op()
+
+    def test_invertible_denominator_mod_6(self):
+        assert Zmod(6).coerce(Fraction(1, 5)) == 5
+        assert Zmod(6).add(Fraction(1, 5), 1) == 0
 
 
 class TestRingElements:
