@@ -1,16 +1,24 @@
 """Exact integer linear algebra and finitely generated abelian groups.
 
 Everything here is computed over Z with Python's arbitrary-precision
-integers; there is no floating point anywhere.  The central routine is
-``smith_normal_form``, which diagonalizes an integer matrix by unimodular
-row and column operations.  From the Smith form we read off integer
-kernels, cokernels, and the kernel/cokernel data of a map of free (or
+integers; there is no floating point anywhere.  One elimination routine
+diagonalizes an integer matrix by unimodular row and column operations.
+``smith_normal_form`` runs it with the transforms ``U`` and ``V``, which
+integer kernels and solutions need; ``IntMatrix.smith_diagonal`` runs it
+without them and keeps the invariant factors on the matrix.  Ranks,
+cokernels and the kernel/cokernel data of a map of free (or
 cyclic-coefficient) abelian groups, packaged as ``LesSegment`` values for
-the long-exact-sequence pipelines built on top of this module.
+the long-exact-sequence pipelines, are all read off that one diagonal.
+
+Finitely generated abelian groups are stored as a free rank plus their
+invariant factors ``d_1 | d_2 | ...``, merged by gcd and lcm; no integer
+is factored except in ``FgAbelianGroup.primary_components``.
 
 >>> S, U, V = smith_normal_form(IntMatrix.from_rows([[2, 4], [6, 8]]))
 >>> S.diagonal()
 [2, 4]
+>>> IntMatrix.from_rows([[2, 4], [6, 8]]).smith_diagonal()
+(2, 4)
 >>> print(cokernel(IntMatrix.from_rows([[-2]])))
 Z/2
 """
@@ -18,6 +26,7 @@ Z/2
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 
 
 class AbgroupError(ValueError):
@@ -33,10 +42,11 @@ class IntMatrix:
 
     Empty matrices (0 rows and/or 0 columns) are legal and show up
     naturally: the adjacency map of a quiver with no regular vertices has
-    zero columns.
+    zero columns.  Being immutable, a matrix keeps its Smith diagonal once
+    computed (``smith_diagonal``); that is its only cache.
     """
 
-    __slots__ = ("rows", "cols", "entries")
+    __slots__ = ("rows", "cols", "entries", "_diagonal")
 
     def __init__(self, rows, cols, entries):
         if rows < 0 or cols < 0:
@@ -47,6 +57,7 @@ class IntMatrix:
         self.rows = rows
         self.cols = cols
         self.entries = entries
+        self._diagonal = None
 
     @classmethod
     def from_rows(cls, rows):
@@ -77,11 +88,6 @@ class IntMatrix:
         i, j = ij
         return self.entries[i][j]
 
-    def transpose(self):
-        return IntMatrix(self.cols, self.rows,
-                         [[self.entries[i][j] for i in range(self.rows)]
-                          for j in range(self.cols)])
-
     def mul(self, other):
         if self.cols != other.rows:
             raise AbgroupError("shape mismatch in matrix product")
@@ -95,12 +101,6 @@ class IntMatrix:
     def __mul__(self, other):
         return self.mul(other)
 
-    def hstack(self, other):
-        if self.rows != other.rows:
-            raise AbgroupError("row count mismatch in hstack")
-        return IntMatrix(self.rows, self.cols + other.cols,
-                         [list(a) + list(b) for a, b in zip(self.entries, other.entries)])
-
     def column(self, j):
         return [self.entries[i][j] for i in range(self.rows)]
 
@@ -109,6 +109,18 @@ class IntMatrix:
 
     def is_zero(self):
         return all(x == 0 for row in self.entries for x in row)
+
+    def smith_diagonal(self):
+        """The nonzero invariant factors ``d_1 | d_2 | ...``, as a tuple.
+
+        Computed once, without unimodular transforms, and kept on the
+        matrix.  Its length is the rank.
+        """
+        if self._diagonal is None:
+            s, _, _ = _smith(self, transforms=False)
+            diag = (s[i][i] for i in range(min(self.rows, self.cols)))
+            self._diagonal = tuple(d for d in diag if d)
+        return self._diagonal
 
     def det(self):
         """Determinant by fraction-free (Bareiss) elimination. Square only."""
@@ -141,56 +153,74 @@ class IntMatrix:
 # Smith normal form
 # ---------------------------------------------------------------------------
 
-def smith_normal_form(mat):
+def _smith(mat, transforms):
     """Diagonalize ``mat`` by unimodular row/column operations.
 
-    Returns ``(S, U, V)`` with ``U * mat * V == S``, ``det(U), det(V)`` in
-    ``{1, -1}``, ``S`` diagonal with nonnegative entries ``d_1 | d_2 | ...``
-    and every entry after the first zero equal to zero.
+    Returns row lists ``(s, u, v)`` with ``u * mat * v == s`` when
+    ``transforms`` is true; otherwise ``u`` and ``v`` are None and their
+    bookkeeping is skipped.  ``s`` is diagonal with nonnegative entries
+    ``d_1 | d_2 | ...`` and every entry after the first zero equal to zero.
 
     Pivots are chosen with minimal absolute value to keep intermediate
-    entries small; correctness does not depend on the choice.
+    entries small; correctness does not depend on the choice.  The rows
+    and columns of placed pivots are zero off the diagonal, so operations
+    on ``s`` touch only the trailing block from pivot ``t`` on; and the
+    column operations that clear row ``t`` run once column ``t`` is clear,
+    so each changes one entry of ``s``.
     """
     m, n = mat.rows, mat.cols
     s = [list(row) for row in mat.entries]
-    u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    v = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    u = [[1 if i == j else 0 for j in range(m)] for i in range(m)] \
+        if transforms else None
+    v = [[1 if i == j else 0 for j in range(n)] for i in range(n)] \
+        if transforms else None
 
     def swap_rows(i, j):
         s[i], s[j] = s[j], s[i]
-        u[i], u[j] = u[j], u[i]
+        if u is not None:
+            u[i], u[j] = u[j], u[i]
 
     def swap_cols(i, j):
-        for row in s:
+        for row in s[t:]:
             row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
+        if v is not None:
+            for row in v:
+                row[i], row[j] = row[j], row[i]
 
     def add_row(dst, src, q):
         # row[dst] -= q * row[src]
         sd, ss = s[dst], s[src]
-        for j in range(n):
-            sd[j] -= q * ss[j]
-        ud, us = u[dst], u[src]
-        for j in range(m):
-            ud[j] -= q * us[j]
+        for j in range(t, n):
+            x = ss[j]
+            if x:
+                sd[j] -= q * x
+        if u is not None:
+            ud, us = u[dst], u[src]
+            for j in range(m):
+                ud[j] -= q * us[j]
 
     def add_col(dst, src, q):
-        for row in s:
-            row[dst] -= q * row[src]
-        for row in v:
-            row[dst] -= q * row[src]
+        # col[dst] -= q * col[src]; in s only row t has col[src] nonzero
+        s[t][dst] -= q * s[t][src]
+        if v is not None:
+            for row in v:
+                row[dst] -= q * row[src]
 
     t = 0
     while t < m and t < n:
-        # Locate a pivot of minimal absolute value in the trailing block.
+        # Locate a pivot of minimal absolute value in the trailing block;
+        # a unit is minimal, so the search stops at the first one.
         best = None
         for i in range(t, m):
             row = s[i]
             for j in range(t, n):
                 e = row[j]
-                if e != 0 and (best is None or abs(e) < best[0]):
+                if e and (best is None or abs(e) < best[0]):
                     best = (abs(e), i, j)
+                    if best[0] == 1:
+                        break
+            if best is not None and best[0] == 1:
+                break
         if best is None:
             break
         _, pi, pj = best
@@ -200,7 +230,8 @@ def smith_normal_form(mat):
             swap_cols(t, pj)
         if s[t][t] < 0:
             s[t] = [-x for x in s[t]]
-            u[t] = [-x for x in u[t]]
+            if u is not None:
+                u[t] = [-x for x in u[t]]
 
         while True:
             a = s[t][t]
@@ -243,28 +274,40 @@ def smith_normal_form(mat):
             # the block: fold a non-multiple row into row t and redo.
             a = s[t][t]
             offender = None
-            for i in range(t + 1, m):
-                row = s[i]
-                for j in range(t + 1, n):
-                    if row[j] % a:
-                        offender = i
+            if a != 1:
+                for i in range(t + 1, m):
+                    row = s[i]
+                    for j in range(t + 1, n):
+                        if row[j] % a:
+                            offender = i
+                            break
+                    if offender is not None:
                         break
-                if offender is not None:
-                    break
             if offender is None:
                 break
             add_row(t, offender, -1)
         t += 1
 
-    return (IntMatrix(m, n, s),
-            IntMatrix(m, m, u),
-            IntMatrix(n, n, v))
+    return s, u, v
+
+
+def smith_normal_form(mat):
+    """Diagonalize ``mat`` by unimodular row/column operations.
+
+    Returns ``(S, U, V)`` with ``U * mat * V == S``, ``det(U), det(V)`` in
+    ``{1, -1}``, ``S`` diagonal with nonnegative entries ``d_1 | d_2 | ...``
+    and every entry after the first zero equal to zero.  Only integer
+    kernels and solutions need ``U`` and ``V``; everything else reads
+    ``mat.smith_diagonal()``.
+    """
+    s, u, v = _smith(mat, transforms=True)
+    m, n = mat.rows, mat.cols
+    return IntMatrix(m, n, s), IntMatrix(m, m, u), IntMatrix(n, n, v)
 
 
 def rank(mat):
-    """Rank over Q, read off the Smith diagonal."""
-    s, _, _ = smith_normal_form(mat)
-    return sum(1 for d in s.diagonal() if d != 0)
+    """Rank over Q: the number of nonzero invariant factors."""
+    return len(mat.smith_diagonal())
 
 
 def kernel_basis(mat):
@@ -283,11 +326,8 @@ def kernel_basis(mat):
 
 def cokernel(mat):
     """Isomorphism class of ``Z^rows / column-span(mat)``."""
-    s, _, _ = smith_normal_form(mat)
-    diag = [d for d in s.diagonal() if d != 0]
-    free = mat.rows - len(diag)
-    return FgAbelianGroup.from_divisors(*(d for d in diag if d >= 2),
-                                        *([0] * free))
+    diag = mat.smith_diagonal()
+    return FgAbelianGroup(mat.rows - len(diag), diag)
 
 
 def solve_int(mat, rhs):
@@ -321,7 +361,7 @@ def solve_int(mat, rhs):
 # ---------------------------------------------------------------------------
 
 def _factorint(n):
-    """Prime factorization by trial division; torsion orders here are small."""
+    """Prime factorization by trial division, for ``primary_components``."""
     out = {}
     p = 2
     while p * p <= n:
@@ -334,14 +374,41 @@ def _factorint(n):
     return out
 
 
+def _invariant_factors(orders):
+    """The chain ``d_1 | d_2 | ...`` (all >= 2) of a sum of cyclic groups.
+
+    Each order is carried into the chain from the top by
+    ``Z/a + Z/b = Z/gcd(a, b) + Z/lcm(a, b)``; nothing is factored.
+    """
+    chain = []
+    for c in sorted(orders):
+        if c < 1:
+            raise AbgroupError(f"cyclic order must be positive, got {c}")
+        if c == 1:
+            continue
+        if not chain or c % chain[-1] == 0:
+            chain.append(c)
+            continue
+        for i in range(len(chain) - 1, -1, -1):
+            d = chain[i]
+            g = gcd(d, c)
+            chain[i] = d // g * c
+            c = g
+            if c == 1:
+                break
+        else:
+            chain.insert(0, c)
+    return tuple(chain)
+
+
 class FgAbelianGroup:
     """A finitely generated abelian group in canonical form.
 
-    Stored as a free rank plus, per prime, the multiset of exponents of its
-    primary cyclic summands.  The public ``torsion`` view is the invariant
-    factor chain ``d_1 | d_2 | ...`` with every ``d_i >= 2``; trivial factors
-    are dropped and the free part lives only in ``free_rank``, so equal
-    groups always compare equal.
+    Stored as a free rank plus the invariant factor chain
+    ``d_1 | d_2 | ...`` with every ``d_i >= 2``; trivial factors are
+    dropped and the free part lives only in ``free_rank``, so equal groups
+    always compare equal.  ``torsion`` lists any finite cyclic orders
+    (1s allowed) in any order; they are merged into the chain.
 
     >>> FgAbelianGroup.from_divisors(2, 3) == FgAbelianGroup.from_divisors(6)
     True
@@ -349,96 +416,80 @@ class FgAbelianGroup:
     Z x Z/2 x Z/12
     """
 
-    __slots__ = ("free_rank", "_primary")
+    __slots__ = ("free_rank", "_torsion")
 
-    def __init__(self, free_rank=0, primary=None):
+    def __init__(self, free_rank=0, torsion=()):
         self.free_rank = int(free_rank)
-        prim = {}
-        for p, exps in (primary or {}).items():
-            exps = tuple(sorted((int(e) for e in exps if e > 0), reverse=True))
-            if exps:
-                prim[int(p)] = exps
-        self._primary = dict(sorted(prim.items()))
+        self._torsion = _invariant_factors(int(d) for d in torsion)
 
     @classmethod
     def from_divisors(cls, *divisors):
         """Build from cyclic orders; 0 means an infinite cyclic summand."""
-        rank = 0
-        primary = {}
-        for d in divisors:
-            d = abs(int(d))
-            if d == 0:
-                rank += 1
-            elif d > 1:
-                for p, e in _factorint(d).items():
-                    primary.setdefault(p, []).append(e)
-        return cls(rank, primary)
+        orders = [abs(int(d)) for d in divisors]
+        return cls(orders.count(0), [d for d in orders if d])
 
     @classmethod
     def trivial(cls):
-        return cls(0, {})
+        return cls()
 
     @classmethod
     def free(cls, rank):
-        return cls(rank, {})
+        return cls(rank)
 
     @property
     def torsion(self):
         """Invariant factors d_1 | d_2 | ... in ascending divisibility order."""
-        cols = [[p ** e for e in exps] for p, exps in self._primary.items()]
-        chain = [1] * max((len(c) for c in cols), default=0)
-        for c in cols:
-            for i, q in enumerate(c):
-                chain[i] *= q
-        chain = [d for d in chain if d >= 2]
-        chain.reverse()
-        return chain
+        return list(self._torsion)
 
     def primary_components(self):
-        """All cyclic summands: 0 repeated free_rank times, then each p^e."""
+        """All cyclic summands: 0 repeated free_rank times, then each p^e.
+
+        Prime powers come by ascending prime, then descending exponent.
+        This is the one place that factors, so call it only on small
+        torsion.
+        """
         out = [0] * self.free_rank
-        for p, exps in self._primary.items():
-            out.extend(p ** e for e in exps)
+        if not self._torsion:
+            return out
+        for p in sorted(_factorint(self._torsion[-1])):
+            for d in reversed(self._torsion):
+                q = 1
+                while d % p == 0:
+                    d //= p
+                    q *= p
+                if q == 1:
+                    break
+                out.append(q)
         return out
 
     def is_trivial(self):
-        return self.free_rank == 0 and not self._primary
+        return self.free_rank == 0 and not self._torsion
 
     def is_free(self):
-        return not self._primary
-
-    def is_cyclic(self):
-        comps = self.primary_components()
-        if len(comps) <= 1:
-            return True
-        return self.free_rank == 0 and len(self.torsion) == 1
+        return not self._torsion
 
     def order(self):
         """Cardinality for finite groups, None for infinite ones."""
         if self.free_rank:
             return None
         n = 1
-        for p, exps in self._primary.items():
-            for e in exps:
-                n *= p ** e
+        for d in self._torsion:
+            n *= d
         return n
 
     def direct_sum(self, *others):
-        rank = self.free_rank + sum(g.free_rank for g in others)
-        primary = {p: list(exps) for p, exps in self._primary.items()}
-        for g in others:
-            for p, exps in g._primary.items():
-                primary.setdefault(p, []).extend(exps)
-        return FgAbelianGroup(rank, primary)
+        groups = (self, *others)
+        return FgAbelianGroup(sum(g.free_rank for g in groups),
+                              [d for g in groups for d in g._torsion])
 
     def __eq__(self, other):
         if not isinstance(other, FgAbelianGroup):
             return NotImplemented
         return (self.free_rank == other.free_rank
-                and self._primary == other._primary)
+                and self._torsion == other._torsion)
 
     def __hash__(self):
-        return hash((self.free_rank, tuple(self._primary.items())))
+        return hash((self.free_rank, self._torsion))
 
     def __str__(self):
         parts = []
@@ -446,7 +497,7 @@ class FgAbelianGroup:
             parts.append("Z")
         elif self.free_rank > 1:
             parts.append(f"Z^{self.free_rank}")
-        parts.extend(f"Z/{d}" for d in self.torsion)
+        parts.extend(f"Z/{d}" for d in self._torsion)
         return " x ".join(parts) if parts else "0"
 
     def __repr__(self):
@@ -467,37 +518,33 @@ class LesSegment:
     map_matrix: IntMatrix
 
 
-def _mod_m_cokernel(mat, m):
-    """Cokernel of ``mat`` acting on (Z/m)-columns: coker([mat | m*I])."""
-    return cokernel(mat.hstack(IntMatrix.from_rows(
-        [[m if i == j else 0 for j in range(mat.rows)] for i in range(mat.rows)])))
-
-
 def les_segment(mat, coeff):
     """Kernel and cokernel of ``mat`` acting coordinatewise on ``coeff``.
 
-    ``coeff`` must be free (Z^r) or cyclic torsion (Z/m); callers split
-    mixed groups into primary components first.  For free coefficients the
-    answer is the integer kernel/cokernel replicated r times.  For Z/m the
-    cokernel is read from the Smith form of ``mat`` augmented with an
-    m-identity block, and the kernel is the Pontryagin dual statement:
-    ker(mat on Z/m) is isomorphic to coker(mat^T on Z/m), a finite group
-    equal to its own dual.
+    ``coeff`` must be free (Z^k) or cyclic torsion (Z/m); callers split
+    mixed groups into primary components first.  Both are read from the
+    Smith diagonal of ``mat``, whose r nonzero invariants ``d_i`` survive
+    the unimodular change of basis on either side.  Over Z^k the kernel
+    is free of rank ``(cols - r) k`` and the cokernel is
+    ``(Z^(rows - r) + sum Z/d_i)^k``.  Over Z/m each ``d_i`` acts on one
+    copy of Z/m with kernel and cokernel Z/gcd(d_i, m), and the zero
+    diagonal adds ``(Z/m)^(cols - r)`` to the kernel and
+    ``(Z/m)^(rows - r)`` to the cokernel.
     """
     if not isinstance(coeff, FgAbelianGroup):
         raise AbgroupError("coefficient must be an FgAbelianGroup")
+    diag = mat.smith_diagonal()
+    r = len(diag)
     if coeff.is_free():
-        r = coeff.free_rank
-        ker_rank = mat.cols - rank(mat)
-        ker = FgAbelianGroup.free(ker_rank * r)
-        cok = cokernel(mat)
-        cok = FgAbelianGroup(cok.free_rank * r,
-                             {p: list(exps) * r for p, exps in cok._primary.items()})
+        k = coeff.free_rank
+        ker = FgAbelianGroup.free((mat.cols - r) * k)
+        cok = FgAbelianGroup((mat.rows - r) * k, diag * k)
         return LesSegment(ker, cok, mat)
     if coeff.free_rank or len(coeff.torsion) != 1:
         raise AbgroupError(
             "mixed coefficient group; split into primary components first")
     m = coeff.torsion[0]
-    cok = _mod_m_cokernel(mat, m)
-    ker = _mod_m_cokernel(mat.transpose(), m)
+    cyclic = [gcd(d, m) for d in diag]
+    ker = FgAbelianGroup(0, cyclic + [m] * (mat.cols - r))
+    cok = FgAbelianGroup(0, cyclic + [m] * (mat.rows - r))
     return LesSegment(ker, cok, mat)

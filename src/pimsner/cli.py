@@ -8,8 +8,9 @@ group file.  Reports are deterministic JSON (schema 1) for fixed input,
 configuration and seed; ``--out text`` renders a short summary instead.
 
 Exit codes: 0 success, 2 parse or semantic error, 3 insufficient depth
-(all checks that ran passed but some were skipped for budget), 4 internal
-invariant violation.
+(all checks that ran passed but some were skipped for budget), 4 a failed
+identity (a check that ran found a counterexample, or an internal
+invariant was violated).
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import random
 import sys
 
 from . import __version__, funcmod, leavitt, selfsim
-from .abgroup import IntMatrix
+from .abgroup import AbgroupError, IntMatrix
 from .fock import (
     DepthError,
     HomotopyModel,
@@ -445,7 +446,7 @@ def main(argv=None):
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except RingError as exc:
+    except (RingError, AbgroupError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except DepthError as exc:

@@ -38,6 +38,7 @@ it is exactly the propagation of a group element through a word.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 from . import abgroup
 from .ringcore import IntegerRing, RingError, ZmodRing
@@ -702,12 +703,13 @@ def _rows_independent(k, rows):
         return True
     if isinstance(k, ZmodRing) and not k.is_field:
         # lambda . rows = 0 over Z/m iff lambda is in ker(rows^T mod m),
-        # which is Pontryagin dual to coker(rows mod m).
-        mat = abgroup.IntMatrix.from_rows([[int(x) for x in r] for r in rows])
-        eye_m = abgroup.IntMatrix.from_rows(
-            [[k.modulus if i == j else 0 for j in range(mat.rows)]
-             for i in range(mat.rows)])
-        return abgroup.cokernel(mat.hstack(eye_m)).order() == 1
+        # which is a sum of Z/gcd(d_i, m) over the Smith invariants d_i
+        # plus (Z/m)^(len(rows) - rank): trivial iff there are len(rows)
+        # invariants and each is a unit mod m.
+        diag = abgroup.IntMatrix.from_rows(
+            [[int(x) for x in r] for r in rows]).smith_diagonal()
+        return len(diag) == len(rows) and \
+            all(gcd(d, k.modulus) == 1 for d in diag)
 
     if isinstance(k, IntegerRing):
         work = [[Fraction(x) for x in row] for row in rows]

@@ -261,7 +261,12 @@ def parse_selfsim(text):
                                    line=lineno)
             continue
         if line.startswith("depth:"):
-            depth = int(line[len("depth:"):].strip())
+            value = line[len("depth:"):].strip()
+            if not (value.isascii() and value.isdigit()):
+                raise SelfSimError(
+                    f"depth must be a nonnegative integer, got {value!r}",
+                    line=lineno)
+            depth = int(value)
             continue
         if "=" not in line:
             raise SelfSimError(f"expected 'name = (perm ...)(...)', got {line!r}",

@@ -115,6 +115,30 @@ class TestSmithNormalForm:
             a = random_matrix(rng, max_dim=4, lo=-6, hi=6)
             s, _, _ = smith_normal_form(a)
             assert s.diagonal() == minor_gcd_divisors(a)
+            assert a.smith_diagonal() == \
+                tuple(d for d in minor_gcd_divisors(a) if d)
+
+    def test_diagonal_against_sympy(self):
+        normalforms = pytest.importorskip("sympy.matrices.normalforms")
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(2026)
+        for trial in range(12):
+            if trial % 2:
+                # rank 14 with nontrivial invariants: B * diag * C
+                scale = [rng.choice([1, 1, 2, 3, 4, 6]) for _ in range(14)]
+                b = [[rng.randint(-2, 2) for _ in range(14)]
+                     for _ in range(20)]
+                c = [[rng.randint(-2, 2) * scale[k] for _ in range(20)]
+                     for k in range(14)]
+                rows = [[sum(b[i][k] * c[k][j] for k in range(14))
+                         for j in range(20)] for i in range(20)]
+            else:
+                rows = [[rng.choice([0, 0, 0, 1, -1, 2, -3])
+                         for _ in range(20)] for _ in range(20)]
+            s = normalforms.smith_normal_form(sympy.Matrix(rows),
+                                              domain=sympy.ZZ)
+            want = tuple(abs(int(s[i, i])) for i in range(20) if s[i, i])
+            assert IntMatrix.from_rows(rows).smith_diagonal() == want
 
 
 class TestKernelBasis:
@@ -217,6 +241,48 @@ class TestFgAbelianGroup:
     def test_primary_components(self):
         g = FgAbelianGroup.from_divisors(0, 12)
         assert sorted(g.primary_components()) == [0, 3, 4]
+        g = FgAbelianGroup.from_divisors(8, 2, 9, 3, 5)
+        assert g.torsion == [6, 360]
+        assert g.primary_components() == [8, 2, 9, 3, 5]
+
+    def test_invariant_factors_against_pairwise_merge(self):
+        rng = random.Random(61)
+        for _ in range(200):
+            orders = [rng.randint(1, 40) for _ in range(rng.randint(0, 6))]
+            chain = sorted(orders)
+            for i in range(len(chain)):
+                for j in range(i + 1, len(chain)):
+                    g = gcd(chain[i], chain[j])
+                    chain[i], chain[j] = g, chain[i] // g * chain[j]
+            group = FgAbelianGroup.from_divisors(*orders)
+            assert group.torsion == [d for d in chain if d >= 2]
+            assert group == FgAbelianGroup.from_divisors(
+                *group.primary_components())
+
+    def test_large_prime_torsion_is_not_factored(self):
+        g = FgAbelianGroup.from_divisors(2 ** 61 - 1, 0)
+        assert g.torsion == [2 ** 61 - 1]
+        assert g.direct_sum(g) == FgAbelianGroup.from_divisors(
+            0, 0, 2 ** 61 - 1, 2 ** 61 - 1)
+
+
+def brute_force_killed(mat, m, d):
+    """Count x in (Z/m)^cols with mat . x = 0 and d x = 0."""
+    from itertools import product
+
+    return sum(
+        1 for vec in product(range(m), repeat=mat.cols)
+        if all(d * x % m == 0 for x in vec)
+        and all(sum(row[j] * vec[j] for j in range(mat.cols)) % m == 0
+                for row in mat.entries))
+
+
+def d_torsion(group, d):
+    """Number of elements of a finite group killed by d."""
+    n = 1
+    for t in group.torsion:
+        n *= gcd(d, t)
+    return n
 
 
 def brute_force_mod_m_segment(mat, m):
@@ -257,16 +323,28 @@ class TestLesSegment:
         assert seg.cokernel == FgAbelianGroup.from_divisors(2)
 
     def test_mod_m_against_brute_force(self):
+        # A finite group of exponent dividing m is determined by how many
+        # elements each d | m kills.  The cokernel on Z/m is dual to the
+        # kernel of the transpose, so it is counted there.
         rng = random.Random(97)
-        for _ in range(40):
-            m = rng.choice([2, 3, 4, 6])
-            mat = random_matrix(rng, max_dim=2, lo=-4, hi=4)
+        for _ in range(60):
+            m = rng.choice([2, 3, 4, 6, 8])
+            mat = random_matrix(rng, max_dim=3, lo=-4, hi=4)
             if mat.rows == 0 or mat.cols == 0:
                 continue
             seg = les_segment(mat, FgAbelianGroup.from_divisors(m))
             kernel_size, cokernel_size = brute_force_mod_m_segment(mat, m)
             assert seg.kernel.order() == kernel_size
             assert seg.cokernel.order() == cokernel_size
+            transpose = IntMatrix.from_rows(
+                [list(col) for col in zip(*mat.entries)])
+            for d in range(1, m + 1):
+                if m % d:
+                    continue
+                assert d_torsion(seg.kernel, d) == \
+                    brute_force_killed(mat, m, d)
+                assert d_torsion(seg.cokernel, d) == \
+                    brute_force_killed(transpose, m, d)
 
     def test_free_coefficients_agree_with_kernel_cokernel(self):
         rng = random.Random(131)

@@ -120,6 +120,26 @@ class TestPv:
         assert code == 2
         assert "integers" in err
 
+    def test_large_torsion_is_not_factored(self, capsys):
+        code, out, _ = run(capsys, "pv", "--matrix",
+                           "1000000000000000000000008")
+        assert code == 0
+        report = json.loads(out)
+        assert report["degrees"]["0"]["cokernel"]["repr"] == \
+            "Z/1000000000000000000000007"
+
+    def test_abgroup_error_exits_2(self, capsys, monkeypatch):
+        from pimsner import leavitt
+        from pimsner.abgroup import AbgroupError
+
+        def reject(*args, **kwargs):
+            raise AbgroupError("bad shape")
+
+        monkeypatch.setattr(leavitt, "crossed_product_k_groups", reject)
+        code, _, err = run(capsys, "pv", "--matrix", "1")
+        assert code == 2
+        assert "bad shape" in err
+
 
 class TestVerify:
     def test_quiver_passes(self, capsys, tmp_path):
@@ -199,3 +219,12 @@ class TestSelfsim:
         code, _, err = run(capsys, "selfsim", str(path))
         assert code == 2
         assert "line 2" in err
+
+    @pytest.mark.parametrize("depth", ["x", "-1", "2.5", ""])
+    def test_malformed_depth_exits_2(self, capsys, tmp_path, depth):
+        path = tmp_path / "bad.selfsim"
+        path.write_text(f"alphabet: 0 1\ndepth: {depth}\n"
+                        "a = (perm 0 1)(e, a)\n", encoding="utf-8")
+        code, _, err = run(capsys, "selfsim", str(path))
+        assert code == 2
+        assert "line 2" in err and "depth" in err

@@ -311,6 +311,25 @@ class TestNondegeneracy:
         mz = quiver_correspondence(rose(2), Zmod(6)).module
         assert nondegenerate(mz)
 
+    def test_rows_independent_against_brute_force(self):
+        # independent iff no nonzero lambda in (Z/m)^rows kills every column
+        from itertools import product
+
+        from pimsner.funcmod import _rows_independent
+        rng = random.Random(46)
+        for m in (4, 6):
+            k = Zmod(m)
+            for _ in range(80):
+                nrows, ncols = rng.randint(1, 3), rng.randint(1, 3)
+                rows = [[rng.randrange(m) for _ in range(ncols)]
+                        for _ in range(nrows)]
+                want = not any(
+                    any(lam) and all(
+                        sum(l * row[j] for l, row in zip(lam, rows)) % m == 0
+                        for j in range(ncols))
+                    for lam in product(range(m), repeat=nrows))
+                assert _rows_independent(k, rows) == want
+
     def test_hom_injectivity_on_nondegenerate_target(self):
         # a valid functional hom into a nondegenerate module is injective
         # on the basis span: U applied to a nonzero combination is nonzero
