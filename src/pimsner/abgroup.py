@@ -101,9 +101,6 @@ class IntMatrix:
     def __mul__(self, other):
         return self.mul(other)
 
-    def column(self, j):
-        return [self.entries[i][j] for i in range(self.rows)]
-
     def diagonal(self):
         return [self.entries[i][i] for i in range(min(self.rows, self.cols))]
 

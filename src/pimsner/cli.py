@@ -203,7 +203,12 @@ def cmd_selfsim(args):
                              "depth; inequalities are definitive",
         },
     }
-    corr = selfsim.build_nek_correspondence(group, k)
+    try:
+        corr = selfsim.build_nek_correspondence(group, k)
+    except SelfSimError as exc:
+        # a failed correspondence law is a failed identity, as in verify
+        print(f"correspondence check failed: {exc}", file=sys.stderr)
+        return EXIT_INVARIANT
     report["correspondence"] = {
         "verified": ["left-module law", "adjointability",
                      "compact left action", "functional homomorphism"],
@@ -241,23 +246,6 @@ def cmd_selfsim(args):
 # verify
 # ---------------------------------------------------------------------------
 
-def _quiver_words(quiver, bound):
-    """All normal Toeplitz words p q* with 1 <= |p| + |q| <= bound."""
-    words = []
-    paths_to = {v: [] for v in quiver.vertices}
-    for length in range(0, bound + 1):
-        for v in quiver.vertices:
-            for p in quiver.paths_from(v, length):
-                end = quiver.r(p[-1]) if p else v
-                paths_to[end].append(p)
-    for v in quiver.vertices:
-        for p in paths_to[v]:
-            for q in paths_to[v]:
-                if 1 <= len(p) + len(q) <= bound:
-                    words.append((p, q))
-    return words
-
-
 def _verify_quiver(args, quiver):
     k = coefficient_ring(args.coeff)
     corr = leavitt.quiver_correspondence(quiver, k)
@@ -271,7 +259,7 @@ def _verify_quiver(args, quiver):
 
     defect = {"name": "defect-support", "checked": 0, "skipped": 0,
               "passed": True, "failures": []}
-    for p, q in _quiver_words(quiver, args.word_bound):
+    for p, q in leavitt.normal_words(quiver, args.word_bound):
         tokens = [("x", {e: one}) for e in p] + \
                  [("phi", {(e, "*"): one}) for e in reversed(q)]
         try:

@@ -797,32 +797,20 @@ class ToeplitzAlgebra:
     def scalar(self, relt):
         return {("s", rsym): c for rsym, c in relt.terms.items()}
 
-    def gen_x(self, xvec):
-        out = {}
-        for b, c in xvec.items():
-            for key, c2 in self._word((b,), None, ()).items():
-                out[key] = self.k.add(out.get(key, self.k.zero),
-                                      self.k.mul(c, c2))
-        return vclean(self.k, out)
-
-    def gen_phi(self, pvec):
-        out = {}
-        for csym, c in pvec.items():
-            for key, c2 in self._word((), None, (csym,)).items():
-                out[key] = self.k.add(out.get(key, self.k.zero),
-                                      self.k.mul(c, c2))
-        return vclean(self.k, out)
-
     def from_tokens(self, tokens):
         """Normal form of a product of generator tokens."""
+        k = self.k
         elt = None
         for kind, payload in tokens:
-            if kind == "x":
-                nxt = self.gen_x(payload)
-            elif kind == "phi":
-                nxt = self.gen_phi(payload)
-            elif kind == "r":
+            if kind == "r":
                 nxt = self.scalar(payload)
+            elif kind in ("x", "phi"):
+                nxt = {}
+                for sym, c in payload.items():
+                    p, cs = ((sym,), ()) if kind == "x" else ((), (sym,))
+                    for key, c2 in self._word(p, None, cs).items():
+                        nxt[key] = k.add(nxt.get(key, k.zero), k.mul(c, c2))
+                nxt = vclean(k, nxt)
             else:
                 raise RingError(f"unknown generator token {kind!r}")
             elt = nxt if elt is None else self.mul(elt, nxt)
@@ -954,10 +942,10 @@ class ToeplitzAlgebra:
                 out[key] = k.add(out.get(key, k.zero), c)
         return vclean(k, out)
 
-    def mul(self, e1, e2, strict=True):
+    def mul(self, e1, e2):
         """Product of elements; raises DepthError past the word bound."""
         out, overflow = self._mul_raw(e1, e2)
-        if overflow and strict:
+        if overflow:
             raise DepthError("product exceeds the word-length bound")
         return out
 
@@ -1005,28 +993,17 @@ def word_tokens_of(talg, key):
             + [("phi", {csym: one}) for csym in c])
 
 
-def _basis_word_column(fock, sym_tokens, variant, key):
-    """Fused column evaluation of a basis-symbol generator word.
+def _basis_word_op(fock, sym_tokens, variant):
+    """The composite of the cached token operators of a basis-symbol word.
 
     ``sym_tokens`` holds (kind, symbol) pairs in operator order; the
-    rightmost acts first.  Returns None when the chain leaves coverage.
+    rightmost acts first.
     """
-    k = fock.k
-    vec = {key: k.one}
+    op = None
     for kind, sym in reversed(sym_tokens):
-        op = fock.token_op(kind, sym, variant)
-        nxt = {}
-        for kk, c in vec.items():
-            col = op.column(kk)
-            if col is None:
-                return None
-            for tk, c2 in col.items():
-                prev = nxt.get(tk, k.zero)
-                nxt[tk] = k.add(prev, k.mul(c, c2))
-        vec = vclean(k, nxt)
-        if not vec:
-            return {}
-    return vec
+        tok = fock.token_op(kind, sym, variant)
+        op = tok if op is None else tok.compose(op)
+    return op
 
 
 def _defect_keys_at(fock, wkey, ll, d):
@@ -1051,19 +1028,26 @@ def _defect_keys_at(fock, wkey, ll, d):
 
 
 def _check_defect_support(fock, wkey, ll, sym_tokens, covered):
-    k = fock.k
+    """Check that pi0 - pi1 of a normal word lives on source degree ll.
+
+    Composes the cached ``fock.token_op`` operators of ``sym_tokens`` once
+    per representation (pi0 and pi1) and reads their columns: at degree ll
+    the pi1 column must vanish, and at every other degree in ``covered``
+    the two columns must agree.  Raises InvariantViolation otherwise.
+    """
+    op0 = _basis_word_op(fock, sym_tokens, "pi0")
+    op1 = _basis_word_op(fock, sym_tokens, "pi1")
     for d in sorted(covered):
         keys = _defect_keys_at(fock, wkey, ll, d)
         if d == ll:
             for key in keys:
-                col1 = _basis_word_column(fock, sym_tokens, "pi1", key)
-                if col1:
+                if op1.column(key):
                     raise InvariantViolation(
                         f"pi1 of {wkey} does not vanish at degree {ll}")
             continue
         for key in keys:
-            col0 = _basis_word_column(fock, sym_tokens, "pi0", key)
-            col1 = _basis_word_column(fock, sym_tokens, "pi1", key)
+            col0 = op0.column(key)
+            col1 = op1.column(key)
             if col0 is None or col1 is None:
                 continue
             if col0 != col1:
@@ -1074,16 +1058,17 @@ def _check_defect_support(fock, wkey, ll, sym_tokens, covered):
 def quasi_hom_defect(fock, tokens, check_support=True):
     """pi0 - pi1 on a generator word; a finite-rank block operator.
 
-    The input word is first rewritten to normal form.  For a normal word
-    with k creations and l annihilations the difference vanishes on every
-    source degree other than l (checked exactly within budget when
-    ``check_support`` is set) and its surviving block sits at target
-    degree k.  Requires l + 1 <= depth.
+    The input word is first rewritten to normal form.  Each normal word
+    is evaluated as the composite of the cached ``fock.token_op``
+    operators of its basis symbols, under pi0 and under pi1.  For a
+    normal word with k creations and l annihilations the difference
+    vanishes on every source degree other than l (checked exactly within
+    budget when ``check_support`` is set) and its surviving block sits at
+    target degree k.  Requires l + 1 <= depth.
     """
     if not hasattr(fock, "_talg"):
         fock._talg = ToeplitzAlgebra(fock.corr)
-    talg = fock._talg
-    elt = talg.from_tokens(tokens)
+    elt = fock._talg.from_tokens(tokens)
     total = fock.zero_op()
     infos = []
     for key, coeff in elt.items():
@@ -1097,10 +1082,8 @@ def quasi_hom_defect(fock, tokens, check_support=True):
         if ll + 1 > fock.depth:
             raise DepthError(
                 f"word with {ll} annihilations needs depth >= {ll + 1}")
-        wtokens = word_tokens_of(talg, key)
-        op0 = pi0(fock, wtokens)
-        op1 = pi1(fock, wtokens)
-        defect = op0 - op1
+        defect = (_basis_word_op(fock, sym_tokens, "pi0")
+                  - _basis_word_op(fock, sym_tokens, "pi1"))
         if check_support:
             _check_defect_support(fock, key, ll, sym_tokens, defect.covered)
         total = total + defect.scale(coeff)
@@ -1151,9 +1134,10 @@ class HomotopyModel:
                 absorbed = self.talg._scalar_times_word(u, wk)
                 if absorbed == {wk: one}:
                     self.c1_keys.append((1, (b,), wk))
+        self.low_keys = self.c0_keys + self.c1_keys
 
     def _enumerate_words(self):
-        words = [("s", rsym) for rsym in self.ring.basis]
+        words = dict.fromkeys(("s", rsym) for rsym in self.ring.basis)
         for a in range(0, self.word_bound + 1):
             ptups = [()] if a == 0 else [t for (_, t) in self.fock.basis(a)]
             for bdeg in range(0, self.word_bound + 1 - a):
@@ -1164,9 +1148,8 @@ class HomotopyModel:
                 for p in ptups:
                     for c in ctups:
                         for key in self.talg._word(p, None, c):
-                            if key not in words:
-                                words.append(key)
-        return words
+                            words.setdefault(key, None)
+        return list(words)
 
     def make_key(self, n, tup, wk):
         """Canonicalize a raw (degree, tensor, word) triple to model keys."""
@@ -1177,16 +1160,7 @@ class HomotopyModel:
         absorbed = self.talg._scalar_times_word(u, wk)
         return {(n, tup, wk2): c for wk2, c in absorbed.items()}
 
-    def low_keys(self):
-        return self.c0_keys + self.c1_keys
-
-    def word_left_support(self, wk):
-        return self.talg.left_support(wk)
-
     # -- homotopy summands -----------------------------------------------------
-
-    def _emit_low(self, column_map):
-        return HOperator(self, low=column_map, high=None)
 
     def lam1(self, token):
         """Left multiplication by the generator on the degree-0 column."""
@@ -1198,14 +1172,14 @@ class HomotopyModel:
                 low[key] = OVERFLOW
             else:
                 low[key] = {(0, (), wk): c for wk, c in prod.items()}
-        return self._emit_low(low)
+        return HOperator(self, low=low, high=None)
 
     def lam0_x(self, xvec):
         """Degree-raising corner of the creation operator."""
         low = {}
         for key in self.c0_keys:
             wk = key[2]
-            eps = self.word_left_support(wk)
+            eps = self.talg.left_support(wk)
             vec = self.module.act_right(xvec, eps)
             col = {}
             for b, c in vec.items():
@@ -1213,7 +1187,7 @@ class HomotopyModel:
                     col[key2] = self.k.add(col.get(key2, self.k.zero),
                                            self.k.mul(c, c2))
             low[key] = vclean(self.k, col)
-        return self._emit_low(low)
+        return HOperator(self, low=low, high=None)
 
     def lam0_phi(self, pvec):
         """Degree-lowering corner of the annihilation operator."""
@@ -1227,7 +1201,7 @@ class HomotopyModel:
                 continue
             col = self.talg._scalar_times_word(r, wk)
             low[key] = {(0, (), wk2): c for wk2, c in col.items()}
-        return self._emit_low(low)
+        return HOperator(self, low=low, high=None)
 
     def _tensor_high(self, tokens):
         op = word_operator(self.fock, tokens, "pi0")
@@ -1272,24 +1246,6 @@ class HomotopyModel:
                 low[key] = vclean(self.k, col)
         return HOperator(self, low=low, high=self._tensor_high([token]))
 
-    def full_scalar(self, relt):
-        """r . id on the whole model (the homotopy image of a scalar)."""
-        one = self.k.one
-        low = {}
-        for key in self.c0_keys:
-            prod = self.talg._scalar_times_word(relt, key[2])
-            low[key] = {(0, (), wk): c for wk, c in prod.items()}
-        for key in self.c1_keys:
-            _, (b,), wk = key
-            col = {}
-            for b2, c in self.module.act_left(relt, {b: one}).items():
-                for key2, c2 in self.make_key(1, (b2,), wk).items():
-                    col[key2] = self.k.add(col.get(key2, self.k.zero),
-                                           self.k.mul(c, c2))
-            low[key] = vclean(self.k, col)
-        return HOperator(self, low=low,
-                         high=self._tensor_high([("r", relt)]))
-
     def zero_h(self):
         return HOperator(self, low={}, high=None)
 
@@ -1301,17 +1257,15 @@ class HOperator:
     when the word bound was exceeded); missing keys are zero columns.
     ``high`` is a Fock operator acting on the tensor part of every column
     of degree >= 2 (the word part is inert there), or None for zero.
-    Columns are clean vectors, as in ``FockOperator``.  A composition
-    whose high part would leak into the explicit columns keeps an
-    evaluator but loses the tensor form; comparing such an operator
-    raises, which never happens for the homotopy identities.
+    Columns are clean vectors, as in ``FockOperator``.  Composition keeps
+    this form only while the inner high part stays in degrees >= 2, which
+    holds for every homotopy identity; ``compose`` refuses any other chain.
     """
 
-    def __init__(self, model, low, high, high_is_tensor=True):
+    def __init__(self, model, low, high):
         self.model = model
         self.low = low
         self.high = high
-        self.high_is_tensor = high_is_tensor
 
     def column(self, key):
         if key[0] <= 1:
@@ -1359,47 +1313,35 @@ class HOperator:
             high = self.high
         else:
             high = self.high + other.high
-        return HOperator(self.model, low, high,
-                         self.high_is_tensor and other.high_is_tensor)
+        return HOperator(self.model, low, high)
 
     def scale(self, coeff):
         k = self.model.k
         low = {key: (OVERFLOW if col is OVERFLOW else vscale(k, col, coeff))
                for key, col in self.low.items()}
         high = None if self.high is None else self.high.scale(coeff)
-        return HOperator(self.model, low, high, self.high_is_tensor)
+        return HOperator(self.model, low, high)
 
     def __sub__(self, other):
         return self + other.scale(-1)
 
     def compose(self, other):
-        """self after other."""
-        low = {}
-        for key in self.model.low_keys():
-            col = other.low.get(key, {})
-            low[key] = self.apply_col(col)
-        if other.high is None:
+        """self after other; ``other.high`` must stay in degrees >= 2."""
+        if other.high is not None and any(
+                e <= 1 for outs in other.high.outs.values() for e in outs):
+            raise RingError("the inner high part re-enters degrees 0 and 1; "
+                            "the composition has no tensor form")
+        low = {key: self.apply_col(other.low.get(key, {}))
+               for key in self.model.low_keys}
+        if self.high is None or other.high is None:
             high = None
-            tensor_ok = True
         else:
-            dips = any(e <= 1 for d in other.high.covered
-                       for e in other.high.outs[d])
-            if not dips and (self.high is not None):
-                high = self.high.compose(other.high)
-                tensor_ok = self.high_is_tensor and other.high_is_tensor
-            elif not dips and self.high is None:
-                high = None
-                tensor_ok = True
-            else:
-                # the chain re-enters the explicit columns; keep an
-                # evaluator-only high part
-                high = _ChainHigh(self, other)
-                tensor_ok = False
-        return HOperator(self.model, low, high, tensor_ok)
+            high = self.high.compose(other.high)
+        return HOperator(self.model, low, high)
 
     def eq_report(self, other, report, tag=""):
         """Exact comparison with coverage accounting into a CheckReport."""
-        for key in self.model.low_keys():
+        for key in self.model.low_keys:
             a = self.low.get(key, {})
             b = other.low.get(key, {})
             if a is OVERFLOW or b is OVERFLOW:
@@ -1410,8 +1352,6 @@ class HOperator:
                 report.failures.append((tag, key))
         if self.high is None and other.high is None:
             return
-        if not (self.high_is_tensor and other.high_is_tensor):
-            raise RingError("high parts lost tensor form; cannot compare")
         ha = self.high if self.high is not None else self.model.fock.zero_op()
         hb = other.high if other.high is not None else self.model.fock.zero_op()
         degrees = sorted(d for d in ha.covered & hb.covered if d >= 2)
@@ -1420,27 +1360,6 @@ class HOperator:
         report.checked += len(degrees)
         if degrees and not ha.eq_on(hb, degrees):
             report.failures.append((tag, "tensor part"))
-
-
-class _ChainHigh:
-    """Evaluator-only high part of a composed operator (no tensor form)."""
-
-    def __init__(self, outer, inner):
-        self.outer = outer
-        self.inner = inner
-        self.covered = frozenset()
-
-    def column(self, key):
-        raise RingError("high part lost tensor form")
-
-    def scale(self, coeff):
-        return self
-
-    def __add__(self, other):
-        return self
-
-    def compose(self, other):
-        return self
 
 
 # ---------------------------------------------------------------------------
@@ -1491,7 +1410,7 @@ def homotopy_H(model, token):
     """
     kind, payload = token
     if kind == "r":
-        return PolyOperator(model, {0: model.full_scalar(payload)})
+        return PolyOperator(model, {0: model.pi_tensor(token, "pi0")})
     pi1_part = model.pi_tensor(token, "pi1")
     lam1 = model.lam1(token)
     if kind == "x":
@@ -1517,10 +1436,9 @@ def homotopy_endpoints_check(model, token):
     H = homotopy_H(model, token)
     report = CheckReport("homotopy-endpoints")
     H.at(0).eq_report(model.pi_tensor(token, "pi0"), report, tag="H(0)")
-    kind, payload = token
-    if kind == "r":
+    if token[0] == "r":
         # H(r) is constant; its value at 1 must again be r . id
-        rhs = model.full_scalar(payload)
+        rhs = model.pi_tensor(token, "pi0")
     else:
         rhs = model.lam1(token) + model.pi_tensor(token, "pi1")
     H.at(1).eq_report(rhs, report, tag="H(1)")
@@ -1535,7 +1453,7 @@ def homotopy_pairing_check(model, xvec, pvec):
     lhs = homotopy_H(model, ("phi", pvec)).compose(
         homotopy_H(model, ("x", xvec)))
     relt = model.module.pair(pvec, xvec)
-    rhs = PolyOperator(model, {0: model.full_scalar(relt)})
+    rhs = PolyOperator(model, {0: model.pi_tensor(("r", relt), "pi0")})
     report = CheckReport("homotopy-pairing")
     lhs.eq_report(rhs, report, tag="pairing")
     return report

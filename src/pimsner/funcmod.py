@@ -629,11 +629,7 @@ def _theta_witness(module, targets, acting_left):
     """Solve for a finite-rank operator fixing every target vector."""
     k = module.k
     one = k.one
-    support = []
-    for vec in targets:
-        for sym in vec:
-            if sym not in support:
-                support.append(sym)
+    support = list(dict.fromkeys(sym for vec in targets for sym in vec))
     pairs = (_default_pairs_left(module, support) if acting_left
              else _default_pairs_right(module, support))
     pairs = list(dict.fromkeys(pairs))
@@ -1030,18 +1026,12 @@ def tensor(c1, c2, label=None):
         r, c0 = mx.xp_split(cx)
         return {(sym, c0): c for sym, c in my.act_xp_right({cy: one}, r).items()}
 
-    x_basis = []
-    for bx in mx.x_basis:
-        for by in my.x_basis:
-            for key in cross_reduce(bx, by):
-                if key not in x_basis:
-                    x_basis.append(key)
-    xp_basis = []
-    for cy in my.xp_basis:
-        for cx in mx.xp_basis:
-            for key in cross_reduce_dual(cy, cx):
-                if key not in xp_basis:
-                    xp_basis.append(key)
+    x_basis = list(dict.fromkeys(
+        key for bx in mx.x_basis for by in my.x_basis
+        for key in cross_reduce(bx, by)))
+    xp_basis = list(dict.fromkeys(
+        key for cy in my.xp_basis for cx in mx.xp_basis
+        for key in cross_reduce_dual(cy, cx)))
 
     def pairing(c, b):
         cy, cx = c

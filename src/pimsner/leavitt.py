@@ -178,6 +178,24 @@ def rose(d, vertex="v", prefix="e"):
     return Quiver([vertex], [(f"{prefix}{i}", vertex, vertex) for i in range(d)])
 
 
+def normal_words(quiver, bound):
+    """All normal Toeplitz words p q*, as path pairs (p, q) with a common
+    range and 1 <= |p| + |q| <= bound."""
+    paths_to = {v: [] for v in quiver.vertices}
+    for length in range(0, bound + 1):
+        for v in quiver.vertices:
+            for p in quiver.paths_from(v, length):
+                end = quiver.r(p[-1]) if p else v
+                paths_to[end].append(p)
+    words = []
+    for v in quiver.vertices:
+        for p in paths_to[v]:
+            for q in paths_to[v]:
+                if 1 <= len(p) + len(q) <= bound:
+                    words.append((p, q))
+    return words
+
+
 # ---------------------------------------------------------------------------
 # Adjacency data and the K-theory map
 # ---------------------------------------------------------------------------

@@ -32,6 +32,7 @@ from pimsner.leavitt import (
     _pipeline_report,
     field_presets,
     k_groups,
+    normal_words,
     parse_quiver,
     quiver_correspondence,
     rose,
@@ -60,23 +61,6 @@ def acceptance_quivers(count=20, seed=QUIVER_SEED):
                  for j in range(ne)]
         out.append(Quiver(verts, edges))
     return out
-
-
-def normal_words(quiver, bound=4):
-    """Composable p q* words with 1 <= |p| + |q| <= bound."""
-    paths_to = {v: [] for v in quiver.vertices}
-    for length in range(0, bound + 1):
-        for v in quiver.vertices:
-            for p in quiver.paths_from(v, length):
-                end = quiver.r(p[-1]) if p else v
-                paths_to[end].append(p)
-    words = []
-    for v in quiver.vertices:
-        for p in paths_to[v]:
-            for q in paths_to[v]:
-                if 1 <= len(p) + len(q) <= bound:
-                    words.append((p, q))
-    return words
 
 
 def minor_gcd_divisors(mat):

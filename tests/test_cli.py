@@ -1,10 +1,18 @@
 """Tests for the command line driver: exit codes, reports, determinism."""
 
+import io
 import json
+import os
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pimsner.cli import main
+from pimsner.leavitt import QuiverError, parse_quiver
+from pimsner.selfsim import SelfSimError, parse_selfsim
 
 ROSE2 = """
 vertices: v
@@ -220,6 +228,31 @@ class TestSelfsim:
         assert code == 2
         assert "line 2" in err
 
+    def test_failed_correspondence_law_exits_4(self, capsys, tmp_path,
+                                               monkeypatch):
+        # a failed law is a failed identity: exit 4, as verify reports it,
+        # while a malformed file is still a parse error
+        from pimsner import selfsim
+
+        def reject(*args, **kwargs):
+            raise SelfSimError("cocycle law fails")
+
+        monkeypatch.setattr(selfsim, "build_nek_correspondence", reject)
+        path = tmp_path / "odometer.selfsim"
+        path.write_text(ODOMETER, encoding="utf-8")
+        code, out, err = run(capsys, "selfsim", str(path))
+        assert code == 4
+        assert out == ""
+        assert "cocycle law fails" in err
+        code, out, _ = run(capsys, "verify", str(path))
+        assert code == 4
+        assert json.loads(out)["status"] == "failed"
+        bad = tmp_path / "bad.selfsim"
+        bad.write_text("alphabet: 0 1\na = (perm 0 1)(e)\n", encoding="utf-8")
+        code, _, err = run(capsys, "selfsim", str(bad))
+        assert code == 2
+        assert "line 2" in err
+
     @pytest.mark.parametrize("depth", ["x", "-1", "2.5", ""])
     def test_malformed_depth_exits_2(self, capsys, tmp_path, depth):
         path = tmp_path / "bad.selfsim"
@@ -228,3 +261,39 @@ class TestSelfsim:
         code, _, err = run(capsys, "selfsim", str(path))
         assert code == 2
         assert "line 2" in err and "depth" in err
+
+
+# Short text built from the tokens of both input formats, or arbitrary
+# characters, so that examples reach the deeper branches of both parsers.
+_PIECES = ["vertices:", "edges:", "alphabet:", "depth:", "perm", "->", ":",
+           "=", "(", ")", ",", "*", "^-1", "e", "a", "b", "v", "w", "0",
+           "1", "-", "x", "#", " ", "\n"]
+FUZZ_TEXT = st.one_of(
+    st.lists(st.sampled_from(_PIECES), max_size=30).map("".join),
+    st.text(st.characters(blacklist_categories=("Cs",)), max_size=60))
+
+
+class TestFuzzedInput:
+    """Arbitrary short text is a report or a parse error, never a crash."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=FUZZ_TEXT)
+    def test_parsers_raise_only_their_errors(self, text):
+        for parse, error in ((parse_quiver, QuiverError),
+                             (parse_selfsim, SelfSimError)):
+            try:
+                parse(text)
+            except error:
+                pass
+
+    @settings(max_examples=200, deadline=None)
+    @given(text=FUZZ_TEXT)
+    def test_kgroups_exits_0_or_2(self, text):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "fuzz.quiver")
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.write(text)
+            with redirect_stdout(io.StringIO()), \
+                    redirect_stderr(io.StringIO()):
+                code = main(["kgroups", path])
+        assert code in (0, 2)

@@ -29,7 +29,7 @@ from pimsner.fock import (
 )
 from pimsner.funcmod import free_correspondence
 from pimsner.leavitt import parse_quiver, quiver_correspondence, rose
-from pimsner.ringcore import QQ, ZZ, DirectSumRing, Zmod
+from pimsner.ringcore import QQ, ZZ, DirectSumRing, RingError, Zmod
 
 A2 = parse_quiver("vertices: v w\nedges: e: v -> w")
 
@@ -229,6 +229,16 @@ class TestCovariant:
         T = {b: fk.creation({b: 2}) for b in fk.module.x_basis}
         rep = covariant_check(fk, T=T)
         assert not rep.passed
+
+    def test_swapped_creations_fail_covariance(self):
+        # exchanging T(e0) and T(e1) keeps the bimodule laws of a one-vertex
+        # rose but breaks S(phi) T(x) = sigma(<phi, x>) on every basis pair
+        fk = rose_fock(2, 4)
+        T = {"e0": fk.token_op("x", "e1"), "e1": fk.token_op("x", "e0")}
+        rep = covariant_check(fk, T=T)
+        assert rep.checked == 12
+        assert len(rep.failures) == 4
+        assert {tag[0] for tag in rep.failures} == {"covariance"}
 
     def test_zero_module_vacuous(self):
         # a quiver with no edges has the zero module; everything passes
@@ -533,10 +543,22 @@ class TestHomotopy:
         })
         lhs = homotopy_H(model, ("phi", pvec)).compose(bad_x)
         relt = model.module.pair(pvec, xvec)
-        rhs = PolyOperator(model, {0: model.full_scalar(relt)})
+        rhs = PolyOperator(model, {0: model.pi_tensor(("r", relt), "pi0")})
         rep = CheckReport("bad-pairing")
         lhs.eq_report(rhs, rep, tag="bad")
         assert not rep.passed
+
+    def test_compose_refuses_high_part_leaving_tensor_form(self):
+        # T_phi maps degree 2 into the explicit degree-1 columns, so nothing
+        # can be composed after it; the homotopy identities only compose
+        # after creations and scalars
+        fk = rose_fock(2, 4)
+        model = HomotopyModel(fk, 3)
+        x = model.pi_tensor(("x", {"e0": 1}), "pi0")
+        phi = model.pi_tensor(("phi", {("e0", "*"): 1}), "pi0")
+        with pytest.raises(RingError):
+            x.compose(phi)
+        assert phi.compose(x).high is not None
 
     def test_H_multiplicative_on_bimodule_relations(self):
         # H(T_{r.x}) = H(r) H(T_x) and H(T_{x.r}) = H(T_x) H(r), per power
