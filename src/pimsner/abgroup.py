@@ -9,6 +9,9 @@ without them and keeps the invariant factors on the matrix.  Ranks,
 cokernels and the kernel/cokernel data of a map of free (or
 cyclic-coefficient) abelian groups, packaged as ``LesSegment`` values for
 the long-exact-sequence pipelines, are all read off that one diagonal.
+It is the package's only elimination: the linear solves of ``ringcore``
+and the rank tests of ``funcmod`` over Z, Q and Z/m read it too, after
+clearing denominators or lifting Z/m to ``[rows | m I]``.
 
 Finitely generated abelian groups are stored as a free rank plus their
 invariant factors ``d_1 | d_2 | ...``, merged by gcd and lcm; no integer

@@ -139,17 +139,31 @@ class TruncatedFock:
         self._basis = {0: [(0, (rsym,)) for rsym in self.ring.basis]}
         self._dual = {0: [(0, (rsym,)) for rsym in self.ring.basis]}
         self._tok_ops = {}
+        self._talg = ToeplitzAlgebra(corr)
 
-    def token_op(self, kind, sym, variant="pi0"):
-        """A cached single-generator operator with memoized columns."""
-        key = (kind, sym, variant)
+    def token_op(self, token, variant="pi0"):
+        """The operator of one generator token under pi0 or pi1.
+
+        Tokens are ``("x", xvec)``, ``("phi", pvec)`` or ``("r", relt)``.
+        This is the one place generator operators are built: each is kept
+        per (kind, payload items, variant) and memoizes its columns, and
+        words compose these cached operators.  Callers must not mutate a
+        returned operator.
+        """
+        kind, payload = token
+        terms = payload.terms if kind == "r" else payload
+        key = (kind, tuple(terms.items()), variant)
         if key not in self._tok_ops:
-            if kind == "r":
-                payload = self.ring.monomial(sym)
+            shifted = variant == "pi1"
+            if kind == "x":
+                op = self.creation(payload, low_kill=1 if shifted else 0)
+            elif kind == "phi":
+                op = self.annihilation(payload, low_kill=2 if shifted else 1)
+            elif kind == "r":
+                op = self.scalar(payload, low_kill=1 if shifted else 0)
             else:
-                payload = {sym: self.k.one}
-            self._tok_ops[key] = _token_op(self, (kind, payload),
-                                           variant).cached()
+                raise RingError(f"unknown generator token {kind!r}")
+            self._tok_ops[key] = op.cached()
         return self._tok_ops[key]
 
     def basis(self, n):
@@ -534,30 +548,21 @@ class FockOperator:
 # Words in the generators
 # ---------------------------------------------------------------------------
 
-def _token_op(fock, token, variant):
-    kind, payload = token
-    shifted = variant == "pi1"
-    if kind == "x":
-        return fock.creation(payload, low_kill=1 if shifted else 0)
-    if kind == "phi":
-        return fock.annihilation(payload, low_kill=2 if shifted else 1)
-    if kind == "r":
-        return fock.scalar(payload, low_kill=1 if shifted else 0)
-    raise RingError(f"unknown generator token {kind!r}")
-
-
 def word_operator(fock, tokens, variant="pi0"):
     """The operator of a generator word under pi0 or pi1.
 
     Tokens are ``("x", xvec)``, ``("phi", pvec)`` or ``("r", relt)``, in
-    operator order (the rightmost acts first).
+    operator order (the rightmost acts first).  The word composes the
+    cached ``fock.token_op`` operators; the empty word is the identity.
+    A one-token word is the cached operator itself, so do not mutate it.
     """
     if variant not in ("pi0", "pi1"):
         raise RingError(f"unknown representation {variant!r}")
-    op = fock.identity()
+    op = None
     for token in reversed(tokens):
-        op = _token_op(fock, token, variant).compose(op)
-    return op
+        tok = fock.token_op(token, variant)
+        op = tok if op is None else tok.compose(op)
+    return fock.identity() if op is None else op
 
 
 def pi0(fock, tokens):
@@ -718,11 +723,12 @@ def covariant_check(fock, S=None, T=None, sigma=None):
     k = module.k
     one = k.one
     if T is None:
-        T = {b: fock.token_op("x", b) for b in module.x_basis}
+        T = {b: fock.token_op(("x", {b: one})) for b in module.x_basis}
     if S is None:
-        S = {c: fock.token_op("phi", c) for c in module.xp_basis}
+        S = {c: fock.token_op(("phi", {c: one})) for c in module.xp_basis}
     if sigma is None:
-        sigma = {r: fock.token_op("r", r) for r in ring.basis}
+        sigma = {r: fock.token_op(("r", ring.monomial(r)))
+                 for r in ring.basis}
 
     def t_of(vec):
         op = fock.zero_op()
@@ -993,19 +999,6 @@ def word_tokens_of(talg, key):
             + [("phi", {csym: one}) for csym in c])
 
 
-def _basis_word_op(fock, sym_tokens, variant):
-    """The composite of the cached token operators of a basis-symbol word.
-
-    ``sym_tokens`` holds (kind, symbol) pairs in operator order; the
-    rightmost acts first.
-    """
-    op = None
-    for kind, sym in reversed(sym_tokens):
-        tok = fock.token_op(kind, sym, variant)
-        op = tok if op is None else tok.compose(op)
-    return op
-
-
 def _defect_keys_at(fock, wkey, ll, d):
     """Source keys at degree d where the word's columns can be nonzero.
 
@@ -1027,16 +1020,16 @@ def _defect_keys_at(fock, wkey, ll, d):
     return fock.basis(d)
 
 
-def _check_defect_support(fock, wkey, ll, sym_tokens, covered):
+def _check_defect_support(fock, wkey, ll, tokens, covered):
     """Check that pi0 - pi1 of a normal word lives on source degree ll.
 
-    Composes the cached ``fock.token_op`` operators of ``sym_tokens`` once
-    per representation (pi0 and pi1) and reads their columns: at degree ll
-    the pi1 column must vanish, and at every other degree in ``covered``
-    the two columns must agree.  Raises InvariantViolation otherwise.
+    Evaluates the word ``tokens`` under pi0 and pi1 (``word_operator``)
+    and reads their columns: at degree ll the pi1 column must vanish, and
+    at every other degree in ``covered`` the two columns must agree.
+    Raises InvariantViolation otherwise.
     """
-    op0 = _basis_word_op(fock, sym_tokens, "pi0")
-    op1 = _basis_word_op(fock, sym_tokens, "pi1")
+    op0 = pi0(fock, tokens)
+    op1 = pi1(fock, tokens)
     for d in sorted(covered):
         keys = _defect_keys_at(fock, wkey, ll, d)
         if d == ll:
@@ -1059,33 +1052,25 @@ def quasi_hom_defect(fock, tokens, check_support=True):
     """pi0 - pi1 on a generator word; a finite-rank block operator.
 
     The input word is first rewritten to normal form.  Each normal word
-    is evaluated as the composite of the cached ``fock.token_op``
-    operators of its basis symbols, under pi0 and under pi1.  For a
-    normal word with k creations and l annihilations the difference
+    is evaluated under pi0 and under pi1 by ``word_operator``, which
+    composes the cached ``fock.token_op`` operators of its generators.
+    For a normal word with k creations and l annihilations the difference
     vanishes on every source degree other than l (checked exactly within
     budget when ``check_support`` is set) and its surviving block sits at
     target degree k.  Requires l + 1 <= depth.
     """
-    if not hasattr(fock, "_talg"):
-        fock._talg = ToeplitzAlgebra(fock.corr)
     elt = fock._talg.from_tokens(tokens)
     total = fock.zero_op()
     infos = []
     for key, coeff in elt.items():
-        if key[0] == "s":
-            kk, ll = 0, 0
-            sym_tokens = [("r", key[1])]
-        else:
-            kk, ll = len(key[1]), len(key[2])
-            sym_tokens = ([("x", b) for b in key[1]]
-                          + [("phi", c) for c in key[2]])
+        kk, ll = (0, 0) if key[0] == "s" else (len(key[1]), len(key[2]))
         if ll + 1 > fock.depth:
             raise DepthError(
                 f"word with {ll} annihilations needs depth >= {ll + 1}")
-        defect = (_basis_word_op(fock, sym_tokens, "pi0")
-                  - _basis_word_op(fock, sym_tokens, "pi1"))
+        word = word_tokens_of(fock._talg, key)
+        defect = pi0(fock, word) - pi1(fock, word)
         if check_support:
-            _check_defect_support(fock, key, ll, sym_tokens, defect.covered)
+            _check_defect_support(fock, key, ll, word, defect.covered)
         total = total + defect.scale(coeff)
         infos.append({"word": key, "block": (kk, ll)})
     total.label = "defect"
@@ -1206,7 +1191,7 @@ class HomotopyModel:
     def _tensor_high(self, tokens):
         op = word_operator(self.fock, tokens, "pi0")
         covered = [d for d in op.covered if d >= 2]
-        return FockOperator(self.fock, "x", op._column, covered,
+        return FockOperator(self.fock, "x", op.column, covered,
                             {d: op.outs[d] for d in covered}, op.label)
 
     def pi_tensor(self, token, variant):

@@ -37,11 +37,11 @@ it is exactly the propagation of a group element through a word.
 
 from __future__ import annotations
 
-from fractions import Fraction
+from functools import cache
 from math import gcd
 
 from . import abgroup
-from .ringcore import IntegerRing, RingError, ZmodRing
+from .ringcore import RingError, ZmodRing, integer_rows
 
 
 # ---------------------------------------------------------------------------
@@ -91,33 +91,6 @@ def vclean(k, a):
 # Functional modules
 # ---------------------------------------------------------------------------
 
-def _memo1(fn):
-    cache = {}
-
-    def wrapped(a):
-        try:
-            return cache[a]
-        except KeyError:
-            cache[a] = fn(a)
-            return cache[a]
-
-    return wrapped
-
-
-def _memo2(fn):
-    cache = {}
-
-    def wrapped(a, b):
-        key = (a, b)
-        try:
-            return cache[key]
-        except KeyError:
-            cache[key] = fn(a, b)
-            return cache[key]
-
-    return wrapped
-
-
 class FunctionalModule:
     """A functional module with finite generating data over its ring.
 
@@ -139,14 +112,14 @@ class FunctionalModule:
         self.x_basis = list(x_basis)
         self.xp_basis = list(xp_basis)
         # the tables are hit millions of times by the Fock machinery, so
-        # memoize them on their (hashable) symbol arguments
-        self._pairing = _memo2(pairing)
-        self._x_right = _memo2(x_right)
-        self._xp_left = _memo2(xp_left)
-        self._x_left = _memo2(x_left) if x_left is not None else None
-        self._xp_right = _memo2(xp_right) if xp_right is not None else None
-        self._x_split = _memo1(x_split) if x_split is not None else None
-        self._xp_split = _memo1(xp_split) if xp_split is not None else None
+        # memoize them on their (hashable) symbol arguments, per module
+        self._pairing = cache(pairing)
+        self._x_right = cache(x_right)
+        self._xp_left = cache(xp_left)
+        self._x_left = cache(x_left) if x_left is not None else None
+        self._xp_right = cache(xp_right) if xp_right is not None else None
+        self._x_split = cache(x_split) if x_split is not None else None
+        self._xp_split = cache(xp_split) if xp_split is not None else None
         self._x_left_support = x_left_support
         self._xp_left_support = xp_left_support
         self._fs_pairs_left = fs_pairs_left
@@ -694,45 +667,21 @@ def fs_witness(module, xs, phis):
 # ---------------------------------------------------------------------------
 
 def _rows_independent(k, rows):
-    """No nontrivial k-combination of the rows vanishes."""
+    """No nontrivial k-combination of the rows vanishes.
+
+    Read off the one Smith elimination (``abgroup``) for every ring.
+    Clearing each row's denominators keeps independence.  Over Z and Q
+    the rows are independent iff the rank is the row count.  Over Z/m,
+    lambda . rows = 0 iff lambda is in ker(rows^T mod m), a sum of
+    Z/gcd(d_i, m) over the Smith invariants d_i plus
+    (Z/m)^(len(rows) - rank), so each d_i must also be a unit mod m.
+    """
     if not rows:
         return True
-    if isinstance(k, ZmodRing) and not k.is_field:
-        # lambda . rows = 0 over Z/m iff lambda is in ker(rows^T mod m),
-        # which is a sum of Z/gcd(d_i, m) over the Smith invariants d_i
-        # plus (Z/m)^(len(rows) - rank): trivial iff there are len(rows)
-        # invariants and each is a unit mod m.
-        diag = abgroup.IntMatrix.from_rows(
-            [[int(x) for x in r] for r in rows]).smith_diagonal()
-        return len(diag) == len(rows) and \
-            all(gcd(d, k.modulus) == 1 for d in diag)
-
-    if isinstance(k, IntegerRing):
-        work = [[Fraction(x) for x in row] for row in rows]
-        is_zero = lambda x: x == 0
-        div = lambda a, b: a / b
-        sub = lambda a, f, b: a - f * b
-    else:
-        work = [[k.coerce(x) for x in row] for row in rows]
-        is_zero = k.is_zero
-        div = lambda a, b: k.mul(a, k.invert(b))
-        sub = lambda a, f, b: k.add(a, k.neg(k.mul(f, b)))
-    nrows = len(work)
-    ncols = len(work[0]) if nrows else 0
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        piv = next((i for i in range(r, nrows) if not is_zero(work[i][c])), None)
-        if piv is None:
-            continue
-        work[r], work[piv] = work[piv], work[r]
-        for i in range(nrows):
-            if i != r and not is_zero(work[i][c]):
-                f = div(work[i][c], work[r][c])
-                work[i] = [sub(a, f, b) for a, b in zip(work[i], work[r])]
-        r += 1
-    return r == nrows
+    diag = abgroup.IntMatrix.from_rows(integer_rows(rows)).smith_diagonal()
+    return len(diag) == len(rows) and (
+        not isinstance(k, ZmodRing)
+        or all(gcd(d, k.modulus) == 1 for d in diag))
 
 
 def nondegenerate(module):
@@ -740,8 +689,9 @@ def nondegenerate(module):
 
     The pairing table over the listed bases is flattened to ground
     coefficients (one column per occurring ring basis symbol per partner)
-    and both null spaces are computed exactly: over Q for Z coefficients,
-    over Z/m itself for modular ones.
+    and both null spaces are decided exactly by ``_rows_independent``,
+    which reads the one Smith elimination of ``abgroup`` over Z, Q and
+    Z/m alike.
     """
     k = module.k
     ring_syms = {}

@@ -39,10 +39,15 @@ from .funcmod import CompactOperator, Correspondence, FunctionalHom, FunctionalM
 
 
 class QuiverError(ValueError):
-    """Syntax or semantic error in quiver input; carries a location."""
+    """Syntax or semantic error in quiver input; carries a location.
 
-    def __init__(self, message, line=None):
+    ``edge`` is the index of the offending edge in the list given to
+    ``Quiver``, so the parser can report that edge's line.
+    """
+
+    def __init__(self, message, line=None, edge=None):
         self.line = line
+        self.edge = edge
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
@@ -65,13 +70,15 @@ class Quiver:
         self.source = {}
         self.range = {}
         seen = set()
-        for name, src, dst in edges:
+        for i, (name, src, dst) in enumerate(edges):
             if name in seen or name in vertex_set:
-                raise QuiverError(f"duplicate name {name!r}")
+                raise QuiverError(f"duplicate name {name!r}", edge=i)
             if src not in vertex_set:
-                raise QuiverError(f"unknown source vertex {src!r} for edge {name!r}")
+                raise QuiverError(
+                    f"unknown source vertex {src!r} for edge {name!r}", edge=i)
             if dst not in vertex_set:
-                raise QuiverError(f"unknown range vertex {dst!r} for edge {name!r}")
+                raise QuiverError(
+                    f"unknown range vertex {dst!r} for edge {name!r}", edge=i)
             seen.add(name)
             self.edges.append(name)
             self.source[name] = src
@@ -166,11 +173,9 @@ def parse_quiver(text):
     try:
         return Quiver(vertices, [(n, s, d) for n, s, d, _ in edges])
     except QuiverError as exc:
-        # attach the first relevant line for semantic errors
-        for n, s, d, lineno in edges:
-            if n in str(exc) or s in str(exc) or d in str(exc):
-                raise QuiverError(str(exc), line=lineno) from None
-        raise
+        if exc.edge is None:
+            raise
+        raise QuiverError(str(exc), line=edges[exc.edge][3]) from None
 
 
 def rose(d, vertex="v", prefix="e"):

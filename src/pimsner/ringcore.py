@@ -21,6 +21,7 @@ both sides by some idempotent, which ``local_unit_for`` produces.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from . import abgroup
 
@@ -57,10 +58,6 @@ class CoefficientRing:
 
     def is_zero(self, a):
         return self.coerce(a) == self.zero
-
-    def invert(self, a):
-        """Multiplicative inverse, or None if ``a`` is not a unit."""
-        raise NotImplementedError
 
     def solve(self, rows, rhs):
         """One solution of the linear system ``rows . x = rhs``, or None."""
@@ -103,9 +100,6 @@ class IntegerRing(CoefficientRing):
     def is_zero(self, a):
         return (a if type(a) is int else self.coerce(a)) == 0
 
-    def invert(self, a):
-        return a if a in (1, -1) else None
-
     def solve(self, rows, rhs):
         mat = abgroup.IntMatrix.from_rows(rows)
         return abgroup.solve_int(mat, list(rhs))
@@ -120,16 +114,24 @@ class RationalRing(CoefficientRing):
     def coerce(self, value):
         return Fraction(value)
 
-    def invert(self, a):
-        a = Fraction(a)
-        return None if a == 0 else 1 / a
-
     def solve(self, rows, rhs):
-        return _field_solve(self, rows, rhs)
+        # x solves rows . x = rhs iff (x, 1) spans a kernel line of
+        # [rows | -rhs]; an integer kernel vector (y, t) with t != 0 gives
+        # x = y / t, and if every basis vector has t == 0 there is none.
+        ncols = len(rows[0]) if rows else 0
+        aug = integer_rows([list(r) + [-b]
+                            for r, b in zip(rows, rhs, strict=True)])
+        kernel = abgroup.kernel_basis(
+            abgroup.IntMatrix(len(aug), ncols + 1, aug))
+        for j in range(kernel.cols):
+            t = kernel[ncols, j]
+            if t:
+                return [Fraction(kernel[i, j], t) for i in range(ncols)]
+        return None
 
 
 class ZmodRing(CoefficientRing):
-    """Integers mod m, m >= 2.  A field exactly when m is prime.
+    """Integers mod m, 2 <= m < 2**40.  A field exactly when m is prime.
 
     Elements are ints in ``range(m)``.  A scalar op whose result is an
     ``int`` only reduces it mod m; any other result is coerced.
@@ -142,6 +144,9 @@ class ZmodRing(CoefficientRing):
         modulus = int(modulus)
         if modulus < 2:
             raise RingError("modulus must be at least 2")
+        if modulus >= 2 ** 40:
+            # primality is decided by trial division, so bound its cost
+            raise RingError(f"modulus must be below 2**40, got {modulus}")
         self.modulus = modulus
         self.name = f"Z/{modulus}"
         self.is_field = _is_prime(modulus)
@@ -172,21 +177,21 @@ class ZmodRing(CoefficientRing):
         return (a % self.modulus if type(a) is int else self.coerce(a)) == 0
 
     def invert(self, a):
-        a = int(a) % self.modulus
-        g, x, _ = _xgcd(a, self.modulus)
-        if g != 1:
+        """Multiplicative inverse mod m, or None if ``a`` is not a unit."""
+        try:
+            return pow(int(a), -1, self.modulus)
+        except ValueError:
             return None
-        return x % self.modulus
 
     def solve(self, rows, rhs):
-        if self.is_field:
-            return _field_solve(self, rows, rhs)
         # Lift to an integer system: rows.x = rhs (mod m) iff the system
         # [rows | m*I] has an integer solution with the same x part.
         nrows = len(rows)
-        lifted = [list(r) + [self.modulus if i == j else 0 for j in range(nrows)]
+        lifted = [[self.coerce(x) for x in r]
+                  + [self.modulus if i == j else 0 for j in range(nrows)]
                   for i, r in enumerate(rows)]
-        sol = abgroup.solve_int(abgroup.IntMatrix.from_rows(lifted), list(rhs))
+        sol = abgroup.solve_int(abgroup.IntMatrix.from_rows(lifted),
+                                [self.coerce(b) for b in rhs])
         if sol is None:
             return None
         ncols = len(rows[0]) if rows else 0
@@ -210,48 +215,18 @@ def _is_prime(n):
     return True
 
 
-def _xgcd(a, b):
-    x0, x1, y0, y1 = 1, 0, 0, 1
-    while b:
-        q, a, b = a // b, b, a % b
-        x0, x1 = x1, x0 - q * x1
-        y0, y1 = y1, y0 - q * y1
-    return a, x0, y0
+def integer_rows(rows):
+    """Each row times the lcm of its entries' denominators.
 
-
-def _field_solve(k, rows, rhs):
-    """Gaussian elimination over a field; returns one solution or None."""
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
-    aug = [[k.coerce(x) for x in row] + [k.coerce(rhs[i])]
-           for i, row in enumerate(rows)]
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = None
-        for i in range(r, nrows):
-            if not k.is_zero(aug[i][c]):
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        aug[r], aug[pivot_row] = aug[pivot_row], aug[r]
-        inv = k.invert(aug[r][c])
-        aug[r] = [k.mul(inv, x) for x in aug[r]]
-        for i in range(nrows):
-            if i != r and not k.is_zero(aug[i][c]):
-                f = aug[i][c]
-                aug[i] = [k.add(x, k.neg(k.mul(f, y)))
-                          for x, y in zip(aug[i], aug[r])]
-        pivots.append(c)
-        r += 1
-    for i in range(r, nrows):
-        if not k.is_zero(aug[i][ncols]):
-            return None
-    sol = [k.zero] * ncols
-    for row_idx, c in enumerate(pivots):
-        sol[c] = aug[row_idx][ncols]
-    return sol
+    Scaling a row by a nonzero integer keeps its row's solutions and the
+    rows' independence, so Q questions become Z questions for abgroup.
+    """
+    out = []
+    for row in rows:
+        row = [Fraction(x) for x in row]
+        scale = lcm(*(x.denominator for x in row))
+        out.append([int(x * scale) for x in row])
+    return out
 
 
 ZZ = IntegerRing()

@@ -4,6 +4,7 @@ import io
 import json
 import os
 import tempfile
+import time
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -97,6 +98,16 @@ class TestKgroups:
         code, _, err = run(capsys, "kgroups", rose2_file, "--coeff", "zmod:x")
         assert code == 2
         assert "zmod:x" in err
+
+    def test_huge_modulus_exits_2_quickly(self, capsys, rose2_file):
+        # primality of the modulus is decided by trial division, so a
+        # 70-bit modulus must be refused before it is tested
+        start = time.perf_counter()
+        code, _, err = run(capsys, "kgroups", rose2_file, "--coeff",
+                           "zmod:1000000000000000000000007")
+        assert code == 2
+        assert "2**40" in err
+        assert time.perf_counter() - start < 1
 
 
 class TestPv:

@@ -129,7 +129,7 @@ class TestZeroDivisors:
 
     def test_scaling_into_zero(self):
         fk = rose_fock(2, 3, k=Zmod(6))
-        t = fk.token_op("x", "e0")
+        t = fk.token_op(("x", {"e0": 1}))
         degrees = [0, 1, 2]
         killed = t.scale(3).scale(2)
         assert killed.eq_on(fk.zero_op(), degrees)
@@ -234,7 +234,8 @@ class TestCovariant:
         # exchanging T(e0) and T(e1) keeps the bimodule laws of a one-vertex
         # rose but breaks S(phi) T(x) = sigma(<phi, x>) on every basis pair
         fk = rose_fock(2, 4)
-        T = {"e0": fk.token_op("x", "e1"), "e1": fk.token_op("x", "e0")}
+        T = {"e0": fk.token_op(("x", {"e1": 1})),
+             "e1": fk.token_op(("x", {"e0": 1}))}
         rep = covariant_check(fk, T=T)
         assert rep.checked == 12
         assert len(rep.failures) == 4
@@ -339,6 +340,29 @@ class TestPiRepresentations:
         for key in fk.basis(2):
             assert op.column(key) == {key: 5}
 
+    def test_token_op_matches_constructors(self):
+        # the cached token operators are the plain constructors, also for
+        # two-symbol and zero payloads, under both representations
+        fk = rose_fock(2, 4)
+        ring = fk.ring
+        cases = [
+            (("x", {"e0": 1, "e1": 2}), fk.creation, (0, 1)),
+            (("x", {}), fk.creation, (0, 1)),
+            (("phi", {("e0", "*"): 3, ("e1", "*"): 1}), fk.annihilation,
+             (1, 2)),
+            (("phi", {}), fk.annihilation, (1, 2)),
+            (("r", ring.monomial("v", 2)), fk.scalar, (0, 1)),
+            (("r", ring.zero()), fk.scalar, (0, 1)),
+        ]
+        for token, make, kills in cases:
+            for variant, low_kill in zip(("pi0", "pi1"), kills):
+                got = fk.token_op(token, variant)
+                want = make(token[1], low_kill=low_kill)
+                assert got.covered == want.covered
+                assert got.outs == want.outs
+                assert got.eq_on(want, sorted(want.covered))
+                assert fk.token_op(token, variant) is got
+
 
 class TestDefects:
     def test_creation_defect(self):
@@ -379,7 +403,7 @@ class TestDefects:
         fk = rose_fock(2, 4)
         # a creation word has its block at source degree 0; claiming the
         # block sits at degree 1 must be caught
-        tokens = [("x", "e0")]
+        tokens = [("x", {"e0": 1})]
         with pytest.raises(InvariantViolation):
             _check_defect_support(fk, ("w", ("e0",), ()), 1, tokens,
                                   range(0, 3))
@@ -547,6 +571,19 @@ class TestHomotopy:
         rep = CheckReport("bad-pairing")
         lhs.eq_report(rhs, rep, tag="bad")
         assert not rep.passed
+
+    def test_pairing_check_fails_on_doubled_lam1(self, monkeypatch):
+        fk = rose_fock(2, 4)
+        model = HomotopyModel(fk, 3)
+        xvec, pvec = {"e0": 1}, {("e0", "*"): 1}
+        report = homotopy_pairing_check(model, xvec, pvec)
+        assert report.passed
+        assert report.checked == 724
+        real_lam1 = model.lam1
+        monkeypatch.setattr(model, "lam1",
+                            lambda token: real_lam1(token).scale(2))
+        report = homotopy_pairing_check(model, xvec, pvec)
+        assert len(report.failures) == 34
 
     def test_compose_refuses_high_part_leaving_tensor_form(self):
         # T_phi maps degree 2 into the explicit degree-1 columns, so nothing

@@ -27,7 +27,14 @@ from pimsner.funcmod import (
     vscale,
 )
 from pimsner.leavitt import parse_quiver, quiver_correspondence, rose
-from pimsner.ringcore import ZZ, DirectSumRing, LaurentRing, RingError, Zmod
+from pimsner.ringcore import (
+    QQ,
+    ZZ,
+    DirectSumRing,
+    LaurentRing,
+    RingError,
+    Zmod,
+)
 
 A2 = parse_quiver("vertices: v w\nedges: e: v -> w")
 
@@ -317,7 +324,7 @@ class TestNondegeneracy:
 
         from pimsner.funcmod import _rows_independent
         rng = random.Random(46)
-        for m in (4, 6):
+        for m in (4, 5, 6, 7):
             k = Zmod(m)
             for _ in range(80):
                 nrows, ncols = rng.randint(1, 3), rng.randint(1, 3)
@@ -328,6 +335,21 @@ class TestNondegeneracy:
                         sum(l * row[j] for l, row in zip(lam, rows)) % m == 0
                         for j in range(ncols))
                     for lam in product(range(m), repeat=nrows))
+                assert _rows_independent(k, rows) == want
+
+    def test_rows_independent_against_sympy_rank(self):
+        sympy = pytest.importorskip("sympy")
+        from pimsner.funcmod import _rows_independent
+        rng = random.Random(47)
+        for k in (ZZ, QQ):
+            for _ in range(60):
+                nrows, ncols = rng.randint(1, 4), rng.randint(1, 4)
+                rows = [[rng.randint(-3, 3) for _ in range(ncols)]
+                        for _ in range(nrows)]
+                if k is QQ:
+                    rows = [[k.coerce(Fraction(x, rng.randint(1, 3)))
+                             for x in row] for row in rows]
+                want = sympy.Matrix(rows).rank() == nrows
                 assert _rows_independent(k, rows) == want
 
     def test_hom_injectivity_on_nondegenerate_target(self):

@@ -62,6 +62,20 @@ class TestParse:
         with pytest.raises(QuiverError):
             parse_quiver("vertices: v\nedges:\n e: v -> v\n e: v -> v")
 
+    def test_semantic_error_names_the_offending_edge_line(self):
+        # the name "a" occurs in the message "unknown range vertex ...",
+        # but the bad edge is b on line 4
+        with pytest.raises(QuiverError) as err:
+            parse_quiver("vertices: v\nedges:\na: v -> v\nb: v -> u")
+        assert err.value.line == 4
+        assert str(err.value).startswith("line 4: unknown range vertex 'u'")
+
+    def test_duplicate_edge_reports_second_declaration(self):
+        with pytest.raises(QuiverError) as err:
+            parse_quiver("vertices: v\nedges:\nx: v -> v\ny: v -> v\n"
+                         "x: v -> v")
+        assert err.value.line == 5
+
 
 class TestAdjacency:
     def test_rose3(self):

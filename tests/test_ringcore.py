@@ -67,6 +67,52 @@ class TestCoefficientRings:
         assert Zmod(4).solve([[2]], [2]) in ([1], [3])
         assert Zmod(4).solve([[2]], [1]) is None
 
+    def test_modulus_is_bounded(self):
+        assert Zmod(2 ** 40 - 1).modulus == 2 ** 40 - 1
+        with pytest.raises(RingError, match="2\\*\\*40"):
+            Zmod(2 ** 40)
+
+    def test_prime_field_solve_against_brute_force(self):
+        from itertools import product
+        rng = random.Random(5)
+        for p in (5, 7):
+            k = Zmod(p)
+            for _ in range(60):
+                nrows, ncols = rng.randint(1, 3), rng.randint(1, 3)
+                rows = [[rng.randrange(p) for _ in range(ncols)]
+                        for _ in range(nrows)]
+                rhs = [rng.randrange(p) for _ in range(nrows)]
+
+                def solves(x):
+                    return all(sum(a * b for a, b in zip(row, x)) % p == c
+                               for row, c in zip(rows, rhs))
+
+                exists = any(solves(x)
+                             for x in product(range(p), repeat=ncols))
+                sol = k.solve(rows, rhs)
+                assert (sol is not None) == exists
+                if sol is not None:
+                    assert solves(sol)
+
+    def test_rational_solve_against_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(8)
+        for _ in range(60):
+            nrows, ncols = rng.randint(1, 4), rng.randint(1, 4)
+            rows = [[Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                     for _ in range(ncols)] for _ in range(nrows)]
+            if rng.random() < 0.5:
+                # make a row a combination of the others
+                rows[-1] = [sum(r[j] for r in rows[:-1]) for j in range(ncols)]
+            rhs = [Fraction(rng.randint(-3, 3)) for _ in range(nrows)]
+            a = sympy.Matrix(rows)
+            exists = a.rank() == a.row_join(sympy.Matrix(rhs)).rank()
+            sol = QQ.solve(rows, rhs)
+            assert (sol is not None) == exists
+            if sol is not None:
+                assert all(sum(x * y for x, y in zip(row, sol)) == c
+                           for row, c in zip(rows, rhs))
+
 
 def laurent_zz():
     return LaurentRing(ZZ)
