@@ -131,20 +131,20 @@ def _selfsim_suites(group, seed, depth):
     rng = random.Random(seed)
     suites = []
 
-    # length-preserving bijectivity, exhaustively while |X|^n stays small
+    # length-preserving bijectivity, exhaustively while |X|^n stays small:
+    # level n holds (g(w), g|_w) for the words w of length n, each level
+    # extended from the previous one through the section table
     suite = {"name": "action-bijective", "checked": 0, "failures": 0}
-    n = 1
-    while n <= depth and len(group.alphabet) ** n <= 10 ** 5:
-        from itertools import product
-        words = list(product(group.alphabet, repeat=n))
-        for gen in group.generators:
-            g = group.gen_word(gen)
-            images = {group.act(g, w) for w in words}
-            suite["checked"] += len(words)
-            if len(images) != len(words) or \
-                    any(len(w) != n for w in images):
+    for gen in group.generators:
+        level = [((), group.gen_word(gen))]
+        n = 1
+        while n <= depth and len(group.alphabet) ** n <= 10 ** 5:
+            level = [(image + (y,), r) for image, g in level
+                     for y, r in group.sections(g).values()]
+            suite["checked"] += len(level)
+            if len({image for image, _ in level}) != len(level):
                 suite["failures"] += 1
-        n += 1
+            n += 1
     suites.append(suite)
 
     # self-similarity: g(xw) = g(x) . g|_x(w)
@@ -186,9 +186,7 @@ def _selfsim_suites(group, seed, depth):
 
 def cmd_selfsim(args):
     text = _read(args.input)
-    group = selfsim.parse_selfsim(text)
-    if args.depth:
-        group.equality_depth = args.depth
+    group = selfsim.parse_selfsim(text, depth=args.depth)
     k = coefficient_ring(args.coeff)
     report = {
         "schema": 1,
@@ -199,8 +197,12 @@ def cmd_selfsim(args):
             "alphabet": group.alphabet,
             "generators": group.generators,
             "equality_depth": group.equality_depth,
-            "equality_note": "equalities certified up to the configured "
-                             "depth; inequalities are definitive",
+            "equality_note": "words are equal when they act alike on "
+                             "words of length <= depth and their "
+                             "depth-level restrictions agree as free "
+                             "words; equalities hold in the group, "
+                             "inequalities may only mean the depth is "
+                             "too small",
         },
     }
     try:
@@ -320,13 +322,12 @@ def cmd_verify(args):
         "schema": 1,
         "input": args.input,
         "seed": args.seed,
-        "config": _config_dict(
-            args, ["fock_depth", "word_bound", "depth", "coeff"]),
+        "config": _config_dict(args, ["fock_depth", "word_bound", "coeff"]),
     }
+    # 0 in the report means "the file's depth"
+    report["config"]["depth"] = args.depth or 0
     if _looks_selfsim(text):
-        group = selfsim.parse_selfsim(text)
-        if args.depth:
-            group.equality_depth = args.depth
+        group = selfsim.parse_selfsim(text, depth=args.depth)
         try:
             selfsim.build_nek_correspondence(group,
                                              coefficient_ring(args.coeff))
@@ -389,8 +390,9 @@ def build_parser():
     p.add_argument("input", help="quiver or self-similar group file")
     p.add_argument("--fock-depth", dest="fock_depth", type=int, default=6)
     p.add_argument("--word-bound", dest="word_bound", type=int, default=4)
-    p.add_argument("--depth", type=int, default=0,
-                   help="equality depth for self-similar groups")
+    p.add_argument("--depth", type=int, default=None,
+                   help="equality depth for self-similar groups "
+                        "(default: the file's)")
     common(p)
     p.set_defaults(func=cmd_verify)
 
@@ -402,8 +404,8 @@ def build_parser():
 
     p = sub.add_parser("selfsim", help="self-similar group pipeline")
     p.add_argument("input", help="self-similar group file")
-    p.add_argument("--depth", type=int, default=0,
-                   help="equality depth override")
+    p.add_argument("--depth", type=int, default=None,
+                   help="equality depth override (default: the file's)")
     p.add_argument("--matrix", default=None,
                    help="induced K-theory matrix on a finite quotient")
     common(p)
@@ -416,7 +418,7 @@ def _validate(args):
         raise RingError("fock depth must be at least 1")
     if getattr(args, "word_bound", 1) < 1:
         raise RingError("word bound must be at least 1")
-    if getattr(args, "depth", 0) < 0:
+    if getattr(args, "depth", None) is not None and args.depth < 1:
         raise RingError("equality depth must be at least 1")
     if hasattr(args, "coeff"):
         coefficient_ring(args.coeff)

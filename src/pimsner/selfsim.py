@@ -3,10 +3,20 @@
 A self-similar group acts on the words over a finite alphabet so that
 g(xw) = g(x) . g|_x(w): each generator is presented by a permutation of
 the letters plus a restriction word per letter.  Group elements are freely
-reduced words in the generators; equality is decided up to a configurable
-depth D (identical action on all words of length <= D with freely trivial
-depth-D restrictions), which is sound on the "unequal" side and certifies
-equality only up to that depth.
+reduced words in the generators.  Equality is decided up to a configurable
+depth D: two words are equal at depth D when they act alike on all words
+of length <= D and their depth-D restrictions agree as free words (for a
+single word: it fixes X^<=D and every depth-D restriction reduces freely to
+the empty word).  Such an equality holds in the group, since the word then
+fixes every longer word too; an inequality may only mean that D is too
+small (in the Grigorchuk group ``b c d`` is the identity, yet its
+restriction at 1 is never freely trivial, so it is unequal to ``()`` at
+every depth).
+
+Each group keeps one memoized section table, ``w -> {x: (w(x), w|_x)}``,
+and hash-conses the depth-D section tree of a word into an integer node id
+(``SelfSimilarGroup.node``): equality, canonical forms and the action all
+read that table.
 
 ``build_nek_correspondence`` packages the permutational bimodule of the
 group: the module is free of rank |alphabet| over the group ring, with the
@@ -94,8 +104,13 @@ class SelfSimilarGroup:
                           for g, p in self.perm.items()}
         self.equality_depth = equality_depth
         self.label = label
-        self._canonical = {IDENTITY: IDENTITY}
-        self._triviality = {}
+        self._sections = {}                 # reduced word -> {x: (w(x), w|_x)}
+        self._nodes = {}                    # (reduced word, depth) -> node id
+        # node keys -> integer ids; the identity key is 0, as is every
+        # word whose section tree is the identity's
+        self._node_ids = {(tuple(self.alphabet),
+                           (0,) * len(self.alphabet)): 0}
+        self._classes = {0: IDENTITY}       # node id at equality_depth -> rep
 
     # -- the action -----------------------------------------------------------
 
@@ -123,61 +138,92 @@ class SelfSimilarGroup:
                 x = y
         return out
 
+    def sections(self, word):
+        """The memoized table entry ``{x: (w(x), w|_x)}`` of a reduced word,
+        in alphabet order."""
+        table = self._sections.get(word)
+        if table is None:
+            table = self._sections[word] = {
+                x: (self.act_letter(word, x), self.restrict_letter(word, x))
+                for x in self.alphabet}
+        return table
+
     def act(self, word, letters):
         """Length-preserving image of a word over the alphabet."""
         out = []
-        g = tuple(word)
+        g = reduce_word(word)
         for x in letters:
-            out.append(self.act_letter(g, x))
-            g = self.restrict_letter(g, x)
+            y, g = self.sections(g)[x]
+            out.append(y)
         if isinstance(letters, str):
             return "".join(out)
         return type(letters)(out)
 
     def restriction(self, word, letters):
-        """Iterated restriction g|_w along the word w, freely reduced."""
+        """Iterated restriction g|_w along the word w, freely reduced.
+
+        Computed by ``restrict_letter`` directly, not read from the section
+        table, so the suites can compare the two."""
         g = reduce_word(word)
         for x in letters:
-            gx = self.restrict_letter(g, x)
-            g = gx
+            g = self.restrict_letter(g, x)
         return g
 
     # -- depth-bounded equality -------------------------------------------------
 
+    def node(self, word, depth):
+        """Integer id of the depth-``depth`` section tree of a reduced word.
+
+        0 for the empty word; at depth 0 an id of the word itself; otherwise
+        an id of (letter images, child ids at depth - 1), where the identity
+        permutation with all children 0 is 0 again.  Ids are hash-consed, so
+        two words have the same node exactly when they are equal at that
+        depth (free restriction is a cocycle).  Children are resolved with an
+        explicit stack, so the depth is not bounded by Python's recursion.
+        """
+        if depth < 0:
+            raise SelfSimError("equality depth must be nonnegative")
+        nodes, ids = self._nodes, self._node_ids
+        todo = [(word, depth)]
+        while todo:
+            key = todo[-1]
+            if key in nodes:
+                todo.pop()
+                continue
+            w, d = key
+            if not w:
+                nodes[key] = 0
+            elif d == 0:
+                nodes[key] = ids.setdefault(("w", w), len(ids))
+            else:
+                table = self.sections(w).values()
+                missing = [(r, d - 1) for _, r in table
+                           if (r, d - 1) not in nodes]
+                if missing:
+                    todo.extend(missing)
+                    continue
+                fingerprint = (tuple(y for y, _ in table),
+                               tuple(nodes[r, d - 1] for _, r in table))
+                nodes[key] = ids.setdefault(fingerprint, len(ids))
+            todo.pop()
+        return nodes[word, depth]
+
     def is_trivial(self, word, depth=None):
-        """Depth-bounded triviality: acts as identity on words of length
-        <= depth and all depth-level restrictions reduce freely to the
-        empty word.  False is definitive; True is certified to the depth.
+        """Depth-bounded triviality: the word fixes every word of length
+        <= depth and all its depth-level restrictions reduce freely to the
+        empty word.  True means the word is the identity of the group;
+        False may only mean that the depth is too small.
         """
         if depth is None:
             depth = self.equality_depth
-        word = reduce_word(word)
-        return self._trivial(word, depth)
-
-    def _trivial(self, word, depth):
-        if not word:
-            return True
-        if depth == 0:
-            return not word
-        key = (word, depth)
-        cached = self._triviality.get(key)
-        if cached is not None:
-            return cached
-        ok = True
-        for x in self.alphabet:
-            if self.act_letter(word, x) != x:
-                ok = False
-                break
-        if ok:
-            for x in self.alphabet:
-                if not self._trivial(self.restrict_letter(word, x), depth - 1):
-                    ok = False
-                    break
-        self._triviality[key] = ok
-        return ok
+        return self.node(reduce_word(word), depth) == 0
 
     def equal(self, w1, w2, depth=None):
-        return self.is_trivial(word_mul(w1, word_inv(w2)), depth)
+        """Depth-bounded equality: ``is_trivial(w1 w2^-1, depth)``."""
+        if depth is None:
+            depth = self.equality_depth
+        return self.node(reduce_word(w1), depth) == \
+            self.node(reduce_word(w2), depth)
 
     def canonical(self, word):
         """A canonical representative of the word's group element.
@@ -186,14 +232,8 @@ class SelfSimilarGroup:
         element (at the configured equality depth) becomes its symbol.
         """
         word = reduce_word(word)
-        if word in self._canonical:
-            return self._canonical[word]
-        for rep in list(self._canonical.values()):
-            if self.equal(word, rep):
-                self._canonical[word] = rep
-                return rep
-        self._canonical[word] = word
-        return word
+        return self._classes.setdefault(
+            self.node(word, self.equality_depth), word)
 
     def group_ring(self, k=ZZ):
         ring = GroupRing(k, self.canonical, word_mul, IDENTITY,
@@ -237,7 +277,7 @@ def trivial_group(alphabet):
 # Input format
 # ---------------------------------------------------------------------------
 
-def parse_selfsim(text):
+def parse_selfsim(text, depth=None):
     """Parse the self-similar group format.
 
     ``alphabet: 0 1`` declares the letters; each generator line reads
@@ -245,11 +285,12 @@ def parse_selfsim(text):
     left to right, then the restriction tuple ordered by the alphabet.
     Restriction entries are juxtaposed generator names separated by
     whitespace or ``*``, with ``^-1`` for inverses and ``e`` for the
-    identity.  ``depth: n`` sets the equality depth.  ``#`` comments.
+    identity.  ``depth: n`` sets the equality depth, unless ``depth`` is
+    given, which overrides it.  ``#`` comments.
     """
     alphabet = None
     recursion = {}
-    depth = 8
+    file_depth = 8
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -266,7 +307,7 @@ def parse_selfsim(text):
                 raise SelfSimError(
                     f"depth must be a nonnegative integer, got {value!r}",
                     line=lineno)
-            depth = int(value)
+            file_depth = int(value)
             continue
         if "=" not in line:
             raise SelfSimError(f"expected 'name = (perm ...)(...)', got {line!r}",
@@ -316,7 +357,9 @@ def parse_selfsim(text):
                     raise SelfSimError(
                         f"restriction of {gen!r} at {x!r} uses unknown "
                         f"generator {g!r}")
-    return SelfSimilarGroup(alphabet, recursion, equality_depth=depth)
+    return SelfSimilarGroup(
+        alphabet, recursion,
+        equality_depth=file_depth if depth is None else depth)
 
 
 def _paren_groups(text, lineno):

@@ -11,9 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pimsner.cli import main
+from pimsner.cli import _selfsim_suites, main
 from pimsner.leavitt import QuiverError, parse_quiver
-from pimsner.selfsim import SelfSimError, parse_selfsim
+from pimsner.selfsim import IDENTITY, SelfSimError, odometer, parse_selfsim
 
 ROSE2 = """
 vertices: v
@@ -272,6 +272,68 @@ class TestSelfsim:
         code, _, err = run(capsys, "selfsim", str(path))
         assert code == 2
         assert "line 2" in err and "depth" in err
+
+    @pytest.mark.parametrize("command", ["selfsim", "verify"])
+    @pytest.mark.parametrize("depth", ["0", "-1"])
+    def test_nonpositive_depth_option_exits_2(self, capsys, tmp_path,
+                                              command, depth):
+        path = tmp_path / "odometer.selfsim"
+        path.write_text(ODOMETER, encoding="utf-8")
+        code, out, err = run(capsys, command, str(path), "--depth", depth)
+        assert code == 2
+        assert out == ""
+        assert "equality depth must be at least 1" in err
+
+    def test_depth_option_overrides_file(self, capsys, tmp_path):
+        path = tmp_path / "odometer.selfsim"
+        path.write_text("alphabet: 0 1\ndepth: 5\na = (perm 0 1)(e, a)\n",
+                        encoding="utf-8")
+        code, out, _ = run(capsys, "selfsim", str(path))
+        assert code == 0
+        assert json.loads(out)["group"]["equality_depth"] == 5
+        code, out, _ = run(capsys, "selfsim", str(path), "--depth", "3")
+        assert code == 0
+        assert json.loads(out)["group"]["equality_depth"] == 3
+        code, out, _ = run(capsys, "verify", str(path), "--depth", "3")
+        assert code == 0
+        assert json.loads(out)["config"]["depth"] == 3
+
+
+class TestSelfsimSuitesCanFail:
+    """Each selfsim suite passes on the odometer and fails on one fault."""
+
+    A = (("a", 1),)
+
+    def failures(self, group):
+        suites = _selfsim_suites(group, 3, 6)
+        return {s["name"]: s["failures"] for s in suites}
+
+    def test_unmodified_group_passes(self):
+        assert set(self.failures(odometer()).values()) == {0}
+
+    def test_action_bijective_sees_a_collision(self):
+        group = odometer()
+        # the table entry is the memo itself: a now sends 0 and 1 to 1
+        group.sections(self.A)["1"] = ("1", self.A)
+        assert self.failures(group)["action-bijective"] > 0
+
+    def test_self_similarity_sees_a_corrupt_entry(self):
+        group = odometer()
+        # a|_1 is a; the table now claims the identity
+        group.sections(self.A)["1"] = ("0", IDENTITY)
+        assert self.failures(group)["self-similarity"] > 0
+
+    def test_cocycle_sees_a_perturbed_restriction(self):
+        group = odometer()
+        restrict = group.restrict_letter
+
+        def perturbed(word, x):
+            if word == self.A and x == "1":
+                return IDENTITY
+            return restrict(word, x)
+
+        group.restrict_letter = perturbed
+        assert self.failures(group)["cocycle"] > 0
 
 
 # Short text built from the tokens of both input formats, or arbitrary

@@ -1,6 +1,7 @@
 """Tests for self-similar groups and the Nekrashevych correspondence."""
 
 import random
+import time
 from itertools import product
 
 import pytest
@@ -244,6 +245,11 @@ class TestParsing:
         g = parse_selfsim("alphabet: 0 1\ndepth: 5\na = (perm 0 1)(e, a)\n")
         assert g.equality_depth == 5
 
+    def test_depth_argument_overrides_directive(self):
+        g = parse_selfsim("alphabet: 0 1\ndepth: 5\na = (perm 0 1)(e, a)\n",
+                          depth=3)
+        assert g.equality_depth == 3
+
     def test_inverse_and_products_in_restrictions(self):
         text = """
         alphabet: 0 1
@@ -286,3 +292,96 @@ class TestGrigorchukStyleTwoGenerators:
             tail = "".join(rng.choice("01") for _ in range(4))
             assert act(g, w, x + tail) == \
                 act(g, w, x) + act(g, restriction(g, w, x), tail)
+
+
+GRIGORCHUK = """
+alphabet: 0 1
+a = (perm 0 1)(e, e)
+b = (a, c)
+c = (a, d)
+d = (e, b)
+"""
+BASILICA = "alphabet: 0 1\na = (e, b)\nb = (perm 0 1)(e, a)\n"
+ODOMETER = "alphabet: 0 1\na = (perm 0 1)(e, a)\n"
+FLIP = "alphabet: 0 1\na = (perm 0 1)(a, a)\n"
+
+
+def _reference_trivial(group, word, depth, memo):
+    """The word problem by direct recursion on restrictions, with no
+    section table: the implementation the node ids replaced."""
+    if not word:
+        return True
+    if depth == 0:
+        return False
+    key = (word, depth)
+    if key not in memo:
+        memo[key] = (
+            all(group.act_letter(word, x) == x for x in group.alphabet)
+            and all(_reference_trivial(group, group.restrict_letter(word, x),
+                                       depth - 1, memo)
+                    for x in group.alphabet))
+    return memo[key]
+
+
+def _random_words(group, rng, count, max_length=12):
+    words = []
+    for _ in range(count):
+        words.append(reduce_word(tuple(
+            (rng.choice(group.generators), rng.choice([1, -1]))
+            for _ in range(rng.randint(0, max_length)))))
+    return words
+
+
+class TestNodeIds:
+    @pytest.mark.parametrize("text", [GRIGORCHUK, BASILICA, ODOMETER],
+                             ids=["grigorchuk", "basilica", "odometer"])
+    def test_against_direct_recursion(self, text):
+        rng = random.Random(61)
+        words = _random_words(parse_selfsim(text), rng, 30)
+        for depth in range(9):
+            group = parse_selfsim(text, depth=depth)
+            memo = {}
+            for i, w1 in enumerate(words):
+                for w2 in words[i:]:
+                    want = _reference_trivial(
+                        group, word_mul(w1, word_inv(w2)), depth, memo)
+                    assert group.equal(w1, w2) == want, (w1, w2, depth)
+            # the first-seen linear scan that canonical used to run
+            reps = [IDENTITY]
+            for w in words:
+                rep = next((r for r in reps if _reference_trivial(
+                    group, word_mul(w, word_inv(r)), depth, memo)), None)
+                if rep is None:
+                    reps.append(w)
+                    rep = w
+                assert group.canonical(w) == rep, (w, depth)
+
+    def test_grigorchuk_bcd_acts_trivially_but_is_unequal(self):
+        # b c d is the identity of the Grigorchuk group, but its restriction
+        # at 0 is the free word a a and at 1 the rotation c d b, which never
+        # reduces freely: the depth-bounded relation keeps it apart from ()
+        group = parse_selfsim(GRIGORCHUK, depth=8)
+        bcd = (("b", 1), ("c", 1), ("d", 1))
+        for n in range(1, 11):
+            for w in product("01", repeat=n):
+                assert group.act(bcd, w) == w
+        assert group.restriction(bcd, "0") == (("a", 1), ("a", 1))
+        for depth in (1, 4, 8, 12):
+            assert not group.is_trivial(bcd, depth)
+        assert not group.equal(bcd, IDENTITY)
+        assert group.canonical(bcd) != group.canonical(IDENTITY)
+
+    def test_deep_equality_has_bounded_cost(self):
+        # every restriction of a power of the flip is itself, so the section
+        # tree is a full binary tree of depth 200: only shared integer ids
+        # keep its fingerprint linear in the depth
+        group = parse_selfsim(FLIP, depth=200)
+        a = group.gen_word("a")
+        start = time.perf_counter()
+        reps = [group.canonical(a * n) for n in (1, 2, 3)]
+        assert time.perf_counter() - start < 1.0
+        assert len(set(reps)) == 3
+        assert not group.equal(a * 3, a)
+        # the tree is walked with an explicit stack, not Python recursion
+        deep = parse_selfsim(FLIP, depth=5000)
+        assert deep.canonical(a) != deep.canonical(a * 3)
