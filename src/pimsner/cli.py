@@ -23,11 +23,13 @@ import sys
 from . import __version__, funcmod, leavitt, selfsim
 from .abgroup import AbgroupError, IntMatrix
 from .fock import (
+    CheckReport,
     DepthError,
     HomotopyModel,
     InvariantViolation,
     TruncatedFock,
     covariant_check,
+    homotopy_H,
     homotopy_endpoints_check,
     homotopy_pairing_check,
     quasi_hom_defect,
@@ -256,63 +258,57 @@ def _verify_quiver(args, quiver):
     insufficient = False
 
     fk = TruncatedFock(corr, args.fock_depth)
-    rep = covariant_check(fk)
-    checks.append(rep.as_dict())
+    checks.append(covariant_check(fk).as_dict())
 
-    defect = {"name": "defect-support", "checked": 0, "skipped": 0,
-              "passed": True, "failures": []}
+    defect = CheckReport("defect-support")
     for p, q in leavitt.normal_words(quiver, args.word_bound):
         tokens = [("x", {e: one}) for e in p] + \
                  [("phi", {(e, "*"): one}) for e in reversed(q)]
         try:
             quasi_hom_defect(fk, tokens)
-            defect["checked"] += 1
+            defect.checked += 1
         except DepthError:
-            defect["skipped"] += 1
+            defect.skipped += 1
         except InvariantViolation as exc:
-            defect["passed"] = False
-            defect["failures"].append(str(exc))
-    if defect["skipped"]:
-        defect["status"] = "insufficient depth"
+            defect.failures.append(str(exc))
+    checks.append(defect.as_dict())
+    if defect.skipped:
+        checks[-1]["status"] = "insufficient depth"
         insufficient = True
-    checks.append(defect)
 
-    endpoints = {"name": "homotopy-endpoints", "checked": 0, "skipped": 0,
-                 "passed": True, "failures": [],
-                 "coefficient_identity": rotation_coefficient_identity()}
-    pairing = {"name": "pairing-preservation", "checked": 0, "skipped": 0,
-               "passed": True, "failures": []}
-    if not endpoints["coefficient_identity"]:
-        endpoints["passed"] = False
+    endpoints = CheckReport("homotopy-endpoints")
+    pairing = CheckReport("pairing-preservation")
     try:
         model = HomotopyModel(fk, min(args.word_bound, args.fock_depth))
     except DepthError:
-        endpoints["status"] = "insufficient depth"
-        pairing["status"] = "insufficient depth"
-        insufficient = True
         model = None
-    if model is not None:
-        gen_tokens = [("x", {b: one}) for b in corr.module.x_basis]
-        gen_tokens += [("phi", {c: one}) for c in corr.module.xp_basis]
-        gen_tokens += [("r", corr.module.ring.monomial(r))
-                       for r in corr.module.ring.basis]
-        for tok in gen_tokens:
-            rep = homotopy_endpoints_check(model, tok)
-            endpoints["checked"] += rep.checked
-            endpoints["skipped"] += rep.skipped
-            if not rep.passed:
-                endpoints["passed"] = False
-                endpoints["failures"].extend(map(str, rep.failures[:3]))
-        for c in corr.module.xp_basis:
-            for b in corr.module.x_basis:
-                rep = homotopy_pairing_check(model, {b: one}, {c: one})
-                pairing["checked"] += rep.checked
-                pairing["skipped"] += rep.skipped
-                if not rep.passed:
-                    pairing["passed"] = False
-                    pairing["failures"].extend(map(str, rep.failures[:3]))
-    checks.append(endpoints)
-    checks.append(pairing)
+        insufficient = True
+    else:
+        # each generator's homotopy is built once: the x homotopies serve
+        # every row of pairings, a phi homotopy only its own row
+        module = corr.module
+        x_H = {}
+        for b in module.x_basis:
+            tok = ("x", {b: one})
+            x_H[b] = homotopy_H(model, tok)
+            endpoints.absorb(homotopy_endpoints_check(model, tok, x_H[b]))
+        for c in module.xp_basis:
+            tok = ("phi", {c: one})
+            phi_H = homotopy_H(model, tok)
+            endpoints.absorb(homotopy_endpoints_check(model, tok, phi_H))
+            for b in module.x_basis:
+                pairing.absorb(homotopy_pairing_check(
+                    model, {b: one}, {c: one}, x_H[b], phi_H))
+        for r in module.ring.basis:
+            endpoints.absorb(homotopy_endpoints_check(
+                model, ("r", module.ring.monomial(r))))
+    identity = rotation_coefficient_identity()
+    checks.append({**endpoints.as_dict(), "coefficient_identity": identity,
+                   "passed": endpoints.passed and identity})
+    checks.append(pairing.as_dict())
+    if model is None:
+        for check in checks[-2:]:
+            check["status"] = "insufficient depth"
     return checks, insufficient
 
 
@@ -374,16 +370,18 @@ def build_parser():
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--coeff", default="z",
-                       help="coefficient ring: z, q, zmod:m or fp:p")
+    def common(p, *flags):
+        if "coeff" in flags:
+            p.add_argument("--coeff", default="z",
+                           help="coefficient ring: z, q, zmod:m or fp:p")
         p.add_argument("--out", choices=["json", "text"], default="json")
-        p.add_argument("--seed", type=int, default=0,
-                       help="seed for randomized property suites")
+        if "seed" in flags:
+            p.add_argument("--seed", type=int, default=0,
+                           help="seed for randomized property suites")
 
     p = sub.add_parser("kgroups", help="K-groups of a Leavitt path algebra")
     p.add_argument("input", help="quiver file")
-    common(p)
+    common(p, "coeff")
     p.set_defaults(func=cmd_kgroups)
 
     p = sub.add_parser("verify", help="run the exact operator suites")
@@ -393,7 +391,7 @@ def build_parser():
     p.add_argument("--depth", type=int, default=None,
                    help="equality depth for self-similar groups "
                         "(default: the file's)")
-    common(p)
+    common(p, "coeff", "seed")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("pv", help="crossed-product K-group sequence")
@@ -408,7 +406,7 @@ def build_parser():
                    help="equality depth override (default: the file's)")
     p.add_argument("--matrix", default=None,
                    help="induced K-theory matrix on a finite quotient")
-    common(p)
+    common(p, "coeff", "seed")
     p.set_defaults(func=cmd_selfsim)
     return parser
 

@@ -28,7 +28,8 @@ The module also provides:
   truncated both in Fock degree and in word length, on which the
   rotational homotopy H(t) is realized with exact polynomial coefficients
   in t, so that its endpoint identities and pairing preservation become
-  finite exact checks.
+  finite exact checks.  The model shares its Fock module's one Toeplitz
+  algebra and bounds word length per product, through ``try_mul``.
 """
 
 from __future__ import annotations
@@ -199,11 +200,6 @@ class TruncatedFock:
                 tuples = list(seen)
             self._dual[n] = [(n, t) for t in tuples]
         return self._dual[n]
-
-    def keys(self, degrees, side="x"):
-        get = self.basis if side == "x" else self.dual_basis
-        for d in degrees:
-            yield from get(d)
 
     def graded_pair(self, dual_key, key):
         """The graded pairing of a dual basis key against a basis key."""
@@ -698,6 +694,12 @@ class CheckReport:
         if not ok:
             self.failures.append(tag)
 
+    def absorb(self, other):
+        """Add another report's counts and its first three failures."""
+        self.checked += other.checked
+        self.skipped += other.skipped
+        self.failures.extend(other.failures[:3])
+
     def as_dict(self):
         return {"name": self.name, "passed": self.passed,
                 "checked": self.checked, "skipped": self.skipped,
@@ -785,18 +787,15 @@ class ToeplitzAlgebra:
     a reduced annihilation tuple, and the junction between them absorbed.
     Products are rewritten by contracting adjacent annihilation-creation
     pairs through the covariance relation, then absorbing the leftover
-    scalar into a neighbouring factor.
-
-    With ``max_len`` set, products whose words exceed that length report
-    an overflow instead of silently truncating.
+    scalar into a neighbouring factor.  ``try_mul`` bounds the word
+    length of a product, reporting an overflow instead of truncating.
     """
 
-    def __init__(self, corr, max_len=None):
+    def __init__(self, corr):
         self.corr = corr
         self.module = corr.module
         self.ring = self.module.ring
         self.k = self.module.k
-        self.max_len = max_len
 
     # -- element constructors -------------------------------------------------
 
@@ -823,11 +822,6 @@ class ToeplitzAlgebra:
         if elt is None:
             raise RingError("empty generator word")
         return elt
-
-    def word_length(self, key):
-        if key[0] == "s":
-            return 0
-        return len(key[1]) + len(key[2])
 
     # -- normal form -----------------------------------------------------------
 
@@ -949,31 +943,28 @@ class ToeplitzAlgebra:
         return vclean(k, out)
 
     def mul(self, e1, e2):
-        """Product of elements; raises DepthError past the word bound."""
-        out, overflow = self._mul_raw(e1, e2)
-        if overflow:
-            raise DepthError("product exceeds the word-length bound")
-        return out
-
-    def try_mul(self, e1, e2):
-        """Product, or None if any resulting word exceeds the bound."""
-        out, overflow = self._mul_raw(e1, e2)
-        return None if overflow else out
-
-    def _mul_raw(self, e1, e2):
+        """Product of two elements."""
         k = self.k
         out = {}
-        overflow = False
         for key1, cf1 in e1.items():
             for key2, cf2 in e2.items():
                 coeff = k.mul(cf1, cf2)
                 for key, c in self._word_mul(key1, key2).items():
-                    if self.max_len is not None and \
-                            self.word_length(key) > self.max_len:
-                        overflow = True
-                        continue
                     out[key] = k.add(out.get(key, k.zero), k.mul(coeff, c))
-        return vclean(k, out), overflow
+        return vclean(k, out)
+
+    def try_mul(self, e1, e2, max_len):
+        """Product, or None if any product word is longer than ``max_len``."""
+        k = self.k
+        out = {}
+        for key1, cf1 in e1.items():
+            for key2, cf2 in e2.items():
+                coeff = k.mul(cf1, cf2)
+                for key, c in self._word_mul(key1, key2).items():
+                    if key[0] == "w" and len(key[1]) + len(key[2]) > max_len:
+                        return None
+                    out[key] = k.add(out.get(key, k.zero), k.mul(coeff, c))
+        return vclean(k, out)
 
     def left_support(self, key):
         """A ring element u with j(u) . word == word."""
@@ -1108,16 +1099,17 @@ class HomotopyModel:
         self.ring = fock.ring
         self.k = fock.k
         self.word_bound = word_bound
-        self.talg = ToeplitzAlgebra(fock.corr, max_len=word_bound)
+        self.talg = fock._talg
         self.words = self._enumerate_words()
         one = self.k.one
         self.c0_keys = [(0, (), wk) for wk in self.words]
         self.c1_keys = []
+        # j(u) . word for the ring symbol u of a degree-0 key, or the right
+        # support u of the last tensor factor, keyed (degree 0?, symbol, word)
+        self._absorbed = {}
         for b in self.module.x_basis:
-            u = self.module.x_split(b)[1]
             for wk in self.words:
-                absorbed = self.talg._scalar_times_word(u, wk)
-                if absorbed == {wk: one}:
+                if self.make_key(1, (b,), wk) == {(1, (b,), wk): one}:
                     self.c1_keys.append((1, (b,), wk))
         self.low_keys = self.c0_keys + self.c1_keys
 
@@ -1138,12 +1130,14 @@ class HomotopyModel:
 
     def make_key(self, n, tup, wk):
         """Canonicalize a raw (degree, tensor, word) triple to model keys."""
-        if n == 0:
-            prod = self.talg._scalar_times_word(self.ring.monomial(tup[0]), wk)
-            return {(0, (), wk2): c for wk2, c in prod.items()}
-        u = self.module.x_split(tup[-1])[1]
-        absorbed = self.talg._scalar_times_word(u, wk)
-        return {(n, tup, wk2): c for wk2, c in absorbed.items()}
+        cache_key = (n == 0, tup[-1], wk)
+        if cache_key not in self._absorbed:
+            u = (self.ring.monomial(tup[0]) if n == 0
+                 else self.module.x_split(tup[-1])[1])
+            self._absorbed[cache_key] = self.talg._scalar_times_word(u, wk)
+        tup = () if n == 0 else tup
+        return {(n, tup, wk2): c
+                for wk2, c in self._absorbed[cache_key].items()}
 
     # -- homotopy summands -----------------------------------------------------
 
@@ -1152,7 +1146,8 @@ class HomotopyModel:
         gen = self.talg.from_tokens([token])
         low = {}
         for key in self.c0_keys:
-            prod = self.talg.try_mul(gen, {key[2]: self.k.one})
+            prod = self.talg.try_mul(gen, {key[2]: self.k.one},
+                                     self.word_bound)
             if prod is None:
                 low[key] = OVERFLOW
             else:
@@ -1416,9 +1411,13 @@ def homotopy_H(model, token):
     raise RingError(f"unknown generator token {kind!r}")
 
 
-def homotopy_endpoints_check(model, token):
-    """H(0) = pi0 (x) id and H(1) = lam1 + pi1 (x) id, blockwise."""
-    H = homotopy_H(model, token)
+def homotopy_endpoints_check(model, token, H=None):
+    """H(0) = pi0 (x) id and H(1) = lam1 + pi1 (x) id, blockwise.
+
+    ``H`` is the token's ``homotopy_H``, built here if None.
+    """
+    if H is None:
+        H = homotopy_H(model, token)
     report = CheckReport("homotopy-endpoints")
     H.at(0).eq_report(model.pi_tensor(token, "pi0"), report, tag="H(0)")
     if token[0] == "r":
@@ -1430,13 +1429,17 @@ def homotopy_endpoints_check(model, token):
     return report
 
 
-def homotopy_pairing_check(model, xvec, pvec):
+def homotopy_pairing_check(model, xvec, pvec, H_x=None, H_phi=None):
     """H preserves the pairing: H(T_phi) H(T_x) = H(<phi, x> . id).
 
     An identity of polynomial operators, checked exactly per power of t.
+    ``H_x`` and ``H_phi`` are the tokens' ``homotopy_H``, built if None.
     """
-    lhs = homotopy_H(model, ("phi", pvec)).compose(
-        homotopy_H(model, ("x", xvec)))
+    if H_x is None:
+        H_x = homotopy_H(model, ("x", xvec))
+    if H_phi is None:
+        H_phi = homotopy_H(model, ("phi", pvec))
+    lhs = H_phi.compose(H_x)
     relt = model.module.pair(pvec, xvec)
     rhs = PolyOperator(model, {0: model.pi_tensor(("r", relt), "pi0")})
     report = CheckReport("homotopy-pairing")

@@ -208,11 +208,10 @@ def normal_words(quiver, bound):
 class AdjacencyData:
     """Adjacency counts of a quiver and the induced K-theory map.
 
-    ``full_matrix``[x][y] counts the arrows from x to y.  ``reduced`` is
-    the arrow-count matrix of the induced map on vertex idempotents
-    (entry [y][v] counts arrows from v to y) with the non-regular columns
-    removed, and ``theorem_map`` M = 1 - reduced sends the class of 1_v to
-    1_v - sum over e with s(e) = v of 1_{r(e)}.
+    ``full_matrix``[x][y] counts the arrows from x to y.  ``theorem_map``
+    has one column per regular vertex v and one row per vertex y, with
+    entry [y][v] = delta_{y,v} - (arrows from v to y): it sends the class
+    of 1_v to 1_v - sum over e with s(e) = v of 1_{r(e)}.
     """
 
     def __init__(self, quiver):
@@ -226,8 +225,6 @@ class AdjacencyData:
         self.full_matrix = IntMatrix.from_rows(counts)
         regs = quiver.regular_vertices
         self.regular = regs
-        self.reduced = IntMatrix.from_rows(
-            [[counts[idx[v]][idx[y]] for v in regs] for y in verts])
         self.theorem_map = IntMatrix.from_rows(
             [[(1 if y == v else 0) - counts[idx[v]][idx[y]] for v in regs]
              for y in verts])

@@ -303,9 +303,9 @@ def parse_selfsim(text, depth=None):
             continue
         if line.startswith("depth:"):
             value = line[len("depth:"):].strip()
-            if not (value.isascii() and value.isdigit()):
+            if not (value.isascii() and value.isdigit()) or int(value) < 1:
                 raise SelfSimError(
-                    f"depth must be a nonnegative integer, got {value!r}",
+                    f"depth must be a positive integer, got {value!r}",
                     line=lineno)
             file_depth = int(value)
             continue

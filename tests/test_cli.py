@@ -147,6 +147,16 @@ class TestPv:
         assert report["degrees"]["0"]["cokernel"]["repr"] == \
             "Z/1000000000000000000000007"
 
+    @pytest.mark.parametrize("argv", [
+        ["pv", "--matrix", "2", "--coeff", "fp:5"],
+        ["pv", "--matrix", "2", "--seed", "9"],
+        ["kgroups", "rose2.quiver", "--seed", "9"]])
+    def test_unread_options_are_rejected(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_abgroup_error_exits_2(self, capsys, monkeypatch):
         from pimsner import leavitt
         from pimsner.abgroup import AbgroupError
@@ -183,6 +193,46 @@ class TestVerify:
         defect = [c for c in report["checks"]
                   if c["name"] == "defect-support"][0]
         assert defect["status"] == "insufficient depth"
+
+    def test_rose2_counts_with_one_homotopy_per_generator(
+            self, capsys, rose2_file, monkeypatch):
+        from pimsner import cli, fock
+        calls = []
+        real_H = fock.homotopy_H
+
+        def counted(model, token):
+            calls.append(token)
+            return real_H(model, token)
+
+        monkeypatch.setattr(fock, "homotopy_H", counted)
+        monkeypatch.setattr(cli, "homotopy_H", counted)
+        code, out, _ = run(capsys, "verify", rose2_file,
+                           "--fock-depth", "6", "--word-bound", "3")
+        assert code == 0
+        counts = {c["name"]: (c["checked"], c["skipped"])
+                  for c in json.loads(out)["checks"]}
+        assert counts == {"covariant-representation": (12, 8),
+                          "defect-support": (48, 0),
+                          "homotopy-endpoints": (1356, 164),
+                          "pairing-preservation": (2904, 644)}
+        # two x, two phi and one scalar generator
+        assert len(calls) == 5
+
+    def test_doubled_lam1_fails_only_pairing(self, capsys, rose2_file,
+                                            monkeypatch):
+        # the shared homotopies are built from the perturbed model, and
+        # H(1) = lam1 + pi1 holds for any lam1, so only pairing fails
+        from pimsner.fock import HomotopyModel
+        real_lam1 = HomotopyModel.lam1
+        monkeypatch.setattr(HomotopyModel, "lam1",
+                            lambda self, token: real_lam1(self, token).scale(2))
+        code, out, _ = run(capsys, "verify", rose2_file,
+                           "--fock-depth", "6", "--word-bound", "3")
+        assert code == 4
+        report = json.loads(out)
+        assert report["status"] == "failed"
+        assert {c["name"] for c in report["checks"] if not c["passed"]} == \
+            {"pairing-preservation"}
 
     def test_selfsim_suites_pass(self, capsys, tmp_path):
         path = tmp_path / "odometer.selfsim"
@@ -264,7 +314,7 @@ class TestSelfsim:
         assert code == 2
         assert "line 2" in err
 
-    @pytest.mark.parametrize("depth", ["x", "-1", "2.5", ""])
+    @pytest.mark.parametrize("depth", ["x", "-1", "2.5", "", "0"])
     def test_malformed_depth_exits_2(self, capsys, tmp_path, depth):
         path = tmp_path / "bad.selfsim"
         path.write_text(f"alphabet: 0 1\ndepth: {depth}\n"

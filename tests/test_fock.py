@@ -468,6 +468,21 @@ class TestToeplitzWords:
                                  ("x", {"e1": one})])
         assert zero == {}
 
+    def test_try_mul_bounds_word_length(self):
+        # (T_e0 T_e1*)(T_e1 T_e0*) contracts to T_e0 T_e0*, of length 2:
+        # a bound of 2 keeps it, a bound of 1 overflows, and a product
+        # that vanishes has no word to overflow
+        fk = rose_fock(2, 4)
+        talg = fk._talg
+        assert HomotopyModel(fk, 3).talg is talg
+        a = talg.from_tokens([("x", {"e0": 1}), ("phi", {("e1", "*"): 1})])
+        b = talg.from_tokens([("x", {"e1": 1}), ("phi", {("e0", "*"): 1})])
+        prod = talg.mul(a, b)
+        assert prod == {("w", ("e0",), (("e0", "*"),)): 1}
+        assert talg.try_mul(a, b, 2) == prod
+        assert talg.try_mul(a, b, 1) is None
+        assert talg.try_mul(a, a, 0) == {}
+
     def test_junction_absorption(self):
         # T_e T_f* is zero unless the ranges match
         talg = ToeplitzAlgebra(quiver_correspondence(
