@@ -133,19 +133,26 @@ def _selfsim_suites(group, seed, depth):
     rng = random.Random(seed)
     suites = []
 
-    # length-preserving bijectivity, exhaustively while |X|^n stays small:
-    # level n holds (g(w), g|_w) for the words w of length n, each level
-    # extended from the previous one through the section table
+    # length-preserving bijectivity, exhaustively while |X|^n stays small.
+    # Images are prefix-preserving, so g is a bijection of X^n exactly when
+    # it is one of X^(n-1) and the letter map of every section g|_w, w in
+    # X^(n-1), hits all of X; the frontier holds those sections, once each,
+    # and a failed level fails every later one
     suite = {"name": "action-bijective", "checked": 0, "failures": 0}
+    size = len(group.alphabet)
     for gen in group.generators:
-        level = [((), group.gen_word(gen))]
+        frontier = [group.gen_word(gen)]
+        bijective = True
         n = 1
-        while n <= depth and len(group.alphabet) ** n <= 10 ** 5:
-            level = [(image + (y,), r) for image, g in level
-                     for y, r in group.sections(g).values()]
-            suite["checked"] += len(level)
-            if len({image for image, _ in level}) != len(level):
+        while n <= depth and size ** n <= 10 ** 5:
+            tables = [group.sections(g).values() for g in frontier]
+            bijective = bijective and all(
+                len({y for y, _ in table}) == size for table in tables)
+            suite["checked"] += size ** n
+            if not bijective:
                 suite["failures"] += 1
+            frontier = list(dict.fromkeys(r for table in tables
+                                          for _, r in table))
             n += 1
     suites.append(suite)
 

@@ -29,7 +29,8 @@ The module also provides:
   rotational homotopy H(t) is realized with exact polynomial coefficients
   in t, so that its endpoint identities and pairing preservation become
   finite exact checks.  The model shares its Fock module's one Toeplitz
-  algebra and bounds word length per product, through ``try_mul``.
+  algebra and bounds word length per product, through ``try_mul``; its
+  pi (x) id is the cached Fock token operator, lifted.
 """
 
 from __future__ import annotations
@@ -732,22 +733,10 @@ def covariant_check(fock, S=None, T=None, sigma=None):
         sigma = {r: fock.token_op(("r", ring.monomial(r)))
                  for r in ring.basis}
 
-    def t_of(vec):
+    def combo(ops, vec):
         op = fock.zero_op()
         for b, c in vec.items():
-            op = op + T[b].scale(c)
-        return op
-
-    def s_of(vec):
-        op = fock.zero_op()
-        for b, c in vec.items():
-            op = op + S[b].scale(c)
-        return op
-
-    def sigma_of(relt):
-        op = fock.zero_op()
-        for r, c in relt.terms.items():
-            op = op + sigma[r].scale(c)
+            op = op + ops[b].scale(c)
         return op
 
     report = CheckReport("covariant-representation")
@@ -755,23 +744,23 @@ def covariant_check(fock, S=None, T=None, sigma=None):
         r = ring.monomial(rsym)
         for b in module.x_basis:
             report.compare(("T(r.x)", rsym, b),
-                           t_of(module.act_left(r, {b: one})),
+                           combo(T, module.act_left(r, {b: one})),
                            sigma[rsym].compose(T[b]))
             report.compare(("T(x.r)", rsym, b),
-                           t_of(module.act_right({b: one}, r)),
+                           combo(T, module.act_right({b: one}, r)),
                            T[b].compose(sigma[rsym]))
         for c in module.xp_basis:
             report.compare(("S(r.phi)", rsym, c),
-                           s_of(module.act_xp_left(r, {c: one})),
+                           combo(S, module.act_xp_left(r, {c: one})),
                            sigma[rsym].compose(S[c]))
             report.compare(("S(phi.r)", rsym, c),
-                           s_of(module.act_xp_right({c: one}, r)),
+                           combo(S, module.act_xp_right({c: one}, r)),
                            S[c].compose(sigma[rsym]))
     for c in module.xp_basis:
         for b in module.x_basis:
             report.compare(("covariance", c, b),
                            S[c].compose(T[b]),
-                           sigma_of(module.pair({c: one}, {b: one})))
+                           combo(sigma, module.pair({c: one}, {b: one}).terms))
     return report
 
 
@@ -1083,6 +1072,10 @@ class HomotopyModel:
     two and higher only ever carry tensor-part operators (the homotopy
     summands that touch the word part vanish there), so operators store an
     explicit low part plus a Fock-operator tensor part.
+
+    ``lift`` carries Fock columns into the model: ``pi_tensor`` and
+    ``lam0`` lift ``fock.token_op`` on the low keys, and
+    ``HOperator.column`` lifts the high part.
     """
 
     def __init__(self, fock, word_bound):
@@ -1154,77 +1147,51 @@ class HomotopyModel:
                 low[key] = {(0, (), wk): c for wk, c in prod.items()}
         return HOperator(self, low=low, high=None)
 
-    def lam0_x(self, xvec):
-        """Degree-raising corner of the creation operator."""
-        low = {}
-        for key in self.c0_keys:
-            wk = key[2]
-            eps = self.talg.left_support(wk)
-            vec = self.module.act_right(xvec, eps)
-            col = {}
-            for b, c in vec.items():
-                for key2, c2 in self.make_key(1, (b,), wk).items():
-                    col[key2] = self.k.add(col.get(key2, self.k.zero),
-                                           self.k.mul(c, c2))
-            low[key] = vclean(self.k, col)
-        return HOperator(self, low=low, high=None)
+    def lift(self, fcol, wk):
+        """A Fock column over (degree, tensor) keys, tensored with the word
+        ``wk`` through ``make_key``; the result is clean."""
+        k = self.k
+        out = {}
+        for (m, tup), c in fcol.items():
+            for key, c2 in self.make_key(m, tup, wk).items():
+                out[key] = k.add(out.get(key, k.zero), k.mul(c, c2))
+        return vclean(k, out)
 
-    def lam0_phi(self, pvec):
-        """Degree-lowering corner of the annihilation operator."""
+    def _lift_low(self, op, keys):
+        """op (x) id on the keys whose degree op does not kill; a degree-0
+        key is the left support of its word, as a degree-0 Fock vector."""
         low = {}
-        one = self.k.one
-        for key in self.c1_keys:
-            _, (b,), wk = key
-            r = self.module.pair(pvec, {b: one})
-            if r.is_zero():
-                low[key] = {}
+        for key in keys:
+            n, tup, wk = key
+            if not op.outs[n]:
                 continue
-            col = self.talg._scalar_times_word(r, wk)
-            low[key] = {(0, (), wk2): c for wk2, c in col.items()}
-        return HOperator(self, low=low, high=None)
+            if n == 0:
+                src = {(0, (rsym,)): c for rsym, c in
+                       self.talg.left_support(wk).terms.items()}
+            else:
+                src = {(1, tup): self.k.one}
+            low[key] = self.lift(op.apply_vec(src), wk)
+        return low
 
-    def _tensor_high(self, tokens):
-        op = word_operator(self.fock, tokens, "pi0")
+    def lam0(self, token):
+        """The corner of pi0 (x) id on the degrees that pi1 kills: degree 0
+        for a creation, degree 1 for an annihilation."""
+        op1 = self.fock.token_op(token, "pi1")
+        keys = [key for key in self.low_keys if not op1.outs[key[0]]]
+        return HOperator(self, low=self._lift_low(
+            self.fock.token_op(token, "pi0"), keys), high=None)
+
+    def _tensor_high(self, token):
+        op = self.fock.token_op(token, "pi0")
         covered = [d for d in op.covered if d >= 2]
         return FockOperator(self.fock, "x", op.column, covered,
                             {d: op.outs[d] for d in covered}, op.label)
 
     def pi_tensor(self, token, variant):
-        """pi0 (x) id or pi1 (x) id on the truncated model."""
-        one = self.k.one
-        kind, payload = token
-        low = {}
-        if variant == "pi0":
-            if kind == "x":
-                low.update(self.lam0_x(payload).low)
-            elif kind == "r":
-                for key in self.c0_keys:
-                    prod = self.talg._scalar_times_word(payload, key[2])
-                    low[key] = {(0, (), wk): c for wk, c in prod.items()}
-        if kind == "x":
-            for key in self.c1_keys:
-                _, (b,), wk = key
-                col = {}
-                for bx, c in payload.items():
-                    for tup, c2 in self.module.tensor_normalize((bx, b)).items():
-                        for key2, c3 in self.make_key(2, tup, wk).items():
-                            col[key2] = self.k.add(
-                                col.get(key2, self.k.zero),
-                                self.k.mul(c, self.k.mul(c2, c3)))
-                low[key] = vclean(self.k, col)
-        elif kind == "phi":
-            if variant == "pi0":
-                low.update(self.lam0_phi(payload).low)
-        elif kind == "r":
-            for key in self.c1_keys:
-                _, (b,), wk = key
-                col = {}
-                for b2, c in self.module.act_left(payload, {b: one}).items():
-                    for key2, c2 in self.make_key(1, (b2,), wk).items():
-                        col[key2] = self.k.add(col.get(key2, self.k.zero),
-                                               self.k.mul(c, c2))
-                low[key] = vclean(self.k, col)
-        return HOperator(self, low=low, high=self._tensor_high([token]))
+        """pi0 (x) id or pi1 (x) id: the Fock token operator, lifted."""
+        op = self.fock.token_op(token, variant)
+        return HOperator(self, low=self._lift_low(op, self.low_keys),
+                         high=self._tensor_high(token))
 
     def zero_h(self):
         return HOperator(self, low={}, high=None)
@@ -1255,13 +1222,7 @@ class HOperator:
         fcol = self.high.column((key[0], key[1]))
         if fcol is None:
             return OVERFLOW
-        k = self.model.k
-        out = {}
-        for (m, tup), c in fcol.items():
-            made = self.model.make_key(m, tup, key[2])
-            for key2, c2 in made.items():
-                out[key2] = k.add(out.get(key2, k.zero), k.mul(c, c2))
-        return vclean(k, out)
+        return self.model.lift(fcol, key[2])
 
     def apply_col(self, col):
         if col is OVERFLOW:
@@ -1388,27 +1349,21 @@ def homotopy_H(model, token):
     H(T_phi) = (1 - t^2) lam0(T_phi) + t lam1(T_phi) + (pi1 (x) id)(T_phi)
     H(r) = r . id
     """
-    kind, payload = token
+    kind = token[0]
     if kind == "r":
         return PolyOperator(model, {0: model.pi_tensor(token, "pi0")})
-    pi1_part = model.pi_tensor(token, "pi1")
+    # both raise RingError on a token that is not a generator
+    lam0 = model.lam0(token)
     lam1 = model.lam1(token)
+    const = lam0 + model.pi_tensor(token, "pi1")
     if kind == "x":
-        lam0 = model.lam0_x(payload)
         return PolyOperator(model, {
-            0: lam0 + pi1_part,
+            0: const,
             1: lam1.scale(2),
             2: lam0.scale(-1),
             3: lam1.scale(-1),
         })
-    if kind == "phi":
-        lam0 = model.lam0_phi(payload)
-        return PolyOperator(model, {
-            0: lam0 + pi1_part,
-            1: lam1,
-            2: lam0.scale(-1),
-        })
-    raise RingError(f"unknown generator token {kind!r}")
+    return PolyOperator(model, {0: const, 1: lam1, 2: lam0.scale(-1)})
 
 
 def homotopy_endpoints_check(model, token, H=None):

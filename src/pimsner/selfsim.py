@@ -74,6 +74,11 @@ def word_inv(w):
 
 IDENTITY = ()
 
+# the largest equality depth a file or an option may ask for: at this depth
+# `pimsner selfsim` on the odometer, basilica and grigorchuk groups still
+# finishes in seconds, and the digit count of a `depth:` line is bounded
+MAX_EQUALITY_DEPTH = 10_000
+
 
 class SelfSimilarGroup:
     """A group given by wreath recursion over a finite alphabet.
@@ -286,8 +291,14 @@ def parse_selfsim(text, depth=None):
     Restriction entries are juxtaposed generator names separated by
     whitespace or ``*``, with ``^-1`` for inverses and ``e`` for the
     identity.  ``depth: n`` sets the equality depth, unless ``depth`` is
-    given, which overrides it.  ``#`` comments.
+    given, which overrides it.  The line must lie in
+    1..MAX_EQUALITY_DEPTH, and ``depth`` must not exceed that bound.
+    ``#`` comments.
     """
+    if depth is not None and depth > MAX_EQUALITY_DEPTH:
+        raise SelfSimError(
+            f"equality depth must be at most {MAX_EQUALITY_DEPTH}, "
+            f"got {depth}")
     alphabet = None
     recursion = {}
     file_depth = 8
@@ -303,10 +314,14 @@ def parse_selfsim(text, depth=None):
             continue
         if line.startswith("depth:"):
             value = line[len("depth:"):].strip()
-            if not (value.isascii() and value.isdigit()) or int(value) < 1:
+            # the length test keeps int() off overlong digit strings
+            if not (value.isascii() and value.isdigit()) \
+                    or len(value.lstrip("0")) > len(str(MAX_EQUALITY_DEPTH)) \
+                    or not 1 <= int(value) <= MAX_EQUALITY_DEPTH:
+                shown = value if len(value) <= 20 else value[:20] + "..."
                 raise SelfSimError(
-                    f"depth must be a positive integer, got {value!r}",
-                    line=lineno)
+                    f"depth must be an integer from 1 to "
+                    f"{MAX_EQUALITY_DEPTH}, got {shown!r}", line=lineno)
             file_depth = int(value)
             continue
         if "=" not in line:

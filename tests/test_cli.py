@@ -314,7 +314,9 @@ class TestSelfsim:
         assert code == 2
         assert "line 2" in err
 
-    @pytest.mark.parametrize("depth", ["x", "-1", "2.5", "", "0"])
+    @pytest.mark.parametrize("depth", [
+        "x", "-1", "2.5", "", "0", "10001",
+        pytest.param("9" * 5000, id="5000-digits")])
     def test_malformed_depth_exits_2(self, capsys, tmp_path, depth):
         path = tmp_path / "bad.selfsim"
         path.write_text(f"alphabet: 0 1\ndepth: {depth}\n"
@@ -322,6 +324,25 @@ class TestSelfsim:
         code, _, err = run(capsys, "selfsim", str(path))
         assert code == 2
         assert "line 2" in err and "depth" in err
+        assert "Traceback" not in err and len(err) < 200
+
+    def test_largest_depth_is_accepted(self, capsys, tmp_path):
+        path = tmp_path / "deep.selfsim"
+        path.write_text("alphabet: 0 1\ndepth: 010000\n"
+                        "a = (perm 0 1)(e, a)\n", encoding="utf-8")
+        code, out, _ = run(capsys, "selfsim", str(path))
+        assert code == 0
+        assert json.loads(out)["group"]["equality_depth"] == 10000
+
+    @pytest.mark.parametrize("command", ["selfsim", "verify"])
+    def test_depth_option_past_the_bound_exits_2(self, capsys, tmp_path,
+                                                 command):
+        path = tmp_path / "odometer.selfsim"
+        path.write_text(ODOMETER, encoding="utf-8")
+        code, out, err = run(capsys, command, str(path), "--depth", "10001")
+        assert code == 2
+        assert out == ""
+        assert "equality depth must be at most 10000" in err
 
     @pytest.mark.parametrize("command", ["selfsim", "verify"])
     @pytest.mark.parametrize("depth", ["0", "-1"])
@@ -366,6 +387,45 @@ class TestSelfsimSuitesCanFail:
         # the table entry is the memo itself: a now sends 0 and 1 to 1
         group.sections(self.A)["1"] = ("1", self.A)
         assert self.failures(group)["action-bijective"] > 0
+
+    @staticmethod
+    def bijective_by_levels(group, depth):
+        """Oracle: materialize every image of X^n, level by level."""
+        checked = failures = 0
+        for gen in group.generators:
+            level = [((), group.gen_word(gen))]
+            for n in range(1, depth + 1):
+                if len(group.alphabet) ** n > 10 ** 5:
+                    break
+                level = [(image + (y,), r) for image, g in level
+                         for y, r in group.sections(g).values()]
+                checked += len(level)
+                failures += len({image for image, _ in level}) != len(level)
+        return checked, failures
+
+    @pytest.mark.parametrize("fault", ["none", "a", "identity",
+                                       "basilica-b"])
+    def test_action_bijective_matches_materialized_levels(self, fault):
+        # a collision in a section's letter map fails the first level that
+        # reaches the section and every later level; basilica reaches b
+        # from a only at even levels
+        if fault == "basilica-b":
+            group = parse_selfsim("alphabet: 0 1\na = (e, b)\n"
+                                  "b = (perm 0 1)(e, a)\n")
+            group.sections((("b", 1),))["1"] = ("1", self.A)
+        else:
+            group = odometer()
+        if fault == "a":
+            group.sections(self.A)["1"] = ("1", self.A)
+        elif fault == "identity":
+            # the identity is first reached as the section a|_0
+            group.sections(IDENTITY)["1"] = ("0", IDENTITY)
+        suite = _selfsim_suites(group, 3, 6)[0]
+        assert suite["name"] == "action-bijective"
+        want = self.bijective_by_levels(group, 6)
+        assert (suite["checked"], suite["failures"]) == want
+        assert want[1] == {"none": 0, "a": 6, "identity": 5,
+                           "basilica-b": 11}[fault]
 
     def test_self_similarity_sees_a_corrupt_entry(self):
         group = odometer()

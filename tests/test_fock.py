@@ -27,7 +27,7 @@ from pimsner.fock import (
     rotation_coefficient_identity,
     word_operator,
 )
-from pimsner.funcmod import free_correspondence
+from pimsner.funcmod import free_correspondence, vclean
 from pimsner.leavitt import parse_quiver, quiver_correspondence, rose
 from pimsner.ringcore import QQ, ZZ, DirectSumRing, RingError, Zmod
 
@@ -575,10 +575,11 @@ class TestHomotopy:
         model = HomotopyModel(fk, 3)
         from pimsner.fock import CheckReport, PolyOperator
         xvec, pvec = {"e0": 1}, {("e0", "*"): 1}
+        tok = ("x", xvec)
         bad_x = PolyOperator(model, {
-            0: model.lam0_x(xvec) + model.pi_tensor(("x", xvec), "pi1"),
-            1: model.lam1(("x", xvec)),
-            2: model.lam0_x(xvec).scale(-1),
+            0: model.lam0(tok) + model.pi_tensor(tok, "pi1"),
+            1: model.lam1(tok),
+            2: model.lam0(tok).scale(-1),
         })
         lhs = homotopy_H(model, ("phi", pvec)).compose(bad_x)
         relt = model.module.pair(pvec, xvec)
@@ -661,3 +662,141 @@ class TestHomotopy:
         for tok in toks:
             assert homotopy_endpoints_check(model, tok).passed
         assert homotopy_pairing_check(model, {"e": 1}, {("e", "*"): 1}).passed
+
+
+# -- the hand-derived corners of pi (x) id, kept as an oracle for the lift --
+
+def _oracle_lam0_x(model, xvec):
+    """Degree-raising corner: x . eps (x) w on every degree-0 key."""
+    k = model.k
+    low = {}
+    for key in model.c0_keys:
+        wk = key[2]
+        vec = model.module.act_right(xvec, model.talg.left_support(wk))
+        col = {}
+        for b, c in vec.items():
+            for key2, c2 in model.make_key(1, (b,), wk).items():
+                col[key2] = k.add(col.get(key2, k.zero), k.mul(c, c2))
+        low[key] = vclean(k, col)
+    return low
+
+
+def _oracle_lam0_phi(model, pvec):
+    """Degree-lowering corner: j(<phi, b>) . w on every degree-1 key."""
+    low = {}
+    for key in model.c1_keys:
+        _, (b,), wk = key
+        r = model.module.pair(pvec, {b: model.k.one})
+        col = model.talg._scalar_times_word(r, wk)
+        low[key] = {(0, (), wk2): c for wk2, c in col.items()}
+    return low
+
+
+def _oracle_pi_tensor_low(model, token, variant):
+    """The low part of pi0 (x) id or pi1 (x) id, branch by branch."""
+    k, module = model.k, model.module
+    kind, payload = token
+    low = {}
+    if variant == "pi0":
+        if kind == "x":
+            low.update(_oracle_lam0_x(model, payload))
+        elif kind == "phi":
+            low.update(_oracle_lam0_phi(model, payload))
+        elif kind == "r":
+            for key in model.c0_keys:
+                prod = model.talg._scalar_times_word(payload, key[2])
+                low[key] = {(0, (), wk): c for wk, c in prod.items()}
+    for key in model.c1_keys:
+        _, (b,), wk = key
+        col = {}
+        if kind == "x":
+            for bx, c in payload.items():
+                for tup, c2 in module.tensor_normalize((bx, b)).items():
+                    for key2, c3 in model.make_key(2, tup, wk).items():
+                        col[key2] = k.add(col.get(key2, k.zero),
+                                          k.mul(c, k.mul(c2, c3)))
+        elif kind == "r":
+            for b2, c in module.act_left(payload, {b: k.one}).items():
+                for key2, c2 in model.make_key(1, (b2,), wk).items():
+                    col[key2] = k.add(col.get(key2, k.zero), k.mul(c, c2))
+        else:
+            continue
+        low[key] = vclean(k, col)
+    return low
+
+
+def _basis_tokens(fk):
+    one = fk.k.one
+    return ([("x", {b: one}) for b in fk.module.x_basis]
+            + [("phi", {c: one}) for c in fk.module.xp_basis]
+            + [("r", fk.ring.monomial(r)) for r in fk.ring.basis])
+
+
+def _rank_one_fock(depth=4):
+    ring = DirectSumRing(QQ, ["u"])
+    return TruncatedFock(free_correspondence(ring, ["*"]), depth)
+
+
+class TestPiTensorLift:
+    """pi (x) id is the Fock token operator lifted through ``make_key``."""
+
+    def assert_low_equal(self, model, got, want):
+        assert set(got) <= set(model.low_keys)
+        assert set(want) <= set(model.low_keys)
+        for key in model.low_keys:
+            assert got.get(key, {}) == want.get(key, {}), key
+
+    @pytest.mark.parametrize("make", [lambda: rose_fock(2, 4), a2_fock,
+                                      _rank_one_fock],
+                             ids=["rose2", "a2", "rank-one-QQ"])
+    def test_against_hand_derived_corners(self, make):
+        fk = make()
+        model = HomotopyModel(fk, 3)
+        tokens = _basis_tokens(fk)
+        assert {kind for kind, _ in tokens} == {"x", "phi", "r"}
+        for token in tokens:
+            for variant in ("pi0", "pi1"):
+                self.assert_low_equal(
+                    model, model.pi_tensor(token, variant).low,
+                    _oracle_pi_tensor_low(model, token, variant))
+            kind, payload = token
+            if kind == "x":
+                want = _oracle_lam0_x(model, payload)
+            elif kind == "phi":
+                want = _oracle_lam0_phi(model, payload)
+            else:
+                continue
+            lam0 = model.lam0(token)
+            assert lam0.high is None
+            self.assert_low_equal(model, lam0.low, want)
+
+    def test_two_symbol_payloads(self):
+        fk = rose_fock(2, 4)
+        model = HomotopyModel(fk, 3)
+        for token in [("x", {"e0": 1, "e1": 2}),
+                      ("phi", {("e0", "*"): 3, ("e1", "*"): -1}),
+                      ("r", fk.ring.monomial("v", 5))]:
+            for variant in ("pi0", "pi1"):
+                self.assert_low_equal(
+                    model, model.pi_tensor(token, variant).low,
+                    _oracle_pi_tensor_low(model, token, variant))
+
+    def test_scaled_pi1_creation_fails_endpoint_zero(self, monkeypatch):
+        # pi_tensor reads token_op, so a wrong pi1 creation shows at H(0);
+        # a hand-derived low part would ignore it
+        fk = rose_fock(2, 4)
+        model = HomotopyModel(fk, 3)
+        token = ("x", {"e0": 1})
+        assert homotopy_endpoints_check(model, token).passed
+        real_token_op = fk.token_op
+
+        def scaled(tok, variant="pi0"):
+            op = real_token_op(tok, variant)
+            if tok[0] == "x" and variant == "pi1":
+                return op.scale(2)
+            return op
+
+        monkeypatch.setattr(fk, "token_op", scaled)
+        report = homotopy_endpoints_check(model, token)
+        assert not report.passed
+        assert {tag for tag, _ in report.failures} == {"H(0)"}
