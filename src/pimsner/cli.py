@@ -423,8 +423,12 @@ def _validate(args):
         raise RingError("fock depth must be at least 1")
     if getattr(args, "word_bound", 1) < 1:
         raise RingError("word bound must be at least 1")
-    if getattr(args, "depth", None) is not None and args.depth < 1:
+    depth = getattr(args, "depth", None)
+    if depth is not None and depth < 1:
         raise RingError("equality depth must be at least 1")
+    if depth is not None and depth > selfsim.MAX_EQUALITY_DEPTH:
+        raise RingError("equality depth must be at most "
+                        f"{selfsim.MAX_EQUALITY_DEPTH}, got {depth}")
     if hasattr(args, "coeff"):
         coefficient_ring(args.coeff)
 

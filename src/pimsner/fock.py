@@ -4,8 +4,10 @@ The Fock module of a correspondence X is the graded bimodule
 T(X) = R (+) X (+) X^(x)2 (+) ...; here it is truncated at a configurable
 depth N, with each graded piece presented by its reduced pure-tensor basis.
 Creation operators prepend a vector, annihilation operators pair off the
-first tensor factor, and scalars act through the left action.  All
-operators are exact and column-sparse, and every operator knows which
+first tensor factor, and scalars act through the left action; their stars
+act on the dual module.  ``TruncatedFock.token_op`` builds all six kinds
+from one table, ``_KINDS``, of side, degree shift and lowest live degree.
+All operators are exact and column-sparse, and every operator knows which
 source degrees its columns are defined on, so that identities are only
 ever asserted within the truncation budget: a check at source degree d
 runs only when every intermediate degree of the word stays <= N, and
@@ -18,8 +20,9 @@ The module also provides:
   the covariance ideal, which occupy a single block of the graded matrix
   picture;
 * the pair of representations pi0 (canonical) and pi1 (shifted away from
-  low degrees); their difference on any Toeplitz word is supported on a
-  single block, which is what makes the pair a quasi-homomorphism;
+  low degrees: each generator kills one degree more); their difference
+  on any Toeplitz word is supported on a single block, which is what
+  makes the pair a quasi-homomorphism;
 * a normal-form word algebra for the Toeplitz ring: every product of
   generators is rewritten to sums of words "creations, then annihilations"
   using the covariance relation S(phi) T(x) = sigma(<phi, x>) and the
@@ -118,12 +121,26 @@ def rotation_coefficient_identity():
 # Truncated Fock module
 # ---------------------------------------------------------------------------
 
+# kind -> (side, degree shift, lowest degree not killed under pi0); pi1
+# kills one degree more.  The stars act on the dual module, side "xp".
+_KINDS = {
+    "x": ("x", 1, 0),
+    "phi": ("x", -1, 1),
+    "r": ("x", 0, 0),
+    "x*": ("xp", -1, 1),
+    "phi*": ("xp", 1, 0),
+    "r*": ("xp", 0, 0),
+}
+
+
 class TruncatedFock:
     """Graded bases of R, X, X^(x)2, ..., X^(x)N and their duals.
 
     Basis keys are ``(degree, tuple)``; the degree-zero tuple holds a
     single ring basis symbol.  The ring and the module must be finitely
-    enumerated for the bases to exist.
+    enumerated for the bases to exist.  ``token_op`` builds and caches
+    every generator operator; ``identity`` and ``zero_op`` are the only
+    other operators made here.
     """
 
     def __init__(self, corr, depth):
@@ -146,27 +163,39 @@ class TruncatedFock:
     def token_op(self, token, variant="pi0"):
         """The operator of one generator token under pi0 or pi1.
 
-        Tokens are ``("x", xvec)``, ``("phi", pvec)`` or ``("r", relt)``.
-        This is the one place generator operators are built: each is kept
-        per (kind, payload items, variant) and memoizes its columns, and
-        words compose these cached operators.  Callers must not mutate a
-        returned operator.
+        Tokens are ``(kind, payload)`` with a kind of ``_KINDS``: ``x``,
+        ``phi`` and ``r`` act on the Fock module, their stars ``x*``,
+        ``phi*`` and ``r*`` on its dual.  This is the only constructor of
+        a generator operator: its side, degree shift and the degrees it
+        kills are read off ``_KINDS``, its columns come from ``_column``,
+        and it is kept per (kind, payload items, variant) with its columns
+        memoized, so words compose these cached operators.  Callers must
+        not mutate or relabel a returned operator.
         """
         kind, payload = token
-        terms = payload.terms if kind == "r" else payload
+        terms = payload.terms if kind in ("r", "r*") else payload
         key = (kind, tuple(terms.items()), variant)
-        if key not in self._tok_ops:
-            shifted = variant == "pi1"
-            if kind == "x":
-                op = self.creation(payload, low_kill=1 if shifted else 0)
-            elif kind == "phi":
-                op = self.annihilation(payload, low_kill=2 if shifted else 1)
-            elif kind == "r":
-                op = self.scalar(payload, low_kill=1 if shifted else 0)
-            else:
+        op = self._tok_ops.get(key)
+        if op is None:
+            if kind not in _KINDS:
                 raise RingError(f"unknown generator token {kind!r}")
-            self._tok_ops[key] = op.cached()
-        return self._tok_ops[key]
+            if variant not in ("pi0", "pi1"):
+                raise RingError(f"unknown representation {variant!r}")
+            side, shift, low = _KINDS[kind]
+            if variant == "pi1":
+                low += 1
+            column = self._column
+
+            def col(key, _kind=kind, _payload=payload, _low=low):
+                return {} if key[0] < _low else column(_kind, _payload, key)
+
+            outs = {d: frozenset([d + shift] if d >= low else [])
+                    for d in range(self.depth + 1 - max(shift, 0))}
+            op = FockOperator(self, side, col, covered=outs.keys(),
+                              outs=outs, label=f"{variant}({kind})")
+            op._cache = {}
+            self._tok_ops[key] = op
+        return op
 
     def basis(self, n):
         if n < 0 or n > self.depth:
@@ -229,171 +258,72 @@ class TruncatedFock:
             outs={d: frozenset() for d in range(self.depth + 1)},
             label="0")
 
-    def _prepend(self, xvec, t):
-        """Normal form of x (x) t as a dict over tuples (t reduced)."""
+    def _prepend(self, xvec, t, d):
+        """x (x) t in normal form (t reduced), as a degree-d column."""
         k = self.k
         out = {}
         for b, cb in xvec.items():
             for tup, c in self.module.prepend_normal(b, t).items():
-                out[tup] = k.add(out.get(tup, k.zero), k.mul(cb, c))
+                key = (d, tup)
+                out[key] = k.add(out.get(key, k.zero), k.mul(cb, c))
         return vclean(k, out)
 
-    def _left_mul_tuple(self, relt, t):
-        """Normal form of r . (t1 (x) ... (x) tn)."""
+    def _append(self, t, pvec, d):
+        """t (x) phi in normal form (t reduced), as a degree-d dual column."""
         k = self.k
-        first = self.module.act_left(relt, {t[0]: k.one})
         out = {}
-        for b, cb in first.items():
-            for tup, c in self.module.prepend_normal(b, t[1:]).items():
-                out[tup] = k.add(out.get(tup, k.zero), k.mul(cb, c))
+        for c2, cc in pvec.items():
+            for tup, c in self.module.dual_append_normal(t, c2).items():
+                key = (d, tup)
+                out[key] = k.add(out.get(key, k.zero), k.mul(cc, c))
         return vclean(k, out)
 
-    def creation(self, xvec, low_kill=0):
-        """T_x: prepend the vector x; drop the block leaving degree N.
+    def _column(self, kind, payload, key):
+        """The column of a generator at a basis key, before any low kill.
 
-        ``low_kill`` = 1 gives the low-degree-shifted variant, which
-        vanishes on the vacuum row.
+        On X, creation prepends x, annihilation pairs phi with the first
+        factor and scalars act on it; on X', the stars mirror them on the
+        last factor.  The column sits in degree d plus the kind's shift: a
+        single factor when that is 1 and d is 0, a ring element when it
+        is 0.
         """
-        module, k, ring = self.module, self.k, self.ring
-
-        def column(key):
-            d, t = key
-            if d < low_kill:
-                return {}
+        d, t = key
+        e = d + _KINDS[kind][1]
+        module, ring, one = self.module, self.ring, self.k.one
+        if kind == "x":
             if d == 0:
-                vec = module.act_right(xvec, ring.monomial(t[0]))
-                return {(1, (sym,)): c for sym, c in vec.items()}
-            return {(d + 1, tup): c for tup, c in self._prepend(xvec, t).items()}
-
-        return FockOperator(
-            self, "x", column, covered=range(self.depth),
-            outs={d: frozenset([d + 1] if d >= low_kill else [])
-                  for d in range(self.depth)},
-            label="T_x" if not low_kill else "pi1(T_x)")
-
-    def annihilation(self, pvec, low_kill=1):
-        """T_phi: pair off the first factor; kills degree 0.
-
-        ``low_kill`` = 2 gives the low-degree-shifted variant, which also
-        kills degree 1.
-        """
-        module, k = self.module, self.k
-
-        def column(key):
-            d, t = key
-            if d < low_kill:
-                return {}
-            r = module.pair(pvec, {t[0]: k.one})
-            if r.is_zero():
-                return {}
-            if d == 1:
-                return {(0, (sym,)): c for sym, c in r.terms.items()}
-            out = {}
-            first = module.act_left(r, {t[1]: k.one})
-            for b, cb in first.items():
-                for tup, c in module.prepend_normal(b, t[2:]).items():
-                    key2 = (d - 1, tup)
-                    prev = out.get(key2, k.zero)
-                    out[key2] = k.add(prev, k.mul(cb, c))
-            return vclean(k, out)
-
-        outs = {d: frozenset([d - 1] if d >= low_kill else [])
-                for d in range(self.depth + 1)}
-        return FockOperator(self, "x", column,
-                            covered=range(self.depth + 1), outs=outs,
-                            label="T_phi" if low_kill == 1 else "pi1(T_phi)")
-
-    def scalar(self, relt, low_kill=0):
-        """r . id acting through the left action; degreewise diagonal."""
-        ring, k = self.ring, self.k
-
-        def column(key):
-            d, t = key
-            if d < low_kill:
-                return {}
+                vec = module.act_right(payload, ring.monomial(t[0]))
+                return {(e, (sym,)): c for sym, c in vec.items()}
+            return self._prepend(payload, t, e)
+        if kind == "phi*":
             if d == 0:
-                prod = relt * ring.monomial(t[0])
-                return {(0, (sym,)): c for sym, c in prod.terms.items()}
-            return {(d, tup): c
-                    for tup, c in self._left_mul_tuple(relt, t).items()}
-
-        return FockOperator(
-            self, "x", column, covered=range(self.depth + 1),
-            outs={d: frozenset([d] if d >= low_kill else [])
-                  for d in range(self.depth + 1)},
-            label="scalar")
-
-    # -- dual (adjoint side) constructors -------------------------------------
-
-    def creation_star(self, xvec):
-        """T_x^*: pair the last dual factor against x; kills degree 0."""
-        module, k = self.module, self.k
-
-        def column(key):
-            d, t = key
+                vec = module.act_xp_left(ring.monomial(t[0]), payload)
+                return {(e, (sym,)): c for sym, c in vec.items()}
+            return self._append(t, payload, e)
+        if kind == "r":
             if d == 0:
-                return {}
-            r = module.pair({t[-1]: k.one}, xvec)
-            if r.is_zero():
-                return {}
-            if d == 1:
-                return {(0, (sym,)): c for sym, c in r.terms.items()}
-            out = {}
-            last = module.act_xp_right({t[-2]: k.one}, r)
-            for c2, cc in last.items():
-                for tup, c in module.dual_append_normal(t[:-2], c2).items():
-                    key2 = (d - 1, tup)
-                    out[key2] = k.add(out.get(key2, k.zero), k.mul(cc, c))
-            return vclean(k, out)
-
-        outs = {d: frozenset([d - 1] if d >= 1 else [])
-                for d in range(self.depth + 1)}
-        return FockOperator(self, "xp", column,
-                            covered=range(self.depth + 1), outs=outs,
-                            label="T_x*")
-
-    def annihilation_star(self, pvec):
-        """T_phi^*: append phi on the right of a dual tensor."""
-        module, k = self.module, self.k
-
-        def column(key):
-            d, t = key
+                prod = payload * ring.monomial(t[0])
+                return {(e, (sym,)): c for sym, c in prod.terms.items()}
+            return self._prepend(module.act_left(payload, {t[0]: one}),
+                                 t[1:], e)
+        if kind == "r*":
             if d == 0:
-                vec = module.act_xp_left(self.ring.monomial(t[0]), pvec)
-                return {(1, (sym,)): c for sym, c in vec.items()}
-            out = {}
-            for c2, cc in pvec.items():
-                for tup, c in module.dual_append_normal(t, c2).items():
-                    key2 = (d + 1, tup)
-                    out[key2] = k.add(out.get(key2, k.zero), k.mul(cc, c))
-            return vclean(k, out)
-
-        return FockOperator(
-            self, "xp", column, covered=range(self.depth),
-            outs={d: frozenset([d + 1]) for d in range(self.depth)},
-            label="T_phi*")
-
-    def scalar_star(self, relt):
-        """Adjoint of r . id: the right action on dual tensors."""
-        module, k, ring = self.module, self.k, self.ring
-
-        def column(key):
-            d, t = key
-            if d == 0:
-                prod = ring.monomial(t[0]) * relt
-                return {(0, (sym,)): c for sym, c in prod.terms.items()}
-            out = {}
-            last = module.act_xp_right({t[-1]: k.one}, relt)
-            for c2, cc in last.items():
-                for tup, c in module.dual_append_normal(t[:-1], c2).items():
-                    key2 = (d, tup)
-                    out[key2] = k.add(out.get(key2, k.zero), k.mul(cc, c))
-            return vclean(k, out)
-
-        return FockOperator(
-            self, "xp", column, covered=range(self.depth + 1),
-            outs={d: frozenset([d]) for d in range(self.depth + 1)},
-            label="scalar*")
+                prod = ring.monomial(t[0]) * payload
+                return {(e, (sym,)): c for sym, c in prod.terms.items()}
+            return self._append(
+                t[:-1], module.act_xp_right({t[-1]: one}, payload), e)
+        # phi and x* pair off the first, resp. last, factor
+        if kind == "phi":
+            r = module.pair(payload, {t[0]: one})
+        else:
+            r = module.pair({t[-1]: one}, payload)
+        if r.is_zero():
+            return {}
+        if d == 1:
+            return {(e, (sym,)): c for sym, c in r.terms.items()}
+        if kind == "phi":
+            return self._prepend(module.act_left(r, {t[1]: one}), t[2:], e)
+        return self._append(t[:-2], module.act_xp_right({t[-2]: one}, r), e)
 
 
 # ---------------------------------------------------------------------------
@@ -407,7 +337,8 @@ class FockOperator:
     are defined; composing operators intersects coverage along the degree
     chains actually reachable, so truncation can never produce a silently
     wrong column, only a smaller covered set.  Columns are clean vectors
-    (see ``funcmod``), so they compare as plain dicts.
+    (see ``funcmod``), so they compare as plain dicts.  ``_cache``, when
+    not None, memoizes columns; only ``TruncatedFock.token_op`` sets it.
     """
 
     __slots__ = ("fock", "side", "_column", "covered", "outs", "label",
@@ -422,13 +353,6 @@ class FockOperator:
         self.outs = {d: frozenset(outs.get(d, ())) for d in self.covered}
         self.label = label
         self._cache = None
-
-    def cached(self):
-        """A copy that memoizes its columns (for heavily reused operators)."""
-        op = FockOperator(self.fock, self.side, self._column, self.covered,
-                          self.outs, self.label)
-        op._cache = {}
-        return op
 
     def column(self, key):
         if key[0] not in self.covered:
@@ -548,10 +472,11 @@ class FockOperator:
 def word_operator(fock, tokens, variant="pi0"):
     """The operator of a generator word under pi0 or pi1.
 
-    Tokens are ``("x", xvec)``, ``("phi", pvec)`` or ``("r", relt)``, in
-    operator order (the rightmost acts first).  The word composes the
-    cached ``fock.token_op`` operators; the empty word is the identity.
-    A one-token word is the cached operator itself, so do not mutate it.
+    Tokens are ``(kind, payload)`` with a kind of ``_KINDS``, all on one
+    side, in operator order (the rightmost acts first).  The word
+    composes the cached ``fock.token_op`` operators; the empty word is
+    the identity.  A one-token word is the cached operator itself, so do
+    not mutate it.
     """
     if variant not in ("pi0", "pi1"):
         raise RingError(f"unknown representation {variant!r}")
@@ -575,46 +500,32 @@ def pi1(fock, tokens):
 def star_tokens(tokens):
     """The symbolic adjoint of a generator word: reverse and star.
 
-    Creations and annihilations swap kinds; scalars keep theirs.  Applying
-    this twice returns the original word, which is the involution law at
-    the word level.
+    Each kind of ``_KINDS`` trades places with its star.  Applying this
+    twice returns the original word, which is the involution law at the
+    word level.
     """
     starred = []
     for kind, payload in reversed(tokens):
-        if kind == "x":
-            starred.append(("x*", payload))
-        elif kind == "phi":
-            starred.append(("phi*", payload))
-        elif kind == "x*":
-            starred.append(("x", payload))
-        elif kind == "phi*":
-            starred.append(("phi", payload))
-        elif kind == "r":
-            starred.append(("r*", payload))
-        elif kind == "r*":
-            starred.append(("r", payload))
-        else:
+        if kind not in _KINDS:
             raise RingError(f"unknown generator token {kind!r}")
+        starred.append((kind[:-1] if kind.endswith("*") else kind + "*",
+                        payload))
     return starred
 
 
 def adjoint(fock, tokens):
     """The adjoint of a generator word, acting on the dual Fock module.
 
-    Computed symbolically by starring the reversed word; only words in
-    creations, annihilations and scalars are accepted.
+    This is the pi0 operator of the starred word (``star_tokens``); only
+    nonempty words in creations, annihilations and scalars are accepted.
     """
-    makers = {"x*": fock.creation_star, "phi*": fock.annihilation_star,
-              "r*": fock.scalar_star}
-    op = None
-    for kind, payload in reversed(star_tokens(tokens)):
-        if kind not in makers:
+    starred = star_tokens(tokens)
+    for kind, _ in starred:
+        if not kind.endswith("*"):
             raise RingError(f"token {kind!r} is not the star of a generator")
-        star = makers[kind](payload)
-        op = star if op is None else star.compose(op)
-    if op is None:
+    if not starred:
         raise RingError("empty word has no adjoint here")
-    return op
+    return word_operator(fock, starred)
 
 
 # ---------------------------------------------------------------------------
@@ -626,13 +537,15 @@ def p0_compact_form(relt, fock):
 
     Requires the left action of ``relt`` to be compact; the decomposition
     comes from the correspondence.  The result acts as i on degree 0 and
-    as 0 on every higher degree within budget.
+    as 0 on every higher degree within budget.  With no decomposition
+    terms (a sink) it is the cached scalar operator itself, so do not
+    mutate or relabel it.
     """
     dec = fock.corr.delta_compact(relt)
-    op = fock.scalar(relt)
+    op = fock.token_op(("r", relt))
     for xvec, pvec in dec.terms:
-        op = op - fock.creation(xvec).compose(fock.annihilation(pvec))
-    op.label = f"({relt}).P0"
+        op = op - fock.token_op(("x", xvec)).compose(
+            fock.token_op(("phi", pvec)))
     return op
 
 
@@ -641,7 +554,7 @@ def check_p0_form(op, relt, fock, degrees=None):
     if degrees is None:
         degrees = range(min(sorted(op.covered)), fock.depth)
     degrees = [d for d in degrees if d in op.covered]
-    scalar = fock.scalar(relt)
+    scalar = fock.token_op(("r", relt))
     ok0 = 0 not in degrees or op.eq_on(scalar, [0])
     rest = [d for d in degrees if d >= 1]
     return ok0 and op.is_zero_on(rest)
@@ -659,10 +572,9 @@ def j_ideal_generator(xvecs, relt, pvecs, fock):
             f"generator block ({n},{m}) outside truncation range")
     op = p0_compact_form(relt, fock)
     for pvec in pvecs:
-        op = op.compose(fock.annihilation(pvec))
+        op = op.compose(fock.token_op(("phi", pvec)))
     for xvec in reversed(xvecs):
-        op = fock.creation(xvec).compose(op)
-    op.label = f"J({n},{m})"
+        op = fock.token_op(("x", xvec)).compose(op)
     return op
 
 
@@ -1000,17 +912,15 @@ def _defect_keys_at(fock, wkey, ll, d):
     return fock.basis(d)
 
 
-def _check_defect_support(fock, wkey, ll, tokens, covered):
+def _check_defect_support(fock, wkey, ll, op0, op1):
     """Check that pi0 - pi1 of a normal word lives on source degree ll.
 
-    Evaluates the word ``tokens`` under pi0 and pi1 (``word_operator``)
-    and reads their columns: at degree ll the pi1 column must vanish, and
-    at every other degree in ``covered`` the two columns must agree.
-    Raises InvariantViolation otherwise.
+    Reads the columns of the word's operators ``op0`` under pi0 and
+    ``op1`` under pi1: at degree ll the pi1 column must vanish, and at
+    every other degree both cover the two columns must agree.  Raises
+    InvariantViolation otherwise.
     """
-    op0 = pi0(fock, tokens)
-    op1 = pi1(fock, tokens)
-    for d in sorted(covered):
+    for d in sorted(op0.covered & op1.covered):
         keys = _defect_keys_at(fock, wkey, ll, d)
         if d == ll:
             for key in keys:
@@ -1028,16 +938,16 @@ def _check_defect_support(fock, wkey, ll, tokens, covered):
                     f"defect of {wkey} escapes its block at degree {d}")
 
 
-def quasi_hom_defect(fock, tokens, check_support=True):
+def quasi_hom_defect(fock, tokens):
     """pi0 - pi1 on a generator word; a finite-rank block operator.
 
     The input word is first rewritten to normal form.  Each normal word
-    is evaluated under pi0 and under pi1 by ``word_operator``, which
-    composes the cached ``fock.token_op`` operators of its generators.
-    For a normal word with k creations and l annihilations the difference
-    vanishes on every source degree other than l (checked exactly within
-    budget when ``check_support`` is set) and its surviving block sits at
-    target degree k.  Requires l + 1 <= depth.
+    is evaluated once under pi0 and once under pi1 by ``word_operator``,
+    which composes the cached ``fock.token_op`` operators of its
+    generators.  For a normal word with k creations and l annihilations
+    the difference vanishes on every source degree other than l (checked
+    exactly within budget) and its surviving block sits at target degree
+    k.  Requires l + 1 <= depth.
     """
     elt = fock._talg.from_tokens(tokens)
     total = fock.zero_op()
@@ -1048,10 +958,9 @@ def quasi_hom_defect(fock, tokens, check_support=True):
             raise DepthError(
                 f"word with {ll} annihilations needs depth >= {ll + 1}")
         word = word_tokens_of(fock._talg, key)
-        defect = pi0(fock, word) - pi1(fock, word)
-        if check_support:
-            _check_defect_support(fock, key, ll, word, defect.covered)
-        total = total + defect.scale(coeff)
+        op0, op1 = pi0(fock, word), pi1(fock, word)
+        _check_defect_support(fock, key, ll, op0, op1)
+        total = total + (op0 - op1).scale(coeff)
         infos.append({"word": key, "block": (kk, ll)})
     total.label = "defect"
     return total, infos

@@ -206,12 +206,11 @@ def normal_words(quiver, bound):
 # ---------------------------------------------------------------------------
 
 class AdjacencyData:
-    """Adjacency counts of a quiver and the induced K-theory map.
+    """The regular vertices of a quiver and the induced K-theory map.
 
-    ``full_matrix``[x][y] counts the arrows from x to y.  ``theorem_map``
-    has one column per regular vertex v and one row per vertex y, with
-    entry [y][v] = delta_{y,v} - (arrows from v to y): it sends the class
-    of 1_v to 1_v - sum over e with s(e) = v of 1_{r(e)}.
+    ``theorem_map`` has one column per regular vertex v and one row per
+    vertex y, with entry [y][v] = delta_{y,v} - (arrows from v to y): it
+    sends the class of 1_v to 1_v - sum over e with s(e) = v of 1_{r(e)}.
     """
 
     def __init__(self, quiver):
@@ -222,7 +221,6 @@ class AdjacencyData:
         counts = [[0] * n for _ in range(n)]
         for e in quiver.edges:
             counts[idx[quiver.s(e)]][idx[quiver.r(e)]] += 1
-        self.full_matrix = IntMatrix.from_rows(counts)
         regs = quiver.regular_vertices
         self.regular = regs
         self.theorem_map = IntMatrix.from_rows(

@@ -334,15 +334,22 @@ class TestSelfsim:
         assert code == 0
         assert json.loads(out)["group"]["equality_depth"] == 10000
 
-    @pytest.mark.parametrize("command", ["selfsim", "verify"])
+    @pytest.mark.parametrize("command", ["selfsim", "verify",
+                                         "verify-quiver"])
     def test_depth_option_past_the_bound_exits_2(self, capsys, tmp_path,
                                                  command):
-        path = tmp_path / "odometer.selfsim"
-        path.write_text(ODOMETER, encoding="utf-8")
-        code, out, err = run(capsys, command, str(path), "--depth", "10001")
-        assert code == 2
-        assert out == ""
-        assert "equality depth must be at most 10000" in err
+        # a quiver file ignores --depth, but does not echo an unbounded one
+        if command == "verify-quiver":
+            command, path = "verify", tmp_path / "rose2.quiver"
+            path.write_text(ROSE2, encoding="utf-8")
+        else:
+            path = tmp_path / "odometer.selfsim"
+            path.write_text(ODOMETER, encoding="utf-8")
+        for depth in ["10001", "99999999"]:
+            code, out, err = run(capsys, command, str(path), "--depth", depth)
+            assert code == 2
+            assert out == ""
+            assert "equality depth must be at most 10000" in err
 
     @pytest.mark.parametrize("command", ["selfsim", "verify"])
     @pytest.mark.parametrize("depth", ["0", "-1"])

@@ -8,6 +8,7 @@ import pytest
 from pimsner import fock as fock_module
 from pimsner.fock import (
     DepthError,
+    FockOperator,
     HOperator,
     HomotopyModel,
     Poly,
@@ -74,51 +75,52 @@ class TestGradedBasis:
 class TestCreationAnnihilation:
     def test_creation_on_vacuum_is_right_action(self):
         fk = a2_fock()
-        T = fk.creation({"e": 1})
+        T = fk.token_op(("x", {"e": 1}))
         # e . 1_v = 0 and e . 1_w = e since r(e) = w
         assert T.column((0, ("v",))) == {}
         assert T.column((0, ("w",))) == {(1, ("e",)): 1}
 
     def test_creation_of_zero(self):
         fk = a2_fock()
-        assert fk.creation({}).support_blocks() == set()
+        assert fk.token_op(("x", {})).support_blocks() == set()
 
     def test_creation_block_structure(self):
         fk = rose_fock(2, 4)
-        T = fk.creation({"e0": 1})
+        T = fk.token_op(("x", {"e0": 1}))
         assert T.support_blocks() == {(d + 1, d) for d in range(4)}
 
     def test_homogeneous_degree_shifts(self):
         fk = rose_fock(2, 4)
-        assert fk.creation({"e0": 1}).degree_shift == 1
-        assert fk.annihilation({("e0", "*"): 1}).degree_shift == -1
-        assert fk.scalar(fk.ring.monomial("v")).degree_shift == 0
-        mixed = fk.creation({"e0": 1}) + \
-            fk.creation({"e1": 1}).compose(fk.scalar(fk.ring.monomial("v")))
+        assert fk.token_op(("x", {"e0": 1})).degree_shift == 1
+        assert fk.token_op(("phi", {("e0", "*"): 1})).degree_shift == -1
+        v = ("r", fk.ring.monomial("v"))
+        assert fk.token_op(v).degree_shift == 0
+        mixed = fk.token_op(("x", {"e0": 1})) + \
+            fk.token_op(("x", {"e1": 1})).compose(fk.token_op(v))
         assert mixed.degree_shift == 1
 
     def test_annihilation_kills_vacuum(self):
         fk = a2_fock()
-        S = fk.annihilation({("e", "*"): 1})
+        S = fk.token_op(("phi", {("e", "*"): 1}))
         for key in fk.basis(0):
             assert S.column(key) == {}
 
     def test_annihilation_degree_one_is_pairing(self):
         fk = a2_fock()
-        S = fk.annihilation({("e", "*"): 1})
+        S = fk.token_op(("phi", {("e", "*"): 1}))
         assert S.column((1, ("e",))) == {(0, ("w",)): 1}
 
     def test_annihilation_of_zero(self):
         fk = a2_fock()
-        assert fk.annihilation({}).support_blocks() == set()
+        assert fk.token_op(("phi", {})).support_blocks() == set()
 
     def test_matrix_picture(self):
         # creation, annihilation, and the vacuum compression occupy the
         # displayed diagonals of the graded matrix picture
         fk = rose_fock(2, 4)
-        assert fk.creation({"e0": 1}).support_blocks() == \
+        assert fk.token_op(("x", {"e0": 1})).support_blocks() == \
             {(1, 0), (2, 1), (3, 2), (4, 3)}
-        assert fk.annihilation({("e0", "*"): 1}).support_blocks() == \
+        assert fk.token_op(("phi", {("e0", "*"): 1})).support_blocks() == \
             {(0, 1), (1, 2), (2, 3), (3, 4)}
         i = fk.ring.monomial("v")
         assert p0_compact_form(i, fk).support_blocks() == {(0, 0)}
@@ -189,25 +191,53 @@ class TestAdjoints:
                     tokens.append(("phi", {(rng.choice(edges), "*"): 1}))
                 else:
                     tokens.append(("r", fk.ring.monomial("v")))
-            op = word_operator(fk, tokens)
-            adj = adjoint(fk, tokens)
-            for d_src in range(0, 3):
-                for key in fk.basis(d_src)[:4]:
-                    col = op.column(key)
-                    if col is None:
+            assert _adjoint_law_holds(fk, tokens)
+
+    def test_adjoint_law_fails_when_x_star_kills_degree_one(self,
+                                                             monkeypatch):
+        # T_x^* must pair degree 1 down to degree 0
+        tokens = [("x", {"e0": 1})]
+        assert _adjoint_law_holds(rose_fock(2, 3), tokens)
+        monkeypatch.setitem(fock_module._KINDS, "x*", ("xp", -1, 2))
+        assert not _adjoint_law_holds(rose_fock(2, 3), tokens)
+
+    def test_adjoint_refuses_starred_empty_and_unknown_words(self):
+        fk = a2_fock()
+        for tokens in [[("x*", {"e": 1})], [], [("y", {"e": 1})]]:
+            with pytest.raises(RingError):
+                adjoint(fk, tokens)
+        with pytest.raises(RingError):
+            fk.token_op(("y", {"e": 1}))
+        with pytest.raises(RingError):
+            fk.token_op(("x", {"e": 1}), "pi2")
+        with pytest.raises(RingError):
+            word_operator(fk, [], "pi2")
+
+
+def _adjoint_law_holds(fk, tokens):
+    """<adjoint(w) phi, x> == <phi, w x> on the first four basis keys of
+    degrees 0 to 2, on both sides."""
+    op = word_operator(fk, tokens)
+    adj = adjoint(fk, tokens)
+    for d_src in range(0, 3):
+        for key in fk.basis(d_src)[:4]:
+            col = op.column(key)
+            if col is None:
+                continue
+            for d_dual in range(0, 3):
+                for dkey in fk.dual_basis(d_dual)[:4]:
+                    acol = adj.column(dkey)
+                    if acol is None:
                         continue
-                    for d_dual in range(0, 3):
-                        for dkey in fk.dual_basis(d_dual)[:4]:
-                            acol = adj.column(dkey)
-                            if acol is None:
-                                continue
-                            lhs = fk.ring.zero()
-                            for dk2, c in acol.items():
-                                lhs = lhs + fk.graded_pair(dk2, key).scale(c)
-                            rhs = fk.ring.zero()
-                            for tk, c in col.items():
-                                rhs = rhs + fk.graded_pair(dkey, tk).scale(c)
-                            assert lhs == rhs
+                    lhs = fk.ring.zero()
+                    for dk2, c in acol.items():
+                        lhs = lhs + fk.graded_pair(dk2, key).scale(c)
+                    rhs = fk.ring.zero()
+                    for tk, c in col.items():
+                        rhs = rhs + fk.graded_pair(dkey, tk).scale(c)
+                    if lhs != rhs:
+                        return False
+    return True
 
 
 class TestCovariant:
@@ -220,13 +250,14 @@ class TestCovariant:
         fk = rose_fock(2, 4)
         for c in fk.module.xp_basis:
             for b in fk.module.x_basis:
-                lhs = fk.annihilation({c: 1}).compose(fk.creation({b: 1}))
-                rhs = fk.scalar(fk.module.pair({c: 1}, {b: 1}))
+                lhs = fk.token_op(("phi", {c: 1})).compose(
+                    fk.token_op(("x", {b: 1})))
+                rhs = fk.token_op(("r", fk.module.pair({c: 1}, {b: 1})))
                 assert lhs.eq_on(rhs, sorted(lhs.covered & rhs.covered))
 
     def test_scaled_representation_fails(self):
         fk = rose_fock(2, 3)
-        T = {b: fk.creation({b: 2}) for b in fk.module.x_basis}
+        T = {b: fk.token_op(("x", {b: 2})) for b in fk.module.x_basis}
         rep = covariant_check(fk, T=T)
         assert not rep.passed
 
@@ -240,6 +271,16 @@ class TestCovariant:
         assert rep.checked == 12
         assert len(rep.failures) == 4
         assert {tag[0] for tag in rep.failures} == {"covariance"}
+
+    @pytest.mark.parametrize("kind, entry, tag", [
+        ("phi", ("x", -1, 2), "covariance"),
+        ("r", ("x", 0, 1), "T(x.r)"),
+    ], ids=["phi-kills-degree-1", "r-kills-degree-0"])
+    def test_kinds_table_mutation_fails(self, monkeypatch, kind, entry, tag):
+        assert covariant_check(rose_fock(2, 4)).passed
+        monkeypatch.setitem(fock_module._KINDS, kind, entry)
+        report = covariant_check(rose_fock(2, 4))
+        assert tag in {failure[0] for failure in report.failures}
 
     def test_zero_module_vacuous(self):
         # a quiver with no edges has the zero module; everything passes
@@ -280,6 +321,16 @@ class TestVacuumCompression:
         assert check_p0_form(op, fk.ring.monomial("w"), fk)
 
 
+    def test_sink_keeps_the_cached_scalar_label(self):
+        # on a sink the compression is the cached scalar operator itself
+        fk = a2_fock()
+        w = fk.ring.monomial("w")
+        label = fk.token_op(("r", w)).label
+        p0_compact_form(w, fk)
+        j_ideal_generator([], w, [], fk)
+        assert fk.token_op(("r", w)).label == label
+
+
 class TestJIdealGenerators:
     def test_empty_words_give_p0(self):
         fk = rose_fock(2, 4)
@@ -315,6 +366,175 @@ class TestJIdealGenerators:
             j_ideal_generator([{"e0": 1}] * 3, i, [], fk)
 
 
+# -- the six hand-written generator constructors, kept as an oracle for
+# -- token_op; each takes the lowest degree its columns do not kill
+
+def _oracle_prepend(fk, xvec, t):
+    k = fk.k
+    out = {}
+    for b, cb in xvec.items():
+        for tup, c in fk.module.prepend_normal(b, t).items():
+            out[tup] = k.add(out.get(tup, k.zero), k.mul(cb, c))
+    return vclean(k, out)
+
+
+def _oracle_append(fk, t, pvec, d):
+    k = fk.k
+    out = {}
+    for c2, cc in pvec.items():
+        for tup, c in fk.module.dual_append_normal(t, c2).items():
+            out[(d, tup)] = k.add(out.get((d, tup), k.zero), k.mul(cc, c))
+    return vclean(k, out)
+
+
+def _oracle_creation(fk, xvec, low_kill):
+    """T_x: prepend x; x . 1_v on the vacuum."""
+    def column(key):
+        d, t = key
+        if d < low_kill:
+            return {}
+        if d == 0:
+            vec = fk.module.act_right(xvec, fk.ring.monomial(t[0]))
+            return {(1, (sym,)): c for sym, c in vec.items()}
+        return {(d + 1, tup): c
+                for tup, c in _oracle_prepend(fk, xvec, t).items()}
+
+    return FockOperator(
+        fk, "x", column, covered=range(fk.depth),
+        outs={d: frozenset([d + 1] if d >= low_kill else [])
+              for d in range(fk.depth)})
+
+
+def _oracle_annihilation(fk, pvec, low_kill):
+    """T_phi: pair phi with the first factor."""
+    module, k = fk.module, fk.k
+
+    def column(key):
+        d, t = key
+        if d < low_kill:
+            return {}
+        r = module.pair(pvec, {t[0]: k.one})
+        if r.is_zero():
+            return {}
+        if d == 1:
+            return {(0, (sym,)): c for sym, c in r.terms.items()}
+        first = module.act_left(r, {t[1]: k.one})
+        return {(d - 1, tup): c
+                for tup, c in _oracle_prepend(fk, first, t[2:]).items()}
+
+    return FockOperator(
+        fk, "x", column, covered=range(fk.depth + 1),
+        outs={d: frozenset([d - 1] if d >= low_kill else [])
+              for d in range(fk.depth + 1)})
+
+
+def _oracle_scalar(fk, relt, low_kill):
+    """r . id through the left action on the first factor."""
+    def column(key):
+        d, t = key
+        if d < low_kill:
+            return {}
+        if d == 0:
+            prod = relt * fk.ring.monomial(t[0])
+            return {(0, (sym,)): c for sym, c in prod.terms.items()}
+        first = fk.module.act_left(relt, {t[0]: fk.k.one})
+        return {(d, tup): c
+                for tup, c in _oracle_prepend(fk, first, t[1:]).items()}
+
+    return FockOperator(
+        fk, "x", column, covered=range(fk.depth + 1),
+        outs={d: frozenset([d] if d >= low_kill else [])
+              for d in range(fk.depth + 1)})
+
+
+def _oracle_creation_star(fk, xvec, low_kill):
+    """T_x^*: pair the last dual factor against x; kills degree 0."""
+    assert low_kill == 1
+    module, k = fk.module, fk.k
+
+    def column(key):
+        d, t = key
+        if d == 0:
+            return {}
+        r = module.pair({t[-1]: k.one}, xvec)
+        if r.is_zero():
+            return {}
+        if d == 1:
+            return {(0, (sym,)): c for sym, c in r.terms.items()}
+        last = module.act_xp_right({t[-2]: k.one}, r)
+        return _oracle_append(fk, t[:-2], last, d - 1)
+
+    return FockOperator(
+        fk, "xp", column, covered=range(fk.depth + 1),
+        outs={d: frozenset([d - 1] if d >= 1 else [])
+              for d in range(fk.depth + 1)})
+
+
+def _oracle_annihilation_star(fk, pvec, low_kill):
+    """T_phi^*: append phi on the right of a dual tensor."""
+    assert low_kill == 0
+
+    def column(key):
+        d, t = key
+        if d == 0:
+            vec = fk.module.act_xp_left(fk.ring.monomial(t[0]), pvec)
+            return {(1, (sym,)): c for sym, c in vec.items()}
+        return _oracle_append(fk, t, pvec, d + 1)
+
+    return FockOperator(
+        fk, "xp", column, covered=range(fk.depth),
+        outs={d: frozenset([d + 1]) for d in range(fk.depth)})
+
+
+def _oracle_scalar_star(fk, relt, low_kill):
+    """Adjoint of r . id: the right action on the last dual factor."""
+    assert low_kill == 0
+
+    def column(key):
+        d, t = key
+        if d == 0:
+            prod = fk.ring.monomial(t[0]) * relt
+            return {(0, (sym,)): c for sym, c in prod.terms.items()}
+        last = fk.module.act_xp_right({t[-1]: fk.k.one}, relt)
+        return _oracle_append(fk, t[:-1], last, d)
+
+    return FockOperator(
+        fk, "xp", column, covered=range(fk.depth + 1),
+        outs={d: frozenset([d]) for d in range(fk.depth + 1)})
+
+
+# kind -> (oracle, lowest live degree under pi0 and, unstarred, pi1)
+_ORACLE = {
+    "x": (_oracle_creation, (0, 1)),
+    "phi": (_oracle_annihilation, (1, 2)),
+    "r": (_oracle_scalar, (0, 1)),
+    "x*": (_oracle_creation_star, (1,)),
+    "phi*": (_oracle_annihilation_star, (0,)),
+    "r*": (_oracle_scalar_star, (0,)),
+}
+
+
+def _oracle_tokens(fk):
+    """Each basis symbol, all symbols at once with distinct coefficients
+    (two symbols on rose2), and zero, for every kind."""
+    def vecs(basis):
+        return ([{b: 1} for b in basis]
+                + [{b: i + 2 for i, b in enumerate(basis)}, {}])
+
+    ring = fk.ring
+    relts = [ring.monomial(r) for r in ring.basis] + [ring.zero()]
+    mixed = ring.zero()
+    for i, r in enumerate(ring.basis):
+        mixed = mixed + ring.monomial(r, i + 2)
+    relts.append(mixed)
+    out = []
+    for star in ("", "*"):
+        out += [("x" + star, v) for v in vecs(fk.module.x_basis)]
+        out += [("phi" + star, v) for v in vecs(fk.module.xp_basis)]
+        out += [("r" + star, r) for r in relts]
+    return out
+
+
 class TestPiRepresentations:
     def test_pi1_kills_vacuum_for_creation(self):
         fk = rose_fock(2, 4)
@@ -341,27 +561,25 @@ class TestPiRepresentations:
             assert op.column(key) == {key: 5}
 
     def test_token_op_matches_constructors(self):
-        # the cached token operators are the plain constructors, also for
-        # two-symbol and zero payloads, under both representations
-        fk = rose_fock(2, 4)
-        ring = fk.ring
-        cases = [
-            (("x", {"e0": 1, "e1": 2}), fk.creation, (0, 1)),
-            (("x", {}), fk.creation, (0, 1)),
-            (("phi", {("e0", "*"): 3, ("e1", "*"): 1}), fk.annihilation,
-             (1, 2)),
-            (("phi", {}), fk.annihilation, (1, 2)),
-            (("r", ring.monomial("v", 2)), fk.scalar, (0, 1)),
-            (("r", ring.zero()), fk.scalar, (0, 1)),
-        ]
-        for token, make, kills in cases:
-            for variant, low_kill in zip(("pi0", "pi1"), kills):
-                got = fk.token_op(token, variant)
-                want = make(token[1], low_kill=low_kill)
-                assert got.covered == want.covered
-                assert got.outs == want.outs
-                assert got.eq_on(want, sorted(want.covered))
-                assert fk.token_op(token, variant) is got
+        # the cached token operators are the hand-written constructors,
+        # for every kind, also for two-symbol and zero payloads, under both
+        # representations (the stars under pi0); on the two-cycle the source
+        # and range of an edge differ in every degree
+        cycle = TruncatedFock(quiver_correspondence(parse_quiver(
+            "vertices: a b\nedges:\n e: a -> b\n f: b -> a")), 4)
+        for fk in [rose_fock(2, 4), a2_fock(), _rank_one_fock(), cycle]:
+            tokens = _oracle_tokens(fk)
+            assert {kind for kind, _ in tokens} == set(_ORACLE)
+            for token in tokens:
+                make, kills = _ORACLE[token[0]]
+                for variant, low_kill in zip(("pi0", "pi1"), kills):
+                    got = fk.token_op(token, variant)
+                    want = make(fk, token[1], low_kill)
+                    assert got.side == want.side
+                    assert got.covered == want.covered
+                    assert got.outs == want.outs
+                    assert got.eq_on(want, sorted(want.covered)), token
+                    assert fk.token_op(token, variant) is got
 
 
 class TestDefects:
@@ -405,8 +623,8 @@ class TestDefects:
         # block sits at degree 1 must be caught
         tokens = [("x", {"e0": 1})]
         with pytest.raises(InvariantViolation):
-            _check_defect_support(fk, ("w", ("e0",), ()), 1, tokens,
-                                  range(0, 3))
+            _check_defect_support(fk, ("w", ("e0",), ()), 1,
+                                  pi0(fk, tokens), pi1(fk, tokens))
 
     def test_derivation_identity(self):
         # defect(t1 t2) = pi0(t1) defect(t2) + defect(t1) pi1(t2)
@@ -424,9 +642,9 @@ class TestDefects:
                 return out
 
             t1, t2 = rand_tokens(), rand_tokens()
-            d12, _ = quasi_hom_defect(fk, t1 + t2, check_support=False)
-            d1, _ = quasi_hom_defect(fk, t1, check_support=False)
-            d2, _ = quasi_hom_defect(fk, t2, check_support=False)
+            d12, _ = quasi_hom_defect(fk, t1 + t2)
+            d1, _ = quasi_hom_defect(fk, t1)
+            d2, _ = quasi_hom_defect(fk, t2)
             rhs = pi0(fk, t1).compose(d2) + d1.compose(pi1(fk, t2))
             degrees = sorted(d12.covered & rhs.covered)
             assert d12.eq_on(rhs, degrees)
@@ -439,9 +657,9 @@ class TestDefects:
         tokens_sum = None
         op = fk.zero_op()
         for e in ["e0", "e1"]:
-            op = op + fk.creation({e: 1}).compose(
-                fk.annihilation({(e, "*"): 1}))
-        scalar = fk.scalar(i)
+            op = op + fk.token_op(("x", {e: 1})).compose(
+                fk.token_op(("phi", {(e, "*"): 1})))
+        scalar = fk.token_op(("r", i))
         p0 = p0_compact_form(i, fk)
         lhs = scalar - op
         assert lhs.eq_on(p0, sorted(lhs.covered & p0.covered))

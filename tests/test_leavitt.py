@@ -79,8 +79,8 @@ class TestParse:
 
 class TestAdjacency:
     def test_rose3(self):
+        # three loops at one vertex: 1 - 3
         adj = adjacency(rose(3))
-        assert adj.full_matrix == IntMatrix.from_rows([[3]])
         assert adj.theorem_map == IntMatrix.from_rows([[-2]])
 
     def test_a2_column(self):
@@ -96,7 +96,9 @@ class TestAdjacency:
     def test_full_matrix_counts_parallel_edges(self):
         q = parse_quiver("vertices: a b\nedges:\n x: a -> b\n y: a -> b")
         adj = adjacency(q)
-        assert adj.full_matrix == IntMatrix.from_rows([[0, 2], [0, 0]])
+        # column a: 1_a - 2 . 1_b; the sink b has no column
+        assert adj.regular == ["a"]
+        assert adj.theorem_map == IntMatrix.from_rows([[1], [-2]])
 
 
 class TestQuiverCorrespondence:
