@@ -264,51 +264,54 @@ def _verify_quiver(args, quiver):
     checks = []
     insufficient = False
 
-    fk = TruncatedFock(corr, args.fock_depth)
-    checks.append(covariant_check(fk).as_dict())
+    # leaving the block drops the module's cached operators, which refer
+    # back to it, so the module, its column caches and the homotopy model
+    # are freed by reference counting, not by the cycle collector
+    with TruncatedFock(corr, args.fock_depth) as fk:
+        checks.append(covariant_check(fk).as_dict())
 
-    defect = CheckReport("defect-support")
-    for p, q in leavitt.normal_words(quiver, args.word_bound):
-        tokens = [("x", {e: one}) for e in p] + \
-                 [("phi", {(e, "*"): one}) for e in reversed(q)]
+        defect = CheckReport("defect-support")
+        for p, q in leavitt.normal_words(quiver, args.word_bound):
+            tokens = [("x", {e: one}) for e in p] + \
+                     [("phi", {(e, "*"): one}) for e in reversed(q)]
+            try:
+                quasi_hom_defect(fk, tokens)
+                defect.checked += 1
+            except DepthError:
+                defect.skipped += 1
+            except InvariantViolation as exc:
+                defect.failures.append(str(exc))
+        checks.append(defect.as_dict())
+        if defect.skipped:
+            checks[-1]["status"] = "insufficient depth"
+            insufficient = True
+
+        endpoints = CheckReport("homotopy-endpoints")
+        pairing = CheckReport("pairing-preservation")
         try:
-            quasi_hom_defect(fk, tokens)
-            defect.checked += 1
+            model = HomotopyModel(fk, min(args.word_bound, args.fock_depth))
         except DepthError:
-            defect.skipped += 1
-        except InvariantViolation as exc:
-            defect.failures.append(str(exc))
-    checks.append(defect.as_dict())
-    if defect.skipped:
-        checks[-1]["status"] = "insufficient depth"
-        insufficient = True
-
-    endpoints = CheckReport("homotopy-endpoints")
-    pairing = CheckReport("pairing-preservation")
-    try:
-        model = HomotopyModel(fk, min(args.word_bound, args.fock_depth))
-    except DepthError:
-        model = None
-        insufficient = True
-    else:
-        # each generator's homotopy is built once: the x homotopies serve
-        # every row of pairings, a phi homotopy only its own row
-        module = corr.module
-        x_H = {}
-        for b in module.x_basis:
-            tok = ("x", {b: one})
-            x_H[b] = homotopy_H(model, tok)
-            endpoints.absorb(homotopy_endpoints_check(model, tok, x_H[b]))
-        for c in module.xp_basis:
-            tok = ("phi", {c: one})
-            phi_H = homotopy_H(model, tok)
-            endpoints.absorb(homotopy_endpoints_check(model, tok, phi_H))
+            model = None
+            insufficient = True
+        else:
+            # each generator's homotopy is built once: the x homotopies serve
+            # every row of pairings, a phi homotopy only its own row
+            module = corr.module
+            x_H = {}
             for b in module.x_basis:
-                pairing.absorb(homotopy_pairing_check(
-                    model, {b: one}, {c: one}, x_H[b], phi_H))
-        for r in module.ring.basis:
-            endpoints.absorb(homotopy_endpoints_check(
-                model, ("r", module.ring.monomial(r))))
+                tok = ("x", {b: one})
+                x_H[b] = homotopy_H(model, tok)
+                endpoints.absorb(homotopy_endpoints_check(model, tok, x_H[b]))
+            for c in module.xp_basis:
+                tok = ("phi", {c: one})
+                phi_H = homotopy_H(model, tok)
+                endpoints.absorb(homotopy_endpoints_check(model, tok, phi_H))
+                for b in module.x_basis:
+                    pairing.absorb(homotopy_pairing_check(
+                        model, {b: one}, {c: one}, x_H[b], phi_H))
+            for r in module.ring.basis:
+                endpoints.absorb(homotopy_endpoints_check(
+                    model, ("r", module.ring.monomial(r))))
     identity = rotation_coefficient_identity()
     checks.append({**endpoints.as_dict(), "coefficient_identity": identity,
                    "passed": endpoints.passed and identity})

@@ -33,12 +33,13 @@ The module also provides:
   in t, so that its endpoint identities and pairing preservation become
   finite exact checks.  The model shares its Fock module's one Toeplitz
   algebra and bounds word length per product, through ``try_mul``; its
-  pi (x) id is the cached Fock token operator, lifted.
+  pi (x) id is the cached Fock token operator, lifted once per model.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 
 from .funcmod import vadd, vclean, vscale
 from .ringcore import RingError
@@ -133,6 +134,13 @@ _KINDS = {
 }
 
 
+def _token_key(token):
+    """A generator token as a hashable (kind, payload items) pair."""
+    kind, payload = token
+    terms = payload.terms if kind in ("r", "r*") else payload
+    return kind, tuple(terms.items())
+
+
 class TruncatedFock:
     """Graded bases of R, X, X^(x)2, ..., X^(x)N and their duals.
 
@@ -140,7 +148,10 @@ class TruncatedFock:
     single ring basis symbol.  The ring and the module must be finitely
     enumerated for the bases to exist.  ``token_op`` builds and caches
     every generator operator; ``identity`` and ``zero_op`` are the only
-    other operators made here.
+    other operators made here.  The cached operators refer back to the
+    module, so leaving a ``with`` block drops them and lets the module,
+    its columns and any homotopy model built on it be freed by reference
+    counting; the module stays usable and rebuilds what it needs.
     """
 
     def __init__(self, corr, depth):
@@ -160,6 +171,12 @@ class TruncatedFock:
         self._tok_ops = {}
         self._talg = ToeplitzAlgebra(corr)
 
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._tok_ops.clear()
+
     def token_op(self, token, variant="pi0"):
         """The operator of one generator token under pi0 or pi1.
 
@@ -167,33 +184,37 @@ class TruncatedFock:
         ``phi`` and ``r`` act on the Fock module, their stars ``x*``,
         ``phi*`` and ``r*`` on its dual.  This is the only constructor of
         a generator operator: its side, degree shift and the degrees it
-        kills are read off ``_KINDS``, its columns come from ``_column``,
-        and it is kept per (kind, payload items, variant) with its columns
-        memoized, so words compose these cached operators.  Callers must
-        not mutate or relabel a returned operator.
+        kills are read off ``_KINDS``, and it is kept per (kind, payload
+        items, variant), so words compose these cached operators.  The
+        pi0 operator memoizes the columns of ``_column``; the pi1 operator
+        kills one degree more and otherwise reads pi0's memoized columns,
+        so each generator has one column cache.  Callers must not mutate
+        or relabel a returned operator.
         """
-        kind, payload = token
-        terms = payload.terms if kind in ("r", "r*") else payload
-        key = (kind, tuple(terms.items()), variant)
+        key = _token_key(token) + (variant,)
         op = self._tok_ops.get(key)
         if op is None:
+            kind, payload = token
             if kind not in _KINDS:
                 raise RingError(f"unknown generator token {kind!r}")
             if variant not in ("pi0", "pi1"):
                 raise RingError(f"unknown representation {variant!r}")
             side, shift, low = _KINDS[kind]
-            if variant == "pi1":
+            if variant == "pi0":
+                column = partial(self._column, kind, payload)
+            else:
+                column = self.token_op(token, "pi0").column
                 low += 1
-            column = self._column
 
-            def col(key, _kind=kind, _payload=payload, _low=low):
-                return {} if key[0] < _low else column(_kind, _payload, key)
+            def col(key, _column=column, _low=low):
+                return {} if key[0] < _low else _column(key)
 
             outs = {d: frozenset([d + shift] if d >= low else [])
                     for d in range(self.depth + 1 - max(shift, 0))}
             op = FockOperator(self, side, col, covered=outs.keys(),
                               outs=outs, label=f"{variant}({kind})")
-            op._cache = {}
+            if variant == "pi0":
+                op._cache = {}
             self._tok_ops[key] = op
         return op
 
@@ -947,10 +968,12 @@ def quasi_hom_defect(fock, tokens):
     generators.  For a normal word with k creations and l annihilations
     the difference vanishes on every source degree other than l (checked
     exactly within budget) and its surviving block sits at target degree
-    k.  Requires l + 1 <= depth.
+    k.  Requires l + 1 <= depth.  The returned operator sums the words'
+    differences column by column only when a column is read, so a caller
+    that wants just the support check pays for no operator algebra.
     """
     elt = fock._talg.from_tokens(tokens)
-    total = fock.zero_op()
+    terms = []
     infos = []
     for key, coeff in elt.items():
         kk, ll = (0, 0) if key[0] == "s" else (len(key[1]), len(key[2]))
@@ -960,10 +983,24 @@ def quasi_hom_defect(fock, tokens):
         word = word_tokens_of(fock._talg, key)
         op0, op1 = pi0(fock, word), pi1(fock, word)
         _check_defect_support(fock, key, ll, op0, op1)
-        total = total + (op0 - op1).scale(coeff)
+        terms.append((coeff, op0, op1))
         infos.append({"word": key, "block": (kk, ll)})
-    total.label = "defect"
-    return total, infos
+    ops = [op for _, op0, op1 in terms for op in (op0, op1)]
+    covered = set(range(fock.depth + 1)).intersection(
+        *(op.covered for op in ops))
+    outs = {d: frozenset().union(*(op.outs[d] for op in ops))
+            for d in covered}
+    k = fock.k
+
+    def column(key):
+        total = {}
+        for coeff, op0, op1 in terms:
+            diff = vadd(k, op0.column(key), vscale(k, op1.column(key), -1))
+            total = vadd(k, total, vscale(k, diff, coeff))
+        return total
+
+    return FockOperator(fock, "x", column, covered, outs,
+                        label="defect"), infos
 
 
 # ---------------------------------------------------------------------------
@@ -985,6 +1022,14 @@ class HomotopyModel:
     ``lift`` carries Fock columns into the model: ``pi_tensor`` and
     ``lam0`` lift ``fock.token_op`` on the low keys, and
     ``HOperator.column`` lifts the high part.
+
+    Each low part is built once per model and kept in ``_lows``: that of
+    ``pi_tensor`` keyed by the Fock operator it lifts, that of ``lam0`` by
+    the token's pi0 and pi1 operators, and that of ``lam1`` by the token's
+    (kind, payload items).  Keying the lifts on the operators, which
+    ``fock.token_op`` keeps, means a different operator gets a fresh lift.
+    The model stores plain dicts and wraps them in a new ``HOperator`` on
+    every call; no caller may mutate a returned low part.
     """
 
     def __init__(self, fock, word_bound):
@@ -1003,6 +1048,7 @@ class HomotopyModel:
         self.word_bound = word_bound
         self.talg = fock._talg
         self.words = self._enumerate_words()
+        self._lows = {}
         one = self.k.one
         self.c0_keys = [(0, (), wk) for wk in self.words]
         self.c1_keys = []
@@ -1043,8 +1089,19 @@ class HomotopyModel:
 
     # -- homotopy summands -----------------------------------------------------
 
+    def _low(self, key, build):
+        """The low part stored under ``key``, built on first request."""
+        low = self._lows.get(key)
+        if low is None:
+            low = self._lows[key] = build()
+        return low
+
     def lam1(self, token):
         """Left multiplication by the generator on the degree-0 column."""
+        return HOperator(self, low=self._low(
+            _token_key(token), lambda: self._lam1_low(token)), high=None)
+
+    def _lam1_low(self, token):
         gen = self.talg.from_tokens([token])
         low = {}
         for key in self.c0_keys:
@@ -1054,7 +1111,7 @@ class HomotopyModel:
                 low[key] = OVERFLOW
             else:
                 low[key] = {(0, (), wk): c for wk, c in prod.items()}
-        return HOperator(self, low=low, high=None)
+        return low
 
     def lift(self, fcol, wk):
         """A Fock column over (degree, tensor) keys, tensored with the word
@@ -1085,10 +1142,14 @@ class HomotopyModel:
     def lam0(self, token):
         """The corner of pi0 (x) id on the degrees that pi1 kills: degree 0
         for a creation, degree 1 for an annihilation."""
+        op0 = self.fock.token_op(token, "pi0")
         op1 = self.fock.token_op(token, "pi1")
-        keys = [key for key in self.low_keys if not op1.outs[key[0]]]
-        return HOperator(self, low=self._lift_low(
-            self.fock.token_op(token, "pi0"), keys), high=None)
+
+        def build():
+            keys = [key for key in self.low_keys if not op1.outs[key[0]]]
+            return self._lift_low(op0, keys)
+
+        return HOperator(self, low=self._low((op0, op1), build), high=None)
 
     def _tensor_high(self, token):
         op = self.fock.token_op(token, "pi0")
@@ -1099,8 +1160,8 @@ class HomotopyModel:
     def pi_tensor(self, token, variant):
         """pi0 (x) id or pi1 (x) id: the Fock token operator, lifted."""
         op = self.fock.token_op(token, variant)
-        return HOperator(self, low=self._lift_low(op, self.low_keys),
-                         high=self._tensor_high(token))
+        low = self._low(op, lambda: self._lift_low(op, self.low_keys))
+        return HOperator(self, low=low, high=self._tensor_high(token))
 
     def zero_h(self):
         return HOperator(self, low={}, high=None)
@@ -1166,7 +1227,11 @@ class HOperator:
         return HOperator(self.model, low, high)
 
     def scale(self, coeff):
+        """coeff times self; scaling by one is self, as nothing mutates an
+        HOperator."""
         k = self.model.k
+        if coeff == k.one:
+            return self
         low = {key: (OVERFLOW if col is OVERFLOW else vscale(k, col, coeff))
                for key, col in self.low.items()}
         high = None if self.high is None else self.high.scale(coeff)
@@ -1176,13 +1241,16 @@ class HOperator:
         return self + other.scale(-1)
 
     def compose(self, other):
-        """self after other; ``other.high`` must stay in degrees >= 2."""
+        """self after other; ``other.high`` must stay in degrees >= 2.
+
+        Only the columns ``other`` stores are composed: a low key it lacks
+        is a zero column, and stays absent, so zero, in the composite.
+        """
         if other.high is not None and any(
                 e <= 1 for outs in other.high.outs.values() for e in outs):
             raise RingError("the inner high part re-enters degrees 0 and 1; "
                             "the composition has no tensor form")
-        low = {key: self.apply_col(other.low.get(key, {}))
-               for key in self.model.low_keys}
+        low = {key: self.apply_col(col) for key, col in other.low.items()}
         if self.high is None or other.high is None:
             high = None
         else:

@@ -1,5 +1,6 @@
 """Tests for the command line driver: exit codes, reports, determinism."""
 
+import gc
 import io
 import json
 import os
@@ -24,11 +25,16 @@ edges:
 
 A2 = "vertices: v w\nedges: e: v -> w\n"
 
+ROSE3 = "vertices: v\nedges:\n  e: v -> v\n  f: v -> v\n  g: v -> v\n"
+
 EDGELESS = "vertices: v w u\nedges:\n"
 
 BAD = "vertices: v\nedges:\n  e: v -> u\n"
 
 ODOMETER = "alphabet: 0 1\na = (perm 0 1)(e, a)\n"
+
+
+DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
 
 
 @pytest.fixture()
@@ -233,6 +239,72 @@ class TestVerify:
         assert report["status"] == "failed"
         assert {c["name"] for c in report["checks"] if not c["passed"]} == \
             {"pairing-preservation"}
+
+    def test_rose2_builds_each_lift_once(self, capsys, rose2_file,
+                                         monkeypatch):
+        # 14 lifts: pi0 and pi1 of each x and phi, one lam0 per x and phi,
+        # and pi0 of v and of the zero scalar on the pairing side; one
+        # lam1 per x and phi (49 try_mul each); the pi1 columns are read
+        # from pi0's column cache
+        from pimsner.fock import HomotopyModel, ToeplitzAlgebra, TruncatedFock
+        counts = {}
+        for cls, name in [(HomotopyModel, "_lift_low"),
+                          (ToeplitzAlgebra, "try_mul"),
+                          (TruncatedFock, "_column")]:
+            def counted(*args, _real=getattr(cls, name), _name=name):
+                counts[_name] = counts.get(_name, 0) + 1
+                return _real(*args)
+            monkeypatch.setattr(cls, name, counted)
+        code, _, _ = run(capsys, "verify", rose2_file,
+                         "--fock-depth", "6", "--word-bound", "3")
+        assert code == 0
+        assert counts == {"_lift_low": 14, "try_mul": 196, "_column": 568}
+
+    def test_verify_leaves_no_reference_cycles(self, capsys, tmp_path):
+        # a finished verify op is freed by reference counting: the cycle
+        # collector finds none of its Fock modules, operators or models
+        from pimsner.fock import FockOperator, HomotopyModel, TruncatedFock
+        path = tmp_path / "rose3.quiver"
+        path.write_text(ROSE3, encoding="utf-8")
+        gc.collect()
+        gc.disable()
+        try:
+            code, _, _ = run(capsys, "verify", str(path),
+                             "--fock-depth", "4", "--word-bound", "3")
+            gc.set_debug(gc.DEBUG_SAVEALL)
+            gc.collect()
+            leaked = [type(obj).__name__ for obj in gc.garbage
+                      if isinstance(obj, (TruncatedFock, FockOperator,
+                                          HomotopyModel))]
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+            gc.enable()
+        assert code == 0
+        assert leaked == []
+
+    @pytest.mark.parametrize("name, text, argv", [
+        ("rose2", ROSE2, ["--fock-depth", "6", "--word-bound", "3"]),
+        ("a2", A2, ["--fock-depth", "6", "--word-bound", "3"]),
+        ("rose3", ROSE3, ["--fock-depth", "4", "--word-bound", "3"]),
+        ("rose2_zmod6", ROSE2, ["--fock-depth", "6", "--word-bound", "3",
+                                "--coeff", "zmod:6"]),
+    ])
+    def test_golden_report(self, capsys, tmp_path, name, text, argv):
+        # the whole report is pinned, so a change to the Fock or homotopy
+        # layers must keep every count; the input path is a temporary
+        # file, so the stored reports read "INPUT" there
+        path = tmp_path / f"{name}.quiver"
+        path.write_text(text, encoding="utf-8")
+        code, out, _ = run(capsys, "verify", str(path), "--out", "json",
+                           *argv)
+        report = json.loads(out)
+        assert report["input"] == str(path)
+        report["input"] = "INPUT"
+        with open(os.path.join(DATA, f"verify_{name}.json"),
+                  encoding="utf-8") as handle:
+            assert report == json.load(handle)
+        assert code == 0
 
     def test_selfsim_suites_pass(self, capsys, tmp_path):
         path = tmp_path / "odometer.selfsim"

@@ -1018,3 +1018,49 @@ class TestPiTensorLift:
         report = homotopy_endpoints_check(model, token)
         assert not report.passed
         assert {tag for tag, _ in report.failures} == {"H(0)"}
+
+
+# -- the dense composition the homotopy model used to do, kept as an oracle --
+
+def _dense_compose_low(outer, inner):
+    """outer after inner on every low key, reading an absent key as {}."""
+    return {key: outer.apply_col(inner.low.get(key, {}))
+            for key in outer.model.low_keys}
+
+
+class TestSparseCompose:
+    """``HOperator.compose`` walks the inner operator's stored columns only."""
+
+    @pytest.mark.parametrize("make, word_bound, lam1_overflows", [
+        (lambda: rose_fock(2, 4), 3, True), (a2_fock, 3, False),
+        (lambda: rose_fock(2, 4), 1, True), (lambda: rose_fock(2, 4), 2, True),
+        (a2_fock, 1, True),
+    ], ids=["rose2", "a2", "rose2-bound1", "rose2-bound2", "a2-bound1"])
+    def test_matches_dense_compose_on_homotopy_parts(self, make, word_bound,
+                                                     lam1_overflows):
+        # OVERFLOW columns of lam1 must reach the composite exactly where
+        # the dense composition puts them
+        from pimsner.fock import OVERFLOW
+        fk = make()
+        model = HomotopyModel(fk, word_bound)
+        tokens = _basis_tokens(fk)
+        assert lam1_overflows == any(
+            col is OVERFLOW for token in tokens if token[0] != "r"
+            for col in model.lam1(token).low.values())
+        parts = [op for token in tokens
+                 for op in homotopy_H(model, token).parts.values()]
+        composed = overflows = 0
+        for inner in parts:
+            for outer in parts:
+                try:
+                    got = outer.compose(inner).low
+                except RingError:
+                    continue
+                want = _dense_compose_low(outer, inner)
+                assert set(got) <= set(model.low_keys)
+                for key in model.low_keys:
+                    assert got.get(key, {}) == want[key], key
+                composed += 1
+                overflows += sum(col is OVERFLOW for col in want.values())
+        assert composed
+        assert (overflows > 0) == lam1_overflows
