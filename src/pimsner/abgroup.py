@@ -54,7 +54,7 @@ class IntMatrix:
     def __init__(self, rows, cols, entries):
         if rows < 0 or cols < 0:
             raise AbgroupError("matrix dimensions must be nonnegative")
-        entries = tuple(tuple(int(x) for x in row) for row in entries)
+        entries = tuple(tuple(map(int, row)) for row in entries)
         if len(entries) != rows or any(len(r) != cols for r in entries):
             raise AbgroupError("entry grid does not match declared shape")
         self.rows = rows

@@ -5,7 +5,9 @@ crossed-product instance, ``selfsim`` the self-similar group pipeline, and
 ``verify`` the exact operator suites (covariant relations, defect support,
 homotopy endpoints and pairing preservation) on a quiver or self-similar
 group file.  Reports are deterministic JSON (schema 1) for fixed input,
-configuration and seed; ``--out text`` renders a short summary instead.
+configuration and seed, written as the exact text of
+``json.dumps(report, indent=2, sort_keys=True)``; ``--out text`` renders a
+short summary instead.
 
 Exit codes: 0 success, 2 parse or semantic error, 3 insufficient depth
 (all checks that ran passed but some were skipped for budget), 4 a failed
@@ -16,9 +18,10 @@ invariant was violated).
 from __future__ import annotations
 
 import argparse
-import json
+import functools
 import random
 import sys
+from json.encoder import encode_basestring_ascii as _json_str
 
 from . import __version__, funcmod, leavitt, selfsim
 from .abgroup import AbgroupError, IntMatrix
@@ -44,6 +47,8 @@ EXIT_PARSE = 2
 EXIT_DEPTH = 3
 EXIT_INVARIANT = 4
 
+_INF = float("inf")
+
 
 def _config_dict(args, fields):
     return {f: getattr(args, f) for f in fields if hasattr(args, f)}
@@ -51,9 +56,88 @@ def _config_dict(args, fields):
 
 def _emit(report, out_format):
     if out_format == "json":
-        print(json.dumps(report, indent=2, sort_keys=True))
+        print(json_text(report))
         return
     _emit_text(report)
+
+
+def json_text(obj):
+    """The exact text of ``json.dumps(obj, indent=2, sort_keys=True)``.
+
+    ``obj`` is a tree of str-keyed dicts, lists, tuples and JSON scalars,
+    as every report is.  With ``indent`` set the stdlib runs its
+    pure-Python encoder, one generator frame per nesting level; this
+    writer appends to one list instead, and writes a list of plain ints or
+    plain strings (matrix rows, labels) with one ``join``.  A non-str key
+    or a value of another type raises ``TypeError``.
+    """
+    out = []
+    _json_write(obj, out, "\n")
+    return "".join(out)
+
+
+def _json_float(obj):
+    # the stdlib's spellings of the non-finite floats, tested as it does
+    if obj != obj:
+        return "NaN"
+    if obj == _INF:
+        return "Infinity"
+    if obj == -_INF:
+        return "-Infinity"
+    return float.__repr__(obj)
+
+
+def _json_write(obj, out, nl):
+    """Append the text of ``obj`` to ``out``; ``nl`` is the newline plus
+    the indent of the line ``obj`` starts on."""
+    # the stdlib's dispatch order: str, the three singletons (bool before
+    # int), int, float, list or tuple, dict
+    if isinstance(obj, str):
+        out.append(_json_str(obj))
+    elif obj is None:
+        out.append("null")
+    elif obj is True:
+        out.append("true")
+    elif obj is False:
+        out.append("false")
+    elif isinstance(obj, int):
+        out.append(int.__repr__(obj))
+    elif isinstance(obj, float):
+        out.append(_json_float(obj))
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append("[]")
+            return
+        inner = nl + "  "
+        kinds = set(map(type, obj))
+        if kinds == {int}:
+            out += ("[", inner, ("," + inner).join(map(int.__repr__, obj)),
+                    nl, "]")
+        elif kinds == {str}:
+            out += ("[", inner, ("," + inner).join(map(_json_str, obj)),
+                    nl, "]")
+        else:
+            sep = "[" + inner
+            for item in obj:
+                out.append(sep)
+                _json_write(item, out, inner)
+                sep = "," + inner
+            out += (nl, "]")
+    elif isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        inner = nl + "  "
+        sep = "{" + inner
+        for key in sorted(obj):
+            # a non-str key raises TypeError here
+            out += (sep, _json_str(key), ": ")
+            _json_write(obj[key], out, inner)
+            sep = "," + inner
+        out += (nl, "}")
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} "
+                        "is not JSON serializable")
 
 
 def _emit_text(report, indent=0):
@@ -372,7 +456,10 @@ def cmd_verify(args):
 # entry point
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser():
+    """The process's one parser, built on the first call rather than at
+    import; every call shares it, since parsing never mutates it."""
     parser = argparse.ArgumentParser(
         prog="pimsner",
         description="Exact computation with algebraic Toeplitz and "
@@ -437,18 +524,13 @@ def _validate(args):
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         _validate(args)
         return args.func(args)
-    except (QuiverError, SelfSimError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except (RingError, AbgroupError) as exc:
+    except (QuiverError, SelfSimError, RingError, AbgroupError,
+            FileNotFoundError, IsADirectoryError, UnicodeDecodeError) as exc:
+        # a malformed, missing or unreadable input
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except DepthError as exc:

@@ -69,6 +69,7 @@ class Quiver:
         self.edges = []
         self.source = {}
         self.range = {}
+        self._out = {v: [] for v in self.vertices}
         seen = set()
         for i, (name, src, dst) in enumerate(edges):
             if name in seen or name in vertex_set:
@@ -83,8 +84,7 @@ class Quiver:
             self.edges.append(name)
             self.source[name] = src
             self.range[name] = dst
-        self._out = {v: [e for e in self.edges if self.source[e] == v]
-                     for v in self.vertices}
+            self._out[src].append(name)
 
     def s(self, e):
         return self.source[e]

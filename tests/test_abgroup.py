@@ -60,6 +60,14 @@ def random_matrix(rng, max_dim=6, lo=-9, hi=9):
         [[rng.randint(lo, hi) for _ in range(c)] for _ in range(r)])
 
 
+def test_entries_are_coerced_to_int():
+    m = IntMatrix(2, 2, [[True, "3"], (False, -7)])
+    assert m.entries == ((1, 3), (0, -7))
+    assert {type(x) for row in m.entries for x in row} == {int}
+    with pytest.raises(ValueError):
+        IntMatrix(1, 1, [["x"]])
+
+
 class TestSmithNormalForm:
     def test_identity(self):
         eye = IntMatrix.identity(3)

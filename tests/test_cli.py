@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pimsner.cli import _selfsim_suites, main
+from pimsner.cli import _selfsim_suites, json_text, main
 from pimsner.leavitt import QuiverError, parse_quiver
 from pimsner.selfsim import IDENTITY, SelfSimError, odometer, parse_selfsim
 
@@ -69,6 +69,20 @@ class TestKgroups:
     def test_missing_file_exits_2(self, capsys):
         code, _, err = run(capsys, "kgroups", "/nonexistent/q.quiver")
         assert code == 2
+
+    @pytest.mark.parametrize("command", ["kgroups", "verify", "selfsim"])
+    @pytest.mark.parametrize("kind", ["directory", "not-utf8"])
+    def test_unreadable_input_exits_2(self, capsys, tmp_path, command, kind):
+        if kind == "directory":
+            path = tmp_path
+        else:
+            path = tmp_path / "latin1.quiver"
+            path.write_bytes("vertices: \xe9\nedges:\n".encode("latin-1"))
+        code, out, err = run(capsys, command, str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
 
     def test_edgeless_quiver(self, capsys, tmp_path):
         path = tmp_path / "edgeless.quiver"
@@ -559,3 +573,87 @@ class TestFuzzedInput:
                     redirect_stderr(io.StringIO()):
                 code = main(["kgroups", path])
         assert code in (0, 2)
+
+
+JSON_LEAVES = st.one_of(
+    st.none(), st.booleans(),
+    st.integers(), st.integers(min_value=-2 ** 200, max_value=2 ** 200),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.text(), st.text(st.characters(max_codepoint=0x1f)),
+    st.lists(st.one_of(st.integers(), st.booleans())))
+JSON_TREES = st.recursive(
+    JSON_LEAVES,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=5),
+        st.lists(inner, max_size=5).map(tuple),
+        st.lists(st.text(), max_size=5),
+        st.dictionaries(st.text(), inner, max_size=5)),
+    max_leaves=40)
+
+
+class TestJsonText:
+    """``json_text`` is byte for byte ``json.dumps(..., indent=2,
+    sort_keys=True)`` on every tree a report can be."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(tree=JSON_TREES)
+    def test_matches_json_dumps(self, tree):
+        assert json_text(tree) == json.dumps(tree, indent=2, sort_keys=True)
+
+    @pytest.mark.parametrize("tree", [
+        {}, [], (), {"a": [], "b": {}, "c": ()}, [[], [[]], {}],
+        [1, True, 2, False, None], [-(10 ** 40), 0, 10 ** 40],
+        ["\u00e9\u2603\U0001f600", "\x00\x1f\"\\\n\t", ""],
+        [float("nan"), float("inf"), float("-inf"), -0.0, 1e300, 0.1],
+        {"z": 1, "a": {"y": [1, 2], "b": ("x", "\u00fc")}},
+    ])
+    def test_edge_cases(self, tree):
+        assert json_text(tree) == json.dumps(tree, indent=2, sort_keys=True)
+
+    @pytest.mark.parametrize("tree", [
+        {1: "a"}, {"a": {None: 1}}, [{(1, 2): 0}], {"a": 1, 2: "b"}])
+    def test_non_str_key_raises(self, tree):
+        with pytest.raises(TypeError):
+            json_text(tree)
+
+    @pytest.mark.parametrize("value", [{1, 2}, object(), b"bytes", 1j])
+    def test_unserializable_value_raises(self, value):
+        with pytest.raises(TypeError):
+            json_text({"a": [value]})
+
+
+class TestParserReuse:
+    """``main`` builds its parser once; no call sees the options of the
+    call before it."""
+
+    def test_verify_depth_resets(self, capsys, tmp_path):
+        path = tmp_path / "odometer.selfsim"
+        path.write_text(ODOMETER, encoding="utf-8")
+        code, out, _ = run(capsys, "verify", str(path), "--depth", "5")
+        assert code == 0
+        assert json.loads(out)["config"]["depth"] == 5
+        code, out, _ = run(capsys, "verify", str(path))
+        assert code == 0
+        assert json.loads(out)["config"]["depth"] == 0
+
+    def test_selfsim_matrix_resets(self, capsys, tmp_path):
+        path = tmp_path / "odometer.selfsim"
+        path.write_text(ODOMETER, encoding="utf-8")
+        code, out, _ = run(capsys, "selfsim", str(path), "--matrix", "1")
+        assert code == 0
+        assert json.loads(out)["k_groups"] is not None
+        code, out, _ = run(capsys, "selfsim", str(path))
+        assert code == 0
+        assert '"k_groups": null' in out
+        assert json.loads(out)["k_groups"] is None
+
+    def test_usage_error_and_version_after_a_call(self, capsys, rose2_file):
+        assert run(capsys, "kgroups", rose2_file)[0] == 0
+        with pytest.raises(SystemExit) as exc:
+            main(["kgroups", rose2_file, "--out", "yaml"])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main(["--version"])
+        assert exc.value.code == 0
+        assert run(capsys, "kgroups", rose2_file)[0] == 0

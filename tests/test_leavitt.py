@@ -35,6 +35,16 @@ class TestParse:
         assert q.regular_vertices == ["v"]
         assert len(q.edges) == 3
 
+    def test_out_edges_keep_file_order(self):
+        # sources interleave, so each vertex's edges are not contiguous
+        q = Quiver(["v", "w", "u"],
+                   [("a", "w", "v"), ("b", "v", "w"), ("c", "w", "w"),
+                    ("d", "v", "v"), ("e", "w", "u"), ("f", "v", "u")])
+        assert q.out_edges("v") == ["b", "d", "f"]
+        assert q.out_edges("w") == ["a", "c", "e"]
+        assert q.out_edges("u") == []
+        assert q.regular_vertices == ["v", "w"]
+
     def test_comments_and_layout(self):
         q = parse_quiver("""
         # a small cycle
