@@ -55,7 +55,7 @@ class IntMatrix:
         if rows < 0 or cols < 0:
             raise AbgroupError("matrix dimensions must be nonnegative")
         entries = tuple(tuple(map(int, row)) for row in entries)
-        if len(entries) != rows or any(len(r) != cols for r in entries):
+        if len(entries) != rows or not set(map(len, entries)) <= {cols}:
             raise AbgroupError("entry grid does not match declared shape")
         self.rows = rows
         self.cols = cols

@@ -68,6 +68,25 @@ def test_entries_are_coerced_to_int():
         IntMatrix(1, 1, [["x"]])
 
 
+@pytest.mark.parametrize("rows, cols, entries", [
+    (2, 2, [[1, 2], [3]]), (2, 2, [[1], [2, 3]]), (2, 2, [[1, 2]]),
+    (1, 2, [[1, 2], [3, 4]]), (1, 0, [[1]]), (0, 1, [[]]), (2, 1, [[], []]),
+], ids=["short-last", "short-first", "missing-row", "extra-row",
+        "entry-in-empty-row", "row-in-empty-matrix", "empty-rows"])
+def test_entry_grid_must_match_the_shape(rows, cols, entries):
+    with pytest.raises(AbgroupError, match="entry grid does not match"):
+        IntMatrix(rows, cols, entries)
+
+
+@pytest.mark.parametrize("rows, cols, entries", [
+    (0, 0, []), (0, 3, []), (2, 0, [[], []]), (1, 3, [(1, 2, 3)]),
+])
+def test_empty_and_well_shaped_grids_are_legal(rows, cols, entries):
+    m = IntMatrix(rows, cols, entries)
+    assert (m.rows, m.cols) == (rows, cols)
+    assert m.entries == tuple(tuple(r) for r in entries)
+
+
 class TestSmithNormalForm:
     def test_identity(self):
         eye = IntMatrix.identity(3)

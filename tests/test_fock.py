@@ -11,6 +11,7 @@ from pimsner.fock import (
     FockOperator,
     HOperator,
     HomotopyModel,
+    OVERFLOW,
     Poly,
     ToeplitzAlgebra,
     TruncatedFock,
@@ -27,8 +28,9 @@ from pimsner.fock import (
     quasi_hom_defect,
     rotation_coefficient_identity,
     word_operator,
+    word_tokens_of,
 )
-from pimsner.funcmod import free_correspondence, vclean
+from pimsner.funcmod import free_correspondence, vadd, vclean, vscale
 from pimsner.leavitt import parse_quiver, quiver_correspondence, rose
 from pimsner.ringcore import QQ, ZZ, DirectSumRing, RingError, Zmod
 
@@ -369,6 +371,11 @@ class TestJIdealGenerators:
 # -- the six hand-written generator constructors, kept as an oracle for
 # -- token_op; each takes the lowest degree its columns do not kill
 
+def _leaf_operator(fk, side, column, covered, outs):
+    """The one-leaf word of a hand-written column function."""
+    return FockOperator(fk, side, ((fk.k.one, (column,)),), covered, outs)
+
+
 def _oracle_prepend(fk, xvec, t):
     k = fk.k
     out = {}
@@ -399,7 +406,7 @@ def _oracle_creation(fk, xvec, low_kill):
         return {(d + 1, tup): c
                 for tup, c in _oracle_prepend(fk, xvec, t).items()}
 
-    return FockOperator(
+    return _leaf_operator(
         fk, "x", column, covered=range(fk.depth),
         outs={d: frozenset([d + 1] if d >= low_kill else [])
               for d in range(fk.depth)})
@@ -422,7 +429,7 @@ def _oracle_annihilation(fk, pvec, low_kill):
         return {(d - 1, tup): c
                 for tup, c in _oracle_prepend(fk, first, t[2:]).items()}
 
-    return FockOperator(
+    return _leaf_operator(
         fk, "x", column, covered=range(fk.depth + 1),
         outs={d: frozenset([d - 1] if d >= low_kill else [])
               for d in range(fk.depth + 1)})
@@ -441,7 +448,7 @@ def _oracle_scalar(fk, relt, low_kill):
         return {(d, tup): c
                 for tup, c in _oracle_prepend(fk, first, t[1:]).items()}
 
-    return FockOperator(
+    return _leaf_operator(
         fk, "x", column, covered=range(fk.depth + 1),
         outs={d: frozenset([d] if d >= low_kill else [])
               for d in range(fk.depth + 1)})
@@ -464,7 +471,7 @@ def _oracle_creation_star(fk, xvec, low_kill):
         last = module.act_xp_right({t[-2]: k.one}, r)
         return _oracle_append(fk, t[:-2], last, d - 1)
 
-    return FockOperator(
+    return _leaf_operator(
         fk, "xp", column, covered=range(fk.depth + 1),
         outs={d: frozenset([d - 1] if d >= 1 else [])
               for d in range(fk.depth + 1)})
@@ -481,7 +488,7 @@ def _oracle_annihilation_star(fk, pvec, low_kill):
             return {(1, (sym,)): c for sym, c in vec.items()}
         return _oracle_append(fk, t, pvec, d + 1)
 
-    return FockOperator(
+    return _leaf_operator(
         fk, "xp", column, covered=range(fk.depth),
         outs={d: frozenset([d + 1]) for d in range(fk.depth)})
 
@@ -498,7 +505,7 @@ def _oracle_scalar_star(fk, relt, low_kill):
         last = fk.module.act_xp_right({t[-1]: fk.k.one}, relt)
         return _oracle_append(fk, t[:-1], last, d)
 
-    return FockOperator(
+    return _leaf_operator(
         fk, "xp", column, covered=range(fk.depth + 1),
         outs={d: frozenset([d]) for d in range(fk.depth + 1)})
 
@@ -580,6 +587,196 @@ class TestPiRepresentations:
                     assert got.outs == want.outs
                     assert got.eq_on(want, sorted(want.covered)), token
                     assert fk.token_op(token, variant) is got
+
+
+# -- the closure evaluator that FockOperator used before term words, kept as
+# -- an oracle for the chase: a composite column re-enters its operands'
+
+class _ClosureOp:
+    """An operator whose column is a closure over its operands' columns."""
+
+    def __init__(self, fock, side, column, covered, outs):
+        self.fock = fock
+        self.side = side
+        self._column = column
+        self.covered = frozenset(d for d in covered if 0 <= d <= fock.depth)
+        self.outs = {d: frozenset(outs.get(d, ())) for d in self.covered}
+
+    @classmethod
+    def of(cls, op):
+        """An operator read through its own columns."""
+        return cls(op.fock, op.side, op.column, op.covered, op.outs)
+
+    def column(self, key):
+        if key[0] not in self.covered:
+            return None
+        return self._column(key)
+
+    def apply_vec(self, vec):
+        k = self.fock.k
+        out = {}
+        for key, c in vec.items():
+            col = self.column(key)
+            if col is None:
+                return None
+            for tgt, c2 in col.items():
+                out[tgt] = k.add(out.get(tgt, k.zero), k.mul(c, c2))
+        return vclean(k, out)
+
+    def compose(self, other):
+        covered = [d for d in other.covered
+                   if all(e in self.covered for e in other.outs[d])]
+        outs = {d: frozenset(x for e in other.outs[d] for x in self.outs[e])
+                for d in covered}
+        return _ClosureOp(self.fock, self.side,
+                          lambda key: self.apply_vec(other.column(key)),
+                          covered, outs)
+
+    def __add__(self, other):
+        covered = self.covered & other.covered
+        outs = {d: self.outs[d] | other.outs[d] for d in covered}
+        k = self.fock.k
+        return _ClosureOp(
+            self.fock, self.side,
+            lambda key: vadd(k, self.column(key), other.column(key)),
+            covered, outs)
+
+    def scale(self, coeff):
+        k = self.fock.k
+        return _ClosureOp(self.fock, self.side,
+                          lambda key: vscale(k, self.column(key), coeff),
+                          self.covered, self.outs)
+
+    def __sub__(self, other):
+        return self + other.scale(-1)
+
+
+def _closure_word(fk, tokens, variant="pi0"):
+    """word_operator through closures: the composed token operators."""
+    if not tokens:
+        return _ClosureOp.of(fk.identity())
+    op = None
+    for token in reversed(tokens):
+        tok = _ClosureOp.of(fk.token_op(token, variant))
+        op = tok if op is None else tok.compose(op)
+    return op
+
+
+def _closure_defect(fk, tokens):
+    """The operator quasi_hom_defect returned before term words: the sum
+    of coeff * (pi0 - pi1) over the normal words, summed lazily."""
+    k, talg = fk.k, fk._talg
+    terms = [(coeff, _closure_word(fk, word_tokens_of(talg, key), "pi0"),
+              _closure_word(fk, word_tokens_of(talg, key), "pi1"))
+             for key, coeff in talg.from_tokens(tokens).items()]
+    ops = [op for _, op0, op1 in terms for op in (op0, op1)]
+    covered = set(range(fk.depth + 1)).intersection(
+        *(op.covered for op in ops))
+    outs = {d: frozenset().union(*(op.outs[d] for op in ops))
+            for d in covered}
+
+    def column(key):
+        total = {}
+        for coeff, op0, op1 in terms:
+            diff = vadd(k, op0.column(key), vscale(k, op1.column(key), -1))
+            total = vadd(k, total, vscale(k, diff, coeff))
+        return total
+
+    return _ClosureOp(fk, "x", column, covered, outs)
+
+
+def _same_columns(fk, got, want):
+    """Assert that got and want have the same coverage and the same column,
+    None included, at every basis key of every degree; return how many
+    columns were None and how many nonzero."""
+    assert got.side == want.side
+    assert got.covered == want.covered
+    assert got.outs == want.outs
+    keys_at = fk.basis if got.side == "x" else fk.dual_basis
+    nones = nonzero = 0
+    for d in range(fk.depth + 1):
+        for key in keys_at(d):
+            col = got.column(key)
+            assert col == want.column(key), key
+            nones += col is None
+            nonzero += bool(col)
+    return nones, nonzero
+
+
+def _cycle_fock(depth=4):
+    return TruncatedFock(quiver_correspondence(parse_quiver(
+        "vertices: a b\nedges:\n e: a -> b\n f: b -> a")), depth)
+
+
+class TestChaseAgainstClosures:
+    """Chased term words give the closure evaluator's columns, key by key."""
+
+    @pytest.mark.parametrize("make", [lambda: rose_fock(2, 4), a2_fock,
+                                      _cycle_fock, lambda: _rank_one_fock()],
+                             ids=["rose2", "a2", "two-cycle", "rank-one-QQ"])
+    def test_words_sums_composites_and_defects(self, make):
+        fk = make()
+        rng = random.Random(29)
+        tokens = _oracle_tokens(fk)
+        pools = {"x": [t for t in tokens if not t[0].endswith("*")],
+                 "xp": [t for t in tokens if t[0].endswith("*")]}
+        nones = nonzero = 0
+
+        def check(got, want):
+            nonlocal nones, nonzero
+            n, z = _same_columns(fk, got, want)
+            nones, nonzero = nones + n, nonzero + z
+
+        check(word_operator(fk, []), _closure_word(fk, []))
+        for _ in range(10):
+            for side, pool in pools.items():
+                w1 = [rng.choice(pool) for _ in range(rng.randint(1, 3))]
+                w2 = [rng.choice(pool) for _ in range(rng.randint(1, 2))]
+                c = rng.choice([2, -1, 3])
+                for variant in ("pi0", "pi1") if side == "x" else ("pi0",):
+                    a = word_operator(fk, w1, variant)
+                    b = word_operator(fk, w2, variant)
+                    ca = _closure_word(fk, w1, variant)
+                    cb = _closure_word(fk, w2, variant)
+                    check(a, ca)
+                    check(a + b, ca + cb)
+                    check(a - b.scale(c), ca - cb.scale(c))
+                    check(a.compose(b), ca.compose(cb))
+                    check((a + b).compose(b.scale(c)),
+                          (ca + cb).compose(cb.scale(c)))
+                    check(b.compose(a - b).scale(c),
+                          cb.compose(ca - cb).scale(c))
+                if side == "x":
+                    check(quasi_hom_defect(fk, w1)[0], _closure_defect(fk, w1))
+        assert nones and nonzero
+
+    def test_vanishing_coefficient_products_over_z6(self):
+        fk = rose_fock(2, 3, k=Zmod(6))
+        t = fk.token_op(("x", {"e0": 1}))
+        s = fk.token_op(("phi", {("e0", "*"): 1}))
+        ct, cs = _ClosureOp.of(t), _ClosureOp.of(s)
+        # 3 * 2 and 2 * 3 are 0 mod 6, so those terms are dropped; the
+        # coverage of the operator stays
+        assert t.scale(3).scale(2).terms == ()
+        assert t.scale(3).compose(t.scale(2)).terms == ()
+        assert s.scale(2).compose(t.scale(3)).terms == ()
+        for got, want in [
+                (t.scale(3).scale(2), ct.scale(3).scale(2)),
+                (t.scale(3).compose(t.scale(2)),
+                 ct.scale(3).compose(ct.scale(2))),
+                (s.scale(2).compose(t.scale(3)),
+                 cs.scale(2).compose(ct.scale(3))),
+                (t.scale(2) + t.scale(4), ct.scale(2) + ct.scale(4)),
+                (t.scale(3).compose(t.scale(4)) - t.compose(t),
+                 ct.scale(3).compose(ct.scale(4)) - ct.compose(ct)),
+                (s.compose(t.scale(3)) + s.scale(3).compose(t),
+                 cs.compose(ct.scale(3)) + cs.scale(3).compose(ct))]:
+            _same_columns(fk, got, want)
+        # a creation after a creation is not covered at the top two degrees
+        killed = t.scale(3).compose(t.scale(2))
+        assert [d for d in range(4)
+                if killed.column(fk.basis(d)[0]) is None] == [2, 3]
+        assert killed.column(fk.basis(1)[0]) == {}
 
 
 class TestDefects:
@@ -774,7 +971,7 @@ class TestHomotopy:
         lhs = homotopy_H(model, ("phi", {("e1", "*"): 1})).compose(
             homotopy_H(model, ("x", {"e0": 1})))
         for p, op in lhs.parts.items():
-            for key, col in op.low.items():
+            for key, col in _by_key(model, op.low).items():
                 if col is not OVERFLOW:
                     assert not col, (p, key, col)
 
@@ -818,6 +1015,7 @@ class TestHomotopy:
                             lambda token: real_lam1(token).scale(2))
         report = homotopy_pairing_check(model, xvec, pvec)
         assert len(report.failures) == 34
+        assert {key for _, key in report.failures} <= set(model.low_keys)
 
     def test_compose_refuses_high_part_leaving_tensor_form(self):
         # T_phi maps degree 2 into the explicit degree-1 columns, so nothing
@@ -861,16 +1059,21 @@ class TestHomotopy:
         assert homotopy_endpoints_check(model, token).passed
         real_H = fock_module.homotopy_H
 
+        key = model.c0_keys[0]
+
         def perturbed(model, token):
             H = real_H(model, token)
-            key = model.c0_keys[0]
-            H.parts[1] = HOperator(model, low={key: {key: 1}}, high=None)
+            H.parts[1] = HOperator(model, low=_by_id(model, {key: {key: 1}}),
+                                   high=None)
             return H
 
         monkeypatch.setattr(fock_module, "homotopy_H", perturbed)
         report = homotopy_endpoints_check(model, token)
         assert not report.passed
         assert {tag for tag, _ in report.failures} == {"H(1)"}
+        # the failure names the model key of the perturbed column, not its id
+        assert report.failures == [("H(1)", key)]
+        assert report.as_dict()["failures"] == [str(("H(1)", key))]
 
     def test_a2_full_generator_sweep(self):
         fk = a2_fock(4)
@@ -880,6 +1083,22 @@ class TestHomotopy:
         for tok in toks:
             assert homotopy_endpoints_check(model, tok).passed
         assert homotopy_pairing_check(model, {"e": 1}, {("e", "*"): 1}).passed
+
+
+# -- model ids and model keys: low parts are keyed by ids, tests by keys --
+
+def _by_key(model, low):
+    """An id-keyed low part, its ids translated to model keys."""
+    return {model._keys[i]: col if col is OVERFLOW else
+            {model._keys[j]: c for j, c in col.items()}
+            for i, col in low.items()}
+
+
+def _by_id(model, low):
+    """A key-keyed low part, its keys interned to model ids."""
+    return {model._id(key): col if col is OVERFLOW else
+            {model._id(k2): c for k2, c in col.items()}
+            for key, col in low.items()}
 
 
 # -- the hand-derived corners of pi (x) id, kept as an oracle for the lift --
@@ -959,6 +1178,7 @@ class TestPiTensorLift:
     """pi (x) id is the Fock token operator lifted through ``make_key``."""
 
     def assert_low_equal(self, model, got, want):
+        got = _by_key(model, got)
         assert set(got) <= set(model.low_keys)
         assert set(want) <= set(model.low_keys)
         for key in model.low_keys:
@@ -1023,9 +1243,9 @@ class TestPiTensorLift:
 # -- the dense composition the homotopy model used to do, kept as an oracle --
 
 def _dense_compose_low(outer, inner):
-    """outer after inner on every low key, reading an absent key as {}."""
-    return {key: outer.apply_col(inner.low.get(key, {}))
-            for key in outer.model.low_keys}
+    """outer after inner on every low id, reading an absent id as {}."""
+    return {i: outer.apply_col(inner.low.get(i, {}))
+            for i in outer.model.low_ids}
 
 
 class TestSparseCompose:
@@ -1053,10 +1273,10 @@ class TestSparseCompose:
         for inner in parts:
             for outer in parts:
                 try:
-                    got = outer.compose(inner).low
+                    got = _by_key(model, outer.compose(inner).low)
                 except RingError:
                     continue
-                want = _dense_compose_low(outer, inner)
+                want = _by_key(model, _dense_compose_low(outer, inner))
                 assert set(got) <= set(model.low_keys)
                 for key in model.low_keys:
                     assert got.get(key, {}) == want[key], key
