@@ -517,18 +517,41 @@ def word_operator(fock, tokens, variant="pi0"):
     """The operator of a generator word under pi0 or pi1.
 
     Tokens are ``(kind, payload)`` with a kind of ``_KINDS``, all on one
-    side, in operator order (the rightmost acts first).  The word
-    composes the cached ``fock.token_op`` operators; the empty word is
-    the identity.  A one-token word is the cached operator itself, so do
-    not mutate it.
+    side, in operator order (the rightmost acts first).  The word is built
+    in one pass over the cached ``fock.token_op`` operators, with the
+    terms, coverage and label that composing them one by one would give:
+    a token operator is one term, so the word is one term whose leaves
+    apply in order, covered on the source degrees whose degree chain every
+    token covers.  The empty word is the identity.  A one-token word is
+    the cached operator itself, so do not mutate it.
     """
     if variant not in ("pi0", "pi1"):
         raise RingError(f"unknown representation {variant!r}")
-    op = None
+    ops = []                            # in the order they apply
     for token in reversed(tokens):
-        tok = fock.token_op(token, variant)
-        op = tok if op is None else tok.compose(op)
-    return fock.identity() if op is None else op
+        op = fock.token_op(token, variant)
+        if ops and op.side != ops[0].side:
+            raise RingError("operators act on different modules")
+        ops.append(op)
+    if len(ops) <= 1:
+        return ops[0] if ops else fock.identity()
+    first, *rest = ops
+    outs = {}
+    for d in first.covered:
+        reached = first.outs[d]
+        for op in rest:
+            if not reached <= op.covered:
+                break
+            reached = frozenset().union(*[op.outs[e] for e in reached])
+        else:
+            outs[d] = reached
+    k = fock.k
+    terms = first.terms
+    for op in rest:
+        terms = tuple((c, w + w2) for c1, w2 in op.terms for c0, w in terms
+                      if (c := k.mul(c1, c0)) != k.zero)
+    return FockOperator(fock, first.side, terms, outs.keys(), outs,
+                        label="*".join(op.label for op in reversed(ops)))
 
 
 def pi0(fock, tokens):
@@ -1037,6 +1060,7 @@ class HomotopyModel:
                         for wk in self.words if self.make_key(1, (b,), wk)
                         == {(1, (b,), wk): self.k.one}]
         self.low_keys = self.c0_keys + self.c1_keys
+        # interned first, so the low ids ascend: sorted ids are in low order
         self.low_ids = [self._id(key) for key in self.low_keys]
 
     def _enumerate_words(self):
@@ -1172,11 +1196,11 @@ class HomotopyModel:
 class HOperator:
     """An operator on the homotopy model: explicit low part, tensor high part.
 
-    ``low`` maps the ids of degree-0/1 model keys to explicit columns over
-    ids (or OVERFLOW when the word bound was exceeded); missing ids are
-    zero columns.  ``high`` is a Fock operator acting on the tensor part of
-    every column of degree >= 2 (the word part is inert there), or None
-    for zero.  Columns are clean vectors, as in ``FockOperator``.
+    ``low`` maps low ids (``model.low_ids``, the degree-0/1 model keys) to
+    explicit columns over ids (or OVERFLOW when the word bound was
+    exceeded); missing low ids are zero columns.  ``high`` is a Fock
+    operator acting on the tensor part of every column of degree >= 2
+    (the word part is inert there), or None for zero.  Columns are clean vectors, as in ``FockOperator``.
     Composition keeps this form only while the inner high part stays in
     degrees >= 2, which holds for every homotopy identity; ``compose``
     refuses any other chain.
@@ -1259,8 +1283,14 @@ class HOperator:
 
     def eq_report(self, other, report, tag=""):
         """Exact comparison with coverage accounting into a CheckReport;
-        a failing low column is tagged with its model key."""
-        for i in self.model.low_ids:
+        a failing low column is tagged with its model key, in low-id order.
+
+        Only the ids that either side stores are compared; every other low
+        id is a zero column on both sides, so a checked equal pair.
+        """
+        stored = sorted(self.low.keys() | other.low.keys())
+        report.checked += len(self.model.low_ids) - len(stored)
+        for i in stored:
             a = self.low.get(i, {})
             b = other.low.get(i, {})
             if a is OVERFLOW or b is OVERFLOW:

@@ -460,7 +460,14 @@ class GroupRing(RingDescriptor):
 # ---------------------------------------------------------------------------
 
 class RingElement:
-    """A finite formal sum of basis symbols with exact coefficients."""
+    """A finite formal sum of basis symbols with exact coefficients.
+
+    Elements are always clean: every coefficient is coerced into the
+    ring's ``k`` and none is zero.  The public constructor coerces and
+    cleans what callers pass; arithmetic takes its values from ``k.add``,
+    ``k.mul`` and ``k.neg``, which already coerce, so it builds results
+    through ``_clean``, which only drops zero coefficients.
+    """
 
     __slots__ = ("ring", "terms")
 
@@ -474,6 +481,15 @@ class RingElement:
                 clean[sym] = coeff
         self.terms = clean
 
+    @classmethod
+    def _clean(cls, ring, terms):
+        """The element of already coerced ``terms``: only zeros are dropped
+        (a coerced coefficient is an int or a Fraction, false when zero)."""
+        el = object.__new__(cls)
+        el.ring = ring
+        el.terms = {sym: coeff for sym, coeff in terms.items() if coeff}
+        return el
+
     def _check_ring(self, other):
         if self.ring is not other.ring:
             raise RingError(
@@ -484,12 +500,13 @@ class RingElement:
         k = self.ring.k
         terms = dict(self.terms)
         for sym, coeff in other.terms.items():
-            terms[sym] = k.add(terms.get(sym, k.zero), coeff)
-        return RingElement(self.ring, terms)
+            terms[sym] = k.add(terms[sym], coeff) if sym in terms else coeff
+        return RingElement._clean(self.ring, terms)
 
     def __neg__(self):
         k = self.ring.k
-        return RingElement(self.ring, {s: k.neg(c) for s, c in self.terms.items()})
+        return RingElement._clean(
+            self.ring, {s: k.neg(c) for s, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
@@ -504,13 +521,13 @@ class RingElement:
                 for sym, unit_coeff in self.ring.mul_basis(s1, s2).items():
                     prev = out.get(sym, k.zero)
                     out[sym] = k.add(prev, k.mul(c, unit_coeff))
-        return RingElement(self.ring, out)
+        return RingElement._clean(self.ring, out)
 
     def scale(self, coeff):
         k = self.ring.k
         coeff = k.coerce(coeff)
-        return RingElement(self.ring,
-                           {s: k.mul(coeff, c) for s, c in self.terms.items()})
+        return RingElement._clean(
+            self.ring, {s: k.mul(coeff, c) for s, c in self.terms.items()})
 
     def is_zero(self):
         return not self.terms

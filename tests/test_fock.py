@@ -7,6 +7,7 @@ import pytest
 
 from pimsner import fock as fock_module
 from pimsner.fock import (
+    CheckReport,
     DepthError,
     FockOperator,
     HOperator,
@@ -1284,3 +1285,106 @@ class TestSparseCompose:
                 overflows += sum(col is OVERFLOW for col in want.values())
         assert composed
         assert (overflows > 0) == lam1_overflows
+
+
+# -- the dense low-part comparison eq_report used to make, kept as an oracle --
+
+def _dense_eq_report(a, b, tag=""):
+    """Compare the low parts of a and b on every low id of the model."""
+    report = CheckReport("dense")
+    for i in a.model.low_ids:
+        ca = a.low.get(i, {})
+        cb = b.low.get(i, {})
+        if ca is OVERFLOW or cb is OVERFLOW:
+            report.skipped += 1
+            continue
+        report.checked += 1
+        if ca != cb:
+            report.failures.append((tag, a.model._keys[i]))
+    return report
+
+
+class TestSparseEqReport:
+    """``HOperator.eq_report`` compares only the low ids either side stores."""
+
+    @pytest.mark.parametrize("make, word_bound, overflows", [
+        (lambda: rose_fock(2, 4), 3, True), (a2_fock, 3, False),
+        (lambda: rose_fock(2, 4), 1, True),
+    ], ids=["rose2", "v-w", "rose2-bound1"])
+    def test_matches_dense_walk_on_homotopy_parts(self, make, word_bound,
+                                                  overflows):
+        fk = make()
+        model = HomotopyModel(fk, word_bound)
+        parts = [op for token in _basis_tokens(fk)
+                 for op in homotopy_H(model, token).parts.values()]
+        # one part perturbed in two low columns: a stored one, and an id
+        # it does not store, so the sparse walk must merge both sides
+        base = next(op for op in parts if len(op.low) < len(model.low_ids)
+                    and any(col and col is not OVERFLOW
+                            for col in op.low.values()))
+        low = dict(base.low)
+        stored = next(i for i, col in low.items()
+                      if col and col is not OVERFLOW)
+        absent = next(i for i in model.low_ids if i not in low)
+        low[stored] = vscale(fk.k, low[stored], 2)
+        low[absent] = {absent: fk.k.one}
+        parts.append(HOperator(model, low, None))
+        failures = skipped = 0
+        for a in parts:
+            for b in parts:
+                got = CheckReport("sparse")
+                HOperator(model, a.low, None).eq_report(
+                    HOperator(model, b.low, None), got, tag="t")
+                want = _dense_eq_report(a, b, tag="t")
+                assert (got.checked, got.skipped, got.failures) == \
+                    (want.checked, want.skipped, want.failures)
+                failures += len(want.failures)
+                skipped += want.skipped
+        assert failures and bool(skipped) == overflows
+        got = CheckReport("perturbed")
+        HOperator(model, base.low, None).eq_report(parts[-1], got, tag="p")
+        assert got.failures == sorted(
+            [("p", model._keys[stored]), ("p", model._keys[absent])],
+            key=lambda failure: model._ids[failure[1]])
+
+
+# -- the token-by-token composition word_operator used to make, as an oracle --
+
+def _composed_word(fk, tokens, variant):
+    op = None
+    for token in reversed(tokens):
+        tok = fk.token_op(token, variant)
+        op = tok if op is None else tok.compose(op)
+    return fk.identity() if op is None else op
+
+
+class TestOnePassWordOperator:
+    """``word_operator`` builds the word that composing its tokens gives."""
+
+    @pytest.mark.parametrize("make, truncates", [
+        (lambda: rose_fock(2, 4), True), (a2_fock, False)],
+        ids=["rose2", "a2"])
+    def test_every_word_up_to_length_3(self, make, truncates):
+        # a2 has no basis key past degree 1, so no column is truncated
+        from itertools import product
+        fk = make()
+        tokens = _basis_tokens(fk)
+        sides = [tokens, [(kind + "*", payload) for kind, payload in tokens]]
+        nones = nonzero = 0
+        for pool in sides:
+            for n in range(4):
+                for word in product(pool, repeat=n):
+                    for variant in ("pi0", "pi1"):
+                        got = word_operator(fk, list(word), variant)
+                        want = _composed_word(fk, list(word), variant)
+                        assert got.terms == want.terms, word
+                        assert got.label == want.label
+                        n_none, n_nonzero = _same_columns(fk, got, want)
+                        nones += n_none
+                        nonzero += n_nonzero
+        assert nonzero and bool(nones) == truncates
+
+    def test_mixed_sides_are_refused(self):
+        fk = rose_fock(2, 3)
+        with pytest.raises(RingError):
+            word_operator(fk, [("x", {"e0": 1}), ("x*", {"e0": 1})])

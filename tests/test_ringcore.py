@@ -220,6 +220,56 @@ class TestRingElements:
             r1.monomial("v") + r2.monomial("v")
 
 
+def _assert_clean(el):
+    """Every coefficient is nonzero and already in the ring's form."""
+    k = el.ring.k
+    for coeff in el.terms.values():
+        assert not k.is_zero(coeff)
+        want = k.coerce(coeff)
+        assert type(coeff) is type(want) and coeff == want
+
+
+class TestCleanArithmetic:
+    """Arithmetic results are clean without a second coercion pass."""
+
+    @pytest.mark.parametrize("k", [ZZ, QQ, Zmod(6)], ids=str)
+    def test_results_hold_no_zero_and_only_coerced_values(self, k):
+        ring = LaurentRing(k)
+        rng = random.Random(17)
+        zeros = 0
+        for _ in range(300):
+            a = random_element(ring, rng)
+            b = random_element(ring, rng)
+            c = rng.randint(-7, 7)
+            results = [a + b, a - b, -a, a * b, a.scale(c),
+                       a.scale(Fraction(c * 2, 2))]
+            for el in results:
+                _assert_clean(el)
+            zeros += sum(not el.terms for el in results)
+        assert zeros
+
+    def test_zero_divisors_mod_6_drop_out(self):
+        ring = DirectSumRing(Zmod(6), ["u", "v"])
+        two = ring.element({"u": 2, "v": 1})
+        three = ring.monomial("u", 3)
+        assert (two * three).terms == {}
+        assert three.scale(2).terms == {}
+        assert (two + ring.element({"u": 4, "v": 5})).terms == {}
+        assert (two * ring.element({"u": 3, "v": 4})).terms == {"v": 4}
+        assert (-two).terms == {"u": 4, "v": 5}
+
+    def test_public_constructor_still_coerces(self):
+        ring = DirectSumRing(ZZ, ["u", "v"])
+        el = ring.element({"u": Fraction(4, 2), "v": Fraction(0)})
+        assert el.terms == {"u": 2}
+        assert type(el.terms["u"]) is int
+        assert ring.monomial("u", Fraction(6, 3)).scale(Fraction(3, 3)) \
+            .terms == {"u": 2}
+        z6 = DirectSumRing(Zmod(6), ["u"])
+        assert z6.element({"u": -1}).terms == {"u": 5}
+        assert z6.element({"u": 12}).terms == {}
+
+
 class TestIdempotents:
     def test_basis_idempotent(self):
         r = DirectSumRing(ZZ, ["v"])

@@ -385,3 +385,97 @@ class TestNodeIds:
         # the tree is walked with an explicit stack, not Python recursion
         deep = parse_selfsim(FLIP, depth=5000)
         assert deep.canonical(a) != deep.canonical(a * 3)
+
+
+# -- the iterated word_mul recursion that sections replaced, kept as an oracle
+
+def _reference_act_letter(group, word, x):
+    for gen, exp in reversed(word):
+        perm = group.perm[gen]
+        x = perm[x] if exp > 0 else {v: u for u, v in perm.items()}[x]
+    return x
+
+
+def _reference_restrict_letter(group, word, x):
+    out = ()
+    for gen, exp in reversed(word):
+        if exp > 0:
+            out = word_mul(group.restriction_table[gen][x], out)
+            x = group.perm[gen][x]
+        else:
+            y = {v: u for u, v in group.perm[gen].items()}[x]
+            out = word_mul(word_inv(group.restriction_table[gen][y]), out)
+            x = y
+    return out
+
+
+def _reference_sections(group, word):
+    return {x: (_reference_act_letter(group, word, x),
+                _reference_restrict_letter(group, word, x))
+            for x in group.alphabet}
+
+
+def _reduced_words(group, max_length):
+    letters = [(g, e) for g in group.generators for e in (1, -1)]
+    words = []
+    for n in range(max_length + 1):
+        words += [w for w in product(letters, repeat=n)
+                  if reduce_word(w) == w]
+    return words
+
+
+def _pieces(group, word, x):
+    """The restriction of each letter of the word at the letter it meets,
+    rightmost letter first."""
+    pieces = []
+    for gen, exp in reversed(word):
+        y = _reference_act_letter(group, ((gen, exp),), x)
+        pieces.append(_reference_restrict_letter(group, ((gen, exp),), x))
+        x = y
+    return pieces
+
+
+class TestSectionsAgainstIteratedProducts:
+    """One pass through the step table gives the iterated ``word_mul``."""
+
+    @pytest.mark.parametrize("text, reaches", [
+        (GRIGORCHUK, True), (BASILICA, True), (ODOMETER, False)],
+        ids=["grigorchuk", "basilica", "odometer"])
+    def test_every_reduced_word_up_to_length_4(self, text, reaches):
+        group = parse_selfsim(text)
+        tails = [w for n in range(3) for w in product(group.alphabet,
+                                                      repeat=n)]
+        # words whose restriction differs when the pieces are not reduced,
+        # or are joined in the order they apply: the odometer has none
+        unreduced = reordered = 0
+        for word in _reduced_words(group, 4):
+            want = _reference_sections(group, word)
+            assert group.sections(word) == want, word
+            for x, (y, r) in want.items():
+                assert group.act_letter(word, x) == y
+                assert group.restrict_letter(word, x) == r
+                pieces = _pieces(group, word, x)
+                unreduced += r != sum(reversed(pieces), ())
+                reordered += r != reduce_word(sum(pieces, ()))
+            for tail in tails:
+                g = word
+                for x in tail:
+                    g = _reference_restrict_letter(group, g, x)
+                assert group.restriction(word, tail) == g
+        assert bool(unreduced) == bool(reordered) == reaches
+
+    @pytest.mark.parametrize("text", [GRIGORCHUK, BASILICA, ODOMETER],
+                             ids=["grigorchuk", "basilica", "odometer"])
+    def test_node_ids_and_canonical_forms(self, text):
+        group = parse_selfsim(text, depth=6)
+        reference = parse_selfsim(text, depth=6)
+        reference.sections = lambda word: reference._sections.setdefault(
+            word, _reference_sections(reference, word))
+        for word in _random_words(group, random.Random(83), 300):
+            for depth in (0, 3, 6):
+                assert group.node(word, depth) == \
+                    reference.node(word, depth), (word, depth)
+            assert group.canonical(word) == reference.canonical(word), word
+        assert group._sections == reference._sections
+        assert group._node_ids == reference._node_ids
+
