@@ -4,15 +4,16 @@ The Fock module of a correspondence X is the graded bimodule
 T(X) = R (+) X (+) X^(x)2 (+) ...; here it is truncated at a configurable
 depth N, with each graded piece presented by its reduced pure-tensor basis.
 Creation operators prepend a vector, annihilation operators pair off the
-first tensor factor, and scalars act through the left action; their stars
-act on the dual module.  ``TruncatedFock.token_op`` builds all six kinds
-from one table, ``_KINDS``, of side, degree shift and lowest live degree.
-Every operator is an exact flat sum of generator words, whose columns are
-read by chasing a basis key through each word's memoized generator
-columns, and knows which source degrees its columns are defined on, so
-identities are only asserted within the truncation budget: a check at
-source degree d runs only when every intermediate degree of the word
-stays <= N, and checkers report how much was covered.
+first tensor factor, and scalars act through the left action.  An
+R-system has no involution, so nothing here acts on a dual Fock module:
+``TruncatedFock.token_op`` builds the three kinds from one table,
+``_KINDS``, of degree shift and lowest live degree.  Every operator is an
+exact flat sum of generator words, whose columns are read by chasing a
+basis key through each word's memoized generator columns, and knows which
+source degrees its columns are defined on, so identities are only asserted
+within the truncation budget: a check at source degree d runs only when
+every intermediate degree of the word stays <= N, and checkers report how
+much was covered.
 
 The module also provides:
 
@@ -126,27 +127,27 @@ def rotation_coefficient_identity():
 # Truncated Fock module
 # ---------------------------------------------------------------------------
 
-# kind -> (side, degree shift, lowest degree not killed under pi0); pi1
-# kills one degree more.  The stars act on the dual module, side "xp".
+# kind -> (degree shift, lowest degree not killed under pi0); pi1 kills
+# one degree more
 _KINDS = {
-    "x": ("x", 1, 0),
-    "phi": ("x", -1, 1),
-    "r": ("x", 0, 0),
-    "x*": ("xp", -1, 1),
-    "phi*": ("xp", 1, 0),
-    "r*": ("xp", 0, 0),
+    "x": (1, 0),
+    "phi": (-1, 1),
+    "r": (0, 0),
 }
 
 
 def _token_key(token):
     """A generator token as a hashable (kind, payload items) pair."""
     kind, payload = token
-    terms = payload.terms if kind in ("r", "r*") else payload
+    terms = payload.terms if kind == "r" else payload
     return kind, tuple(terms.items())
 
 
 class TruncatedFock:
     """Graded bases of R, X, X^(x)2, ..., X^(x)N and their duals.
+
+    The dual bases only index the annihilation words of the homotopy
+    model; every operator acts on the Fock module itself.
 
     Basis keys are ``(degree, tuple)``; the degree-zero tuple holds a
     single ring basis symbol.  The ring and the module must be finitely
@@ -184,16 +185,15 @@ class TruncatedFock:
     def token_op(self, token, variant="pi0"):
         """The operator of one generator token under pi0 or pi1.
 
-        Tokens are ``(kind, payload)`` with a kind of ``_KINDS``: ``x``,
-        ``phi`` and ``r`` act on the Fock module, their stars ``x*``,
-        ``phi*`` and ``r*`` on its dual.  This is the only constructor of
-        a generator operator: its side, degree shift and the degrees it
-        kills are read off ``_KINDS``, and it is kept per (kind, payload
-        items, variant), so words compose these cached operators.  It is
-        the one-leaf word whose pi0 leaf memoizes the columns of
-        ``_column``; the pi1 leaf kills one degree more and otherwise reads
-        pi0's memo, so each generator has one column cache.  Callers must
-        not mutate or relabel a returned operator.
+        Tokens are ``(kind, payload)`` with a kind of ``_KINDS``: a
+        creation ``x``, an annihilation ``phi`` or a scalar ``r``.  This is
+        the only constructor of a generator operator: its degree shift and
+        the degrees it kills are read off ``_KINDS``, and it is kept per
+        (kind, payload items, variant), so words compose these cached
+        operators.  It is the one-leaf word whose pi0 leaf memoizes the
+        columns of ``_column``; the pi1 leaf kills one degree more and
+        otherwise reads pi0's memo, so each generator has one column cache.
+        Callers must not mutate or relabel a returned operator.
         """
         key = _token_key(token) + (variant,)
         op = self._tok_ops.get(key)
@@ -203,7 +203,7 @@ class TruncatedFock:
                 raise RingError(f"unknown generator token {kind!r}")
             if variant not in ("pi0", "pi1"):
                 raise RingError(f"unknown representation {variant!r}")
-            side, shift, low = _KINDS[kind]
+            shift, low = _KINDS[kind]
             if variant == "pi0":
                 leaf = _Columns(partial(_kill_below, low, partial(
                     self._column, kind, payload))).__getitem__
@@ -213,7 +213,7 @@ class TruncatedFock:
                 leaf = partial(_kill_below, low, leaf)
             outs = {d: frozenset([d + shift] if d >= low else [])
                     for d in range(self.depth + 1 - max(shift, 0))}
-            op = FockOperator(self, side, ((self.k.one, (leaf,)),),
+            op = FockOperator(self, ((self.k.one, (leaf,)),),
                               covered=outs.keys(), outs=outs,
                               label=f"{variant}({kind})")
             self._tok_ops[key] = op
@@ -243,27 +243,17 @@ class TruncatedFock:
             bases[n] = [(n, t) for t in tuples]
         return bases[n]
 
-    def graded_pair(self, dual_key, key):
-        """The graded pairing of a dual basis key against a basis key."""
-        dn, dt = dual_key
-        n, t = key
-        if dn != n:
-            return self.ring.zero()
-        if n == 0:
-            return self.ring.monomial(dt[0]) * self.ring.monomial(t[0])
-        return self.module.pair_tensor(dt, t)
-
     # -- operator constructors ----------------------------------------------
 
     def identity(self):
         return FockOperator(
-            self, "x", ((self.k.one, ()),),
+            self, ((self.k.one, ()),),
             covered=range(self.depth + 1),
             outs={d: frozenset([d]) for d in range(self.depth + 1)},
             label="id")
 
-    def zero_op(self, side="x"):
-        return _linear_combination(self, side, [], label="0")
+    def zero_op(self):
+        return _linear_combination(self, [], label="0")
 
     def _prepend(self, xvec, t, d):
         """x (x) t in normal form (t reduced), as a degree-d column."""
@@ -271,58 +261,35 @@ class TruncatedFock:
             (d, tup): c for tup, c in
             self.module.prepend_normal(b, t).items()}, xvec)
 
-    def _append(self, t, pvec, d):
-        """t (x) phi in normal form (t reduced), as a degree-d dual column."""
-        return _apply(self.k, lambda c2: {
-            (d, tup): c for tup, c in
-            self.module.dual_append_normal(t, c2).items()}, pvec)
-
     def _column(self, kind, payload, key):
         """The column of a generator at a basis key, before any low kill.
 
-        On X, creation prepends x, annihilation pairs phi with the first
-        factor and scalars act on it; on X', the stars mirror them on the
-        last factor.  The column sits in degree d plus the kind's shift: a
-        single factor when that is 1 and d is 0, a ring element when it
-        is 0.
+        Creation prepends x, annihilation pairs phi with the first factor
+        and scalars act on it.  The column sits in degree d plus the kind's
+        shift: a single factor when that is 1 and d is 0, a ring element
+        when it is 0.
         """
         d, t = key
-        e = d + _KINDS[kind][1]
+        e = d + _KINDS[kind][0]
         module, ring, one = self.module, self.ring, self.k.one
         if kind == "x":
             if d == 0:
                 vec = module.act_right(payload, ring.monomial(t[0]))
                 return {(e, (sym,)): c for sym, c in vec.items()}
             return self._prepend(payload, t, e)
-        if kind == "phi*":
-            if d == 0:
-                vec = module.act_xp_left(ring.monomial(t[0]), payload)
-                return {(e, (sym,)): c for sym, c in vec.items()}
-            return self._append(t, payload, e)
         if kind == "r":
             if d == 0:
                 prod = payload * ring.monomial(t[0])
                 return {(e, (sym,)): c for sym, c in prod.terms.items()}
             return self._prepend(module.act_left(payload, {t[0]: one}),
                                  t[1:], e)
-        if kind == "r*":
-            if d == 0:
-                prod = ring.monomial(t[0]) * payload
-                return {(e, (sym,)): c for sym, c in prod.terms.items()}
-            return self._append(
-                t[:-1], module.act_xp_right({t[-1]: one}, payload), e)
-        # phi and x* pair off the first, resp. last, factor
-        if kind == "phi":
-            r = module.pair(payload, {t[0]: one})
-        else:
-            r = module.pair({t[-1]: one}, payload)
+        # phi pairs off the first factor
+        r = module.pair(payload, {t[0]: one})
         if r.is_zero():
             return {}
         if d == 1:
             return {(e, (sym,)): c for sym, c in r.terms.items()}
-        if kind == "phi":
-            return self._prepend(module.act_left(r, {t[1]: one}), t[2:], e)
-        return self._append(t[:-2], module.act_xp_right({t[-2]: one}, r), e)
+        return self._prepend(module.act_left(r, {t[1]: one}), t[2:], e)
 
 
 class _Columns(dict):
@@ -361,11 +328,10 @@ class FockOperator:
     compare them as plain dicts and never mutate them.
     """
 
-    __slots__ = ("fock", "side", "terms", "covered", "outs", "label")
+    __slots__ = ("fock", "terms", "covered", "outs", "label")
 
-    def __init__(self, fock, side, terms, covered, outs, label=""):
+    def __init__(self, fock, terms, covered, outs, label=""):
         self.fock = fock
-        self.side = side
         self.terms = terms
         self.covered = frozenset(d for d in covered
                                  if 0 <= d <= fock.depth)
@@ -387,18 +353,10 @@ class FockOperator:
                 out[tgt] = k.add(out.get(tgt, k.zero), k.mul(coeff, c))
         return vclean(k, out)
 
-    @property
-    def degree_shift(self):
-        """The uniform degree shift of a homogeneous operator, else None."""
-        shifts = set()
-        for d, outs in self.outs.items():
-            shifts.update(e - d for e in outs)
-        return shifts.pop() if len(shifts) == 1 else None
-
     def compose(self, other):
         """self after other: every word of other, then every word of self;
         coverage follows the reachable degree chains."""
-        if self.fock is not other.fock or self.side != other.side:
+        if self.fock is not other.fock:
             raise RingError("operators act on different modules")
         covered = [d for d in other.covered if other.outs[d] <= self.covered]
         outs = {d: frozenset().union(*[self.outs[e] for e in other.outs[d]])
@@ -407,17 +365,16 @@ class FockOperator:
         terms = tuple((c, w2 + w1) for c1, w1 in self.terms
                       for c2, w2 in other.terms
                       if (c := k.mul(c1, c2)) != k.zero)
-        return FockOperator(self.fock, self.side, terms, covered, outs,
+        return FockOperator(self.fock, terms, covered, outs,
                             label=f"{self.label}*{other.label}")
 
     def __add__(self, other):
         one = self.fock.k.one
-        return _linear_combination(self.fock, self.side,
-                                  [(one, self), (one, other)],
+        return _linear_combination(self.fock, [(one, self), (one, other)],
                                   label=f"{self.label}+{other.label}")
 
     def scale(self, coeff):
-        return _linear_combination(self.fock, self.side, [(coeff, self)],
+        return _linear_combination(self.fock, [(coeff, self)],
                                   label=f"{coeff}*{self.label}")
 
     def __sub__(self, other):
@@ -425,41 +382,17 @@ class FockOperator:
 
     # -- inspection ----------------------------------------------------------
 
-    def _keys_at(self, d):
-        return (self.fock.basis(d) if self.side == "x"
-                else self.fock.dual_basis(d))
-
     def eq_on(self, other, degrees):
         for d in degrees:
             if d not in self.covered or d not in other.covered:
                 raise DepthError(f"degree {d} not covered by both operators")
-            for key in self._keys_at(d):
+            for key in self.fock.basis(d):
                 if self.column(key) != other.column(key):
                     return False
         return True
 
-    def is_zero_on(self, degrees):
-        for d in degrees:
-            if d not in self.covered:
-                raise DepthError(f"degree {d} not covered")
-            for key in self._keys_at(d):
-                if self.column(key):
-                    return False
-        return True
-
-    def support_blocks(self, degrees=None):
-        """The set of (target_degree, source_degree) pairs hit by columns."""
-        if degrees is None:
-            degrees = sorted(self.covered)
-        blocks = set()
-        for d in degrees:
-            for key in self._keys_at(d):
-                blocks.update((tgt[0], d) for tgt in self.column(key))
-        return blocks
-
     def __repr__(self):
-        return (f"<FockOperator {self.label} side={self.side} "
-                f"covered={sorted(self.covered)}>")
+        return f"<FockOperator {self.label} covered={sorted(self.covered)}>"
 
 
 def _chase(k, word, key):
@@ -490,7 +423,7 @@ def _apply(k, leaf, vec):
     return vclean(k, out)
 
 
-def _linear_combination(fock, side, pairs, label=""):
+def _linear_combination(fock, pairs, label=""):
     """The sum of ``coeff * op`` over ``(coeff, op)`` pairs, as one term
     list: covered where every op is, with the union of their target
     degrees.  A term whose coefficient vanishes is dropped."""
@@ -498,7 +431,7 @@ def _linear_combination(fock, side, pairs, label=""):
     covered = set(range(fock.depth + 1))
     terms = []
     for coeff, op in pairs:
-        if op.fock is not fock or op.side != side:
+        if op.fock is not fock:
             raise RingError("operators act on different modules")
         covered &= op.covered
         coeff = k.coerce(coeff)
@@ -506,7 +439,7 @@ def _linear_combination(fock, side, pairs, label=""):
                   if (c := k.mul(coeff, c0)) != k.zero]
     outs = {d: frozenset().union(*(op.outs[d] for _, op in pairs))
             for d in covered}
-    return FockOperator(fock, side, tuple(terms), covered, outs, label)
+    return FockOperator(fock, tuple(terms), covered, outs, label)
 
 
 # ---------------------------------------------------------------------------
@@ -516,23 +449,19 @@ def _linear_combination(fock, side, pairs, label=""):
 def word_operator(fock, tokens, variant="pi0"):
     """The operator of a generator word under pi0 or pi1.
 
-    Tokens are ``(kind, payload)`` with a kind of ``_KINDS``, all on one
-    side, in operator order (the rightmost acts first).  The word is built
-    in one pass over the cached ``fock.token_op`` operators, with the
-    terms, coverage and label that composing them one by one would give:
-    a token operator is one term, so the word is one term whose leaves
-    apply in order, covered on the source degrees whose degree chain every
-    token covers.  The empty word is the identity.  A one-token word is
-    the cached operator itself, so do not mutate it.
+    Tokens are ``(kind, payload)`` with a kind of ``_KINDS``, in operator
+    order (the rightmost acts first).  The word is built in one pass over
+    the cached ``fock.token_op`` operators, with the terms, coverage and
+    label that composing them one by one would give: a token operator is
+    one term, so the word is one term whose leaves apply in order, covered
+    on the source degrees whose degree chain every token covers.  The
+    empty word is the identity.  A one-token word is the cached operator
+    itself, so do not mutate it.
     """
     if variant not in ("pi0", "pi1"):
         raise RingError(f"unknown representation {variant!r}")
-    ops = []                            # in the order they apply
-    for token in reversed(tokens):
-        op = fock.token_op(token, variant)
-        if ops and op.side != ops[0].side:
-            raise RingError("operators act on different modules")
-        ops.append(op)
+    ops = [fock.token_op(token, variant)        # in the order they apply
+           for token in reversed(tokens)]
     if len(ops) <= 1:
         return ops[0] if ops else fock.identity()
     first, *rest = ops
@@ -550,7 +479,7 @@ def word_operator(fock, tokens, variant="pi0"):
     for op in rest:
         terms = tuple((c, w + w2) for c1, w2 in op.terms for c0, w in terms
                       if (c := k.mul(c1, c0)) != k.zero)
-    return FockOperator(fock, first.side, terms, outs.keys(), outs,
+    return FockOperator(fock, terms, outs.keys(), outs,
                         label="*".join(op.label for op in reversed(ops)))
 
 
@@ -562,37 +491,6 @@ def pi0(fock, tokens):
 def pi1(fock, tokens):
     """The low-degree-shifted representation of a generator word."""
     return word_operator(fock, tokens, "pi1")
-
-
-def star_tokens(tokens):
-    """The symbolic adjoint of a generator word: reverse and star.
-
-    Each kind of ``_KINDS`` trades places with its star.  Applying this
-    twice returns the original word, which is the involution law at the
-    word level.
-    """
-    starred = []
-    for kind, payload in reversed(tokens):
-        if kind not in _KINDS:
-            raise RingError(f"unknown generator token {kind!r}")
-        starred.append((kind[:-1] if kind.endswith("*") else kind + "*",
-                        payload))
-    return starred
-
-
-def adjoint(fock, tokens):
-    """The adjoint of a generator word, acting on the dual Fock module.
-
-    This is the pi0 operator of the starred word (``star_tokens``); only
-    nonempty words in creations, annihilations and scalars are accepted.
-    """
-    starred = star_tokens(tokens)
-    for kind, _ in starred:
-        if not kind.endswith("*"):
-            raise RingError(f"token {kind!r} is not the star of a generator")
-    if not starred:
-        raise RingError("empty word has no adjoint here")
-    return word_operator(fock, starred)
 
 
 # ---------------------------------------------------------------------------
@@ -624,7 +522,7 @@ def check_p0_form(op, relt, fock, degrees=None):
     scalar = fock.token_op(("r", relt))
     ok0 = 0 not in degrees or op.eq_on(scalar, [0])
     rest = [d for d in degrees if d >= 1]
-    return ok0 and op.is_zero_on(rest)
+    return ok0 and op.eq_on(fock.zero_op(), rest)
 
 
 def j_ideal_generator(xvecs, relt, pvecs, fock):
@@ -706,7 +604,7 @@ def covariant_check(fock, S=None, T=None, sigma=None):
 
     def combo(ops, vec):
         return _linear_combination(
-            fock, "x", [(c, ops[b]) for b, c in vec.items()], label="combo")
+            fock, [(c, ops[b]) for b, c in vec.items()], label="combo")
 
     report = CheckReport("covariant-representation")
     for rsym in ring.basis:
@@ -994,7 +892,7 @@ def quasi_hom_defect(fock, tokens):
         _check_defect_support(fock, key, ll, op0, op1)
         pairs += [(coeff, op0), (k.neg(coeff), op1)]
         infos.append({"word": key, "block": (kk, ll)})
-    return _linear_combination(fock, "x", pairs, label="defect"), infos
+    return _linear_combination(fock, pairs, label="defect"), infos
 
 
 # ---------------------------------------------------------------------------
@@ -1179,7 +1077,7 @@ class HomotopyModel:
 
     def _tensor_high(self, token):
         op = self.fock.token_op(token, "pi0")
-        return FockOperator(self.fock, "x", op.terms,
+        return FockOperator(self.fock, op.terms,
                             [d for d in op.covered if d >= 2], op.outs,
                             op.label)
 

@@ -321,27 +321,6 @@ class FunctionalModule:
                     out[key] = k.add(out.get(key, k.zero), k.mul(c, ch))
         return vclean(k, out)
 
-    def pair_tensor(self, ctuple, btuple):
-        """Graded pairing of equal-length pure tensors; an element of R.
-
-        The last X' factor meets the first X factor:
-        (c_1 (x) ... (x) c_n)(b_1 (x) ... (x) b_n)
-        = c_1( c_2( ... c_n(b_1) . b_2 ... ) . b_n ).
-        """
-        if len(ctuple) != len(btuple):
-            raise RingError("graded pairing needs equal degrees")
-        n = len(ctuple)
-        if n == 0:
-            raise RingError("degree-zero pairing is ring multiplication")
-        k = self.k
-        relt = self._pairing(ctuple[n - 1], btuple[0])
-        for i in range(1, n):
-            if relt.is_zero():
-                return self.ring.zero()
-            target = self.act_left(relt, {btuple[i]: k.one})
-            relt = self.pair({ctuple[n - 1 - i]: k.one}, target)
-        return relt
-
 
 # ---------------------------------------------------------------------------
 # Compact (finite-rank) operators
@@ -448,19 +427,6 @@ class CompactOperator:
             return "0"
         return " + ".join(f"{c}*({b} (x) {ph})" if c != 1 else f"({b} (x) {ph})"
                           for (b, ph), c in sorted(nt.items(), key=repr))
-
-
-def compact_mul(k1, k2):
-    """Product of finite-rank operators (bilinear extension, reduced)."""
-    return k1 * k2
-
-
-def theta_apply(k_op, yvec):
-    return k_op.apply(yvec)
-
-
-def theta_apply_right(psivec, k_op):
-    return k_op.apply_right(psivec)
 
 
 # ---------------------------------------------------------------------------
@@ -889,12 +855,6 @@ def free_correspondence(ring, index_set, label=None):
     return Correspondence(mod, hom, list(index_set),
                           delta_compact_rule=delta_compact_rule,
                           label=label or mod.label)
-
-
-def rank_one_free_correspondence(ring, label=None):
-    """The identity correspondence (R, R, mul) on a single coordinate."""
-    return free_correspondence(ring, ["*"],
-                               label=label or f"rank-one over {ring.label}")
 
 
 def direct_sum(m1, m2, label=None):

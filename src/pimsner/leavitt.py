@@ -30,7 +30,6 @@ from .ringcore import (
     ZZ,
     DirectSumRing,
     RingDescriptor,
-    RingElement,
     RingError,
     ZmodRing,
 )
@@ -70,6 +69,7 @@ class Quiver:
         self.source = {}
         self.range = {}
         self._out = {v: [] for v in self.vertices}
+        self._paths_cache = {}
         seen = set()
         for i, (name, src, dst) in enumerate(edges):
             if name in seen or name in vertex_set:
@@ -106,12 +106,9 @@ class Quiver:
 
     def paths_from(self, v, length):
         """All paths of the given length starting at v, as edge tuples."""
-        try:
-            return self._paths_cache[(v, length)]
-        except AttributeError:
-            self._paths_cache = {}
-        except KeyError:
-            pass
+        out = self._paths_cache.get((v, length))
+        if out is not None:
+            return out
         if length == 0:
             out = [()]
         else:
@@ -492,13 +489,6 @@ class LeavittRing(RingDescriptor):
         if len(degs) > 1:
             return None
         return degs.pop() if degs else 0
-
-
-def lpa_mul(a, b):
-    """Product in the Leavitt path algebra, reduced to the linear basis."""
-    if not isinstance(a.ring, LeavittRing) or a.ring is not b.ring:
-        raise RingError("operands must share a Leavitt path algebra")
-    return a * b
 
 
 # ---------------------------------------------------------------------------

@@ -344,11 +344,6 @@ class DirectSumRing(RingDescriptor):
         return sym
 
 
-def unit_ring(k, label=None):
-    """The unital coefficient ring itself, with single basis symbol "1"."""
-    return DirectSumRing(k, ["1"], label=label or f"{k}")
-
-
 class MatrixRing(RingDescriptor):
     """Finite-support I x I matrices over an inner descriptor ring.
 
@@ -547,10 +542,6 @@ class RingElement:
         for sym, coeff in sorted(self.terms.items(), key=lambda kv: repr(kv[0])):
             bits.append(f"{coeff}*{sym}" if coeff != 1 else f"{sym}")
         return " + ".join(bits)
-
-
-def is_idempotent(a):
-    return a * a == a
 
 
 def local_unit_for(elements, ring=None):

@@ -288,19 +288,6 @@ class SelfSimilarGroup:
                 f"gens={self.generators})")
 
 
-def group_equal(group, w1, w2, depth=None):
-    """Depth-bounded equality of group words; see SelfSimilarGroup.equal."""
-    return group.equal(w1, w2, depth)
-
-
-def act(group, word, letters):
-    return group.act(word, letters)
-
-
-def restriction(group, word, letters):
-    return group.restriction(word, letters)
-
-
 def odometer():
     """The binary adding machine: a = (0 1)(e, a)."""
     return SelfSimilarGroup(
@@ -573,14 +560,15 @@ def build_nek_correspondence(group, k=ZZ):
                           delta_compact_rule=delta_compact_rule,
                           label=f"Nekrashevych correspondence of {group.label}")
 
-    # left-module law on (generator, letter) pairs
+    # left-module law on (generator, letter) pairs, against the parsed
+    # recursion rather than the action that builds the left module
     for gen in group.generators:
         w = group.gen_word(gen)
         relt = ring.monomial(ring.canonicalize(w))
         for x in group.alphabet:
             got = module.act_left(relt, {("x", x, IDENTITY): one})
-            want = {("x", group.act_letter(w, x),
-                     ring.canonicalize(group.restrict_letter(w, x))): one}
+            want = {("x", group.perm[gen][x], ring.canonicalize(
+                group.restriction_table[gen][x])): one}
             if got != want:
                 raise SelfSimError(
                     f"left-module law fails for {gen} at {x}")

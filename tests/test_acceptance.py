@@ -38,7 +38,7 @@ from pimsner.leavitt import (
     rose,
 )
 from pimsner.ringcore import ZZ, DirectSumRing, MatrixRing
-from pimsner.selfsim import act, odometer, restriction, trivial_group, word_mul
+from pimsner.selfsim import odometer, trivial_group, word_mul
 
 QUIVER_SEED = 4
 
@@ -219,24 +219,24 @@ def test_criterion_7_odometer_suites():
         words = ["".join(w) for w in product("01", repeat=n)]
         images = set()
         for w in words:
-            img = act(g, a, w)
+            img = g.act(a, w)
             images.add(img)
             ok = ok and len(img) == n
             if n >= 2:
                 x, tail = w[0], w[1:]
-                ok = ok and img == act(g, a, x) + \
-                    act(g, restriction(g, a, x), tail)
+                ok = ok and img == g.act(a, x) + \
+                    g.act(g.restriction(a, x), tail)
         ok = ok and len(images) == len(words)
     # cocycle on powers of the generator
     for w in ["0", "1", "01", "10", "11"]:
-        lhs = restriction(g, word_mul(a, a), w)
-        rhs = word_mul(restriction(g, a, act(g, a, w)), restriction(g, a, w))
+        lhs = g.restriction(word_mul(a, a), w)
+        rhs = word_mul(g.restriction(a, g.act(a, w)), g.restriction(a, w))
         ok = ok and g.equal(lhs, rhs, 7)
     # binary increment oracle: integer arithmetic
     for n in range(1, 11):
         for value in range(2 ** n):
             bits = "".join(str((value >> i) & 1) for i in range(n))
-            got = act(g, a, bits)
+            got = g.act(a, bits)
             want_value = (value + 1) % 2 ** n
             want = "".join(str((want_value >> i) & 1) for i in range(n))
             ok = ok and got == want

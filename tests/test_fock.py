@@ -16,7 +16,6 @@ from pimsner.fock import (
     Poly,
     ToeplitzAlgebra,
     TruncatedFock,
-    adjoint,
     covariant_check,
     check_p0_form,
     homotopy_H,
@@ -44,6 +43,15 @@ def a2_fock(depth=4):
 
 def rose_fock(d=2, depth=4, k=ZZ):
     return TruncatedFock(quiver_correspondence(rose(d), k), depth)
+
+
+def _support_blocks(fk, op, degrees=None):
+    """The (target degree, source degree) pairs that op's columns hit, on
+    ``degrees`` or else every covered degree."""
+    if degrees is None:
+        degrees = sorted(op.covered)
+    return {(tgt[0], d) for d in degrees for key in fk.basis(d)
+            for tgt in op.column(key)}
 
 
 class TestGradedBasis:
@@ -85,22 +93,12 @@ class TestCreationAnnihilation:
 
     def test_creation_of_zero(self):
         fk = a2_fock()
-        assert fk.token_op(("x", {})).support_blocks() == set()
+        assert _support_blocks(fk, fk.token_op(("x", {}))) == set()
 
     def test_creation_block_structure(self):
         fk = rose_fock(2, 4)
         T = fk.token_op(("x", {"e0": 1}))
-        assert T.support_blocks() == {(d + 1, d) for d in range(4)}
-
-    def test_homogeneous_degree_shifts(self):
-        fk = rose_fock(2, 4)
-        assert fk.token_op(("x", {"e0": 1})).degree_shift == 1
-        assert fk.token_op(("phi", {("e0", "*"): 1})).degree_shift == -1
-        v = ("r", fk.ring.monomial("v"))
-        assert fk.token_op(v).degree_shift == 0
-        mixed = fk.token_op(("x", {"e0": 1})) + \
-            fk.token_op(("x", {"e1": 1})).compose(fk.token_op(v))
-        assert mixed.degree_shift == 1
+        assert _support_blocks(fk, T) == {(d + 1, d) for d in range(4)}
 
     def test_annihilation_kills_vacuum(self):
         fk = a2_fock()
@@ -115,18 +113,29 @@ class TestCreationAnnihilation:
 
     def test_annihilation_of_zero(self):
         fk = a2_fock()
-        assert fk.token_op(("phi", {})).support_blocks() == set()
+        assert _support_blocks(fk, fk.token_op(("phi", {}))) == set()
 
     def test_matrix_picture(self):
         # creation, annihilation, and the vacuum compression occupy the
         # displayed diagonals of the graded matrix picture
         fk = rose_fock(2, 4)
-        assert fk.token_op(("x", {"e0": 1})).support_blocks() == \
+        assert _support_blocks(fk, fk.token_op(("x", {"e0": 1}))) == \
             {(1, 0), (2, 1), (3, 2), (4, 3)}
-        assert fk.token_op(("phi", {("e0", "*"): 1})).support_blocks() == \
-            {(0, 1), (1, 2), (2, 3), (3, 4)}
+        assert _support_blocks(fk, fk.token_op(("phi", {("e0", "*"): 1}))) \
+            == {(0, 1), (1, 2), (2, 3), (3, 4)}
         i = fk.ring.monomial("v")
-        assert p0_compact_form(i, fk).support_blocks() == {(0, 0)}
+        assert _support_blocks(fk, p0_compact_form(i, fk)) == {(0, 0)}
+
+    def test_unknown_kinds_and_variants_are_refused(self):
+        # a starred kind names no generator: nothing acts on a dual module
+        fk = a2_fock()
+        for kind in ("x*", "phi*", "r*", "y"):
+            with pytest.raises(RingError):
+                fk.token_op((kind, {"e": 1}))
+        with pytest.raises(RingError):
+            fk.token_op(("x", {"e": 1}), "pi2")
+        with pytest.raises(RingError):
+            word_operator(fk, [], "pi2")
 
 
 class TestZeroDivisors:
@@ -138,109 +147,11 @@ class TestZeroDivisors:
         degrees = [0, 1, 2]
         killed = t.scale(3).scale(2)
         assert killed.eq_on(fk.zero_op(), degrees)
-        assert killed.is_zero_on(degrees)
-        assert killed.support_blocks(degrees) == set()
-        assert not t.scale(3).is_zero_on(degrees)
+        assert _support_blocks(fk, killed, degrees) == set()
+        assert not t.scale(3).eq_on(fk.zero_op(), degrees)
         assert t.scale(3).eq_on(t.scale(9), degrees)
         assert (t.scale(2) + t.scale(4)).eq_on(fk.zero_op(), degrees)
         assert not t.scale(2).eq_on(t.scale(4), degrees)
-
-
-class TestAdjoints:
-    def test_creation_star_kills_dual_vacuum(self):
-        fk = a2_fock()
-        adj = adjoint(fk, [("x", {"e": 1})])
-        for key in fk.dual_basis(0):
-            assert adj.column(key) == {}
-
-    def test_annihilation_star_appends(self):
-        fk = a2_fock()
-        adj = adjoint(fk, [("phi", {("e", "*"): 1})])
-        # on the dual vacuum 1_v: v . e* = delta_{r(e),v} e* = 0; on 1_w: e*
-        assert adj.column((0, ("v",))) == {}
-        assert adj.column((0, ("w",))) == {(1, (("e", "*"),)): 1}
-
-    def test_double_star_is_the_word(self):
-        from pimsner.fock import star_tokens
-        fk = rose_fock(2, 4)
-        rng = random.Random(1)
-        kinds = [("x", lambda: {rng.choice(["e0", "e1"]): 1}),
-                 ("phi", lambda: {(rng.choice(["e0", "e1"]), "*"): 1}),
-                 ("r", lambda: fk.ring.monomial("v"))]
-        for _ in range(20):
-            tokens = []
-            for _i in range(rng.randint(1, 3)):
-                kind, make = rng.choice(kinds)
-                tokens.append((kind, make()))
-            # the involution at the word level, and the operators agree
-            doubled = star_tokens(star_tokens(tokens))
-            assert doubled == tokens
-            direct = word_operator(fk, tokens)
-            rebuilt = word_operator(fk, doubled)
-            degrees = sorted(direct.covered & rebuilt.covered)
-            assert direct.eq_on(rebuilt, degrees)
-
-    def test_adjoint_law_graded_pairing(self):
-        fk = rose_fock(2, 3)
-        rng = random.Random(3)
-        edges = ["e0", "e1"]
-        for _ in range(12):
-            tokens = []
-            for _i in range(rng.randint(1, 3)):
-                kind = rng.choice(["x", "phi", "r"])
-                if kind == "x":
-                    tokens.append(("x", {rng.choice(edges): 1}))
-                elif kind == "phi":
-                    tokens.append(("phi", {(rng.choice(edges), "*"): 1}))
-                else:
-                    tokens.append(("r", fk.ring.monomial("v")))
-            assert _adjoint_law_holds(fk, tokens)
-
-    def test_adjoint_law_fails_when_x_star_kills_degree_one(self,
-                                                             monkeypatch):
-        # T_x^* must pair degree 1 down to degree 0
-        tokens = [("x", {"e0": 1})]
-        assert _adjoint_law_holds(rose_fock(2, 3), tokens)
-        monkeypatch.setitem(fock_module._KINDS, "x*", ("xp", -1, 2))
-        assert not _adjoint_law_holds(rose_fock(2, 3), tokens)
-
-    def test_adjoint_refuses_starred_empty_and_unknown_words(self):
-        fk = a2_fock()
-        for tokens in [[("x*", {"e": 1})], [], [("y", {"e": 1})]]:
-            with pytest.raises(RingError):
-                adjoint(fk, tokens)
-        with pytest.raises(RingError):
-            fk.token_op(("y", {"e": 1}))
-        with pytest.raises(RingError):
-            fk.token_op(("x", {"e": 1}), "pi2")
-        with pytest.raises(RingError):
-            word_operator(fk, [], "pi2")
-
-
-def _adjoint_law_holds(fk, tokens):
-    """<adjoint(w) phi, x> == <phi, w x> on the first four basis keys of
-    degrees 0 to 2, on both sides."""
-    op = word_operator(fk, tokens)
-    adj = adjoint(fk, tokens)
-    for d_src in range(0, 3):
-        for key in fk.basis(d_src)[:4]:
-            col = op.column(key)
-            if col is None:
-                continue
-            for d_dual in range(0, 3):
-                for dkey in fk.dual_basis(d_dual)[:4]:
-                    acol = adj.column(dkey)
-                    if acol is None:
-                        continue
-                    lhs = fk.ring.zero()
-                    for dk2, c in acol.items():
-                        lhs = lhs + fk.graded_pair(dk2, key).scale(c)
-                    rhs = fk.ring.zero()
-                    for tk, c in col.items():
-                        rhs = rhs + fk.graded_pair(dkey, tk).scale(c)
-                    if lhs != rhs:
-                        return False
-    return True
 
 
 class TestCovariant:
@@ -276,8 +187,8 @@ class TestCovariant:
         assert {tag[0] for tag in rep.failures} == {"covariance"}
 
     @pytest.mark.parametrize("kind, entry, tag", [
-        ("phi", ("x", -1, 2), "covariance"),
-        ("r", ("x", 0, 1), "T(x.r)"),
+        ("phi", (-1, 2), "covariance"),
+        ("r", (0, 1), "T(x.r)"),
     ], ids=["phi-kills-degree-1", "r-kills-degree-0"])
     def test_kinds_table_mutation_fails(self, monkeypatch, kind, entry, tag):
         assert covariant_check(rose_fock(2, 4)).passed
@@ -305,7 +216,7 @@ class TestVacuumCompression:
     def test_zero_element(self):
         fk = rose_fock(2, 4)
         op = p0_compact_form(fk.ring.zero(), fk)
-        assert op.support_blocks() == set()
+        assert _support_blocks(fk, op) == set()
 
     def test_rank_one_module(self):
         # X = R over the one-point vertex ring: r . P0 = r . id - T_r T_1
@@ -346,8 +257,7 @@ class TestJIdealGenerators:
         fk = rose_fock(2, 4)
         i = fk.ring.monomial("v")
         gen = j_ideal_generator([{"e0": 1}], i, [{("e1", "*"): 1}], fk)
-        blocks = gen.support_blocks()
-        assert blocks == {(1, 1)}
+        assert _support_blocks(fk, gen) == {(1, 1)}
         # the block is rank one: source e1 maps to (e1 . i expanded) = e0
         assert gen.column((1, ("e1",))) == {(1, ("e0",)): 1}
         assert gen.column((1, ("e0",))) == {}
@@ -358,7 +268,7 @@ class TestJIdealGenerators:
         fk = TruncatedFock(corr, 4)
         r = ring.monomial("u")
         gen = j_ideal_generator([{("*", "u"): 1}], r, [], fk)
-        assert gen.support_blocks() == {(1, 0)}
+        assert _support_blocks(fk, gen) == {(1, 0)}
         # block (1, 0) holds x . i
         assert gen.column((0, ("u",))) == {(1, (("*", "u"),)): 1}
 
@@ -369,12 +279,12 @@ class TestJIdealGenerators:
             j_ideal_generator([{"e0": 1}] * 3, i, [], fk)
 
 
-# -- the six hand-written generator constructors, kept as an oracle for
+# -- the three hand-written generator constructors, kept as an oracle for
 # -- token_op; each takes the lowest degree its columns do not kill
 
-def _leaf_operator(fk, side, column, covered, outs):
+def _leaf_operator(fk, column, covered, outs):
     """The one-leaf word of a hand-written column function."""
-    return FockOperator(fk, side, ((fk.k.one, (column,)),), covered, outs)
+    return FockOperator(fk, ((fk.k.one, (column,)),), covered, outs)
 
 
 def _oracle_prepend(fk, xvec, t):
@@ -383,15 +293,6 @@ def _oracle_prepend(fk, xvec, t):
     for b, cb in xvec.items():
         for tup, c in fk.module.prepend_normal(b, t).items():
             out[tup] = k.add(out.get(tup, k.zero), k.mul(cb, c))
-    return vclean(k, out)
-
-
-def _oracle_append(fk, t, pvec, d):
-    k = fk.k
-    out = {}
-    for c2, cc in pvec.items():
-        for tup, c in fk.module.dual_append_normal(t, c2).items():
-            out[(d, tup)] = k.add(out.get((d, tup), k.zero), k.mul(cc, c))
     return vclean(k, out)
 
 
@@ -408,7 +309,7 @@ def _oracle_creation(fk, xvec, low_kill):
                 for tup, c in _oracle_prepend(fk, xvec, t).items()}
 
     return _leaf_operator(
-        fk, "x", column, covered=range(fk.depth),
+        fk, column, covered=range(fk.depth),
         outs={d: frozenset([d + 1] if d >= low_kill else [])
               for d in range(fk.depth)})
 
@@ -431,7 +332,7 @@ def _oracle_annihilation(fk, pvec, low_kill):
                 for tup, c in _oracle_prepend(fk, first, t[2:]).items()}
 
     return _leaf_operator(
-        fk, "x", column, covered=range(fk.depth + 1),
+        fk, column, covered=range(fk.depth + 1),
         outs={d: frozenset([d - 1] if d >= low_kill else [])
               for d in range(fk.depth + 1)})
 
@@ -450,75 +351,16 @@ def _oracle_scalar(fk, relt, low_kill):
                 for tup, c in _oracle_prepend(fk, first, t[1:]).items()}
 
     return _leaf_operator(
-        fk, "x", column, covered=range(fk.depth + 1),
+        fk, column, covered=range(fk.depth + 1),
         outs={d: frozenset([d] if d >= low_kill else [])
               for d in range(fk.depth + 1)})
 
 
-def _oracle_creation_star(fk, xvec, low_kill):
-    """T_x^*: pair the last dual factor against x; kills degree 0."""
-    assert low_kill == 1
-    module, k = fk.module, fk.k
-
-    def column(key):
-        d, t = key
-        if d == 0:
-            return {}
-        r = module.pair({t[-1]: k.one}, xvec)
-        if r.is_zero():
-            return {}
-        if d == 1:
-            return {(0, (sym,)): c for sym, c in r.terms.items()}
-        last = module.act_xp_right({t[-2]: k.one}, r)
-        return _oracle_append(fk, t[:-2], last, d - 1)
-
-    return _leaf_operator(
-        fk, "xp", column, covered=range(fk.depth + 1),
-        outs={d: frozenset([d - 1] if d >= 1 else [])
-              for d in range(fk.depth + 1)})
-
-
-def _oracle_annihilation_star(fk, pvec, low_kill):
-    """T_phi^*: append phi on the right of a dual tensor."""
-    assert low_kill == 0
-
-    def column(key):
-        d, t = key
-        if d == 0:
-            vec = fk.module.act_xp_left(fk.ring.monomial(t[0]), pvec)
-            return {(1, (sym,)): c for sym, c in vec.items()}
-        return _oracle_append(fk, t, pvec, d + 1)
-
-    return _leaf_operator(
-        fk, "xp", column, covered=range(fk.depth),
-        outs={d: frozenset([d + 1]) for d in range(fk.depth)})
-
-
-def _oracle_scalar_star(fk, relt, low_kill):
-    """Adjoint of r . id: the right action on the last dual factor."""
-    assert low_kill == 0
-
-    def column(key):
-        d, t = key
-        if d == 0:
-            prod = fk.ring.monomial(t[0]) * relt
-            return {(0, (sym,)): c for sym, c in prod.terms.items()}
-        last = fk.module.act_xp_right({t[-1]: fk.k.one}, relt)
-        return _oracle_append(fk, t[:-1], last, d)
-
-    return _leaf_operator(
-        fk, "xp", column, covered=range(fk.depth + 1),
-        outs={d: frozenset([d]) for d in range(fk.depth + 1)})
-
-
-# kind -> (oracle, lowest live degree under pi0 and, unstarred, pi1)
+# kind -> (oracle, lowest live degree under pi0 and pi1)
 _ORACLE = {
     "x": (_oracle_creation, (0, 1)),
     "phi": (_oracle_annihilation, (1, 2)),
     "r": (_oracle_scalar, (0, 1)),
-    "x*": (_oracle_creation_star, (1,)),
-    "phi*": (_oracle_annihilation_star, (0,)),
-    "r*": (_oracle_scalar_star, (0,)),
 }
 
 
@@ -535,12 +377,9 @@ def _oracle_tokens(fk):
     for i, r in enumerate(ring.basis):
         mixed = mixed + ring.monomial(r, i + 2)
     relts.append(mixed)
-    out = []
-    for star in ("", "*"):
-        out += [("x" + star, v) for v in vecs(fk.module.x_basis)]
-        out += [("phi" + star, v) for v in vecs(fk.module.xp_basis)]
-        out += [("r" + star, r) for r in relts]
-    return out
+    return ([("x", v) for v in vecs(fk.module.x_basis)]
+            + [("phi", v) for v in vecs(fk.module.xp_basis)]
+            + [("r", r) for r in relts])
 
 
 class TestPiRepresentations:
@@ -571,8 +410,8 @@ class TestPiRepresentations:
     def test_token_op_matches_constructors(self):
         # the cached token operators are the hand-written constructors,
         # for every kind, also for two-symbol and zero payloads, under both
-        # representations (the stars under pi0); on the two-cycle the source
-        # and range of an edge differ in every degree
+        # representations; on the two-cycle the source and range of an edge
+        # differ in every degree
         cycle = TruncatedFock(quiver_correspondence(parse_quiver(
             "vertices: a b\nedges:\n e: a -> b\n f: b -> a")), 4)
         for fk in [rose_fock(2, 4), a2_fock(), _rank_one_fock(), cycle]:
@@ -583,7 +422,6 @@ class TestPiRepresentations:
                 for variant, low_kill in zip(("pi0", "pi1"), kills):
                     got = fk.token_op(token, variant)
                     want = make(fk, token[1], low_kill)
-                    assert got.side == want.side
                     assert got.covered == want.covered
                     assert got.outs == want.outs
                     assert got.eq_on(want, sorted(want.covered)), token
@@ -596,9 +434,8 @@ class TestPiRepresentations:
 class _ClosureOp:
     """An operator whose column is a closure over its operands' columns."""
 
-    def __init__(self, fock, side, column, covered, outs):
+    def __init__(self, fock, column, covered, outs):
         self.fock = fock
-        self.side = side
         self._column = column
         self.covered = frozenset(d for d in covered if 0 <= d <= fock.depth)
         self.outs = {d: frozenset(outs.get(d, ())) for d in self.covered}
@@ -606,7 +443,7 @@ class _ClosureOp:
     @classmethod
     def of(cls, op):
         """An operator read through its own columns."""
-        return cls(op.fock, op.side, op.column, op.covered, op.outs)
+        return cls(op.fock, op.column, op.covered, op.outs)
 
     def column(self, key):
         if key[0] not in self.covered:
@@ -629,7 +466,7 @@ class _ClosureOp:
                    if all(e in self.covered for e in other.outs[d])]
         outs = {d: frozenset(x for e in other.outs[d] for x in self.outs[e])
                 for d in covered}
-        return _ClosureOp(self.fock, self.side,
+        return _ClosureOp(self.fock,
                           lambda key: self.apply_vec(other.column(key)),
                           covered, outs)
 
@@ -638,13 +475,13 @@ class _ClosureOp:
         outs = {d: self.outs[d] | other.outs[d] for d in covered}
         k = self.fock.k
         return _ClosureOp(
-            self.fock, self.side,
+            self.fock,
             lambda key: vadd(k, self.column(key), other.column(key)),
             covered, outs)
 
     def scale(self, coeff):
         k = self.fock.k
-        return _ClosureOp(self.fock, self.side,
+        return _ClosureOp(self.fock,
                           lambda key: vscale(k, self.column(key), coeff),
                           self.covered, self.outs)
 
@@ -683,20 +520,18 @@ def _closure_defect(fk, tokens):
             total = vadd(k, total, vscale(k, diff, coeff))
         return total
 
-    return _ClosureOp(fk, "x", column, covered, outs)
+    return _ClosureOp(fk, column, covered, outs)
 
 
 def _same_columns(fk, got, want):
     """Assert that got and want have the same coverage and the same column,
     None included, at every basis key of every degree; return how many
     columns were None and how many nonzero."""
-    assert got.side == want.side
     assert got.covered == want.covered
     assert got.outs == want.outs
-    keys_at = fk.basis if got.side == "x" else fk.dual_basis
     nones = nonzero = 0
     for d in range(fk.depth + 1):
-        for key in keys_at(d):
+        for key in fk.basis(d):
             col = got.column(key)
             assert col == want.column(key), key
             nones += col is None
@@ -718,9 +553,7 @@ class TestChaseAgainstClosures:
     def test_words_sums_composites_and_defects(self, make):
         fk = make()
         rng = random.Random(29)
-        tokens = _oracle_tokens(fk)
-        pools = {"x": [t for t in tokens if not t[0].endswith("*")],
-                 "xp": [t for t in tokens if t[0].endswith("*")]}
+        pool = _oracle_tokens(fk)
         nones = nonzero = 0
 
         def check(got, want):
@@ -730,25 +563,23 @@ class TestChaseAgainstClosures:
 
         check(word_operator(fk, []), _closure_word(fk, []))
         for _ in range(10):
-            for side, pool in pools.items():
-                w1 = [rng.choice(pool) for _ in range(rng.randint(1, 3))]
-                w2 = [rng.choice(pool) for _ in range(rng.randint(1, 2))]
-                c = rng.choice([2, -1, 3])
-                for variant in ("pi0", "pi1") if side == "x" else ("pi0",):
-                    a = word_operator(fk, w1, variant)
-                    b = word_operator(fk, w2, variant)
-                    ca = _closure_word(fk, w1, variant)
-                    cb = _closure_word(fk, w2, variant)
-                    check(a, ca)
-                    check(a + b, ca + cb)
-                    check(a - b.scale(c), ca - cb.scale(c))
-                    check(a.compose(b), ca.compose(cb))
-                    check((a + b).compose(b.scale(c)),
-                          (ca + cb).compose(cb.scale(c)))
-                    check(b.compose(a - b).scale(c),
-                          cb.compose(ca - cb).scale(c))
-                if side == "x":
-                    check(quasi_hom_defect(fk, w1)[0], _closure_defect(fk, w1))
+            w1 = [rng.choice(pool) for _ in range(rng.randint(1, 3))]
+            w2 = [rng.choice(pool) for _ in range(rng.randint(1, 2))]
+            c = rng.choice([2, -1, 3])
+            for variant in ("pi0", "pi1"):
+                a = word_operator(fk, w1, variant)
+                b = word_operator(fk, w2, variant)
+                ca = _closure_word(fk, w1, variant)
+                cb = _closure_word(fk, w2, variant)
+                check(a, ca)
+                check(a + b, ca + cb)
+                check(a - b.scale(c), ca - cb.scale(c))
+                check(a.compose(b), ca.compose(cb))
+                check((a + b).compose(b.scale(c)),
+                      (ca + cb).compose(cb.scale(c)))
+                check(b.compose(a - b).scale(c),
+                      cb.compose(ca - cb).scale(c))
+            check(quasi_hom_defect(fk, w1)[0], _closure_defect(fk, w1))
         assert nones and nonzero
 
     def test_vanishing_coefficient_products_over_z6(self):
@@ -786,7 +617,7 @@ class TestDefects:
         defect, infos = quasi_hom_defect(fk, [("x", {"e0": 1})])
         assert infos[0]["block"] == (1, 0)
         assert defect.column((0, ("v",))) == {(1, ("e0",)): 1}
-        assert defect.support_blocks() == {(1, 0)}
+        assert _support_blocks(fk, defect) == {(1, 0)}
 
     def test_scalar_defect(self):
         fk = rose_fock(2, 4)
@@ -807,7 +638,7 @@ class TestDefects:
         tokens = [("x", {"e0": 1}), ("x", {"e1": 1}), ("phi", {("e0", "*"): 1})]
         defect, infos = quasi_hom_defect(fk, tokens)
         assert infos[0]["block"] == (2, 1)
-        assert defect.support_blocks() == {(2, 1)}
+        assert _support_blocks(fk, defect) == {(2, 1)}
 
     def test_depth_guard(self):
         fk = rose_fock(2, 1)
@@ -1369,22 +1200,21 @@ class TestOnePassWordOperator:
         from itertools import product
         fk = make()
         tokens = _basis_tokens(fk)
-        sides = [tokens, [(kind + "*", payload) for kind, payload in tokens]]
         nones = nonzero = 0
-        for pool in sides:
-            for n in range(4):
-                for word in product(pool, repeat=n):
-                    for variant in ("pi0", "pi1"):
-                        got = word_operator(fk, list(word), variant)
-                        want = _composed_word(fk, list(word), variant)
-                        assert got.terms == want.terms, word
-                        assert got.label == want.label
-                        n_none, n_nonzero = _same_columns(fk, got, want)
-                        nones += n_none
-                        nonzero += n_nonzero
+        for n in range(4):
+            for word in product(tokens, repeat=n):
+                for variant in ("pi0", "pi1"):
+                    got = word_operator(fk, list(word), variant)
+                    want = _composed_word(fk, list(word), variant)
+                    assert got.terms == want.terms, word
+                    assert got.label == want.label
+                    n_none, n_nonzero = _same_columns(fk, got, want)
+                    nones += n_none
+                    nonzero += n_nonzero
         assert nonzero and bool(nones) == truncates
 
     def test_mixed_sides_are_refused(self):
+        # a starred token names no kind, so a word holding one is refused
         fk = rose_fock(2, 3)
         with pytest.raises(RingError):
             word_operator(fk, [("x", {"e0": 1}), ("x*", {"e0": 1})])

@@ -13,14 +13,11 @@ from pimsner.selfsim import (
     IDENTITY,
     SelfSimError,
     SelfSimilarGroup,
-    act,
     build_nek_correspondence,
-    group_equal,
     nek_module,
     nek_pairing,
     odometer,
     parse_selfsim,
-    restriction,
     reduce_word,
     trivial_group,
     word_inv,
@@ -35,20 +32,20 @@ def to_bits(n, width):
 class TestAction:
     def test_identity_acts_trivially(self):
         g = odometer()
-        assert act(g, (), "0110") == "0110"
+        assert g.act((), "0110") == "0110"
 
     def test_odometer_carries(self):
         g = odometer()
         a = g.gen_word("a")
-        assert act(g, a, "11") == "00"
-        assert act(g, a, "01") == "11"
+        assert g.act(a, "11") == "00"
+        assert g.act(a, "01") == "11"
 
     def test_odometer_is_binary_increment(self):
         g = odometer()
         a = g.gen_word("a")
         for width in range(1, 11):
             for n in range(2 ** width):
-                got = act(g, a, to_bits(n, width))
+                got = g.act(a, to_bits(n, width))
                 assert got == to_bits((n + 1) % 2 ** width, width)
 
     def test_length_preserving_bijection(self):
@@ -56,7 +53,7 @@ class TestAction:
         a = g.gen_word("a")
         for n in range(1, 8):
             words = ["".join(w) for w in product("01", repeat=n)]
-            images = {act(g, a, w) for w in words}
+            images = {g.act(a, w) for w in words}
             assert len(images) == len(words)
             assert all(len(w) == n for w in images)
 
@@ -64,19 +61,19 @@ class TestAction:
 class TestRestriction:
     def test_identity_restriction(self):
         g = odometer()
-        assert restriction(g, (), "010") == ()
+        assert g.restriction((), "010") == ()
 
     def test_declared_table(self):
         g = odometer()
         a = g.gen_word("a")
-        assert restriction(g, a, "1") == a
-        assert restriction(g, a, "0") == ()
+        assert g.restriction(a, "1") == a
+        assert g.restriction(a, "0") == ()
 
     def test_cocycle_expansion(self):
         # a^2|_1 = a|_{a(1)} . a|_1 = a|_0 . a|_1 = a
         g = odometer()
         a = g.gen_word("a")
-        assert restriction(g, word_mul(a, a), "1") == a
+        assert g.restriction(word_mul(a, a), "1") == a
 
     def test_self_similarity_identity(self):
         g = odometer()
@@ -86,8 +83,8 @@ class TestRestriction:
             w = reduce_word(w)
             tail = "".join(rng.choice("01") for _ in range(rng.randint(0, 6)))
             for x in "01":
-                lhs = act(g, w, x + tail)
-                rhs = act(g, w, x) + act(g, restriction(g, w, x), tail)
+                lhs = g.act(w, x + tail)
+                rhs = g.act(w, x) + g.act(g.restriction(w, x), tail)
                 assert lhs == rhs
 
     def test_cocycle_random(self):
@@ -99,27 +96,27 @@ class TestRestriction:
             w2 = reduce_word(tuple(("a", rng.choice([1, -1]))
                                    for _ in range(rng.randint(1, 3))))
             for x in "01":
-                lhs = restriction(g, word_mul(w1, w2), x)
-                rhs = word_mul(restriction(g, w1, act(g, w2, x)),
-                               restriction(g, w2, x))
-                assert group_equal(g, lhs, rhs, 7)
+                lhs = g.restriction(word_mul(w1, w2), x)
+                rhs = word_mul(g.restriction(w1, g.act(w2, x)),
+                               g.restriction(w2, x))
+                assert g.equal(lhs, rhs, 7)
 
 
 class TestEquality:
     def test_reflexive(self):
         g = odometer()
         a = g.gen_word("a")
-        assert group_equal(g, a, a)
+        assert g.equal(a, a)
 
     def test_square_differs(self):
         g = odometer()
         a = g.gen_word("a")
-        assert not group_equal(g, word_mul(a, a), a, 3)
+        assert not g.equal(word_mul(a, a), a, 3)
 
     def test_free_reduction(self):
         g = odometer()
         a = g.gen_word("a")
-        assert group_equal(g, word_mul(a, word_inv(a)), ())
+        assert g.equal(word_mul(a, word_inv(a)), ())
 
     def test_odometer_order_is_infinite_to_depth(self):
         g = odometer()
@@ -128,9 +125,9 @@ class TestEquality:
         for _ in range(4):
             power = word_mul(power, a)
         # a^4 fixes words of length 2 but not length 3
-        assert act(g, power, "00") == "00"
-        assert act(g, power, "000") != "000"
-        assert not group_equal(g, power, (), 3)
+        assert g.act(power, "00") == "00"
+        assert g.act(power, "000") != "000"
+        assert not g.equal(power, (), 3)
 
 
 class TestNekPairing:
@@ -193,6 +190,29 @@ class TestCorrespondence:
         targets = {b[1] for (b, c) in nt}
         assert targets == {"0", "1"}
 
+    def test_left_module_law_sees_a_wrong_restriction(self, monkeypatch,
+                                                       tmp_path, capsys):
+        # the recursion says a|_1 = a; a restriction pass that reports
+        # a|_1 = e builds a left module that the recursion does not have
+        from pimsner.cli import main
+        path = tmp_path / "odometer.ss"
+        path.write_text(ODOMETER, encoding="utf-8")
+        assert main(["selfsim", str(path)]) == 0
+        real = SelfSimilarGroup.restrict_letter
+
+        def wrong(self, word, x):
+            if word == (("a", 1),) and x == "1":
+                return IDENTITY
+            return real(self, word, x)
+
+        monkeypatch.setattr(SelfSimilarGroup, "restrict_letter", wrong)
+        with pytest.raises(SelfSimError,
+                           match="left-module law fails for a at 1"):
+            build_nek_correspondence(odometer(), ZZ)
+        capsys.readouterr()
+        assert main(["selfsim", str(path)]) == 4
+        assert "left-module law fails for a at 1" in capsys.readouterr().err
+
     def test_trivial_group_reduces_to_rank_d(self):
         for d in range(2, 5):
             corr = build_nek_correspondence(
@@ -239,7 +259,7 @@ class TestParsing:
     def test_odometer_file(self):
         g = parse_selfsim("alphabet: 0 1\na = (perm 0 1)(e, a)\n")
         assert g.alphabet == ["0", "1"]
-        assert act(g, g.gen_word("a"), "11") == "00"
+        assert g.act(g.gen_word("a"), "11") == "00"
 
     def test_depth_directive(self):
         g = parse_selfsim("alphabet: 0 1\ndepth: 5\na = (perm 0 1)(e, a)\n")
@@ -290,8 +310,8 @@ class TestGrigorchukStyleTwoGenerators:
                                   for _ in range(3)))
             x = rng.choice("01")
             tail = "".join(rng.choice("01") for _ in range(4))
-            assert act(g, w, x + tail) == \
-                act(g, w, x) + act(g, restriction(g, w, x), tail)
+            assert g.act(w, x + tail) == \
+                g.act(w, x) + g.act(g.restriction(w, x), tail)
 
 
 GRIGORCHUK = """
