@@ -187,10 +187,11 @@ def _smith(mat, transforms):
             for row in v:
                 row[i], row[j] = row[j], row[i]
 
-    def add_row(dst, src, q):
-        # row[dst] -= q * row[src]
+    def add_row(dst, src, q, cols):
+        # row[dst] -= q * row[src]; ``cols`` holds every column from t on
+        # where row[src] may be nonzero
         sd, ss = s[dst], s[src]
-        for j in range(t, n):
+        for j in cols:
             x = ss[j]
             if x:
                 sd[j] -= q * x
@@ -236,12 +237,14 @@ def _smith(mat, transforms):
         while True:
             a = s[t][t]
             # Clear the pivot column.  Remainders stay in [0, a); a nonzero
-            # remainder becomes the next (smaller) pivot.
+            # remainder becomes the next (smaller) pivot.  Row t does not
+            # change while it clears, so its nonzero columns are listed once.
+            pivot_cols = [j for j in range(t, n) if s[t][j]]
             dirty = False
             for i in range(t + 1, m):
                 x = s[i][t]
                 if x:
-                    add_row(i, t, x // a)
+                    add_row(i, t, x // a, pivot_cols)
                     if s[i][t]:
                         dirty = True
             if dirty:
@@ -285,7 +288,7 @@ def _smith(mat, transforms):
                         break
             if offender is None:
                 break
-            add_row(t, offender, -1)
+            add_row(t, offender, -1, range(t, n))
         t += 1
 
     return s, u, v

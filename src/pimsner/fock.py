@@ -35,8 +35,9 @@ The module also provides:
   in t, so that its endpoint identities and pairing preservation become
   finite exact checks.  The model shares its Fock module's one Toeplitz
   algebra and bounds word length per product, through ``try_mul``; its
-  pi (x) id is the cached Fock token operator, lifted once per model, and
-  its columns are keyed by integer ids of the model keys.
+  pi (x) id is the cached Fock token operator, lifted once per model, its
+  columns are keyed by integer ids of the model keys, and no operator on
+  it stores a zero column.
 """
 
 from __future__ import annotations
@@ -645,6 +646,10 @@ class ToeplitzAlgebra:
     pairs through the covariance relation, then absorbing the leftover
     scalar into a neighbouring factor.  ``try_mul`` bounds the word
     length of a product, reporting an overflow instead of truncating.
+
+    The normal form of each word ``T_{p..} T_{c..}`` is built once and kept
+    in ``_words``, keyed by its (creation, annihilation) symbol tuples; the
+    memo lives and dies with the algebra, so with its ``TruncatedFock``.
     """
 
     def __init__(self, corr):
@@ -652,6 +657,7 @@ class ToeplitzAlgebra:
         self.module = corr.module
         self.ring = self.module.ring
         self.k = self.module.k
+        self._words = {}
 
     # -- element constructors -------------------------------------------------
 
@@ -679,7 +685,20 @@ class ToeplitzAlgebra:
     # -- normal form -----------------------------------------------------------
 
     def _word(self, psyms, mid, csyms):
-        """Canonical terms of T_{p..} j(mid) T_{c..}; mid may be None."""
+        """Canonical terms of T_{p..} j(mid) T_{c..}; mid may be None.
+
+        With mid None the result is the memoized one, shared by every
+        caller: read it, never mutate it.
+        """
+        if mid is None:
+            word = self._words.get((psyms, csyms))
+            if word is None:
+                word = self._words[psyms, csyms] = self._normal_word(
+                    psyms, None, csyms)
+            return word
+        return self._normal_word(psyms, mid, csyms)
+
+    def _normal_word(self, psyms, mid, csyms):
         m, k = self.module, self.k
         one = k.one
         out = {}
@@ -1021,7 +1040,7 @@ class HomotopyModel:
             prod = self.talg.try_mul(gen, {wk: self.k.one}, self.word_bound)
             if prod is None:
                 low[i] = OVERFLOW
-            else:
+            elif prod:
                 low[i] = {self._id((0, (), wk2)): c
                           for wk2, c in prod.items()}
         return low
@@ -1047,20 +1066,31 @@ class HomotopyModel:
         return vclean(k, out)
 
     def _lift_low(self, op, ids):
-        """op (x) id on the ids whose degree op does not kill; a degree-0
-        key is the left support of its word, as a degree-0 Fock vector."""
+        """op (x) id on the ids whose degree op does not kill, as a clean
+        low part; a degree-0 key is the left support of its word, as a
+        degree-0 Fock vector.  Every word reads the same Fock columns, so
+        each Fock key's column, and each left support's, is read once per
+        call."""
+        k = self.k
+        fcols = _Columns(op.column)
+        supports = {}
         low = {}
         for i in ids:
             n, fkey, w = self._info[i]
             if not op.outs[n]:
                 continue
             if n == 0:
-                fcol = _apply(self.k, op.column, {
-                    (0, (rsym,)): c for rsym, c in
-                    self.talg.left_support(self.words[w]).terms.items()})
+                u = self.talg.left_support(self.words[w]).terms
+                skey = frozenset(u.items())
+                fcol = supports.get(skey)
+                if fcol is None:
+                    fcol = supports[skey] = _apply(k, fcols.__getitem__, {
+                        (0, (rsym,)): c for rsym, c in u.items()})
             else:
-                fcol = op.column(fkey)
-            low[i] = self.lift(fcol, w)
+                fcol = fcols[fkey]
+            col = self.lift(fcol, w)
+            if col:
+                low[i] = col
         return low
 
     def lam0(self, token):
@@ -1096,9 +1126,12 @@ class HOperator:
 
     ``low`` maps low ids (``model.low_ids``, the degree-0/1 model keys) to
     explicit columns over ids (or OVERFLOW when the word bound was
-    exceeded); missing low ids are zero columns.  ``high`` is a Fock
-    operator acting on the tensor part of every column of degree >= 2
-    (the word part is inert there), or None for zero.  Columns are clean vectors, as in ``FockOperator``.
+    exceeded).  Low parts are always clean: a stored column is nonzero, a
+    missing low id is a zero column, and every operation below drops the
+    columns that vanish, so zeros never flow into a later product, sum or
+    comparison.  ``high`` is a Fock operator acting on the tensor part of
+    every column of degree >= 2 (the word part is inert there), or None
+    for zero.  Columns are clean vectors, as in ``FockOperator``.
     Composition keeps this form only while the inner high part stays in
     degrees >= 2, which holds for every homotopy identity; ``compose``
     refuses any other chain.
@@ -1124,10 +1157,14 @@ class HOperator:
         if col is OVERFLOW or not col:
             return col
         k = self.model.k
-        low = self.low
+        low, info = self.low, self.model._info
         out = {}
         for i, c in col.items():
-            sub = low[i] if i in low else self.column(i)
+            sub = low.get(i)
+            if sub is None:
+                if info[i][0] <= 1:
+                    continue        # a low id that is not stored is zero
+                sub = self.column(i)
             if sub is OVERFLOW:
                 return OVERFLOW
             if len(col) == 1 and c == k.one:
@@ -1140,12 +1177,15 @@ class HOperator:
         low = dict(self.low)
         k = self.model.k
         for i, col in other.low.items():
-            if i not in low:
+            mine = low.get(i)
+            if mine is None:
                 low[i] = col
-            elif low[i] is OVERFLOW or col is OVERFLOW:
+            elif mine is OVERFLOW or col is OVERFLOW:
                 low[i] = OVERFLOW
+            elif total := vadd(k, mine, col):
+                low[i] = total
             else:
-                low[i] = vadd(k, low[i], col)
+                del low[i]
         high = self.high or other.high
         if self.high is not None and other.high is not None:
             high = self.high + other.high
@@ -1153,12 +1193,18 @@ class HOperator:
 
     def scale(self, coeff):
         """coeff times self; scaling by one is self, as nothing mutates an
-        HOperator."""
+        HOperator.  A zero coefficient keeps only the OVERFLOW markers, and
+        a column that a zero divisor kills is dropped."""
         k = self.model.k
+        coeff = k.coerce(coeff)
         if coeff == k.one:
             return self
-        low = {i: (OVERFLOW if col is OVERFLOW else vscale(k, col, coeff))
-               for i, col in self.low.items()}
+        low = {}
+        for i, col in self.low.items():
+            if col is OVERFLOW:
+                low[i] = OVERFLOW
+            elif col := vscale(k, col, coeff):
+                low[i] = col
         high = None if self.high is None else self.high.scale(coeff)
         return HOperator(self.model, low, high)
 
@@ -1166,13 +1212,17 @@ class HOperator:
         """self after other; ``other.high`` must stay in degrees >= 2.
 
         Only the columns ``other`` stores are composed: a low id it lacks
-        is a zero column, and stays absent, so zero, in the composite.
+        is a zero column, and stays absent, so zero, in the composite, as
+        does a column that ``self`` maps to zero.
         """
         if other.high is not None and any(
                 e <= 1 for outs in other.high.outs.values() for e in outs):
             raise RingError("the inner high part re-enters degrees 0 and 1; "
                             "the composition has no tensor form")
-        low = {i: self.apply_col(col) for i, col in other.low.items()}
+        low = {}
+        for i, col in other.low.items():
+            if col := self.apply_col(col):
+                low[i] = col
         if self.high is None or other.high is None:
             high = None
         else:
@@ -1230,7 +1280,8 @@ class PolyOperator:
         return PolyOperator(self.model, out)
 
     def at(self, value):
-        """Evaluate at an exact scalar value of t."""
+        """Evaluate at an exact scalar value of t.  A part whose coefficient
+        vanishes adds only its OVERFLOW ids, which the comparison skips."""
         out = None
         for p, op in self.parts.items():
             coeff = self.model.k.coerce(value ** p if p else 1)

@@ -168,6 +168,120 @@ class TestSmithNormalForm:
             assert IntMatrix.from_rows(rows).smith_diagonal() == want
 
 
+# -- the Smith kernel with a dense row step, kept as an oracle for the sparse
+# one: the same pivots and operations, so the same s, u and v --
+
+def _dense_step_smith(mat):
+    """``_smith(mat, transforms=True)`` whose row step walks every column
+    from the pivot on; also returns how many divisibility folds it made."""
+    m, n = mat.rows, mat.cols
+    s = [list(row) for row in mat.entries]
+    u = [[int(i == j) for j in range(m)] for i in range(m)]
+    v = [[int(i == j) for j in range(n)] for i in range(n)]
+    folds = 0
+
+    def swap_rows(i, j):
+        s[i], s[j] = s[j], s[i]
+        u[i], u[j] = u[j], u[i]
+
+    def swap_cols(i, j):
+        for row in s[t:] + v:
+            row[i], row[j] = row[j], row[i]
+
+    def add_row(dst, src, q):
+        for j in range(t, n):
+            s[dst][j] -= q * s[src][j]
+        for j in range(m):
+            u[dst][j] -= q * u[src][j]
+
+    def add_col(dst, src, q):
+        s[t][dst] -= q * s[t][src]
+        for row in v:
+            row[dst] -= q * row[src]
+
+    t = 0
+    while t < m and t < n:
+        best = None
+        for i in range(t, m):
+            for j in range(t, n):
+                e = s[i][j]
+                if e and (best is None or abs(e) < best[0]):
+                    best = (abs(e), i, j)
+                    if best[0] == 1:
+                        break
+            if best is not None and best[0] == 1:
+                break
+        if best is None:
+            break
+        _, pi, pj = best
+        if pi != t:
+            swap_rows(t, pi)
+        if pj != t:
+            swap_cols(t, pj)
+        if s[t][t] < 0:
+            s[t] = [-x for x in s[t]]
+            u[t] = [-x for x in u[t]]
+        while True:
+            a = s[t][t]
+            rows = [i for i in range(t + 1, m) if s[i][t]]
+            for i in rows:
+                add_row(i, t, s[i][t] // a)
+            if any(s[i][t] for i in rows):
+                _, i = min((s[i][t], i) for i in range(t + 1, m) if s[i][t])
+                swap_rows(t, i)
+                continue
+            cols = [j for j in range(t + 1, n) if s[t][j]]
+            for j in cols:
+                add_col(j, t, s[t][j] // a)
+            if any(s[t][j] for j in cols):
+                _, j = min((s[t][j], j) for j in range(t + 1, n) if s[t][j])
+                swap_cols(t, j)
+                continue
+            if any(s[i][t] for i in range(t + 1, m)):
+                continue
+            a = s[t][t]
+            offender = next((i for i in range(t + 1, m) if a != 1 and any(
+                s[i][j] % a for j in range(t + 1, n))), None)
+            if offender is None:
+                break
+            add_row(t, offender, -1)
+            folds += 1
+        t += 1
+    return s, u, v, folds
+
+
+class TestSparseRowStep:
+    """``_smith``'s row step walks only the pivot row's nonzero columns."""
+
+    @pytest.mark.parametrize("density, pick", [
+        (0.15, [1, -1, 2, 3]), (0.9, [1, -1, 2, 3]), (0.3, [2, 4, 6, 9, 15]),
+        (1.0, [2, 3, 4, -6, 10]),
+    ], ids=["sparse", "dense", "sparse-non-unit", "dense-non-unit"])
+    def test_matches_the_dense_step(self, density, pick):
+        rng = random.Random(f"row-step:{density}:{pick}")
+        folds = non_unit = 0
+        for _ in range(60):
+            r, c = rng.randint(1, 12), rng.randint(1, 12)
+            rows = [[rng.choice(pick) if rng.random() < density else 0
+                     for _ in range(c)] for _ in range(r)]
+            mat = IntMatrix.from_rows(rows)
+            s, u, v, n_folds = _dense_step_smith(mat)
+            assert pimsner.abgroup._smith(mat, transforms=True) == (s, u, v)
+            assert pimsner.abgroup._smith(mat, transforms=False)[0] == s
+            folds += n_folds
+            non_unit += any(d not in (0, 1) for d in mat.smith_diagonal())
+        # pivots other than units are cleared, and the divisibility fold,
+        # which keeps the general walk, is reached
+        assert non_unit and folds
+
+    def test_fold_case(self):
+        # diag(2, 3) is not in Smith form: row 1 is folded into row 0
+        mat = IntMatrix.from_rows([[2, 0], [0, 3]])
+        s, u, v, folds = _dense_step_smith(mat)
+        assert folds == 1 and [s[0][0], s[1][1]] == [1, 6]
+        assert pimsner.abgroup._smith(mat, transforms=True) == (s, u, v)
+
+
 class TestKernelBasis:
     def test_identity_has_no_kernel(self):
         assert kernel_basis(IntMatrix.identity(4)).cols == 0

@@ -1218,3 +1218,243 @@ class TestOnePassWordOperator:
         fk = rose_fock(2, 3)
         with pytest.raises(RingError):
             word_operator(fk, [("x", {"e0": 1}), ("x*", {"e0": 1})])
+
+
+# -- the unclean operations the homotopy model used to make, kept as oracles:
+# every column is stored, a zero one too --
+
+def _unclean_low(op):
+    """A low part that also stores every zero column of ``op`` ({})."""
+    return {i: op.low.get(i, {}) for i in op.model.low_ids}
+
+
+def _unclean_sum(k, lows_and_coeffs):
+    """The sum of ``coeff * low``, scaling and adding every stored column."""
+    out = {}
+    for coeff, low in lows_and_coeffs:
+        for i, col in low.items():
+            col = col if col is OVERFLOW else vscale(k, col, coeff)
+            if i not in out:
+                out[i] = col
+            elif out[i] is OVERFLOW or col is OVERFLOW:
+                out[i] = OVERFLOW
+            else:
+                out[i] = vadd(k, out[i], col)
+    return out
+
+
+def _unclean_apply(outer, col):
+    """``outer`` on one column, reading every source column through
+    ``HOperator.column``: OVERFLOW if any of them overflows."""
+    if col is OVERFLOW:
+        return OVERFLOW
+    k = outer.model.k
+    out = {}
+    for i, c in col.items():
+        sub = outer.column(i)
+        if sub is OVERFLOW:
+            return OVERFLOW
+        for j, c2 in sub.items():
+            out[j] = k.add(out.get(j, k.zero), k.mul(c, c2))
+    return vclean(k, out)
+
+
+def _scale_and_add_at(poly, value):
+    """``PolyOperator.at`` as it was: every part scaled and added, a part
+    whose coefficient vanishes too."""
+    k = poly.model.k
+    pairs = [(k.coerce(value ** p if p else 1), op)
+             for p, op in poly.parts.items()]
+    high = None
+    for coeff, op in pairs:
+        if op.high is not None:
+            h = op.high.scale(coeff)
+            high = h if high is None else high + h
+    return HOperator(poly.model, _unclean_sum(
+        k, [(coeff, op.low) for coeff, op in pairs]), high)
+
+
+def _zmod6_tokens(fk):
+    # coefficients 2 and 3 are zero divisors mod 6
+    return _basis_tokens(fk) + [("x", {"e0": 3}), ("phi", {("e1", "*"): 2})]
+
+
+_CLEAN_MODELS = {
+    "rose2": (lambda: rose_fock(2, 4), 3, _basis_tokens),
+    "a2": (a2_fock, 3, _basis_tokens),
+    "rank-one-QQ": (_rank_one_fock, 3, _basis_tokens),
+    "zmod6": (lambda: rose_fock(2, 4, k=Zmod(6)), 3, _zmod6_tokens),
+}
+
+
+def _assert_clean(op):
+    assert {} not in op.low.values()
+    assert set(op.low) <= set(op.model.low_ids)
+
+
+class TestCleanLowParts:
+    """No low part stores a zero column; the values are those of the
+    unclean operations."""
+
+    @pytest.mark.parametrize("name", sorted(_CLEAN_MODELS))
+    def test_parts_products_sums_scales_and_endpoints(self, name):
+        make, word_bound, tokens_of = _CLEAN_MODELS[name]
+        fk = make()
+        model = HomotopyModel(fk, word_bound)
+        k = fk.k
+        Hs = [homotopy_H(model, token) for token in tokens_of(fk)]
+        parts = [op for H in Hs for op in H.parts.values()]
+        dropped = 0
+
+        def check(got, want):
+            # got is clean and holds want's nonzero columns
+            nonlocal dropped
+            _assert_clean(got)
+            for i in model.low_ids:
+                assert got.low.get(i, {}) == want.get(i, {}), model._keys[i]
+            dropped += sum(col == {} for col in want.values())
+
+        for a in parts:
+            check(a, _unclean_low(a))
+            for coeff in (0, 2, 3, -1):
+                check(a.scale(coeff), _unclean_sum(k, [(coeff, a.low)]))
+            for b in parts:
+                check(a + b, _unclean_sum(k, [(1, a.low), (1, b.low)]))
+                try:
+                    got = a.compose(b)
+                except RingError:
+                    continue
+                check(got, {i: _unclean_apply(a, col)
+                            for i, col in _unclean_low(b).items()})
+        for H in Hs:
+            for value in (0, 1):
+                check(H.at(value), _scale_and_add_at(H, value).low)
+        assert dropped
+
+    @pytest.mark.parametrize("name", sorted(_CLEAN_MODELS))
+    def test_endpoints_match_scale_and_add_at(self, name):
+        # at skips the columns of a part whose coefficient is zero, and
+        # keeps its OVERFLOW ids: the endpoint accounting is unchanged, for
+        # the true homotopy and for one whose lam1 parts are perturbed
+        make, word_bound, tokens_of = _CLEAN_MODELS[name]
+        fk = make()
+        model = HomotopyModel(fk, word_bound)
+        failing = 0
+        for token in tokens_of(fk):
+            H = homotopy_H(model, token)
+            rhs = {0: model.pi_tensor(token, "pi0"),
+                   1: model.pi_tensor(token, "pi0") if token[0] == "r"
+                   else model.lam1(token) + model.pi_tensor(token, "pi1")}
+            bent = fock_module.PolyOperator(model, {
+                p: op.scale(3) if p % 2 else op for p, op in H.parts.items()})
+            for poly in (H, bent):
+                for value in (0, 1):
+                    got, want = CheckReport("at"), CheckReport("oracle")
+                    poly.at(value).eq_report(rhs[value], got, tag=value)
+                    _scale_and_add_at(poly, value).eq_report(
+                        rhs[value], want, tag=value)
+                    assert (got.checked, got.skipped, got.failures) == \
+                        (want.checked, want.skipped, want.failures)
+                    failing += bool(got.failures)
+        assert failing
+
+
+class TestLiftOnce:
+    """One low-part build reads each Fock column once."""
+
+    @pytest.mark.parametrize("make", [lambda: rose_fock(2, 4), a2_fock,
+                                      _rank_one_fock],
+                             ids=["rose2", "a2", "rank-one-QQ"])
+    def test_pi_tensor_reads_each_fock_key_once(self, make, monkeypatch):
+        from collections import Counter
+        fk = make()
+        reads = Counter()
+        real_column = FockOperator.column
+
+        def counted(op, key):
+            reads[id(op), key] += 1
+            return real_column(op, key)
+
+        monkeypatch.setattr(FockOperator, "column", counted)
+        total = shared = 0
+        for token in _basis_tokens(fk):
+            for variant in ("pi0", "pi1"):
+                model = HomotopyModel(fk, 3)
+                reads.clear()
+                low = model.pi_tensor(token, variant).low
+                assert set(reads.values()) <= {1}
+                total += len(reads)
+                # more columns stored than read: words share their reads
+                shared += len(reads) < len(low)
+        assert total and shared
+
+
+class TestWordMemo:
+    """``ToeplitzAlgebra._word`` keeps the normal form of each word."""
+
+    @pytest.mark.parametrize("make", [lambda: rose_fock(2, 4), a2_fock,
+                                      _rank_one_fock, _cycle_fock],
+                             ids=["rose2", "a2", "rank-one-QQ", "two-cycle"])
+    def test_every_word_up_to_length_3(self, make):
+        from itertools import product
+        fk = make()
+        talg = fk._talg
+        xs, cs = fk.module.x_basis, fk.module.xp_basis
+        words = [(p, c) for a in range(4) for b in range(4 - a) if a + b
+                 for p in product(xs, repeat=a) for c in product(cs, repeat=b)]
+        nonzero = 0
+        for _ in range(2):          # a fresh memo, then a full one
+            for p, c in words:
+                got = talg._word(p, None, c)
+                assert got == talg._normal_word(p, None, c), (p, c)
+                assert talg._word(p, None, c) is got
+                nonzero += bool(got)
+        assert nonzero and len(talg._words) == len(words)
+
+    def test_algebras_do_not_share_a_memo(self):
+        # the same symbols name a surviving word in one quiver and a zero
+        # one in the other
+        meet = TruncatedFock(quiver_correspondence(parse_quiver(
+            "vertices: a b\nedges:\n x: a -> a\n y: b -> a")), 3)
+        miss = TruncatedFock(quiver_correspondence(parse_quiver(
+            "vertices: a b\nedges:\n x: a -> a\n y: a -> b")), 3)
+        word = (("x",), (("y", "*"),))
+        assert meet._talg._word(*word[:1], None, *word[1:])
+        assert miss._talg._word(*word[:1], None, *word[1:]) == {}
+        assert meet._talg._words is not miss._talg._words
+
+
+class TestDroppedLam1Column:
+    """A lam1 part is seen at t = 1 and by the pairing, never at t = 0."""
+
+    def test_endpoints_fail_at_one_only_and_pairing_fails(self, monkeypatch):
+        fk = rose_fock(2, 4)
+        model = HomotopyModel(fk, 3)
+        tokens = {"x": ("x", {"e0": 1}), "phi": ("phi", {("e0", "*"): 1})}
+        clean = {kind: homotopy_endpoints_check(model, tok)
+                 for kind, tok in tokens.items()}
+        assert all(report.passed for report in clean.values())
+        real_lam1_low = HomotopyModel._lam1_low
+        dropped = {}
+
+        def drop_one(self, token):
+            low = real_lam1_low(self, token)
+            i = min(i for i, col in low.items() if col is not OVERFLOW)
+            dropped[token[0]] = self._keys[i]
+            return {j: col for j, col in low.items() if j != i}
+
+        # a fresh model, so lam1 is built under the mutation; the checks'
+        # right-hand sides then rebuild it unmutated
+        model = HomotopyModel(fk, 3)
+        with monkeypatch.context() as patch:
+            patch.setattr(HomotopyModel, "_lam1_low", drop_one)
+            H = {kind: homotopy_H(model, tok) for kind, tok in tokens.items()}
+        model._lows.clear()
+        for kind, tok in tokens.items():
+            report = homotopy_endpoints_check(model, tok, H[kind])
+            assert report.failures == [("H(1)", dropped[kind])]
+            assert (report.checked, report.skipped) == \
+                (clean[kind].checked, clean[kind].skipped)
+        report = homotopy_pairing_check(model, {"e0": 1}, {("e0", "*"): 1},
+                                        H_x=H["x"], H_phi=H["phi"])
+        assert not report.passed
