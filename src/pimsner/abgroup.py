@@ -1,17 +1,19 @@
 """Exact integer linear algebra and finitely generated abelian groups.
 
 Everything here is computed over Z with Python's arbitrary-precision
-integers; there is no floating point anywhere.  One elimination routine
-diagonalizes an integer matrix by unimodular row and column operations.
-``smith_normal_form`` runs it with the transforms ``U`` and ``V``, which
-integer kernels and solutions need; ``IntMatrix.smith_diagonal`` runs it
-without them and keeps the invariant factors on the matrix.  Ranks,
-cokernels and the kernel/cokernel data of a map of free (or
-cyclic-coefficient) abelian groups, packaged as ``LesSegment`` values for
-the long-exact-sequence pipelines, are all read off that one diagonal.
-It is the package's only elimination: the linear solves of ``ringcore``
-and the rank tests of ``funcmod`` over Z, Q and Z/m read it too, after
-clearing denominators or lifting Z/m to ``[rows | m I]``.
+integers; there is no floating point anywhere.  One elimination kernel,
+``_smith``, diagonalizes an integer matrix by unimodular row and column
+operations.  ``smith_normal_form`` runs it with the transforms ``U`` and
+``V``, which integer kernels and solutions need.
+``IntMatrix.smith_diagonal`` needs no transforms: it first takes unit
+pivots on sparse rows, each of which splits off an invariant factor 1,
+then runs the kernel on what is left, and keeps the invariant factors on
+the matrix.  Ranks, cokernels and the kernel/cokernel data of a map of
+free (or cyclic-coefficient) abelian groups, packaged as ``LesSegment``
+values for the long-exact-sequence pipelines, are all read off that one
+diagonal.  The linear solves of ``ringcore`` and the rank tests of
+``funcmod`` over Z, Q and Z/m read it too, after clearing denominators or
+lifting Z/m to ``[rows | m I]``.
 
 Finitely generated abelian groups are stored as a free rank plus their
 invariant factors ``d_1 | d_2 | ...``, merged by gcd and lcm; no integer
@@ -29,6 +31,7 @@ Z/2
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from math import gcd
 
 
@@ -114,12 +117,15 @@ class IntMatrix:
         """The nonzero invariant factors ``d_1 | d_2 | ...``, as a tuple.
 
         Computed once, without unimodular transforms, and kept on the
-        matrix.  Its length is the rank.
+        matrix.  Its length is the rank.  Unit pivots come first, on the
+        sparse rows of ``_unit_pivots``, and add one factor 1 each; the
+        one kernel ``_smith`` diagonalizes the block they leave.
         """
         if self._diagonal is None:
-            s, _, _ = _smith(self, transforms=False)
-            diag = (s[i][i] for i in range(min(self.rows, self.cols)))
-            self._diagonal = tuple(d for d in diag if d)
+            units, rest = _unit_pivots(self)
+            s, _, _ = _smith(rest, transforms=False)
+            diag = (s[i][i] for i in range(min(rest.rows, rest.cols)))
+            self._diagonal = (1,) * units + tuple(d for d in diag if d)
         return self._diagonal
 
     def det(self):
@@ -292,6 +298,77 @@ def _smith(mat, transforms):
         t += 1
 
     return s, u, v
+
+
+def _unit_pivots(mat):
+    """Eliminate on ``+-1`` pivots of ``mat`` while any is left.
+
+    Returns ``(count, rest)``: ``mat`` is equivalent to the identity of
+    size ``count`` next to ``rest``, so its invariant factors are ``count``
+    ones followed by those of ``rest``.  A unit pivot splits off a 1 and
+    leaves its Schur complement, the other rows minus their multiple of
+    the pivot row, with no division and no gcd step.  ``rest`` holds the
+    rows and columns still nonzero, in their original order; it is
+    ``mat`` itself when no entry is a unit.
+
+    Rows are dicts of their nonzero entries, with an index of each
+    column's nonzero rows.  Pivots are taken in sweeps over the rows,
+    sparsest first, each on the row's unit in the sparsest column; that
+    keeps the Markowitz cost ``(row nnz - 1)(col nnz - 1)``, the most
+    fill-in a pivot can make, low.  A row that fill-in has grown since
+    its sweep began waits for the next one, and the sweeps end when one
+    takes no pivot.  The order depends on the entries alone.
+    """
+    if not any(1 in row or -1 in row for row in mat.entries):
+        return 0, mat
+    rows = {}
+    for i, entries in enumerate(mat.entries):
+        row = {j: entries[j] for j in compress(range(mat.cols), entries)}
+        if row:
+            rows[i] = row
+    cols = {j: set(compress(range(mat.rows), col))
+            for j, col in enumerate(zip(*mat.entries))}
+    count = 0
+    taken = True
+    while taken:
+        taken = False
+        for size, i in sorted((len(row), i) for i, row in rows.items()):
+            row = rows.get(i)
+            if row is None or len(row) != size:
+                continue
+            best = None
+            for j, x in row.items():
+                if (x == 1 or x == -1) and (
+                        best is None or len(cols[j]) < best[0]):
+                    best = (len(cols[j]), j)
+            if best is None:
+                continue
+            count += 1
+            taken = True
+            j = best[1]
+            del rows[i]
+            for jj in row:
+                cols[jj].discard(i)
+            p = row.pop(j)
+            for k in cols.pop(j):
+                # other -= f * row clears other[j], as p * p == 1
+                other = rows[k]
+                f = other.pop(j) * p
+                for jj, x in row.items():
+                    y = other.get(jj)
+                    if y is None:
+                        other[jj] = -f * x
+                        cols[jj].add(k)
+                    elif y == f * x:
+                        del other[jj]
+                        cols[jj].discard(k)
+                    else:
+                        other[jj] = y - f * x
+                if not other:
+                    del rows[k]
+    keep = sorted(j for j, col in cols.items() if col)
+    return count, IntMatrix(len(rows), len(keep), [
+        [rows[i].get(j, 0) for j in keep] for i in sorted(rows)])
 
 
 def smith_normal_form(mat):

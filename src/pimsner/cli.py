@@ -9,16 +9,21 @@ configuration and seed, written as the exact text of
 ``json.dumps(report, indent=2, sort_keys=True)``; ``--out text`` renders a
 short summary instead.
 
-Exit codes: 0 success, 2 parse or semantic error, 3 insufficient depth
-(all checks that ran passed but some were skipped for budget), 4 a failed
-identity (a check that ran found a counterexample, or an internal
-invariant was violated).
+Exit codes: 0 success, 2 parse or semantic error (also a ``--fock-depth``
+whose Fock module would pass ``fock.MAX_FOCK_DIMENSION`` basis keys), 3
+insufficient depth (all checks that ran passed but some were skipped for
+budget), 4 a failed identity (a check that ran found a counterexample, or
+an internal invariant was violated), 141 standard output closed before
+the report was written, as by ``pimsner kgroups q.quiver | head -1``;
+nothing is printed, and 141 is the status a shell gives a program that
+SIGPIPE ends.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import os
 import random
 import sys
 from json.encoder import encode_basestring_ascii as _json_str
@@ -26,6 +31,7 @@ from json.encoder import encode_basestring_ascii as _json_str
 from . import __version__, funcmod, leavitt, selfsim
 from .abgroup import AbgroupError, IntMatrix
 from .fock import (
+    MAX_FOCK_DIMENSION,
     CheckReport,
     DepthError,
     HomotopyModel,
@@ -46,6 +52,7 @@ EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_DEPTH = 3
 EXIT_INVARIANT = 4
+EXIT_PIPE = 141
 
 _INF = float("inf")
 
@@ -341,7 +348,21 @@ def cmd_selfsim(args):
 # verify
 # ---------------------------------------------------------------------------
 
+def _check_fock_budget(quiver, depth):
+    """Refuse a depth whose Fock module, one basis key per path of length
+    at most ``depth``, would pass ``MAX_FOCK_DIMENSION`` keys."""
+    total = 0
+    for degree, count in zip(range(depth + 1), quiver.path_counts()):
+        total += count
+        if total > MAX_FOCK_DIMENSION:
+            raise RingError(
+                f"--fock-depth {depth} is too deep: the Fock module has "
+                f"{total} basis keys through degree {degree}, more than "
+                f"{MAX_FOCK_DIMENSION}")
+
+
 def _verify_quiver(args, quiver):
+    _check_fock_budget(quiver, args.fock_depth)
     k = coefficient_ring(args.coeff)
     corr = leavitt.quiver_correspondence(quiver, k)
     one = k.one
@@ -527,7 +548,14 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         _validate(args)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader is gone; stdout goes to devnull, so that the
+        # interpreter's last flush of it fails no more
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
     except (QuiverError, SelfSimError, RingError, AbgroupError,
             FileNotFoundError, IsADirectoryError, UnicodeDecodeError) as exc:
         # a malformed, missing or unreadable input

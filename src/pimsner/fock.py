@@ -128,6 +128,12 @@ def rotation_coefficient_identity():
 # Truncated Fock module
 # ---------------------------------------------------------------------------
 
+# The most basis keys, summed over degrees 0..N, that a truncation may
+# hold.  A quiver of at most 4 vertices and 6 edges has at most 55,990 at
+# depth 6.  rose2 has 32,767 at depth 14, where a quiver verify takes
+# about 4 s, and each further degree doubles both.
+MAX_FOCK_DIMENSION = 1 << 16
+
 # kind -> (degree shift, lowest degree not killed under pi0); pi1 kills
 # one degree more
 _KINDS = {
@@ -229,19 +235,27 @@ class TruncatedFock:
                             self.module.dual_append_normal)
 
     def _graded(self, n, bases, syms, extend):
-        """Degree-n keys: each degree n-1 tuple extended by each symbol."""
+        """Degree-n keys: each degree n-1 tuple extended by each symbol.
+
+        Raises ``RingError`` once degrees 0..n pass ``MAX_FOCK_DIMENSION``
+        keys, before degree n is complete.
+        """
         if n < 0 or n > self.depth:
             raise DepthError(f"degree {n} outside truncation range 0..{self.depth}")
         if n not in bases:
-            if n == 1:
-                tuples = [(sym,) for sym in syms]
-            else:
-                seen = {}
-                for _, t in self._graded(n - 1, bases, syms, extend):
-                    for sym in syms:
-                        seen.update(dict.fromkeys(extend(t, sym)))
-                tuples = list(seen)
-            bases[n] = [(n, t) for t in tuples]
+            prev = self._graded(n - 1, bases, syms, extend) if n > 1 else ()
+            room = MAX_FOCK_DIMENSION - sum(len(bases[d]) for d in range(n))
+            seen = dict.fromkeys((sym,) for sym in syms) if n == 1 else {}
+            for _, t in prev:
+                for sym in syms:
+                    seen.update(dict.fromkeys(extend(t, sym)))
+                if len(seen) > room:
+                    break
+            if len(seen) > room:
+                raise RingError(
+                    f"degree {n} takes the Fock module past "
+                    f"{MAX_FOCK_DIMENSION} basis keys")
+            bases[n] = [(n, t) for t in seen]
         return bases[n]
 
     # -- operator constructors ----------------------------------------------

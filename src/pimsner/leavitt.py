@@ -119,6 +119,22 @@ class Quiver:
         self._paths_cache[(v, length)] = out
         return out
 
+    def path_counts(self):
+        """The number of paths of each length 0, 1, 2, ..., which is
+        ``1^T A^n 1`` for the adjacency matrix A.
+
+        Each step pushes the count of paths ending at each vertex along its
+        out-edges, so no path is built.  The counts end after the last
+        nonzero one: they are endless exactly when the quiver has a cycle.
+        """
+        ending = dict.fromkeys(self.vertices, 1)
+        while any(ending.values()):
+            yield sum(ending.values())
+            step = dict.fromkeys(self.vertices, 0)
+            for e in self.edges:
+                step[self.range[e]] += ending[self.source[e]]
+            ending = step
+
     def __repr__(self):
         return f"Quiver({len(self.vertices)} vertices, {len(self.edges)} edges)"
 

@@ -6,6 +6,7 @@ minors, computed here directly from determinants of submatrices.
 """
 
 import doctest
+import functools
 import random
 from itertools import combinations
 from math import gcd
@@ -25,6 +26,7 @@ from pimsner.abgroup import (
     smith_normal_form,
     solve_int,
 )
+from pimsner.leavitt import Quiver, adjacency, k_groups
 
 
 def test_module_doctests():
@@ -280,6 +282,127 @@ class TestSparseRowStep:
         s, u, v, folds = _dense_step_smith(mat)
         assert folds == 1 and [s[0][0], s[1][1]] == [1, 6]
         assert pimsner.abgroup._smith(mat, transforms=True) == (s, u, v)
+
+
+# -- the unit-pivot pre-pass of ``smith_diagonal``, checked against the
+# diagonal of ``_smith`` on the whole matrix --
+
+@functools.cache
+def _dense_diagonal(mat):
+    """The nonzero invariant factors of ``_smith`` run on all of ``mat``;
+    kept per matrix, as ``smith_diagonal`` keeps its own."""
+    s, _, _ = pimsner.abgroup._smith(mat, transforms=False)
+    diag = (s[i][i] for i in range(min(mat.rows, mat.cols)))
+    return tuple(d for d in diag if d)
+
+
+def quiver_map(rng, n):
+    """``1 - A^t`` of a random quiver on n vertices, 1-4 out-edges each."""
+    counts = [[0] * n for _ in range(n)]
+    for v in range(n):
+        for _ in range(rng.randint(1, 4)):
+            counts[v][rng.randrange(n)] += 1
+    return IntMatrix.from_rows(
+        [[int(y == v) - counts[v][y] for v in range(n)] for y in range(n)])
+
+
+def _pick_matrix(rng, pick, max_dim=9):
+    r, c = rng.randint(1, max_dim), rng.randint(1, max_dim)
+    return IntMatrix.from_rows(
+        [[rng.choice(pick) for _ in range(c)] for _ in range(r)])
+
+
+def _repeated_rows(rng):
+    c = rng.randint(1, 8)
+    base = [[rng.randint(-3, 3) for _ in range(c)]
+            for _ in range(rng.randint(1, 5))]
+    rows = base + [[k * x for x in rng.choice(base)]
+                   for k in rng.choices([1, -1, 2], k=rng.randint(1, 4))]
+    rng.shuffle(rows)
+    return IntMatrix.from_rows(rows)
+
+
+def unit_pivot_cases(kind):
+    rng = random.Random(f"unit-pivots:{kind}")
+    if kind == "quiver":
+        return [quiver_map(rng, rng.randint(1, 40)) for _ in range(40)]
+    if kind == "dense":
+        return [_pick_matrix(rng, range(-5, 6)) for _ in range(60)]
+    if kind == "repeated-rows":
+        return [_repeated_rows(rng) for _ in range(60)]
+    if kind == "no-unit":
+        return [_pick_matrix(rng, [0, 0, 2, -2, 3, 4, -6, 9])
+                for _ in range(60)]
+    if kind == "zero-and-empty":
+        return [IntMatrix.zero(r, c) for r in (0, 1, 3) for c in (0, 1, 4)] \
+            + [IntMatrix.from_rows([[1, -1], [-1, 1]])]
+    # units that only fill-in makes: one unit, then entries u with
+    # u - x * y = +-1 for some x, y among them
+    return [IntMatrix.from_rows([[1, 2], [2, 5]])] + [
+        IntMatrix.from_rows([[1] + [rng.choice([0, 2, 3, -3]) for _ in range(c)]]
+                            + [[rng.choice([0, 2, 3, 5, -5, 7])
+                                for _ in range(c + 1)] for _ in range(r)])
+        for r, c in ((rng.randint(1, 6), rng.randint(1, 6))
+                     for _ in range(60))]
+
+
+LES_COEFFS = [FgAbelianGroup.free(1)] + [
+    FgAbelianGroup.from_divisors(m) for m in (2, 4, 6)]
+
+
+class TestUnitPivots:
+    """``smith_diagonal`` takes unit pivots on sparse rows, then ``_smith``
+    diagonalizes what is left."""
+
+    @pytest.mark.parametrize("kind", [
+        "quiver", "dense", "repeated-rows", "no-unit", "zero-and-empty",
+        "fill-in"])
+    def test_matches_the_dense_kernel(self, kind, monkeypatch):
+        cases = unit_pivot_cases(kind)
+        pivots = 0
+        for mat in cases:
+            count, rest = pimsner.abgroup._unit_pivots(mat)
+            pivots += count
+            if kind == "repeated-rows":
+                assert len(mat.smith_diagonal()) < mat.rows
+            if kind == "fill-in":
+                assert sum(x in (1, -1) for row in mat.entries
+                           for x in row) == 1
+            if count == 0:
+                assert rest is mat
+            assert mat.smith_diagonal() == _dense_diagonal(mat)
+        if kind == "no-unit":
+            assert pivots == 0
+        elif kind == "zero-and-empty":
+            assert pivots == 1  # [[1, -1], [-1, 1]]
+        else:
+            # for fill-in, more pivots than the cases' unit entries
+            assert pivots > len(cases)
+        segments = [[les_segment(m, c) for c in LES_COEFFS] for m in cases]
+        monkeypatch.setattr(IntMatrix, "smith_diagonal", _dense_diagonal)
+        assert [[les_segment(m, c) for c in LES_COEFFS]
+                for m in cases] == segments
+
+    def test_fill_in_makes_the_second_pivot(self):
+        # 5 - 2 * 2 = 1 after the first pivot
+        count, rest = pimsner.abgroup._unit_pivots(
+            IntMatrix.from_rows([[1, 2], [2, 5]]))
+        assert count == 2 and (rest.rows, rest.cols) == (0, 0)
+
+    def test_k_groups_of_a_400_vertex_quiver(self, monkeypatch):
+        # a scale guard: the pre-pass leaves a block for _smith, and the
+        # report matches the one read off the dense kernel's diagonal
+        rng = random.Random(400)
+        verts = [f"v{i}" for i in range(400)]
+        quiver = Quiver(verts, [(f"e{i}_{k}", v, rng.choice(verts))
+                                for i, v in enumerate(verts)
+                                for k in range(3)])
+        count, rest = pimsner.abgroup._unit_pivots(
+            adjacency(quiver).theorem_map)
+        assert count > 300 and rest.rows > 10
+        report, _ = k_groups(quiver)
+        monkeypatch.setattr(IntMatrix, "smith_diagonal", _dense_diagonal)
+        assert k_groups(quiver)[0] == report
 
 
 class TestKernelBasis:

@@ -4,16 +4,28 @@ import gc
 import io
 import json
 import os
+import random
+import subprocess
+import sys
 import tempfile
 import time
 from contextlib import redirect_stderr, redirect_stdout
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pimsner.cli import _selfsim_suites, json_text, main
-from pimsner.leavitt import QuiverError, parse_quiver
+from pimsner.cli import (
+    EXIT_PIPE,
+    MAX_FOCK_DIMENSION,
+    _check_fock_budget,
+    _selfsim_suites,
+    json_text,
+    main,
+)
+from pimsner.leavitt import QuiverError, parse_quiver, rose
+from pimsner.ringcore import RingError
 from pimsner.selfsim import IDENTITY, SelfSimError, odometer, parse_selfsim
 
 ROSE2 = """
@@ -130,6 +142,30 @@ class TestKgroups:
         assert time.perf_counter() - start < 1
 
 
+def test_closed_stdout_exits_quietly(tmp_path):
+    # a 200-vertex report (about 490 kB) outgrows the pipe's buffer, so
+    # the writer is still writing when the reader leaves after one line
+    rng = random.Random(200)
+    path = tmp_path / "q200.quiver"
+    path.write_text("vertices: " + " ".join(f"v{i}" for i in range(200))
+                    + "\nedges:\n" + "".join(
+                        f"  e{i}_{k}: v{i} -> v{rng.randrange(200)}\n"
+                        for i in range(200) for k in range(3)),
+                    encoding="utf-8")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(
+        sys.modules["pimsner"].__file__)))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "pimsner.cli", "kgroups", str(path)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": src})
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    proc.stdout = None
+    _, err = proc.communicate(timeout=60)
+    assert b"Traceback" not in err
+    assert (proc.returncode, err) == (EXIT_PIPE, b"")
+
+
 class TestPv:
     def test_identity(self, capsys):
         code, out, _ = run(capsys, "pv", "--matrix", "1")
@@ -203,6 +239,36 @@ class TestVerify:
         assert names == {"covariant-representation", "defect-support",
                          "homotopy-endpoints", "pairing-preservation"}
         assert all(c.get("passed", True) for c in report["checks"])
+
+    def test_fock_depth_past_the_budget_exits_2_at_once(
+            self, capsys, rose2_file, monkeypatch):
+        from pimsner import cli
+
+        def refuse(*_args):
+            raise AssertionError("built a Fock module")
+        monkeypatch.setattr(cli, "TruncatedFock", refuse)
+        code, out, err = run(capsys, "verify", rose2_file,
+                             "--fock-depth", "100000")
+        assert (code, out) == (2, "")
+        assert "131071 basis keys through degree 16" in err
+
+    @pytest.mark.parametrize("edges, depth, refused", [
+        (2, 14, False), (2, 15, False), (3, 6, False), (6, 6, False),
+        (2, 16, True), (6, 7, True),
+    ])
+    def test_fock_budget(self, edges, depth, refused):
+        # rose_d has d^n keys in degree n.  The largest Fock module of the
+        # acceptance family (at most 6 edges, depth 6) is rose6's 55,987
+        # keys, and rose2 at depth 14 (32,767 keys) runs in seconds.
+        quiver = rose(edges)
+        keys = sum(edges ** n for n in range(depth + 1))
+        assert sum(islice(quiver.path_counts(), depth + 1)) == keys
+        assert (keys > MAX_FOCK_DIMENSION) == refused
+        if refused:
+            with pytest.raises(RingError, match=f"--fock-depth {depth} is"):
+                _check_fock_budget(quiver, depth)
+        else:
+            _check_fock_budget(quiver, depth)
 
     def test_insufficient_depth_exits_3(self, capsys, tmp_path):
         path = tmp_path / "a2.quiver"

@@ -74,6 +74,18 @@ class TestGradedBasis:
         with pytest.raises(DepthError):
             fk.basis(4)
 
+    def test_dimension_past_the_bound_is_refused(self, monkeypatch):
+        # rose2 holds 63 keys through degree 5 and 127 through degree 6
+        monkeypatch.setattr(fock_module, "MAX_FOCK_DIMENSION", 100)
+        fk = rose_fock(2, 20)
+        assert len(fk.basis(5)) == 32
+        with pytest.raises(RingError, match="degree 6 .* past 100 basis"):
+            fk.basis(20)
+        with pytest.raises(RingError, match="degree 6"):
+            fk.dual_basis(6)
+        # the refusal builds no part of the refused degree
+        assert 6 not in fk._basis and 7 not in fk._basis
+
     def test_bases_closed_under_normal_form(self):
         for fk in [rose_fock(2, 3), a2_fock(3)]:
             for n in range(1, 4):

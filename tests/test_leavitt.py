@@ -1,6 +1,7 @@
 """Tests for quivers, Leavitt path algebra arithmetic, and K-group pipelines."""
 
 import random
+from itertools import islice
 
 import pytest
 
@@ -87,6 +88,21 @@ class TestParse:
 
 
 class TestAdjacency:
+    def test_path_counts_match_the_paths(self):
+        rng = random.Random(17)
+        for _ in range(30):
+            verts = [f"v{i}" for i in range(rng.randint(1, 4))]
+            q = Quiver(verts, [(f"x{j}", rng.choice(verts), rng.choice(verts))
+                               for j in range(rng.randint(0, 6))])
+            want = [sum(len(q.paths_from(v, n)) for v in verts)
+                    for n in range(7)]
+            got = list(islice(q.path_counts(), 7))
+            assert got == want[:len(got)]
+            assert got == want or not any(want[len(got):])
+        # an acyclic quiver's counts end
+        a2 = parse_quiver("vertices: v w\nedges: e: v -> w")
+        assert list(a2.path_counts()) == [2, 1]
+
     def test_rose3(self):
         # three loops at one vertex: 1 - 3
         adj = adjacency(rose(3))
