@@ -4,16 +4,15 @@ Everything here is computed over Z with Python's arbitrary-precision
 integers; there is no floating point anywhere.  One elimination kernel,
 ``_smith``, diagonalizes an integer matrix by unimodular row and column
 operations.  ``smith_normal_form`` runs it with the transforms ``U`` and
-``V``, which integer kernels and solutions need.
-``IntMatrix.smith_diagonal`` needs no transforms: it first takes unit
-pivots on sparse rows, each of which splits off an invariant factor 1,
-then runs the kernel on what is left, and keeps the invariant factors on
-the matrix.  Ranks, cokernels and the kernel/cokernel data of a map of
-free (or cyclic-coefficient) abelian groups, packaged as ``LesSegment``
-values for the long-exact-sequence pipelines, are all read off that one
-diagonal.  The linear solves of ``ringcore`` and the rank tests of
-``funcmod`` over Z, Q and Z/m read it too, after clearing denominators or
-lifting Z/m to ``[rows | m I]``.
+``V``, which integer kernels and solutions need: the linear solves of
+``ringcore`` over Z, Q and Z/m, after clearing denominators or lifting
+Z/m to ``[rows | m I]``.  ``IntMatrix.smith_diagonal`` needs no
+transforms: it first takes unit pivots on sparse rows, each of which
+splits off an invariant factor 1, then runs the kernel on what is left,
+and keeps the invariant factors on the matrix.  The kernel and cokernel
+of a map of free (or cyclic-coefficient) abelian groups, packaged as
+``LesSegment`` values for the long-exact-sequence pipelines, are read
+off that one diagonal, and so is the rank test of ``funcmod``.
 
 Finitely generated abelian groups are stored as a free rank plus their
 invariant factors ``d_1 | d_2 | ...``, merged by gcd and lcm; no integer
@@ -24,7 +23,8 @@ is factored except in ``FgAbelianGroup.primary_components``.
 [2, 4]
 >>> IntMatrix.from_rows([[2, 4], [6, 8]]).smith_diagonal()
 (2, 4)
->>> print(cokernel(IntMatrix.from_rows([[-2]])))
+>>> seg = les_segment(IntMatrix.from_rows([[-2]]), FgAbelianGroup.free(1))
+>>> print(seg.cokernel)
 Z/2
 """
 
@@ -71,14 +71,6 @@ class IntMatrix:
         ncols = len(rows[0]) if rows else 0
         return cls(len(rows), ncols, rows)
 
-    @classmethod
-    def identity(cls, n):
-        return cls(n, n, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def zero(cls, rows, cols):
-        return cls(rows, cols, [[0] * cols for _ in range(rows)])
-
     def __eq__(self, other):
         if not isinstance(other, IntMatrix):
             return NotImplemented
@@ -104,14 +96,8 @@ class IntMatrix:
                         for j in range(other.cols)])
         return IntMatrix(self.rows, other.cols, out)
 
-    def __mul__(self, other):
-        return self.mul(other)
-
     def diagonal(self):
         return [self.entries[i][i] for i in range(min(self.rows, self.cols))]
-
-    def is_zero(self):
-        return all(x == 0 for row in self.entries for x in row)
 
     def smith_diagonal(self):
         """The nonzero invariant factors ``d_1 | d_2 | ...``, as a tuple.
@@ -385,11 +371,6 @@ def smith_normal_form(mat):
     return IntMatrix(m, n, s), IntMatrix(m, m, u), IntMatrix(n, n, v)
 
 
-def rank(mat):
-    """Rank over Q: the number of nonzero invariant factors."""
-    return len(mat.smith_diagonal())
-
-
 def kernel_basis(mat):
     """An integer basis of ``{v : mat . v = 0}``, one basis vector per column.
 
@@ -402,12 +383,6 @@ def kernel_basis(mat):
                  if j >= len(diag) or diag[j] == 0]
     return IntMatrix(mat.cols, len(free_cols),
                      [[v.entries[i][j] for j in free_cols] for i in range(mat.cols)])
-
-
-def cokernel(mat):
-    """Isomorphism class of ``Z^rows / column-span(mat)``."""
-    diag = mat.smith_diagonal()
-    return FgAbelianGroup(mat.rows - len(diag), diag)
 
 
 def solve_int(mat, rhs):
@@ -542,20 +517,8 @@ class FgAbelianGroup:
                 out.append(q)
         return out
 
-    def is_trivial(self):
-        return self.free_rank == 0 and not self._torsion
-
     def is_free(self):
         return not self._torsion
-
-    def order(self):
-        """Cardinality for finite groups, None for infinite ones."""
-        if self.free_rank:
-            return None
-        n = 1
-        for d in self._torsion:
-            n *= d
-        return n
 
     def direct_sum(self, *others):
         groups = (self, *others)

@@ -44,7 +44,6 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
-from fractions import Fraction
 from functools import partial
 
 from .funcmod import vadd, vclean, vscale
@@ -60,68 +59,29 @@ class InvariantViolation(AssertionError):
 
 
 # ---------------------------------------------------------------------------
-# Dense polynomials (exact, for coefficient identities in t)
+# The rotation's coefficients
 # ---------------------------------------------------------------------------
 
-class Poly:
-    """A polynomial over exact scalars, as a dense coefficient list."""
-
-    def __init__(self, coeffs):
-        coeffs = list(coeffs)
-        while coeffs and coeffs[-1] == 0:
-            coeffs.pop()
-        self.coeffs = coeffs
-
-    @classmethod
-    def t(cls):
-        return cls([0, 1])
-
-    @classmethod
-    def const(cls, c):
-        return cls([c])
-
-    def __add__(self, other):
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = self.coeffs + [0] * (n - len(self.coeffs))
-        b = other.coeffs + [0] * (n - len(other.coeffs))
-        return Poly([x + y for x, y in zip(a, b)])
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def scale(self, c):
-        return Poly([c * x for x in self.coeffs])
-
-    def __mul__(self, other):
-        if not self.coeffs or not other.coeffs:
-            return Poly([])
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return Poly(out)
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Poly([other])
-        return self.coeffs == other.coeffs
-
-    def __call__(self, value):
-        out = 0
-        for c in reversed(self.coeffs):
-            out = out * value + c
-        return out
-
-    def __repr__(self):
-        return f"Poly({self.coeffs})"
+# kind -> (lam0 coefficient, lam1 coefficient), each a polynomial in t as a
+# power -> integer dict; ``homotopy_H`` builds its parts from this table
+_ROTATION = {
+    "x": ({0: 1, 2: -1}, {1: 2, 3: -1}),
+    "phi": ({0: 1, 2: -1}, {1: 1}),
+}
 
 
 def rotation_coefficient_identity():
-    """The scalar identity t(2t - t^3) + (1 - t^2)^2 == 1, symbolically."""
-    t = Poly.t()
-    one = Poly.const(1)
-    lhs = t * (t.scale(2) - t * t * t) + (one - t * t) * (one - t * t)
-    return lhs == one
+    """c0(phi) c0(x) + c1(phi) c1(x) == 1, multiplied out from ``_ROTATION``.
+
+    With the table above this reads (1 - t^2)^2 + t (2t - t^3) == 1, the
+    scalar identity behind pairing preservation.
+    """
+    total = defaultdict(int)
+    for a, b in zip(_ROTATION["phi"], _ROTATION["x"]):
+        for p, c in a.items():
+            for q, d in b.items():
+                total[p + q] += c * d
+    return {p: c for p, c in total.items() if c} == {0: 1}
 
 
 # ---------------------------------------------------------------------------
@@ -1314,6 +1274,9 @@ class PolyOperator:
 def homotopy_H(model, token):
     """The rotational homotopy on one generator, exact in t.
 
+    H(T) = c0(t) lam0(T) + c1(t) lam1(T) + (pi1 (x) id)(T) for T = T_x or
+    T_phi, with c0 and c1 read from ``_ROTATION``:
+
     H(T_x) = (1 - t^2) lam0(T_x) + (2t - t^3) lam1(T_x) + (pi1 (x) id)(T_x)
     H(T_phi) = (1 - t^2) lam0(T_phi) + t lam1(T_phi) + (pi1 (x) id)(T_phi)
     H(r) = r . id
@@ -1322,17 +1285,15 @@ def homotopy_H(model, token):
     if kind == "r":
         return PolyOperator(model, {0: model.pi_tensor(token, "pi0")})
     # both raise RingError on a token that is not a generator
-    lam0 = model.lam0(token)
-    lam1 = model.lam1(token)
-    const = lam0 + model.pi_tensor(token, "pi1")
-    if kind == "x":
-        return PolyOperator(model, {
-            0: const,
-            1: lam1.scale(2),
-            2: lam0.scale(-1),
-            3: lam1.scale(-1),
-        })
-    return PolyOperator(model, {0: const, 1: lam1, 2: lam0.scale(-1)})
+    lams = (model.lam0(token), model.lam1(token))
+    parts = {}
+    for lam, coeffs in zip(lams, _ROTATION[kind]):
+        for p, c in coeffs.items():
+            term = lam if c == 1 else lam.scale(c)
+            parts[p] = parts[p] + term if p in parts else term
+    pi1 = model.pi_tensor(token, "pi1")
+    parts[0] = parts[0] + pi1 if 0 in parts else pi1
+    return PolyOperator(model, dict(sorted(parts.items())))
 
 
 def homotopy_endpoints_check(model, token, H=None):

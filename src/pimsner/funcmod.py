@@ -21,7 +21,7 @@ On top of the module structure this file provides:
   acting by theta_{x,phi}(y) = x . phi(y), with the induced ring product
   (x1 (x) phi1)(x2 (x) phi2) = x1 (x) phi1(x2) . phi2;
 * ``FunctionalHom``: pairs (U, V) of module maps compatible with the
-  pairings, inducing ring maps of compact operators;
+  pairings;
 * ``Correspondence``: a functional module together with a left action by
   adjointable operators and a functional homomorphism into a free model
   R^(I);
@@ -373,23 +373,6 @@ class CompactOperator:
         return hash((id(self.module),
                      tuple(sorted(self.normal_terms().items(), key=repr))))
 
-    def __add__(self, other):
-        self.module._check(other.module)
-        return CompactOperator(self.module, self.terms + other.terms)
-
-    def __neg__(self):
-        k = self.module.k
-        return CompactOperator(self.module,
-                               [(vscale(k, x, -1), p) for x, p in self.terms])
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, coeff):
-        k = self.module.k
-        return CompactOperator(self.module,
-                               [(vscale(k, x, coeff), p) for x, p in self.terms])
-
     def __mul__(self, other):
         self.module._check(other.module)
         m = self.module
@@ -475,14 +458,6 @@ def check_functional_hom(hom):
             if lhs != rhs:
                 return False
     return True
-
-
-def induced_compact_map(hom, k_op):
-    """The ring map U (x) V on finite-rank operators."""
-    if k_op.module is not hom.source:
-        raise RingError("operator is not over the hom's source module")
-    return CompactOperator(hom.target,
-                           [(hom.u_of(x), hom.v_of(p)) for x, p in k_op.terms])
 
 
 def check_pairing_balance(module, ring_symbols=None):

@@ -14,7 +14,7 @@ off a quiver here:
   products, and the range relation v = sum of e e* over s(e) = v
   eliminates monomials whose two paths both end in the designated special
   edge of a vertex, which makes equality testing canonical.
-* ``adjacency``/``k_groups``: the adjacency matrix and the induced map on
+* ``AdjacencyData``/``k_groups``: the adjacency matrix and the induced map on
   K-groups of the coefficient ring, whose kernel and cokernel assemble the
   K-groups of the Leavitt path algebra degreewise.
 
@@ -241,10 +241,6 @@ class AdjacencyData:
              for y in verts])
 
 
-def adjacency(quiver):
-    return AdjacencyData(quiver)
-
-
 # ---------------------------------------------------------------------------
 # The quiver correspondence
 # ---------------------------------------------------------------------------
@@ -391,11 +387,6 @@ class LeavittRing(RingDescriptor):
 
     # -- symbols -------------------------------------------------------------
 
-    def check_symbol(self, sym):
-        v, p, q = sym
-        quiv = self.quiver
-        return v in quiv.vertices and all(e in quiv.source for e in p + q)
-
     def vertex(self, v):
         return self.monomial((v, (), ()))
 
@@ -489,23 +480,6 @@ class LeavittRing(RingDescriptor):
             verts.add(self.quiver.s(q[0]) if q else v)
         return {(w, (), ()): self.k.one for w in sorted(verts)}
 
-    def left_support_symbol(self, sym):
-        v, p, q = sym
-        w = self.quiver.s(p[0]) if p else v
-        return (w, (), ())
-
-    def right_support_symbol(self, sym):
-        v, p, q = sym
-        w = self.quiver.s(q[0]) if q else v
-        return (w, (), ())
-
-    def degree(self, element):
-        """|p| - |q| when the element is homogeneous, else None."""
-        degs = {len(p) - len(q) for (_, p, q) in element.terms}
-        if len(degs) > 1:
-            return None
-        return degs.pop() if degs else 0
-
 
 # ---------------------------------------------------------------------------
 # K-group pipelines
@@ -579,14 +553,8 @@ def _assemble(coker_segs, ker_segs):
     status = "split-assembled" if kernel_free else "unassembled"
     assembled = None
     if kernel_free and finite:
-        total = FgAbelianGroup.trivial()
-        for comp, seg in coker_segs:
-            for _ in range(comp.multiplicity):
-                total = total.direct_sum(seg.cokernel)
-        for comp, seg in ker_segs:
-            for _ in range(comp.multiplicity):
-                total = total.direct_sum(seg.kernel)
-        assembled = total
+        assembled = _total(coker_segs, "cokernel").direct_sum(
+            _total(ker_segs, "kernel"))
     elif kernel_free:
         status = "split-assembled (countable multiplicity)"
     return assembled, status
@@ -649,7 +617,7 @@ def k_groups(quiver, presets=None, k=ZZ, degrees=(0, 1)):
     """
     if presets is None:
         presets = field_presets(k)
-    adj = adjacency(quiver)
+    adj = AdjacencyData(quiver)
     report, segments = _pipeline_report(
         adj.theorem_map, presets, list(degrees),
         row_labels=list(quiver.vertices), col_labels=list(adj.regular))

@@ -275,7 +275,11 @@ class RingDescriptor:
     Subclasses implement ``mul_basis`` returning the product of two basis
     symbols as a symbol-to-coefficient dict, and ``local_unit_terms``
     returning an idempotent fixing everything supported on the given
-    symbols.  ``basis`` lists the symbols when the ring is finite
+    symbols.  A ring that acts on a functional module also implements
+    ``left_support_symbol`` and ``right_support_symbol``, a basis
+    idempotent fixing one symbol on that side.  Symbols are not
+    validated; callers build them from the descriptor's own basis and
+    products.  ``basis`` lists the symbols when the ring is finite
     dimensional over k, else it is None and symbols are generated lazily.
     """
 
@@ -287,9 +291,6 @@ class RingDescriptor:
     unit_symbol = None  # basis symbol of 1 when the ring is unital
 
     def mul_basis(self, b1, b2):
-        raise NotImplementedError
-
-    def check_symbol(self, sym):
         raise NotImplementedError
 
     def local_unit_terms(self, symbols):
@@ -326,13 +327,9 @@ class DirectSumRing(RingDescriptor):
             raise RingError("duplicate symbols in direct sum ring")
         super().__init__(k, label or f"{k}^({len(symbols)})")
         self.basis = symbols
-        self._symbols = set(symbols)
 
     def mul_basis(self, b1, b2):
         return {b1: self.k.one} if b1 == b2 else {}
-
-    def check_symbol(self, sym):
-        return sym in self._symbols
 
     def local_unit_terms(self, symbols):
         return {s: self.k.one for s in symbols}
@@ -356,7 +353,6 @@ class MatrixRing(RingDescriptor):
         super().__init__(inner.k, label or f"M_{len(list(index_set))}({inner.label})")
         self.inner = inner
         self.index = list(index_set)
-        self._index_set = set(self.index)
         if inner.basis is not None:
             self.basis = [(i, j, b) for i in self.index for j in self.index
                           for b in inner.basis]
@@ -367,13 +363,6 @@ class MatrixRing(RingDescriptor):
         if j != i2:
             return {}
         return {(i, j2, c): coeff for c, coeff in self.inner.mul_basis(a, b).items()}
-
-    def check_symbol(self, sym):
-        if not (isinstance(sym, tuple) and len(sym) == 3):
-            return False
-        i, j, b = sym
-        return i in self._index_set and j in self._index_set \
-            and self.inner.check_symbol(b)
 
     def local_unit_terms(self, symbols):
         indices = set()
@@ -402,9 +391,6 @@ class LaurentRing(RingDescriptor):
 
     def mul_basis(self, b1, b2):
         return {b1 + b2: self.k.one}
-
-    def check_symbol(self, sym):
-        return isinstance(sym, int)
 
     unit_symbol = 0
 
@@ -436,9 +422,6 @@ class GroupRing(RingDescriptor):
 
     def mul_basis(self, b1, b2):
         return {self.canonicalize(self.mul_words(b1, b2)): self.k.one}
-
-    def check_symbol(self, sym):
-        return isinstance(sym, tuple)
 
     def local_unit_terms(self, symbols):
         return {self.identity: self.k.one}

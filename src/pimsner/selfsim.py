@@ -249,18 +249,14 @@ class SelfSimilarGroup:
             todo.pop()
         return nodes[word, depth]
 
-    def is_trivial(self, word, depth=None):
-        """Depth-bounded triviality: the word fixes every word of length
-        <= depth and all its depth-level restrictions reduce freely to the
-        empty word.  True means the word is the identity of the group;
-        False may only mean that the depth is too small.
-        """
-        if depth is None:
-            depth = self.equality_depth
-        return self.node(reduce_word(word), depth) == 0
-
     def equal(self, w1, w2, depth=None):
-        """Depth-bounded equality: ``is_trivial(w1 w2^-1, depth)``."""
+        """Depth-bounded equality of two words, through their ``node`` ids.
+
+        True when the words act alike on every word of length <= depth and
+        their depth-level restrictions agree as free words; then they are
+        equal in the group.  False may only mean that the depth is too
+        small.  ``equal(w, ())`` is the triviality test.
+        """
         if depth is None:
             depth = self.equality_depth
         return self.node(reduce_word(w1), depth) == \
@@ -312,11 +308,12 @@ def parse_selfsim(text, depth=None):
     ``a = (perm 0 1)(e, a)``: any number of ``(perm ...)`` cycles composed
     left to right, then the restriction tuple ordered by the alphabet.
     Restriction entries are juxtaposed generator names separated by
-    whitespace or ``*``, with ``^-1`` for inverses and ``e`` for the
-    identity.  ``depth: n`` sets the equality depth, unless ``depth`` is
-    given, which overrides it.  The line must lie in
-    1..MAX_EQUALITY_DEPTH, and ``depth`` must not exceed that bound.
-    ``#`` comments.
+    whitespace or ``*``, with ``^-1`` for inverses and ``e`` or ``1`` for
+    the identity.  So a generator name must read back as itself when
+    parsed as an entry, and each generator is defined once.
+    ``depth: n`` sets the equality depth, unless ``depth`` is given,
+    which overrides it.  The line must lie in 1..MAX_EQUALITY_DEPTH, and
+    ``depth`` must not exceed that bound.  ``#`` comments.
     """
     if depth is not None and depth > MAX_EQUALITY_DEPTH:
         raise SelfSimError(
@@ -355,8 +352,12 @@ def parse_selfsim(text, depth=None):
                                line=lineno)
         name, rest = line.split("=", 1)
         name = name.strip()
-        if not name or name == "e":
+        # a restriction entry must read the name back as this generator
+        if _parse_word(name) != ((name, 1),):
             raise SelfSimError(f"bad generator name {name!r}", line=lineno)
+        if name in recursion:
+            raise SelfSimError(f"generator {name!r} defined twice",
+                               line=lineno)
         groups = _paren_groups(rest.strip(), lineno)
         if not groups:
             raise SelfSimError("missing restriction tuple", line=lineno)
@@ -383,7 +384,7 @@ def parse_selfsim(text, depth=None):
                 f"{len(alphabet)} letters", line=lineno)
         restr = {}
         for x, entry in zip(alphabet, entries):
-            restr[x] = _parse_word(entry, lineno)
+            restr[x] = _parse_word(entry)
         recursion[name] = (perm, restr)
     if alphabet is None:
         raise SelfSimError("missing 'alphabet:' declaration")
@@ -424,7 +425,7 @@ def _paren_groups(text, lineno):
     return groups
 
 
-def _parse_word(entry, lineno):
+def _parse_word(entry):
     entry = entry.replace("*", " ")
     word = []
     for token in entry.split():
@@ -507,19 +508,6 @@ def nek_module(group, k=ZZ):
         x_left_support=unit, xp_left_support=unit,
         fs_pairs_left=fs_pairs_left, fs_pairs_right=fs_pairs_right,
         label=f"bimodule of {group.label}")
-
-
-def nek_pairing(module, xi, eta):
-    """The group-ring pairing of two formal sums over (letter, word) pairs.
-
-    ``xi`` and ``eta`` map (letter, group word) pairs to coefficients;
-    the value is the sum over matching letters of lambda_x mu_x g_x^-1 h_x.
-    """
-    pxi = {("xp", x, module.ring.canonicalize(reduce_word(g))): c
-           for (x, g), c in xi.items()}
-    peta = {("x", x, module.ring.canonicalize(reduce_word(g))): c
-            for (x, g), c in eta.items()}
-    return module.pair(pxi, peta)
 
 
 def build_nek_correspondence(group, k=ZZ):

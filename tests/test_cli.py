@@ -320,6 +320,23 @@ class TestVerify:
         assert {c["name"] for c in report["checks"] if not c["passed"]} == \
             {"pairing-preservation"}
 
+    def test_bent_rotation_coefficient_fails_identity_and_homotopy(
+            self, capsys, rose2_file, monkeypatch):
+        # lam1's coefficient on H(T_x) becomes 2t - 2t^3: the identity reads
+        # the table homotopy_H builds from, so it fails with both suites
+        from pimsner import fock
+        monkeypatch.setitem(fock._ROTATION, "x",
+                            (fock._ROTATION["x"][0], {1: 2, 3: -2}))
+        code, out, _ = run(capsys, "verify", rose2_file,
+                           "--fock-depth", "4", "--word-bound", "2")
+        assert code == 4
+        checks = {c["name"]: c for c in json.loads(out)["checks"]}
+        assert checks["homotopy-endpoints"]["coefficient_identity"] is False
+        assert {name for name, c in checks.items() if not c["passed"]} == \
+            {"homotopy-endpoints", "pairing-preservation"}
+        assert len(checks["homotopy-endpoints"]["failures"]) == 6
+        assert len(checks["pairing-preservation"]["failures"]) == 6
+
     def test_rose2_builds_each_lift_once(self, capsys, rose2_file,
                                          monkeypatch):
         # 14 lifts: pi0 and pi1 of each x and phi, one lam0 per x and phi,
@@ -440,6 +457,19 @@ class TestSelfsim:
         code, _, err = run(capsys, "selfsim", str(path))
         assert code == 2
         assert "line 2" in err
+
+    @pytest.mark.parametrize("text, needle", [
+        ("alphabet: 0 1\n1 = (perm 0 1)(e, 1)\n", "line 2: bad generator"),
+        ("alphabet: 0 1\na = (perm 0 1)(e, a)\na = (e, e)\n",
+         "line 3: generator 'a' defined twice"),
+    ], ids=["unreadable-name", "defined-twice"])
+    def test_malformed_generator_exits_2(self, capsys, tmp_path, text,
+                                          needle):
+        path = tmp_path / "bad.selfsim"
+        path.write_text(text, encoding="utf-8")
+        code, out, err = run(capsys, "selfsim", str(path))
+        assert code == 2 and out == ""
+        assert needle in err
 
     def test_failed_correspondence_law_exits_4(self, capsys, tmp_path,
                                                monkeypatch):

@@ -14,7 +14,6 @@ from pimsner.funcmod import (
     free_correspondence,
     free_module,
     fs_witness,
-    induced_compact_map,
     nondegenerate,
     tensor,
     vadd,
@@ -203,39 +202,6 @@ class TestFunctionalHom:
                             lambda b: {k: 2 * c for k, c in hom._U(b).items()},
                             hom._V)
         assert not check_functional_hom(bad)
-
-    def test_induced_map_identity(self):
-        m = leavitt_module()
-        k1 = CompactOperator.elementary(m, {"e0": 1}, {("e1", "*"): 1})
-        assert induced_compact_map(FunctionalHom.identity(m), k1) == k1
-
-    def test_induced_map_zero(self):
-        corr = quiver_correspondence(rose(2))
-        out = induced_compact_map(corr.hom, CompactOperator.zero(corr.module))
-        assert out.is_zero()
-
-    def test_induced_matrix_pattern(self):
-        # 1_e (x) 1_f* maps to the single entry delta-pattern at (e, f)
-        corr = quiver_correspondence(A2)
-        k1 = CompactOperator.elementary(corr.module, {"e": 1}, {("e", "*"): 1})
-        img = induced_compact_map(corr.hom, k1)
-        assert img.normal_terms() == {((("e", "w")), (("e", "w"))): 1}
-
-    def test_induced_map_is_ring_hom(self):
-        rng = random.Random(3)
-        corr = quiver_correspondence(rose(3))
-        m = corr.module
-        edges = ["e0", "e1", "e2"]
-        for _ in range(100):
-            k1 = CompactOperator.elementary(
-                m, {rng.choice(edges): rng.randint(-2, 2)},
-                {(rng.choice(edges), "*"): rng.randint(-2, 2)})
-            k2 = CompactOperator.elementary(
-                m, {rng.choice(edges): rng.randint(-2, 2)},
-                {(rng.choice(edges), "*"): rng.randint(-2, 2)})
-            assert induced_compact_map(corr.hom, k1 * k2) == \
-                induced_compact_map(corr.hom, k1) * \
-                induced_compact_map(corr.hom, k2)
 
 
 class TestFsWitness:

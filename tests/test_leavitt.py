@@ -8,11 +8,11 @@ import pytest
 from pimsner.abgroup import FgAbelianGroup, IntMatrix
 from pimsner.funcmod import check_functional_hom, fs_witness
 from pimsner.leavitt import (
+    AdjacencyData,
     LeavittRing,
     PresetComponent,
     QuiverError,
     Quiver,
-    adjacency,
     crossed_product_k_groups,
     field_presets,
     k_groups,
@@ -21,6 +21,11 @@ from pimsner.leavitt import (
     rose,
 )
 from pimsner.ringcore import QQ, Fp, RingError, Zmod, local_unit_for
+
+
+def degrees(element):
+    """The degrees |p| - |q| of the monomials p q* of a Leavitt element."""
+    return {len(p) - len(q) for _, p, q in element.terms}
 
 
 class TestParse:
@@ -105,22 +110,22 @@ class TestAdjacency:
 
     def test_rose3(self):
         # three loops at one vertex: 1 - 3
-        adj = adjacency(rose(3))
+        adj = AdjacencyData(rose(3))
         assert adj.theorem_map == IntMatrix.from_rows([[-2]])
 
     def test_a2_column(self):
-        adj = adjacency(parse_quiver("vertices: v w\nedges: e: v -> w"))
+        adj = AdjacencyData(parse_quiver("vertices: v w\nedges: e: v -> w"))
         assert adj.theorem_map == IntMatrix.from_rows([[1], [-1]])
 
     def test_edgeless(self):
-        adj = adjacency(parse_quiver("vertices: v w\nedges:"))
+        adj = AdjacencyData(parse_quiver("vertices: v w\nedges:"))
         assert adj.regular == []
         assert adj.theorem_map.cols == 0
         assert adj.theorem_map.rows == 2
 
     def test_full_matrix_counts_parallel_edges(self):
         q = parse_quiver("vertices: a b\nedges:\n x: a -> b\n y: a -> b")
-        adj = adjacency(q)
+        adj = AdjacencyData(q)
         # column a: 1_a - 2 . 1_b; the sink b has no column
         assert adj.regular == ["a"]
         assert adj.theorem_map == IntMatrix.from_rows([[1], [-2]])
@@ -268,10 +273,10 @@ class TestLeavittArithmetic:
         L = LeavittRing(rose(2))
         a = L.monomial_pq(("e0", "e1"), ("e0",))   # degree 1
         b = L.monomial_pq(("e1",), ())             # degree 1
-        assert L.degree(a) == 1
+        assert degrees(a) == {1}
         prod = a * b
         if not prod.is_zero():
-            assert L.degree(prod) == 2
+            assert degrees(prod) == {2}
 
     def test_grading_random(self):
         rng = random.Random(9)
@@ -289,10 +294,10 @@ class TestLeavittArithmetic:
                 continue
             if a.is_zero() or b.is_zero():
                 continue
-            da, db = L.degree(a), L.degree(b)
+            (da,), (db,) = degrees(a), degrees(b)
             prod = a * b
             if not prod.is_zero():
-                assert L.degree(prod) == da + db
+                assert degrees(prod) == {da + db}
 
 
 class TestKGroups:
@@ -347,7 +352,7 @@ class TestKGroups:
 
 class TestCrossedProducts:
     def test_identity_automorphism(self):
-        report, segs = crossed_product_k_groups(IntMatrix.identity(1))
+        report, segs = crossed_product_k_groups(IntMatrix.from_rows([[1]]))
         deg0 = report["degrees"]["0"]
         assert deg0["kernel"]["repr"] == "Z"
         assert deg0["cokernel"]["repr"] == "Z"
@@ -369,7 +374,7 @@ class TestCrossedProducts:
         # the one-loop quiver gives the Laurent ring, whose sequence is the
         # identity-automorphism crossed product
         quiver_report, _ = k_groups(rose(1))
-        pv_report, _ = crossed_product_k_groups(IntMatrix.identity(1))
+        pv_report, _ = crossed_product_k_groups(IntMatrix.from_rows([[1]]))
         qd = quiver_report["degrees"]["0"]
         pd = pv_report["degrees"]["0"]
         assert qd["kernel"] == pd["kernel"]

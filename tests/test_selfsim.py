@@ -15,7 +15,6 @@ from pimsner.selfsim import (
     SelfSimilarGroup,
     build_nek_correspondence,
     nek_module,
-    nek_pairing,
     odometer,
     parse_selfsim,
     reduce_word,
@@ -131,26 +130,28 @@ class TestEquality:
 
 
 class TestNekPairing:
+    """< x . g, y . h > = delta_{x,y} g^-1 h on the module's symbols."""
+
     def test_matching_letter_identity(self):
         g = odometer()
         m = nek_module(g)
-        a = g.gen_word("a")
-        assert nek_pairing(m, {("0", a): 1}, {("0", a): 1}) == \
+        a = g.canonical(g.gen_word("a"))
+        assert m.pair({("xp", "0", a): 1}, {("x", "0", a): 1}) == \
             m.ring.monomial(IDENTITY)
 
     def test_mismatched_letters_vanish(self):
         g = odometer()
         m = nek_module(g)
-        a = g.gen_word("a")
-        assert nek_pairing(m, {("0", a): 1}, {("1", a): 1}).is_zero()
+        a = g.canonical(g.gen_word("a"))
+        assert m.pair({("xp", "0", a): 1}, {("x", "1", a): 1}).is_zero()
 
     def test_group_part_multiplies(self):
         g = odometer()
         m = nek_module(g)
         a = g.gen_word("a")
-        aa = word_mul(a, a)
-        assert nek_pairing(m, {("0", a): 1}, {("0", aa): 1}) == \
-            m.ring.monomial(a)
+        aa = g.canonical(word_mul(a, a))
+        assert m.pair({("xp", "0", g.canonical(a)): 1}, {("x", "0", aa): 1}) \
+            == m.ring.monomial(a)
 
     def test_pairing_balance_checker(self):
         from pimsner.funcmod import check_pairing_balance
@@ -292,6 +293,23 @@ class TestParsing:
             parse_selfsim("alphabet: 0 1\na = (perm 0 1)(e, a, a)\n")
         assert err.value.line == 2
 
+    @pytest.mark.parametrize("name", [
+        "e", "1", "a b", "a*b", "a*", "a^-1", "",
+    ])
+    def test_generator_name_must_read_back(self, name):
+        # a restriction entry naming the generator would parse as something
+        # else: "1" as the identity, "a b" as two letters, "a^-1" inverted
+        with pytest.raises(SelfSimError, match="bad generator name") as err:
+            parse_selfsim(f"alphabet: 0 1\nb = (e, e)\n{name} = (e, b)\n")
+        assert err.value.line == 3
+
+    def test_generator_defined_twice(self):
+        with pytest.raises(SelfSimError,
+                           match="generator 'a' defined twice") as err:
+            parse_selfsim("alphabet: 0 1\na = (perm 0 1)(e, a)\n"
+                          "# a comment\na = (e, e)\n")
+        assert err.value.line == 4
+
 
 class TestGrigorchukStyleTwoGenerators:
     def test_lamplighter_style_relations(self):
@@ -387,7 +405,7 @@ class TestNodeIds:
                 assert group.act(bcd, w) == w
         assert group.restriction(bcd, "0") == (("a", 1), ("a", 1))
         for depth in (1, 4, 8, 12):
-            assert not group.is_trivial(bcd, depth)
+            assert not group.equal(bcd, (), depth)
         assert not group.equal(bcd, IDENTITY)
         assert group.canonical(bcd) != group.canonical(IDENTITY)
 

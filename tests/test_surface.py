@@ -1,0 +1,81 @@
+"""Every public name in ``src/pimsner`` has a reader, or a reason to wait.
+
+A public module-level function or class, or a public method of a
+module-level class, counts as reached when its name occurs as a NAME
+token in ``src/pimsner``, ``perfbench`` or ``tests/test_acceptance.py``,
+other than as the name of a ``def`` or ``class``: a pipeline, the
+benchmark or an acceptance criterion reads it.  The check is by name, so
+it is generous where names collide, but a deleted caller leaves its
+callee unreached.  Tests other than the acceptance suite do not count; a
+name only they read belongs in the tests.  A name that nothing reaches
+yet must be listed in ``RESERVED`` with the ROADMAP direction that will
+give it a reader.
+"""
+
+import ast
+import os
+import tokenize
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SRC = os.path.join(ROOT, "src", "pimsner")
+
+RESERVED = {
+    "j_ideal_generator": "direction 5: the J_X generators verify suite",
+    "check_pairing_balance": "direction 5: the pairing balance suite",
+    "fs_witness": "direction 5: the condition (FS) suite",
+    "nondegenerate": "direction 5: the non-degeneracy suite",
+    "check_nondegenerate_action": "direction 5: the non-degeneracy suite",
+    "free_correspondence": "direction 3: [X (+) Y] and [X (x) Y] oracles",
+    "tensor": "direction 3: the [X (x)_R Y] = [X][Y] oracle",
+    "LaurentRing": "direction 3: Katsura's O_{A,B} over Laurent rings",
+    "local_unit_for": "direction 5: the non-degeneracy suite's local units",
+}
+
+
+def _py_files(folder):
+    return sorted(os.path.join(folder, f) for f in os.listdir(folder)
+                  if f.endswith(".py"))
+
+
+def public_names():
+    """Each public function, class and method name, dunders excepted."""
+    out = set()
+    for path in _py_files(SRC):
+        with open(path, encoding="utf-8") as handle:
+            tree = ast.parse(handle.read())
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            out.add(node.name)
+            if isinstance(node, ast.ClassDef):
+                out.update(sub.name for sub in node.body
+                           if isinstance(sub, ast.FunctionDef))
+    return {name for name in out if not name.startswith("_")}
+
+
+def used_names():
+    """Every NAME token that does not name a ``def`` or ``class``."""
+    files = _py_files(SRC) + _py_files(os.path.join(ROOT, "perfbench")) \
+        + [os.path.join(ROOT, "tests", "test_acceptance.py")]
+    out = set()
+    for path in files:
+        with open(path, encoding="utf-8") as handle:
+            names = [tok.string
+                     for tok in tokenize.generate_tokens(handle.readline)
+                     if tok.type == tokenize.NAME]
+        out.update(name for before, name in zip([None] + names, names)
+                   if before not in ("def", "class"))
+    return out
+
+
+def unreached():
+    return public_names() - used_names()
+
+
+def test_every_public_name_is_reached_or_reserved():
+    assert unreached() - set(RESERVED) == set()
+
+
+def test_reserved_names_are_still_unreached():
+    # a reserved name that gained a reader, or left src/, leaves the list
+    assert set(RESERVED) - unreached() == set()
