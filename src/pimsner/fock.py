@@ -178,10 +178,9 @@ class TruncatedFock:
                 [(_, (leaf,))] = self.token_op(token, "pi0").terms
                 low += 1
                 leaf = partial(_kill_below, low, leaf)
-            outs = {d: frozenset([d + shift] if d >= low else [])
+            outs = {d: 1 << (d + shift) if d >= low else 0
                     for d in range(self.depth + 1 - max(shift, 0))}
-            op = FockOperator(self, ((self.k.one, (leaf,)),),
-                              covered=outs.keys(), outs=outs,
+            op = FockOperator(self, ((self.k.one, (leaf,)),), outs,
                               label=f"{variant}({kind})")
             self._tok_ops[key] = op
         return op
@@ -221,11 +220,9 @@ class TruncatedFock:
     # -- operator constructors ----------------------------------------------
 
     def identity(self):
-        return FockOperator(
-            self, ((self.k.one, ()),),
-            covered=range(self.depth + 1),
-            outs={d: frozenset([d]) for d in range(self.depth + 1)},
-            label="id")
+        return FockOperator(self, ((self.k.one, ()),),
+                            {d: 1 << d for d in range(self.depth + 1)},
+                            label="id")
 
     def zero_op(self):
         return _linear_combination(self, [], label="0")
@@ -295,22 +292,28 @@ class FockOperator:
     generator (see ``TruncatedFock.token_op``), and the empty word is the
     identity.  ``column`` chases a key through each word, so composing,
     adding and scaling only multiply, concatenate and rescale term lists;
-    no composite column is stored.  ``covered`` lists the source degrees
-    on which the columns are defined; composing intersects coverage along
-    the degree chains actually reachable, so truncation can never produce
-    a silently wrong column, only a smaller covered set.  Columns are
-    clean vectors (see ``funcmod``) and may be a leaf's memoized one, so
-    compare them as plain dicts and never mutate them.
+    no composite column is stored.
+
+    ``outs`` maps each source degree on which the columns are defined to
+    a bitmask whose set bits are the target degrees they can reach, and
+    ``covered`` is its key view; the constructor stores ``outs`` as
+    given, so callers pass only degrees in 0..depth.  Composing intersects
+    coverage along the degree chains actually reachable, one mask lookup
+    per set bit, so truncation can never produce a silently wrong column,
+    only a smaller covered set.  Columns are clean vectors (see
+    ``funcmod``) and may be a leaf's memoized one, so compare them as
+    plain dicts and never mutate them.  ``eq_on`` reads no column when
+    both operators have the same term sum, each word with its total
+    coefficient, since that makes them the same operator.
     """
 
-    __slots__ = ("fock", "terms", "covered", "outs", "label")
+    __slots__ = ("fock", "terms", "outs", "covered", "label")
 
-    def __init__(self, fock, terms, covered, outs, label=""):
+    def __init__(self, fock, terms, outs, label=""):
         self.fock = fock
         self.terms = terms
-        self.covered = frozenset(d for d in covered
-                                 if 0 <= d <= fock.depth)
-        self.outs = {d: frozenset(outs.get(d, ())) for d in self.covered}
+        self.outs = outs
+        self.covered = outs.keys()
         self.label = label
 
     def column(self, key):
@@ -333,14 +336,16 @@ class FockOperator:
         coverage follows the reachable degree chains."""
         if self.fock is not other.fock:
             raise RingError("operators act on different modules")
-        covered = [d for d in other.covered if other.outs[d] <= self.covered]
-        outs = {d: frozenset().union(*[self.outs[e] for e in other.outs[d]])
-                for d in covered}
+        outs = {}
+        for d, mask in other.outs.items():
+            reached = _image(self.outs, mask)
+            if reached is not None:
+                outs[d] = reached
         k = self.fock.k
         terms = tuple((c, w2 + w1) for c1, w1 in self.terms
                       for c2, w2 in other.terms
                       if (c := k.mul(c1, c2)) != k.zero)
-        return FockOperator(self.fock, terms, covered, outs,
+        return FockOperator(self.fock, terms, outs,
                             label=f"{self.label}*{other.label}")
 
     def __add__(self, other):
@@ -358,13 +363,35 @@ class FockOperator:
     # -- inspection ----------------------------------------------------------
 
     def eq_on(self, other, degrees):
+        """Whether both operators have the same column at every basis key
+        of ``degrees``, which both must cover.  Equal term sums prove it
+        without reading a column; otherwise each side is read through its
+        ``_reader``."""
+        degrees = list(degrees)
         for d in degrees:
-            if d not in self.covered or d not in other.covered:
+            if d not in self.outs or d not in other.outs:
                 raise DepthError(f"degree {d} not covered by both operators")
+        k = self.fock.k
+        if _term_sum(k, self.terms) == _term_sum(k, other.terms):
+            return True
+        read, read_other = self._reader(), other._reader()
+        for d in degrees:
             for key in self.fock.basis(d):
-                if self.column(key) != other.column(key):
+                if read(key) != read_other(key):
                     return False
         return True
+
+    def _reader(self):
+        """The column at a key of a covered degree, as one function: a
+        lone coefficient-one leaf is its memo, a lone coefficient-one word
+        is its chase, and anything else is ``column``."""
+        if len(self.terms) == 1:
+            coeff, word = self.terms[0]
+            if coeff == self.fock.k.one:
+                if len(word) == 1:
+                    return word[0]
+                return partial(_chase, self.fock.k, word)
+        return self.column
 
     def __repr__(self):
         return f"<FockOperator {self.label} covered={sorted(self.covered)}>"
@@ -389,6 +416,28 @@ def _chase(k, word, key):
     return col
 
 
+def _image(outs, mask):
+    """The union of ``outs`` over the degrees set in ``mask``, as a mask,
+    or None when ``outs`` does not cover one of them."""
+    reached = 0
+    while mask:
+        low = mask & -mask
+        targets = outs.get(low.bit_length() - 1)
+        if targets is None:
+            return None
+        reached |= targets
+        mask ^= low
+    return reached
+
+
+def _term_sum(k, terms):
+    """Each word of ``terms`` with its total coefficient, zeros dropped."""
+    total = {}
+    for coeff, word in terms:
+        total[word] = k.add(total[word], coeff) if word in total else coeff
+    return {word: c for word, c in total.items() if c != k.zero}
+
+
 def _apply(k, leaf, vec):
     """The clean sum of ``c * leaf(src)`` over the entries of ``vec``."""
     out = {}
@@ -403,18 +452,17 @@ def _linear_combination(fock, pairs, label=""):
     list: covered where every op is, with the union of their target
     degrees.  A term whose coefficient vanishes is dropped."""
     k = fock.k
-    covered = set(range(fock.depth + 1))
+    outs = dict.fromkeys(range(fock.depth + 1), 0)
     terms = []
     for coeff, op in pairs:
         if op.fock is not fock:
             raise RingError("operators act on different modules")
-        covered &= op.covered
+        outs = {d: mask | op.outs[d] for d, mask in outs.items()
+                if d in op.outs}
         coeff = k.coerce(coeff)
         terms += [(c, word) for c0, word in op.terms
                   if (c := k.mul(coeff, c0)) != k.zero]
-    outs = {d: frozenset().union(*(op.outs[d] for _, op in pairs))
-            for d in covered}
-    return FockOperator(fock, tuple(terms), covered, outs, label)
+    return FockOperator(fock, tuple(terms), outs, label)
 
 
 # ---------------------------------------------------------------------------
@@ -441,12 +489,11 @@ def word_operator(fock, tokens, variant="pi0"):
         return ops[0] if ops else fock.identity()
     first, *rest = ops
     outs = {}
-    for d in first.covered:
-        reached = first.outs[d]
+    for d, reached in first.outs.items():
         for op in rest:
-            if not reached <= op.covered:
+            reached = _image(op.outs, reached)
+            if reached is None:
                 break
-            reached = frozenset().union(*[op.outs[e] for e in reached])
         else:
             outs[d] = reached
     k = fock.k
@@ -454,7 +501,7 @@ def word_operator(fock, tokens, variant="pi0"):
     for op in rest:
         terms = tuple((c, w + w2) for c1, w2 in op.terms for c0, w in terms
                       if (c := k.mul(c1, c0)) != k.zero)
-    return FockOperator(fock, terms, outs.keys(), outs,
+    return FockOperator(fock, terms, outs,
                         label="*".join(op.label for op in reversed(ops)))
 
 
@@ -537,7 +584,7 @@ class CheckReport:
 
     def compare(self, tag, lhs, rhs):
         degrees = sorted(lhs.covered & rhs.covered)
-        self.skipped += len(set(range(lhs.fock.depth + 1)) - set(degrees))
+        self.skipped += lhs.fock.depth + 1 - len(degrees)
         self.checked += 1
         if not lhs.eq_on(rhs, degrees):
             self.failures.append(tag)
@@ -839,21 +886,21 @@ def _check_defect_support(fock, wkey, ll, op0, op1):
     """Check that pi0 - pi1 of a normal word lives on source degree ll.
 
     Reads the columns of the word's operators ``op0`` under pi0 and
-    ``op1`` under pi1: at degree ll the pi1 column must vanish, and at
-    every other degree both cover the two columns must agree.  Raises
-    InvariantViolation otherwise.
+    ``op1`` under pi1, each through its ``_reader``: at degree ll the pi1
+    column must vanish, and at every other degree both cover the two
+    columns must agree.  Raises InvariantViolation otherwise.
     """
+    read0, read1 = op0._reader(), op1._reader()
     for d in sorted(op0.covered & op1.covered):
         keys = _defect_keys_at(fock, wkey, ll, d)
         if d == ll:
             for key in keys:
-                if op1.column(key):
+                if read1(key):
                     raise InvariantViolation(
                         f"pi1 of {wkey} does not vanish at degree {ll}")
             continue
         for key in keys:
-            # d is covered by both, so neither column is None
-            if op0.column(key) != op1.column(key):
+            if read0(key) != read1(key):
                 raise InvariantViolation(
                     f"defect of {wkey} escapes its block at degree {d}")
 
@@ -919,7 +966,9 @@ class HomotopyModel:
     (kind, payload items).  Keying the lifts on the operators, which
     ``fock.token_op`` keeps, means a different operator gets a fresh lift.
     The model stores plain dicts and wraps them in a new ``HOperator`` on
-    every call; no caller may mutate a returned low part or column.
+    every call; no caller may mutate a returned low part or column.  It
+    also keeps each word's left support, which every lift of a degree-0
+    key reads.
     """
 
     def __init__(self, fock, word_bound):
@@ -946,6 +995,8 @@ class HomotopyModel:
         # j(u) . word for the ring symbol u of a degree-0 key, or the right
         # support u of the last tensor factor, keyed (degree 0?, symbol, word)
         self._absorbed = {}
+        # word id -> its left support, as (frozen items, degree-0 vector)
+        self._supports = {}
         self.c0_keys = [(0, (), wk) for wk in self.words]
         self.c1_keys = [(1, (b,), wk) for b in self.module.x_basis
                         for wk in self.words if self.make_key(1, (b,), wk)
@@ -1039,6 +1090,17 @@ class HomotopyModel:
                 out[i] = k.add(out.get(i, k.zero), k.mul(c, c2))
         return vclean(k, out)
 
+    def _support(self, w):
+        """The left support of the word of id ``w``, kept per word: its
+        frozen items and its degree-0 Fock vector."""
+        support = self._supports.get(w)
+        if support is None:
+            u = self.talg.left_support(self.words[w]).terms
+            support = self._supports[w] = (
+                frozenset(u.items()),
+                {(0, (rsym,)): c for rsym, c in u.items()})
+        return support
+
     def _lift_low(self, op, ids):
         """op (x) id on the ids whose degree op does not kill, as a clean
         low part; a degree-0 key is the left support of its word, as a
@@ -1054,12 +1116,10 @@ class HomotopyModel:
             if not op.outs[n]:
                 continue
             if n == 0:
-                u = self.talg.left_support(self.words[w]).terms
-                skey = frozenset(u.items())
+                skey, svec = self._support(w)
                 fcol = supports.get(skey)
                 if fcol is None:
-                    fcol = supports[skey] = _apply(k, fcols.__getitem__, {
-                        (0, (rsym,)): c for rsym, c in u.items()})
+                    fcol = supports[skey] = _apply(k, fcols.__getitem__, svec)
             else:
                 fcol = fcols[fkey]
             col = self.lift(fcol, w)
@@ -1082,7 +1142,7 @@ class HomotopyModel:
     def _tensor_high(self, token):
         op = self.fock.token_op(token, "pi0")
         return FockOperator(self.fock, op.terms,
-                            [d for d in op.covered if d >= 2], op.outs,
+                            {d: m for d, m in op.outs.items() if d >= 2},
                             op.label)
 
     def pi_tensor(self, token, variant):
@@ -1189,8 +1249,9 @@ class HOperator:
         is a zero column, and stays absent, so zero, in the composite, as
         does a column that ``self`` maps to zero.
         """
+        # bits 0 and 1 of a mask are the target degrees 0 and 1
         if other.high is not None and any(
-                e <= 1 for outs in other.high.outs.values() for e in outs):
+                mask & 0b11 for mask in other.high.outs.values()):
             raise RingError("the inner high part re-enters degrees 0 and 1; "
                             "the composition has no tensor form")
         low = {}

@@ -403,6 +403,25 @@ class TestVerify:
             assert report == json.load(handle)
         assert code == 0
 
+    def test_python_m_pimsner_prints_the_golden_report(self, tmp_path):
+        # the package runs as a module from its source tree, uninstalled
+        path = tmp_path / "rose2.quiver"
+        path.write_text(ROSE2, encoding="utf-8")
+        src = os.path.dirname(os.path.dirname(os.path.abspath(
+            sys.modules["pimsner"].__file__)))
+        proc = subprocess.run(
+            [sys.executable, "-m", "pimsner", "verify", str(path),
+             "--fock-depth", "6", "--word-bound", "3"],
+            capture_output=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": src})
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        report = json.loads(proc.stdout)
+        assert report["input"] == str(path)
+        report["input"] = "INPUT"
+        with open(os.path.join(DATA, "verify_rose2.json"),
+                  encoding="utf-8") as handle:
+            assert report == json.load(handle)
+
     def test_selfsim_suites_pass(self, capsys, tmp_path):
         path = tmp_path / "odometer.selfsim"
         path.write_text(ODOMETER, encoding="utf-8")

@@ -293,8 +293,16 @@ class TestJIdealGenerators:
 # -- token_op; each takes the lowest degree its columns do not kill
 
 def _leaf_operator(fk, column, covered, outs):
-    """The one-leaf word of a hand-written column function."""
-    return FockOperator(fk, ((fk.k.one, (column,)),), covered, outs)
+    """The one-leaf word of a hand-written column function; ``outs`` maps
+    a covered degree to its target degrees, stored as a bitmask."""
+    return FockOperator(fk, ((fk.k.one, (column,)),),
+                        {d: sum(1 << e for e in outs[d]) for d in covered})
+
+
+def _target_sets(outs):
+    """A FockOperator's target masks as frozensets of target degrees."""
+    return {d: frozenset(e for e in range(mask.bit_length()) if mask >> e & 1)
+            for d, mask in outs.items()}
 
 
 def _oracle_prepend(fk, xvec, t):
@@ -433,9 +441,69 @@ class TestPiRepresentations:
                     got = fk.token_op(token, variant)
                     want = make(fk, token[1], low_kill)
                     assert got.covered == want.covered
-                    assert got.outs == want.outs
+                    assert _target_sets(got.outs) == _target_sets(want.outs)
                     assert got.eq_on(want, sorted(want.covered)), token
                     assert fk.token_op(token, variant) is got
+
+
+def _raising_leaf(key):
+    raise AssertionError(f"a column was read at {key}")
+
+
+class TestTermSumShortcut:
+    """``eq_on`` reads no column when both term sums agree, and chases
+    every key when they differ."""
+
+    def test_equal_term_sums_read_no_column(self):
+        fk = rose_fock(2, 4)
+        a = _leaf_operator(fk, _raising_leaf, range(fk.depth),
+                           {d: [d + 1] for d in range(fk.depth)})
+        b = _leaf_operator(fk, _raising_leaf, range(fk.depth + 1),
+                           {d: [d] for d in range(fk.depth + 1)})
+        degrees = sorted(a.covered)
+        assert (a + a).eq_on(a.scale(2), degrees)
+        assert (a + b).eq_on(b + a, degrees)
+        assert (a - a).eq_on(fk.zero_op(), degrees)
+        assert b.compose(a + a).eq_on(b.compose(a).scale(2), degrees)
+        # different sums read the columns
+        with pytest.raises(AssertionError, match="column was read"):
+            a.eq_on(a.scale(3), degrees)
+
+    def test_coefficients_sum_in_the_ring(self):
+        fk = rose_fock(2, 3, k=Zmod(6))
+        a = _leaf_operator(fk, _raising_leaf, range(fk.depth),
+                           {d: [d + 1] for d in range(fk.depth)})
+        degrees = sorted(a.covered)
+        assert (a.scale(3) + a.scale(3)).eq_on(fk.zero_op(), degrees)
+        assert (a.scale(4) + a.scale(5)).eq_on(a.scale(3), degrees)
+
+    def test_different_terms_are_chased(self):
+        fk = rose_fock(2, 4)
+        reads = []
+
+        def counted(op):
+            [(_, (leaf,))] = op.terms
+
+            def column(key):
+                reads.append(key)
+                return leaf(key)
+
+            return _leaf_operator(fk, column, op.covered,
+                                  _target_sets(op.outs))
+
+        x = counted(fk.token_op(("x", {"e0": 1})))
+        phi = counted(fk.token_op(("phi", {("e0", "*"): 1})))
+        v = counted(fk.token_op(("r", fk.ring.monomial("v"))))
+        lhs = phi.compose(x)
+        degrees = sorted(lhs.covered & v.covered)
+        keys = sum(len(fk.basis(d)) for d in degrees)
+        # S(e0*) T(e0) = sigma(v): other words, the same columns
+        assert lhs.eq_on(v, degrees)
+        assert len(reads) == 3 * keys
+        # a perturbed coefficient still fails
+        assert not lhs.eq_on(v.scale(2), degrees)
+        assert not (lhs + x.scale(0)).eq_on(v.scale(-1), degrees)
+        assert not lhs.eq_on(v + lhs, degrees)
 
 
 # -- the closure evaluator that FockOperator used before term words, kept as
@@ -452,8 +520,8 @@ class _ClosureOp:
 
     @classmethod
     def of(cls, op):
-        """An operator read through its own columns."""
-        return cls(op.fock, op.column, op.covered, op.outs)
+        """A FockOperator read through its own columns."""
+        return cls(op.fock, op.column, op.covered, _target_sets(op.outs))
 
     def column(self, key):
         if key[0] not in self.covered:
@@ -534,11 +602,12 @@ def _closure_defect(fk, tokens):
 
 
 def _same_columns(fk, got, want):
-    """Assert that got and want have the same coverage and the same column,
-    None included, at every basis key of every degree; return how many
-    columns were None and how many nonzero."""
+    """Assert that the FockOperator got and the closure operator want have
+    the same coverage and the same column, None included, at every basis
+    key of every degree; return how many columns were None and how many
+    nonzero."""
     assert got.covered == want.covered
-    assert got.outs == want.outs
+    assert _target_sets(got.outs) == want.outs
     nones = nonzero = 0
     for d in range(fk.depth + 1):
         for key in fk.basis(d):
@@ -1217,7 +1286,8 @@ class TestOnePassWordOperator:
                     want = _composed_word(fk, list(word), variant)
                     assert got.terms == want.terms, word
                     assert got.label == want.label
-                    n_none, n_nonzero = _same_columns(fk, got, want)
+                    n_none, n_nonzero = _same_columns(
+                        fk, got, _ClosureOp.of(want))
                     nones += n_none
                     nonzero += n_nonzero
         assert nonzero and bool(nones) == truncates

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pimsner.funcmod import (
     CompactOperator,
@@ -28,6 +30,7 @@ from pimsner.ringcore import (
     LaurentRing,
     RingError,
     Zmod,
+    coefficient_ring,
 )
 
 A2 = parse_quiver("vertices: v w\nedges: e: v -> w")
@@ -157,10 +160,22 @@ class TestCompactOperators:
             assert (k1 * k2).apply(y) == k1.apply(k2.apply(y))
 
 
+def adjoint_law_holds(corr):
+    """phi(Delta(r) x) == (phi . Delta(r))(x) for every ring generator r
+    and all basis pairs: the left action is adjointable."""
+    m = corr.module
+    one = m.k.one
+    return all(
+        m.pair({c: one}, m.act_left(r, {b: one}))
+        == m.pair(m.act_xp_right({c: one}, r), {b: one})
+        for r in map(corr.left_ring.monomial, corr.left_generator_symbols())
+        for c in m.xp_basis for b in m.x_basis)
+
+
 class TestAdjointable:
     def test_delta_is_adjointable(self):
         corr = quiver_correspondence(rose(2))
-        assert corr.check_adjointable()
+        assert adjoint_law_holds(corr)
 
     def test_action_nondegeneracy(self):
         for corr in [quiver_correspondence(rose(2)),
@@ -469,3 +484,46 @@ class TestTensorNormalForm:
                 for tup, c in m.append_normal(head, syms[-1]).items():
                     agg2[tup] = agg2.get(tup, 0) + ch * c
             assert full == {t: c for t, c in agg2.items() if c}
+
+
+# -- the general loop of FunctionalModule.pair, kept as the oracle of its
+# -- one-symbol path
+
+def _general_pair(m, pvec, xvec):
+    out = m.ring.zero()
+    for c, cc in pvec.items():
+        for b, cb in xvec.items():
+            val = m._pairing(c, b)
+            if not val.is_zero():
+                out = out + val.scale(m.k.mul(cc, cb))
+    return out
+
+
+_PAIR_QUIVER = parse_quiver(
+    "vertices: v w\nedges:\n e: v -> w\n f: w -> w\n g: v -> v")
+_PAIR_MODULES = {spec: quiver_correspondence(
+    _PAIR_QUIVER, coefficient_ring(spec)).module
+    for spec in ("z", "q", "zmod:6", "fp:2")}
+
+
+class TestOneSymbolPair:
+    """One symbol against one symbol reads the cached table value."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(spec=st.sampled_from(sorted(_PAIR_MODULES)), data=st.data())
+    def test_matches_the_general_loop(self, spec, data):
+        m = _PAIR_MODULES[spec]
+        k = m.k
+        coeff = st.one_of(st.integers(-7, 7), st.fractions(
+            max_denominator=5, min_value=-3, max_value=3)) if spec == "q" \
+            else st.integers(-7, 7)
+        c = data.draw(st.sampled_from(m.xp_basis))
+        b = data.draw(st.sampled_from(m.x_basis))
+        pvec = vclean(k, {c: data.draw(coeff)})
+        xvec = vclean(k, {b: data.draw(coeff)})
+        got = m.pair(pvec, xvec)
+        want = _general_pair(m, pvec, xvec)
+        assert got == want
+        assert list(got.terms.items()) == list(want.terms.items())
+        if pvec and xvec and k.mul(pvec[c], xvec[b]) == k.one:
+            assert got is m._pairing(c, b)

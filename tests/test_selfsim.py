@@ -176,7 +176,13 @@ class TestCorrespondence:
     def test_odometer_builds_and_verifies(self):
         corr = build_nek_correspondence(odometer(), ZZ)
         assert check_functional_hom(corr.hom)
-        assert corr.check_adjointable()
+        m, one = corr.module, 1
+        # Delta(r) is adjointable for every generator r
+        for r in map(corr.left_ring.monomial, corr.left_generator_symbols()):
+            for c in m.xp_basis:
+                for b in m.x_basis:
+                    assert m.pair({c: one}, m.act_left(r, {b: one})) == \
+                        m.pair(m.act_xp_right({c: one}, r), {b: one})
         assert corr.check_nondegenerate_action()
 
     def test_left_action_matrix_shape(self):

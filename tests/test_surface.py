@@ -2,17 +2,20 @@
 
 A public module-level function or class, or a public method of a
 module-level class, counts as reached when its name occurs as a NAME
-token in ``src/pimsner``, ``perfbench`` or ``tests/test_acceptance.py``,
-other than as the name of a ``def`` or ``class``: a pipeline, the
-benchmark or an acceptance criterion reads it.  The check is by name, so
-it is generous where names collide, but a deleted caller leaves its
-callee unreached.  Tests other than the acceptance suite do not count; a
-name only they read belongs in the tests.  A name that nothing reaches
-yet must be listed in ``RESERVED`` with the ROADMAP direction that will
-give it a reader.
+token in ``src/pimsner``, ``perfbench`` or ``tests/test_acceptance.py``
+outside the line span of every definition of that name in the same
+file: a pipeline, the benchmark or an acceptance criterion reads it.  So
+a definition's own name, its recursion, and a method's call to a
+same-named function inside its body do not count.  The check is by name,
+so it is generous where names collide elsewhere, but a deleted caller
+leaves its callee unreached.  Tests other than the acceptance suite do
+not count; a name only they read belongs in the tests.  A name that
+nothing reaches yet must be listed in ``RESERVED`` with the ROADMAP
+direction that will give it a reader.
 """
 
 import ast
+import io
 import os
 import tokenize
 
@@ -29,6 +32,7 @@ RESERVED = {
     "tensor": "direction 3: the [X (x)_R Y] = [X][Y] oracle",
     "LaurentRing": "direction 3: Katsura's O_{A,B} over Laurent rings",
     "local_unit_for": "direction 5: the non-degeneracy suite's local units",
+    "append_normal": "direction 2: perfbench/tracing.py wraps it by name",
 }
 
 
@@ -53,18 +57,32 @@ def public_names():
     return {name for name in out if not name.startswith("_")}
 
 
+def _spans(tree):
+    """Each defined name -> the line spans of its definitions."""
+    out = {}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            out.setdefault(node.name, []).append(
+                (node.lineno, node.end_lineno))
+    return out
+
+
 def used_names():
-    """Every NAME token that does not name a ``def`` or ``class``."""
+    """Every NAME token outside the definitions of its own name."""
     files = _py_files(SRC) + _py_files(os.path.join(ROOT, "perfbench")) \
         + [os.path.join(ROOT, "tests", "test_acceptance.py")]
     out = set()
     for path in files:
         with open(path, encoding="utf-8") as handle:
-            names = [tok.string
-                     for tok in tokenize.generate_tokens(handle.readline)
-                     if tok.type == tokenize.NAME]
-        out.update(name for before, name in zip([None] + names, names)
-                   if before not in ("def", "class"))
+            text = handle.read()
+        spans = _spans(ast.parse(text))
+        for tok in tokenize.generate_tokens(io.StringIO(text).readline):
+            line = tok.start[0]
+            if tok.type == tokenize.NAME and not any(
+                    first <= line <= last
+                    for first, last in spans.get(tok.string, ())):
+                out.add(tok.string)
     return out
 
 
