@@ -46,8 +46,7 @@ import math
 from collections import defaultdict
 from functools import partial
 
-from .funcmod import vadd, vclean, vscale
-from .ringcore import RingError
+from .ringcore import RingError, vadd, vapply, vdrop, vscale
 
 
 class DepthError(RuntimeError):
@@ -229,7 +228,7 @@ class TruncatedFock:
 
     def _prepend(self, xvec, t, d):
         """x (x) t in normal form (t reduced), as a degree-d column."""
-        return _apply(self.k, lambda b: {
+        return vapply(self.k, lambda b: {
             (d, tup): c for tup, c in
             self.module.prepend_normal(b, t).items()}, xvec)
 
@@ -301,7 +300,7 @@ class FockOperator:
     coverage along the degree chains actually reachable, one mask lookup
     per set bit, so truncation can never produce a silently wrong column,
     only a smaller covered set.  Columns are clean vectors (see
-    ``funcmod``) and may be a leaf's memoized one, so compare them as
+    ``ringcore``) and may be a leaf's memoized one, so compare them as
     plain dicts and never mutate them.  ``eq_on`` reads no column when
     both operators have the same term sum, each word with its total
     coefficient, since that makes them the same operator.
@@ -329,7 +328,7 @@ class FockOperator:
         for coeff, word in terms:
             for tgt, c in _chase(k, word, key).items():
                 out[tgt] = k.add(out.get(tgt, k.zero), k.mul(coeff, c))
-        return vclean(k, out)
+        return vdrop(out)
 
     def compose(self, other):
         """self after other: every word of other, then every word of self;
@@ -412,7 +411,7 @@ def _chase(k, word, key):
                 continue
         elif not col:
             return col
-        col = _apply(k, leaf, col)
+        col = vapply(k, leaf, col)
     return col
 
 
@@ -435,16 +434,7 @@ def _term_sum(k, terms):
     total = {}
     for coeff, word in terms:
         total[word] = k.add(total[word], coeff) if word in total else coeff
-    return {word: c for word, c in total.items() if c != k.zero}
-
-
-def _apply(k, leaf, vec):
-    """The clean sum of ``c * leaf(src)`` over the entries of ``vec``."""
-    out = {}
-    for src, c in vec.items():
-        for tgt, c2 in leaf(src).items():
-            out[tgt] = k.add(out.get(tgt, k.zero), k.mul(c, c2))
-    return vclean(k, out)
+    return vdrop(total)
 
 
 def _linear_combination(fock, pairs, label=""):
@@ -693,9 +683,9 @@ class ToeplitzAlgebra:
             if kind == "r":
                 nxt = self.scalar(payload)
             elif kind == "x":
-                nxt = _apply(k, lambda b: self._word((b,), None, ()), payload)
+                nxt = vapply(k, lambda b: self._word((b,), None, ()), payload)
             elif kind == "phi":
-                nxt = _apply(k, lambda c: self._word((), None, (c,)), payload)
+                nxt = vapply(k, lambda c: self._word((), None, (c,)), payload)
             else:
                 raise RingError(f"unknown generator token {kind!r}")
             elt = nxt if elt is None else self.mul(elt, nxt)
@@ -756,7 +746,7 @@ class ToeplitzAlgebra:
                 raise RingError("the Toeplitz ring has no empty word")
             for rsym, rc in mid.terms.items():
                 emit(("s", rsym), rc)
-        return vclean(k, out)
+        return vdrop(out)
 
     def _scalar_times_word(self, relt, key):
         """j(r) . word, by absorbing into the leftmost factor."""
@@ -767,10 +757,10 @@ class ToeplitzAlgebra:
             return self.scalar(prod)
         _, p, c = key
         if p:
-            return _apply(k, lambda sym: self._word((sym,) + p[1:], None, c),
-                          m.act_left(relt, {p[0]: one}))
-        return _apply(k, lambda sym: self._word((), None, (sym,) + c[1:]),
-                      m.act_xp_left(relt, {c[0]: one}))
+            return vapply(k, lambda sym: self._word((sym,) + p[1:], None, c),
+                           m.act_left(relt, {p[0]: one}))
+        return vapply(k, lambda sym: self._word((), None, (sym,) + c[1:]),
+                       m.act_xp_left(relt, {c[0]: one}))
 
     def _word_times_scalar(self, key, relt):
         """word . j(r), by absorbing into the rightmost factor."""
@@ -781,8 +771,8 @@ class ToeplitzAlgebra:
             return self.scalar(prod)
         _, p, c = key
         if c:
-            return _apply(k, lambda sym: self._word(p, None, c[:-1] + (sym,)),
-                          m.act_xp_right({c[-1]: one}, relt))
+            return vapply(k, lambda sym: self._word(p, None, c[:-1] + (sym,)),
+                           m.act_xp_right({c[-1]: one}, relt))
         return self._word(p, relt, ())
 
     def _word_mul(self, key1, key2):
@@ -807,13 +797,13 @@ class ToeplitzAlgebra:
                 return {}
         if p2:
             head = {p2[0]: one} if mid is None else m.act_left(mid, {p2[0]: one})
-            return _apply(k, lambda sym: self._word(
+            return vapply(k, lambda sym: self._word(
                 p1 + (sym,) + tuple(p2[1:]), None, c2), head)
         if c1:
             tail = {c1[-1]: one}
             if mid is not None:
                 tail = m.act_xp_right(tail, mid)
-            return _apply(k, lambda sym: self._word(
+            return vapply(k, lambda sym: self._word(
                 p1, None, tuple(c1[:-1]) + (sym,) + c2), tail)
         return self._word(p1, mid, c2)
 
@@ -835,7 +825,7 @@ class ToeplitzAlgebra:
                     if key[0] == "w" and len(key[1]) + len(key[2]) > max_len:
                         return None
                     out[key] = k.add(out.get(key, k.zero), k.mul(coeff, c))
-        return vclean(k, out)
+        return vdrop(out)
 
     def left_support(self, key):
         """A ring element u with j(u) . word == word."""
@@ -1088,7 +1078,7 @@ class HomotopyModel:
                 return col
             for i, c2 in col.items():
                 out[i] = k.add(out.get(i, k.zero), k.mul(c, c2))
-        return vclean(k, out)
+        return vdrop(out)
 
     def _support(self, w):
         """The left support of the word of id ``w``, kept per word: its
@@ -1119,7 +1109,7 @@ class HomotopyModel:
                 skey, svec = self._support(w)
                 fcol = supports.get(skey)
                 if fcol is None:
-                    fcol = supports[skey] = _apply(k, fcols.__getitem__, svec)
+                    fcol = supports[skey] = vapply(k, fcols.__getitem__, svec)
             else:
                 fcol = fcols[fkey]
             col = self.lift(fcol, w)
@@ -1205,7 +1195,7 @@ class HOperator:
                 return sub
             for j, c2 in sub.items():
                 out[j] = k.add(out.get(j, k.zero), k.mul(c, c2))
-        return vclean(k, out)
+        return vdrop(out)
 
     def __add__(self, other):
         low = dict(self.low)

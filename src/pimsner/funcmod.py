@@ -9,11 +9,8 @@ coefficients, with the pairing and all four R-actions given as tables on
 basis symbols and extended bilinearly.
 
 Vectors are plain dicts mapping basis symbols to coefficients; the ring R
-is a ``ringcore.RingDescriptor``.  Vectors are always clean: every
-coefficient is coerced into the ground ring and none is zero.  ``vadd``,
-``vscale`` and ``vclean`` keep that invariant, and so does every routine
-that builds a vector, so two vectors are equal exactly when their dicts
-compare equal.
+is a ``ringcore.RingDescriptor``.  Every routine here builds clean vectors
+with the helpers of ``ringcore``, whose docstring states the rule.
 
 On top of the module structure this file provides:
 
@@ -41,50 +38,9 @@ from functools import cache
 from math import gcd
 
 from . import abgroup
-from .ringcore import RingError, ZmodRing, integer_rows
-
-
-# ---------------------------------------------------------------------------
-# Vector helpers: dicts from basis symbols to coefficients
-# ---------------------------------------------------------------------------
-
-# Scalars come out of the ring ops coerced, so a zero test is a plain
-# comparison with ``k.zero``.
-
-def vadd(k, a, b):
-    add, zero = k.add, k.zero
-    out = dict(a)
-    for sym, c in b.items():
-        s = add(out.get(sym, zero), c)
-        if s == zero:
-            out.pop(sym, None)
-        else:
-            out[sym] = s
-    return out
-
-
-def vscale(k, a, coeff):
-    mul, zero = k.mul, k.zero
-    coeff = k.coerce(coeff)
-    if coeff == zero:
-        return {}
-    out = {}
-    for sym, c in a.items():
-        # over Z/m a product of nonzero entries can vanish
-        c = mul(coeff, c)
-        if c != zero:
-            out[sym] = c
-    return out
-
-
-def vclean(k, a):
-    coerce, zero = k.coerce, k.zero
-    out = {}
-    for sym, c in a.items():
-        c = coerce(c)
-        if c != zero:
-            out[sym] = c
-    return out
+# ``vadd`` and ``vscale`` stay bound here, where ``perfbench`` traces them
+from .ringcore import (RingElement, RingError, ZmodRing, integer_rows, vadd,
+                       vapply, vclean, vdrop, vscale)
 
 
 # ---------------------------------------------------------------------------
@@ -151,13 +107,14 @@ class FunctionalModule:
             val = self._pairing(c, b)
             coeff = self.k.mul(cc, cb)
             return val if coeff == self.k.one else val.scale(coeff)
-        out = self.ring.zero()
+        k = self.k
+        out = {}
         for c, cc in pvec.items():
             for b, cb in xvec.items():
-                val = self._pairing(c, b)
-                if not val.is_zero():
-                    out = out + val.scale(self.k.mul(cc, cb))
-        return out
+                coeff = k.mul(cc, cb)
+                for sym, v in self._pairing(c, b).terms.items():
+                    out[sym] = k.add(out.get(sym, k.zero), k.mul(coeff, v))
+        return RingElement._of(self.ring, vdrop(out))
 
     # -- module actions ----------------------------------------------------
 
@@ -170,7 +127,7 @@ class FunctionalModule:
                 coeff = k.mul(c, rc)
                 for hsym, hc in hit.items():
                     out[hsym] = k.add(out.get(hsym, k.zero), k.mul(coeff, hc))
-        return vclean(k, out)
+        return vdrop(out)
 
     def act_right(self, xvec, relt):
         """x . r for the structural right action on X."""
@@ -226,13 +183,11 @@ class FunctionalModule:
             return self._reduce_cache[(b1, b2)]
         except KeyError:
             pass
+        # sym -> (b0, sym) is injective, so the image of a clean vector
+        # is clean
         b0, r = self.x_split(b1)
-        k = self.k
-        out = {}
-        for sym, c in self.act_left(r, {b2: k.one}).items():
-            key = (b0, sym)
-            out[key] = k.add(out.get(key, k.zero), c)
-        out = vclean(k, out)
+        out = {(b0, sym): c
+               for sym, c in self.act_left(r, {b2: self.k.one}).items()}
         self._reduce_cache[(b1, b2)] = out
         return out
 
@@ -243,12 +198,8 @@ class FunctionalModule:
         except KeyError:
             pass
         r, c0 = self.xp_split(c2)
-        k = self.k
-        out = {}
-        for sym, c in self.act_xp_right({c1: k.one}, r).items():
-            key = (sym, c0)
-            out[key] = k.add(out.get(key, k.zero), c)
-        out = vclean(k, out)
+        out = {(sym, c0): c
+               for sym, c in self.act_xp_right({c1: self.k.one}, r).items()}
         self._reduce_dual_cache[(c1, c2)] = out
         return out
 
@@ -263,7 +214,7 @@ class FunctionalModule:
             for tail, ct in self.tensor_normalize((nxt,) + syms[2:]).items():
                 key = (b0,) + tail
                 out[key] = k.add(out.get(key, k.zero), k.mul(c, ct))
-        return vclean(k, out)
+        return vdrop(out)
 
     def dual_tensor_normalize(self, syms):
         """Normal form of a pure tensor of X' symbols."""
@@ -276,7 +227,7 @@ class FunctionalModule:
             for (head, c1), c in self.reduce_pair_dual(syms[0], tail_key[0]).items():
                 key = (head, c1) + tail_key[1:]
                 out[key] = k.add(out.get(key, k.zero), k.mul(c, ct))
-        return vclean(k, out)
+        return vdrop(out)
 
     # -- incremental normal forms (tails/heads already reduced) ---------------
 
@@ -298,7 +249,7 @@ class FunctionalModule:
                 for tail, ct in self.prepend_normal(nxt, t[1:]).items():
                     key = (b0,) + tail
                     out[key] = k.add(out.get(key, k.zero), k.mul(c, ct))
-        return vclean(k, out)
+        return vdrop(out)
 
     def append_normal(self, t, b):
         """Normal form of t (x) b when the tuple t is already reduced."""
@@ -314,7 +265,7 @@ class FunctionalModule:
                 for head, ch in self.append_normal(t[:-1], h).items():
                     key = head + (nxt,)
                     out[key] = k.add(out.get(key, k.zero), k.mul(c, ch))
-        return vclean(k, out)
+        return vdrop(out)
 
     def dual_append_normal(self, t, c2):
         """Normal form of t (x) c2 on the X' side, t already reduced."""
@@ -330,7 +281,7 @@ class FunctionalModule:
                 for head, ch in self.dual_append_normal(t[:-1], h).items():
                     key = head + (c0,)
                     out[key] = k.add(out.get(key, k.zero), k.mul(c, ch))
-        return vclean(k, out)
+        return vdrop(out)
 
 
 # ---------------------------------------------------------------------------
@@ -368,7 +319,7 @@ class CompactOperator:
                     for c, cc in m.act_xp_left(r, pvec).items():
                         key = (b0, c)
                         out[key] = k.add(out.get(key, k.zero), k.mul(cb, cc))
-            self._normal = vclean(k, out)
+            self._normal = vdrop(out)
         return self._normal
 
     def is_zero(self):
@@ -402,8 +353,9 @@ class CompactOperator:
         for xvec, pvec in self.terms:
             r = m.pair(pvec, yvec)
             if not r.is_zero():
-                out = vadd(k, out, m.act_right(xvec, r))
-        return out
+                for sym, c in m.act_right(xvec, r).items():
+                    out[sym] = k.add(out.get(sym, k.zero), c)
+        return vdrop(out)
 
     def apply_right(self, psivec):
         """Right theta action on X': psi . (x (x) phi) = psi(x) . phi."""
@@ -412,8 +364,9 @@ class CompactOperator:
         for xvec, pvec in self.terms:
             r = m.pair(psivec, xvec)
             if not r.is_zero():
-                out = vadd(k, out, m.act_xp_left(r, pvec))
-        return out
+                for sym, c in m.act_xp_left(r, pvec).items():
+                    out[sym] = k.add(out.get(sym, k.zero), c)
+        return vdrop(out)
 
     def __repr__(self):
         nt = self.normal_terms()
@@ -438,18 +391,10 @@ class FunctionalHom:
         self.label = label
 
     def u_of(self, xvec):
-        k = self.target.k
-        out = {}
-        for b, c in xvec.items():
-            out = vadd(k, out, vscale(k, self._U(b), c))
-        return out
+        return vapply(self.target.k, self._U, xvec)
 
     def v_of(self, pvec):
-        k = self.target.k
-        out = {}
-        for sym, c in pvec.items():
-            out = vadd(k, out, vscale(k, self._V(sym), c))
-        return out
+        return vapply(self.target.k, self._V, pvec)
 
     @classmethod
     def identity(cls, module):
@@ -517,7 +462,7 @@ def compact_to_matrix(k_op, matrix_ring):
                     key = (i, j, sym)
                     prev = terms.get(key, k.zero)
                     terms[key] = k.add(prev, k.mul(k.mul(ca, cb), c))
-    return matrix_ring.element(terms)
+    return RingElement._of(matrix_ring, vdrop(terms))
 
 
 # ---------------------------------------------------------------------------
@@ -731,7 +676,6 @@ def free_module(ring, index_set, label=None):
     k = ring.k
 
     def relt_of(d):
-        from .ringcore import RingElement
         return RingElement(ring, d)
 
     def pairing(c, b):
@@ -919,7 +863,7 @@ def tensor(c1, c2, label=None):
         for bx2, c in mx._x_left(rsym, bx).items():
             for key, c2 in cross_reduce(bx2, by).items():
                 out[key] = k.add(out.get(key, k.zero), k.mul(c, c2))
-        return vclean(k, out)
+        return vdrop(out)
 
     def xp_left(tsym, c):
         cy, cx = c
@@ -931,7 +875,7 @@ def tensor(c1, c2, label=None):
         for cx2, cc in mx._xp_right(cx, rsym).items():
             for key, c2 in cross_reduce_dual(cy, cx2).items():
                 out[key] = k.add(out.get(key, k.zero), k.mul(cc, c2))
-        return vclean(k, out)
+        return vdrop(out)
 
     def x_split(b):
         bx, by = b
@@ -965,7 +909,7 @@ def tensor(c1, c2, label=None):
             for (j, tsym), cu2 in c2.hom.u_of(yv).items():
                 key = ((i, j), tsym)
                 out[key] = k.add(out.get(key, k.zero), k.mul(cu, cu2))
-        return vclean(k, out)
+        return vdrop(out)
 
     def V(c):
         cy, cx = c
@@ -975,7 +919,7 @@ def tensor(c1, c2, label=None):
             for (j, tsym), cv2 in c2.hom.v_of(yv).items():
                 key = ((i, j), tsym)
                 out[key] = k.add(out.get(key, k.zero), k.mul(cv, cv2))
-        return vclean(k, out)
+        return vdrop(out)
 
     hom = FunctionalHom(mod, free_target, U, V)
     return Correspondence(mod, hom, product_index,

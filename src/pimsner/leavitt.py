@@ -30,8 +30,11 @@ from .ringcore import (
     ZZ,
     DirectSumRing,
     RingDescriptor,
+    RingElement,
     RingError,
     ZmodRing,
+    vadd,
+    vscale,
 )
 from . import funcmod
 from .funcmod import CompactOperator, Correspondence, FunctionalHom, FunctionalModule
@@ -394,17 +397,13 @@ class LeavittRing(RingDescriptor):
         edges = tuple(edges)
         if not edges:
             raise RingError("empty path needs a vertex; use .vertex(v)")
-        if not self.quiver.is_path(edges):
-            return self.zero()
-        return self._reduced((self.quiver.r(edges[-1]), edges, ()))
+        return self.monomial_pq(edges, ())
 
     def ghost(self, edges):
         edges = tuple(edges)
         if not edges:
             raise RingError("empty ghost path needs a vertex; use .vertex(v)")
-        if not self.quiver.is_path(edges):
-            return self.zero()
-        return self._reduced((self.quiver.r(edges[-1]), (), edges))
+        return self.monomial_pq((), edges)
 
     def monomial_pq(self, p, q):
         """p q* for paths sharing a range; zero if they do not compose."""
@@ -424,26 +423,28 @@ class LeavittRing(RingDescriptor):
             v = quiv.r(q[-1])
         else:
             raise RingError("vertex monomial needs .vertex(v)")
-        return self._reduced((v, p, q))
+        return RingElement._of(self, self._reduced((v, p, q)))
 
     # -- reduction to the linear basis ----------------------------------------
 
     def _reduced(self, sym):
-        """Eliminate special-edge junctions; returns a RingElement."""
+        """Eliminate special-edge junctions; returns clean terms."""
         v, p, q = sym
         k = self.k
         if not (p and q and p[-1] == q[-1]):
-            return self.monomial(sym)
+            return {sym: k.one}
         e = p[-1]
         w = self.quiver.s(e)
         if self._special.get(w) != e:
-            return self.monomial(sym)
+            return {sym: k.one}
         # p' (e e*) q'* = p' q'* - sum over other edges f at w of p' f f* q'*
         out = self._reduced((w, p[:-1], q[:-1]))
+        minus_one = k.neg(k.one)
         for f in self.quiver.out_edges(w):
             if f != e:
-                out = out - self._reduced(
-                    (self.quiver.r(f), p[:-1] + (f,), q[:-1] + (f,)))
+                out = vadd(k, out, vscale(k, self._reduced(
+                    (self.quiver.r(f), p[:-1] + (f,), q[:-1] + (f,))),
+                    minus_one))
         return out
 
     # -- ring structure --------------------------------------------------------
@@ -471,7 +472,7 @@ class LeavittRing(RingDescriptor):
             if self.quiver.s(leftover[0]) != v2:
                 return {}
             new = (v1, p1, q2 + leftover)
-        return self._reduced(new).terms
+        return self._reduced(new)
 
     def local_unit_terms(self, symbols):
         verts = set()

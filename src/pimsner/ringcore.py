@@ -16,6 +16,13 @@ of basis symbols with coefficients.  The bundled descriptors are
 
 All of these admit local units: every finite set of elements is fixed on
 both sides by some idempotent, which ``local_unit_for`` produces.
+
+Vectors (here, in ``funcmod`` and in ``fock``) are dicts from basis symbols
+to coefficients, and are always clean: every coefficient is coerced into
+the ground ring and none is zero, so equal vectors have equal dicts.  The
+scalar ops coerce what they return, so a sum built from them only drops
+its zeros (``vdrop``, or ``vadd`` and ``vscale`` as they go); ``vclean``
+also coerces, for values from outside the scalar ops.
 """
 
 from __future__ import annotations
@@ -266,6 +273,66 @@ def coefficient_ring(spec):
 
 
 # ---------------------------------------------------------------------------
+# Clean vectors: dicts from basis symbols to coefficients
+# ---------------------------------------------------------------------------
+
+def vadd(k, a, b):
+    add, zero = k.add, k.zero
+    out = dict(a)
+    for sym, c in b.items():
+        s = add(out.get(sym, zero), c)
+        if s == zero:
+            out.pop(sym, None)
+        else:
+            out[sym] = s
+    return out
+
+
+def vscale(k, a, coeff):
+    mul, zero = k.mul, k.zero
+    coeff = k.coerce(coeff)
+    if coeff == zero:
+        return {}
+    out = {}
+    for sym, c in a.items():
+        # over Z/m a product of nonzero entries can vanish
+        c = mul(coeff, c)
+        if c != zero:
+            out[sym] = c
+    return out
+
+
+def vclean(k, a):
+    """The clean vector of ``a``, whose values may be any numbers."""
+    coerce, zero = k.coerce, k.zero
+    out = {}
+    for sym, c in a.items():
+        c = coerce(c)
+        if c != zero:
+            out[sym] = c
+    return out
+
+
+def vapply(k, f, vec):
+    """The clean sum of ``c * f(sym)`` over the entries of ``vec``."""
+    add, mul, zero = k.add, k.mul, k.zero
+    out = {}
+    for sym, c in vec.items():
+        for tgt, c2 in f(sym).items():
+            out[tgt] = add(out.get(tgt, zero), mul(c, c2))
+    return vdrop(out)
+
+
+def vdrop(a):
+    """``a`` without its zeros; a coerced zero (int or Fraction) is false."""
+    out = {}
+    for sym, c in a.items():
+        if c:
+            out[sym] = c
+    return out
+
+
+# ---------------------------------------------------------------------------
 # Rings with a distinguished basis
 # ---------------------------------------------------------------------------
 
@@ -440,32 +507,24 @@ class GroupRing(RingDescriptor):
 class RingElement:
     """A finite formal sum of basis symbols with exact coefficients.
 
-    Elements are always clean: every coefficient is coerced into the
-    ring's ``k`` and none is zero.  The public constructor coerces and
-    cleans what callers pass; arithmetic takes its values from ``k.add``,
-    ``k.mul`` and ``k.neg``, which already coerce, so it builds results
-    through ``_clean``, which only drops zero coefficients.
+    ``terms`` is a clean vector (see the module docstring).  The public
+    constructor makes it one with ``vclean``; arithmetic takes its values
+    from ``k.add``, ``k.mul`` and ``k.neg`` and wraps its result with
+    ``_of``, which takes clean terms as they are.
     """
 
     __slots__ = ("ring", "terms")
 
     def __init__(self, ring, terms):
         self.ring = ring
-        k = ring.k
-        clean = {}
-        for sym, coeff in terms.items():
-            coeff = k.coerce(coeff)
-            if not k.is_zero(coeff):
-                clean[sym] = coeff
-        self.terms = clean
+        self.terms = vclean(ring.k, terms)
 
     @classmethod
-    def _clean(cls, ring, terms):
-        """The element of already coerced ``terms``: only zeros are dropped
-        (a coerced coefficient is an int or a Fraction, false when zero)."""
+    def _of(cls, ring, terms):
+        """The element whose terms are the clean vector ``terms``."""
         el = object.__new__(cls)
         el.ring = ring
-        el.terms = {sym: coeff for sym, coeff in terms.items() if coeff}
+        el.terms = terms
         return el
 
     def _check_ring(self, other):
@@ -475,16 +534,14 @@ class RingElement:
 
     def __add__(self, other):
         self._check_ring(other)
-        k = self.ring.k
-        terms = dict(self.terms)
-        for sym, coeff in other.terms.items():
-            terms[sym] = k.add(terms[sym], coeff) if sym in terms else coeff
-        return RingElement._clean(self.ring, terms)
+        return RingElement._of(self.ring,
+                               vadd(self.ring.k, self.terms, other.terms))
 
     def __neg__(self):
-        k = self.ring.k
-        return RingElement._clean(
-            self.ring, {s: k.neg(c) for s, c in self.terms.items()})
+        # -c of a nonzero coerced c is nonzero
+        neg = self.ring.k.neg
+        return RingElement._of(
+            self.ring, {s: neg(c) for s, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
@@ -499,13 +556,11 @@ class RingElement:
                 for sym, unit_coeff in self.ring.mul_basis(s1, s2).items():
                     prev = out.get(sym, k.zero)
                     out[sym] = k.add(prev, k.mul(c, unit_coeff))
-        return RingElement._clean(self.ring, out)
+        return RingElement._of(self.ring, vdrop(out))
 
     def scale(self, coeff):
-        k = self.ring.k
-        coeff = k.coerce(coeff)
-        return RingElement._clean(
-            self.ring, {s: k.mul(coeff, c) for s, c in self.terms.items()})
+        return RingElement._of(self.ring,
+                               vscale(self.ring.k, self.terms, coeff))
 
     def is_zero(self):
         return not self.terms

@@ -28,9 +28,18 @@ from pimsner.fock import (
     word_operator,
     word_tokens_of,
 )
-from pimsner.funcmod import free_correspondence, vadd, vclean, vscale
+from pimsner.funcmod import free_correspondence
 from pimsner.leavitt import parse_quiver, quiver_correspondence, rose
-from pimsner.ringcore import QQ, ZZ, DirectSumRing, RingError, Zmod
+from pimsner.ringcore import (
+    QQ,
+    ZZ,
+    DirectSumRing,
+    RingError,
+    Zmod,
+    vadd,
+    vclean,
+    vscale,
+)
 
 A2 = parse_quiver("vertices: v w\nedges: e: v -> w")
 

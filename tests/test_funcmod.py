@@ -18,9 +18,6 @@ from pimsner.funcmod import (
     fs_witness,
     nondegenerate,
     tensor,
-    vadd,
-    vclean,
-    vscale,
 )
 from pimsner.leavitt import parse_quiver, quiver_correspondence, rose
 from pimsner.ringcore import (
@@ -31,6 +28,9 @@ from pimsner.ringcore import (
     RingError,
     Zmod,
     coefficient_ring,
+    vadd,
+    vclean,
+    vscale,
 )
 
 A2 = parse_quiver("vertices: v w\nedges: e: v -> w")

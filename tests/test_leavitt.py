@@ -4,6 +4,8 @@ import random
 from itertools import islice
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pimsner.abgroup import FgAbelianGroup, IntMatrix
 from pimsner.funcmod import check_functional_hom, fs_witness
@@ -20,7 +22,14 @@ from pimsner.leavitt import (
     quiver_correspondence,
     rose,
 )
-from pimsner.ringcore import QQ, Fp, RingError, Zmod, local_unit_for
+from pimsner.ringcore import (
+    QQ,
+    Fp,
+    RingError,
+    Zmod,
+    coefficient_ring,
+    local_unit_for,
+)
 
 
 def degrees(element):
@@ -298,6 +307,81 @@ class TestLeavittArithmetic:
             prod = a * b
             if not prod.is_zero():
                 assert degrees(prod) == {da + db}
+
+
+def _element_reduced(L, sym):
+    """The special-edge reduction built from ring elements, kept as an
+    oracle for the term-dict reduction of ``LeavittRing``."""
+    v, p, q = sym
+    if not (p and q and p[-1] == q[-1]):
+        return L.monomial(sym)
+    e = p[-1]
+    w = L.quiver.s(e)
+    if L._special.get(w) != e:
+        return L.monomial(sym)
+    out = _element_reduced(L, (w, p[:-1], q[:-1]))
+    for f in L.quiver.out_edges(w):
+        if f != e:
+            out = out - _element_reduced(
+                L, (L.quiver.r(f), p[:-1] + (f,), q[:-1] + (f,)))
+    return out
+
+
+def _oracle_ring(quiver, k):
+    """A Leavitt ring whose products and monomials reduce by the oracle."""
+    oracle = LeavittRing(quiver, k)
+    oracle._reduced = lambda sym: _element_reduced(oracle, sym).terms
+    return oracle
+
+
+@st.composite
+def _small_quivers(draw):
+    verts = [f"v{i}" for i in range(draw(st.integers(1, 3)))]
+    vertex = st.sampled_from(verts)
+    edges = [(f"x{j}", draw(vertex), draw(vertex))
+             for j in range(draw(st.integers(1, 6)))]
+    return Quiver(verts, edges)
+
+
+def _draw_symbol(data, quiver):
+    """A monomial (v, p, q): paths p and q of length <= 3 ending at v."""
+    v = data.draw(st.sampled_from(quiver.vertices))
+
+    def path_into(v):
+        path = ()
+        for _ in range(data.draw(st.integers(0, 3))):
+            into = [e for e in quiver.edges
+                    if quiver.r(e) == (quiver.s(path[0]) if path else v)]
+            if not into:
+                break
+            path = (data.draw(st.sampled_from(into)),) + path
+        return path
+
+    return v, path_into(v), path_into(v)
+
+
+class TestReductionOracle:
+    @settings(max_examples=80, deadline=None)
+    @given(quiver=_small_quivers(),
+           spec=st.sampled_from(["z", "q", "zmod:6", "fp:2"]),
+           data=st.data())
+    def test_products_and_monomials_match_the_element_oracle(
+            self, quiver, spec, data):
+        k = coefficient_ring(spec)
+        L, oracle = LeavittRing(quiver, k), _oracle_ring(quiver, k)
+        syms = [_draw_symbol(data, quiver) for _ in range(4)]
+        for b1 in syms:
+            for b2 in syms:
+                got = L.mul_basis(b1, b2)
+                assert got == oracle.mul_basis(b1, b2)
+                assert all(type(c) is type(k.one) and c for c in got.values())
+        for _, p, q in syms:
+            if p:
+                assert L.path(p).terms == oracle.path(p).terms
+                assert L.ghost(p).terms == oracle.ghost(p).terms
+            if p or q:
+                assert L.monomial_pq(p, q).terms == \
+                    oracle.monomial_pq(p, q).terms
 
 
 class TestKGroups:

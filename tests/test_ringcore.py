@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from pimsner.funcmod import CompactOperator, FunctionalHom, free_module
 from pimsner.ringcore import (
     QQ,
     ZZ,
@@ -19,6 +20,8 @@ from pimsner.ringcore import (
     Zmod,
     coefficient_ring,
     local_unit_for,
+    vadd,
+    vscale,
 )
 
 
@@ -218,13 +221,22 @@ class TestRingElements:
             r1.monomial("v") + r2.monomial("v")
 
 
-def _assert_clean(el):
+def _assert_clean_vector(k, vec):
     """Every coefficient is nonzero and already in the ring's form."""
-    k = el.ring.k
-    for coeff in el.terms.values():
+    for coeff in vec.values():
         assert not k.is_zero(coeff)
         want = k.coerce(coeff)
         assert type(coeff) is type(want) and coeff == want
+
+
+def _assert_clean(el):
+    _assert_clean_vector(el.ring.k, el.terms)
+
+
+def _random_vector(rng, size=4):
+    """Symbols (i, n) of the free module over k[x, x^-1] on {0, 1}."""
+    return {(rng.randint(0, 1), rng.randint(-2, 2)): rng.randint(-3, 3)
+            for _ in range(size)}
 
 
 class TestCleanArithmetic:
@@ -266,6 +278,69 @@ class TestCleanArithmetic:
         z6 = DirectSumRing(Zmod(6), ["u"])
         assert z6.element({"u": -1}).terms == {"u": 5}
         assert z6.element({"u": 12}).terms == {}
+
+
+    @pytest.mark.parametrize("k", [QQ, Zmod(6)], ids=str)
+    def test_module_sums_are_clean(self, k):
+        # multi-term pairings, hom images and operator actions equal the
+        # sums of their one-term pieces, with every cancelled entry gone
+        ring = LaurentRing(k)
+        mod = free_module(ring, [0, 1])
+        hom = FunctionalHom(
+            mod, mod,
+            lambda b: {b: 2, (b[0], b[1] + 1): -2, (1 - b[0], b[1]): 3},
+            lambda c: {c: 1})
+        rng = random.Random(23)
+        pair_drops = image_drops = 0
+        for _ in range(200):
+            pvec = vscale(k, _random_vector(rng), 1)
+            xvec = vscale(k, _random_vector(rng), 1)
+            paired = mod.pair(pvec, xvec)
+            _assert_clean(paired)
+            want = ring.zero()
+            for c, cc in pvec.items():
+                for b, cb in xvec.items():
+                    want = want + mod.pair({c: cc}, {b: cb})
+            assert paired == want
+            touched = {c[1] + b[1] for c in pvec for b in xvec
+                       if c[0] == b[0]}
+            pair_drops += len(paired.terms) < len(touched)
+
+            image = hom.u_of(xvec)
+            _assert_clean_vector(k, image)
+            want = {}
+            for b, cb in xvec.items():
+                want = vadd(k, want, vscale(k, hom._U(b), cb))
+            assert image == want
+            touched = {sym for b in xvec for sym in hom._U(b)}
+            image_drops += len(image) < len(touched)
+
+            op = CompactOperator(mod, [(_random_vector(rng, 2),
+                                        _random_vector(rng, 2))
+                                       for _ in range(3)])
+            applied = op.apply(xvec)
+            _assert_clean_vector(k, applied)
+            want = {}
+            for x, p in op.terms:
+                want = vadd(k, want, mod.act_right(x, mod.pair(p, xvec)))
+            assert applied == want
+        assert pair_drops and image_drops
+
+    def test_module_zero_divisor_terms_drop_out_mod_6(self):
+        k = Zmod(6)
+        mod = free_module(LaurentRing(k), [0])
+        # x^1 gets 2 * 3 = 0 and x^0 gets 1 * 3 + 2 * 5 = 1
+        pvec = {(0, 0): 1, (0, 1): 2}
+        xvec = {(0, 0): 3, (0, -1): 5}
+        assert mod.pair(pvec, xvec).terms == {0: 1, -1: 5}
+        hom = FunctionalHom(mod, mod, lambda b: {b: 3, (0, 9): 2},
+                            lambda c: {c: 1})
+        # (0, 9) gets 2 * 3 + 2 * 3 = 0, each image entry 3 * 3 = 3
+        assert hom.u_of({(0, 0): 3, (0, 1): 3}) == {(0, 0): 3, (0, 1): 3}
+        op = CompactOperator(mod, [({(0, 0): 1}, {(0, 0): 2}),
+                                   ({(0, 0): 1}, {(0, 0): 4})])
+        # the two terms give 2 + 4 = 0
+        assert op.apply({(0, 0): 1}) == {}
 
 
 class TestIdempotents:
