@@ -10,7 +10,9 @@ configuration and seed, written as the exact text of
 short summary instead.
 
 Exit codes: 0 success, 2 parse or semantic error (also a ``--fock-depth``
-whose Fock module would pass ``fock.MAX_FOCK_DIMENSION`` basis keys), 3
+whose Fock module would pass ``fock.MAX_FOCK_DIMENSION`` basis keys or
+that passes ``fock.MAX_FOCK_DEPTH``, and a ``--word-bound`` that gives
+more than ``leavitt.MAX_NORMAL_WORDS`` normal words), 3
 insufficient depth (all checks that ran passed but some were skipped for
 budget), 4 a failed identity (a check that ran found a counterexample, or
 an internal invariant was violated), 141 standard output closed before
@@ -31,6 +33,7 @@ from json.encoder import encode_basestring_ascii as _json_str
 from . import __version__, funcmod, leavitt, selfsim
 from .abgroup import AbgroupError, IntMatrix
 from .fock import (
+    MAX_FOCK_DEPTH,
     MAX_FOCK_DIMENSION,
     CheckReport,
     DepthError,
@@ -330,7 +333,7 @@ def cmd_selfsim(args):
     elif not group.generators:
         mat = IntMatrix.from_rows([[1 - d]])
         presets = leavitt.field_presets(k)
-        pipe, _ = leavitt._pipeline_report(mat, presets, [0, 1],
+        pipe, _ = leavitt._pipeline_report(mat, presets,
                                            row_labels=["*"], col_labels=["*"])
         report["k_groups"] = {"schema": 1, "pipeline": "self-similar",
                               **pipe}
@@ -350,7 +353,8 @@ def cmd_selfsim(args):
 
 def _check_fock_budget(quiver, depth):
     """Refuse a depth whose Fock module, one basis key per path of length
-    at most ``depth``, would pass ``MAX_FOCK_DIMENSION`` keys."""
+    at most ``depth``, would pass ``MAX_FOCK_DIMENSION`` keys, or that
+    passes ``MAX_FOCK_DEPTH``."""
     total = 0
     for degree, count in zip(range(depth + 1), quiver.path_counts()):
         total += count
@@ -359,10 +363,14 @@ def _check_fock_budget(quiver, depth):
                 f"--fock-depth {depth} is too deep: the Fock module has "
                 f"{total} basis keys through degree {degree}, more than "
                 f"{MAX_FOCK_DIMENSION}")
+    if depth > MAX_FOCK_DEPTH:
+        raise RingError(f"--fock-depth {depth} is too deep: the cap is "
+                        f"{MAX_FOCK_DEPTH}")
 
 
 def _verify_quiver(args, quiver):
     _check_fock_budget(quiver, args.fock_depth)
+    words = leavitt.normal_words(quiver, args.word_bound)
     k = coefficient_ring(args.coeff)
     corr = leavitt.quiver_correspondence(quiver, k)
     one = k.one
@@ -376,7 +384,7 @@ def _verify_quiver(args, quiver):
         checks.append(covariant_check(fk).as_dict())
 
         defect = CheckReport("defect-support")
-        for p, q in leavitt.normal_words(quiver, args.word_bound):
+        for p, q in words:
             tokens = [("x", {e: one}) for e in p] + \
                      [("phi", {(e, "*"): one}) for e in reversed(q)]
             try:

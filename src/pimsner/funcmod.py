@@ -386,8 +386,8 @@ class FunctionalHom:
     def __init__(self, source, target, U, V, label="hom"):
         self.source = source
         self.target = target
-        self._U = U if callable(U) else (lambda b, _t=dict(U): dict(_t[b]))
-        self._V = V if callable(V) else (lambda c, _t=dict(V): dict(_t[c]))
+        self._U = U
+        self._V = V
         self.label = label
 
     def u_of(self, xvec):
@@ -759,7 +759,7 @@ def free_correspondence(ring, index_set, label=None):
                           label=label or mod.label)
 
 
-def direct_sum(m1, m2, label=None):
+def direct_sum(m1, m2):
     """Block sum of functional modules; the pairing vanishes across blocks."""
     if m1.ring is not m2.ring:
         raise RingError("direct sum needs modules over the same ring")
@@ -813,7 +813,7 @@ def direct_sum(m1, m2, label=None):
         xp_right=xp_right if has_xpr else None,
         x_split=x_split, xp_split=xp_split,
         x_left_support=x_support, xp_left_support=xp_support,
-        label=label or f"{m1.label} (+) {m2.label}")
+        label=f"{m1.label} (+) {m2.label}")
 
 
 def tensor(c1, c2, label=None):

@@ -75,9 +75,7 @@ class CoefficientRing:
 
 
 class IntegerRing(CoefficientRing):
-    """The integers.  A scalar op whose result is already an ``int``
-    returns it as is; any other result (``bool``, ``Fraction``) is coerced.
-    """
+    """The integers."""
 
     name = "Z"
     zero = 0
@@ -103,9 +101,6 @@ class IntegerRing(CoefficientRing):
     def neg(self, a):
         n = -a
         return n if type(n) is int else self.coerce(n)
-
-    def is_zero(self, a):
-        return (a if type(a) is int else self.coerce(a)) == 0
 
     def solve(self, rows, rhs):
         mat = abgroup.IntMatrix.from_rows(rows)
@@ -140,8 +135,8 @@ class RationalRing(CoefficientRing):
 class ZmodRing(CoefficientRing):
     """Integers mod m, 2 <= m < 2**40.  A field exactly when m is prime.
 
-    Elements are ints in ``range(m)``.  A scalar op whose result is an
-    ``int`` only reduces it mod m; any other result is coerced.
+    Elements are ints in ``range(m)``; the generic scalar ops reduce each
+    result through ``coerce``.
     """
 
     zero = 0
@@ -167,21 +162,6 @@ class ZmodRing(CoefficientRing):
                 raise RingError(f"denominator {value.denominator} not invertible")
             return (value.numerator * inv) % self.modulus
         return int(value) % self.modulus
-
-    def add(self, a, b):
-        s = a + b
-        return s % self.modulus if type(s) is int else self.coerce(s)
-
-    def mul(self, a, b):
-        p = a * b
-        return p % self.modulus if type(p) is int else self.coerce(p)
-
-    def neg(self, a):
-        n = -a
-        return n % self.modulus if type(n) is int else self.coerce(n)
-
-    def is_zero(self, a):
-        return (a % self.modulus if type(a) is int else self.coerce(a)) == 0
 
     def invert(self, a):
         """Multiplicative inverse mod m, or None if ``a`` is not a unit."""
@@ -378,8 +358,8 @@ class RingDescriptor:
     def zero(self):
         return RingElement(self, {})
 
-    def monomial(self, sym, coeff=1):
-        return RingElement(self, {sym: coeff})
+    def monomial(self, sym):
+        return RingElement(self, {sym: 1})
 
     def __repr__(self):
         return self.label

@@ -252,7 +252,7 @@ def test_criterion_8_cross_pipeline_agreement():
         # the left action of the unit is the identity d x d matrix, so the
         # induced map on each degree is multiplication by d
         mat = IntMatrix.from_rows([[1 - d]])
-        _, nek_segs = _pipeline_report(mat, field_presets(ZZ), [0, 1],
+        _, nek_segs = _pipeline_report(mat, field_presets(ZZ),
                                        row_labels=["*"], col_labels=["*"])
         for n in (0, 1):
             rose_list = rose_segs[n]

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from pimsner.cli import (
     EXIT_PIPE,
+    MAX_FOCK_DEPTH,
     MAX_FOCK_DIMENSION,
     _check_fock_budget,
     _selfsim_suites,
@@ -36,6 +37,8 @@ edges:
 """
 
 A2 = "vertices: v w\nedges: e: v -> w\n"
+
+ROSE1 = "vertices: v\nedges: e: v -> v\n"
 
 ROSE3 = "vertices: v\nedges:\n  e: v -> v\n  f: v -> v\n  g: v -> v\n"
 
@@ -251,6 +254,36 @@ class TestVerify:
                              "--fock-depth", "100000")
         assert (code, out) == (2, "")
         assert "131071 basis keys through degree 16" in err
+
+    @pytest.mark.parametrize("text, argv, message", [
+        (A2, ["--fock-depth", "100000"],
+         "--fock-depth 100000 is too deep: the cap is 64"),
+        (ROSE1, ["--fock-depth", "65"],
+         "--fock-depth 65 is too deep: the cap is 64"),
+        (ROSE2, ["--word-bound", "30"],
+         "word bound 30 gives more than 65536 normal words"),
+    ])
+    def test_past_the_depth_cap_or_word_budget_exits_2_at_once(
+            self, capsys, tmp_path, monkeypatch, text, argv, message):
+        # a2's path counts end and rose1 has one key per degree, so the
+        # key budget never trips on them
+        from pimsner import cli
+
+        def refuse(*_args):
+            raise AssertionError("built a Fock module")
+        monkeypatch.setattr(cli, "TruncatedFock", refuse)
+        path = tmp_path / "q.quiver"
+        path.write_text(text, encoding="utf-8")
+        code, out, err = run(capsys, "verify", str(path), *argv)
+        assert (code, out) == (2, "")
+        assert message in err
+
+    def test_fock_depth_cap(self):
+        for quiver in (rose(1), parse_quiver(A2)):
+            _check_fock_budget(quiver, MAX_FOCK_DEPTH)
+            with pytest.raises(RingError, match=f"--fock-depth "
+                               f"{MAX_FOCK_DEPTH + 1} is too deep"):
+                _check_fock_budget(quiver, MAX_FOCK_DEPTH + 1)
 
     @pytest.mark.parametrize("edges, depth, refused", [
         (2, 14, False), (2, 15, False), (3, 6, False), (6, 6, False),

@@ -93,6 +93,11 @@ class TestGradedBasis:
         # the refusal builds no part of the refused degree
         assert 6 not in fk._basis and 7 not in fk._basis
 
+    def test_depth_past_the_cap_is_refused(self):
+        assert rose_fock(1, fock_module.MAX_FOCK_DEPTH).depth == 64
+        with pytest.raises(RingError, match="depth 65 is past 64"):
+            rose_fock(1, fock_module.MAX_FOCK_DEPTH + 1)
+
     def test_bases_closed_under_normal_form(self):
         for fk in [rose_fock(2, 3), a2_fock(3)]:
             for n in range(1, 4):
@@ -242,7 +247,7 @@ class TestVacuumCompression:
         ring = DirectSumRing(ZZ, ["u"])
         corr = free_correspondence(ring, ["*"])
         fk = TruncatedFock(corr, 4)
-        r = ring.monomial("u", 3)
+        r = ring.monomial("u").scale(3)
         op = p0_compact_form(r, fk)
         assert check_p0_form(op, r, fk)
         assert op.column((0, ("u",)))[(0, ("u",))] == 3
@@ -402,7 +407,7 @@ def _oracle_tokens(fk):
     relts = [ring.monomial(r) for r in ring.basis] + [ring.zero()]
     mixed = ring.zero()
     for i, r in enumerate(ring.basis):
-        mixed = mixed + ring.monomial(r, i + 2)
+        mixed = mixed + ring.monomial(r).scale(i + 2)
     relts.append(mixed)
     return ([("x", v) for v in vecs(fk.module.x_basis)]
             + [("phi", v) for v in vecs(fk.module.xp_basis)]
@@ -427,7 +432,7 @@ class TestPiRepresentations:
 
     def test_pi1_scalar_on_higher_degrees(self):
         fk = rose_fock(2, 4)
-        r = fk.ring.monomial("v", 5)
+        r = fk.ring.monomial("v").scale(5)
         op = pi1(fk, [("r", r)])
         for key in fk.basis(0):
             assert op.column(key) == {}
@@ -709,7 +714,7 @@ class TestDefects:
 
     def test_scalar_defect(self):
         fk = rose_fock(2, 4)
-        r = fk.ring.monomial("v", 2)
+        r = fk.ring.monomial("v").scale(2)
         defect, infos = quasi_hom_defect(fk, [("r", r)])
         assert infos[0]["block"] == (0, 0)
         assert defect.column((0, ("v",))) == {(0, ("v",)): 2}
@@ -844,7 +849,8 @@ class TestToeplitzWords:
                 elif kind == "phi":
                     tokens.append(("phi", {(rng.choice(edges), "*"): 1}))
                 else:
-                    tokens.append(("r", fk.ring.monomial("v", rng.randint(1, 2))))
+                    tokens.append(("r", fk.ring.monomial("v").scale(
+                        rng.randint(1, 2))))
             elt = talg.from_tokens(tokens)
             # rebuild the operator from the normal form and compare
             rebuilt = fk.zero_op()
@@ -1132,7 +1138,7 @@ class TestPiTensorLift:
         model = HomotopyModel(fk, 3)
         for token in [("x", {"e0": 1, "e1": 2}),
                       ("phi", {("e0", "*"): 3, ("e1", "*"): -1}),
-                      ("r", fk.ring.monomial("v", 5))]:
+                      ("r", fk.ring.monomial("v").scale(5))]:
             for variant in ("pi0", "pi1"):
                 self.assert_low_equal(
                     model, model.pi_tensor(token, variant).low,

@@ -82,7 +82,7 @@ class TestPairing:
         alpha = {(0, "p"): 2, (1, "q"): 3}
         beta = {(0, "p"): 5, (1, "q"): 7}
         assert m.pair(alpha, beta) == \
-            ring.monomial("p", 10) + ring.monomial("q", 21)
+            ring.monomial("p").scale(10) + ring.monomial("q").scale(21)
 
     def test_pairing_is_a_bimodule_map(self):
         for m in [leavitt_module(), leavitt_module(A2),

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pimsner import leavitt as leavitt_module
 from pimsner.abgroup import FgAbelianGroup, IntMatrix
 from pimsner.funcmod import check_functional_hom, fs_witness
 from pimsner.leavitt import (
@@ -18,6 +19,7 @@ from pimsner.leavitt import (
     crossed_product_k_groups,
     field_presets,
     k_groups,
+    normal_words,
     parse_quiver,
     quiver_correspondence,
     rose,
@@ -116,6 +118,38 @@ class TestAdjacency:
         # an acyclic quiver's counts end
         a2 = parse_quiver("vertices: v w\nedges: e: v -> w")
         assert list(a2.path_counts()) == [2, 1]
+
+    def test_word_budget_counts_the_words_exactly(self, monkeypatch):
+        # a budget of the list's length lists it, one below refuses, so the
+        # count taken before listing is the list's length
+        rng = random.Random(23)
+        quivers = [rose(1), rose(2), rose(6),
+                   parse_quiver("vertices: v w\nedges: e: v -> w")]
+        for _ in range(20):
+            verts = [f"v{i}" for i in range(rng.randint(1, 4))]
+            quivers.append(Quiver(verts, [
+                (f"x{j}", rng.choice(verts), rng.choice(verts))
+                for j in range(rng.randint(0, 5))]))
+        cases = [(q, bound, normal_words(q, bound))
+                 for q in quivers for bound in range(1, 5)]
+        # rose6 at the default bound, the acceptance family's largest list
+        assert len(normal_words(rose(6), 4)) == 7464
+        for q, bound, words in cases:
+            if not words:
+                continue
+            monkeypatch.setattr(leavitt_module, "MAX_NORMAL_WORDS", len(words))
+            assert normal_words(q, bound) == words
+            monkeypatch.setattr(leavitt_module, "MAX_NORMAL_WORDS",
+                                len(words) - 1)
+            with pytest.raises(RingError, match=f"word bound {bound} gives"):
+                normal_words(q, bound)
+
+    def test_word_bound_past_every_path(self):
+        # an acyclic quiver's words end, and a cycle's pass the budget
+        a2 = parse_quiver("vertices: v w\nedges: e: v -> w")
+        assert normal_words(a2, 10 ** 9) == normal_words(a2, 2)
+        with pytest.raises(RingError, match="more than 65536 normal words"):
+            normal_words(rose(1), 10 ** 9)
 
     def test_rose3(self):
         # three loops at one vertex: 1 - 3

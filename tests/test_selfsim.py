@@ -253,7 +253,7 @@ class TestCrossPipeline:
             rose_report, rose_segs = k_groups(rose(d))
             mat = IntMatrix.from_rows([[1 - d]])
             nek_report, nek_segs = _pipeline_report(
-                mat, field_presets(ZZ), [0, 1],
+                mat, field_presets(ZZ),
                 row_labels=["*"], col_labels=["*"])
             for n in (0, 1):
                 for (rc, rseg), (nc, nseg) in zip(rose_segs[n], nek_segs[n]):

@@ -12,6 +12,16 @@ leaves its callee unreached.  Tests other than the acceptance suite do
 not count; a name only they read belongs in the tests.  A name that
 nothing reaches yet must be listed in ``RESERVED`` with the ROADMAP
 direction that will give it a reader.
+
+Parameters are held to the same rule.  Each defaulted parameter of a
+module-level function, or of a method of a module-level class other than
+its constructor, must be set by some call of that name (as a function or
+as an attribute) in the same files: by keyword, by a positional argument
+that reaches it, or by ``*`` or ``**`` unpacking.  A default no caller
+overrides is a knob to delete.  The parameters of ``RESERVED`` functions
+are exempt, and a parameter only the other tests set must be listed in
+``ALLOWED`` with the reason.  A failure names each parameter as
+``file:line function(parameter)``.
 """
 
 import ast
@@ -33,6 +43,11 @@ RESERVED = {
     "LaurentRing": "direction 3: Katsura's O_{A,B} over Laurent rings",
     "local_unit_for": "direction 5: the non-degeneracy suite's local units",
     "append_normal": "direction 2: perfbench/tracing.py wraps it by name",
+}
+
+ALLOWED = {
+    "covariant_check(T)": "the mutation tests pass a faulty T to show "
+                          "that the covariance check can fail",
 }
 
 
@@ -68,12 +83,16 @@ def _spans(tree):
     return out
 
 
+def _reader_files():
+    """The pipelines, the benchmark and the acceptance criteria."""
+    return _py_files(SRC) + _py_files(os.path.join(ROOT, "perfbench")) \
+        + [os.path.join(ROOT, "tests", "test_acceptance.py")]
+
+
 def used_names():
     """Every NAME token outside the definitions of its own name."""
-    files = _py_files(SRC) + _py_files(os.path.join(ROOT, "perfbench")) \
-        + [os.path.join(ROOT, "tests", "test_acceptance.py")]
     out = set()
-    for path in files:
+    for path in _reader_files():
         with open(path, encoding="utf-8") as handle:
             text = handle.read()
         spans = _spans(ast.parse(text))
@@ -90,6 +109,73 @@ def unreached():
     return public_names() - used_names()
 
 
+def _defaulted(path, fn, owner):
+    """``(file:line, label, name, parameter, position)`` for each
+    defaulted parameter of ``fn``; the position counts past ``self`` of a
+    method and is None for a keyword-only parameter."""
+    where = f"{os.path.relpath(path, ROOT)}:{fn.lineno}"
+    label = f"{owner}.{fn.name}" if owner else fn.name
+    bound = owner is not None and not any(
+        isinstance(d, ast.Name) and d.id == "staticmethod"
+        for d in fn.decorator_list)
+    args = fn.args
+    positional = args.posonlyargs + args.args
+    first = len(positional) - len(args.defaults)
+    for i, arg in enumerate(positional[first:], first - bound):
+        yield where, label, fn.name, arg.arg, i
+    for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+        if default is not None:
+            yield where, label, fn.name, arg.arg, None
+
+
+def defaulted_parameters():
+    """Each defaulted parameter in ``src/pimsner``, constructors excepted."""
+    for path in _py_files(SRC):
+        with open(path, encoding="utf-8") as handle:
+            tree = ast.parse(handle.read())
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                yield from _defaulted(path, node, None)
+            elif isinstance(node, ast.ClassDef):
+                for sub in node.body:
+                    if isinstance(sub, ast.FunctionDef) \
+                            and sub.name != "__init__":
+                        yield from _defaulted(path, sub, node.name)
+
+
+def _calls():
+    """Each called name -> the calls of it, as a function or a method."""
+    out = {}
+    for path in _reader_files():
+        with open(path, encoding="utf-8") as handle:
+            tree = ast.parse(handle.read())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = getattr(func, "id", None) or getattr(func, "attr", None)
+                out.setdefault(name, []).append(node)
+    return out
+
+
+def _sets(call, param, position):
+    if any(isinstance(arg, ast.Starred) for arg in call.args):
+        return True
+    if any(kw.arg in (None, param) for kw in call.keywords):
+        return True
+    return position is not None and position < len(call.args)
+
+
+def unset_parameters():
+    """``(file:line, function(parameter))`` for each defaulted parameter
+    that no call sets, the parameters of reserved functions excepted."""
+    calls = _calls()
+    return {(where, f"{label}({param})")
+            for where, label, name, param, position in defaulted_parameters()
+            if name not in RESERVED
+            and not any(_sets(call, param, position)
+                        for call in calls.get(name, ()))}
+
+
 def test_every_public_name_is_reached_or_reserved():
     assert unreached() - set(RESERVED) == set()
 
@@ -97,3 +183,17 @@ def test_every_public_name_is_reached_or_reserved():
 def test_reserved_names_are_still_unreached():
     # a reserved name that gained a reader, or left src/, leaves the list
     assert set(RESERVED) - unreached() == set()
+
+
+def test_every_defaulted_parameter_is_set_or_allowed():
+    flagged = sorted(f"{where} {param}"
+                     for where, param in unset_parameters()
+                     if param not in ALLOWED)
+    assert not flagged, "defaulted parameters no caller sets:\n" + \
+        "\n".join(flagged)
+
+
+def test_allowed_parameters_are_still_unset():
+    # an allowed parameter that gained a caller, or left src/, leaves the list
+    unset = {param for _, param in unset_parameters()}
+    assert set(ALLOWED) - unset == set()
