@@ -170,7 +170,7 @@ class TruncatedFock:
         operators.  It is the one-leaf word whose pi0 leaf memoizes the
         columns of ``_column``; the pi1 leaf kills one degree more and
         otherwise reads pi0's memo, so each generator has one column cache.
-        Callers must not mutate or relabel a returned operator.
+        Callers must not mutate a returned operator.
         """
         key = _token_key(token) + (variant,)
         op = self._tok_ops.get(key)
@@ -190,8 +190,7 @@ class TruncatedFock:
                 leaf = partial(_kill_below, low, leaf)
             outs = {d: 1 << (d + shift) if d >= low else 0
                     for d in range(self.depth + 1 - max(shift, 0))}
-            op = FockOperator(self, ((self.k.one, (leaf,)),), outs,
-                              label=f"{variant}({kind})")
+            op = FockOperator(self, ((self.k.one, (leaf,)),), outs)
             self._tok_ops[key] = op
         return op
 
@@ -231,11 +230,10 @@ class TruncatedFock:
 
     def identity(self):
         return FockOperator(self, ((self.k.one, ()),),
-                            {d: 1 << d for d in range(self.depth + 1)},
-                            label="id")
+                            {d: 1 << d for d in range(self.depth + 1)})
 
     def zero_op(self):
-        return _linear_combination(self, [], label="0")
+        return _linear_combination(self, [])
 
     def _prepend(self, xvec, t, d):
         """x (x) t in normal form (t reduced), as a degree-d column."""
@@ -317,14 +315,13 @@ class FockOperator:
     coefficient, since that makes them the same operator.
     """
 
-    __slots__ = ("fock", "terms", "outs", "covered", "label")
+    __slots__ = ("fock", "terms", "outs", "covered")
 
-    def __init__(self, fock, terms, outs, label=""):
+    def __init__(self, fock, terms, outs):
         self.fock = fock
         self.terms = terms
         self.outs = outs
         self.covered = outs.keys()
-        self.label = label
 
     def column(self, key):
         if key[0] not in self.covered:
@@ -355,17 +352,14 @@ class FockOperator:
         terms = tuple((c, w2 + w1) for c1, w1 in self.terms
                       for c2, w2 in other.terms
                       if (c := k.mul(c1, c2)) != k.zero)
-        return FockOperator(self.fock, terms, outs,
-                            label=f"{self.label}*{other.label}")
+        return FockOperator(self.fock, terms, outs)
 
     def __add__(self, other):
         one = self.fock.k.one
-        return _linear_combination(self.fock, [(one, self), (one, other)],
-                                  label=f"{self.label}+{other.label}")
+        return _linear_combination(self.fock, [(one, self), (one, other)])
 
     def scale(self, coeff):
-        return _linear_combination(self.fock, [(coeff, self)],
-                                  label=f"{coeff}*{self.label}")
+        return _linear_combination(self.fock, [(coeff, self)])
 
     def __sub__(self, other):
         return self + other.scale(-1)
@@ -404,7 +398,8 @@ class FockOperator:
         return self.column
 
     def __repr__(self):
-        return f"<FockOperator {self.label} covered={sorted(self.covered)}>"
+        return (f"<FockOperator {len(self.terms)} terms "
+                f"covered={sorted(self.covered)}>")
 
 
 def _chase(k, word, key):
@@ -448,7 +443,7 @@ def _term_sum(k, terms):
     return vdrop(total)
 
 
-def _linear_combination(fock, pairs, label=""):
+def _linear_combination(fock, pairs):
     """The sum of ``coeff * op`` over ``(coeff, op)`` pairs, as one term
     list: covered where every op is, with the union of their target
     degrees.  A term whose coefficient vanishes is dropped."""
@@ -463,7 +458,7 @@ def _linear_combination(fock, pairs, label=""):
         coeff = k.coerce(coeff)
         terms += [(c, word) for c0, word in op.terms
                   if (c := k.mul(coeff, c0)) != k.zero]
-    return FockOperator(fock, tuple(terms), outs, label)
+    return FockOperator(fock, tuple(terms), outs)
 
 
 # ---------------------------------------------------------------------------
@@ -507,7 +502,7 @@ def p0_compact_form(relt, fock):
     comes from the correspondence.  The result acts as i on degree 0 and
     as 0 on every higher degree within budget.  With no decomposition
     terms (a sink) it is the cached scalar operator itself, so do not
-    mutate or relabel it.
+    mutate it.
     """
     dec = fock.corr.delta_compact(relt)
     op = fock.token_op(("r", relt))
@@ -602,8 +597,7 @@ def covariant_check(fock, T=None):
     sigma = {r: fock.token_op(("r", ring.monomial(r))) for r in ring.basis}
 
     def combo(ops, vec):
-        return _linear_combination(
-            fock, [(c, ops[b]) for b, c in vec.items()], label="combo")
+        return _linear_combination(fock, [(c, ops[b]) for b, c in vec.items()])
 
     report = CheckReport("covariant-representation")
     for rsym in ring.basis:
@@ -909,7 +903,7 @@ def quasi_hom_defect(fock, tokens):
         _check_defect_support(fock, key, ll, op0, op1)
         pairs += [(coeff, op0), (k.neg(coeff), op1)]
         infos.append({"word": key, "block": (kk, ll)})
-    return _linear_combination(fock, pairs, label="defect"), infos
+    return _linear_combination(fock, pairs), infos
 
 
 # ---------------------------------------------------------------------------
@@ -1119,8 +1113,7 @@ class HomotopyModel:
     def _tensor_high(self, token):
         op = self.fock.token_op(token, "pi0")
         return FockOperator(self.fock, op.terms,
-                            {d: m for d, m in op.outs.items() if d >= 2},
-                            op.label)
+                            {d: m for d, m in op.outs.items() if d >= 2})
 
     def pi_tensor(self, token, variant):
         """pi0 (x) id or pi1 (x) id: the Fock token operator, lifted."""

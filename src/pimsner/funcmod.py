@@ -51,17 +51,22 @@ class FunctionalModule:
     """A functional module with finite generating data over its ring.
 
     All tables operate on single basis symbols; the public methods extend
-    them bilinearly to vectors.  ``x_left``/``xp_right`` are the left
-    action of R on X and its adjoint counterpart on X', present when the
-    module is part of a correspondence.  ``x_split``/``xp_split`` express
-    a symbol as a bare symbol times a ring element and drive the balanced
-    tensor normal form.
+    them bilinearly to vectors.  ``x_right`` and ``xp_left`` are the
+    structural actions of R on X and X'; ``x_left`` and ``xp_right`` are
+    the left action of R on X and its adjoint counterpart on X', which
+    make the module a correspondence.  Three more pairs of tables, read
+    directly as attributes, drive the balanced tensor normal form:
+
+    * ``x_split(b) = (b0, r)`` writes the symbol b as b0 . r with b0 bare;
+    * ``xp_split(c) = (r, c0)`` writes the symbol c as r . c0 with c0
+      bare;
+    * ``x_left_support(b)`` is a ring element u with Delta(u) b == b, and
+      ``xp_left_support(c)`` one with u . c == c for the structural action.
     """
 
     def __init__(self, *, ring, x_basis, xp_basis, pairing, x_right, xp_left,
-                 x_left=None, xp_right=None, x_split=None, xp_split=None,
-                 x_left_support=None, xp_left_support=None,
-                 fs_pairs_left=None, fs_pairs_right=None,
+                 x_left, xp_right, x_split, xp_split, x_left_support,
+                 xp_left_support, fs_pairs_left=None, fs_pairs_right=None,
                  label="module"):
         self.ring = ring
         self.k = ring.k
@@ -72,12 +77,12 @@ class FunctionalModule:
         self._pairing = cache(pairing)
         self._x_right = cache(x_right)
         self._xp_left = cache(xp_left)
-        self._x_left = cache(x_left) if x_left is not None else None
-        self._xp_right = cache(xp_right) if xp_right is not None else None
-        self._x_split = cache(x_split) if x_split is not None else None
-        self._xp_split = cache(xp_split) if xp_split is not None else None
-        self._x_left_support = x_left_support
-        self._xp_left_support = xp_left_support
+        self._x_left = cache(x_left)
+        self._xp_right = cache(xp_right)
+        self.x_split = cache(x_split)
+        self.xp_split = cache(xp_split)
+        self.x_left_support = x_left_support
+        self.xp_left_support = xp_left_support
         self._fs_pairs_left = fs_pairs_left
         self._fs_pairs_right = fs_pairs_right
         self._reduce_cache = {}
@@ -135,8 +140,6 @@ class FunctionalModule:
 
     def act_left(self, relt, xvec):
         """Delta(r) x, the correspondence left action on X."""
-        if self._x_left is None:
-            raise RingError(f"{self.label} has no left action")
         return self._act(self._x_left, relt, xvec, ring_first=True)
 
     def act_xp_left(self, relt, pvec):
@@ -145,35 +148,7 @@ class FunctionalModule:
 
     def act_xp_right(self, pvec, relt):
         """phi . Delta(r), the adjoint-side right action on X'."""
-        if self._xp_right is None:
-            raise RingError(f"{self.label} has no adjoint-side action on X'")
         return self._act(self._xp_right, relt, pvec, ring_first=False)
-
-    # -- splits and supports (tensor machinery) -----------------------------
-
-    def x_split(self, b):
-        """Write the symbol b as b0 . r with b0 bare; returns (b0, r)."""
-        if self._x_split is None:
-            raise RingError(f"{self.label} has no tensor normal form data")
-        return self._x_split(b)
-
-    def xp_split(self, c):
-        """Write the symbol c as r . c0 with c0 bare; returns (r, c0)."""
-        if self._xp_split is None:
-            raise RingError(f"{self.label} has no tensor normal form data")
-        return self._xp_split(c)
-
-    def x_left_support(self, b):
-        """A ring element u with Delta(u) b == b."""
-        if self._x_left_support is None:
-            raise RingError(f"{self.label} has no left support data")
-        return self._x_left_support(b)
-
-    def xp_left_support(self, c):
-        """A ring element u with u . c == c (structural action)."""
-        if self._xp_left_support is None:
-            raise RingError(f"{self.label} has no left support data")
-        return self._xp_left_support(c)
 
     # -- balanced tensor normal form ----------------------------------------
 
@@ -383,12 +358,11 @@ class CompactOperator:
 class FunctionalHom:
     """A pairing-compatible pair of maps U : X -> Y, V : X' -> Y'."""
 
-    def __init__(self, source, target, U, V, label="hom"):
+    def __init__(self, source, target, U, V):
         self.source = source
         self.target = target
         self._U = U
         self._V = V
-        self.label = label
 
     def u_of(self, xvec):
         return vapply(self.target.k, self._U, xvec)
@@ -399,8 +373,7 @@ class FunctionalHom:
     @classmethod
     def identity(cls, module):
         one = module.k.one
-        return cls(module, module,
-                   lambda b: {b: one}, lambda c: {c: one}, label="id")
+        return cls(module, module, lambda b: {b: one}, lambda c: {c: one})
 
 
 def check_functional_hom(hom):
@@ -416,21 +389,20 @@ def check_functional_hom(hom):
     return True
 
 
-def check_pairing_balance(module, ring_symbols=None):
+def check_pairing_balance(module):
     """The pairing is a bimodule map on basis pairs and ring generators.
 
     Checks r . <phi, x> == <r . phi, x> and <phi, x> . r == <phi, x . r>
-    for every basis pair and every listed ring symbol (defaults to the
-    ring basis, or its generator list for symbolic rings).
+    for every basis pair and every symbol of the ring basis, or of its
+    generator list for symbolic rings.
     """
     ring = module.ring
     one = module.k.one
+    ring_symbols = ring.basis
     if ring_symbols is None:
-        ring_symbols = ring.basis
-        if ring_symbols is None:
-            ring_symbols = getattr(ring, "gen_symbols", None)
-        if ring_symbols is None:
-            raise RingError(f"{ring.label} lists no generators")
+        ring_symbols = getattr(ring, "gen_symbols", None)
+    if ring_symbols is None:
+        raise RingError(f"{ring.label} lists no generators")
     for rsym in ring_symbols:
         r = ring.monomial(rsym)
         for c in module.xp_basis:
@@ -612,25 +584,22 @@ class Correspondence:
     """A functional module with a compatible left action and free-model hom."""
 
     def __init__(self, module, hom, index_set, delta_compact_rule=None,
-                 left_ring=None, label=None):
+                 left_ring=None):
         self.module = module
         self.hom = hom
         self.index_set = list(index_set)
         self._delta_compact_rule = delta_compact_rule
         self.left_ring = left_ring if left_ring is not None else module.ring
-        self.label = label or module.label
 
     def delta_compact(self, relt):
         """The left action of ``relt`` as a finite-rank operator.
 
-        Raises when no compact decomposition is available for the element.
+        Raises for a correspondence built with no compact decomposition
+        rule, such as a balanced tensor product.
         """
         if self._delta_compact_rule is None:
             raise RingError("left action not compact")
-        op = self._delta_compact_rule(relt)
-        if op is None:
-            raise RingError("left action not compact")
-        return op
+        return self._delta_compact_rule(relt)
 
     def left_generator_symbols(self):
         gens = self.left_ring.basis
@@ -665,7 +634,7 @@ class Correspondence:
         return True
 
 
-def free_module(ring, index_set, label=None):
+def free_module(ring, index_set):
     """The free functional module R^(I) with coordinatewise pairing.
 
     X symbols are pairs (i, b) with b a ring basis symbol; the pairing is
@@ -733,13 +702,13 @@ def free_module(ring, index_set, label=None):
         x_split=x_split, xp_split=xp_split,
         x_left_support=support, xp_left_support=support,
         fs_pairs_left=fs_pairs_left, fs_pairs_right=fs_pairs_right,
-        label=label or f"{ring.label}^({len(index)})")
+        label=f"{ring.label}^({len(index)})")
     return mod
 
 
-def free_correspondence(ring, index_set, label=None):
+def free_correspondence(ring, index_set):
     """R^(I) as an R-correspondence with the identity functional hom."""
-    mod = free_module(ring, index_set, label=label)
+    mod = free_module(ring, index_set)
     hom = FunctionalHom.identity(mod)
     k = ring.k
 
@@ -755,8 +724,7 @@ def free_correspondence(ring, index_set, label=None):
         return CompactOperator(mod, terms)
 
     return Correspondence(mod, hom, list(index_set),
-                          delta_compact_rule=delta_compact_rule,
-                          label=label or mod.label)
+                          delta_compact_rule=delta_compact_rule)
 
 
 def direct_sum(m1, m2):
@@ -802,21 +770,18 @@ def direct_sum(m1, m2):
     def xp_support(c):
         return side(c).xp_left_support(c[1])
 
-    has_left = m1._x_left is not None and m2._x_left is not None
-    has_xpr = m1._xp_right is not None and m2._xp_right is not None
     return FunctionalModule(
         ring=ring,
         x_basis=[(0, b) for b in m1.x_basis] + [(1, b) for b in m2.x_basis],
         xp_basis=[(0, c) for c in m1.xp_basis] + [(1, c) for c in m2.xp_basis],
         pairing=pairing, x_right=x_right, xp_left=xp_left,
-        x_left=x_left if has_left else None,
-        xp_right=xp_right if has_xpr else None,
+        x_left=x_left, xp_right=xp_right,
         x_split=x_split, xp_split=xp_split,
         x_left_support=x_support, xp_left_support=xp_support,
         label=f"{m1.label} (+) {m2.label}")
 
 
-def tensor(c1, c2, label=None):
+def tensor(c1, c2):
     """Balanced tensor product of composable correspondences.
 
     The new module is X (x)_S Y with X'-side Y' (x)_S X' and pairing
@@ -890,13 +855,16 @@ def tensor(c1, c2, label=None):
     def x_support(b):
         return mx.x_left_support(b[0])
 
+    def xp_support(c):
+        return my.xp_left_support(c[0])
+
     mod = FunctionalModule(
         ring=ring, x_basis=x_basis, xp_basis=xp_basis,
         pairing=pairing, x_right=x_right, xp_left=xp_left,
         x_left=x_left, xp_right=xp_right,
         x_split=x_split, xp_split=xp_split,
-        x_left_support=x_support,
-        label=label or f"{mx.label} (x) {my.label}")
+        x_left_support=x_support, xp_left_support=xp_support,
+        label=f"{mx.label} (x) {my.label}")
 
     product_index = [(i, j) for i in c1.index_set for j in c2.index_set]
     free_target = free_module(ring, product_index)
@@ -922,6 +890,4 @@ def tensor(c1, c2, label=None):
         return vdrop(out)
 
     hom = FunctionalHom(mod, free_target, U, V)
-    return Correspondence(mod, hom, product_index,
-                          left_ring=c1.left_ring,
-                          label=label or f"{c1.label} (x) {c2.label}")
+    return Correspondence(mod, hom, product_index, left_ring=c1.left_ring)

@@ -388,7 +388,7 @@ def quiver_correspondence(quiver, k=ZZ):
         e = c[0]
         return {(e, quiver.r(e)): one}
 
-    hom = FunctionalHom(mod, free, U, V, label="edge hom")
+    hom = FunctionalHom(mod, free, U, V)
 
     def delta_compact_rule(relt):
         terms = []
@@ -398,8 +398,7 @@ def quiver_correspondence(quiver, k=ZZ):
         return CompactOperator(mod, terms)
 
     return Correspondence(mod, hom, list(quiver.edges),
-                          delta_compact_rule=delta_compact_rule,
-                          label=f"quiver correspondence ({quiver!r})")
+                          delta_compact_rule=delta_compact_rule)
 
 
 # ---------------------------------------------------------------------------
@@ -417,8 +416,8 @@ class LeavittRing(RingDescriptor):
     basis, hence decidable equality.
     """
 
-    def __init__(self, quiver, k=ZZ, label=None):
-        super().__init__(k, label or f"L_{k}(Q)")
+    def __init__(self, quiver, k=ZZ):
+        super().__init__(k, f"L_{k}(Q)")
         self.quiver = quiver
         self._special = {v: quiver.out_edges(v)[0]
                          for v in quiver.regular_vertices}

@@ -396,10 +396,10 @@ class MatrixRing(RingDescriptor):
     inner ring.
     """
 
-    def __init__(self, inner, index_set, label=None):
-        super().__init__(inner.k, label or f"M_{len(list(index_set))}({inner.label})")
-        self.inner = inner
+    def __init__(self, inner, index_set):
         self.index = list(index_set)
+        super().__init__(inner.k, f"M_{len(self.index)}({inner.label})")
+        self.inner = inner
         if inner.basis is not None:
             self.basis = [(i, j, b) for i in self.index for j in self.index
                           for b in inner.basis]
@@ -433,8 +433,8 @@ class MatrixRing(RingDescriptor):
 class LaurentRing(RingDescriptor):
     """k[x, x^-1] with basis x^n indexed by integers."""
 
-    def __init__(self, k, label=None):
-        super().__init__(k, label or f"{k}[x,x^-1]")
+    def __init__(self, k):
+        super().__init__(k, f"{k}[x,x^-1]")
 
     def mul_basis(self, b1, b2):
         return {b1 + b2: self.k.one}

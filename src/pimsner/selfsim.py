@@ -532,7 +532,7 @@ def build_nek_correspondence(group, k=ZZ):
         _, x, g = c
         return {(x, ring.canonicalize(word_inv(g))): one}
 
-    hom = FunctionalHom(module, free, U, V, label="free hom")
+    hom = FunctionalHom(module, free, U, V)
 
     def delta_compact_rule(relt):
         terms = []
@@ -545,8 +545,7 @@ def build_nek_correspondence(group, k=ZZ):
         return CompactOperator(module, terms)
 
     corr = Correspondence(module, hom, list(group.alphabet),
-                          delta_compact_rule=delta_compact_rule,
-                          label=f"Nekrashevych correspondence of {group.label}")
+                          delta_compact_rule=delta_compact_rule)
 
     # left-module law on (generator, letter) pairs, against the parsed
     # recursion rather than the action that builds the left module

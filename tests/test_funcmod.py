@@ -40,6 +40,16 @@ def leavitt_module(quiver=None):
     return quiver_correspondence(quiver or rose(2)).module
 
 
+def _one_vertex_tables(ring):
+    """The action, split and support tables of a module over k^({v}) on
+    which 1_v acts as the identity on every side."""
+    v = ring.monomial("v")
+    return dict(x_right=lambda b, r: {b: 1}, xp_left=lambda r, c: {c: 1},
+                x_left=lambda r, b: {b: 1}, xp_right=lambda c, r: {c: 1},
+                x_split=lambda b: (b, v), xp_split=lambda c: (v, c),
+                x_left_support=lambda b: v, xp_left_support=lambda c: v)
+
+
 class TestVectors:
     def test_vscale_drops_zero_divisor_products(self):
         # 3 * 2 = 0 in Z/6: the product must not stay as an explicit zero
@@ -257,9 +267,7 @@ class TestFsWitness:
         ring = DirectSumRing(ZZ, ["v"])
         m = FunctionalModule(
             ring=ring, x_basis=["x1"], xp_basis=["c1"],
-            pairing=lambda c, b: ring.zero(),
-            x_right=lambda b, r: {b: 1},
-            xp_left=lambda r, c: {c: 1})
+            pairing=lambda c, b: ring.zero(), **_one_vertex_tables(ring))
         assert fs_witness(m, [{"x1": 1}], []) is None
 
     def test_modular_coefficients(self):
@@ -285,8 +293,7 @@ class TestNondegeneracy:
             ring=ring, x_basis=["x1", "x2"], xp_basis=["c1", "c2"],
             pairing=lambda c, b: ring.monomial("v")
             if (c, b) == ("c1", "x1") else ring.zero(),
-            x_right=lambda b, r: {b: 1},
-            xp_left=lambda r, c: {c: 1})
+            **_one_vertex_tables(ring))
         assert not nondegenerate(m)
 
     def test_modular_module(self):
@@ -394,6 +401,8 @@ def quiver_module_zero(ring):
         x_left=lambda r, b: {}, xp_right=lambda c, r: {},
         x_split=lambda b: (b, ring.zero()),
         xp_split=lambda c: (ring.zero(), c),
+        x_left_support=lambda b: ring.zero(),
+        xp_left_support=lambda c: ring.zero(),
         label="0")
 
 
@@ -444,6 +453,16 @@ class TestTensor:
             inner = corr.module.pair({cx: 1}, {key_x[0]: 1})
             if inner.is_zero():
                 assert val.is_zero()
+
+    def test_left_supports_fix_every_symbol(self):
+        # the tensor module carries both left supports, on X and on X'
+        corr = quiver_correspondence(_PAIR_QUIVER)
+        m = tensor(corr, corr).module
+        assert m.x_basis and m.xp_basis
+        for b in m.x_basis:
+            assert m.act_left(m.x_left_support(b), {b: 1}) == {b: 1}
+        for c in m.xp_basis:
+            assert m.act_xp_left(m.xp_left_support(c), {c: 1}) == {c: 1}
 
     def test_middle_ring_mismatch(self):
         c1 = quiver_correspondence(rose(2))

@@ -14,20 +14,26 @@ nothing reaches yet must be listed in ``RESERVED`` with the ROADMAP
 direction that will give it a reader.
 
 Parameters are held to the same rule.  Each defaulted parameter of a
-module-level function, or of a method of a module-level class other than
-its constructor, must be set by some call of that name (as a function or
-as an attribute) in the same files: by keyword, by a positional argument
-that reaches it, or by ``*`` or ``**`` unpacking.  A default no caller
-overrides is a knob to delete.  The parameters of ``RESERVED`` functions
-are exempt, and a parameter only the other tests set must be listed in
-``ALLOWED`` with the reason.  A failure names each parameter as
-``file:line function(parameter)``.
+module-level function, of a method of a module-level class, or of its
+constructor, must be set by some call of that name in the same files: by
+keyword, by a positional argument that reaches it, or by ``*`` or ``**``
+unpacking.  A function or method is called by its name, as a function or
+as an attribute; a constructor by its class name, as ``Class(...)`` or
+``module.Class(...)``, or as ``cls(...)`` inside the class's own
+classmethods.  A default no caller overrides is a knob to delete.
+Reserved functions and classes are held to the rule too, so a name that
+waits for a reader waits without knobs.  A parameter only the other
+tests set must be listed in ``ALLOWED`` with the reason.  A failure names
+each parameter as ``file:line function(parameter)``.
+
+Each file is read, parsed and tokenized once per session, by ``_parsed``.
 """
 
 import ast
 import io
 import os
 import tokenize
+from functools import cache
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src", "pimsner")
@@ -48,6 +54,10 @@ RESERVED = {
 ALLOWED = {
     "covariant_check(T)": "the mutation tests pass a faulty T to show "
                           "that the covariance check can fail",
+    "LeavittRing(k)": "the reduction oracle in tests/test_leavitt.py runs "
+                      "the Leavitt product over Q, Z/6 and F_2",
+    "local_unit_for(ring)": "the tests pass it so that the zero of the "
+                            "empty list has a ring",
 }
 
 
@@ -56,13 +66,23 @@ def _py_files(folder):
                   if f.endswith(".py"))
 
 
+@cache
+def _parsed(path):
+    """``(tree, names)`` for one file: its AST, and each NAME token as
+    ``(string, line)``."""
+    with open(path, encoding="utf-8") as handle:
+        text = handle.read()
+    names = [(tok.string, tok.start[0])
+             for tok in tokenize.generate_tokens(io.StringIO(text).readline)
+             if tok.type == tokenize.NAME]
+    return ast.parse(text), names
+
+
 def public_names():
     """Each public function, class and method name, dunders excepted."""
     out = set()
     for path in _py_files(SRC):
-        with open(path, encoding="utf-8") as handle:
-            tree = ast.parse(handle.read())
-        for node in tree.body:
+        for node in _parsed(path)[0].body:
             if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 continue
             out.add(node.name)
@@ -93,15 +113,11 @@ def used_names():
     """Every NAME token outside the definitions of its own name."""
     out = set()
     for path in _reader_files():
-        with open(path, encoding="utf-8") as handle:
-            text = handle.read()
-        spans = _spans(ast.parse(text))
-        for tok in tokenize.generate_tokens(io.StringIO(text).readline):
-            line = tok.start[0]
-            if tok.type == tokenize.NAME and not any(
-                    first <= line <= last
-                    for first, last in spans.get(tok.string, ())):
-                out.add(tok.string)
+        tree, names = _parsed(path)
+        spans = _spans(tree)
+        out.update(name for name, line in names
+                   if not any(first <= line <= last
+                              for first, last in spans.get(name, ())))
     return out
 
 
@@ -109,51 +125,63 @@ def unreached():
     return public_names() - used_names()
 
 
+def _decorated(fn, name):
+    return any(isinstance(d, ast.Name) and d.id == name
+               for d in fn.decorator_list)
+
+
 def _defaulted(path, fn, owner):
     """``(file:line, label, name, parameter, position)`` for each
-    defaulted parameter of ``fn``; the position counts past ``self`` of a
-    method and is None for a keyword-only parameter."""
+    defaulted parameter of ``fn``.  A constructor is labelled and called
+    by its class name.  The position counts past ``self`` or ``cls`` and
+    is None for a keyword-only parameter."""
     where = f"{os.path.relpath(path, ROOT)}:{fn.lineno}"
-    label = f"{owner}.{fn.name}" if owner else fn.name
-    bound = owner is not None and not any(
-        isinstance(d, ast.Name) and d.id == "staticmethod"
-        for d in fn.decorator_list)
+    if fn.name == "__init__":
+        label = name = owner
+    else:
+        label = f"{owner}.{fn.name}" if owner else fn.name
+        name = fn.name
+    bound = owner is not None and not _decorated(fn, "staticmethod")
     args = fn.args
     positional = args.posonlyargs + args.args
     first = len(positional) - len(args.defaults)
     for i, arg in enumerate(positional[first:], first - bound):
-        yield where, label, fn.name, arg.arg, i
+        yield where, label, name, arg.arg, i
     for arg, default in zip(args.kwonlyargs, args.kw_defaults):
         if default is not None:
-            yield where, label, fn.name, arg.arg, None
+            yield where, label, name, arg.arg, None
 
 
 def defaulted_parameters():
-    """Each defaulted parameter in ``src/pimsner``, constructors excepted."""
+    """Each defaulted parameter in ``src/pimsner``, constructors included."""
     for path in _py_files(SRC):
-        with open(path, encoding="utf-8") as handle:
-            tree = ast.parse(handle.read())
-        for node in tree.body:
+        for node in _parsed(path)[0].body:
             if isinstance(node, ast.FunctionDef):
                 yield from _defaulted(path, node, None)
             elif isinstance(node, ast.ClassDef):
                 for sub in node.body:
-                    if isinstance(sub, ast.FunctionDef) \
-                            and sub.name != "__init__":
+                    if isinstance(sub, ast.FunctionDef):
                         yield from _defaulted(path, sub, node.name)
 
 
 def _calls():
-    """Each called name -> the calls of it, as a function or a method."""
+    """Each called name -> the calls of it, as a function or a method;
+    ``cls(...)`` in a classmethod is a call of its class."""
     out = {}
     for path in _reader_files():
-        with open(path, encoding="utf-8") as handle:
-            tree = ast.parse(handle.read())
-        for node in ast.walk(tree):
+        for node in ast.walk(_parsed(path)[0]):
             if isinstance(node, ast.Call):
                 func = node.func
                 name = getattr(func, "id", None) or getattr(func, "attr", None)
                 out.setdefault(name, []).append(node)
+            elif isinstance(node, ast.ClassDef):
+                for sub in node.body:
+                    if isinstance(sub, ast.FunctionDef) \
+                            and _decorated(sub, "classmethod"):
+                        out.setdefault(node.name, []).extend(
+                            call for call in ast.walk(sub)
+                            if isinstance(call, ast.Call)
+                            and getattr(call.func, "id", None) == "cls")
     return out
 
 
@@ -167,13 +195,12 @@ def _sets(call, param, position):
 
 def unset_parameters():
     """``(file:line, function(parameter))`` for each defaulted parameter
-    that no call sets, the parameters of reserved functions excepted."""
+    that no call sets."""
     calls = _calls()
     return {(where, f"{label}({param})")
             for where, label, name, param, position in defaulted_parameters()
-            if name not in RESERVED
-            and not any(_sets(call, param, position)
-                        for call in calls.get(name, ()))}
+            if not any(_sets(call, param, position)
+                       for call in calls.get(name, ()))}
 
 
 def test_every_public_name_is_reached_or_reserved():
