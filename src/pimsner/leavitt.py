@@ -107,7 +107,26 @@ class Quiver:
         return [v for v in self.vertices if self._out[v]]
 
     def is_path(self, edges):
-        return all(self.r(a) == self.s(b) for a, b in zip(edges, edges[1:]))
+        """Whether each edge ends where the next one starts.
+
+        Raises ``RingError`` naming the first edge that the quiver does not
+        have.  The walk reads the edge tables directly; the names are
+        checked only when it stops short, so a path pays nothing for it."""
+        source, range_ = self.source, self.range
+        try:
+            end = range_[edges[0]] if edges else None
+            for e in edges[1:]:
+                if source[e] != end:
+                    break
+                end = range_[e]
+            else:
+                return True
+        except KeyError:
+            pass
+        for e in edges:
+            if e not in source:
+                raise RingError(f"unknown edge {e!r}")
+        return False
 
     def paths_from(self, v, length):
         """All paths of the given length starting at v, as edge tuples."""
@@ -440,23 +459,19 @@ class LeavittRing(RingDescriptor):
         return self.monomial_pq((), edges)
 
     def monomial_pq(self, p, q):
-        """p q* for paths sharing a range; zero if they do not compose."""
+        """p q* for paths sharing a range; zero if they do not compose.
+
+        An edge the quiver does not have raises ``RingError``."""
         p, q = tuple(p), tuple(q)
-        quiv = self.quiver
-        if p and not quiv.is_path(p):
-            return self.zero()
-        if q and not quiv.is_path(q):
-            return self.zero()
-        if p and q:
-            if quiv.r(p[-1]) != quiv.r(q[-1]):
-                return self.zero()
-            v = quiv.r(p[-1])
-        elif p:
-            v = quiv.r(p[-1])
-        elif q:
-            v = quiv.r(q[-1])
-        else:
+        if not (p or q):
             raise RingError("vertex monomial needs .vertex(v)")
+        quiv = self.quiver
+        if (p and not quiv.is_path(p)) or (q and not quiv.is_path(q)):
+            return self.zero()
+        range_ = quiv.range
+        v = range_[p[-1]] if p else range_[q[-1]]
+        if p and q and range_[q[-1]] != v:
+            return self.zero()
         return RingElement._of(self, self._reduced((v, p, q)))
 
     # -- reduction to the linear basis ----------------------------------------
@@ -468,16 +483,17 @@ class LeavittRing(RingDescriptor):
         if not (p and q and p[-1] == q[-1]):
             return {sym: k.one}
         e = p[-1]
-        w = self.quiver.s(e)
+        quiv = self.quiver
+        w = quiv.source[e]
         if self._special.get(w) != e:
             return {sym: k.one}
         # p' (e e*) q'* = p' q'* - sum over other edges f at w of p' f f* q'*
         out = self._reduced((w, p[:-1], q[:-1]))
         minus_one = k.neg(k.one)
-        for f in self.quiver.out_edges(w):
+        for f in quiv.out_edges(w):
             if f != e:
                 out = vadd(k, out, vscale(k, self._reduced(
-                    (self.quiver.r(f), p[:-1] + (f,), q[:-1] + (f,))),
+                    (quiv.range[f], p[:-1] + (f,), q[:-1] + (f,))),
                     minus_one))
         return out
 
@@ -492,7 +508,7 @@ class LeavittRing(RingDescriptor):
                 return {}
             rest = p2[len(q1):]
             if rest:
-                if self.quiver.s(rest[0]) != v1:
+                if self.quiver.source[rest[0]] != v1:
                     return {}
                 new = (v2, p1 + rest, q2)
             else:
@@ -503,7 +519,7 @@ class LeavittRing(RingDescriptor):
             if q1[:len(p2)] != p2:
                 return {}
             leftover = q1[len(p2):]
-            if self.quiver.s(leftover[0]) != v2:
+            if self.quiver.source[leftover[0]] != v2:
                 return {}
             new = (v1, p1, q2 + leftover)
         return self._reduced(new)

@@ -18,7 +18,13 @@ under each generator and its inverse, and computes ``(w(x), w|_x)`` in one
 right-to-left pass through it.  It keeps one memoized section table,
 ``w -> {x: (w(x), w|_x)}``, and hash-conses the depth-D section tree of a
 word into an integer node id (``SelfSimilarGroup.node``): equality,
-canonical forms and the action all read that table.
+canonical forms and the action all read that table.  The word problem
+hashes each reduced word once, into an integer word id, and walks the tree
+on integers: per word id it keeps the letter images and child word ids
+read from the section table, and per depth a word id -> node id table,
+shared by every depth that ``equal`` and ``canonical`` ask for.  A word
+with a generator the group does not have raises ``SelfSimError`` when it
+first enters the section or word-id table.
 
 ``build_nek_correspondence`` packages the permutational bimodule of the
 group: the module is free of rank |alphabet| over the group ring, with the
@@ -120,7 +126,13 @@ class SelfSimilarGroup:
         self.equality_depth = equality_depth
         self.label = label
         self._sections = {}                 # reduced word -> {x: (w(x), w|_x)}
-        self._nodes = {}                    # (reduced word, depth) -> node id
+        # word ids: each reduced word is hashed once, when it enters
+        # _word_ids; _words and _word_sections are indexed by word id, the
+        # latter holding (letter images, child word ids) once read
+        self._word_ids = {IDENTITY: 0}
+        self._words = [IDENTITY]
+        self._word_sections = [None]
+        self._levels = []                   # depth -> {word id: node id}
         # node keys -> integer ids; the identity key is 0, as is every
         # word whose section tree is the identity's
         self._node_ids = {(tuple(self.alphabet),
@@ -181,13 +193,24 @@ class SelfSimilarGroup:
         in alphabet order.
 
         Each entry comes from one pass of ``_section`` through the step
-        table; callers may overwrite entries, and ``restrict_letter`` does
-        not read them."""
+        table.  Callers may overwrite entries: ``node`` reads a word's
+        entry once, the first time it needs the word's children, and
+        ``restrict_letter`` never reads them."""
         table = self._sections.get(word)
         if table is None:
-            table = self._sections[word] = {
-                x: self._section(word, x) for x in self.alphabet}
+            try:
+                table = {x: self._section(word, x) for x in self.alphabet}
+            except KeyError:
+                self._check_generators(word)
+                raise
+            self._sections[word] = table
         return table
+
+    def _check_generators(self, word):
+        """Raise ``SelfSimError`` naming the word's first unknown generator."""
+        for gen, _ in word:
+            if gen not in self._steps:
+                raise SelfSimError(f"unknown generator {gen!r}") from None
 
     def act(self, word, letters):
         """Length-preserving image of a word over the alphabet."""
@@ -221,33 +244,65 @@ class SelfSimilarGroup:
         two words have the same node exactly when they are equal at that
         depth (free restriction is a cocycle).  Children are resolved with an
         explicit stack, so the depth is not bounded by Python's recursion.
+
+        The word is hashed once, when it first gets a word id; after that
+        the tree is walked on integers.  A word's letter images and child
+        word ids are read from its ``sections`` entry when a depth above 0
+        first needs them, and node ids are kept per depth by word id, so
+        every depth shares one table of words.
         """
         if depth < 0:
             raise SelfSimError("equality depth must be nonnegative")
-        nodes, ids = self._nodes, self._node_ids
-        todo = [(word, depth)]
+        levels = self._levels
+        while len(levels) <= depth:
+            levels.append({0: 0})
+        wid = self._word_ids.get(word)
+        if wid is None:
+            self._check_generators(word)
+            wid = self._word_id(word)
+        nid = levels[depth].get(wid)
+        if nid is not None:
+            return nid
+        ids, words, word_sections = \
+            self._node_ids, self._words, self._word_sections
+        todo = [(wid, depth)]
         while todo:
-            key = todo[-1]
-            if key in nodes:
+            w, d = todo[-1]
+            known = levels[d]
+            if w in known:
                 todo.pop()
                 continue
-            w, d = key
-            if not w:
-                nodes[key] = 0
-            elif d == 0:
-                nodes[key] = ids.setdefault(("w", w), len(ids))
+            if d == 0:
+                known[w] = ids.setdefault(("w", words[w]), len(ids))
             else:
-                table = self.sections(w).values()
-                missing = [(r, d - 1) for _, r in table
-                           if (r, d - 1) not in nodes]
+                images, children = word_sections[w] or self._read_sections(w)
+                below = levels[d - 1]
+                missing = [(c, d - 1) for c in children if c not in below]
                 if missing:
                     todo.extend(missing)
                     continue
-                fingerprint = (tuple(y for y, _ in table),
-                               tuple(nodes[r, d - 1] for _, r in table))
-                nodes[key] = ids.setdefault(fingerprint, len(ids))
+                known[w] = ids.setdefault(
+                    (images, tuple([below[c] for c in children])), len(ids))
             todo.pop()
-        return nodes[word, depth]
+        return levels[depth][wid]
+
+    def _word_id(self, word):
+        """The integer id of a reduced word, given on its first call."""
+        wid = self._word_ids.get(word)
+        if wid is None:
+            wid = self._word_ids[word] = len(self._words)
+            self._words.append(word)
+            self._word_sections.append(None)
+        return wid
+
+    def _read_sections(self, wid):
+        """(letter images, child word ids) of a word id, read once from its
+        ``sections`` entry."""
+        table = self.sections(self._words[wid]).values()
+        entry = self._word_sections[wid] = (
+            tuple([y for y, _ in table]),
+            tuple([self._word_id(r) for _, r in table]))
+        return entry
 
     def equal(self, w1, w2, depth=None):
         """Depth-bounded equality of two words, through their ``node`` ids.

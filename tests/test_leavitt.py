@@ -417,6 +417,43 @@ class TestReductionOracle:
                 assert L.monomial_pq(p, q).terms == \
                     oracle.monomial_pq(p, q).terms
 
+    @settings(max_examples=80, deadline=None)
+    @given(quiver=_small_quivers(), data=st.data())
+    def test_monomials_of_arbitrary_edge_tuples(self, quiver, data):
+        # non-paths, and paths whose ranges differ, reach the zero branches
+        edge_tuples = st.lists(st.sampled_from(quiver.edges),
+                               max_size=3).map(tuple)
+        L = LeavittRing(quiver)
+        for _ in range(6):
+            p, q = data.draw(edge_tuples), data.draw(edge_tuples)
+            for path in (p, q):
+                assert quiver.is_path(path) == all(
+                    quiver.range[a] == quiver.source[b]
+                    for a, b in zip(path, path[1:]))
+            if not (p or q):
+                with pytest.raises(RingError):
+                    L.monomial_pq(p, q)
+                continue
+            ends = {quiver.range[path[-1]] for path in (p, q) if path}
+            got = L.monomial_pq(p, q)
+            if not (quiver.is_path(p) and quiver.is_path(q)) or len(ends) > 1:
+                assert got.is_zero()
+            else:
+                (v,) = ends
+                assert got.terms == _element_reduced(L, (v, p, q)).terms
+                assert not got.is_zero()
+
+
+class TestUnknownNames:
+    @pytest.mark.parametrize("make", [
+        lambda L: L.path(("zz",)),
+        lambda L: L.ghost(("zz",)),
+        lambda L: L.monomial_pq(("e0", "zz"), ()),
+    ], ids=["path", "ghost", "monomial_pq"])
+    def test_unknown_edge_is_named(self, make):
+        with pytest.raises(RingError, match="unknown edge 'zz'"):
+            make(LeavittRing(rose(2)))
+
 
 class TestKGroups:
     def test_rose_d_regression(self):

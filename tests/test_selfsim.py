@@ -400,6 +400,41 @@ class TestNodeIds:
                     rep = w
                 assert group.canonical(w) == rep, (w, depth)
 
+    @pytest.mark.parametrize("text", [GRIGORCHUK, BASILICA, ODOMETER, FLIP],
+                             ids=["grigorchuk", "basilica", "odometer",
+                                  "flip"])
+    def test_one_group_at_many_depths(self, text):
+        # the word and node tables are shared by every depth, so equality
+        # at shuffled depths and canonical forms at the equality depth run
+        # on one group object; the words w u, u a square or short, make
+        # pairs whose equality depends on the depth (in Grigorchuk's group
+        # a a is unequal to () at depth 0 and equal from depth 1 on)
+        group = parse_selfsim(text)
+        rng = random.Random(97)
+        shorts = [IDENTITY] + [group.gen_word(g, 2) for g in group.generators]
+        shorts += rng.sample(_reduced_words(group, 2), 4)
+        words = [word_mul(w, u)
+                 for w in _random_words(group, rng, 3, max_length=6)
+                 for u in shorts]
+        depths = list(range(9))
+        rng.shuffle(depths)
+        memo = {}
+        reps = [IDENTITY]
+        for n, depth in enumerate(depths):
+            for i, w1 in enumerate(words):
+                for w2 in words[i:]:
+                    want = _reference_trivial(
+                        group, word_mul(w1, word_inv(w2)), depth, memo)
+                    assert group.equal(w1, w2, depth) == want, (w1, w2, depth)
+            for w in words[3 * n:3 * n + 3]:
+                rep = next((r for r in reps if _reference_trivial(
+                    group, word_mul(w, word_inv(r)), group.equality_depth,
+                    memo)), None)
+                if rep is None:
+                    reps.append(w)
+                    rep = w
+                assert group.canonical(w) == rep, w
+
     def test_grigorchuk_bcd_acts_trivially_but_is_unequal(self):
         # b c d is the identity of the Grigorchuk group, but its restriction
         # at 0 is the free word a a and at 1 the rotation c d b, which never
@@ -429,6 +464,16 @@ class TestNodeIds:
         # the tree is walked with an explicit stack, not Python recursion
         deep = parse_selfsim(FLIP, depth=5000)
         assert deep.canonical(a) != deep.canonical(a * 3)
+
+
+@pytest.mark.parametrize("call", [
+    lambda g, w: g.canonical(w),
+    lambda g, w: g.equal(w, ()),
+    lambda g, w: g.act(w, "01"),
+], ids=["canonical", "equal", "act"])
+def test_unknown_generator_is_named(call):
+    with pytest.raises(SelfSimError, match="unknown generator 'z'"):
+        call(odometer(), (("z", 1),))
 
 
 # -- the iterated word_mul recursion that sections replaced, kept as an oracle
