@@ -42,11 +42,10 @@ The module also provides:
 
 from __future__ import annotations
 
-import math
 from collections import defaultdict
 from functools import partial, reduce
 
-from .ringcore import RingError, vadd, vapply, vdrop, vscale
+from .ringcore import RingError, vadd, vapply, vdrop, vmul, vscale
 
 
 class DepthError(RuntimeError):
@@ -185,12 +184,12 @@ class TruncatedFock:
                 leaf = _Columns(partial(_kill_below, low, partial(
                     self._column, kind, payload))).__getitem__
             else:
-                [(_, (leaf,))] = self.token_op(token, "pi0").terms
+                [(leaf,)] = self.token_op(token, "pi0").terms
                 low += 1
                 leaf = partial(_kill_below, low, leaf)
             outs = {d: 1 << (d + shift) if d >= low else 0
                     for d in range(self.depth + 1 - max(shift, 0))}
-            op = FockOperator(self, ((self.k.one, (leaf,)),), outs)
+            op = FockOperator(self, {(leaf,): self.k.one}, outs)
             self._tok_ops[key] = op
         return op
 
@@ -229,7 +228,7 @@ class TruncatedFock:
     # -- operator constructors ----------------------------------------------
 
     def identity(self):
-        return FockOperator(self, ((self.k.one, ()),),
+        return FockOperator(self, {(): self.k.one},
                             {d: 1 << d for d in range(self.depth + 1)})
 
     def zero_op(self):
@@ -295,12 +294,12 @@ def _kill_below(low, leaf, key):
 class FockOperator:
     """An operator on the truncated Fock module: a flat sum of words.
 
-    ``terms`` is a tuple of ``(coeff, word)`` pairs; a word is a tuple of
-    leaves in the order they apply, each leaf the memoized column of one
-    generator (see ``TruncatedFock.token_op``), and the empty word is the
-    identity.  ``column`` chases a key through each word, so composing,
-    adding and scaling only multiply, concatenate and rescale term lists;
-    no composite column is stored.
+    ``terms`` is a clean vector from words to coefficients; a word is a
+    tuple of leaves in the order they apply, each leaf the memoized column
+    of one generator (see ``TruncatedFock.token_op``), and the empty word
+    is the identity.  ``column`` chases a key through each word, so
+    composing, adding and scaling only concatenate words and combine
+    coefficients; no composite column is stored.
 
     ``outs`` maps each source degree on which the columns are defined to
     a bitmask whose set bits are the target degrees they can reach, and
@@ -311,8 +310,8 @@ class FockOperator:
     only a smaller covered set.  Columns are clean vectors (see
     ``ringcore``) and may be a leaf's memoized one, so compare them as
     plain dicts and never mutate them.  ``eq_on`` reads no column when
-    both operators have the same term sum, each word with its total
-    coefficient, since that makes them the same operator.
+    both operators have equal terms, since that makes them the same
+    operator.
     """
 
     __slots__ = ("fock", "terms", "outs", "covered")
@@ -327,16 +326,7 @@ class FockOperator:
         if key[0] not in self.covered:
             return None
         k = self.fock.k
-        terms = self.terms
-        if len(terms) == 1:
-            coeff, word = terms[0]
-            col = _chase(k, word, key)
-            return col if coeff == k.one else vscale(k, col, coeff)
-        out = {}
-        for coeff, word in terms:
-            for tgt, c in _chase(k, word, key).items():
-                out[tgt] = k.add(out.get(tgt, k.zero), k.mul(coeff, c))
-        return vdrop(out)
+        return vapply(k, lambda word: _chase(k, word, key), self.terms)
 
     def compose(self, other):
         """self after other: every word of other, then every word of self;
@@ -348,10 +338,9 @@ class FockOperator:
             reached = _image(self.outs, mask)
             if reached is not None:
                 outs[d] = reached
-        k = self.fock.k
-        terms = tuple((c, w2 + w1) for c1, w1 in self.terms
-                      for c2, w2 in other.terms
-                      if (c := k.mul(c1, c2)) != k.zero)
+        one = self.fock.k.one
+        terms = vmul(self.fock.k, lambda w1, w2: {w2 + w1: one},
+                     self.terms, other.terms)
         return FockOperator(self.fock, terms, outs)
 
     def __add__(self, other):
@@ -368,15 +357,14 @@ class FockOperator:
 
     def eq_on(self, other, degrees):
         """Whether both operators have the same column at every basis key
-        of ``degrees``, which both must cover.  Equal term sums prove it
+        of ``degrees``, which both must cover.  Equal terms prove it
         without reading a column; otherwise each side is read through its
         ``_reader``."""
         degrees = list(degrees)
         for d in degrees:
             if d not in self.outs or d not in other.outs:
                 raise DepthError(f"degree {d} not covered by both operators")
-        k = self.fock.k
-        if _term_sum(k, self.terms) == _term_sum(k, other.terms):
+        if self.terms == other.terms:
             return True
         read, read_other = self._reader(), other._reader()
         for d in degrees:
@@ -390,7 +378,7 @@ class FockOperator:
         lone coefficient-one leaf is its memo, a lone coefficient-one word
         is its chase, and anything else is ``column``."""
         if len(self.terms) == 1:
-            coeff, word = self.terms[0]
+            [(word, coeff)] = self.terms.items()
             if coeff == self.fock.k.one:
                 if len(word) == 1:
                     return word[0]
@@ -435,37 +423,27 @@ def _image(outs, mask):
     return reached
 
 
-def _term_sum(k, terms):
-    """Each word of ``terms`` with its total coefficient, zeros dropped."""
-    total = {}
-    for coeff, word in terms:
-        total[word] = k.add(total[word], coeff) if word in total else coeff
-    return vdrop(total)
-
-
 def _linear_combination(fock, pairs):
-    """The sum of ``coeff * op`` over ``(coeff, op)`` pairs, as one term
-    list: covered where every op is, with the union of their target
-    degrees.  A term whose coefficient vanishes is dropped."""
+    """The sum of ``coeff * op`` over ``(coeff, op)`` pairs, as one clean
+    vector of words: covered where every op is, with the union of their
+    target degrees."""
     k = fock.k
     outs = dict.fromkeys(range(fock.depth + 1), 0)
-    terms = []
+    terms = {}
     for coeff, op in pairs:
         if op.fock is not fock:
             raise RingError("operators act on different modules")
         outs = {d: mask | op.outs[d] for d, mask in outs.items()
                 if d in op.outs}
-        coeff = k.coerce(coeff)
-        terms += [(c, word) for c0, word in op.terms
-                  if (c := k.mul(coeff, c0)) != k.zero]
-    return FockOperator(fock, tuple(terms), outs)
+        terms = vadd(k, terms, vscale(k, op.terms, coeff))
+    return FockOperator(fock, terms, outs)
 
 
 # ---------------------------------------------------------------------------
 # Words in the generators
 # ---------------------------------------------------------------------------
 
-def word_operator(fock, tokens, variant="pi0"):
+def word_operator(fock, tokens, variant):
     """The operator of a generator word under pi0 or pi1.
 
     Tokens are ``(kind, payload)`` with a kind of ``_KINDS``, in operator
@@ -512,10 +490,8 @@ def p0_compact_form(relt, fock):
     return op
 
 
-def check_p0_form(op, relt, fock, degrees=None):
+def check_p0_form(op, relt, fock, degrees):
     """Postcondition of the vacuum compression: i on degree 0, 0 above."""
-    if degrees is None:
-        degrees = range(min(sorted(op.covered)), fock.depth)
     degrees = [d for d in degrees if d in op.covered]
     scalar = fock.token_op(("r", relt))
     ok0 = 0 not in degrees or op.eq_on(scalar, [0])
@@ -790,13 +766,11 @@ class ToeplitzAlgebra:
 
     def mul(self, e1, e2):
         """Product of two elements."""
-        return self._product(e1, e2, math.inf)
+        return vmul(self.k, self._word_mul, e1, e2)
 
     def try_mul(self, e1, e2, max_len):
-        """Product, or None if any product word is longer than ``max_len``."""
-        return self._product(e1, e2, max_len)
-
-    def _product(self, e1, e2, max_len):
+        """Product, or None if any product word is longer than ``max_len``,
+        even one that a later word would cancel."""
         k = self.k
         out = {}
         for key1, cf1 in e1.items():
@@ -1234,7 +1208,7 @@ class HOperator:
             high = self.high.compose(other.high)
         return HOperator(self.model, low, high)
 
-    def eq_report(self, other, report, tag=""):
+    def eq_report(self, other, report, tag):
         """Exact comparison with coverage accounting into a CheckReport;
         a failing low column is tagged with its model key, in low-id order.
 
@@ -1294,7 +1268,7 @@ class PolyOperator:
             out = term if out is None else out + term
         return out if out is not None else self.model.zero_h()
 
-    def eq_report(self, other, report, tag=""):
+    def eq_report(self, other, report, tag):
         powers = set(self.parts) | set(other.parts)
         for p in sorted(powers):
             a = self.parts.get(p, self.model.zero_h())

@@ -40,7 +40,7 @@ from math import gcd
 from . import abgroup
 # ``vadd`` and ``vscale`` stay bound here, where ``perfbench`` traces them
 from .ringcore import (RingElement, RingError, ZmodRing, integer_rows, vadd,
-                       vapply, vclean, vdrop, vscale)
+                       vapply, vclean, vdrop, vmul, vscale)
 
 
 # ---------------------------------------------------------------------------
@@ -66,8 +66,8 @@ class FunctionalModule:
 
     def __init__(self, *, ring, x_basis, xp_basis, pairing, x_right, xp_left,
                  x_left, xp_right, x_split, xp_split, x_left_support,
-                 xp_left_support, fs_pairs_left=None, fs_pairs_right=None,
-                 label="module"):
+                 xp_left_support, label, fs_pairs_left=None,
+                 fs_pairs_right=None):
         self.ring = ring
         self.k = ring.k
         self.x_basis = list(x_basis)
@@ -112,43 +112,26 @@ class FunctionalModule:
             val = self._pairing(c, b)
             coeff = self.k.mul(cc, cb)
             return val if coeff == self.k.one else val.scale(coeff)
-        k = self.k
-        out = {}
-        for c, cc in pvec.items():
-            for b, cb in xvec.items():
-                coeff = k.mul(cc, cb)
-                for sym, v in self._pairing(c, b).terms.items():
-                    out[sym] = k.add(out.get(sym, k.zero), k.mul(coeff, v))
-        return RingElement._of(self.ring, vdrop(out))
+        return RingElement._of(self.ring, vmul(
+            self.k, lambda c, b: self._pairing(c, b).terms, pvec, xvec))
 
-    # -- module actions ----------------------------------------------------
-
-    def _act(self, table, relt, vec, ring_first):
-        k = self.k
-        out = {}
-        for sym, c in vec.items():
-            for rsym, rc in relt.terms.items():
-                hit = table(rsym, sym) if ring_first else table(sym, rsym)
-                coeff = k.mul(c, rc)
-                for hsym, hc in hit.items():
-                    out[hsym] = k.add(out.get(hsym, k.zero), k.mul(coeff, hc))
-        return vdrop(out)
+    # -- module actions: each table extended bilinearly, left factor outermost
 
     def act_right(self, xvec, relt):
         """x . r for the structural right action on X."""
-        return self._act(self._x_right, relt, xvec, ring_first=False)
+        return vmul(self.k, self._x_right, xvec, relt.terms)
 
     def act_left(self, relt, xvec):
         """Delta(r) x, the correspondence left action on X."""
-        return self._act(self._x_left, relt, xvec, ring_first=True)
+        return vmul(self.k, self._x_left, relt.terms, xvec)
 
     def act_xp_left(self, relt, pvec):
         """r . phi for the structural left action on X'."""
-        return self._act(self._xp_left, relt, pvec, ring_first=True)
+        return vmul(self.k, self._xp_left, relt.terms, pvec)
 
     def act_xp_right(self, pvec, relt):
         """phi . Delta(r), the adjoint-side right action on X'."""
-        return self._act(self._xp_right, relt, pvec, ring_first=False)
+        return vmul(self.k, self._xp_right, pvec, relt.terms)
 
     # -- balanced tensor normal form ----------------------------------------
 
@@ -183,26 +166,21 @@ class FunctionalModule:
         syms = tuple(syms)
         if len(syms) <= 1:
             return {syms: self.k.one}
-        out = {}
-        k = self.k
-        for (b0, nxt), c in self.reduce_pair(syms[0], syms[1]).items():
-            for tail, ct in self.tensor_normalize((nxt,) + syms[2:]).items():
-                key = (b0,) + tail
-                out[key] = k.add(out.get(key, k.zero), k.mul(c, ct))
-        return vdrop(out)
+        # tail -> (b0,) + tail is injective, so each image is clean
+        return vapply(self.k, lambda pair: {
+            (pair[0],) + tail: c for tail, c in
+            self.tensor_normalize((pair[1],) + syms[2:]).items()},
+            self.reduce_pair(syms[0], syms[1]))
 
     def dual_tensor_normalize(self, syms):
         """Normal form of a pure tensor of X' symbols."""
         syms = tuple(syms)
         if len(syms) <= 1:
             return {syms: self.k.one}
-        out = {}
-        k = self.k
-        for tail_key, ct in self.dual_tensor_normalize(syms[1:]).items():
-            for (head, c1), c in self.reduce_pair_dual(syms[0], tail_key[0]).items():
-                key = (head, c1) + tail_key[1:]
-                out[key] = k.add(out.get(key, k.zero), k.mul(c, ct))
-        return vdrop(out)
+        return vapply(self.k, lambda tail: {
+            pair + tail[1:]: c for pair, c in
+            self.reduce_pair_dual(syms[0], tail[0]).items()},
+            self.dual_tensor_normalize(syms[1:]))
 
     # -- incremental normal forms (tails/heads already reduced) ---------------
 
@@ -424,17 +402,12 @@ def compact_to_matrix(k_op, matrix_ring):
     with (i, j) entry alpha_i beta_j; the map is a ring isomorphism onto
     the finitely supported matrices.
     """
-    inner = matrix_ring.inner
-    k = k_op.module.k
-    terms = {}
-    for xvec, pvec in k_op.terms:
-        for (i, a), ca in xvec.items():
-            for (j, b), cb in pvec.items():
-                for sym, c in inner.mul_basis(a, b).items():
-                    key = (i, j, sym)
-                    prev = terms.get(key, k.zero)
-                    terms[key] = k.add(prev, k.mul(k.mul(ca, cb), c))
-    return RingElement._of(matrix_ring, vdrop(terms))
+    def entry(x, p):
+        return {(x[0], p[0], sym): c for sym, c in
+                matrix_ring.inner.mul_basis(x[1], p[1]).items()}
+
+    return sum((RingElement._of(matrix_ring, vmul(k_op.module.k, entry, x, p))
+                for x, p in k_op.terms), matrix_ring.zero())
 
 
 # ---------------------------------------------------------------------------
@@ -710,7 +683,6 @@ def free_correspondence(ring, index_set):
     """R^(I) as an R-correspondence with the identity functional hom."""
     mod = free_module(ring, index_set)
     hom = FunctionalHom.identity(mod)
-    k = ring.k
 
     def delta_compact_rule(relt):
         # Delta(r) restricted to each coordinate is theta_{e_i r', e_i u}
@@ -731,7 +703,7 @@ def direct_sum(m1, m2):
     """Block sum of functional modules; the pairing vanishes across blocks."""
     if m1.ring is not m2.ring:
         raise RingError("direct sum needs modules over the same ring")
-    ring, k = m1.ring, m1.k
+    ring = m1.ring
 
     def side(sym):
         return (m1, m2)[sym[0]]
@@ -824,11 +796,8 @@ def tensor(c1, c2):
 
     def x_left(rsym, b):
         bx, by = b
-        out = {}
-        for bx2, c in mx._x_left(rsym, bx).items():
-            for key, c2 in cross_reduce(bx2, by).items():
-                out[key] = k.add(out.get(key, k.zero), k.mul(c, c2))
-        return vdrop(out)
+        return vapply(k, lambda bx2: cross_reduce(bx2, by),
+                      mx._x_left(rsym, bx))
 
     def xp_left(tsym, c):
         cy, cx = c
@@ -836,11 +805,8 @@ def tensor(c1, c2):
 
     def xp_right(c, rsym):
         cy, cx = c
-        out = {}
-        for cx2, cc in mx._xp_right(cx, rsym).items():
-            for key, c2 in cross_reduce_dual(cy, cx2).items():
-                out[key] = k.add(out.get(key, k.zero), k.mul(cc, c2))
-        return vdrop(out)
+        return vapply(k, lambda cx2: cross_reduce_dual(cy, cx2),
+                      mx._xp_right(cx, rsym))
 
     def x_split(b):
         bx, by = b
@@ -869,25 +835,20 @@ def tensor(c1, c2):
     product_index = [(i, j) for i in c1.index_set for j in c2.index_set]
     free_target = free_module(ring, product_index)
 
+    # (j, t) -> ((i, j), t) is injective, so each image is clean
     def U(b):
         bx, by = b
-        out = {}
-        for (i, ssym), cu in c1.hom.u_of({bx: one}).items():
-            yv = my.act_left(mx.ring.monomial(ssym), {by: one})
-            for (j, tsym), cu2 in c2.hom.u_of(yv).items():
-                key = ((i, j), tsym)
-                out[key] = k.add(out.get(key, k.zero), k.mul(cu, cu2))
-        return vdrop(out)
+        return vapply(k, lambda x: {
+            ((x[0], j), t): ct for (j, t), ct in c2.hom.u_of(my.act_left(
+                mx.ring.monomial(x[1]), {by: one})).items()},
+            c1.hom.u_of({bx: one}))
 
     def V(c):
         cy, cx = c
-        out = {}
-        for (i, ssym), cv in c1.hom.v_of({cx: one}).items():
-            yv = my.act_xp_right({cy: one}, mx.ring.monomial(ssym))
-            for (j, tsym), cv2 in c2.hom.v_of(yv).items():
-                key = ((i, j), tsym)
-                out[key] = k.add(out.get(key, k.zero), k.mul(cv, cv2))
-        return vdrop(out)
+        return vapply(k, lambda x: {
+            ((x[0], j), t): ct for (j, t), ct in c2.hom.v_of(my.act_xp_right(
+                {cy: one}, mx.ring.monomial(x[1]))).items()},
+            c1.hom.v_of({cx: one}))
 
     hom = FunctionalHom(mod, free_target, U, V)
     return Correspondence(mod, hom, product_index, left_ring=c1.left_ring)

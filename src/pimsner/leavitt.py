@@ -444,6 +444,9 @@ class LeavittRing(RingDescriptor):
     # -- symbols -------------------------------------------------------------
 
     def vertex(self, v):
+        """The idempotent 1_v; an unknown vertex raises ``RingError``."""
+        if v not in self.quiver._out:
+            raise RingError(f"unknown vertex {v!r}")
         return self.monomial((v, (), ()))
 
     def path(self, edges):

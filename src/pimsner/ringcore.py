@@ -23,6 +23,10 @@ the ground ring and none is zero, so equal vectors have equal dicts.  The
 scalar ops coerce what they return, so a sum built from them only drops
 its zeros (``vdrop``, or ``vadd`` and ``vscale`` as they go); ``vclean``
 also coerces, for values from outside the scalar ops.
+
+Two kernels extend a rule ``f`` on symbols: ``vapply`` over one vector,
+``vmul`` over two.  ``f`` returns clean vectors; ``vapply`` of a one-entry
+vector of coefficient one is ``f(sym)`` itself, so no caller mutates a sum.
 """
 
 from __future__ import annotations
@@ -294,12 +298,31 @@ def vclean(k, a):
 
 
 def vapply(k, f, vec):
-    """The clean sum of ``c * f(sym)`` over the entries of ``vec``."""
+    """The clean sum of ``c * f(sym)`` over the entries of ``vec``; ``f``
+    returns clean vectors, and a one-entry ``vec`` whose coefficient is one
+    gives ``f(sym)`` itself, so callers never mutate the sum."""
+    if len(vec) == 1:
+        [(sym, c)] = vec.items()
+        if c == k.one:
+            return f(sym)
     add, mul, zero = k.add, k.mul, k.zero
     out = {}
     for sym, c in vec.items():
         for tgt, c2 in f(sym).items():
             out[tgt] = add(out.get(tgt, zero), mul(c, c2))
+    return vdrop(out)
+
+
+def vmul(k, f, a, b):
+    """The clean sum of ``ca * cb * f(x, y)`` over the entries x of ``a``
+    and y of ``b``, with ``a`` outermost; ``f`` returns clean vectors."""
+    add, mul, zero = k.add, k.mul, k.zero
+    out = {}
+    for x, ca in a.items():
+        for y, cb in b.items():
+            c = mul(ca, cb)
+            for tgt, c2 in f(x, y).items():
+                out[tgt] = add(out.get(tgt, zero), mul(c, c2))
     return vdrop(out)
 
 
@@ -460,7 +483,7 @@ class GroupRing(RingDescriptor):
     for self-similar groups this is the depth-bounded oracle.
     """
 
-    def __init__(self, k, canonicalize, mul_words, identity, label="kG"):
+    def __init__(self, k, canonicalize, mul_words, identity, label):
         super().__init__(k, label)
         self.canonicalize = canonicalize
         self.mul_words = mul_words
@@ -528,15 +551,8 @@ class RingElement:
 
     def __mul__(self, other):
         self._check_ring(other)
-        k = self.ring.k
-        out = {}
-        for s1, c1 in self.terms.items():
-            for s2, c2 in other.terms.items():
-                c = k.mul(c1, c2)
-                for sym, unit_coeff in self.ring.mul_basis(s1, s2).items():
-                    prev = out.get(sym, k.zero)
-                    out[sym] = k.add(prev, k.mul(c, unit_coeff))
-        return RingElement._of(self.ring, vdrop(out))
+        return RingElement._of(self.ring, vmul(
+            self.ring.k, self.ring.mul_basis, self.terms, other.terms))
 
     def scale(self, coeff):
         return RingElement._of(self.ring,

@@ -150,8 +150,12 @@ class SelfSimilarGroup:
         """Image of the letter x under the group word (rightmost first),
         read off the step table."""
         steps = self._steps
-        for gen, exp in reversed(word):
-            x = steps[gen][exp > 0][x][0]
+        try:
+            for gen, exp in reversed(word):
+                x = steps[gen][exp > 0][x][0]
+        except KeyError:
+            self._check_generators(word)
+            raise SelfSimError(f"unknown letter {x!r}") from None
         return x
 
     def restrict_letter(self, word, x):
@@ -172,10 +176,14 @@ class SelfSimilarGroup:
         """
         steps = self._steps
         pieces = []
-        for gen, exp in reversed(word):
-            x, piece = steps[gen][exp > 0][x]
-            if piece:
-                pieces.append(piece)
+        try:
+            for gen, exp in reversed(word):
+                x, piece = steps[gen][exp > 0][x]
+                if piece:
+                    pieces.append(piece)
+        except KeyError:
+            self._check_generators(word)
+            raise SelfSimError(f"unknown letter {x!r}") from None
         # reduce_word's stack, inlined so that the step table's letter
         # tuples are kept, not rebuilt: the pass runs about a fifth faster
         out = []
@@ -198,16 +206,13 @@ class SelfSimilarGroup:
         ``restrict_letter`` never reads them."""
         table = self._sections.get(word)
         if table is None:
-            try:
-                table = {x: self._section(word, x) for x in self.alphabet}
-            except KeyError:
-                self._check_generators(word)
-                raise
-            self._sections[word] = table
+            table = self._sections[word] = {
+                x: self._section(word, x) for x in self.alphabet}
         return table
 
     def _check_generators(self, word):
-        """Raise ``SelfSimError`` naming the word's first unknown generator."""
+        """Raise ``SelfSimError`` naming the word's first unknown generator;
+        if none, a pass's miss is its first letter: the table gives the rest."""
         for gen, _ in word:
             if gen not in self._steps:
                 raise SelfSimError(f"unknown generator {gen!r}") from None
@@ -217,7 +222,10 @@ class SelfSimilarGroup:
         out = []
         g = reduce_word(word)
         for x in letters:
-            y, g = self.sections(g)[x]
+            try:
+                y, g = self.sections(g)[x]
+            except KeyError:
+                raise SelfSimError(f"unknown letter {x!r}") from None
             out.append(y)
         if isinstance(letters, str):
             return "".join(out)
@@ -304,16 +312,14 @@ class SelfSimilarGroup:
             tuple([self._word_id(r) for _, r in table]))
         return entry
 
-    def equal(self, w1, w2, depth=None):
+    def equal(self, w1, w2, depth):
         """Depth-bounded equality of two words, through their ``node`` ids.
 
         True when the words act alike on every word of length <= depth and
         their depth-level restrictions agree as free words; then they are
         equal in the group.  False may only mean that the depth is too
-        small.  ``equal(w, ())`` is the triviality test.
+        small.  ``equal(w, (), depth)`` is the triviality test.
         """
-        if depth is None:
-            depth = self.equality_depth
         return self.node(reduce_word(w1), depth) == \
             self.node(reduce_word(w2), depth)
 
@@ -498,7 +504,7 @@ def _parse_word(entry):
 # The Nekrashevych correspondence
 # ---------------------------------------------------------------------------
 
-def nek_module(group, k=ZZ):
+def nek_module(group, k):
     """The permutational bimodule of a self-similar group over kG.
 
     X symbols are ("x", letter, canonical word) standing for x . g;
@@ -565,7 +571,7 @@ def nek_module(group, k=ZZ):
         label=f"bimodule of {group.label}")
 
 
-def build_nek_correspondence(group, k=ZZ):
+def build_nek_correspondence(group, k):
     """The correspondence of a self-similar group, checked on generators.
 
     Verifies the recursion tables are permutations, the left-module law

@@ -232,7 +232,7 @@ class TestVacuumCompression:
         fk = rose_fock(2, 4)
         i = fk.ring.monomial("v")
         op = p0_compact_form(i, fk)
-        assert check_p0_form(op, i, fk)
+        assert check_p0_form(op, i, fk, range(fk.depth))
         # kills every degree-1 vector with source at v
         for key in fk.basis(1):
             assert op.column(key) == {}
@@ -249,14 +249,14 @@ class TestVacuumCompression:
         fk = TruncatedFock(corr, 4)
         r = ring.monomial("u").scale(3)
         op = p0_compact_form(r, fk)
-        assert check_p0_form(op, r, fk)
+        assert check_p0_form(op, r, fk, range(fk.depth))
         assert op.column((0, ("u",)))[(0, ("u",))] == 3
 
     def test_sink_gives_zero(self):
         fk = a2_fock()
         op = p0_compact_form(fk.ring.monomial("w"), fk)
         # Delta(1_w) = 0, so 1_w . P0 = 1_w . id on degree 0 only
-        assert check_p0_form(op, fk.ring.monomial("w"), fk)
+        assert check_p0_form(op, fk.ring.monomial("w"), fk, range(fk.depth))
 
 
     def test_sink_gives_the_cached_scalar_operator(self):
@@ -265,7 +265,7 @@ class TestVacuumCompression:
         fk = a2_fock()
         w = fk.ring.monomial("w")
         scalar = fk.token_op(("r", w))
-        terms, outs = scalar.terms, dict(scalar.outs)
+        terms, outs = dict(scalar.terms), dict(scalar.outs)
         assert p0_compact_form(w, fk) is scalar
         j_ideal_generator([], w, [], fk)
         assert fk.token_op(("r", w)) is scalar
@@ -312,7 +312,7 @@ class TestJIdealGenerators:
 def _leaf_operator(fk, column, covered, outs):
     """The one-leaf word of a hand-written column function; ``outs`` maps
     a covered degree to its target degrees, stored as a bitmask."""
-    return FockOperator(fk, ((fk.k.one, (column,)),),
+    return FockOperator(fk, {(column,): fk.k.one},
                         {d: sum(1 << e for e in outs[d]) for d in covered})
 
 
@@ -468,8 +468,8 @@ def _raising_leaf(key):
 
 
 class TestTermSumShortcut:
-    """``eq_on`` reads no column when both term sums agree, and chases
-    every key when they differ."""
+    """``eq_on`` reads no column when both operators' terms are equal,
+    and chases every key when they differ."""
 
     def test_equal_term_sums_read_no_column(self):
         fk = rose_fock(2, 4)
@@ -499,7 +499,7 @@ class TestTermSumShortcut:
         reads = []
 
         def counted(op):
-            [(_, (leaf,))] = op.terms
+            [(leaf,)] = op.terms
 
             def column(key):
                 reads.append(key)
@@ -657,7 +657,7 @@ class TestChaseAgainstClosures:
             n, z = _same_columns(fk, got, want)
             nones, nonzero = nones + n, nonzero + z
 
-        check(word_operator(fk, []), _closure_word(fk, []))
+        check(word_operator(fk, [], "pi0"), _closure_word(fk, []))
         for _ in range(10):
             w1 = [rng.choice(pool) for _ in range(rng.randint(1, 3))]
             w2 = [rng.choice(pool) for _ in range(rng.randint(1, 2))]
@@ -685,9 +685,9 @@ class TestChaseAgainstClosures:
         ct, cs = _ClosureOp.of(t), _ClosureOp.of(s)
         # 3 * 2 and 2 * 3 are 0 mod 6, so those terms are dropped; the
         # coverage of the operator stays
-        assert t.scale(3).scale(2).terms == ()
-        assert t.scale(3).compose(t.scale(2)).terms == ()
-        assert s.scale(2).compose(t.scale(3)).terms == ()
+        assert t.scale(3).scale(2).terms == {}
+        assert t.scale(3).compose(t.scale(2)).terms == {}
+        assert s.scale(2).compose(t.scale(3)).terms == {}
         for got, want in [
                 (t.scale(3).scale(2), ct.scale(3).scale(2)),
                 (t.scale(3).compose(t.scale(2)),
@@ -705,6 +705,30 @@ class TestChaseAgainstClosures:
         assert [d for d in range(4)
                 if killed.column(fk.basis(d)[0]) is None] == [2, 3]
         assert killed.column(fk.basis(1)[0]) == {}
+
+    @pytest.mark.parametrize("k", [ZZ, Zmod(6)], ids=str)
+    def test_compose_merges_words_that_concatenate_alike(self, k):
+        # words (p,) and (p, q) on the right, (q, r) and (r,) on the left:
+        # (p,) + (q, r) and (p, q) + (r,) are both (p, q, r), so their
+        # terms merge, into 2 * 3 + 3 * 2 = 12, which is 0 over Z/6
+        fk = rose_fock(2, 4, k=k)
+        P = fk.token_op(("x", {"e0": 1}))
+        Q = fk.token_op(("phi", {("e0", "*"): 1}))
+        R = fk.token_op(("x", {"e1": 1}))
+        [(p,)], [(q,)], [(r,)] = P.terms, Q.terms, R.terms
+        right = P.scale(2) + Q.compose(P).scale(3)
+        left = R.compose(Q).scale(3) + R.scale(2)
+        assert right.terms == {(p,): 2, (p, q): 3}
+        assert left.terms == {(q, r): 3, (r,): 2}
+        got = left.compose(right)
+        merged = {(p, q, r): 12, (p, r): 4, (p, q, q, r): 9}
+        assert got.terms == vclean(k, merged)
+        assert ((p, q, r) in got.terms) == (k is ZZ)
+        cp, cq, cr = _ClosureOp.of(P), _ClosureOp.of(Q), _ClosureOp.of(R)
+        want = (cr.compose(cq).scale(3) + cr.scale(2)).compose(
+            cp.scale(2) + cq.compose(cp).scale(3))
+        _, nonzero = _same_columns(fk, got, want)
+        assert nonzero
 
 
 class TestDefects:
@@ -860,8 +884,8 @@ class TestToeplitzWords:
             for key, coeff in elt.items():
                 from pimsner.fock import word_tokens_of
                 rebuilt = rebuilt + word_operator(
-                    fk, word_tokens_of(talg, key)).scale(coeff)
-            direct = word_operator(fk, tokens)
+                    fk, word_tokens_of(talg, key), "pi0").scale(coeff)
+            direct = word_operator(fk, tokens, "pi0")
             degrees = sorted(rebuilt.covered & direct.covered)
             assert direct.eq_on(rebuilt, degrees)
 
@@ -1313,7 +1337,7 @@ class TestOnePassWordOperator:
         # a starred token names no kind, so a word holding one is refused
         fk = rose_fock(2, 3)
         with pytest.raises(RingError):
-            word_operator(fk, [("x", {"e0": 1}), ("x*", {"e0": 1})])
+            word_operator(fk, [("x", {"e0": 1}), ("x*", {"e0": 1})], "pi0")
 
 
 # -- the unclean operations the homotopy model used to make, kept as oracles:

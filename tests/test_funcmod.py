@@ -47,7 +47,8 @@ def _one_vertex_tables(ring):
     return dict(x_right=lambda b, r: {b: 1}, xp_left=lambda r, c: {c: 1},
                 x_left=lambda r, b: {b: 1}, xp_right=lambda c, r: {c: 1},
                 x_split=lambda b: (b, v), xp_split=lambda c: (v, c),
-                x_left_support=lambda b: v, xp_left_support=lambda c: v)
+                x_left_support=lambda b: v, xp_left_support=lambda c: v,
+                label="one vertex")
 
 
 class TestVectors:
@@ -546,3 +547,49 @@ class TestOneSymbolPair:
         assert list(got.terms.items()) == list(want.terms.items())
         if pvec and xvec and k.mul(pvec[c], xvec[b]) == k.one:
             assert got is m._pairing(c, b)
+
+
+# -- the loop the four actions shared before the bilinear kernel, vector
+# -- entries outermost, kept as their oracle
+
+def _old_act(m, table, relt, vec, ring_first):
+    k = m.k
+    out = {}
+    for sym, c in vec.items():
+        for rsym, rc in relt.terms.items():
+            hit = table(rsym, sym) if ring_first else table(sym, rsym)
+            for hsym, hc in hit.items():
+                out[hsym] = k.add(out.get(hsym, k.zero),
+                                  k.mul(k.mul(c, rc), hc))
+    return vclean(k, out)
+
+
+_ACTION_MODULES = dict(_PAIR_MODULES, laurent=free_module(
+    LaurentRing(Zmod(6)), [0, 1]))
+
+
+class TestActions:
+    """The four actions are the old loop, on multi-term ring elements and
+    multi-entry vectors; only the order of a result's entries may move."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(spec=st.sampled_from(sorted(_ACTION_MODULES)), data=st.data())
+    def test_actions_match_the_old_loop(self, spec, data):
+        m = _ACTION_MODULES[spec]
+        k, ring = m.k, m.ring
+        coeff = st.integers(-7, 7)
+        rsyms = ring.basis or list(range(-2, 3))
+        relt = ring.element(data.draw(st.dictionaries(
+            st.sampled_from(rsyms), coeff, min_size=2, max_size=4)))
+        xvec = vclean(k, data.draw(st.dictionaries(
+            st.sampled_from(m.x_basis), coeff, min_size=2, max_size=4)))
+        pvec = vclean(k, data.draw(st.dictionaries(
+            st.sampled_from(m.xp_basis), coeff, min_size=2, max_size=4)))
+        assert m.act_right(xvec, relt) == _old_act(
+            m, m._x_right, relt, xvec, ring_first=False)
+        assert m.act_left(relt, xvec) == _old_act(
+            m, m._x_left, relt, xvec, ring_first=True)
+        assert m.act_xp_left(relt, pvec) == _old_act(
+            m, m._xp_left, relt, pvec, ring_first=True)
+        assert m.act_xp_right(pvec, relt) == _old_act(
+            m, m._xp_right, relt, pvec, ring_first=False)

@@ -454,6 +454,11 @@ class TestUnknownNames:
         with pytest.raises(RingError, match="unknown edge 'zz'"):
             make(LeavittRing(rose(2)))
 
+    def test_unknown_vertex_is_named(self):
+        # a mistyped vertex used to be a silent extra idempotent
+        with pytest.raises(RingError, match="unknown vertex 'zz'"):
+            LeavittRing(rose(2)).vertex("zz")
+
 
 class TestKGroups:
     def test_rose_d_regression(self):

@@ -21,6 +21,9 @@ from pimsner.ringcore import (
     coefficient_ring,
     local_unit_for,
     vadd,
+    vapply,
+    vclean,
+    vmul,
     vscale,
 )
 
@@ -341,6 +344,68 @@ class TestCleanArithmetic:
                                    ({(0, 0): 1}, {(0, 0): 4})])
         # the two terms give 2 + 4 = 0
         assert op.apply({(0, 0): 1}) == {}
+
+
+KERNEL_RINGS = [ZZ, QQ, Zmod(6), Fp(2)]
+SMALL_VECTORS = st.dictionaries(st.integers(0, 4), st.integers(-7, 7),
+                                max_size=5)
+
+
+def _rule(k, x, y):
+    """A clean vector on symbols 0..4 for the kernels to extend."""
+    return vclean(k, {(x + y) % 5: x - y + 1, (x * y) % 5: 2 * x + 3})
+
+
+def _plain_vmul(k, f, a, b):
+    """The double loop in plain arithmetic, coerced once at the end."""
+    out = {}
+    for x, ca in a.items():
+        for y, cb in b.items():
+            for tgt, c in f(x, y).items():
+                out[tgt] = out.get(tgt, 0) + ca * cb * c
+    return vclean(k, out)
+
+
+class TestKernels:
+    """``vmul`` and ``vapply`` against the loops they replace."""
+
+    @pytest.mark.parametrize("k", KERNEL_RINGS, ids=str)
+    @given(a=SMALL_VECTORS, b=SMALL_VECTORS)
+    def test_vmul_is_the_double_loop(self, k, a, b):
+        a, b = vclean(k, a), vclean(k, b)
+        f = lambda x, y: _rule(k, x, y)  # noqa: E731
+        got = vmul(k, f, a, b)
+        _assert_clean_vector(k, got)
+        # the same entries, first reached in the same order: a outermost
+        assert list(got.items()) == list(_plain_vmul(k, f, a, b).items())
+
+    def test_vmul_drops_products_that_vanish_mod_6(self):
+        k = Zmod(6)
+        f = lambda x, y: _rule(k, x, y)  # noqa: E731
+        # every product of an entry of a with one of b is 2 * 3 = 0
+        assert vmul(k, f, {0: 2, 1: 4}, {2: 3, 3: 3}) == {}
+        # the pair (0, 0) gives 2 * 3 = 0, the pairs (0, 2) and (1, 0)
+        # each lose one entry to 2 * 3 = 0, and symbol 2 sums
+        # 2 * -1 + 1 * 5 = 3
+        got = vmul(k, f, {0: 2, 1: 1}, {0: 3, 2: 1})
+        assert got == _plain_vmul(k, f, {0: 2, 1: 1}, {0: 3, 2: 1})
+        assert got == {2: 3, 0: 3}
+
+    @pytest.mark.parametrize("k", KERNEL_RINGS, ids=str)
+    @given(vec=SMALL_VECTORS)
+    def test_vapply_is_the_single_loop(self, k, vec):
+        vec = vclean(k, vec)
+        f = lambda x: _rule(k, x, 2)  # noqa: E731
+        want = _plain_vmul(k, lambda x, _: f(x), vec, {None: 1})
+        assert vapply(k, f, vec) == want
+
+    def test_vapply_hands_on_a_one_entry_image(self):
+        # a one-entry vector of coefficient one gives f's value itself,
+        # which may be a memo: no caller mutates a kernel's result
+        memo = {"a": {"x": 2, "y": 1}}
+        assert vapply(ZZ, memo.__getitem__, {"a": 1}) is memo["a"]
+        assert vapply(ZZ, memo.__getitem__, {"a": 3}) == {"x": 6, "y": 3}
+        assert vapply(Zmod(6), memo.__getitem__, {"a": 3}) == {"y": 3}
 
 
 class TestIdempotents:

@@ -105,7 +105,7 @@ class TestEquality:
     def test_reflexive(self):
         g = odometer()
         a = g.gen_word("a")
-        assert g.equal(a, a)
+        assert g.equal(a, a, g.equality_depth)
 
     def test_square_differs(self):
         g = odometer()
@@ -115,7 +115,7 @@ class TestEquality:
     def test_free_reduction(self):
         g = odometer()
         a = g.gen_word("a")
-        assert g.equal(word_mul(a, word_inv(a)), ())
+        assert g.equal(word_mul(a, word_inv(a)), (), g.equality_depth)
 
     def test_odometer_order_is_infinite_to_depth(self):
         g = odometer()
@@ -134,20 +134,20 @@ class TestNekPairing:
 
     def test_matching_letter_identity(self):
         g = odometer()
-        m = nek_module(g)
+        m = nek_module(g, ZZ)
         a = g.canonical(g.gen_word("a"))
         assert m.pair({("xp", "0", a): 1}, {("x", "0", a): 1}) == \
             m.ring.monomial(IDENTITY)
 
     def test_mismatched_letters_vanish(self):
         g = odometer()
-        m = nek_module(g)
+        m = nek_module(g, ZZ)
         a = g.canonical(g.gen_word("a"))
         assert m.pair({("xp", "0", a): 1}, {("x", "1", a): 1}).is_zero()
 
     def test_group_part_multiplies(self):
         g = odometer()
-        m = nek_module(g)
+        m = nek_module(g, ZZ)
         a = g.gen_word("a")
         aa = g.canonical(word_mul(a, a))
         assert m.pair({("xp", "0", g.canonical(a)): 1}, {("x", "0", aa): 1}) \
@@ -155,11 +155,11 @@ class TestNekPairing:
 
     def test_pairing_balance_checker(self):
         from pimsner.funcmod import check_pairing_balance
-        assert check_pairing_balance(nek_module(odometer()))
+        assert check_pairing_balance(nek_module(odometer(), ZZ))
 
     def test_bilinearity_and_bimodule_law(self):
         g = odometer()
-        m = nek_module(g)
+        m = nek_module(g, ZZ)
         one = 1
         a = g.gen_word("a")
         x = ("x", "0", IDENTITY)
@@ -389,7 +389,8 @@ class TestNodeIds:
                 for w2 in words[i:]:
                     want = _reference_trivial(
                         group, word_mul(w1, word_inv(w2)), depth, memo)
-                    assert group.equal(w1, w2) == want, (w1, w2, depth)
+                    assert group.equal(w1, w2, group.equality_depth) \
+                        == want, (w1, w2, depth)
             # the first-seen linear scan that canonical used to run
             reps = [IDENTITY]
             for w in words:
@@ -447,7 +448,7 @@ class TestNodeIds:
         assert group.restriction(bcd, "0") == (("a", 1), ("a", 1))
         for depth in (1, 4, 8, 12):
             assert not group.equal(bcd, (), depth)
-        assert not group.equal(bcd, IDENTITY)
+        assert not group.equal(bcd, IDENTITY, group.equality_depth)
         assert group.canonical(bcd) != group.canonical(IDENTITY)
 
     def test_deep_equality_has_bounded_cost(self):
@@ -460,7 +461,7 @@ class TestNodeIds:
         reps = [group.canonical(a * n) for n in (1, 2, 3)]
         assert time.perf_counter() - start < 1.0
         assert len(set(reps)) == 3
-        assert not group.equal(a * 3, a)
+        assert not group.equal(a * 3, a, group.equality_depth)
         # the tree is walked with an explicit stack, not Python recursion
         deep = parse_selfsim(FLIP, depth=5000)
         assert deep.canonical(a) != deep.canonical(a * 3)
@@ -468,12 +469,31 @@ class TestNodeIds:
 
 @pytest.mark.parametrize("call", [
     lambda g, w: g.canonical(w),
-    lambda g, w: g.equal(w, ()),
+    lambda g, w: g.equal(w, (), g.equality_depth),
     lambda g, w: g.act(w, "01"),
 ], ids=["canonical", "equal", "act"])
 def test_unknown_generator_is_named(call):
     with pytest.raises(SelfSimError, match="unknown generator 'z'"):
         call(odometer(), (("z", 1),))
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda g: g.act((("a", 1),), "z"), "unknown letter 'z'"),
+    (lambda g: g.act((), "0z"), "unknown letter 'z'"),
+    (lambda g: g.restrict_letter((("z", 1),), "0"), "unknown generator 'z'"),
+    (lambda g: g.restrict_letter((("a", 1),), "z"), "unknown letter 'z'"),
+    (lambda g: g.act_letter((("a", 1), ("z", -1)), "0"),
+     "unknown generator 'z'"),
+    (lambda g: g.act_letter((("a", 1),), "z"), "unknown letter 'z'"),
+    (lambda g: g.restriction((("z", 1),), "0"), "unknown generator 'z'"),
+    (lambda g: g.restriction((("a", 1),), "1z"), "unknown letter 'z'"),
+], ids=["act", "act-identity", "restrict_letter-generator",
+        "restrict_letter-letter", "act_letter-generator", "act_letter-letter",
+        "restriction-generator", "restriction-letter"])
+def test_unknown_letter_or_generator_is_named(call, match):
+    # each used to raise a bare KeyError
+    with pytest.raises(SelfSimError, match=match):
+        call(odometer())
 
 
 # -- the iterated word_mul recursion that sections replaced, kept as an oracle

@@ -6,9 +6,12 @@ token in ``src/pimsner``, ``perfbench`` or ``tests/test_acceptance.py``
 outside the line span of every definition of that name in the same
 file: a pipeline, the benchmark or an acceptance criterion reads it.  So
 a definition's own name, its recursion, and a method's call to a
-same-named function inside its body do not count.  The check is by name,
-so it is generous where names collide elsewhere, but a deleted caller
-leaves its callee unreached.  Tests other than the acceptance suite do
+same-named function inside its body do not count.  A method is reached
+through any token of its name, bare or after a dot; a module-level
+function or class only through a bare token or through
+``<its module>.name``, so ``obj.name`` reaches a method of that name and
+never the function.  The check is by name, so it is generous where
+method names collide, but a deleted caller leaves its callee unreached.  Tests other than the acceptance suite do
 not count; a name only they read belongs in the tests.  A name that
 nothing reaches yet must be listed in ``RESERVED`` with the ROADMAP
 direction that will give it a reader.
@@ -17,7 +20,9 @@ Parameters are held to the same rule.  Each defaulted parameter of a
 module-level function, of a method of a module-level class, or of its
 constructor, must be set by some call of that name in the same files: by
 keyword, by a positional argument that reaches it, or by ``*`` or ``**``
-unpacking.  A function or method is called by its name, as a function or
+unpacking.  It must also be left unset by some call, when there is one:
+a default that every caller overrides is a path nothing runs, so the
+parameter is required.  A function or method is called by its name, as a function or
 as an attribute; a constructor by its class name, as ``Class(...)`` or
 ``module.Class(...)``, or as ``cls(...)`` inside the class's own
 classmethods.  A default no caller overrides is a knob to delete.
@@ -49,6 +54,7 @@ RESERVED = {
     "LaurentRing": "direction 3: Katsura's O_{A,B} over Laurent rings",
     "local_unit_for": "direction 5: the non-degeneracy suite's local units",
     "append_normal": "direction 2: perfbench/tracing.py wraps it by name",
+    "direct_sum": "direction 3: the [X (+) Y] = [X] + [Y] oracle",
 }
 
 ALLOWED = {
@@ -69,27 +75,45 @@ def _py_files(folder):
 @cache
 def _parsed(path):
     """``(tree, names)`` for one file: its AST, and each NAME token as
-    ``(string, line)``."""
+    ``(string, line, qualifier)``.  The qualifier is None for a bare
+    token, and after a dot the NAME before the dot, or "" if there is
+    none."""
     with open(path, encoding="utf-8") as handle:
         text = handle.read()
-    names = [(tok.string, tok.start[0])
-             for tok in tokenize.generate_tokens(io.StringIO(text).readline)
-             if tok.type == tokenize.NAME]
+    names = []
+    prev = [None, None]
+    for tok in tokenize.generate_tokens(io.StringIO(text).readline):
+        if tok.type in (tokenize.NL, tokenize.COMMENT):
+            continue
+        if tok.type == tokenize.NAME:
+            qualifier = None
+            if prev[1] is not None and prev[1].string == ".":
+                qualifier = (prev[0].string if prev[0].type == tokenize.NAME
+                             else "")
+            names.append((tok.string, tok.start[0], qualifier))
+        prev = [prev[1], tok]
     return ast.parse(text), names
 
 
+def _module(path):
+    return os.path.splitext(os.path.basename(path))[0]
+
+
 def public_names():
-    """Each public function, class and method name, dunders excepted."""
+    """Each public function, class and method name, dunders excepted, as
+    ``(module, name)`` for a module-level one and ``(None, name)`` for a
+    method."""
     out = set()
     for path in _py_files(SRC):
         for node in _parsed(path)[0].body:
             if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 continue
-            out.add(node.name)
+            out.add((_module(path), node.name))
             if isinstance(node, ast.ClassDef):
-                out.update(sub.name for sub in node.body
+                out.update((None, sub.name) for sub in node.body
                            if isinstance(sub, ast.FunctionDef))
-    return {name for name in out if not name.startswith("_")}
+    return {(module, name) for module, name in out
+            if not name.startswith("_")}
 
 
 def _spans(tree):
@@ -110,19 +134,27 @@ def _reader_files():
 
 
 def used_names():
-    """Every NAME token outside the definitions of its own name."""
+    """Every NAME token outside the definitions of its own name, as
+    ``(qualifier, name)``."""
     out = set()
     for path in _reader_files():
         tree, names = _parsed(path)
         spans = _spans(tree)
-        out.update(name for name, line in names
+        out.update((qualifier, name) for name, line, qualifier in names
                    if not any(first <= line <= last
                               for first, last in spans.get(name, ())))
     return out
 
 
 def unreached():
-    return public_names() - used_names()
+    """The public names that nothing reaches: a method through any token
+    of its name, a module-level one through a bare or module-qualified
+    token."""
+    used = used_names()
+    anywhere = {name for _, name in used}
+    return {name for module, name in public_names()
+            if (name not in anywhere if module is None
+                else (None, name) not in used and (module, name) not in used)}
 
 
 def _decorated(fn, name):
@@ -203,6 +235,16 @@ def unset_parameters():
                        for call in calls.get(name, ()))}
 
 
+def always_set_parameters():
+    """``(file:line, function(parameter))`` for each defaulted parameter
+    that every call sets, when there is a call."""
+    calls = _calls()
+    return {(where, f"{label}({param})")
+            for where, label, name, param, position in defaulted_parameters()
+            if calls.get(name)
+            and all(_sets(call, param, position) for call in calls[name])}
+
+
 def test_every_public_name_is_reached_or_reserved():
     assert unreached() - set(RESERVED) == set()
 
@@ -217,6 +259,13 @@ def test_every_defaulted_parameter_is_set_or_allowed():
                      for where, param in unset_parameters()
                      if param not in ALLOWED)
     assert not flagged, "defaulted parameters no caller sets:\n" + \
+        "\n".join(flagged)
+
+
+def test_every_defaulted_parameter_is_left_unset_by_some_call():
+    flagged = sorted(f"{where} {param}"
+                     for where, param in always_set_parameters())
+    assert not flagged, "defaulted parameters every caller sets:\n" + \
         "\n".join(flagged)
 
 
