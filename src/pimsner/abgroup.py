@@ -30,7 +30,7 @@ Z/2
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import compress
 from math import gcd
 
@@ -552,13 +552,9 @@ class FgAbelianGroup:
 # Long-exact-sequence segments
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class LesSegment:
-    """Kernel and cokernel of one map in a long exact sequence window."""
-
-    kernel: FgAbelianGroup
-    cokernel: FgAbelianGroup
-    map_matrix: IntMatrix
+LesSegment = namedtuple("LesSegment", "kernel cokernel map_matrix")
+LesSegment.__doc__ = """Kernel and cokernel of one map in a long exact
+sequence window, with the ``IntMatrix`` of the map."""
 
 
 def les_segment(mat, coeff):

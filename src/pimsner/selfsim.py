@@ -149,6 +149,9 @@ class SelfSimilarGroup:
     def act_letter(self, word, x):
         """Image of the letter x under the group word (rightmost first),
         read off the step table."""
+        if not word and x not in self.alphabet:
+            # the empty word makes no step-table lookup that could miss
+            raise SelfSimError(f"unknown letter {x!r}")
         steps = self._steps
         try:
             for gen, exp in reversed(word):
@@ -174,6 +177,9 @@ class SelfSimilarGroup:
         reduced once, with one stack: free reduction is confluent, so this
         equals multiplying the pieces in one by one with ``word_mul``.
         """
+        if not word and x not in self.alphabet:
+            # the empty word makes no step-table lookup that could miss
+            raise SelfSimError(f"unknown letter {x!r}")
         steps = self._steps
         pieces = []
         try:

@@ -19,6 +19,7 @@ from pimsner.abgroup import (
     AbgroupError,
     FgAbelianGroup,
     IntMatrix,
+    LesSegment,
     kernel_basis,
     les_segment,
     smith_normal_form,
@@ -586,6 +587,26 @@ def brute_force_mod_m_segment(mat, m):
 
 
 class TestLesSegment:
+    def test_segments_are_immutable_values(self):
+        def segment():
+            return les_segment(IntMatrix.from_rows([[2, 1], [4, 2]]),
+                               FgAbelianGroup.free(1))
+
+        a, b = segment(), segment()
+        assert a is not b
+        assert a == b
+        assert hash(a) == hash(b)
+        assert a != les_segment(a.map_matrix, FgAbelianGroup.from_divisors(3))
+        assert LesSegment.__match_args__ == ("kernel", "cokernel",
+                                             "map_matrix")
+        assert (a.kernel, a.cokernel, a.map_matrix) == (
+            FgAbelianGroup.free(1), FgAbelianGroup.free(1),
+            IntMatrix.from_rows([[2, 1], [4, 2]]))
+        for name in LesSegment.__match_args__:
+            with pytest.raises(AttributeError):
+                setattr(a, name, FgAbelianGroup.trivial())
+        assert a == b
+
     def test_zero_map_over_z(self):
         seg = les_segment(IntMatrix.from_rows([[0]]), FgAbelianGroup.free(1))
         assert seg.kernel == FgAbelianGroup.free(1)

@@ -169,6 +169,31 @@ def test_closed_stdout_exits_quietly(tmp_path):
     assert (proc.returncode, err) == (EXIT_PIPE, b"")
 
 
+# the console script's call, in an interpreter that sees neither site
+# packages nor PYTHONPATH: argv[1] is the source root
+_BARE_MAIN = ("import sys\n"
+              "sys.path.insert(0, sys.argv.pop(1))\n"
+              "from pimsner.cli import main\n"
+              "sys.exit(main(sys.argv[1:]))\n")
+
+
+@pytest.mark.parametrize("argv", [["pv", "--matrix", "2 1; 1 1"],
+                                  ["kgroups", "{quiver}"]],
+                         ids=["pv", "kgroups"])
+def test_bare_interpreter_matches_in_process(capsys, rose2_file, argv):
+    # the package needs nothing outside the standard library
+    argv = [arg.format(quiver=rose2_file) for arg in argv]
+    src = os.path.dirname(os.path.dirname(os.path.abspath(
+        sys.modules["pimsner"].__file__)))
+    done = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", _BARE_MAIN, src, *argv],
+        capture_output=True, timeout=60)
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert (done.returncode, done.stderr) == (code, b"")
+    assert done.stdout == out.encode()
+
+
 class TestPv:
     def test_identity(self, capsys):
         code, out, _ = run(capsys, "pv", "--matrix", "1")

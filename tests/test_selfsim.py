@@ -487,9 +487,17 @@ def test_unknown_generator_is_named(call):
     (lambda g: g.act_letter((("a", 1),), "z"), "unknown letter 'z'"),
     (lambda g: g.restriction((("z", 1),), "0"), "unknown generator 'z'"),
     (lambda g: g.restriction((("a", 1),), "1z"), "unknown letter 'z'"),
+    # the empty word makes no step-table lookup, so its path checks the letter
+    (lambda g: g.act_letter((), "z"), "unknown letter 'z'"),
+    (lambda g: g.restrict_letter((), "z"), "unknown letter 'z'"),
+    (lambda g: g.restriction((), "zz"), "unknown letter 'z'"),
+    # a|_0 is the empty word, so z is looked up from the identity
+    (lambda g: g.restriction((("a", 1),), "0z"), "unknown letter 'z'"),
 ], ids=["act", "act-identity", "restrict_letter-generator",
         "restrict_letter-letter", "act_letter-generator", "act_letter-letter",
-        "restriction-generator", "restriction-letter"])
+        "restriction-generator", "restriction-letter", "act_letter-identity",
+        "restrict_letter-identity", "restriction-identity",
+        "restriction-to-identity"])
 def test_unknown_letter_or_generator_is_named(call, match):
     # each used to raise a bare KeyError
     with pytest.raises(SelfSimError, match=match):

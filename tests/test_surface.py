@@ -32,11 +32,18 @@ tests set must be listed in ``ALLOWED`` with the reason.  A failure names
 each parameter as ``file:line function(parameter)``.
 
 Each file is read, parsed and tokenized once per session, by ``_parsed``.
+
+The import closure is held too.  Every ``pimsner`` invocation imports
+``pimsner.cli`` before its one op, so what that import loads is paid on
+each call: it may load only the standard library and ``pimsner`` itself
+(``dependencies = []``), and none of the modules in ``NOT_IMPORTED``.
 """
 
 import ast
 import io
 import os
+import subprocess
+import sys
 import tokenize
 from functools import cache
 
@@ -65,6 +72,28 @@ ALLOWED = {
     "local_unit_for(ring)": "the tests pass it so that the zero of the "
                             "empty list has a ring",
 }
+
+NOT_IMPORTED = {
+    "dataclasses": "a record of fields is a namedtuple, not generated code",
+    "inspect": "nothing introspects at run time; dataclasses loads it",
+    "ast": "the program parses no Python source",
+    "dis": "the program reads no bytecode; inspect loads it",
+    "tokenize": "the program tokenizes no Python source; inspect loads it",
+    "linecache": "the program reads no source lines; inspect loads it",
+    "typing": "annotations stay strings under `from __future__ import "
+              "annotations`",
+    "copy": "values are immutable or rebuilt, never copied generically",
+}
+
+# run under ``python -I -S``: without -S, site's .pth files may preload
+# typing, inspect and more before the probe starts, hiding what pimsner
+# itself loads
+_CLOSURE_PROBE = (
+    "import sys\n"
+    "sys.path.insert(0, sys.argv[1])\n"
+    "before = set(sys.modules)\n"
+    "import pimsner.cli\n"
+    "print(*sorted(set(sys.modules) - before))\n")
 
 
 def _py_files(folder):
@@ -273,3 +302,17 @@ def test_allowed_parameters_are_still_unset():
     # an allowed parameter that gained a caller, or left src/, leaves the list
     unset = {param for _, param in unset_parameters()}
     assert set(ALLOWED) - unset == set()
+
+
+def test_cli_import_closure():
+    done = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", _CLOSURE_PROBE,
+         os.path.join(ROOT, "src")],
+        capture_output=True, text=True, timeout=60, check=True)
+    added = set(done.stdout.split())
+    assert "pimsner.cli" in added
+    assert sorted(added & set(NOT_IMPORTED)) == []
+    outside = sorted(name for name in added
+                     if name.partition(".")[0] not in sys.stdlib_module_names
+                     and name.partition(".")[0] != "pimsner")
+    assert outside == []
