@@ -46,6 +46,9 @@ class AbgroupError(ValueError):
 class IntMatrix:
     """An immutable integer matrix, stored row-major.
 
+    Every entry must be an ``int``; any other type, ``bool`` included,
+    raises ``AbgroupError`` rather than being converted.
+
     Empty matrices (0 rows and/or 0 columns) are legal and show up
     naturally: the adjacency map of a quiver with no regular vertices has
     zero columns.  Being immutable, a matrix keeps its Smith diagonal once
@@ -57,9 +60,16 @@ class IntMatrix:
     def __init__(self, rows, cols, entries):
         if rows < 0 or cols < 0:
             raise AbgroupError("matrix dimensions must be nonnegative")
-        entries = tuple(tuple(map(int, row)) for row in entries)
+        entries = tuple(map(tuple, entries))
         if len(entries) != rows or not set(map(len, entries)) <= {cols}:
             raise AbgroupError("entry grid does not match declared shape")
+        for row in entries:
+            kinds = set(map(type, row))
+            if not kinds <= {int}:
+                # no silent int(): 1.5, "7" and True are refused
+                bad = sorted(t.__name__ for t in kinds - {int})
+                raise AbgroupError(
+                    f"matrix entries must be int, got {', '.join(bad)}")
         self.rows = rows
         self.cols = cols
         self.entries = entries
@@ -67,7 +77,7 @@ class IntMatrix:
 
     @classmethod
     def from_rows(cls, rows):
-        rows = [list(r) for r in rows]
+        rows = list(map(tuple, rows))
         ncols = len(rows[0]) if rows else 0
         return cls(len(rows), ncols, rows)
 

@@ -7,7 +7,7 @@ homotopy endpoints and pairing preservation) on a quiver or self-similar
 group file.  Reports are deterministic JSON (schema 1) for fixed input,
 configuration and seed, written as the exact text of
 ``json.dumps(report, indent=2, sort_keys=True)``; ``--out text`` renders a
-short summary instead.
+short summary instead (see ``_text_lines``).
 
 Exit codes: 0 success, 2 parse or semantic error (also a ``--fock-depth``
 whose Fock module would pass ``fock.MAX_FOCK_DIMENSION`` basis keys or
@@ -59,6 +59,10 @@ EXIT_PIPE = 141
 
 _INF = float("inf")
 
+# the text of every int in -64..64, which covers nearly every entry of an
+# adjacency or crossed-product matrix; 129 strings, so import stays cheap
+_SMALL_INT_TEXT = {i: int.__repr__(i) for i in range(-64, 65)}
+
 
 def _config_dict(args, fields):
     return {f: getattr(args, f) for f in fields if hasattr(args, f)}
@@ -68,7 +72,7 @@ def _emit(report, out_format):
     if out_format == "json":
         print(json_text(report))
         return
-    _emit_text(report)
+    print("\n".join(_text_lines(report, "")))
 
 
 def json_text(obj):
@@ -78,8 +82,9 @@ def json_text(obj):
     as every report is.  With ``indent`` set the stdlib runs its
     pure-Python encoder, one generator frame per nesting level; this
     writer appends to one list instead, and writes a list of plain ints or
-    plain strings (matrix rows, labels) with one ``join``.  A non-str key
-    or a value of another type raises ``TypeError``.
+    plain strings (matrix rows, labels) with one ``join``, an int row from
+    ``_SMALL_INT_TEXT`` when every entry is in it.  A non-str key or a
+    value of another type raises ``TypeError``.
     """
     out = []
     _json_write(obj, out, "\n")
@@ -121,8 +126,11 @@ def _json_write(obj, out, nl):
         inner = nl + "  "
         kinds = set(map(type, obj))
         if kinds == {int}:
-            out += ("[", inner, ("," + inner).join(map(int.__repr__, obj)),
-                    nl, "]")
+            try:
+                texts = [_SMALL_INT_TEXT[i] for i in obj]
+            except KeyError:
+                texts = map(int.__repr__, obj)
+            out += ("[", inner, ("," + inner).join(texts), nl, "]")
         elif kinds == {str}:
             out += ("[", inner, ("," + inner).join(map(_json_str, obj)),
                     nl, "]")
@@ -150,24 +158,47 @@ def _json_write(obj, out, nl):
                         "is not JSON serializable")
 
 
-def _emit_text(report, indent=0):
-    pad = "  " * indent
-    if isinstance(report, dict):
-        for key in sorted(report):
-            value = report[key]
-            if isinstance(value, (dict, list)):
-                print(f"{pad}{key}:")
-                _emit_text(value, indent + 1)
+def _text_block(value):
+    # a dict, or a list holding a dict or a list, takes lines of its own
+    if isinstance(value, dict):
+        return bool(value)
+    return isinstance(value, (list, tuple)) and any(
+        isinstance(item, (dict, list, tuple)) for item in value)
+
+
+def _text_scalar(value):
+    if isinstance(value, (list, tuple)):
+        return "[" + ", ".join(map(str, value)) + "]"
+    return "{}" if isinstance(value, dict) else str(value)
+
+
+def _text_lines(value, pad):
+    """The ``--out text`` lines of a dict or of a list that is a block.
+
+    A list of scalars sits on one line, as ``[a, b]``; a list that holds
+    dicts or lists gives one ``- `` item per entry, and a dict item starts
+    on the ``- `` line, so a 2x2 matrix reads as two rows and the items of
+    a list of dicts stay apart.
+    """
+    if isinstance(value, dict):
+        for key in sorted(value):
+            item = value[key]
+            if _text_block(item):
+                yield f"{pad}{key}:"
+                yield from _text_lines(item, pad + "  ")
             else:
-                print(f"{pad}{key}: {value}")
-    elif isinstance(report, list):
-        for value in report:
-            if isinstance(value, (dict, list)):
-                _emit_text(value, indent + 1)
-            else:
-                print(f"{pad}- {value}")
-    else:
-        print(f"{pad}{report}")
+                yield f"{pad}{key}: {_text_scalar(item)}"
+        return
+    for item in value:
+        if not _text_block(item):
+            yield f"{pad}- {_text_scalar(item)}"
+        elif isinstance(item, dict):
+            lines = _text_lines(item, pad + "  ")
+            yield f"{pad}- {next(lines).lstrip()}"
+            yield from lines
+        else:
+            yield f"{pad}-"
+            yield from _text_lines(item, pad + "  ")
 
 
 def _read(path):
@@ -203,7 +234,7 @@ def cmd_kgroups(args):
 def _parse_matrix(text):
     rows = [row.strip() for row in text.split(";") if row.strip()]
     try:
-        entries = [[int(x) for x in row.split()] for row in rows]
+        entries = [list(map(int, row.split())) for row in rows]
     except ValueError:
         raise RingError(f"matrix entries must be integers: {text!r}") from None
     if entries and any(len(r) != len(entries) for r in entries):

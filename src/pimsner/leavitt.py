@@ -25,6 +25,7 @@ sequence, with the map 1 - alpha on each degree.
 from __future__ import annotations
 
 from itertools import islice
+from operator import neg
 
 from .abgroup import FgAbelianGroup, IntMatrix, les_segment
 from .ringcore import (
@@ -282,21 +283,24 @@ class AdjacencyData:
     ``theorem_map`` has one column per regular vertex v and one row per
     vertex y, with entry [y][v] = delta_{y,v} - (arrows from v to y): it
     sends the class of 1_v to 1_v - sum over e with s(e) = v of 1_{r(e)}.
+    It is built in O(V + E) steps: a zero row per vertex, +1 at its own
+    column when it is regular, then -1 at [r(e)][s(e)] for each edge e,
+    whose source is always regular.
     """
 
     def __init__(self, quiver):
         self.quiver = quiver
-        verts = quiver.vertices
-        idx = {v: i for i, v in enumerate(verts)}
-        n = len(verts)
-        counts = [[0] * n for _ in range(n)]
-        for e in quiver.edges:
-            counts[idx[quiver.s(e)]][idx[quiver.r(e)]] += 1
         regs = quiver.regular_vertices
+        width = len(regs)
+        col = {v: j for j, v in enumerate(regs)}
+        rows = {y: [0] * width for y in quiver.vertices}
+        for j, v in enumerate(regs):
+            rows[v][j] = 1
+        source, target = quiver.source, quiver.range
+        for e in quiver.edges:
+            rows[target[e]][col[source[e]]] -= 1
         self.regular = regs
-        self.theorem_map = IntMatrix.from_rows(
-            [[(1 if y == v else 0) - counts[idx[v]][idx[y]] for v in regs]
-             for y in verts])
+        self.theorem_map = IntMatrix.from_rows(rows.values())
 
 
 # ---------------------------------------------------------------------------
@@ -699,9 +703,10 @@ def crossed_product_k_groups(alpha):
     if alpha.rows != alpha.cols:
         raise RingError("automorphism matrix must be square")
     n = alpha.rows
-    one_minus = IntMatrix.from_rows(
-        [[(1 if i == j else 0) - alpha.entries[i][j] for j in range(n)]
-         for i in range(n)])
+    rows = [list(map(neg, row)) for row in alpha.entries]
+    for i, row in enumerate(rows):
+        row[i] += 1
+    one_minus = IntMatrix.from_rows(rows)
     presets = {d: [PresetComponent(FgAbelianGroup.free(1))]
                for d in (-1, 0, 1)}
     report, segments = _pipeline_report(

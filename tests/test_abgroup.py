@@ -8,6 +8,7 @@ minors, computed here directly from determinants of submatrices.
 import doctest
 import functools
 import random
+from fractions import Fraction
 from itertools import combinations
 from math import gcd, prod
 
@@ -79,12 +80,21 @@ def random_matrix(rng, max_dim=6, lo=-9, hi=9):
         [[rng.randint(lo, hi) for _ in range(c)] for _ in range(r)])
 
 
-def test_entries_are_coerced_to_int():
-    m = IntMatrix(2, 2, [[True, "3"], (False, -7)])
-    assert m.entries == ((1, 3), (0, -7))
+def test_entries_must_be_int():
+    # no silent int(): a float, a numeral or a bool is refused, not
+    # truncated or parsed, wherever it sits in the grid
+    for rows in ([[1.5, 2.9]], [["7"]], [[True]], [[1, 2], [3, False]],
+                 [[1, None]], [[Fraction(2)]]):
+        with pytest.raises(AbgroupError, match="must be int"):
+            IntMatrix.from_rows(rows)
+        with pytest.raises(AbgroupError, match="must be int"):
+            IntMatrix(len(rows), len(rows[0]), rows)
+
+
+def test_int_entries_are_kept_as_given():
+    m = IntMatrix(2, 2, [[10 ** 40, -3], (0, -7)])
+    assert m.entries == ((10 ** 40, -3), (0, -7))
     assert {type(x) for row in m.entries for x in row} == {int}
-    with pytest.raises(ValueError):
-        IntMatrix(1, 1, [["x"]])
 
 
 @pytest.mark.parametrize("rows, cols, entries", [

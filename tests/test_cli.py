@@ -22,6 +22,7 @@ from pimsner.cli import (
     MAX_FOCK_DIMENSION,
     _check_fock_budget,
     _selfsim_suites,
+    _text_lines,
     json_text,
     main,
 )
@@ -47,6 +48,9 @@ EDGELESS = "vertices: v w u\nedges:\n"
 BAD = "vertices: v\nedges:\n  e: v -> u\n"
 
 ODOMETER = "alphabet: 0 1\na = (perm 0 1)(e, a)\n"
+
+PV_6X6 = ("2 -65 0 1 0 3; 100 1 0 0 2 0; 0 1 1 0 0 -1; 5 0 0 1 7 0; "
+          "0 0 3 0 1 1; 1 0 0 -2 0 0")
 
 
 DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
@@ -117,6 +121,17 @@ class TestKgroups:
         code, out, _ = run(capsys, "kgroups", rose2_file, "--out", "text")
         assert code == 0
         assert "assembled_group" in out
+
+    @pytest.mark.parametrize("name, coeff", [("z", "z"), ("fp3", "fp:3")])
+    def test_golden_report(self, capsys, monkeypatch, name, coeff):
+        # a seeded 40-vertex quiver with loops, parallel edges, sinks and
+        # an isolated vertex; the stored report is compared byte for byte
+        monkeypatch.chdir(DATA)
+        code, out, _ = run(capsys, "kgroups", "kgroups_q40.quiver",
+                           "--coeff", coeff)
+        with open(f"kgroups_q40_{name}.json", encoding="utf-8") as handle:
+            assert out == handle.read()
+        assert code == 0
 
     def test_finite_field_coefficients(self, capsys, rose2_file):
         code, out, _ = run(capsys, "kgroups", rose2_file, "--coeff", "fp:5")
@@ -213,6 +228,39 @@ class TestPv:
         report = json.loads(out)
         assert report["degrees"]["0"]["kernel"]["repr"] == "Z"
         assert report["degrees"]["0"]["cokernel"]["repr"] == "Z"
+
+    def test_golden_report(self, capsys):
+        # non-symmetric, with entries -65 and 100 outside the small-int
+        # table of the JSON writer; compared byte for byte
+        code, out, _ = run(capsys, "pv", "--matrix", PV_6X6)
+        with open(os.path.join(DATA, "pv_6x6.json"),
+                  encoding="utf-8") as handle:
+            assert out == handle.read()
+        assert code == 0
+
+    def test_text_output_keeps_rows_and_items_apart(self, capsys):
+        code, out, _ = run(capsys, "pv", "--matrix", "2 1; 1 1",
+                           "--out", "text")
+        assert code == 0
+        lines = out.splitlines()
+        at = lines.index("alpha:")
+        assert lines[at + 1:at + 3] == ["  - [2, 1]", "  - [1, 1]"]
+        assert "  cols: [0, 1]" in lines
+        # each component of each degree starts its own "- " item
+        assert lines.count("      - coefficient: Z") == 2
+        assert "      torsion: []" in lines
+
+    def test_text_output_tells_shapes_apart(self):
+        square = list(_text_lines({"m": [[2, 1], [1, 1]]}, ""))
+        column = list(_text_lines({"m": [[2], [1], [1], [1]]}, ""))
+        flat = list(_text_lines({"m": [2, 1, 1, 1]}, ""))
+        assert square == ["m:", "  - [2, 1]", "  - [1, 1]"]
+        assert column == ["m:", "  - [2]", "  - [1]", "  - [1]", "  - [1]"]
+        assert flat == ["m: [2, 1, 1, 1]"]
+        items = list(_text_lines({"c": [{"a": 1, "b": 2}, {"a": 3}]}, ""))
+        assert items == ["c:", "  - a: 1", "    b: 2", "  - a: 3"]
+        nested = list(_text_lines([[[1, 2], [3]], {}], ""))
+        assert nested == ["-", "  - [1, 2]", "  - [3]", "- {}"]
 
     def test_non_square_exits_2(self, capsys):
         code, _, err = run(capsys, "pv", "--matrix", "1 0")
@@ -781,6 +829,17 @@ class TestJsonText:
         {"z": 1, "a": {"y": [1, 2], "b": ("x", "\u00fc")}},
     ])
     def test_edge_cases(self, tree):
+        assert json_text(tree) == json.dumps(tree, indent=2, sort_keys=True)
+
+    @pytest.mark.parametrize("tree", [
+        [-65, -64, 64, 65], [-64, 0, 64], [-65], [65], [-(10 ** 40)],
+        [10 ** 40, -(10 ** 40)], [0, 1, -1, 65, -64, -65, 64, 10 ** 40],
+        [[1, 2, 3], [-64, 64, -65], [100, 0, 0]], [1, True], [True, 1],
+        [True, False, True], (1, -2, 3), ((64, 65), (-65, -64)), [],
+        {"row": [], "rows": [[], [0]]},
+    ])
+    def test_int_rows(self, tree):
+        # rows inside, outside and across the small-int table
         assert json_text(tree) == json.dumps(tree, indent=2, sort_keys=True)
 
     @pytest.mark.parametrize("tree", [

@@ -173,6 +173,25 @@ class TestAdjacency:
         assert adj.regular == ["a"]
         assert adj.theorem_map == IntMatrix.from_rows([[1], [-2]])
 
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_theorem_map_matches_the_dense_formula(self, data):
+        # 1-8 vertices, any ordered pairs as edges (loops, parallel edges,
+        # sinks, possibly no regular vertex), vertex names listed in a
+        # drawn order; the oracle counts arrows v -> y over all pairs
+        n = data.draw(st.integers(1, 8))
+        names = data.draw(st.permutations([f"v{i}" for i in range(n)]))
+        pairs = data.draw(st.lists(
+            st.tuples(st.sampled_from(names), st.sampled_from(names)),
+            max_size=20))
+        q = Quiver(names, [(f"e{i}", s, r) for i, (s, r) in enumerate(pairs)])
+        adj = AdjacencyData(q)
+        regs = [v for v in names if any(s == v for s, _ in pairs)]
+        assert adj.regular == regs
+        dense = [[(y == v) - sum(p == (v, y) for p in pairs) for v in regs]
+                 for y in names]
+        assert adj.theorem_map == IntMatrix(n, len(regs), dense)
+
 
 class TestQuiverCorrespondence:
     def test_hom_checks(self):
@@ -522,6 +541,16 @@ class TestCrossedProducts:
         deg0 = report["degrees"]["0"]
         assert deg0["cokernel"]["repr"] == "Z/2"
         assert deg0["kernel"]["repr"] == "0"
+
+    def test_matrix_is_one_minus_alpha_not_its_transpose(self):
+        # K-groups cannot tell 1 - alpha from 1 - alpha^t, the matrix can
+        alpha = [[2, -65, 0], [100, 1, 3], [0, 7, -1]]
+        report, _ = crossed_product_k_groups(IntMatrix.from_rows(alpha))
+        assert report["alpha"] == alpha
+        assert report["matrix_M"]["entries"] == [
+            [(i == j) - alpha[i][j] for j in range(3)] for i in range(3)]
+        assert report["matrix_M"]["entries"] == [
+            [-1, 65, 0], [-100, 0, -3], [0, -7, 2]]
 
     def test_swap(self):
         report, _ = crossed_product_k_groups(
