@@ -86,9 +86,6 @@ class IntMatrix:
             return NotImplemented
         return self.entries == other.entries and self.cols == other.cols
 
-    def __hash__(self):
-        return hash((self.cols, self.entries))
-
     def __repr__(self):
         return f"IntMatrix({list(map(list, self.entries))!r})"
 
@@ -540,9 +537,6 @@ class FgAbelianGroup:
             return NotImplemented
         return (self.free_rank == other.free_rank
                 and self._torsion == other._torsion)
-
-    def __hash__(self):
-        return hash((self.free_rank, self._torsion))
 
     def __str__(self):
         parts = []

@@ -57,15 +57,9 @@ EXIT_DEPTH = 3
 EXIT_INVARIANT = 4
 EXIT_PIPE = 141
 
-_INF = float("inf")
-
 # the text of every int in -64..64, which covers nearly every entry of an
 # adjacency or crossed-product matrix; 129 strings, so import stays cheap
 _SMALL_INT_TEXT = {i: int.__repr__(i) for i in range(-64, 65)}
-
-
-def _config_dict(args, fields):
-    return {f: getattr(args, f) for f in fields if hasattr(args, f)}
 
 
 def _emit(report, out_format):
@@ -78,35 +72,25 @@ def _emit(report, out_format):
 def json_text(obj):
     """The exact text of ``json.dumps(obj, indent=2, sort_keys=True)``.
 
-    ``obj`` is a tree of str-keyed dicts, lists, tuples and JSON scalars,
-    as every report is.  With ``indent`` set the stdlib runs its
-    pure-Python encoder, one generator frame per nesting level; this
-    writer appends to one list instead, and writes a list of plain ints or
-    plain strings (matrix rows, labels) with one ``join``, an int row from
-    ``_SMALL_INT_TEXT`` when every entry is in it.  A non-str key or a
-    value of another type raises ``TypeError``.
+    ``obj`` is a tree of str-keyed dicts, lists, tuples, strings, ints,
+    bools and None, as every report is: no report holds a float.  With
+    ``indent`` set the stdlib runs its pure-Python encoder, one generator
+    frame per nesting level; this writer appends to one list instead, and
+    writes a list of plain ints or plain strings (matrix rows, labels) with
+    one ``join``, an int row from ``_SMALL_INT_TEXT`` when every entry is
+    in it.  A non-str key or a
+    value of another type, a float included, raises ``TypeError``.
     """
     out = []
     _json_write(obj, out, "\n")
     return "".join(out)
 
 
-def _json_float(obj):
-    # the stdlib's spellings of the non-finite floats, tested as it does
-    if obj != obj:
-        return "NaN"
-    if obj == _INF:
-        return "Infinity"
-    if obj == -_INF:
-        return "-Infinity"
-    return float.__repr__(obj)
-
-
 def _json_write(obj, out, nl):
     """Append the text of ``obj`` to ``out``; ``nl`` is the newline plus
     the indent of the line ``obj`` starts on."""
     # the stdlib's dispatch order: str, the three singletons (bool before
-    # int), int, float, list or tuple, dict
+    # int), int, list or tuple, dict
     if isinstance(obj, str):
         out.append(_json_str(obj))
     elif obj is None:
@@ -117,8 +101,6 @@ def _json_write(obj, out, nl):
         out.append("false")
     elif isinstance(obj, int):
         out.append(int.__repr__(obj))
-    elif isinstance(obj, float):
-        out.append(_json_float(obj))
     elif isinstance(obj, (list, tuple)):
         if not obj:
             out.append("[]")
@@ -472,7 +454,8 @@ def cmd_verify(args):
         "schema": 1,
         "input": args.input,
         "seed": args.seed,
-        "config": _config_dict(args, ["fock_depth", "word_bound", "coeff"]),
+        "config": {"fock_depth": args.fock_depth,
+                   "word_bound": args.word_bound, "coeff": args.coeff},
     }
     # 0 in the report means "the file's depth"
     report["config"]["depth"] = args.depth or 0

@@ -125,11 +125,11 @@ class TruncatedFock:
     Basis keys are ``(degree, tuple)``; the degree-zero tuple holds a
     single ring basis symbol.  The ring and the module must be finitely
     enumerated for the bases to exist.  ``token_op`` builds and caches
-    every generator operator; ``identity`` and ``zero_op`` are the only
-    other operators made here.  The cached operators refer back to the
-    module, so leaving a ``with`` block drops them and lets the module,
-    its columns and any homotopy model built on it be freed by reference
-    counting; the module stays usable and rebuilds what it needs.
+    every generator operator; ``zero_op`` is the only other operator made
+    here.  The cached operators refer back to the module, so leaving a
+    ``with`` block drops them and lets the module, its columns and any
+    homotopy model built on it be freed by reference counting; the module
+    stays usable and rebuilds what it needs.
     """
 
     def __init__(self, corr, depth):
@@ -226,10 +226,6 @@ class TruncatedFock:
         return bases[n]
 
     # -- operator constructors ----------------------------------------------
-
-    def identity(self):
-        return FockOperator(self, {(): self.k.one},
-                            {d: 1 << d for d in range(self.depth + 1)})
 
     def zero_op(self):
         return _linear_combination(self, [])
@@ -448,13 +444,12 @@ def word_operator(fock, tokens, variant):
 
     Tokens are ``(kind, payload)`` with a kind of ``_KINDS``, in operator
     order (the rightmost acts first).  The word composes the cached
-    ``fock.token_op`` operators.  The empty word is the identity, and a
+    ``fock.token_op`` operators, which refuse an unknown variant.  A
     one-token word is the cached operator itself, so do not mutate it.
+    The empty word raises ``RingError``, as in ``ToeplitzAlgebra``.
     """
-    if variant not in ("pi0", "pi1"):
-        raise RingError(f"unknown representation {variant!r}")
     if not tokens:
-        return fock.identity()
+        raise RingError("empty generator word")
     return reduce(FockOperator.compose,
                   (fock.token_op(token, variant) for token in tokens))
 

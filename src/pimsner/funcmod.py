@@ -244,14 +244,13 @@ class FunctionalModule:
 class CompactOperator:
     """A finite sum of elementary tensors x (x) phi in X (x)_R X'."""
 
-    __slots__ = ("module", "terms", "_normal")
+    __slots__ = ("module", "terms")
 
     def __init__(self, module, terms):
         self.module = module
         k = module.k
         cleaned = ((vclean(k, x), vclean(k, p)) for x, p in terms)
         self.terms = [(x, p) for x, p in cleaned if x and p]
-        self._normal = None
 
     @classmethod
     def zero(cls, module):
@@ -260,33 +259,6 @@ class CompactOperator:
     @classmethod
     def elementary(cls, module, xvec, pvec):
         return cls(module, [(xvec, pvec)])
-
-    def normal_terms(self):
-        """Canonical dict over reduced symbol pairs (b, c)."""
-        if self._normal is None:
-            m, k = self.module, self.module.k
-            out = {}
-            for xvec, pvec in self.terms:
-                for b, cb in xvec.items():
-                    b0, r = m.x_split(b)
-                    for c, cc in m.act_xp_left(r, pvec).items():
-                        key = (b0, c)
-                        out[key] = k.add(out.get(key, k.zero), k.mul(cb, cc))
-            self._normal = vdrop(out)
-        return self._normal
-
-    def is_zero(self):
-        return not self.normal_terms()
-
-    def __eq__(self, other):
-        if not isinstance(other, CompactOperator):
-            return NotImplemented
-        return (self.module is other.module
-                and self.normal_terms() == other.normal_terms())
-
-    def __hash__(self):
-        return hash((id(self.module),
-                     tuple(sorted(self.normal_terms().items(), key=repr))))
 
     def __mul__(self, other):
         self.module._check(other.module)
@@ -322,11 +294,7 @@ class CompactOperator:
         return vdrop(out)
 
     def __repr__(self):
-        nt = self.normal_terms()
-        if not nt:
-            return "0"
-        return " + ".join(f"{c}*({b} (x) {ph})" if c != 1 else f"({b} (x) {ph})"
-                          for (b, ph), c in sorted(nt.items(), key=repr))
+        return " + ".join(f"({x} (x) {p})" for x, p in self.terms) or "0"
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,9 @@ of basis symbols with coefficients.  The bundled descriptors are
   problems are only decidable for the bundled group classes.
 
 All of these admit local units: every finite set of elements is fixed on
-both sides by some idempotent, which ``local_unit_for`` produces.
+both sides by some idempotent.  ``local_unit_for`` produces one for a ring
+with a ``local_unit_terms`` rule: ``DirectSumRing``, ``LaurentRing`` and
+``leavitt.LeavittRing``.
 
 Vectors (here, in ``funcmod`` and in ``fock``) are dicts from basis symbols
 to coefficients, and are always clean: every coefficient is coerced into
@@ -49,14 +51,13 @@ class CoefficientRing:
     """Exact commutative ground ring for all term-map coefficients.
 
     Subclasses define ``coerce`` and the coerced constants ``zero`` and
-    ``one``; the generic scalar ops below coerce every result.
+    ``one``, and ``solve(rows, rhs)``, one solution of the linear system
+    ``rows . x = rhs`` or None; the generic scalar ops below coerce every
+    result.
     """
 
     name = "?"
     is_field = False
-
-    def coerce(self, value):
-        raise NotImplementedError
 
     def add(self, a, b):
         return self.coerce(a + b)
@@ -69,10 +70,6 @@ class CoefficientRing:
 
     def is_zero(self, a):
         return self.coerce(a) == self.zero
-
-    def solve(self, rows, rhs):
-        """One solution of the linear system ``rows . x = rhs``, or None."""
-        raise NotImplementedError
 
     def __repr__(self):
         return self.name
@@ -161,18 +158,13 @@ class ZmodRing(CoefficientRing):
         if type(value) is int:
             return value % self.modulus
         if isinstance(value, Fraction):
-            inv = self.invert(value.denominator % self.modulus)
-            if inv is None:
-                raise RingError(f"denominator {value.denominator} not invertible")
+            try:
+                inv = pow(value.denominator, -1, self.modulus)
+            except ValueError:
+                raise RingError(f"denominator {value.denominator} not "
+                                "invertible") from None
             return (value.numerator * inv) % self.modulus
         return int(value) % self.modulus
-
-    def invert(self, a):
-        """Multiplicative inverse mod m, or None if ``a`` is not a unit."""
-        try:
-            return pow(int(a), -1, self.modulus)
-        except ValueError:
-            return None
 
     def solve(self, rows, rhs):
         # Lift to an integer system: rows.x = rhs (mod m) iff the system
@@ -187,12 +179,6 @@ class ZmodRing(CoefficientRing):
             return None
         ncols = len(rows[0]) if rows else 0
         return [self.coerce(x) for x in sol[:ncols]]
-
-    def __eq__(self, other):
-        return isinstance(other, ZmodRing) and other.modulus == self.modulus
-
-    def __hash__(self):
-        return hash(("zmod", self.modulus))
 
 
 def _is_prime(n):
@@ -343,11 +329,13 @@ class RingDescriptor:
     """A ring presented by a k-basis of symbols and a product rule.
 
     Subclasses implement ``mul_basis`` returning the product of two basis
-    symbols as a symbol-to-coefficient dict, and ``local_unit_terms``
-    returning an idempotent fixing everything supported on the given
-    symbols.  A ring that acts on a functional module also implements
-    ``left_support_symbol`` and ``right_support_symbol``, a basis
-    idempotent fixing one symbol on that side.  Symbols are not
+    symbols as a symbol-to-coefficient dict.  A ring that ``local_unit_for``
+    serves also implements ``local_unit_terms``, an idempotent (as a term
+    dict) fixing everything supported on the given symbols.  A ring whose
+    free modules take the balanced tensor normal form (``free_module``'s
+    splits, a Fock module) also implements ``left_support_symbol`` and
+    ``right_support_symbol``, a basis idempotent u with ``u * sym ==
+    sym``, respectively ``sym * u == sym``.  Symbols are not
     validated; callers build them from the descriptor's own basis and
     products.  ``basis`` lists the symbols when the ring is finite
     dimensional over k, else it is None and symbols are generated lazily.
@@ -359,24 +347,6 @@ class RingDescriptor:
 
     basis = None
     unit_symbol = None  # basis symbol of 1 when the ring is unital
-
-    def mul_basis(self, b1, b2):
-        raise NotImplementedError
-
-    def local_unit_terms(self, symbols):
-        """Idempotent (as a term dict) fixing all elements on ``symbols``."""
-        raise NotImplementedError
-
-    def left_support_symbol(self, sym):
-        """A basis idempotent u with u * sym == sym."""
-        raise NotImplementedError
-
-    def right_support_symbol(self, sym):
-        """A basis idempotent u with sym * u == sym."""
-        raise NotImplementedError
-
-    def element(self, terms):
-        return RingElement(self, terms)
 
     def zero(self):
         return RingElement(self, {})
@@ -434,24 +404,6 @@ class MatrixRing(RingDescriptor):
             return {}
         return {(i, j2, c): coeff for c, coeff in self.inner.mul_basis(a, b).items()}
 
-    def local_unit_terms(self, symbols):
-        indices = set()
-        inner_syms = set()
-        for (i, j, b) in symbols:
-            indices.update((i, j))
-            inner_syms.add(b)
-        inner_unit = self.inner.local_unit_terms(inner_syms)
-        return {(i, i, b): coeff for i in sorted(indices, key=self.index.index)
-                for b, coeff in inner_unit.items()}
-
-    def left_support_symbol(self, sym):
-        i, _, b = sym
-        return (i, i, self.inner.left_support_symbol(b))
-
-    def right_support_symbol(self, sym):
-        _, j, b = sym
-        return (j, j, self.inner.right_support_symbol(b))
-
 
 class LaurentRing(RingDescriptor):
     """k[x, x^-1] with basis x^n indexed by integers."""
@@ -467,20 +419,15 @@ class LaurentRing(RingDescriptor):
     def local_unit_terms(self, symbols):
         return {0: self.k.one}
 
-    def left_support_symbol(self, sym):
-        return 0
-
-    def right_support_symbol(self, sym):
-        return 0
-
 
 class GroupRing(RingDescriptor):
     """kG with basis the group elements in a canonical form.
 
     ``canonicalize`` maps an arbitrary representative (a group word) to the
-    canonical symbol of its group element and ``invert``/``identity``
-    supply the group structure.  The word problem is solved by the caller;
-    for self-similar groups this is the depth-bounded oracle.
+    canonical symbol of its group element, ``mul_words`` multiplies two
+    representatives, and ``identity`` is the symbol of the unit.  The word
+    problem is solved by the caller; for self-similar groups this is the
+    depth-bounded oracle.
     """
 
     def __init__(self, k, canonicalize, mul_words, identity, label):
@@ -493,15 +440,6 @@ class GroupRing(RingDescriptor):
     def mul_basis(self, b1, b2):
         return {self.canonicalize(self.mul_words(b1, b2)): self.k.one}
 
-    def local_unit_terms(self, symbols):
-        return {self.identity: self.k.one}
-
-    def left_support_symbol(self, sym):
-        return self.identity
-
-    def right_support_symbol(self, sym):
-        return self.identity
-
 
 # ---------------------------------------------------------------------------
 # Ring elements
@@ -512,8 +450,8 @@ class RingElement:
 
     ``terms`` is a clean vector (see the module docstring).  The public
     constructor makes it one with ``vclean``; arithmetic takes its values
-    from ``k.add``, ``k.mul`` and ``k.neg`` and wraps its result with
-    ``_of``, which takes clean terms as they are.
+    from ``k.add`` and ``k.mul`` and wraps its result with ``_of``, which
+    takes clean terms as they are.
     """
 
     __slots__ = ("ring", "terms")
@@ -540,15 +478,6 @@ class RingElement:
         return RingElement._of(self.ring,
                                vadd(self.ring.k, self.terms, other.terms))
 
-    def __neg__(self):
-        # -c of a nonzero coerced c is nonzero
-        neg = self.ring.k.neg
-        return RingElement._of(
-            self.ring, {s: neg(c) for s, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
     def __mul__(self, other):
         self._check_ring(other)
         return RingElement._of(self.ring, vmul(
@@ -566,9 +495,6 @@ class RingElement:
             return NotImplemented
         return self.ring is other.ring and self.terms == other.terms
 
-    def __hash__(self):
-        return hash((id(self.ring), tuple(sorted(self.terms.items(), key=repr))))
-
     def __repr__(self):
         if not self.terms:
             return "0"
@@ -582,8 +508,8 @@ def local_unit_for(elements, ring=None):
     """An idempotent e with e*r == r*e == r for every input element.
 
     The empty list returns 0 (the empty-set convention); pass ``ring`` so
-    the zero has a home.  All bundled ring kinds carry a local-unit rule;
-    rings declared without one raise.
+    the zero has a home.  The ring must carry a ``local_unit_terms`` rule
+    (see ``RingDescriptor``).
     """
     elements = list(elements)
     if not elements:

@@ -314,12 +314,17 @@ class TestSparseRowStep:
 # -- the unit-pivot pre-pass of ``smith_diagonal``, checked against the
 # diagonal of ``_smith`` on the whole matrix --
 
-@functools.cache
 def _dense_diagonal(mat):
     """The nonzero invariant factors of ``_smith`` run on all of ``mat``;
-    kept per matrix, as ``smith_diagonal`` keeps its own."""
-    s, _, _ = pimsner.abgroup._smith(mat, transforms=False)
-    diag = (s[i][i] for i in range(min(mat.rows, mat.cols)))
+    kept per entry grid, as ``smith_diagonal`` keeps its own."""
+    return _dense_diagonal_of(mat.rows, mat.cols, mat.entries)
+
+
+@functools.cache
+def _dense_diagonal_of(rows, cols, entries):
+    s, _, _ = pimsner.abgroup._smith(IntMatrix(rows, cols, entries),
+                                     transforms=False)
+    diag = (s[i][i] for i in range(min(rows, cols)))
     return tuple(d for d in diag if d)
 
 
@@ -605,7 +610,6 @@ class TestLesSegment:
         a, b = segment(), segment()
         assert a is not b
         assert a == b
-        assert hash(a) == hash(b)
         assert a != les_segment(a.map_matrix, FgAbelianGroup.from_divisors(3))
         assert LesSegment.__match_args__ == ("kernel", "cokernel",
                                              "map_matrix")

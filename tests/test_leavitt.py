@@ -210,14 +210,15 @@ class TestQuiverCorrespondence:
         q = parse_quiver("vertices: v w\nedges: e: v -> w")
         corr = quiver_correspondence(q)
         dec = corr.delta_compact(corr.module.ring.monomial("w"))
-        assert dec.is_zero()
+        # no edge leaves w, so Delta(1_w) has no term
+        assert dec.terms == []
 
     def test_regular_vertex_decomposition(self):
         corr = quiver_correspondence(rose(2))
         dec = corr.delta_compact(corr.module.ring.monomial("v"))
         # Delta(1_v) = sum over edges from v of e (x) e*
-        assert dec.normal_terms() == {("e0", ("e0", "*")): 1,
-                                      ("e1", ("e1", "*")): 1}
+        assert dec.terms == [({"e0": 1}, {("e0", "*"): 1}),
+                             ({"e1": 1}, {("e1", "*"): 1})]
 
     def test_bimodule_tables(self):
         q = parse_quiver("vertices: v w\nedges: e: v -> w")
@@ -375,8 +376,8 @@ def _element_reduced(L, sym):
     out = _element_reduced(L, (w, p[:-1], q[:-1]))
     for f in L.quiver.out_edges(w):
         if f != e:
-            out = out - _element_reduced(
-                L, (L.quiver.r(f), p[:-1] + (f,), q[:-1] + (f,)))
+            out = out + _element_reduced(
+                L, (L.quiver.r(f), p[:-1] + (f,), q[:-1] + (f,))).scale(-1)
     return out
 
 

@@ -191,11 +191,10 @@ class TestCorrespondence:
         a = g.gen_word("a")
         relt = corr.module.ring.monomial(g.canonical(a))
         op = corr.delta_compact(relt)
-        # 2 x 2 matrix over the group ring with the swap pattern
-        nt = op.normal_terms()
-        assert len(nt) == 2
-        targets = {b[1] for (b, c) in nt}
-        assert targets == {"0", "1"}
+        # 2 x 2 matrix over the group ring with the swap pattern: the
+        # term of letter y lands on a(y)
+        assert sorted((b[1], c[1]) for x, p in op.terms
+                      for b in x for c in p) == [("0", "1"), ("1", "0")]
 
     def test_left_module_law_sees_a_wrong_restriction(self, monkeypatch,
                                                        tmp_path, capsys):

@@ -1,37 +1,30 @@
-"""Every public name in ``src/pimsner`` has a reader, or a reason to wait.
+"""Every parameter in ``src/pimsner`` is set by a caller, and the CLI
+imports only what it needs.
 
-A public module-level function or class, or a public method of a
-module-level class, counts as reached when its name occurs as a NAME
-token in ``src/pimsner``, ``perfbench`` or ``tests/test_acceptance.py``
-outside the line span of every definition of that name in the same
-file: a pipeline, the benchmark or an acceptance criterion reads it.  So
-a definition's own name, its recursion, and a method's call to a
-same-named function inside its body do not count.  A method is reached
-through any token of its name, bare or after a dot; a module-level
-function or class only through a bare token or through
-``<its module>.name``, so ``obj.name`` reaches a method of that name and
-never the function.  The check is by name, so it is generous where
-method names collide, but a deleted caller leaves its callee unreached.  Tests other than the acceptance suite do
-not count; a name only they read belongs in the tests.  A name that
-nothing reaches yet must be listed in ``RESERVED`` with the ROADMAP
-direction that will give it a reader.
+Whether each function is called at all is ``tests/test_reach.py``'s
+question, answered by a call census of the pipelines.  This file once
+answered it by name, counting a function reached when its name occurred
+as a token anywhere; generic and same-named methods (``scale``,
+``is_zero``, ``__eq__``, ``identity``) then always looked reached, and
+hid dead copies such as ``Correspondence.check_adjointable``.
 
-Parameters are held to the same rule.  Each defaulted parameter of a
-module-level function, of a method of a module-level class, or of its
-constructor, must be set by some call of that name in the same files: by
-keyword, by a positional argument that reaches it, or by ``*`` or ``**``
-unpacking.  It must also be left unset by some call, when there is one:
-a default that every caller overrides is a path nothing runs, so the
-parameter is required.  A function or method is called by its name, as a function or
-as an attribute; a constructor by its class name, as ``Class(...)`` or
+Each defaulted parameter of a module-level function, of a method of a
+module-level class, or of its constructor, must be set by some call of
+that name in ``src/pimsner``, ``perfbench`` or
+``tests/test_acceptance.py``: by keyword, by a positional argument that
+reaches it, or by ``*`` or ``**`` unpacking.  It must also be left unset
+by some call, when there is one: a default that every caller overrides
+is a path nothing runs, so the parameter is required.  A function or
+method is called by its name, as a function or as an attribute; a
+constructor by its class name, as ``Class(...)`` or
 ``module.Class(...)``, or as ``cls(...)`` inside the class's own
 classmethods.  A default no caller overrides is a knob to delete.
-Reserved functions and classes are held to the rule too, so a name that
-waits for a reader waits without knobs.  A parameter only the other
-tests set must be listed in ``ALLOWED`` with the reason.  A failure names
-each parameter as ``file:line function(parameter)``.
+Names that wait for a reader (``test_reach.RESERVED``) are held to the
+rule too, so they wait without knobs.  A parameter only the other tests
+set must be listed in ``ALLOWED`` with the reason.  A failure names each
+parameter as ``file:line function(parameter)``.
 
-Each file is read, parsed and tokenized once per session, by ``_parsed``.
+Each file is read and parsed once per session, by ``_parsed``.
 
 The import closure is held too.  Every ``pimsner`` invocation imports
 ``pimsner.cli`` before its one op, so what that import loads is paid on
@@ -40,29 +33,13 @@ each call: it may load only the standard library and ``pimsner`` itself
 """
 
 import ast
-import io
 import os
 import subprocess
 import sys
-import tokenize
 from functools import cache
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src", "pimsner")
-
-RESERVED = {
-    "j_ideal_generator": "direction 5: the J_X generators verify suite",
-    "check_pairing_balance": "direction 5: the pairing balance suite",
-    "fs_witness": "direction 5: the condition (FS) suite",
-    "nondegenerate": "direction 5: the non-degeneracy suite",
-    "check_nondegenerate_action": "direction 5: the non-degeneracy suite",
-    "free_correspondence": "direction 3: [X (+) Y] and [X (x) Y] oracles",
-    "tensor": "direction 3: the [X (x)_R Y] = [X][Y] oracle",
-    "LaurentRing": "direction 3: Katsura's O_{A,B} over Laurent rings",
-    "local_unit_for": "direction 5: the non-degeneracy suite's local units",
-    "append_normal": "direction 2: perfbench/tracing.py wraps it by name",
-    "direct_sum": "direction 3: the [X (+) Y] = [X] + [Y] oracle",
-}
 
 ALLOWED = {
     "covariant_check(T)": "the mutation tests pass a faulty T to show "
@@ -103,87 +80,15 @@ def _py_files(folder):
 
 @cache
 def _parsed(path):
-    """``(tree, names)`` for one file: its AST, and each NAME token as
-    ``(string, line, qualifier)``.  The qualifier is None for a bare
-    token, and after a dot the NAME before the dot, or "" if there is
-    none."""
+    """The AST of one file."""
     with open(path, encoding="utf-8") as handle:
-        text = handle.read()
-    names = []
-    prev = [None, None]
-    for tok in tokenize.generate_tokens(io.StringIO(text).readline):
-        if tok.type in (tokenize.NL, tokenize.COMMENT):
-            continue
-        if tok.type == tokenize.NAME:
-            qualifier = None
-            if prev[1] is not None and prev[1].string == ".":
-                qualifier = (prev[0].string if prev[0].type == tokenize.NAME
-                             else "")
-            names.append((tok.string, tok.start[0], qualifier))
-        prev = [prev[1], tok]
-    return ast.parse(text), names
-
-
-def _module(path):
-    return os.path.splitext(os.path.basename(path))[0]
-
-
-def public_names():
-    """Each public function, class and method name, dunders excepted, as
-    ``(module, name)`` for a module-level one and ``(None, name)`` for a
-    method."""
-    out = set()
-    for path in _py_files(SRC):
-        for node in _parsed(path)[0].body:
-            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                continue
-            out.add((_module(path), node.name))
-            if isinstance(node, ast.ClassDef):
-                out.update((None, sub.name) for sub in node.body
-                           if isinstance(sub, ast.FunctionDef))
-    return {(module, name) for module, name in out
-            if not name.startswith("_")}
-
-
-def _spans(tree):
-    """Each defined name -> the line spans of its definitions."""
-    out = {}
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                             ast.ClassDef)):
-            out.setdefault(node.name, []).append(
-                (node.lineno, node.end_lineno))
-    return out
+        return ast.parse(handle.read())
 
 
 def _reader_files():
     """The pipelines, the benchmark and the acceptance criteria."""
     return _py_files(SRC) + _py_files(os.path.join(ROOT, "perfbench")) \
         + [os.path.join(ROOT, "tests", "test_acceptance.py")]
-
-
-def used_names():
-    """Every NAME token outside the definitions of its own name, as
-    ``(qualifier, name)``."""
-    out = set()
-    for path in _reader_files():
-        tree, names = _parsed(path)
-        spans = _spans(tree)
-        out.update((qualifier, name) for name, line, qualifier in names
-                   if not any(first <= line <= last
-                              for first, last in spans.get(name, ())))
-    return out
-
-
-def unreached():
-    """The public names that nothing reaches: a method through any token
-    of its name, a module-level one through a bare or module-qualified
-    token."""
-    used = used_names()
-    anywhere = {name for _, name in used}
-    return {name for module, name in public_names()
-            if (name not in anywhere if module is None
-                else (None, name) not in used and (module, name) not in used)}
 
 
 def _decorated(fn, name):
@@ -216,7 +121,7 @@ def _defaulted(path, fn, owner):
 def defaulted_parameters():
     """Each defaulted parameter in ``src/pimsner``, constructors included."""
     for path in _py_files(SRC):
-        for node in _parsed(path)[0].body:
+        for node in _parsed(path).body:
             if isinstance(node, ast.FunctionDef):
                 yield from _defaulted(path, node, None)
             elif isinstance(node, ast.ClassDef):
@@ -230,7 +135,7 @@ def _calls():
     ``cls(...)`` in a classmethod is a call of its class."""
     out = {}
     for path in _reader_files():
-        for node in ast.walk(_parsed(path)[0]):
+        for node in ast.walk(_parsed(path)):
             if isinstance(node, ast.Call):
                 func = node.func
                 name = getattr(func, "id", None) or getattr(func, "attr", None)
@@ -272,15 +177,6 @@ def always_set_parameters():
             for where, label, name, param, position in defaulted_parameters()
             if calls.get(name)
             and all(_sets(call, param, position) for call in calls[name])}
-
-
-def test_every_public_name_is_reached_or_reserved():
-    assert unreached() - set(RESERVED) == set()
-
-
-def test_reserved_names_are_still_unreached():
-    # a reserved name that gained a reader, or left src/, leaves the list
-    assert set(RESERVED) - unreached() == set()
 
 
 def test_every_defaulted_parameter_is_set_or_allowed():
