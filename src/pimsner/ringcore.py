@@ -313,7 +313,12 @@ def vmul(k, f, a, b):
 
 
 def vdrop(a):
-    """``a`` without its zeros; a coerced zero (int or Fraction) is false."""
+    """``a`` without its zeros; a coerced zero (int or Fraction) is false.
+
+    ``a`` itself when it has no zero: every caller hands over a dict it has
+    just built and keeps no other reference to it."""
+    if all(a.values()):
+        return a
     out = {}
     for sym, c in a.items():
         if c:

@@ -15,16 +15,18 @@ every depth).
 
 Each group builds a step table once, every letter's image and restriction
 under each generator and its inverse, and computes ``(w(x), w|_x)`` in one
-right-to-left pass through it.  It keeps one memoized section table,
-``w -> {x: (w(x), w|_x)}``, and hash-conses the depth-D section tree of a
-word into an integer node id (``SelfSimilarGroup.node``): equality,
-canonical forms and the action all read that table.  The word problem
-hashes each reduced word once, into an integer word id, and walks the tree
-on integers: per word id it keeps the letter images and child word ids
-read from the section table, and per depth a word id -> node id table,
-shared by every depth that ``equal`` and ``canonical`` ask for.  A word
-with a generator the group does not have raises ``SelfSimError`` when it
-first enters the section or word-id table.
+right-to-left pass through it.  Each reduced word is hashed once, into an
+integer word id, and the group keeps one section table indexed by word id:
+the letter images ``w(x)`` and the word ids of the restrictions ``w|_x``,
+in alphabet order, filled by one pass per letter the first time the word
+is read.  Equality, canonical forms and the action all walk that table on
+integers.  The depth-D section tree of a word is hash-consed into an
+integer node id (``SelfSimilarGroup.node``), kept per depth in a word id ->
+node id table shared by every depth that ``equal`` and ``canonical`` ask
+for.  A word with a generator the group does not have raises
+``SelfSimError`` before it gets a word id.  ``restrict_letter`` and
+``restriction`` make their own passes and never read the table, so the
+suites can compare the two.
 
 ``build_nek_correspondence`` packages the permutational bimodule of the
 group: the module is free of rank |alphabet| over the group ring, with the
@@ -125,10 +127,11 @@ class SelfSimilarGroup:
                 {x: (perm[x], restr[x]) for x in self.alphabet})
         self.equality_depth = equality_depth
         self.label = label
-        self._sections = {}                 # reduced word -> {x: (w(x), w|_x)}
+        self._letter_index = {x: i for i, x in enumerate(self.alphabet)}
         # word ids: each reduced word is hashed once, when it enters
         # _word_ids; _words and _word_sections are indexed by word id, the
-        # latter holding (letter images, child word ids) once read
+        # latter being the section table, (letter images, child word ids)
+        # once ``_entry`` has filled it
         self._word_ids = {IDENTITY: 0}
         self._words = [IDENTITY]
         self._word_sections = [None]
@@ -203,36 +206,40 @@ class SelfSimilarGroup:
         return x, tuple(out)
 
     def sections(self, word):
-        """The memoized table entry ``{x: (w(x), w|_x)}`` of a reduced word,
-        in alphabet order.
+        """``{x: (w(x), w|_x)}`` of a reduced word, in alphabet order.
 
-        Each entry comes from one pass of ``_section`` through the step
-        table.  Callers may overwrite entries: ``node`` reads a word's
-        entry once, the first time it needs the word's children, and
-        ``restrict_letter`` never reads them."""
-        table = self._sections.get(word)
-        if table is None:
-            table = self._sections[word] = {
-                x: self._section(word, x) for x in self.alphabet}
-        return table
+        A fresh dict built from the word's entry in the section table,
+        which one pass of ``_section`` per letter fills the first time the
+        word is read."""
+        wid = self._checked_id(word)
+        images, children = self._word_sections[wid] or self._entry(wid)
+        words = self._words
+        return {x: (y, words[c])
+                for x, y, c in zip(self.alphabet, images, children)}
 
     def _check_generators(self, word):
-        """Raise ``SelfSimError`` naming the word's first unknown generator;
-        if none, a pass's miss is its first letter: the table gives the rest."""
+        """Raise ``SelfSimError`` naming the word's first unknown generator,
+        if it has one; if it has none, a pass that missed in the step table
+        missed on a letter."""
         for gen, _ in word:
             if gen not in self._steps:
                 raise SelfSimError(f"unknown generator {gen!r}") from None
 
     def act(self, word, letters):
-        """Length-preserving image of a word over the alphabet."""
+        """Length-preserving image of a word over the alphabet, read off
+        the section table one word id at a time."""
+        index = self._letter_index
+        word_sections = self._word_sections
+        wid = self._checked_id(reduce_word(word))
         out = []
-        g = reduce_word(word)
         for x in letters:
             try:
-                y, g = self.sections(g)[x]
+                i = index[x]
             except KeyError:
                 raise SelfSimError(f"unknown letter {x!r}") from None
-            out.append(y)
+            images, children = word_sections[wid] or self._entry(wid)
+            out.append(images[i])
+            wid = children[i]
         if isinstance(letters, str):
             return "".join(out)
         return type(letters)(out)
@@ -261,24 +268,19 @@ class SelfSimilarGroup:
 
         The word is hashed once, when it first gets a word id; after that
         the tree is walked on integers.  A word's letter images and child
-        word ids are read from its ``sections`` entry when a depth above 0
-        first needs them, and node ids are kept per depth by word id, so
-        every depth shares one table of words.
+        word ids are read from the section table, and node ids are kept per
+        depth by word id, so every depth shares one table of words.
         """
         if depth < 0:
             raise SelfSimError("equality depth must be nonnegative")
         levels = self._levels
         while len(levels) <= depth:
             levels.append({0: 0})
-        wid = self._word_ids.get(word)
-        if wid is None:
-            self._check_generators(word)
-            wid = self._word_id(word)
+        wid = self._checked_id(word)
         nid = levels[depth].get(wid)
         if nid is not None:
             return nid
-        ids, words, word_sections = \
-            self._node_ids, self._words, self._word_sections
+        ids, word_sections = self._node_ids, self._word_sections
         todo = [(wid, depth)]
         while todo:
             w, d = todo[-1]
@@ -287,9 +289,9 @@ class SelfSimilarGroup:
                 todo.pop()
                 continue
             if d == 0:
-                known[w] = ids.setdefault(("w", words[w]), len(ids))
+                known[w] = ids.setdefault(("w", w), len(ids))
             else:
-                images, children = word_sections[w] or self._read_sections(w)
+                images, children = word_sections[w] or self._entry(w)
                 below = levels[d - 1]
                 missing = [(c, d - 1) for c in children if c not in below]
                 if missing:
@@ -300,8 +302,20 @@ class SelfSimilarGroup:
             todo.pop()
         return levels[depth][wid]
 
+    def _checked_id(self, word):
+        """The word id of a reduced word given by a caller; a word with a
+        generator the group does not have gets none."""
+        wid = self._word_ids.get(word)
+        if wid is None:
+            self._check_generators(word)
+            wid = self._word_id(word)
+        return wid
+
     def _word_id(self, word):
-        """The integer id of a reduced word, given on its first call."""
+        """The integer id of a reduced word, given on its first call.
+
+        Unchecked: ``_entry`` hands it restrictions built from the step
+        table, whose generators are the group's."""
         wid = self._word_ids.get(word)
         if wid is None:
             wid = self._word_ids[word] = len(self._words)
@@ -309,10 +323,11 @@ class SelfSimilarGroup:
             self._word_sections.append(None)
         return wid
 
-    def _read_sections(self, wid):
-        """(letter images, child word ids) of a word id, read once from its
-        ``sections`` entry."""
-        table = self.sections(self._words[wid]).values()
+    def _entry(self, wid):
+        """The section table entry (letter images, child word ids) of a
+        word id, filled by one ``_section`` pass per letter."""
+        word = self._words[wid]
+        table = [self._section(word, x) for x in self.alphabet]
         entry = self._word_sections[wid] = (
             tuple([y for y, _ in table]),
             tuple([self._word_id(r) for _, r in table]))
@@ -436,10 +451,15 @@ def parse_selfsim(text, depth=None):
                 raise SelfSimError(f"expected '(perm ...)', got ({g})",
                                    line=lineno)
             cycle = parts[1:]
+            seen = set()
             for x in cycle:
                 if x not in alphabet:
                     raise SelfSimError(f"unknown letter {x!r} in cycle",
                                        line=lineno)
+                if x in seen:
+                    raise SelfSimError(f"letter {x!r} repeats in cycle",
+                                       line=lineno)
+                seen.add(x)
             step = {}
             for i, x in enumerate(cycle):
                 step[x] = cycle[(i + 1) % len(cycle)]

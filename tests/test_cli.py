@@ -587,7 +587,14 @@ class TestSelfsim:
         ("alphabet: 0 1\n1 = (perm 0 1)(e, 1)\n", "line 2: bad generator"),
         ("alphabet: 0 1\na = (perm 0 1)(e, a)\na = (e, e)\n",
          "line 3: generator 'a' defined twice"),
-    ], ids=["unreadable-name", "defined-twice"])
+        # the first used to parse as the identity and exit 0, the second
+        # to fail as "not a permutation" with no line
+        ("alphabet: 0 1\na = (perm 0 0)(e, a)\n",
+         "line 2: letter '0' repeats in cycle"),
+        ("alphabet: 0 1\n\na = (perm 0 1 0)(e, a)\n",
+         "line 3: letter '0' repeats in cycle"),
+    ], ids=["unreadable-name", "defined-twice", "cycle-repeats-a-letter",
+            "longer-cycle-repeats-a-letter"])
     def test_malformed_generator_exits_2(self, capsys, tmp_path, text,
                                           needle):
         path = tmp_path / "bad.selfsim"
@@ -696,10 +703,20 @@ class TestSelfsimSuitesCanFail:
     def test_unmodified_group_passes(self):
         assert set(self.failures(odometer()).values()) == {0}
 
+    @staticmethod
+    def corrupt(group, word, x, image, restriction):
+        """Overwrite the section table entry of a word at the letter x."""
+        wid = group._word_id(word)
+        images, children = group._word_sections[wid] or group._entry(wid)
+        i = group.alphabet.index(x)
+        group._word_sections[wid] = (
+            images[:i] + (image,) + images[i + 1:],
+            children[:i] + (group._word_id(restriction),) + children[i + 1:])
+
     def test_action_bijective_sees_a_collision(self):
         group = odometer()
-        # the table entry is the memo itself: a now sends 0 and 1 to 1
-        group.sections(self.A)["1"] = ("1", self.A)
+        # a now sends 0 and 1 to 1
+        self.corrupt(group, self.A, "1", "1", self.A)
         assert self.failures(group)["action-bijective"] > 0
 
     @staticmethod
@@ -726,14 +743,14 @@ class TestSelfsimSuitesCanFail:
         if fault == "basilica-b":
             group = parse_selfsim("alphabet: 0 1\na = (e, b)\n"
                                   "b = (perm 0 1)(e, a)\n")
-            group.sections((("b", 1),))["1"] = ("1", self.A)
+            self.corrupt(group, (("b", 1),), "1", "1", self.A)
         else:
             group = odometer()
         if fault == "a":
-            group.sections(self.A)["1"] = ("1", self.A)
+            self.corrupt(group, self.A, "1", "1", self.A)
         elif fault == "identity":
             # the identity is first reached as the section a|_0
-            group.sections(IDENTITY)["1"] = ("0", IDENTITY)
+            self.corrupt(group, IDENTITY, "1", "0", IDENTITY)
         suite = _selfsim_suites(group, 3, 6)[0]
         assert suite["name"] == "action-bijective"
         want = self.bijective_by_levels(group, 6)
@@ -744,7 +761,7 @@ class TestSelfsimSuitesCanFail:
     def test_self_similarity_sees_a_corrupt_entry(self):
         group = odometer()
         # a|_1 is a; the table now claims the identity
-        group.sections(self.A)["1"] = ("0", IDENTITY)
+        self.corrupt(group, self.A, "1", "0", IDENTITY)
         assert self.failures(group)["self-similarity"] > 0
 
     def test_cocycle_sees_a_perturbed_restriction(self):

@@ -24,6 +24,7 @@ from pimsner.ringcore import (
     vadd,
     vapply,
     vclean,
+    vdrop,
     vmul,
     vscale,
 )
@@ -402,6 +403,17 @@ class TestKernels:
         f = lambda x: _rule(k, x, 2)  # noqa: E731
         want = _plain_vmul(k, lambda x, _: f(x), vec, {None: 1})
         assert vapply(k, f, vec) == want
+
+    @pytest.mark.parametrize("k", KERNEL_RINGS, ids=str)
+    @given(vec=SMALL_VECTORS)
+    def test_vdrop_is_the_copying_filter(self, k, vec):
+        # coerced entries, some of them zero, as a kernel's sums leave them
+        vec = {sym: k.coerce(c) for sym, c in vec.items()}
+        want = {sym: c for sym, c in vec.items() if c != k.zero}
+        got = vdrop(dict(vec))
+        assert list(got.items()) == list(want.items())
+        if len(want) == len(vec):
+            assert vdrop(vec) is vec
 
     def test_vapply_hands_on_a_one_entry_image(self):
         # a one-entry vector of coefficient one gives f's value itself,

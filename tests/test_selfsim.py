@@ -1,7 +1,10 @@
 """Tests for self-similar groups and the Nekrashevych correspondence."""
 
+import json
+import os
 import random
 import time
+from collections import Counter
 from itertools import product
 
 import pytest
@@ -22,6 +25,10 @@ from pimsner.selfsim import (
     word_inv,
     word_mul,
 )
+
+
+POOL_PATH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
+                         "data", "pool.json")
 
 
 def to_bits(n, width):
@@ -470,7 +477,9 @@ class TestNodeIds:
     lambda g, w: g.canonical(w),
     lambda g, w: g.equal(w, (), g.equality_depth),
     lambda g, w: g.act(w, "01"),
-], ids=["canonical", "equal", "act"])
+    # checked when the word gets a word id, before any letter is read
+    lambda g, w: g.act(w, ""),
+], ids=["canonical", "equal", "act", "act-no-letters"])
 def test_unknown_generator_is_named(call):
     with pytest.raises(SelfSimError, match="unknown generator 'z'"):
         call(odometer(), (("z", 1),))
@@ -501,6 +510,44 @@ def test_unknown_letter_or_generator_is_named(call, match):
     # each used to raise a bare KeyError
     with pytest.raises(SelfSimError, match=match):
         call(odometer())
+
+
+def _pool_group(name):
+    """A benchmark pool group and its words (upper case inverts)."""
+    with open(POOL_PATH, encoding="utf-8") as handle:
+        data = json.load(handle)["groups"][name]
+    words = [reduce_word(tuple((ch.lower(), 1 if ch.islower() else -1)
+                               for ch in text)) for text in data["words"]]
+    return parse_selfsim(data["text"]), words
+
+
+@pytest.mark.parametrize("name", ["grigorchuk", "basilica", "odometer"])
+def test_each_section_pass_runs_once(name):
+    group, words = _pool_group(name)
+    passes = Counter()
+    section = group._section
+
+    def counted(word, x):
+        passes[word] += 1
+        return section(word, x)
+
+    group._section = counted
+    tails = ["".join(t) for t in product(group.alphabet, repeat=4)]
+    for word in words:
+        group.canonical(word)
+        group.sections(word)
+        for tail in tails:
+            group.act(word, tail)
+    filled = {group._words[wid]
+              for wid, entry in enumerate(group._word_sections) if entry}
+    assert set(passes) == filled
+    assert set(passes.values()) == {len(group.alphabet)}
+    # restrict_letter and restriction make their own pass on every call
+    passes.clear()
+    for word in words:
+        group.restrict_letter(word, "1")
+        group.restriction(word, "01")
+    assert sum(passes.values()) == 3 * len(words)
 
 
 # -- the iterated word_mul recursion that sections replaced, kept as an oracle
@@ -585,13 +632,15 @@ class TestSectionsAgainstIteratedProducts:
     def test_node_ids_and_canonical_forms(self, text):
         group = parse_selfsim(text, depth=6)
         reference = parse_selfsim(text, depth=6)
-        reference.sections = lambda word: reference._sections.setdefault(
-            word, _reference_sections(reference, word))
+        reference._section = lambda word, x: (
+            _reference_act_letter(reference, word, x),
+            _reference_restrict_letter(reference, word, x))
         for word in _random_words(group, random.Random(83), 300):
             for depth in (0, 3, 6):
                 assert group.node(word, depth) == \
                     reference.node(word, depth), (word, depth)
             assert group.canonical(word) == reference.canonical(word), word
-        assert group._sections == reference._sections
+        assert group._words == reference._words
+        assert group._word_sections == reference._word_sections
         assert group._node_ids == reference._node_ids
 
