@@ -4,15 +4,14 @@ Everything here is computed over Z with Python's arbitrary-precision
 integers; there is no floating point anywhere.  One elimination kernel,
 ``_smith``, diagonalizes an integer matrix by unimodular row and column
 operations.  ``smith_normal_form`` runs it with the transforms ``U`` and
-``V``, which integer kernels and solutions need: the linear solves of
-``ringcore`` over Z, Q and Z/m, after clearing denominators or lifting
-Z/m to ``[rows | m I]``.  ``IntMatrix.smith_diagonal`` needs no
-transforms: it first takes unit pivots on sparse rows, each of which
-splits off an invariant factor 1, then runs the kernel on what is left,
-and keeps the invariant factors on the matrix.  The kernel and cokernel
-of a map of free (or cyclic-coefficient) abelian groups, packaged as
-``LesSegment`` values for the long-exact-sequence pipelines, are read
-off that one diagonal, and so is the rank test of ``funcmod``.
+``V`` as well, for a caller that checks ``U . M . V == S``; no pipeline
+needs them.  ``IntMatrix.smith_diagonal`` needs no transforms: it first
+takes unit pivots on sparse rows, each of which splits off an invariant
+factor 1, then runs the kernel on what is left, and keeps the invariant
+factors on the matrix.  The kernel and cokernel of a map of free (or
+cyclic-coefficient) abelian groups, packaged as ``LesSegment`` values for
+the long-exact-sequence pipelines, are read off that one diagonal, and so
+is the rank test of ``funcmod``.
 
 Finitely generated abelian groups are stored as a free rank plus their
 invariant factors ``d_1 | d_2 | ...``, merged by gcd and lcm; no integer
@@ -88,10 +87,6 @@ class IntMatrix:
 
     def __repr__(self):
         return f"IntMatrix({list(map(list, self.entries))!r})"
-
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.entries[i][j]
 
     def mul(self, other):
         if self.cols != other.rows:
@@ -369,53 +364,12 @@ def smith_normal_form(mat):
 
     Returns ``(S, U, V)`` with ``U * mat * V == S``, ``det(U), det(V)`` in
     ``{1, -1}``, ``S`` diagonal with nonnegative entries ``d_1 | d_2 | ...``
-    and every entry after the first zero equal to zero.  Only integer
-    kernels and solutions need ``U`` and ``V``; everything else reads
-    ``mat.smith_diagonal()``.
+    and every entry after the first zero equal to zero.  A caller that
+    needs only the invariant factors reads ``mat.smith_diagonal()``.
     """
     s, u, v = _smith(mat, transforms=True)
     m, n = mat.rows, mat.cols
     return IntMatrix(m, n, s), IntMatrix(m, m, u), IntMatrix(n, n, v)
-
-
-def kernel_basis(mat):
-    """An integer basis of ``{v : mat . v = 0}``, one basis vector per column.
-
-    The basis is saturated (it spans the full kernel lattice, not a finite-
-    index sublattice) because it consists of columns of a unimodular matrix.
-    """
-    s, _, v = smith_normal_form(mat)
-    diag = s.diagonal()
-    free_cols = [j for j in range(mat.cols)
-                 if j >= len(diag) or diag[j] == 0]
-    return IntMatrix(mat.cols, len(free_cols),
-                     [[v.entries[i][j] for j in free_cols] for i in range(mat.cols)])
-
-
-def solve_int(mat, rhs):
-    """One integer solution ``x`` of ``mat . x = rhs``, or None.
-
-    ``rhs`` is a list of length ``mat.rows``.
-    """
-    if len(rhs) != mat.rows:
-        raise AbgroupError("right-hand side length mismatch")
-    s, u, v = smith_normal_form(mat)
-    ub = [sum(u.entries[i][k] * rhs[k] for k in range(mat.rows))
-          for i in range(mat.rows)]
-    y = [0] * mat.cols
-    diag = s.diagonal()
-    for i in range(mat.rows):
-        d = diag[i] if i < len(diag) else 0
-        if d == 0:
-            if ub[i] != 0:
-                return None
-        else:
-            q, r = divmod(ub[i], d)
-            if r:
-                return None
-            y[i] = q
-    return [sum(v.entries[i][k] * y[k] for k in range(mat.cols))
-            for i in range(mat.cols)]
 
 
 # ---------------------------------------------------------------------------

@@ -22,8 +22,12 @@ On top of the module structure this file provides:
 * ``Correspondence``: a functional module together with a left action by
   adjointable operators and a functional homomorphism into a free model
   R^(I);
-* condition (FS) witnesses found by exact linear solves;
 * direct sums and balanced tensor products of correspondences.
+
+Condition (FS) needs no linear solve on the modules the pipelines build:
+for a quiver module and a Nekrashevych module, ``x_basis`` and
+``xp_basis`` are a frame in the same order, so the sum of
+theta_{b, b*} over the pairs is the identity of X and of X'.
 
 The balanced tensor normal form moves ring decorations off a symbol into
 the neighbouring factor on its right, so a reduced pure tensor has bare
@@ -66,8 +70,7 @@ class FunctionalModule:
 
     def __init__(self, *, ring, x_basis, xp_basis, pairing, x_right, xp_left,
                  x_left, xp_right, x_split, xp_split, x_left_support,
-                 xp_left_support, label, fs_pairs_left=None,
-                 fs_pairs_right=None):
+                 xp_left_support, label):
         self.ring = ring
         self.k = ring.k
         self.x_basis = list(x_basis)
@@ -83,8 +86,6 @@ class FunctionalModule:
         self.xp_split = cache(xp_split)
         self.x_left_support = x_left_support
         self.xp_left_support = xp_left_support
-        self._fs_pairs_left = fs_pairs_left
-        self._fs_pairs_right = fs_pairs_right
         self._reduce_cache = {}
         self._reduce_dual_cache = {}
         self.annih_candidates = None
@@ -252,14 +253,6 @@ class CompactOperator:
         cleaned = ((vclean(k, x), vclean(k, p)) for x, p in terms)
         self.terms = [(x, p) for x, p in cleaned if x and p]
 
-    @classmethod
-    def zero(cls, module):
-        return cls(module, [])
-
-    @classmethod
-    def elementary(cls, module, xvec, pvec):
-        return cls(module, [(xvec, pvec)])
-
     def __mul__(self, other):
         self.module._check(other.module)
         m = self.module
@@ -279,17 +272,6 @@ class CompactOperator:
             r = m.pair(pvec, yvec)
             if not r.is_zero():
                 for sym, c in m.act_right(xvec, r).items():
-                    out[sym] = k.add(out.get(sym, k.zero), c)
-        return vdrop(out)
-
-    def apply_right(self, psivec):
-        """Right theta action on X': psi . (x (x) phi) = psi(x) . phi."""
-        m, k = self.module, self.module.k
-        out = {}
-        for xvec, pvec in self.terms:
-            r = m.pair(psivec, xvec)
-            if not r.is_zero():
-                for sym, c in m.act_xp_left(r, pvec).items():
                     out[sym] = k.add(out.get(sym, k.zero), c)
         return vdrop(out)
 
@@ -376,86 +358,6 @@ def compact_to_matrix(k_op, matrix_ring):
 
     return sum((RingElement._of(matrix_ring, vmul(k_op.module.k, entry, x, p))
                 for x, p in k_op.terms), matrix_ring.zero())
-
-
-# ---------------------------------------------------------------------------
-# Condition (FS) witnesses
-# ---------------------------------------------------------------------------
-
-def _default_pairs_left(module, support):
-    if module._fs_pairs_left is not None:
-        return module._fs_pairs_left(support)
-    return [(b, c) for b in support for c in module.xp_basis]
-
-
-def _default_pairs_right(module, support):
-    if module._fs_pairs_right is not None:
-        return module._fs_pairs_right(support)
-    return [(b, c) for c in support for b in module.x_basis]
-
-
-def _theta_witness(module, targets, acting_left):
-    """Solve for a finite-rank operator fixing every target vector."""
-    k = module.k
-    one = k.one
-    support = list(dict.fromkeys(sym for vec in targets for sym in vec))
-    pairs = (_default_pairs_left(module, support) if acting_left
-             else _default_pairs_right(module, support))
-    pairs = list(dict.fromkeys(pairs))
-    if not pairs:
-        return None
-
-    columns = []
-    sym_index = {}
-    for (b, c) in pairs:
-        op = CompactOperator.elementary(module, {b: one}, {c: one})
-        col = []
-        for vec in targets:
-            img = op.apply(vec) if acting_left else op.apply_right(vec)
-            col.append(img)
-            for sym in img:
-                sym_index.setdefault(sym, len(sym_index))
-        columns.append(col)
-    for vec in targets:
-        for sym in vec:
-            sym_index.setdefault(sym, len(sym_index))
-
-    rows = []
-    rhs = []
-    for t_idx, vec in enumerate(targets):
-        for sym in sym_index:
-            rows.append([columns[p_idx][t_idx].get(sym, k.zero)
-                         for p_idx in range(len(pairs))])
-            rhs.append(vec.get(sym, k.zero))
-    sol = k.solve(rows, rhs)
-    if sol is None:
-        return None
-    terms = [({b: one}, {c: sol[i]}) for i, (b, c) in enumerate(pairs)
-             if not k.is_zero(sol[i])]
-    return CompactOperator(module, terms)
-
-
-def fs_witness(module, xs, phis):
-    """Witnesses (Theta1, Theta2) with Theta1 x_i = x_i and phi_i Theta2 = phi_i.
-
-    Found by solving finite linear systems over the coefficient ring,
-    restricted to the sub-basis reachable from the inputs' supports.
-    Returns None when no witness exists on that sub-basis; that is a
-    result (the inputs fail condition (FS) there), not an error.
-    """
-    xs = [vclean(module.k, x) for x in xs]
-    phis = [vclean(module.k, p) for p in phis]
-    xs = [x for x in xs if x]
-    phis = [p for p in phis if p]
-    theta1 = CompactOperator.zero(module) if not xs else \
-        _theta_witness(module, xs, acting_left=True)
-    if theta1 is None:
-        return None
-    theta2 = CompactOperator.zero(module) if not phis else \
-        _theta_witness(module, phis, acting_left=False)
-    if theta2 is None:
-        return None
-    return theta1, theta2
 
 
 # ---------------------------------------------------------------------------
@@ -620,17 +522,6 @@ def free_module(ring, index_set):
         i, a = b
         return relt_of({ring.left_support_symbol(a): k.one})
 
-    def fs_pairs_left(support_syms):
-        pairs = []
-        for (i, a) in support_syms:
-            for u in ring.local_unit_terms({a}):
-                for u2 in ring.local_unit_terms({a}):
-                    pairs.append(((i, u), (i, u2)))
-        return pairs
-
-    def fs_pairs_right(support_syms):
-        return fs_pairs_left(support_syms)
-
     if ring.basis is not None:
         basis = [(i, a) for i in index for a in ring.basis]
     else:
@@ -642,7 +533,6 @@ def free_module(ring, index_set):
         x_left=x_left, xp_right=xp_right,
         x_split=x_split, xp_split=xp_split,
         x_left_support=support, xp_left_support=support,
-        fs_pairs_left=fs_pairs_left, fs_pairs_right=fs_pairs_right,
         label=f"{ring.label}^({len(index)})")
     return mod
 

@@ -358,12 +358,6 @@ def quiver_module(quiver, ring):
     def xp_support(c):
         return ring.monomial(q.r(c[0]))
 
-    def fs_pairs_left(support_syms):
-        return [(e, star(e)) for e in support_syms]
-
-    def fs_pairs_right(support_syms):
-        return [(c[0], c) for c in support_syms]
-
     mod = FunctionalModule(
         ring=ring,
         x_basis=list(q.edges),
@@ -372,7 +366,6 @@ def quiver_module(quiver, ring):
         x_left=x_left, xp_right=xp_right,
         x_split=x_split, xp_split=xp_split,
         x_left_support=x_support, xp_left_support=xp_support,
-        fs_pairs_left=fs_pairs_left, fs_pairs_right=fs_pairs_right,
         label="edge module")
 
     def annih_candidates(csyms, d):

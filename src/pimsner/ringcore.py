@@ -2,10 +2,12 @@
 
 Two layers live here.  ``CoefficientRing`` instances (``ZZ``, ``QQ``,
 ``Zmod(m)``) provide the exact ground scalars; elements are plain Python
-ints and ``fractions.Fraction`` values, normalized by the ring.  On top of
-that, a ``RingDescriptor`` names a ring with a distinguished k-basis and a
-product rule on basis symbols, and ``RingElement`` is a finite formal sum
-of basis symbols with coefficients.  The bundled descriptors are
+ints and ``fractions.Fraction`` values, normalized by the ring.  They do
+no linear algebra, so this module imports nothing from the rest of
+``pimsner``.  On top of that, a ``RingDescriptor`` names a ring with a
+distinguished k-basis and a product rule on basis symbols, and
+``RingElement`` is a finite formal sum of basis symbols with
+coefficients.  The bundled descriptors are
 
 * ``DirectSumRing``: k^(S) with orthogonal idempotents 1_v,
 * ``MatrixRing``: finite-support I x I matrices over another descriptor,
@@ -36,8 +38,6 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
-from . import abgroup
-
 
 class RingError(ValueError):
     """Raised on arithmetic between elements of different rings."""
@@ -51,9 +51,7 @@ class CoefficientRing:
     """Exact commutative ground ring for all term-map coefficients.
 
     Subclasses define ``coerce`` and the coerced constants ``zero`` and
-    ``one``, and ``solve(rows, rhs)``, one solution of the linear system
-    ``rows . x = rhs`` or None; the generic scalar ops below coerce every
-    result.
+    ``one``; the generic scalar ops below coerce every result.
     """
 
     name = "?"
@@ -67,9 +65,6 @@ class CoefficientRing:
 
     def neg(self, a):
         return self.coerce(-a)
-
-    def is_zero(self, a):
-        return self.coerce(a) == self.zero
 
     def __repr__(self):
         return self.name
@@ -103,10 +98,6 @@ class IntegerRing(CoefficientRing):
         n = -a
         return n if type(n) is int else self.coerce(n)
 
-    def solve(self, rows, rhs):
-        mat = abgroup.IntMatrix.from_rows(rows)
-        return abgroup.solve_int(mat, list(rhs))
-
 
 class RationalRing(CoefficientRing):
     name = "Q"
@@ -116,21 +107,6 @@ class RationalRing(CoefficientRing):
 
     def coerce(self, value):
         return Fraction(value)
-
-    def solve(self, rows, rhs):
-        # x solves rows . x = rhs iff (x, 1) spans a kernel line of
-        # [rows | -rhs]; an integer kernel vector (y, t) with t != 0 gives
-        # x = y / t, and if every basis vector has t == 0 there is none.
-        ncols = len(rows[0]) if rows else 0
-        aug = integer_rows([list(r) + [-b]
-                            for r, b in zip(rows, rhs, strict=True)])
-        kernel = abgroup.kernel_basis(
-            abgroup.IntMatrix(len(aug), ncols + 1, aug))
-        for j in range(kernel.cols):
-            t = kernel[ncols, j]
-            if t:
-                return [Fraction(kernel[i, j], t) for i in range(ncols)]
-        return None
 
 
 class ZmodRing(CoefficientRing):
@@ -166,20 +142,6 @@ class ZmodRing(CoefficientRing):
             return (value.numerator * inv) % self.modulus
         return int(value) % self.modulus
 
-    def solve(self, rows, rhs):
-        # Lift to an integer system: rows.x = rhs (mod m) iff the system
-        # [rows | m*I] has an integer solution with the same x part.
-        nrows = len(rows)
-        lifted = [[self.coerce(x) for x in r]
-                  + [self.modulus if i == j else 0 for j in range(nrows)]
-                  for i, r in enumerate(rows)]
-        sol = abgroup.solve_int(abgroup.IntMatrix.from_rows(lifted),
-                                [self.coerce(b) for b in rhs])
-        if sol is None:
-            return None
-        ncols = len(rows[0]) if rows else 0
-        return [self.coerce(x) for x in sol[:ncols]]
-
 
 def _is_prime(n):
     if n < 2:
@@ -195,8 +157,8 @@ def _is_prime(n):
 def integer_rows(rows):
     """Each row times the lcm of its entries' denominators.
 
-    Scaling a row by a nonzero integer keeps its row's solutions and the
-    rows' independence, so Q questions become Z questions for abgroup.
+    Scaling a row by a nonzero integer keeps the rows' independence, so a
+    Q rank question becomes a Z question for abgroup.
     """
     out = []
     for row in rows:

@@ -579,12 +579,6 @@ def nek_module(group, k):
     def unit(_sym):
         return ring.monomial(IDENTITY)
 
-    def fs_pairs_left(support):
-        return [(("x", b[1], b[2]), ("xp", b[1], b[2])) for b in support]
-
-    def fs_pairs_right(support):
-        return [(("x", c[1], c[2]), ("xp", c[1], c[2])) for c in support]
-
     return FunctionalModule(
         ring=ring,
         x_basis=[("x", x, IDENTITY) for x in group.alphabet],
@@ -593,7 +587,6 @@ def nek_module(group, k):
         x_left=x_left, xp_right=xp_right,
         x_split=x_split, xp_split=xp_split,
         x_left_support=unit, xp_left_support=unit,
-        fs_pairs_left=fs_pairs_left, fs_pairs_right=fs_pairs_right,
         label=f"bimodule of {group.label}")
 
 

@@ -1,5 +1,7 @@
 """Tests for functional modules, compact operators, and correspondences."""
 
+import json
+import os
 import random
 from fractions import Fraction
 
@@ -15,7 +17,6 @@ from pimsner.funcmod import (
     direct_sum,
     free_correspondence,
     free_module,
-    fs_witness,
     nondegenerate,
     tensor,
 )
@@ -34,8 +35,13 @@ from pimsner.ringcore import (
     vdrop,
     vscale,
 )
+from pimsner.selfsim import nek_module, parse_selfsim
+
+from test_acceptance import acceptance_quivers
 
 A2 = parse_quiver("vertices: v w\nedges: e: v -> w")
+POOL_PATH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
+                         "data", "pool.json")
 
 
 def leavitt_module(quiver=None):
@@ -120,38 +126,31 @@ class TestPairing:
 class TestCompactOperators:
     def test_idempotent_elementary_tensor(self):
         m = leavitt_module()
-        k1 = CompactOperator.elementary(m, {"e0": 1}, {("e0", "*"): 1})
+        k1 = CompactOperator(m, [({"e0": 1}, {("e0", "*"): 1})])
         assert normal_terms(k1 * k1) == normal_terms(k1)
 
     def test_zero_annihilates(self):
         m = leavitt_module()
-        k1 = CompactOperator.elementary(m, {"e0": 1}, {("e0", "*"): 1})
-        assert normal_terms(k1 * CompactOperator.zero(m)) == {}
+        k1 = CompactOperator(m, [({"e0": 1}, {("e0", "*"): 1})])
+        assert normal_terms(k1 * CompactOperator(m, [])) == {}
 
     def test_matrix_unit_pattern(self):
         # in R^(I) with I = {1, 2}: (e1 (x) eps2)(e2 (x) eps1) = e1 (x) eps1
         ring = DirectSumRing(ZZ, ["u"])
         m = free_module(ring, [1, 2])
-        e1_eps2 = CompactOperator.elementary(m, {(1, "u"): 1}, {(2, "u"): 1})
-        e2_eps1 = CompactOperator.elementary(m, {(2, "u"): 1}, {(1, "u"): 1})
+        e1_eps2 = CompactOperator(m, [({(1, "u"): 1}, {(2, "u"): 1})])
+        e2_eps1 = CompactOperator(m, [({(2, "u"): 1}, {(1, "u"): 1})])
         prod = e1_eps2 * e2_eps1
-        assert normal_terms(prod) == normal_terms(CompactOperator.elementary(
-            m, {(1, "u"): 1}, {(1, "u"): 1}))
+        assert normal_terms(prod) == normal_terms(CompactOperator(
+            m, [({(1, "u"): 1}, {(1, "u"): 1})]))
 
     def test_theta_apply(self):
         m = leavitt_module()
-        k1 = CompactOperator.elementary(m, {"e0": 1}, {("e0", "*"): 1})
+        k1 = CompactOperator(m, [({"e0": 1}, {("e0", "*"): 1})])
         assert k1.apply({"e0": 1}) == {"e0": 1}
         assert k1.apply({}) == {}
         # pairing zero implies zero image
         assert k1.apply({"e1": 1}) == {}
-
-    def test_theta_apply_right(self):
-        m = leavitt_module()
-        k1 = CompactOperator.elementary(m, {"e0": 1}, {("e0", "*"): 1})
-        assert k1.apply_right({("e0", "*"): 1}) == {("e0", "*"): 1}
-        assert k1.apply_right({}) == {}
-        assert k1.apply_right({("e1", "*"): 1}) == {}
 
     def test_compact_mul_associative_random(self):
         rng = random.Random(42)
@@ -178,12 +177,12 @@ class TestCompactOperators:
         m = leavitt_module(rose(2))
         edges = ["e0", "e1"]
         for _ in range(200):
-            k1 = CompactOperator.elementary(
-                m, {rng.choice(edges): rng.randint(-2, 2)},
-                {(rng.choice(edges), "*"): rng.randint(-2, 2)})
-            k2 = CompactOperator.elementary(
-                m, {rng.choice(edges): rng.randint(-2, 2)},
-                {(rng.choice(edges), "*"): rng.randint(-2, 2)})
+            k1 = CompactOperator(m, [(
+                {rng.choice(edges): rng.randint(-2, 2)},
+                {(rng.choice(edges), "*"): rng.randint(-2, 2)})])
+            k2 = CompactOperator(m, [(
+                {rng.choice(edges): rng.randint(-2, 2)},
+                {(rng.choice(edges), "*"): rng.randint(-2, 2)})])
             y = {rng.choice(edges): rng.randint(-2, 2)}
             assert (k1 * k2).apply(y) == k1.apply(k2.apply(y))
 
@@ -218,12 +217,12 @@ class TestAdjointable:
         m = corr.module
         r = m.ring.monomial("v")
         x, phi = {"e": 1}, {("e", "*"): 1}
-        th = CompactOperator.elementary(m, x, phi)
-        lhs = CompactOperator.elementary(m, m.act_left(r, x), phi)
+        th = CompactOperator(m, [(x, phi)])
+        lhs = CompactOperator(m, [(m.act_left(r, x), phi)])
         for y in m.x_basis:
             assert m.act_left(r, th.apply({y: 1})) == \
                 lhs.apply({y: 1})
-        rhs = CompactOperator.elementary(m, x, m.act_xp_right(phi, r))
+        rhs = CompactOperator(m, [(x, m.act_xp_right(phi, r))])
         for y in m.x_basis:
             assert th.apply(m.act_left(r, {y: 1})) == \
                 rhs.apply({y: 1})
@@ -247,53 +246,45 @@ class TestFunctionalHom:
         assert not check_functional_hom(bad)
 
 
-class TestFsWitness:
-    def test_empty_inputs(self):
-        m = leavitt_module()
-        theta1, theta2 = fs_witness(m, [], [])
-        assert normal_terms(theta1) == normal_terms(theta2) == {}
+def frame_is_identity(m, frame):
+    """sum_b theta_{b, b*} over the pairs (b, b*) of ``frame`` fixes every
+    basis vector of X, and sum_b <c, b> . b* returns every basis
+    functional c of X': the frame witnesses condition (FS)."""
+    k, one = m.k, m.k.one
+    theta = CompactOperator(m, [({b: one}, {bs: one}) for b, bs in frame])
 
-    def test_quiver_single_edge(self):
-        m = leavitt_module()
-        theta1, theta2 = fs_witness(m, [{"e0": 1}], [])
-        assert theta1.apply({"e0": 1}) == {"e0": 1}
-        assert normal_terms(theta1) == normal_terms(
-            CompactOperator.elementary(m, {"e0": 1}, {("e0", "*"): 1}))
+    def right(c):
+        out = {}
+        for b, bs in frame:
+            out = vadd(k, out, m.act_xp_left(m.pair({c: one}, {b: one}),
+                                             {bs: one}))
+        return out
 
-    def test_quiver_edge_set(self):
-        m = leavitt_module(rose(3))
-        xs = [{"e0": 1, "e1": -2}, {"e2": 3}]
-        phis = [{("e0", "*"): 1}, {("e2", "*"): 5}]
-        theta1, theta2 = fs_witness(m, xs, phis)
-        for x in xs:
-            assert theta1.apply(x) == x
-        for p in phis:
-            assert theta2.apply_right(p) == p
+    return (all(theta.apply({b: one}) == {b: one} for b in m.x_basis)
+            and all(right(c) == {c: one} for c in m.xp_basis))
 
-    def test_free_module_with_local_units(self):
-        # X = R^(I) over a ring with local units: e_1 . r is fixed by
-        # theta_{e_1 u, eps_1} where u is a local unit for r
-        ring = LaurentRing(ZZ)
-        m = free_module(ring, [1, 2])
-        x = {(1, 2): 1}  # e_1 . x^2
-        theta1, _ = fs_witness(m, [x], [])
-        assert theta1.apply(x) == x
 
-    def test_no_witness_is_a_result(self):
-        # a module with vanishing pairing admits no fixing operator
-        from pimsner.funcmod import FunctionalModule
-        ring = DirectSumRing(ZZ, ["v"])
-        m = FunctionalModule(
-            ring=ring, x_basis=["x1"], xp_basis=["c1"],
-            pairing=lambda c, b: ring.zero(), **_one_vertex_tables(ring))
-        assert fs_witness(m, [{"x1": 1}], []) is None
+class TestFrame:
+    """The modules the pipelines build list their bases as a frame."""
 
-    def test_modular_coefficients(self):
-        m = leavitt_module(rose(2))
-        ring = DirectSumRing(Zmod(4), ["v"])
-        mz = quiver_correspondence(rose(2), Zmod(4)).module
-        theta1, _ = fs_witness(mz, [{"e0": 3}], [])
-        assert theta1.apply({"e0": 3}) == {"e0": 3}
+    @staticmethod
+    def assert_frame(m):
+        frame = list(zip(m.x_basis, m.xp_basis))
+        assert frame_is_identity(m, frame)
+        # every term is needed
+        for i in range(len(frame)):
+            assert not frame_is_identity(m, frame[:i] + frame[i + 1:])
+
+    @pytest.mark.parametrize("k", [ZZ, Zmod(6), QQ], ids=str)
+    def test_acceptance_quivers(self, k):
+        for q in acceptance_quivers():
+            self.assert_frame(quiver_correspondence(q, k).module)
+
+    @pytest.mark.parametrize("name", ["grigorchuk", "basilica", "odometer"])
+    def test_pool_groups(self, name):
+        with open(POOL_PATH, encoding="utf-8") as handle:
+            text = json.load(handle)["groups"][name]["text"]
+        self.assert_frame(nek_module(parse_selfsim(text), ZZ))
 
 
 class TestNondegeneracy:

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from pimsner import leavitt as leavitt_module
 from pimsner.abgroup import FgAbelianGroup, IntMatrix
-from pimsner.funcmod import check_functional_hom, fs_witness
+from pimsner.funcmod import check_functional_hom
 from pimsner.leavitt import (
     AdjacencyData,
     LeavittRing,
@@ -198,13 +198,6 @@ class TestQuiverCorrespondence:
         for q in [rose(2), parse_quiver("vertices: v w\nedges: e: v -> w")]:
             corr = quiver_correspondence(q)
             assert check_functional_hom(corr.hom)
-
-    def test_fs_witness_is_edge_sum(self):
-        corr = quiver_correspondence(rose(2))
-        xs = [{"e0": 1}, {"e1": 1}]
-        theta1, _ = fs_witness(corr.module, xs, [])
-        for x in xs:
-            assert theta1.apply(x) == x
 
     def test_sink_acts_as_zero(self):
         q = parse_quiver("vertices: v w\nedges: e: v -> w")

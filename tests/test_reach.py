@@ -12,8 +12,9 @@ runs, under ``sys.setprofile``, in one fresh interpreter (``python -I
 by an earlier test hides a first call.  It runs in two phases:
 
 1. ``pipelines``, the pinned corpus: ``verify`` on rose2, a2 and rose3
-   at ``--fock-depth 4 --word-bound 2``, rose2 again over ``zmod:6`` and
-   with ``--out text``, and on each group of the benchmark pool;
+   at ``--fock-depth 4 --word-bound 2``, rose2 again over ``zmod:6``
+   and ``q`` and with ``--out text``, and on each group of the benchmark
+   pool;
    ``kgroups`` on the golden 40-vertex quiver over ``z`` and ``fp:3`` and
    on rose2 with ``--coeff q`` and ``--out text``; ``pv`` on the golden
    6x6 matrix and on a 2x2 with ``--out text``; ``selfsim`` on each pool
@@ -53,7 +54,6 @@ DATA = os.path.join(ROOT, "tests", "data")
 RESERVED = {
     "j_ideal_generator": "direction 5: the J_X generators verify suite",
     "check_pairing_balance": "direction 5: the pairing balance suite",
-    "fs_witness": "direction 5: the condition (FS) suite",
     "nondegenerate": "direction 5: the non-degeneracy suite",
     "Correspondence.check_nondegenerate_action":
         "direction 5: the non-degeneracy suite",
@@ -70,6 +70,7 @@ KEPT = {
     "smith_normal_form": "criterion 1 reads the transforms, and "
                          "perfbench/tracing.py wraps it by name",
     "IntMatrix.mul": "criterion 1 checks U . M . V == S",
+    "IntMatrix.diagonal": "criterion 1 reads the diagonal of S",
     "IntMatrix.__eq__": "criteria 1 and 8 compare matrices",
     "IntMatrix.det": "criteria 1 and 2: unimodular transforms and the "
                      "minor-gcd oracle",
@@ -181,6 +182,7 @@ def pipelines(tmp):
     runs = [["verify", rose2, *SHALLOW], ["verify", a2, *SHALLOW],
             ["verify", rose3, *SHALLOW],
             ["verify", rose2, *SHALLOW, "--coeff", "zmod:6"],
+            ["verify", rose2, *SHALLOW, "--coeff", "q"],
             ["verify", rose2, *SHALLOW, "--out", "text"]]
     runs += [["verify", group] for group in groups]
     runs += [["kgroups", q40], ["kgroups", q40, "--coeff", "fp:3"],
@@ -216,28 +218,22 @@ def listed():
     """Call each RESERVED and KEPT name once, on the inputs its tests
     use."""
     from pimsner import abgroup, fock, funcmod, leavitt, selfsim
-    from pimsner.ringcore import (QQ, ZZ, DirectSumRing, LaurentRing,
-                                  MatrixRing, Zmod, local_unit_for)
+    from pimsner.ringcore import (ZZ, DirectSumRing, LaurentRing,
+                                  MatrixRing, local_unit_for)
 
     rose2 = leavitt.rose(2)
     corr = leavitt.quiver_correspondence(rose2)
     module = corr.module
 
-    # direction 5: condition (FS) over Z, Q and Z/6 on both sides, and
-    # on a free module over k[x, x^-1]; non-degeneracy; pairing balance,
-    # also over a group ring; the J_X generators
-    for k in (ZZ, QQ, Zmod(6)):
-        assert funcmod.fs_witness(
-            leavitt.quiver_correspondence(rose2, k).module,
-            [{"e0": 1, "e1": -2}], [{("e0", "*"): 1}])
-    laurent = funcmod.free_module(LaurentRing(ZZ), [1, 2])
-    assert funcmod.fs_witness(laurent, [{(1, 2): 1}], [])
+    # direction 5: non-degeneracy and its local units, also over
+    # k[x, x^-1]; pairing balance, also over a group ring; the J_X
+    # generators
     assert funcmod.nondegenerate(module)
     assert corr.check_nondegenerate_action()
     leavitt_ring = leavitt.LeavittRing(rose2)
     for els in ([leavitt_ring.vertex("v"), leavitt_ring.ghost(["e1"])],
                 [DirectSumRing(ZZ, "vw").monomial("v")],
-                [laurent.ring.monomial(2)]):
+                [LaurentRing(ZZ).monomial(2)]):
         local_unit_for(els)
     assert funcmod.check_pairing_balance(module)
     assert funcmod.check_pairing_balance(
@@ -270,6 +266,7 @@ def listed():
     mat = abgroup.IntMatrix.from_rows([[2, 4, 4], [-6, 6, 12], [10, 4, 16]])
     s, u, w = abgroup.smith_normal_form(mat)
     assert u.mul(mat).mul(w) == s and abs(u.det()) == abs(w.det()) == 1
+    assert s.diagonal() == [2, 2, 156]
     # criterion 6: compact operators on R^I are I x I matrices
     ring = DirectSumRing(ZZ, ["p", "q"])
     free = funcmod.free_module(ring, [0, 1])

@@ -66,59 +66,10 @@ class TestCoefficientRings:
             with pytest.raises(RingError):
                 coefficient_ring(spec)
 
-    def test_linear_solve(self):
-        sol = QQ.solve([[2, 1], [1, 1]], [3, 2])
-        assert sol == [Fraction(1), Fraction(1)]
-        assert ZZ.solve([[2]], [1]) is None
-        assert ZZ.solve([[2]], [4]) == [2]
-        assert Zmod(4).solve([[2]], [2]) in ([1], [3])
-        assert Zmod(4).solve([[2]], [1]) is None
-
     def test_modulus_is_bounded(self):
         assert Zmod(2 ** 40 - 1).modulus == 2 ** 40 - 1
         with pytest.raises(RingError, match="2\\*\\*40"):
             Zmod(2 ** 40)
-
-    def test_prime_field_solve_against_brute_force(self):
-        from itertools import product
-        rng = random.Random(5)
-        for p in (5, 7):
-            k = Zmod(p)
-            for _ in range(60):
-                nrows, ncols = rng.randint(1, 3), rng.randint(1, 3)
-                rows = [[rng.randrange(p) for _ in range(ncols)]
-                        for _ in range(nrows)]
-                rhs = [rng.randrange(p) for _ in range(nrows)]
-
-                def solves(x):
-                    return all(sum(a * b for a, b in zip(row, x)) % p == c
-                               for row, c in zip(rows, rhs))
-
-                exists = any(solves(x)
-                             for x in product(range(p), repeat=ncols))
-                sol = k.solve(rows, rhs)
-                assert (sol is not None) == exists
-                if sol is not None:
-                    assert solves(sol)
-
-    def test_rational_solve_against_sympy(self):
-        sympy = pytest.importorskip("sympy")
-        rng = random.Random(8)
-        for _ in range(60):
-            nrows, ncols = rng.randint(1, 4), rng.randint(1, 4)
-            rows = [[Fraction(rng.randint(-3, 3), rng.randint(1, 3))
-                     for _ in range(ncols)] for _ in range(nrows)]
-            if rng.random() < 0.5:
-                # make a row a combination of the others
-                rows[-1] = [sum(r[j] for r in rows[:-1]) for j in range(ncols)]
-            rhs = [Fraction(rng.randint(-3, 3)) for _ in range(nrows)]
-            a = sympy.Matrix(rows)
-            exists = a.rank() == a.row_join(sympy.Matrix(rhs)).rank()
-            sol = QQ.solve(rows, rhs)
-            assert (sol is not None) == exists
-            if sol is not None:
-                assert all(sum(x * y for x, y in zip(row, sol)) == c
-                           for row, c in zip(rows, rhs))
 
 
 def laurent_zz():
@@ -170,9 +121,6 @@ class TestScalarParity:
             == outcome(reference_coerce, k, a * b)
         assert outcome(k.neg, a) == outcome(generic.neg, k, a) \
             == outcome(reference_coerce, k, -a)
-        expected = outcome(reference_coerce, k, a)
-        assert outcome(k.is_zero, a) == (
-            expected if expected is RingError else (bool, expected[1] == 0))
 
     @pytest.mark.parametrize("k", SCALAR_RINGS, ids=str)
     def test_constants_are_coerced(self, k):
@@ -184,8 +132,7 @@ class TestScalarParity:
                                         (Zmod(6), Fraction(5, 3))])
     def test_fraction_errors_survive(self, k, bad):
         for op in (lambda: k.coerce(bad), lambda: k.add(bad, 0),
-                   lambda: k.mul(bad, 1), lambda: k.neg(bad),
-                   lambda: k.is_zero(bad)):
+                   lambda: k.mul(bad, 1), lambda: k.neg(bad)):
             with pytest.raises(RingError):
                 op()
 
@@ -232,7 +179,7 @@ class TestRingElements:
 def _assert_clean_vector(k, vec):
     """Every coefficient is nonzero and already in the ring's form."""
     for coeff in vec.values():
-        assert not k.is_zero(coeff)
+        assert k.coerce(coeff) != k.zero
         want = k.coerce(coeff)
         assert type(coeff) is type(want) and coeff == want
 
