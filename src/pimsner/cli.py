@@ -201,8 +201,7 @@ def cmd_kgroups(args):
     text = _read(args.input)
     quiver = leavitt.parse_quiver(text)
     k = coefficient_ring(args.coeff)
-    presets = leavitt.field_presets(k)
-    report, _ = leavitt.k_groups(quiver, presets=presets, k=k)
+    report, _ = leavitt.k_groups(quiver, k=k)
     report["coefficient_ring"] = args.coeff
     report["input"] = args.input
     _emit(report, args.out)
@@ -436,8 +435,9 @@ def _verify_quiver(args, quiver):
                     pairing.absorb(homotopy_pairing_check(
                         model, {b: one}, {c: one}, x_H[b], phi_H))
             for r in module.ring.basis:
+                tok = ("r", module.ring.monomial(r))
                 endpoints.absorb(homotopy_endpoints_check(
-                    model, ("r", module.ring.monomial(r))))
+                    model, tok, homotopy_H(model, tok)))
     identity = rotation_coefficient_identity()
     checks.append({**endpoints.as_dict(), "coefficient_identity": identity,
                    "passed": endpoints.passed and identity})

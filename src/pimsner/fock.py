@@ -807,9 +807,12 @@ def _defect_keys_at(fock, wkey, ll, d):
     A module may declare ``annih_candidates`` enumerating the tensors the
     annihilation chain does not reject outright; every other key yields
     zero in both representations because their columns factor through the
-    same vanishing pairing.  Without the hook the full graded basis is
-    scanned.  Degrees below the annihilation count are never reached: the
-    chain passes through degree zero, where annihilation is zero in both
+    same vanishing pairing.  The quiver module's candidates are checked
+    against the path-space model of ``tests/pathspace.py``: every key
+    where the model's pi0 or pi1 column of a normal word is nonzero must
+    be listed.  Without the hook the full graded basis is scanned.
+    Degrees below the annihilation count are never reached: the chain
+    passes through degree zero, where annihilation is zero in both
     representations.
     """
     if d < ll:
@@ -1296,13 +1299,11 @@ def homotopy_H(model, token):
     return PolyOperator(model, dict(sorted(parts.items())))
 
 
-def homotopy_endpoints_check(model, token, H=None):
+def homotopy_endpoints_check(model, token, H):
     """H(0) = pi0 (x) id and H(1) = lam1 + pi1 (x) id, blockwise.
 
-    ``H`` is the token's ``homotopy_H``, built here if None.
+    ``H`` is the homotopy under check, the token's ``homotopy_H``.
     """
-    if H is None:
-        H = homotopy_H(model, token)
     report = CheckReport("homotopy-endpoints")
     H.at(0).eq_report(model.pi_tensor(token, "pi0"), report, tag="H(0)")
     if token[0] == "r":
@@ -1314,16 +1315,13 @@ def homotopy_endpoints_check(model, token, H=None):
     return report
 
 
-def homotopy_pairing_check(model, xvec, pvec, H_x=None, H_phi=None):
+def homotopy_pairing_check(model, xvec, pvec, H_x, H_phi):
     """H preserves the pairing: H(T_phi) H(T_x) = H(<phi, x> . id).
 
     An identity of polynomial operators, checked exactly per power of t.
-    ``H_x`` and ``H_phi`` are the tokens' ``homotopy_H``, built if None.
+    ``H_x`` and ``H_phi`` are the homotopies under check, the tokens'
+    ``homotopy_H``.
     """
-    if H_x is None:
-        H_x = homotopy_H(model, ("x", xvec))
-    if H_phi is None:
-        H_phi = homotopy_H(model, ("phi", pvec))
     lhs = H_phi.compose(H_x)
     relt = model.module.pair(pvec, xvec)
     rhs = PolyOperator(model, {0: model.pi_tensor(("r", relt), "pi0")})

@@ -574,16 +574,6 @@ def field_presets(k):
     raise RingError(f"no bundled K-group presets for {k!r}")
 
 
-def _validate_presets(presets):
-    for n, comps in presets.items():
-        for comp in comps:
-            g = comp.group
-            if not (g.is_free() or (g.free_rank == 0 and len(g.torsion) == 1)):
-                raise RingError(
-                    f"preset at degree {n} must be primary-decomposed; "
-                    f"got {g}")
-
-
 def _segments_for(mat, comps):
     return [(comp, les_segment(mat, comp.group)) for comp in comps]
 
@@ -613,8 +603,9 @@ def _assemble(coker_segs, ker_segs):
 
 def _pipeline_report(mat, presets, row_labels, col_labels):
     """The report of degrees 0 and 1, which read the presets of degrees
-    -1, 0 and 1."""
-    _validate_presets(presets)
+    -1, 0 and 1.  ``les_segment`` refuses a component that is neither
+    free nor cyclic, with an ``AbgroupError``.
+    """
     segments = {n: _segments_for(mat, presets.get(n, [])) for n in (-1, 0, 1)}
     report = {
         "matrix_M": {
@@ -657,18 +648,15 @@ def _total(segs, which):
     return total
 
 
-def k_groups(quiver, presets=None, k=ZZ):
+def k_groups(quiver, k=ZZ):
     """K-groups of L_k(Q) in degrees 0 and 1 from the adjacency map.
 
-    ``presets`` maps a degree n to the primary-decomposed components of
-    the n-th K-group of the coefficient ring; ``field_presets`` supplies
-    them for the bundled rings.  Each degree of the output carries the
-    kernel and cokernel of the adjacency map on that degree's coefficients
-    and the assembled group coker(M at n) + ker(M at n-1) when the
-    extension splits.
+    The K-groups of the coefficient ring ``k`` come from ``field_presets``.
+    Each degree of the output carries the kernel and cokernel of the
+    adjacency map on that degree's coefficients and the assembled group
+    coker(M at n) + ker(M at n-1) when the extension splits.
     """
-    if presets is None:
-        presets = field_presets(k)
+    presets = field_presets(k)
     adj = AdjacencyData(quiver)
     report, segments = _pipeline_report(
         adj.theorem_map, presets,

@@ -19,6 +19,7 @@ from pimsner.fock import (
     TruncatedFock,
     check_p0_form,
     covariant_check,
+    homotopy_H,
     homotopy_endpoints_check,
     homotopy_pairing_check,
     p0_compact_form,
@@ -171,12 +172,14 @@ def test_criterion_5_homotopy(pinned_quivers):
         tokens = [("x", {b: 1}) for b in corr.module.x_basis]
         tokens += [("phi", {c: 1}) for c in corr.module.xp_basis]
         tokens += [("r", ring.monomial(r)) for r in ring.basis]
-        for tok in tokens:
-            rep = homotopy_endpoints_check(model, tok)
+        H = [homotopy_H(model, tok) for tok in tokens]
+        for tok, H_tok in zip(tokens, H):
+            rep = homotopy_endpoints_check(model, tok, H_tok)
             ok = ok and rep.passed
-        for c in corr.module.xp_basis:
-            for b in corr.module.x_basis:
-                rep = homotopy_pairing_check(model, {b: 1}, {c: 1})
+        nx = len(corr.module.x_basis)
+        for c, H_phi in zip(corr.module.xp_basis, H[nx:]):
+            for b, H_x in zip(corr.module.x_basis, H):
+                rep = homotopy_pairing_check(model, {b: 1}, {c: 1}, H_x, H_phi)
                 ok = ok and rep.passed
     announce(5, "homotopy coefficient identity, endpoints, pairing", ok)
 

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pimsner import leavitt as leavitt_module
-from pimsner.abgroup import FgAbelianGroup, IntMatrix
+from pimsner.abgroup import AbgroupError, FgAbelianGroup, IntMatrix
 from pimsner.funcmod import check_functional_hom
 from pimsner.leavitt import (
     AdjacencyData,
@@ -16,6 +16,7 @@ from pimsner.leavitt import (
     PresetComponent,
     QuiverError,
     Quiver,
+    _pipeline_report,
     crossed_product_k_groups,
     field_presets,
     k_groups,
@@ -513,10 +514,12 @@ class TestKGroups:
         assert any(c["multiplicity"] == "countable" for c in comps)
 
     def test_presets_must_be_primary(self):
+        # Z + Z/2 is one component that is neither free nor cyclic
         bad = {0: [PresetComponent(FgAbelianGroup.from_divisors(0, 2))],
                -1: [], 1: []}
-        with pytest.raises(RingError):
-            k_groups(rose(2), presets=bad)
+        mat = AdjacencyData(rose(2)).theorem_map
+        with pytest.raises(AbgroupError, match="mixed coefficient group"):
+            _pipeline_report(mat, bad, row_labels=["v"], col_labels=["v"])
 
     def test_no_presets_for_composite_modulus(self):
         with pytest.raises(RingError):

@@ -212,3 +212,13 @@ def test_cli_import_closure():
                      if name.partition(".")[0] not in sys.stdlib_module_names
                      and name.partition(".")[0] != "pimsner")
     assert outside == []
+
+
+def test_path_space_model_imports_no_pimsner():
+    # a relative import counts too, as it could reach a package module
+    tree = _parsed(os.path.join(ROOT, "tests", "pathspace.py"))
+    names = [alias.name for node in ast.walk(tree)
+             if isinstance(node, ast.Import) for alias in node.names]
+    names += ["." * node.level + (node.module or "") for node in ast.walk(tree)
+              if isinstance(node, ast.ImportFrom)]
+    assert [n for n in names if n.split(".")[0] in ("", "pimsner")] == []
