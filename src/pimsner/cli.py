@@ -11,8 +11,9 @@ short summary instead (see ``_text_lines``).
 
 Exit codes: 0 success, 2 parse or semantic error (also a ``--fock-depth``
 whose Fock module would pass ``fock.MAX_FOCK_DIMENSION`` basis keys or
-that passes ``fock.MAX_FOCK_DEPTH``, and a ``--word-bound`` that gives
-more than ``leavitt.MAX_NORMAL_WORDS`` normal words), 3
+that passes ``fock.MAX_FOCK_DEPTH``, a ``--word-bound`` that gives
+more than ``leavitt.MAX_NORMAL_WORDS`` normal words, and either option
+on a self-similar group file, which reads neither), 3
 insufficient depth (all checks that ran passed but some were skipped for
 budget), 4 a failed identity (a check that ran found a counterexample, or
 an internal invariant was violated), 141 standard output closed before
@@ -448,8 +449,20 @@ def _verify_quiver(args, quiver):
     return checks, insufficient
 
 
+# the options only a quiver reads: (dest, flag, default)
+_QUIVER_OPTIONS = (("fock_depth", "--fock-depth", 6),
+                   ("word_bound", "--word-bound", 4))
+
+
 def cmd_verify(args):
     text = _read(args.input)
+    is_selfsim = _looks_selfsim(text)
+    for dest, flag, default in _QUIVER_OPTIONS:
+        if getattr(args, dest) is None:
+            setattr(args, dest, default)
+        elif is_selfsim:
+            raise RingError(f"{flag} is read for a quiver only, not for a "
+                            "self-similar group")
     report = {
         "schema": 1,
         "input": args.input,
@@ -459,7 +472,7 @@ def cmd_verify(args):
     }
     # 0 in the report means "the file's depth"
     report["config"]["depth"] = args.depth or 0
-    if _looks_selfsim(text):
+    if is_selfsim:
         group = selfsim.parse_selfsim(text, depth=args.depth)
         try:
             selfsim.build_nek_correspondence(group,
@@ -526,8 +539,10 @@ def build_parser():
 
     p = sub.add_parser("verify", help="run the exact operator suites")
     p.add_argument("input", help="quiver or self-similar group file")
-    p.add_argument("--fock-depth", dest="fock_depth", type=int, default=6)
-    p.add_argument("--word-bound", dest="word_bound", type=int, default=4)
+    # None: a self-similar group refuses the option, a quiver reads the
+    # default of ``_QUIVER_OPTIONS``
+    p.add_argument("--fock-depth", dest="fock_depth", type=int)
+    p.add_argument("--word-bound", dest="word_bound", type=int)
     p.add_argument("--depth", type=int, default=None,
                    help="equality depth for self-similar groups "
                         "(default: the file's)")
@@ -552,10 +567,11 @@ def build_parser():
 
 
 def _validate(args):
-    if getattr(args, "fock_depth", 1) < 1:
-        raise RingError("fock depth must be at least 1")
-    if getattr(args, "word_bound", 1) < 1:
-        raise RingError("word bound must be at least 1")
+    for dest, what in (("fock_depth", "fock depth"),
+                       ("word_bound", "word bound")):
+        value = getattr(args, dest, None)
+        if value is not None and value < 1:
+            raise RingError(f"{what} must be at least 1")
     depth = getattr(args, "depth", None)
     if depth is not None and depth < 1:
         raise RingError("equality depth must be at least 1")

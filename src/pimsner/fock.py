@@ -18,9 +18,7 @@ much was covered.
 The module also provides:
 
 * the vacuum-compression form i . P0 = i . id - sum of T_x T_phi for a
-  compactly acting ideal element, and the induced rank-one generators of
-  the covariance ideal, which occupy a single block of the graded matrix
-  picture;
+  compactly acting ideal element;
 * the pair of representations pi0 (canonical) and pi1 (shifted away from
   low degrees: each generator kills one degree more); their difference
   on any Toeplitz word is supported on a single block, which is what
@@ -465,7 +463,7 @@ def pi1(fock, tokens):
 
 
 # ---------------------------------------------------------------------------
-# The vacuum compression and covariance-ideal generators
+# The vacuum compression
 # ---------------------------------------------------------------------------
 
 def p0_compact_form(relt, fock):
@@ -492,24 +490,6 @@ def check_p0_form(op, relt, fock, degrees):
     ok0 = 0 not in degrees or op.eq_on(scalar, [0])
     rest = [d for d in degrees if d >= 1]
     return ok0 and op.eq_on(fock.zero_op(), rest)
-
-
-def j_ideal_generator(xvecs, relt, pvecs, fock):
-    """T_{x_1}..T_{x_n} (i.P0) T_{phi_1}..T_{phi_m}.
-
-    A rank-one block operator: its only nonzero block sits at target
-    degree n, source degree m.
-    """
-    n, m = len(xvecs), len(pvecs)
-    if n > fock.depth or m > fock.depth:
-        raise DepthError(
-            f"generator block ({n},{m}) outside truncation range")
-    op = p0_compact_form(relt, fock)
-    for pvec in pvecs:
-        op = op.compose(fock.token_op(("phi", pvec)))
-    for xvec in reversed(xvecs):
-        op = fock.token_op(("x", xvec)).compose(op)
-    return op
 
 
 # ---------------------------------------------------------------------------
@@ -780,7 +760,7 @@ class ToeplitzAlgebra:
     def left_support(self, key):
         """A ring element u with j(u) . word == word."""
         if key[0] == "s":
-            return self.ring.monomial(self.ring.left_support_symbol(key[1]))
+            return self.ring.monomial(self.ring.support_symbol(key[1]))
         _, p, c = key
         if p:
             return self.module.x_left_support(p[0])
@@ -964,16 +944,15 @@ class HomotopyModel:
         return list(words)
 
     def _id(self, key):
-        """The id of a model key, interned on first sight, with its word."""
+        """The id of a model key, interned on first sight.  Its word is one
+        of ``words``, which are closed under scalar absorption and under
+        the products that ``try_mul`` bounds."""
         i = self._ids.get(key)
         if i is None:
             n, tup, wk = key
-            w = self._wids.setdefault(wk, len(self.words))
-            if w == len(self.words):
-                self.words.append(wk)
             i = self._ids[key] = len(self._keys)
             self._keys.append(key)
-            self._info.append((n, (n, tup), w))
+            self._info.append((n, (n, tup), self._wids[wk]))
         return i
 
     def make_key(self, n, tup, wk):

@@ -21,8 +21,7 @@ On top of the module structure this file provides:
   pairings;
 * ``Correspondence``: a functional module together with a left action by
   adjointable operators and a functional homomorphism into a free model
-  R^(I);
-* direct sums and balanced tensor products of correspondences.
+  R^(I).
 
 Condition (FS) needs no linear solve on the modules the pipelines build:
 for a quiver module and a Nekrashevych module, ``x_basis`` and
@@ -39,12 +38,10 @@ it is exactly the propagation of a group element through a word.
 from __future__ import annotations
 
 from functools import cache
-from math import gcd
 
-from . import abgroup
 # ``vadd`` and ``vscale`` stay bound here, where ``perfbench`` traces them
-from .ringcore import (RingElement, RingError, ZmodRing, integer_rows, vadd,
-                       vapply, vclean, vdrop, vmul, vscale)
+from .ringcore import (RingElement, RingError, vadd, vapply, vclean, vdrop,
+                       vmul, vscale)
 
 
 # ---------------------------------------------------------------------------
@@ -298,11 +295,6 @@ class FunctionalHom:
     def v_of(self, pvec):
         return vapply(self.target.k, self._V, pvec)
 
-    @classmethod
-    def identity(cls, module):
-        one = module.k.one
-        return cls(module, module, lambda b: {b: one}, lambda c: {c: one})
-
 
 def check_functional_hom(hom):
     """True iff V(phi)(U(x)) == phi(x) on all basis pairs."""
@@ -314,34 +306,6 @@ def check_functional_hom(hom):
             rhs = src.pair({c: one}, {b: one})
             if lhs != rhs:
                 return False
-    return True
-
-
-def check_pairing_balance(module):
-    """The pairing is a bimodule map on basis pairs and ring generators.
-
-    Checks r . <phi, x> == <r . phi, x> and <phi, x> . r == <phi, x . r>
-    for every basis pair and every symbol of the ring basis, or of its
-    generator list for symbolic rings.
-    """
-    ring = module.ring
-    one = module.k.one
-    ring_symbols = ring.basis
-    if ring_symbols is None:
-        ring_symbols = getattr(ring, "gen_symbols", None)
-    if ring_symbols is None:
-        raise RingError(f"{ring.label} lists no generators")
-    for rsym in ring_symbols:
-        r = ring.monomial(rsym)
-        for c in module.xp_basis:
-            for b in module.x_basis:
-                val = module.pair({c: one}, {b: one})
-                if r * val != module.pair(module.act_xp_left(r, {c: one}),
-                                          {b: one}):
-                    return False
-                if val * r != module.pair({c: one},
-                                          module.act_right({b: one}, r)):
-                    return False
     return True
 
 
@@ -361,120 +325,24 @@ def compact_to_matrix(k_op, matrix_ring):
 
 
 # ---------------------------------------------------------------------------
-# Non-degeneracy
-# ---------------------------------------------------------------------------
-
-def _rows_independent(k, rows):
-    """No nontrivial k-combination of the rows vanishes.
-
-    Read off the one Smith elimination (``abgroup``) for every ring.
-    Clearing each row's denominators keeps independence.  Over Z and Q
-    the rows are independent iff the rank is the row count.  Over Z/m,
-    lambda . rows = 0 iff lambda is in ker(rows^T mod m), a sum of
-    Z/gcd(d_i, m) over the Smith invariants d_i plus
-    (Z/m)^(len(rows) - rank), so each d_i must also be a unit mod m.
-    """
-    if not rows:
-        return True
-    diag = abgroup.IntMatrix.from_rows(integer_rows(rows)).smith_diagonal()
-    return len(diag) == len(rows) and (
-        not isinstance(k, ZmodRing)
-        or all(gcd(d, k.modulus) == 1 for d in diag))
-
-
-def nondegenerate(module):
-    """Check the pairing has trivial left and right null spaces.
-
-    The pairing table over the listed bases is flattened to ground
-    coefficients (one column per occurring ring basis symbol per partner)
-    and both null spaces are decided exactly by ``_rows_independent``,
-    which reads the one Smith elimination of ``abgroup`` over Z, Q and
-    Z/m alike.
-    """
-    k = module.k
-    ring_syms = {}
-    table = {}
-    for c in module.xp_basis:
-        for b in module.x_basis:
-            val = module._pairing(c, b)
-            table[(c, b)] = val
-            for sym in val.terms:
-                ring_syms.setdefault(sym, len(ring_syms))
-    ncols = max(len(ring_syms), 1)
-
-    left_rows = []
-    for c in module.xp_basis:
-        row = [k.zero] * (ncols * len(module.x_basis))
-        for j, b in enumerate(module.x_basis):
-            for sym, coeff in table[(c, b)].terms.items():
-                row[j * ncols + ring_syms[sym]] = coeff
-        left_rows.append(row)
-    right_rows = []
-    for b in module.x_basis:
-        row = [k.zero] * (ncols * len(module.xp_basis))
-        for i, c in enumerate(module.xp_basis):
-            for sym, coeff in table[(c, b)].terms.items():
-                row[i * ncols + ring_syms[sym]] = coeff
-        right_rows.append(row)
-    return _rows_independent(k, left_rows) and _rows_independent(k, right_rows)
-
-
-# ---------------------------------------------------------------------------
 # Correspondences
 # ---------------------------------------------------------------------------
 
 class Correspondence:
-    """A functional module with a compatible left action and free-model hom."""
+    """A functional module with a compatible left action and free-model hom.
 
-    def __init__(self, module, hom, index_set, delta_compact_rule=None,
-                 left_ring=None):
+    ``delta_compact_rule`` writes the left action of a ring element as a
+    finite-rank operator; every correspondence the pipelines build has one.
+    """
+
+    def __init__(self, module, hom, delta_compact_rule):
         self.module = module
         self.hom = hom
-        self.index_set = list(index_set)
         self._delta_compact_rule = delta_compact_rule
-        self.left_ring = left_ring if left_ring is not None else module.ring
 
     def delta_compact(self, relt):
-        """The left action of ``relt`` as a finite-rank operator.
-
-        Raises for a correspondence built with no compact decomposition
-        rule, such as a balanced tensor product.
-        """
-        if self._delta_compact_rule is None:
-            raise RingError("left action not compact")
+        """The left action of ``relt`` as a finite-rank operator."""
         return self._delta_compact_rule(relt)
-
-    def left_generator_symbols(self):
-        gens = self.left_ring.basis
-        if gens is None:
-            gens = getattr(self.left_ring, "gen_symbols", None)
-        if gens is None:
-            raise RingError(f"{self.left_ring.label} lists no generators")
-        return gens
-
-    def check_nondegenerate_action(self):
-        """Delta(R) X = X and X' Delta(R) = X', witnessed on generators.
-
-        Each basis vector must be recovered by the action of some listed
-        ring generator (an idempotent absorbing it); that spans the module
-        from the action, which is the non-degeneracy required of a left
-        action.
-        """
-        m = self.module
-        one = m.k.one
-        for b in m.x_basis:
-            u = m.x_left_support(b)
-            if m.act_left(u, {b: one}) != {b: one}:
-                return False
-        gens = self.left_generator_symbols()
-        for c in m.xp_basis:
-            for rsym in gens:
-                u = self.left_ring.monomial(rsym)
-                if m.act_xp_right({c: one}, u) == {c: one}:
-                    break
-            else:
-                return False
-        return True
 
 
 def free_module(ring, index_set):
@@ -512,15 +380,15 @@ def free_module(ring, index_set):
 
     def x_split(b):
         i, a = b
-        return b, relt_of({ring.right_support_symbol(a): k.one})
+        return b, relt_of({ring.support_symbol(a): k.one})
 
     def xp_split(c):
         i, a = c
-        return relt_of({ring.left_support_symbol(a): k.one}), c
+        return relt_of({ring.support_symbol(a): k.one}), c
 
     def support(b):
         i, a = b
-        return relt_of({ring.left_support_symbol(a): k.one})
+        return relt_of({ring.support_symbol(a): k.one})
 
     if ring.basis is not None:
         basis = [(i, a) for i in index for a in ring.basis]
@@ -535,178 +403,3 @@ def free_module(ring, index_set):
         x_left_support=support, xp_left_support=support,
         label=f"{ring.label}^({len(index)})")
     return mod
-
-
-def free_correspondence(ring, index_set):
-    """R^(I) as an R-correspondence with the identity functional hom."""
-    mod = free_module(ring, index_set)
-    hom = FunctionalHom.identity(mod)
-
-    def delta_compact_rule(relt):
-        # Delta(r) restricted to each coordinate is theta_{e_i r', e_i u}
-        # summed over a local unit u absorbing the support of r.
-        terms = []
-        for i in index_set:
-            for sym, c in relt.terms.items():
-                u = ring.local_unit_terms({sym})
-                terms.append(({(i, sym): c},
-                              {(i, us): uc for us, uc in u.items()}))
-        return CompactOperator(mod, terms)
-
-    return Correspondence(mod, hom, list(index_set),
-                          delta_compact_rule=delta_compact_rule)
-
-
-def direct_sum(m1, m2):
-    """Block sum of functional modules; the pairing vanishes across blocks."""
-    if m1.ring is not m2.ring:
-        raise RingError("direct sum needs modules over the same ring")
-    ring = m1.ring
-
-    def side(sym):
-        return (m1, m2)[sym[0]]
-
-    def tag(ix, d):
-        return {(ix, s): c for s, c in d.items()}
-
-    def pairing(c, b):
-        if c[0] != b[0]:
-            return ring.zero()
-        return side(c)._pairing(c[1], b[1])
-
-    def x_right(b, rsym):
-        return tag(b[0], side(b)._x_right(b[1], rsym))
-
-    def xp_left(rsym, c):
-        return tag(c[0], side(c)._xp_left(rsym, c[1]))
-
-    def x_left(rsym, b):
-        return tag(b[0], side(b)._x_left(rsym, b[1]))
-
-    def xp_right(c, rsym):
-        return tag(c[0], side(c)._xp_right(c[1], rsym))
-
-    def x_split(b):
-        b0, r = side(b).x_split(b[1])
-        return (b[0], b0), r
-
-    def xp_split(c):
-        r, c0 = side(c).xp_split(c[1])
-        return r, (c[0], c0)
-
-    def x_support(b):
-        return side(b).x_left_support(b[1])
-
-    def xp_support(c):
-        return side(c).xp_left_support(c[1])
-
-    return FunctionalModule(
-        ring=ring,
-        x_basis=[(0, b) for b in m1.x_basis] + [(1, b) for b in m2.x_basis],
-        xp_basis=[(0, c) for c in m1.xp_basis] + [(1, c) for c in m2.xp_basis],
-        pairing=pairing, x_right=x_right, xp_left=xp_left,
-        x_left=x_left, xp_right=xp_right,
-        x_split=x_split, xp_split=xp_split,
-        x_left_support=x_support, xp_left_support=xp_support,
-        label=f"{m1.label} (+) {m2.label}")
-
-
-def tensor(c1, c2):
-    """Balanced tensor product of composable correspondences.
-
-    The new module is X (x)_S Y with X'-side Y' (x)_S X' and pairing
-    (psi (x) phi)(x (x) y) = psi(phi(x) . y); the functional homomorphism
-    lands in the free model on the product index set.
-    """
-    if c1.module.ring is not c2.left_ring:
-        raise RingError("middle rings of the tensor factors differ")
-    mx, my = c1.module, c2.module
-    ring = my.ring
-    k = ring.k
-    one = k.one
-
-    def cross_reduce(bx, by):
-        b0, r = mx.x_split(bx)
-        return {(b0, sym): c for sym, c in my.act_left(r, {by: one}).items()}
-
-    def cross_reduce_dual(cy, cx):
-        r, c0 = mx.xp_split(cx)
-        return {(sym, c0): c for sym, c in my.act_xp_right({cy: one}, r).items()}
-
-    x_basis = list(dict.fromkeys(
-        key for bx in mx.x_basis for by in my.x_basis
-        for key in cross_reduce(bx, by)))
-    xp_basis = list(dict.fromkeys(
-        key for cy in my.xp_basis for cx in mx.xp_basis
-        for key in cross_reduce_dual(cy, cx)))
-
-    def pairing(c, b):
-        cy, cx = c
-        bx, by = b
-        r = mx.pair({cx: one}, {bx: one})
-        if r.is_zero():
-            return ring.zero()
-        return my.pair({cy: one}, my.act_left(r, {by: one}))
-
-    def x_right(b, tsym):
-        bx, by = b
-        return {(bx, s): c for s, c in my._x_right(by, tsym).items()}
-
-    def x_left(rsym, b):
-        bx, by = b
-        return vapply(k, lambda bx2: cross_reduce(bx2, by),
-                      mx._x_left(rsym, bx))
-
-    def xp_left(tsym, c):
-        cy, cx = c
-        return {(s, cx): cc for s, cc in my._xp_left(tsym, cy).items()}
-
-    def xp_right(c, rsym):
-        cy, cx = c
-        return vapply(k, lambda cx2: cross_reduce_dual(cy, cx2),
-                      mx._xp_right(cx, rsym))
-
-    def x_split(b):
-        bx, by = b
-        by0, r = my.x_split(by)
-        return (bx, by0), r
-
-    def xp_split(c):
-        cy, cx = c
-        r, cy0 = my.xp_split(cy)
-        return r, (cy0, cx)
-
-    def x_support(b):
-        return mx.x_left_support(b[0])
-
-    def xp_support(c):
-        return my.xp_left_support(c[0])
-
-    mod = FunctionalModule(
-        ring=ring, x_basis=x_basis, xp_basis=xp_basis,
-        pairing=pairing, x_right=x_right, xp_left=xp_left,
-        x_left=x_left, xp_right=xp_right,
-        x_split=x_split, xp_split=xp_split,
-        x_left_support=x_support, xp_left_support=xp_support,
-        label=f"{mx.label} (x) {my.label}")
-
-    product_index = [(i, j) for i in c1.index_set for j in c2.index_set]
-    free_target = free_module(ring, product_index)
-
-    # (j, t) -> ((i, j), t) is injective, so each image is clean
-    def U(b):
-        bx, by = b
-        return vapply(k, lambda x: {
-            ((x[0], j), t): ct for (j, t), ct in c2.hom.u_of(my.act_left(
-                mx.ring.monomial(x[1]), {by: one})).items()},
-            c1.hom.u_of({bx: one}))
-
-    def V(c):
-        cy, cx = c
-        return vapply(k, lambda x: {
-            ((x[0], j), t): ct for (j, t), ct in c2.hom.v_of(my.act_xp_right(
-                {cy: one}, mx.ring.monomial(x[1]))).items()},
-            c1.hom.v_of({cx: one}))
-
-    hom = FunctionalHom(mod, free_target, U, V)
-    return Correspondence(mod, hom, product_index, left_ring=c1.left_ring)

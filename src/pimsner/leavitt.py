@@ -413,8 +413,7 @@ def quiver_correspondence(quiver, k=ZZ):
                 terms.append(({e: coeff}, {(e, "*"): one}))
         return CompactOperator(mod, terms)
 
-    return Correspondence(mod, hom, list(quiver.edges),
-                          delta_compact_rule=delta_compact_rule)
+    return Correspondence(mod, hom, delta_compact_rule)
 
 
 # ---------------------------------------------------------------------------
@@ -523,13 +522,6 @@ class LeavittRing(RingDescriptor):
                 return {}
             new = (v1, p1, q2 + leftover)
         return self._reduced(new)
-
-    def local_unit_terms(self, symbols):
-        verts = set()
-        for v, p, q in symbols:
-            verts.add(self.quiver.s(p[0]) if p else v)
-            verts.add(self.quiver.s(q[0]) if q else v)
-        return {(w, (), ()): self.k.one for w in sorted(verts)}
 
 
 # ---------------------------------------------------------------------------

@@ -11,15 +11,9 @@ coefficients.  The bundled descriptors are
 
 * ``DirectSumRing``: k^(S) with orthogonal idempotents 1_v,
 * ``MatrixRing``: finite-support I x I matrices over another descriptor,
-* ``LaurentRing``: k[x, x^-1] with basis x^n,
 * ``GroupRing``: kG with basis the group elements; normalization of group
   words is delegated to a caller-supplied canonicalizer, since group word
   problems are only decidable for the bundled group classes.
-
-All of these admit local units: every finite set of elements is fixed on
-both sides by some idempotent.  ``local_unit_for`` produces one for a ring
-with a ``local_unit_terms`` rule: ``DirectSumRing``, ``LaurentRing`` and
-``leavitt.LeavittRing``.
 
 Vectors (here, in ``funcmod`` and in ``fock``) are dicts from basis symbols
 to coefficients, and are always clean: every coefficient is coerced into
@@ -36,7 +30,6 @@ vector of coefficient one is ``f(sym)`` itself, so no caller mutates a sum.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 
 
 class RingError(ValueError):
@@ -152,20 +145,6 @@ def _is_prime(n):
             return False
         p += 1 if p == 2 else 2
     return True
-
-
-def integer_rows(rows):
-    """Each row times the lcm of its entries' denominators.
-
-    Scaling a row by a nonzero integer keeps the rows' independence, so a
-    Q rank question becomes a Z question for abgroup.
-    """
-    out = []
-    for row in rows:
-        row = [Fraction(x) for x in row]
-        scale = lcm(*(x.denominator for x in row))
-        out.append([int(x * scale) for x in row])
-    return out
 
 
 ZZ = IntegerRing()
@@ -296,16 +275,13 @@ class RingDescriptor:
     """A ring presented by a k-basis of symbols and a product rule.
 
     Subclasses implement ``mul_basis`` returning the product of two basis
-    symbols as a symbol-to-coefficient dict.  A ring that ``local_unit_for``
-    serves also implements ``local_unit_terms``, an idempotent (as a term
-    dict) fixing everything supported on the given symbols.  A ring whose
-    free modules take the balanced tensor normal form (``free_module``'s
-    splits, a Fock module) also implements ``left_support_symbol`` and
-    ``right_support_symbol``, a basis idempotent u with ``u * sym ==
-    sym``, respectively ``sym * u == sym``.  Symbols are not
-    validated; callers build them from the descriptor's own basis and
-    products.  ``basis`` lists the symbols when the ring is finite
-    dimensional over k, else it is None and symbols are generated lazily.
+    symbols as a symbol-to-coefficient dict.  A ring whose free modules
+    take the balanced tensor normal form (``free_module``'s splits, a Fock
+    module) also implements ``support_symbol``, a basis idempotent u with
+    ``u * sym == sym == sym * u``.  Symbols are not validated; callers
+    build them from the descriptor's own basis and products.  ``basis``
+    lists the symbols when the ring is finite dimensional over k, else it
+    is None and symbols are generated lazily.
     """
 
     def __init__(self, k, label):
@@ -338,13 +314,7 @@ class DirectSumRing(RingDescriptor):
     def mul_basis(self, b1, b2):
         return {b1: self.k.one} if b1 == b2 else {}
 
-    def local_unit_terms(self, symbols):
-        return {s: self.k.one for s in symbols}
-
-    def left_support_symbol(self, sym):
-        return sym
-
-    def right_support_symbol(self, sym):
+    def support_symbol(self, sym):
         return sym
 
 
@@ -370,21 +340,6 @@ class MatrixRing(RingDescriptor):
         if j != i2:
             return {}
         return {(i, j2, c): coeff for c, coeff in self.inner.mul_basis(a, b).items()}
-
-
-class LaurentRing(RingDescriptor):
-    """k[x, x^-1] with basis x^n indexed by integers."""
-
-    def __init__(self, k):
-        super().__init__(k, f"{k}[x,x^-1]")
-
-    def mul_basis(self, b1, b2):
-        return {b1 + b2: self.k.one}
-
-    unit_symbol = 0
-
-    def local_unit_terms(self, symbols):
-        return {0: self.k.one}
 
 
 class GroupRing(RingDescriptor):
@@ -469,28 +424,3 @@ class RingElement:
         for sym, coeff in sorted(self.terms.items(), key=lambda kv: repr(kv[0])):
             bits.append(f"{coeff}*{sym}" if coeff != 1 else f"{sym}")
         return " + ".join(bits)
-
-
-def local_unit_for(elements, ring=None):
-    """An idempotent e with e*r == r*e == r for every input element.
-
-    The empty list returns 0 (the empty-set convention); pass ``ring`` so
-    the zero has a home.  The ring must carry a ``local_unit_terms`` rule
-    (see ``RingDescriptor``).
-    """
-    elements = list(elements)
-    if not elements:
-        if ring is None:
-            raise RingError("empty input needs an explicit ring")
-        return ring.zero()
-    ring = elements[0].ring
-    symbols = set()
-    for el in elements:
-        if el.ring is not ring:
-            raise RingError("elements come from different rings")
-        symbols.update(el.terms)
-    unit = RingElement(ring, ring.local_unit_terms(symbols))
-    for el in elements:
-        if unit * el != el or el * unit != el:
-            raise RingError(f"{ring.label}: local unit rule failed to fix input")
-    return unit

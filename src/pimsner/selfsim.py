@@ -355,11 +355,8 @@ class SelfSimilarGroup:
             self.node(word, self.equality_depth), word)
 
     def group_ring(self, k=ZZ):
-        ring = GroupRing(k, self.canonical, word_mul, IDENTITY,
+        return GroupRing(k, self.canonical, word_mul, IDENTITY,
                          label=f"{k}[{self.label}]")
-        ring.gen_symbols = [IDENTITY] + \
-            [self.canonical(self.gen_word(g)) for g in self.generators]
-        return ring
 
     def __repr__(self):
         return (f"SelfSimilarGroup({self.label}, |X|={len(self.alphabet)}, "
@@ -624,8 +621,7 @@ def build_nek_correspondence(group, k):
                     {("xp", y, IDENTITY): one}))
         return CompactOperator(module, terms)
 
-    corr = Correspondence(module, hom, list(group.alphabet),
-                          delta_compact_rule=delta_compact_rule)
+    corr = Correspondence(module, hom, delta_compact_rule)
 
     # left-module law on (generator, letter) pairs, against the parsed
     # recursion rather than the action that builds the left module

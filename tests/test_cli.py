@@ -540,6 +540,25 @@ class TestVerify:
              "cocycle"}
         assert all(c["failures"] == 0 for c in report["checks"])
 
+    @pytest.mark.parametrize("flag", ["--fock-depth", "--word-bound"])
+    def test_selfsim_refuses_the_quiver_options(self, capsys, tmp_path,
+                                                flag):
+        # a self-similar group reads neither option, so neither is echoed
+        path = tmp_path / "odometer.selfsim"
+        path.write_text(ODOMETER, encoding="utf-8")
+        code, out, err = run(capsys, "verify", str(path), flag, "100000")
+        assert (code, out) == (2, "")
+        assert flag in err
+
+    def test_both_kinds_echo_the_quiver_defaults(self, capsys, tmp_path):
+        want = {"fock_depth": 6, "word_bound": 4, "coeff": "z", "depth": 0}
+        for name, text in [("odometer.selfsim", ODOMETER), ("a2.quiver", A2)]:
+            path = tmp_path / name
+            path.write_text(text, encoding="utf-8")
+            code, out, _ = run(capsys, "verify", str(path))
+            assert code == 0
+            assert json.loads(out)["config"] == want
+
     def test_seed_recorded_and_deterministic(self, capsys, tmp_path):
         path = tmp_path / "odometer.selfsim"
         path.write_text(ODOMETER, encoding="utf-8")

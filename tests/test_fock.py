@@ -21,7 +21,6 @@ from pimsner.fock import (
     homotopy_H,
     homotopy_endpoints_check,
     homotopy_pairing_check,
-    j_ideal_generator,
     p0_compact_form,
     pi0,
     pi1,
@@ -30,19 +29,18 @@ from pimsner.fock import (
     word_operator,
     word_tokens_of,
 )
-from pimsner.funcmod import free_correspondence
 from pimsner.leavitt import parse_quiver, quiver_correspondence, rose
 from pimsner.ringcore import (
     QQ,
     ZZ,
-    DirectSumRing,
     RingError,
     Zmod,
     vadd,
     vclean,
     vscale,
 )
-from test_pathspace import Case, assert_same, check_random_words
+from test_pathspace import (Case, assert_same, check_random_words,
+                            j_ideal_generator)
 from test_pathspace import cases as pathspace_cases
 
 A2 = parse_quiver("vertices: v w\nedges: e: v -> w")
@@ -265,14 +263,13 @@ class TestVacuumCompression:
         assert _support_blocks(fk, op) == set()
 
     def test_rank_one_module(self):
-        # X = R over the one-point vertex ring: r . P0 = r . id - T_r T_1
-        ring = DirectSumRing(ZZ, ["u"])
-        corr = free_correspondence(ring, ["*"])
-        fk = TruncatedFock(corr, 4)
-        r = ring.monomial("u").scale(3)
+        # X = R over the one-point vertex ring, rose1: r . P0 = r . id -
+        # T_r T_1
+        fk = rose_fock(1, 4)
+        r = fk.ring.monomial("v").scale(3)
         op = p0_compact_form(r, fk)
         assert check_p0_form(op, r, fk, range(fk.depth))
-        assert op.column((0, ("u",)))[(0, ("u",))] == 3
+        assert op.column((0, ("v",)))[(0, ("v",))] == 3
 
     def test_sink_gives_zero(self):
         fk = a2_fock()
@@ -312,14 +309,12 @@ class TestJIdealGenerators:
         assert gen.column((1, ("e0",))) == {}
 
     def test_rank_one_block_on_rank_one_module(self):
-        ring = DirectSumRing(ZZ, ["u"])
-        corr = free_correspondence(ring, ["*"])
-        fk = TruncatedFock(corr, 4)
-        r = ring.monomial("u")
-        gen = j_ideal_generator([{("*", "u"): 1}], r, [], fk)
+        fk = rose_fock(1, 4)
+        r = fk.ring.monomial("v")
+        gen = j_ideal_generator([{"e0": 1}], r, [], fk)
         assert _support_blocks(fk, gen) == {(1, 0)}
         # block (1, 0) holds x . i
-        assert gen.column((0, ("u",))) == {(1, (("*", "u"),)): 1}
+        assert gen.column((0, ("v",))) == {(1, ("e0",)): 1}
 
     def test_out_of_range(self):
         fk = rose_fock(2, 2)
@@ -714,12 +709,8 @@ class TestHomotopy:
                     assert not col, (p, key, col)
 
     def test_pairing_rank_one_module(self):
-        ring = DirectSumRing(QQ, ["u"])
-        corr = free_correspondence(ring, ["*"])
-        fk = TruncatedFock(corr, 4)
-        model = HomotopyModel(fk, 3)
-        one_vec = {("*", "u"): 1}
-        rep = _pairing(model, one_vec, one_vec)
+        model = HomotopyModel(_rank_one_fock(), 3)
+        rep = _pairing(model, {"e0": 1}, {("e0", "*"): 1})
         assert rep.passed
 
     def test_perturbed_coefficients_fail(self):
@@ -901,8 +892,7 @@ def _basis_tokens(fk):
 
 
 def _rank_one_fock(depth=4):
-    ring = DirectSumRing(QQ, ["u"])
-    return TruncatedFock(free_correspondence(ring, ["*"]), depth)
+    return rose_fock(1, depth, QQ)
 
 
 def _cycle_fock(depth=4):
@@ -1295,6 +1285,34 @@ class TestWordMemo:
         assert meet._talg._word(*word[:1], None, *word[1:])
         assert miss._talg._word(*word[:1], None, *word[1:]) == {}
         assert meet._talg._words is not miss._talg._words
+
+
+class TestModelWords:
+    """The model's words are closed under scalar absorption and under the
+    products that ``try_mul`` bounds, so interning a key adds no word."""
+
+    @pytest.mark.parametrize("make", [lambda: rose_fock(2, 4), a2_fock,
+                                      _cycle_fock],
+                             ids=["rose2", "a2", "two-cycle"])
+    def test_sweeps_add_no_word(self, make):
+        fk = make()
+        m, one = fk.module, fk.k.one
+        model = HomotopyModel(fk, 3)
+        built = list(model.words)
+        assert built == model._enumerate_words()
+        # the endpoint and pairing sweeps of ``pimsner verify``
+        H = {tok: homotopy_H(model, (tok[0], {tok[1]: one}))
+             for tok in [("x", b) for b in m.x_basis]
+             + [("phi", c) for c in m.xp_basis]}
+        reports = [homotopy_endpoints_check(model, (kind, {sym: one}), h)
+                   for (kind, sym), h in H.items()]
+        reports += [_endpoints(model, ("r", fk.ring.monomial(v)))
+                    for v in fk.ring.basis]
+        reports += [homotopy_pairing_check(model, {b: one}, {c: one},
+                                           H["x", b], H["phi", c])
+                    for b in m.x_basis for c in m.xp_basis]
+        assert all(report.passed for report in reports)
+        assert model.words == built
 
 
 class TestDroppedLam1Column:

@@ -1,45 +1,48 @@
-"""Tests for functional modules, compact operators, and correspondences."""
+"""Tests for functional modules, compact operators, and correspondences,
+and the checkers of the hypotheses the sequence rests on: a non-degenerate
+and balanced pairing and a non-degenerate left action (Pimsner 1997;
+Carlsen and Ortega 2011), run on every module the pipelines build."""
 
 import json
 import os
 import random
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pimsner.abgroup import IntMatrix
 from pimsner.funcmod import (
     CompactOperator,
     FunctionalHom,
+    FunctionalModule,
     check_functional_hom,
-    check_pairing_balance,
-    direct_sum,
-    free_correspondence,
     free_module,
-    nondegenerate,
-    tensor,
 )
 from pimsner.leavitt import parse_quiver, quiver_correspondence, rose
 from pimsner.ringcore import (
     QQ,
     ZZ,
     DirectSumRing,
-    LaurentRing,
     RingElement,
-    RingError,
     Zmod,
+    ZmodRing,
     coefficient_ring,
     vadd,
     vclean,
     vdrop,
     vscale,
 )
-from pimsner.selfsim import nek_module, parse_selfsim
+from pimsner.selfsim import IDENTITY, nek_module, parse_selfsim
 
 from test_acceptance import acceptance_quivers
+from test_ringcore import laurent, t
 
 A2 = parse_quiver("vertices: v w\nedges: e: v -> w")
+# R as an R-correspondence over R = k^({v, w})
+TWO_LOOPS = parse_quiver("vertices: v w\nedges:\n e: v -> v\n f: w -> w")
 POOL_PATH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
                          "data", "pool.json")
 
@@ -101,10 +104,9 @@ class TestPairing:
         assert m.pair({}, {"e0": 1}).is_zero()
 
     def test_rank_one_identity_correspondence(self):
-        ring = DirectSumRing(ZZ, ["v", "w"])
-        corr = free_correspondence(ring, ["*"])
+        corr = quiver_correspondence(TWO_LOOPS)
         assert check_functional_hom(corr.hom)
-        rv = ring.monomial("v")
+        rv = corr.module.ring.monomial("v")
         op = corr.delta_compact(rv)
         for b in corr.module.x_basis:
             assert op.apply({b: 1}) == corr.module.act_left(rv, {b: 1})
@@ -120,7 +122,14 @@ class TestPairing:
     def test_pairing_is_a_bimodule_map(self):
         for m in [leavitt_module(), leavitt_module(A2),
                   free_module(DirectSumRing(ZZ, ["p", "q"]), [0, 1])]:
-            assert check_pairing_balance(m)
+            assert check_pairing_balance(m, m.ring.basis)
+        # <e*, e> = 1_{s(e)}, not 1_{r(e)}: v . <e*, e> = 1_v, while
+        # v . e* = 0 since r(e) = w
+        m = leavitt_module(A2)
+        ring = m.ring
+        m._pairing = lambda c, b: ring.monomial(A2.s(b)) if c[0] == b \
+            else ring.zero()
+        assert not check_pairing_balance(m, ring.basis)
 
 
 class TestCompactOperators:
@@ -187,28 +196,33 @@ class TestCompactOperators:
             assert (k1 * k2).apply(y) == k1.apply(k2.apply(y))
 
 
-def adjoint_law_holds(corr):
+def adjoint_law_holds(m, generators):
     """phi(Delta(r) x) == (phi . Delta(r))(x) for every ring generator r
     and all basis pairs: the left action is adjointable."""
-    m = corr.module
     one = m.k.one
     return all(
         m.pair({c: one}, m.act_left(r, {b: one}))
         == m.pair(m.act_xp_right({c: one}, r), {b: one})
-        for r in map(corr.left_ring.monomial, corr.left_generator_symbols())
+        for r in map(m.ring.monomial, generators)
         for c in m.xp_basis for b in m.x_basis)
 
 
 class TestAdjointable:
     def test_delta_is_adjointable(self):
-        corr = quiver_correspondence(rose(2))
-        assert adjoint_law_holds(corr)
+        m = leavitt_module()
+        assert adjoint_law_holds(m, m.ring.basis)
 
     def test_action_nondegeneracy(self):
-        for corr in [quiver_correspondence(rose(2)),
-                     quiver_correspondence(A2),
-                     free_correspondence(DirectSumRing(ZZ, ["p", "q"]), [0, 1])]:
-            assert corr.check_nondegenerate_action()
+        for q in [rose(2), A2, TWO_LOOPS]:
+            m = leavitt_module(q)
+            assert check_nondegenerate_action(m, m.ring.basis)
+        # a left action by zero spans nothing
+        ring = DirectSumRing(ZZ, ["v"])
+        tables = dict(_one_vertex_tables(ring), x_left=lambda r, b: {})
+        m = FunctionalModule(ring=ring, x_basis=["x"], xp_basis=["c"],
+                             pairing=lambda c, b: ring.monomial("v"),
+                             **tables)
+        assert not check_nondegenerate_action(m, ring.basis)
 
     def test_theta_composition_laws(self):
         # f . theta_{x,phi} = theta_{f(x),phi} and
@@ -231,7 +245,8 @@ class TestAdjointable:
 class TestFunctionalHom:
     def test_identity_hom(self):
         m = leavitt_module()
-        assert check_functional_hom(FunctionalHom.identity(m))
+        assert check_functional_hom(FunctionalHom(
+            m, m, lambda b: {b: 1}, lambda c: {c: 1}))
 
     def test_quiver_hom_into_free_model(self):
         corr = quiver_correspondence(rose(2))
@@ -244,6 +259,16 @@ class TestFunctionalHom:
                             lambda b: {k: 2 * c for k, c in hom._U(b).items()},
                             hom._V)
         assert not check_functional_hom(bad)
+
+
+PIPELINE_RINGS = [ZZ, Zmod(6), QQ]
+POOL_GROUPS = ["grigorchuk", "basilica", "odometer"]
+
+
+def pool_group(name):
+    """A group of the benchmark pool, parsed from its file text."""
+    with open(POOL_PATH, encoding="utf-8") as handle:
+        return parse_selfsim(json.load(handle)["groups"][name]["text"])
 
 
 def frame_is_identity(m, frame):
@@ -275,16 +300,136 @@ class TestFrame:
         for i in range(len(frame)):
             assert not frame_is_identity(m, frame[:i] + frame[i + 1:])
 
-    @pytest.mark.parametrize("k", [ZZ, Zmod(6), QQ], ids=str)
+    @pytest.mark.parametrize("k", PIPELINE_RINGS, ids=str)
     def test_acceptance_quivers(self, k):
         for q in acceptance_quivers():
             self.assert_frame(quiver_correspondence(q, k).module)
 
-    @pytest.mark.parametrize("name", ["grigorchuk", "basilica", "odometer"])
+    @pytest.mark.parametrize("name", POOL_GROUPS)
     def test_pool_groups(self, name):
-        with open(POOL_PATH, encoding="utf-8") as handle:
-            text = json.load(handle)["groups"][name]["text"]
-        self.assert_frame(nek_module(parse_selfsim(text), ZZ))
+        self.assert_frame(nek_module(pool_group(name), ZZ))
+
+
+# ---------------------------------------------------------------------------
+# The hypotheses of the sequence.  Each checker runs over the listed bases
+# and a list of ring generators: the vertices of a quiver module, or the
+# identity and the generators of a self-similar group.
+# ---------------------------------------------------------------------------
+
+def group_generators(group):
+    return [IDENTITY] + [group.canonical(group.gen_word(g))
+                         for g in group.generators]
+
+
+def check_pairing_balance(module, generators):
+    """The pairing is a bimodule map on basis pairs and ring generators:
+    r . <phi, x> == <r . phi, x> and <phi, x> . r == <phi, x . r>."""
+    one = module.k.one
+    for r in map(module.ring.monomial, generators):
+        for c in module.xp_basis:
+            for b in module.x_basis:
+                val = module.pair({c: one}, {b: one})
+                if r * val != module.pair(module.act_xp_left(r, {c: one}),
+                                          {b: one}):
+                    return False
+                if val * r != module.pair({c: one},
+                                          module.act_right({b: one}, r)):
+                    return False
+    return True
+
+
+def check_nondegenerate_action(module, generators):
+    """Delta(R) X = X and X' Delta(R) = X', witnessed on generators.
+
+    Each basis vector of X is fixed by the action of its left support,
+    and each basis vector of X' by that of some listed ring generator (an
+    idempotent absorbing it); so the action spans the module, which is
+    the non-degeneracy required of a left action.
+    """
+    m = module
+    one = m.k.one
+    if any(m.act_left(m.x_left_support(b), {b: one}) != {b: one}
+           for b in m.x_basis):
+        return False
+    return all(any(m.act_xp_right({c: one}, m.ring.monomial(r)) == {c: one}
+                   for r in generators)
+               for c in m.xp_basis)
+
+
+def _rows_independent(k, rows):
+    """No nontrivial k-combination of the rows vanishes.
+
+    Read off the one Smith elimination of ``abgroup`` for every ring.
+    Clearing each row's denominators keeps independence.  Over Z and Q
+    the rows are independent iff the rank is the row count.  Over Z/m,
+    lambda . rows = 0 iff lambda is in ker(rows^T mod m), a sum of
+    Z/gcd(d_i, m) over the Smith invariants d_i plus
+    (Z/m)^(len(rows) - rank), so each d_i must also be a unit mod m.
+    """
+    if not rows:
+        return True
+    scaled = []
+    for row in rows:
+        row = [Fraction(x) for x in row]
+        scale = lcm(*(x.denominator for x in row))
+        scaled.append([int(x * scale) for x in row])
+    diag = IntMatrix.from_rows(scaled).smith_diagonal()
+    return len(diag) == len(rows) and (
+        not isinstance(k, ZmodRing)
+        or all(gcd(d, k.modulus) == 1 for d in diag))
+
+
+def nondegenerate(module):
+    """The pairing has trivial left and right null spaces.
+
+    The pairing table over the listed bases is flattened to ground
+    coefficients, one column per occurring ring basis symbol per partner,
+    and both null spaces are decided by ``_rows_independent``.
+    """
+    k = module.k
+    table = {(c, b): module.pair({c: k.one}, {b: k.one}).terms
+             for c in module.xp_basis for b in module.x_basis}
+    ring_syms = {sym: i for i, sym in enumerate(dict.fromkeys(
+        sym for val in table.values() for sym in val))}
+    ncols = max(len(ring_syms), 1)
+
+    def rows(outer, inner, key):
+        out = []
+        for a in outer:
+            row = [k.zero] * (ncols * len(inner))
+            for j, b in enumerate(inner):
+                for sym, coeff in table[key(a, b)].items():
+                    row[j * ncols + ring_syms[sym]] = coeff
+            out.append(row)
+        return out
+
+    return (_rows_independent(k, rows(module.xp_basis, module.x_basis,
+                                      lambda c, b: (c, b)))
+            and _rows_independent(k, rows(module.x_basis, module.xp_basis,
+                                          lambda b, c: (c, b))))
+
+
+class TestHypotheses:
+    """The checkers above pass on the modules TestFrame covers; each fails
+    on its own bad case in TestPairing, TestAdjointable and
+    TestNondegeneracy."""
+
+    @staticmethod
+    def assert_hypotheses(m, generators):
+        assert nondegenerate(m)
+        assert check_pairing_balance(m, generators)
+        assert check_nondegenerate_action(m, generators)
+
+    @pytest.mark.parametrize("k", PIPELINE_RINGS, ids=str)
+    def test_acceptance_quivers(self, k):
+        for q in acceptance_quivers():
+            m = quiver_correspondence(q, k).module
+            self.assert_hypotheses(m, m.ring.basis)
+
+    @pytest.mark.parametrize("name", POOL_GROUPS)
+    def test_pool_groups(self, name):
+        group = pool_group(name)
+        self.assert_hypotheses(nek_module(group, ZZ), group_generators(group))
 
 
 class TestNondegeneracy:
@@ -296,7 +441,6 @@ class TestNondegeneracy:
         assert nondegenerate(free_module(ring, [0, 1]))
 
     def test_degenerate_pairing_detected(self):
-        from pimsner.funcmod import FunctionalModule
         ring = DirectSumRing(ZZ, ["v"])
         m = FunctionalModule(
             ring=ring, x_basis=["x1", "x2"], xp_basis=["c1", "c2"],
@@ -313,7 +457,6 @@ class TestNondegeneracy:
         # independent iff no nonzero lambda in (Z/m)^rows kills every column
         from itertools import product
 
-        from pimsner.funcmod import _rows_independent
         rng = random.Random(46)
         for m in (4, 5, 6, 7):
             k = Zmod(m)
@@ -330,7 +473,6 @@ class TestNondegeneracy:
 
     def test_rows_independent_against_sympy_rank(self):
         sympy = pytest.importorskip("sympy")
-        from pimsner.funcmod import _rows_independent
         rng = random.Random(47)
         for k in (ZZ, QQ):
             for _ in range(60):
@@ -359,138 +501,6 @@ class TestNondegeneracy:
             pvec = {k: v for k, v in pvec.items() if v}
             if pvec:
                 assert corr.hom.v_of(pvec) != {}
-
-
-class TestDirectSum:
-    def test_cross_pairing_vanishes(self):
-        m1 = leavitt_module(rose(2))
-        m2 = quiver_correspondence(rose(2)).module
-        # same ring object required
-        m2 = m1
-        s = direct_sum(m1, m2)
-        assert s.pair({(0, ("e0", "*")): 1}, {(1, "e0"): 1}).is_zero()
-
-    def test_blocks_act_independently(self):
-        m = leavitt_module(rose(2))
-        s = direct_sum(m, m)
-        r = m.ring.monomial("v")
-        assert s.act_right({(0, "e0"): 1}, r) == {(0, "e0"): 1}
-        assert s.act_right({(1, "e1"): 1}, r) == {(1, "e1"): 1}
-
-    def test_basis_is_disjoint_union(self):
-        m = leavitt_module(rose(2))
-        s = direct_sum(m, m)
-        assert len(s.x_basis) == 2 * len(m.x_basis)
-
-    def test_ring_mismatch(self):
-        m1 = leavitt_module(rose(2))
-        m2 = leavitt_module(rose(2))
-        with pytest.raises(RingError):
-            direct_sum(m1, m2)
-
-    def test_sum_with_zero_module_relabels(self):
-        corr = quiver_correspondence(rose(2))
-        m = corr.module
-        zero = quiver_module_zero(m.ring)
-        s = direct_sum(m, zero)
-        assert [b for (_, b) in s.x_basis] == m.x_basis
-        for c in m.xp_basis:
-            for b in m.x_basis:
-                assert s.pair({(0, c): 1}, {(0, b): 1}) == \
-                    m.pair({c: 1}, {b: 1})
-
-
-def quiver_module_zero(ring):
-    """The zero functional module over a given ring."""
-    from pimsner.funcmod import FunctionalModule
-    return FunctionalModule(
-        ring=ring, x_basis=[], xp_basis=[],
-        pairing=lambda c, b: ring.zero(),
-        x_right=lambda b, r: {}, xp_left=lambda r, c: {},
-        x_left=lambda r, b: {}, xp_right=lambda c, r: {},
-        x_split=lambda b: (b, ring.zero()),
-        xp_split=lambda c: (ring.zero(), c),
-        x_left_support=lambda b: ring.zero(),
-        xp_left_support=lambda c: ring.zero(),
-        label="0")
-
-
-class TestTensor:
-    def test_a2_square_is_zero(self):
-        # no length-2 paths in A2, so X (x) X has empty basis
-        corr = quiver_correspondence(A2)
-        sq = tensor(corr, corr)
-        assert sq.module.x_basis == []
-        assert sq.module.xp_basis == []
-
-    def test_rose_square_basis(self):
-        corr = quiver_correspondence(rose(2))
-        sq = tensor(corr, corr)
-        assert len(sq.module.x_basis) == 4
-        assert check_functional_hom(sq.hom)
-
-    def test_unit_law_up_to_relabeling(self):
-        corr = quiver_correspondence(rose(2))
-        ring = corr.module.ring
-        unit = free_correspondence(ring, ["*"])
-        prod = tensor(corr, unit)
-        # bijection e -> (e, ("*", vertex)) preserving all tables
-        relabel = {}
-        for b in corr.module.x_basis:
-            hits = [key for key in prod.module.x_basis if key[0] == b]
-            assert len(hits) == 1
-            relabel[b] = hits[0]
-        for c in corr.module.xp_basis:
-            for b in corr.module.x_basis:
-                want = corr.module.pair({c: 1}, {b: 1})
-                chit = [key for key in prod.module.xp_basis
-                        if key[1] == c]
-                assert len(chit) == 1
-                got = prod.module.pair({chit[0]: 1}, {relabel[b]: 1})
-                assert got == want
-
-    def test_pairing_formula(self):
-        # (psi (x) phi)(x (x) y) = psi(phi(x) . y); vanishing inner pairing
-        # kills the whole value
-        corr = quiver_correspondence(rose(2))
-        sq = tensor(corr, corr)
-        m = sq.module
-        key_x = m.x_basis[0]
-        for c in m.xp_basis:
-            val = m.pair({c: 1}, {key_x: 1})
-            cy, cx = c
-            inner = corr.module.pair({cx: 1}, {key_x[0]: 1})
-            if inner.is_zero():
-                assert val.is_zero()
-
-    def test_left_supports_fix_every_symbol(self):
-        # the tensor module carries both left supports, on X and on X'
-        corr = quiver_correspondence(_PAIR_QUIVER)
-        m = tensor(corr, corr).module
-        assert m.x_basis and m.xp_basis
-        for b in m.x_basis:
-            assert m.act_left(m.x_left_support(b), {b: 1}) == {b: 1}
-        for c in m.xp_basis:
-            assert m.act_xp_left(m.xp_left_support(c), {c: 1}) == {c: 1}
-
-    def test_middle_ring_mismatch(self):
-        c1 = quiver_correspondence(rose(2))
-        c2 = quiver_correspondence(rose(2))
-        with pytest.raises(RingError):
-            tensor(c1, c2)
-
-    def test_tensor_pairing_against_direct_computation(self):
-        corr = quiver_correspondence(rose(2))
-        sq = tensor(corr, corr)
-        m0, m = corr.module, sq.module
-        one = 1
-        for (bx, by) in m.x_basis:
-            for (cy, cx) in m.xp_basis:
-                got = m.pair({(cy, cx): one}, {(bx, by): one})
-                inner = m0.pair({cx: one}, {bx: one})
-                want = m0.pair({cy: one}, m0.act_left(inner, {by: one})) \
-                    if not inner.is_zero() else m0.ring.zero()
-                assert got == want
 
 
 class TestTensorNormalForm:
@@ -573,7 +583,7 @@ def _old_act(m, table, relt, vec, ring_first):
 
 
 _ACTION_MODULES = dict(_PAIR_MODULES, laurent=free_module(
-    LaurentRing(Zmod(6)), [0, 1]))
+    laurent(Zmod(6)), [0, 1]))
 
 
 class TestActions:
@@ -586,7 +596,7 @@ class TestActions:
         m = _ACTION_MODULES[spec]
         k, ring = m.k, m.ring
         coeff = st.integers(-7, 7)
-        rsyms = ring.basis or list(range(-2, 3))
+        rsyms = ring.basis or list(map(t, range(-2, 3)))
         relt = RingElement(ring, data.draw(st.dictionaries(
             st.sampled_from(rsyms), coeff, min_size=2, max_size=4)))
         xvec = vclean(k, data.draw(st.dictionaries(

@@ -31,8 +31,8 @@ from pimsner.ringcore import (
     RingError,
     Zmod,
     coefficient_ring,
-    local_unit_for,
 )
+from test_ringcore import assert_local_unit
 
 
 def degrees(element):
@@ -304,12 +304,11 @@ class TestLeavittArithmetic:
         L = LeavittRing(rose(2))
         els = [L.path(["e0", "e1"]), L.ghost(["e1"]),
                L.monomial_pq(("e0",), ("e1",)), L.vertex("v")]
-        e = local_unit_for(els)
-        assert e == L.vertex("v")
+        assert_local_unit(L.vertex("v"), els)
 
     def test_local_units_on_random_element_sets(self):
-        # local_unit_for validates the fixing property itself, so success
-        # on arbitrary finite sets is the local-unit property
+        # the sum of the vertices p q* starts from, on either side, fixes
+        # every element of an arbitrary finite set
         rng = random.Random(31)
         q = parse_quiver(
             "vertices: a b c\nedges:\n x: a -> b\n y: b -> c\n z: c -> a")
@@ -323,8 +322,10 @@ class TestLeavittArithmetic:
             els = [e for e in els if not e.is_zero()]
             if not els:
                 continue
-            e = local_unit_for(els)
-            assert e * e == e
+            verts = {q.s(path[0]) if path else v
+                     for el in els for v, p, g in el.terms for path in (p, g)}
+            assert_local_unit(sum(map(L.vertex, sorted(verts)), L.zero()),
+                              els)
 
     def test_grading(self):
         L = LeavittRing(rose(2))

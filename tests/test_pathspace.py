@@ -2,7 +2,9 @@
 ``tests/pathspace.py``: covered degrees, target degrees (``outs``) and the
 column at every basis key.  The cases are the 20 acceptance quivers at
 depth 3 and rose2, a2 and the two-cycle at depth 4, over Z and Z/6, and
-the rank-one module over Q, which is rose1 with the edge ``("*", "u")``.
+the rank-one module, rose1, over Q at depth 4.  ``j_ideal_generator``
+builds the generators of the covariance ideal J_X that the Fock tests
+share.
 """
 
 import random
@@ -13,12 +15,11 @@ import pytest
 
 from pathspace import PathSpace
 from pimsner.fock import (
-    TruncatedFock, _defect_keys_at, check_p0_form, covariant_check,
-    j_ideal_generator, p0_compact_form, quasi_hom_defect, word_operator,
+    DepthError, TruncatedFock, _defect_keys_at, check_p0_form,
+    covariant_check, p0_compact_form, quasi_hom_defect, word_operator,
     word_tokens_of)
-from pimsner.funcmod import free_correspondence
-from pimsner.leavitt import Quiver, quiver_correspondence
-from pimsner.ringcore import QQ, ZZ, DirectSumRing, Zmod
+from pimsner.leavitt import Quiver, quiver_correspondence, rose
+from pimsner.ringcore import QQ, ZZ, Zmod
 from test_acceptance import acceptance_quivers
 
 SMALL = [[("e0", "v", "v"), ("e1", "v", "v")], [("e", "v", "w")],
@@ -56,20 +57,33 @@ class Case:
         return self.space.word([self.token(t) for t in tokens], variant)
 
 
+def j_ideal_generator(xvecs, relt, pvecs, fock):
+    """T_{x_1}..T_{x_n} (i.P0) T_{phi_1}..T_{phi_m}, a generator of the
+    covariance ideal: a rank-one block operator whose only nonzero block
+    sits at target degree n, source degree m."""
+    n, m = len(xvecs), len(pvecs)
+    if n > fock.depth or m > fock.depth:
+        raise DepthError(
+            f"generator block ({n},{m}) outside truncation range")
+    op = p0_compact_form(relt, fock)
+    for pvec in pvecs:
+        op = op.compose(fock.token_op(("phi", pvec)))
+    for xvec in reversed(xvecs):
+        op = fock.token_op(("x", xvec)).compose(op)
+    return op
+
+
 @cache
 def cases(family):
-    if family == "rank-one-q":
-        fk = TruncatedFock(free_correspondence(DirectSumRing(QQ, ["u"]),
-                                               ["*"]), 4)
-        space = PathSpace(["u"], [(("*", "u"), "u", "u")], 4)
-        return [Case(fk, space, lambda c: c)]
-    quivers, ring = family.split("-")
-    k, depth = (ZZ if ring == "z" else Zmod(6)), 3
-    if quivers == "small":
-        quivers, depth = [Quiver(list(dict.fromkeys(
-            v for e in edges for v in e[1:])), edges) for edges in SMALL], 4
+    quivers, _, ring = family.rpartition("-")
+    k, depth = {"z": ZZ, "zmod6": Zmod(6), "q": QQ}[ring], 4
+    if quivers == "acceptance":
+        quivers, depth = acceptance_quivers(), 3
+    elif quivers == "small":
+        quivers = [Quiver(list(dict.fromkeys(
+            v for e in edges for v in e[1:])), edges) for edges in SMALL]
     else:
-        quivers = acceptance_quivers()
+        quivers = [rose(1)]
     return [Case(TruncatedFock(quiver_correspondence(q, k), depth),
                  PathSpace(q.vertices, [(e, q.s(e), q.r(e)) for e in q.edges],
                            depth, getattr(k, "modulus", None)),

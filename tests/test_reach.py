@@ -30,9 +30,20 @@ name that phase 1 calls or that has left ``src/``: it leaves its list.
 ``RESERVED`` holds what a ROADMAP direction will give a pipeline reader;
 ``KEPT`` holds what an acceptance criterion or the benchmark reads.
 There is no list for code that only the tests call: it moves into the
-test that needs it, or goes.
+test that needs it, or goes.  So the checkers of the paper's hypotheses
+(non-degeneracy, pairing balance, a non-degenerate left action) and the
+covariance-ideal generators live in ``tests/test_funcmod.py`` and
+``tests/test_pathspace.py``.
 
-Run ``python -I -S tests/test_reach.py`` to print the census as JSON.
+Run ``python -I -S tests/test_reach.py`` to print the census as JSON, and
+``python -I -S tests/test_reach.py --statements`` to print, per module,
+the function-body statements that phase 1 never runs over their total,
+with the first line of each.  A statement is one inside a function in
+scope, nested ones included, except docstrings, ``global`` and
+``nonlocal`` declarations, which run no code, and nested ``def`` and
+``class`` statements, whose bodies are counted instead; it runs when its
+first line does, under ``sys.settrace``.  The statement level is a measurement, not
+a guard: no test reads it.
 """
 
 import ast
@@ -52,18 +63,8 @@ DATA = os.path.join(ROOT, "tests", "data")
 
 # a key is a function, ``Class.method``, or a class for all its methods
 RESERVED = {
-    "j_ideal_generator": "direction 5: the J_X generators verify suite",
-    "check_pairing_balance": "direction 5: the pairing balance suite",
-    "nondegenerate": "direction 5: the non-degeneracy suite",
-    "Correspondence.check_nondegenerate_action":
-        "direction 5: the non-degeneracy suite",
-    "free_correspondence": "direction 3: [X (+) Y] and [X (x) Y] oracles",
-    "tensor": "direction 3: the [X (x)_R Y] = [X][Y] oracle",
-    "LaurentRing": "direction 3: Katsura's O_{A,B} over Laurent rings",
-    "local_unit_for": "direction 5: the non-degeneracy suite's local units",
     "FunctionalModule.append_normal":
         "direction 2: perfbench/tracing.py wraps it by name",
-    "direct_sum": "direction 3: the [X (+) Y] = [X] + [Y] oracle",
 }
 
 KEPT = {
@@ -100,22 +101,46 @@ SHALLOW = ["--fock-depth", "4", "--word-bound", "2"]
 # ---------------------------------------------------------------------------
 
 @functools.cache
+def _in_scope(path):
+    """Each function in scope in one source file, as ``(node, name)``."""
+    with open(path, encoding="utf-8") as handle:
+        tree = ast.parse(handle.read())
+    out = []
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            out.append((node, node.name))
+        elif isinstance(node, ast.ClassDef):
+            out += [(sub, f"{node.name}.{sub.name}") for sub in node.body
+                    if isinstance(sub, ast.FunctionDef)]
+    return out
+
+
+# a nested definition is counted by the statements of its body
+_NOT_COUNTED = (ast.FunctionDef, ast.ClassDef, ast.Global, ast.Nonlocal)
+
+
+@functools.cache
 def definitions(path):
     """Each function in scope in one source file, as its first line ->
     ``module.name``; the first line is the one its code object reports,
     the first decorator's line for a decorated function.  Read once per
     session: do not mutate it."""
-    with open(path, encoding="utf-8") as handle:
-        tree = ast.parse(handle.read())
     module = os.path.splitext(os.path.basename(path))[0]
-    out = {}
-    for node in tree.body:
-        if isinstance(node, ast.FunctionDef):
-            out[_first_line(node)] = f"{module}.{node.name}"
-        elif isinstance(node, ast.ClassDef):
-            for sub in node.body:
-                if isinstance(sub, ast.FunctionDef):
-                    out[_first_line(sub)] = f"{module}.{node.name}.{sub.name}"
+    return {_first_line(fn): f"{module}.{name}"
+            for fn, name in _in_scope(path)}
+
+
+def statements(path):
+    """The first line of each function-body statement in one source
+    file (see the module docstring)."""
+    out = set()
+    for fn, _ in _in_scope(path):
+        docs = {id(node.body[0]) for node in ast.walk(fn)
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                and ast.get_docstring(node, clean=False) is not None}
+        out.update(node.lineno for node in ast.walk(fn)
+                   if isinstance(node, ast.stmt) and id(node) not in docs
+                   and not isinstance(node, _NOT_COUNTED))
     return out
 
 
@@ -147,6 +172,27 @@ def record(run):
     finally:
         sys.setprofile(None)
     return result, {(c.co_filename, c.co_firstlineno) for c in codes}
+
+
+def record_lines(run):
+    """``(run(), ran)``: what ``run()`` returns, and the ``(file, line)``
+    of each line of ``src/pimsner`` that it ran."""
+    ran = set()
+
+    def line(frame, event, _arg):
+        if event == "line":
+            ran.add((frame.f_code.co_filename, frame.f_lineno))
+        return line
+
+    def call(frame, _event, _arg):
+        return line if frame.f_code.co_filename.startswith(SRC) else None
+
+    sys.settrace(call)
+    try:
+        result = run()
+    finally:
+        sys.settrace(None)
+    return result, ran
 
 
 # ---------------------------------------------------------------------------
@@ -218,49 +264,19 @@ def listed():
     """Call each RESERVED and KEPT name once, on the inputs its tests
     use."""
     from pimsner import abgroup, fock, funcmod, leavitt, selfsim
-    from pimsner.ringcore import (ZZ, DirectSumRing, LaurentRing,
-                                  MatrixRing, local_unit_for)
+    from pimsner.ringcore import ZZ, DirectSumRing, MatrixRing
 
     rose2 = leavitt.rose(2)
     corr = leavitt.quiver_correspondence(rose2)
     module = corr.module
 
-    # direction 5: non-degeneracy and its local units, also over
-    # k[x, x^-1]; pairing balance, also over a group ring; the J_X
-    # generators
-    assert funcmod.nondegenerate(module)
-    assert corr.check_nondegenerate_action()
-    leavitt_ring = leavitt.LeavittRing(rose2)
-    for els in ([leavitt_ring.vertex("v"), leavitt_ring.ghost(["e1"])],
-                [DirectSumRing(ZZ, "vw").monomial("v")],
-                [LaurentRing(ZZ).monomial(2)]):
-        local_unit_for(els)
-    assert funcmod.check_pairing_balance(module)
-    assert funcmod.check_pairing_balance(
-        selfsim.nek_module(selfsim.odometer(), ZZ))
-    with fock.TruncatedFock(corr, 4) as fk:
-        v = fk.ring.monomial("v")
-        gen = fock.j_ideal_generator([{"e0": 1}], v, [{("e1", "*"): 1}], fk)
-        assert gen.column((1, ("e1",))) == {(1, ("e0",)): 1}
-        # criterion 9: the vacuum compression
-        assert fock.check_p0_form(fock.p0_compact_form(v, fk), v, fk,
-                                  range(5))
-    ring = DirectSumRing(ZZ, ["u"])
-    with fock.TruncatedFock(funcmod.free_correspondence(ring, ["*"]),
-                            4) as fk:
-        gen = fock.j_ideal_generator([{("*", "u"): 1}], ring.monomial("u"),
-                                     [], fk)
-        # only source degree 0 reaches the block (1, 0), which holds x . u
-        assert {key: gen.column(key) for d in range(5)
-                for key in fk.basis(d) if gen.column(key)} \
-            == {(0, ("u",)): {(1, (("*", "u"),)): 1}}
-
-    # direction 3: sums and balanced tensor products of correspondences
-    unit = funcmod.free_correspondence(module.ring, ["*"])
-    assert funcmod.check_functional_hom(funcmod.tensor(corr, unit).hom)
-    assert funcmod.direct_sum(module, module).x_basis
     # direction 2: the benchmark's tracer wraps append_normal
     assert module.append_normal(("e0",), "e1") == {("e0", "e1"): 1}
+    # criterion 9: the vacuum compression
+    with fock.TruncatedFock(corr, 4) as fk:
+        v = fk.ring.monomial("v")
+        assert fock.check_p0_form(fock.p0_compact_form(v, fk), v, fk,
+                                  range(5))
 
     # criteria 1 and 2: Smith form with transforms, and determinants
     mat = abgroup.IntMatrix.from_rows([[2, 4, 4], [-6, 6, 12], [10, 4, 16]])
@@ -289,6 +305,7 @@ def listed():
     assert [seg.kernel for _, seg in rose_segs[0]] \
         == [seg.kernel for _, seg in nek_segs[0]]
     # criterion 9: the Leavitt relations
+    leavitt_ring = leavitt.LeavittRing(rose2)
     assert leavitt_ring.ghost(["e0"]) * leavitt_ring.path(["e0"]) \
         == leavitt_ring.vertex("v")
 
@@ -308,6 +325,24 @@ def census():
     return {"codes": codes,
             "pipelines": sorted(c for c in first if c[0].startswith(SRC)),
             "listed": sorted(c for c in second if c[0].startswith(SRC))}
+
+
+def statement_census():
+    """Phase 1, run in this interpreter under ``sys.settrace``: one text
+    line per module of ``src/pimsner``, the function-body statements it
+    never runs over their total and the first line of each, then the
+    totals."""
+    sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
+    with tempfile.TemporaryDirectory() as tmp:
+        _, ran = record_lines(lambda: pipelines(tmp))
+    lines, missed, total = [], 0, 0
+    for path in _sources():
+        stmts = statements(path)
+        never = sorted(line for line in stmts if (path, line) not in ran)
+        missed, total = missed + len(never), total + len(stmts)
+        lines.append(f"{os.path.basename(path)} {len(never)}/{len(stmts)}: "
+                     + " ".join(map(str, never)))
+    return "\n".join(lines + [f"src/pimsner {missed}/{total}"])
 
 
 @functools.cache
@@ -384,4 +419,7 @@ def test_uncalled_names_exactly_the_uncalled_function(tmp_path):
 
 
 if __name__ == "__main__":
-    print(json.dumps(census()))
+    if sys.argv[1:] == ["--statements"]:
+        print(statement_census())
+    else:
+        print(json.dumps(census()))

@@ -14,13 +14,11 @@ from pimsner.ringcore import (
     CoefficientRing,
     DirectSumRing,
     Fp,
-    LaurentRing,
     MatrixRing,
     RingElement,
     RingError,
     Zmod,
     coefficient_ring,
-    local_unit_for,
     vadd,
     vapply,
     vclean,
@@ -28,6 +26,7 @@ from pimsner.ringcore import (
     vmul,
     vscale,
 )
+from pimsner.selfsim import odometer
 
 
 class TestCoefficientRings:
@@ -72,8 +71,20 @@ class TestCoefficientRings:
             Zmod(2 ** 40)
 
 
-def laurent_zz():
-    return LaurentRing(ZZ)
+def laurent(k=ZZ):
+    """k[t, t^-1], a ring with no finite basis, as the group ring of the
+    odometer, whose generator a has infinite order: t is a."""
+    return odometer().group_ring(k)
+
+
+def t(n):
+    """The symbol of t^n in ``laurent(k)``: the reduced word a^n."""
+    return (("a", 1 if n > 0 else -1),) * abs(n)
+
+
+def degree(sym):
+    """The n of the symbol t^n."""
+    return sum(exp for _, exp in sym)
 
 
 def reference_coerce(k, value):
@@ -149,9 +160,9 @@ class TestRingElements:
         assert (one_v + one_v.scale(-1)).is_zero()
 
     def test_laurent_add(self):
-        r = laurent_zz()
-        el = r.monomial(1) + r.monomial(-1)
-        assert el.terms == {1: 1, -1: 1}
+        r = laurent()
+        el = r.monomial(t(1)) + r.monomial(t(-1))
+        assert el.terms == {t(1): 1, t(-1): 1}
 
     def test_orthogonal_idempotents(self):
         r = DirectSumRing(ZZ, ["v", "w"])
@@ -166,8 +177,8 @@ class TestRingElements:
         assert (e12 * e12).is_zero()
 
     def test_laurent_inverse_powers(self):
-        r = laurent_zz()
-        assert r.monomial(2) * r.monomial(-2) == r.monomial(0)
+        r = laurent()
+        assert r.monomial(t(2)) * r.monomial(t(-2)) == r.monomial(t(0))
 
     def test_ring_mismatch(self):
         r1 = DirectSumRing(ZZ, ["v"])
@@ -189,8 +200,8 @@ def _assert_clean(el):
 
 
 def _random_vector(rng, size=4):
-    """Symbols (i, n) of the free module over k[x, x^-1] on {0, 1}."""
-    return {(rng.randint(0, 1), rng.randint(-2, 2)): rng.randint(-3, 3)
+    """Symbols (i, t^n) of the free module over k[t, t^-1] on {0, 1}."""
+    return {(rng.randint(0, 1), t(rng.randint(-2, 2))): rng.randint(-3, 3)
             for _ in range(size)}
 
 
@@ -199,7 +210,7 @@ class TestCleanArithmetic:
 
     @pytest.mark.parametrize("k", [ZZ, QQ, Zmod(6)], ids=str)
     def test_results_hold_no_zero_and_only_coerced_values(self, k):
-        ring = LaurentRing(k)
+        ring = laurent(k)
         rng = random.Random(17)
         zeros = 0
         for _ in range(300):
@@ -239,11 +250,12 @@ class TestCleanArithmetic:
     def test_module_sums_are_clean(self, k):
         # multi-term pairings, hom images and operator actions equal the
         # sums of their one-term pieces, with every cancelled entry gone
-        ring = LaurentRing(k)
+        ring = laurent(k)
         mod = free_module(ring, [0, 1])
         hom = FunctionalHom(
             mod, mod,
-            lambda b: {b: 2, (b[0], b[1] + 1): -2, (1 - b[0], b[1]): 3},
+            lambda b: {b: 2, (b[0], t(degree(b[1]) + 1)): -2,
+                       (1 - b[0], b[1]): 3},
             lambda c: {c: 1})
         rng = random.Random(23)
         pair_drops = image_drops = 0
@@ -257,7 +269,7 @@ class TestCleanArithmetic:
                 for b, cb in xvec.items():
                     want = want + mod.pair({c: cc}, {b: cb})
             assert paired == want
-            touched = {c[1] + b[1] for c in pvec for b in xvec
+            touched = {degree(c[1]) + degree(b[1]) for c in pvec for b in xvec
                        if c[0] == b[0]}
             pair_drops += len(paired.terms) < len(touched)
 
@@ -283,19 +295,20 @@ class TestCleanArithmetic:
 
     def test_module_zero_divisor_terms_drop_out_mod_6(self):
         k = Zmod(6)
-        mod = free_module(LaurentRing(k), [0])
-        # x^1 gets 2 * 3 = 0 and x^0 gets 1 * 3 + 2 * 5 = 1
-        pvec = {(0, 0): 1, (0, 1): 2}
-        xvec = {(0, 0): 3, (0, -1): 5}
-        assert mod.pair(pvec, xvec).terms == {0: 1, -1: 5}
-        hom = FunctionalHom(mod, mod, lambda b: {b: 3, (0, 9): 2},
+        mod = free_module(laurent(k), [0])
+        # t^1 gets 2 * 3 = 0 and t^0 gets 1 * 3 + 2 * 5 = 1
+        pvec = {(0, t(0)): 1, (0, t(1)): 2}
+        xvec = {(0, t(0)): 3, (0, t(-1)): 5}
+        assert mod.pair(pvec, xvec).terms == {t(0): 1, t(-1): 5}
+        hom = FunctionalHom(mod, mod, lambda b: {b: 3, (0, t(9)): 2},
                             lambda c: {c: 1})
-        # (0, 9) gets 2 * 3 + 2 * 3 = 0, each image entry 3 * 3 = 3
-        assert hom.u_of({(0, 0): 3, (0, 1): 3}) == {(0, 0): 3, (0, 1): 3}
-        op = CompactOperator(mod, [({(0, 0): 1}, {(0, 0): 2}),
-                                   ({(0, 0): 1}, {(0, 0): 4})])
+        # (0, t^9) gets 2 * 3 + 2 * 3 = 0, each image entry 3 * 3 = 3
+        assert hom.u_of({(0, t(0)): 3, (0, t(1)): 3}) == \
+            {(0, t(0)): 3, (0, t(1)): 3}
+        op = CompactOperator(mod, [({(0, t(0)): 1}, {(0, t(0)): 2}),
+                                   ({(0, t(0)): 1}, {(0, t(0)): 4})])
         # the two terms give 2 + 4 = 0
-        assert op.apply({(0, 0): 1}) == {}
+        assert op.apply({(0, t(0)): 1}) == {}
 
 
 KERNEL_RINGS = [ZZ, QQ, Zmod(6), Fp(2)]
@@ -394,19 +407,28 @@ class TestIdempotents:
             assert el * el == el
 
 
+def assert_local_unit(e, els):
+    """``e`` is an idempotent that fixes every element of ``els`` on both
+    sides."""
+    assert e * e == e
+    for el in els:
+        assert e * el == el and el * e == el
+
+
 class TestLocalUnits:
+    """Every finite set of elements is fixed on both sides by an
+    idempotent: the sum of the basis idempotents it is supported on in a
+    direct sum, and t^0 in k[t, t^-1]."""
+
     def test_direct_sum(self):
         r = DirectSumRing(ZZ, ["v", "w", "u"])
-        e = local_unit_for([r.monomial("v"), r.monomial("w")])
-        assert e == r.monomial("v") + r.monomial("w")
-
-    def test_empty_convention(self):
-        r = DirectSumRing(ZZ, ["v"])
-        assert local_unit_for([], ring=r).is_zero()
+        v, w, u = map(r.monomial, ["v", "w", "u"])
+        assert_local_unit(v + w, [v, w, v.scale(2) + w.scale(-3)])
+        assert ((v + w) * u).is_zero()
 
     def test_random_subsets(self):
         rng = random.Random(17)
-        rings = [DirectSumRing(ZZ, list("pqrs")), laurent_zz()]
+        rings = [DirectSumRing(ZZ, list("pqrs")), laurent()]
         for ring in rings:
             for _ in range(30):
                 els = []
@@ -414,21 +436,20 @@ class TestLocalUnits:
                     if ring.basis is not None:
                         syms = rng.sample(ring.basis, k=min(2, len(ring.basis)))
                     else:
-                        syms = [rng.randint(-3, 3) for _ in range(2)]
+                        syms = [t(rng.randint(-3, 3)) for _ in range(2)]
                     els.append(RingElement(
                         ring, {s: rng.randint(-2, 2) for s in syms}))
-                e = local_unit_for(els, ring=ring)
-                assert e * e == e
-                for el in els:
-                    assert e * el == el
-                    assert el * e == el
+                support = {s for el in els for s in el.terms}
+                e = ring.monomial(t(0)) if ring.basis is None else \
+                    RingElement(ring, dict.fromkeys(support, 1))
+                assert_local_unit(e, els)
 
 
 def random_element(ring, rng, size=3, coeff_hi=3):
     if ring.basis is not None:
         syms = [rng.choice(ring.basis) for _ in range(size)]
     else:
-        syms = [rng.randint(-4, 4) for _ in range(size)]
+        syms = [t(rng.randint(-4, 4)) for _ in range(size)]
     return RingElement(ring, {s: rng.randint(-coeff_hi, coeff_hi)
                               for s in syms})
 
@@ -438,8 +459,8 @@ def random_element(ring, rng, size=3, coeff_hi=3):
     lambda: DirectSumRing(Zmod(6), list("xy")),
     lambda: MatrixRing(DirectSumRing(ZZ, ["1"]), [0, 1, 2]),
     lambda: MatrixRing(DirectSumRing(QQ, ["v", "w"]), [0, 1]),
-    lambda: LaurentRing(ZZ),
-    lambda: LaurentRing(Fp(5)),
+    lambda: laurent(ZZ),
+    lambda: laurent(Fp(5)),
 ])
 def test_ring_axioms(make_ring):
     """Associativity and distributivity on randomized triples, every kind."""

@@ -46,8 +46,6 @@ ALLOWED = {
                           "that the covariance check can fail",
     "LeavittRing(k)": "the reduction oracle in tests/test_leavitt.py runs "
                       "the Leavitt product over Q, Z/6 and F_2",
-    "local_unit_for(ring)": "the tests pass it so that the zero of the "
-                            "empty list has a ring",
 }
 
 NOT_IMPORTED = {
