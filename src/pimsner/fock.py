@@ -7,9 +7,12 @@ Creation operators prepend a vector, annihilation operators pair off the
 first tensor factor, and scalars act through the left action.  An
 R-system has no involution, so nothing here acts on a dual Fock module:
 ``TruncatedFock.token_op`` builds the three kinds from one table,
-``_KINDS``, of degree shift and lowest live degree.  Every operator is an
-exact flat sum of generator words, whose columns are read by chasing a
-basis key through each word's memoized generator columns, and knows which
+``_KINDS``, of degree shift and lowest live degree.  Every basis key of
+the truncation has a global index, and the generator of each basis symbol
+is one list, its leaf, mapping every index to the index of its image or to
+-1.  Every operator is an exact flat sum of words in the leaves: a word's
+image is its first leaf's live indices, carried through each later leaf's
+list, and operators compare by these images.  Every operator knows which
 source degrees its columns are defined on, so identities are only asserted
 within the truncation budget: a check at source degree d runs only when
 every intermediate degree of the word stays <= N, and checkers report how
@@ -40,10 +43,12 @@ The module also provides:
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import defaultdict
-from functools import partial, reduce
+from functools import cache, reduce
+from itertools import accumulate, compress
 
-from .ringcore import RingError, vadd, vapply, vdrop, vmul, vscale
+from .ringcore import RingError, vadd, vapply, vclean, vdrop, vmul, vscale
 
 
 class DepthError(RuntimeError):
@@ -87,15 +92,16 @@ def rotation_coefficient_identity():
 # The most basis keys, summed over degrees 0..N, that a truncation may
 # hold.  A quiver of at most 4 vertices and 6 edges has at most 55,990 at
 # depth 6.  rose2 has 32,767 at depth 14, where a quiver verify takes
-# about 4 s, and each further degree doubles both.
+# about 0.6 s and 33 MB (Python 3.11, 2 cores), and each further degree
+# doubles the keys.
 MAX_FOCK_DIMENSION = 1 << 16
 
 # The deepest truncation.  Each operator keeps a (depth + 1)-bit mask per
 # covered degree, so the cost grows with the depth even where the key
 # budget never trips: an acyclic quiver's path counts end, and rose1 has
-# one key per degree.  A quiver verify at depth 4,000 took 1.6 s on a2
-# and 11.7 s on rose1 (Python 3.11, 2 cores).  No test or workload goes
-# past 16.
+# one key per degree.  A quiver verify at depth 64 took 4 ms on a2 and
+# 10 ms on rose1, in process (Python 3.11, 2 cores).  No test or workload
+# goes past 16.
 MAX_FOCK_DEPTH = 64
 
 # kind -> (degree shift, lowest degree not killed under pi0); pi1 kills
@@ -122,12 +128,17 @@ class TruncatedFock:
 
     Basis keys are ``(degree, tuple)``; the degree-zero tuple holds a
     single ring basis symbol.  The ring and the module must be finitely
-    enumerated for the bases to exist.  ``token_op`` builds and caches
-    every generator operator; ``zero_op`` is the only other operator made
-    here.  The cached operators refer back to the module, so leaving a
-    ``with`` block drops them and lets the module, its columns and any
-    homotopy model built on it be freed by reference counting; the module
-    stays usable and rebuilds what it needs.
+    enumerated for the bases to exist.  Once a generator is built, every
+    key of degrees 0..N has a global index, degree-major in ``basis``
+    order: ``_keys`` lists the keys, ``_index`` maps a key to its index,
+    and degree d is the index range ``_offsets[d]:_offsets[d + 1]``.
+    ``token_op`` builds and caches every generator operator from the
+    ``_Leaf`` of each basis symbol, kept in ``_leaves``; ``zero_op`` is
+    the only other operator made here.  The cached operators refer back to
+    the module, so leaving a ``with`` block drops them and the leaves and
+    lets the module and any homotopy model built on it be freed by
+    reference counting; the module stays usable and rebuilds what it
+    needs.
     """
 
     def __init__(self, corr, depth):
@@ -148,6 +159,8 @@ class TruncatedFock:
         self._basis = {0: [(0, (rsym,)) for rsym in self.ring.basis]}
         self._dual = {0: [(0, (rsym,)) for rsym in self.ring.basis]}
         self._tok_ops = {}
+        self._leaves = {}
+        self._index = None
         self._talg = ToeplitzAlgebra(corr)
 
     def __enter__(self):
@@ -155,6 +168,7 @@ class TruncatedFock:
 
     def __exit__(self, *exc):
         self._tok_ops.clear()
+        self._leaves.clear()
 
     def token_op(self, token, variant="pi0"):
         """The operator of one generator token under pi0 or pi1.
@@ -164,10 +178,11 @@ class TruncatedFock:
         the only constructor of a generator operator: its degree shift and
         the degrees it kills are read off ``_KINDS``, and it is kept per
         (kind, payload items, variant), so words compose these cached
-        operators.  It is the one-leaf word whose pi0 leaf memoizes the
-        columns of ``_column``; the pi1 leaf kills one degree more and
-        otherwise reads pi0's memo, so each generator has one column cache.
-        Callers must not mutate a returned operator.
+        operators.  The payload is split into basis symbols, so
+        ``("x", {b: 2})`` is 2 T_b and ``("r", 3v + w)`` is 3 sigma_v +
+        sigma_w: the operator is the sum of the one-leaf words of its
+        symbols' ``_leaf``s, with the payload's coefficients.  Callers
+        must not mutate a returned operator.
         """
         key = _token_key(token) + (variant,)
         op = self._tok_ops.get(key)
@@ -178,18 +193,68 @@ class TruncatedFock:
             if variant not in ("pi0", "pi1"):
                 raise RingError(f"unknown representation {variant!r}")
             shift, low = _KINDS[kind]
-            if variant == "pi0":
-                leaf = _Columns(partial(_kill_below, low, partial(
-                    self._column, kind, payload))).__getitem__
-            else:
-                [(leaf,)] = self.token_op(token, "pi0").terms
+            if variant == "pi1":
                 low += 1
-                leaf = partial(_kill_below, low, leaf)
             outs = {d: 1 << (d + shift) if d >= low else 0
                     for d in range(self.depth + 1 - max(shift, 0))}
-            op = FockOperator(self, {(leaf,): self.k.one}, outs)
+            terms = payload.terms if kind == "r" else payload
+            op = FockOperator(self, vclean(self.k, {
+                (self._leaf(kind, sym, variant),): c
+                for sym, c in terms.items()}), outs)
             self._tok_ops[key] = op
         return op
+
+    def _leaf(self, kind, sym, variant):
+        """The ``_Leaf`` of one basis symbol's generator, built once.
+
+        pi0's is read off ``_column`` once per key of the degrees the kind
+        does not kill; pi1's copies it with one more degree killed and
+        shares its live indices.  A column with two keys, or a coefficient
+        other than one, raises ``RingError``: a leaf is a partial map of
+        basis keys.
+        """
+        leaf = self._leaves.get((kind, sym, variant))
+        if leaf is None:
+            shift, low = _KINDS[kind]
+            index, keys, offsets = self._numbering()
+            if variant == "pi1":
+                base = self._leaf(kind, sym, "pi0")
+                img = base.img.copy()
+                img[offsets[low]:offsets[low + 1]] = (
+                    [-1] * (offsets[low + 1] - offsets[low]))
+                leaf = _Leaf(img, base.live)
+            else:
+                one = self.k.one
+                payload = (self.ring.monomial(sym) if kind == "r"
+                           else {sym: one})
+                img = [-1] * (len(keys) + 1)
+                for i in range(offsets[low],
+                               offsets[self.depth + 1 - max(shift, 0)]):
+                    col = self._column(kind, payload, keys[i])
+                    if col:
+                        (tkey, c), *more = col.items()
+                        if more or c != one:
+                            raise RingError(
+                                f"generator ({kind!r}, {sym!r}) is not a "
+                                f"partial map of basis keys: its column at "
+                                f"{keys[i]} is {col}")
+                        img[i] = index[tkey]
+                leaf = _Leaf(img, [i for i, j in enumerate(img) if j >= 0])
+            self._leaves[kind, sym, variant] = leaf
+        return leaf
+
+    def _numbering(self):
+        """``(_index, _keys, _offsets)``, built on first use from every
+        degree's basis, so past ``MAX_FOCK_DIMENSION`` it raises as
+        ``basis`` does."""
+        if self._index is None:
+            self._keys = [key for d in range(self.depth + 1)
+                          for key in self.basis(d)]
+            self._index = {key: i for i, key in enumerate(self._keys)}
+            self._offsets = list(accumulate(
+                (len(self.basis(d)) for d in range(self.depth + 1)),
+                initial=0))
+        return self._index, self._keys, self._offsets
 
     def basis(self, n):
         return self._graded(n, self._basis, self.module.x_basis,
@@ -265,20 +330,23 @@ class TruncatedFock:
         return self._prepend(module.act_left(r, {t[1]: one}), t[2:], e)
 
 
-class _Columns(dict):
-    """A column memo read as a word leaf: a missing key is built once."""
+class _Leaf:
+    """One generator as index lists over the truncation's global indices.
 
-    def __init__(self, build):
-        self.build = build
+    ``img[i]`` is the index of the one key that the generator sends key i
+    to, with coefficient one, or -1 where its column is zero or not
+    defined; the list ends with a -1, so a -1 stays -1 through later
+    leaves.  ``live`` holds, ascending, every index whose image is not -1
+    (pi1's leaf shares pi0's, a superset), and ``out`` their images.
+    Never mutate a leaf: words and operators share them.
+    """
 
-    def __missing__(self, key):
-        col = self[key] = self.build(key)
-        return col
+    __slots__ = ("img", "live", "out")
 
-
-def _kill_below(low, leaf, key):
-    """``leaf``'s column at ``key``, or zero below degree ``low``."""
-    return {} if key[0] < low else leaf(key)
+    def __init__(self, img, live):
+        self.img = img
+        self.live = live
+        self.out = list(map(img.__getitem__, live))
 
 
 # ---------------------------------------------------------------------------
@@ -289,11 +357,13 @@ class FockOperator:
     """An operator on the truncated Fock module: a flat sum of words.
 
     ``terms`` is a clean vector from words to coefficients; a word is a
-    tuple of leaves in the order they apply, each leaf the memoized column
-    of one generator (see ``TruncatedFock.token_op``), and the empty word
-    is the identity.  ``column`` chases a key through each word, so
-    composing, adding and scaling only concatenate words and combine
-    coefficients; no composite column is stored.
+    non-empty tuple of ``_Leaf``s in the order they apply, each the index
+    lists of one generator (see ``TruncatedFock.token_op``).  Composing,
+    adding and scaling only concatenate words and combine coefficients; no
+    composite column is stored.  ``column`` walks a key's index through
+    each word's leaves.  ``eq_on`` compares canonical forms (see
+    ``_form``): a word vanishes outside its first leaf's live indices, so
+    it is carried from those through each later leaf, one list at a time.
 
     ``outs`` maps each source degree on which the columns are defined to
     a bitmask whose set bits are the target degrees they can reach, and
@@ -302,10 +372,8 @@ class FockOperator:
     coverage along the degree chains actually reachable, one mask lookup
     per set bit, so truncation can never produce a silently wrong column,
     only a smaller covered set.  Columns are clean vectors (see
-    ``ringcore``) and may be a leaf's memoized one, so compare them as
-    plain dicts and never mutate them.  ``eq_on`` reads no column when
-    both operators have equal terms, since that makes them the same
-    operator.
+    ``ringcore``).  ``eq_on`` reads no leaf when both operators have equal
+    terms, since that makes them the same operator.
     """
 
     __slots__ = ("fock", "terms", "outs", "covered")
@@ -319,8 +387,18 @@ class FockOperator:
     def column(self, key):
         if key[0] not in self.covered:
             return None
-        k = self.fock.k
-        return vapply(k, lambda word: _chase(k, word, key), self.terms)
+        if not self.terms:
+            return {}
+        fock = self.fock
+        k, keys, i = fock.k, fock._keys, fock._index[key]
+        out = {}
+        for word, c in self.terms.items():
+            j = i
+            for leaf in word:
+                j = leaf.img[j]
+            if j >= 0:
+                out[keys[j]] = k.add(out.get(keys[j], k.zero), c)
+        return vdrop(out)
 
     def compose(self, other):
         """self after other: every word of other, then every word of self;
@@ -352,55 +430,96 @@ class FockOperator:
     def eq_on(self, other, degrees):
         """Whether both operators have the same column at every basis key
         of ``degrees``, which both must cover.  Equal terms prove it
-        without reading a column; otherwise each side is read through its
-        ``_reader``."""
-        degrees = list(degrees)
+        without reading a leaf; otherwise ``_first_difference`` compares
+        the two."""
+        degrees = sorted(set(degrees))
         for d in degrees:
             if d not in self.outs or d not in other.outs:
                 raise DepthError(f"degree {d} not covered by both operators")
-        if self.terms == other.terms:
-            return True
-        read, read_other = self._reader(), other._reader()
-        for d in degrees:
-            for key in self.fock.basis(d):
-                if read(key) != read_other(key):
-                    return False
-        return True
+        return (self.terms == other.terms
+                or _first_difference(self, other, degrees) is None)
 
-    def _reader(self):
-        """The column at a key of a covered degree, as one function: a
-        lone coefficient-one leaf is its memo, a lone coefficient-one word
-        is its chase, and anything else is ``column``."""
+    def _lone_word(self):
+        """The word of an operator that is one word with coefficient one,
+        else None."""
         if len(self.terms) == 1:
-            [(word, coeff)] = self.terms.items()
-            if coeff == self.fock.k.one:
-                if len(word) == 1:
-                    return word[0]
-                return partial(_chase, self.fock.k, word)
-        return self.column
+            [(word, c)] = self.terms.items()
+            if c == self.fock.k.one:
+                return word
+        return None
+
+    def _form(self, lo, hi):
+        """The canonical form on the sources of indices ``lo:hi``: the
+        ascending sources whose column is nonzero, and their columns.  A
+        column is the target index for one key with coefficient one, and
+        otherwise its sorted ``(index, coefficient)`` items.  A sum groups
+        its words per source and drops what cancels in the ring."""
+        word = self._lone_word()
+        if word is not None:
+            src, tgt = _carry(word, lo, hi)
+            if -1 in tgt:
+                keep = list(map((-1).__ne__, tgt))
+                src, tgt = list(compress(src, keep)), list(compress(tgt, keep))
+            return src, tgt
+        k = self.fock.k
+        cols = defaultdict(dict)
+        for word, c in self.terms.items():
+            for s, t in zip(*_carry(word, lo, hi)):
+                if t >= 0:
+                    col = cols[s]
+                    col[t] = k.add(col.get(t, k.zero), c)
+        src, tgt = [], []
+        for s in sorted(cols):
+            col = vdrop(cols[s])
+            if col:
+                src.append(s)
+                (t, c), *more = col.items()
+                tgt.append(tuple(sorted(col.items())) if more or c != k.one
+                           else t)
+        return src, tgt
 
     def __repr__(self):
         return (f"<FockOperator {len(self.terms)} terms "
                 f"covered={sorted(self.covered)}>")
 
 
-def _chase(k, word, key):
-    """The column of one word at ``key``: its leaves applied in order.  A
-    one-entry column of coefficient one is handed on as is, and a zero
-    column ends the chase."""
-    if not word:
-        return {key: k.one}
-    col = word[0](key)
+def _carry(word, lo, hi):
+    """The image of a word on the sources of indices ``lo:hi``: its first
+    leaf's live indices there, and their targets carried through each
+    later leaf, -1 where the word's column is zero."""
+    first = word[0]
+    a, b = bisect_left(first.live, lo), bisect_left(first.live, hi)
+    tgt = first.out[a:b]
     for leaf in word[1:]:
-        if len(col) == 1:
-            [(src, c)] = col.items()
-            if c == k.one:
-                col = leaf(src)
-                continue
-        elif not col:
-            return col
-        col = vapply(k, leaf, col)
-    return col
+        tgt = list(map(leaf.img.__getitem__, tgt))
+    return first.live[a:b], tgt
+
+
+def _first_difference(a, b, degrees):
+    """The first of the sorted ``degrees`` at which the operators ``a`` and
+    ``b`` have different columns, or None.  Each maximal run of
+    consecutive degrees is one index range, compared at once; only a run
+    that differs is compared degree by degree.  Two lone words that share
+    their first leaf's live indices compare their targets directly."""
+    offsets = a.fock._numbering()[2]
+    wa, wb = a._lone_word(), b._lone_word()
+    if wa is not None and wb is not None and wa[0].live is wb[0].live:
+        def same(lo, hi):
+            return _carry(wa, lo, hi)[1] == _carry(wb, lo, hi)[1]
+    else:
+        def same(lo, hi):
+            return a._form(lo, hi) == b._form(lo, hi)
+    runs = []
+    for d in degrees:
+        if runs and runs[-1][-1] == d - 1:
+            runs[-1].append(d)
+        else:
+            runs.append([d])
+    for run in runs:
+        if not same(offsets[run[0]], offsets[run[-1] + 1]):
+            return next(d for d in run
+                        if not same(offsets[d], offsets[d + 1]))
+    return None
 
 
 def _image(outs, mask):
@@ -781,51 +900,25 @@ def word_tokens_of(talg, key):
             + [("phi", {csym: one}) for csym in c])
 
 
-def _defect_keys_at(fock, wkey, ll, d):
-    """Source keys at degree d where the word's columns can be nonzero.
-
-    A module may declare ``annih_candidates`` enumerating the tensors the
-    annihilation chain does not reject outright; every other key yields
-    zero in both representations because their columns factor through the
-    same vanishing pairing.  The quiver module's candidates are checked
-    against the path-space model of ``tests/pathspace.py``: every key
-    where the model's pi0 or pi1 column of a normal word is nonzero must
-    be listed.  Without the hook the full graded basis is scanned.
-    Degrees below the annihilation count are never reached: the chain
-    passes through degree zero, where annihilation is zero in both
-    representations.
-    """
-    if d < ll:
-        return []
-    cand = fock.module.annih_candidates
-    if cand is not None and ll >= 1 and wkey[0] == "w":
-        tuples = cand(wkey[2], d)
-        if tuples is not None:
-            return [(d, t) for t in tuples]
-    return fock.basis(d)
-
-
 def _check_defect_support(fock, wkey, ll, op0, op1):
     """Check that pi0 - pi1 of a normal word lives on source degree ll.
 
-    Reads the columns of the word's operators ``op0`` under pi0 and
-    ``op1`` under pi1, each through its ``_reader``: at degree ll the pi1
-    column must vanish, and at every other degree both cover the two
-    columns must agree.  Raises InvariantViolation otherwise.
+    ``op0`` and ``op1`` are the word's operators under pi0 and pi1, lone
+    words that share their first leaf's live indices: at degree ll pi1
+    must have no live source, and on every other degree both cover they
+    must agree, compared by ``_first_difference``.  Raises
+    InvariantViolation naming the first degree that fails.
     """
-    read0, read1 = op0._reader(), op1._reader()
-    for d in sorted(op0.covered & op1.covered):
-        keys = _defect_keys_at(fock, wkey, ll, d)
-        if d == ll:
-            for key in keys:
-                if read1(key):
-                    raise InvariantViolation(
-                        f"pi1 of {wkey} does not vanish at degree {ll}")
-            continue
-        for key in keys:
-            if read0(key) != read1(key):
-                raise InvariantViolation(
-                    f"defect of {wkey} escapes its block at degree {d}")
+    degrees = sorted(op0.covered & op1.covered)
+    escape = _first_difference(op0, op1, [d for d in degrees if d != ll])
+    offsets = fock._numbering()[2]
+    if (ll in degrees and (escape is None or escape > ll)
+            and op1._form(offsets[ll], offsets[ll + 1])[0]):
+        raise InvariantViolation(
+            f"pi1 of {wkey} does not vanish at degree {ll}")
+    if escape is not None:
+        raise InvariantViolation(
+            f"defect of {wkey} escapes its block at degree {escape}")
 
 
 def quasi_hom_defect(fock, tokens):
@@ -836,10 +929,12 @@ def quasi_hom_defect(fock, tokens):
     which composes the cached ``fock.token_op`` operators of its
     generators.  For a normal word with k creations and l annihilations
     the difference vanishes on every source degree other than l (checked
-    exactly within budget) and its surviving block sits at target degree
-    k.  Requires l + 1 <= depth.  The returned operator is the plain term
-    sum of coeff * (pi0 - pi1) over the normal words, so building it costs
-    no column; a caller that wants just the support check reads none.
+    exactly within budget, by ``_check_defect_support``, on the sources
+    of the word's first leaf: elsewhere both columns are zero) and its
+    surviving block sits at target degree k.  Requires l + 1 <= depth.
+    The returned operator is the plain term sum of coeff * (pi0 - pi1)
+    over the normal words, so building it costs no column; a caller that
+    wants just the support check reads none.
     """
     elt = fock._talg.from_tokens(tokens)
     k = fock.k
@@ -1030,7 +1125,7 @@ class HomotopyModel:
         each Fock key's column, and each left support's, is read once per
         call."""
         k = self.k
-        fcols = _Columns(op.column)
+        read = cache(op.column)
         supports = {}
         low = {}
         for i in ids:
@@ -1041,9 +1136,9 @@ class HomotopyModel:
                 skey, svec = self._support(w)
                 fcol = supports.get(skey)
                 if fcol is None:
-                    fcol = supports[skey] = vapply(k, fcols.__getitem__, svec)
+                    fcol = supports[skey] = vapply(k, read, svec)
             else:
-                fcol = fcols[fkey]
+                fcol = read(fkey)
             col = self.lift(fcol, w)
             if col:
                 low[i] = col

@@ -85,7 +85,6 @@ class FunctionalModule:
         self.xp_left_support = xp_left_support
         self._reduce_cache = {}
         self._reduce_dual_cache = {}
-        self.annih_candidates = None
         self.label = label
 
     def __repr__(self):

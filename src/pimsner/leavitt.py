@@ -367,20 +367,6 @@ def quiver_module(quiver, ring):
         x_split=x_split, xp_split=xp_split,
         x_left_support=x_support, xp_left_support=xp_support,
         label="edge module")
-
-    def annih_candidates(csyms, d):
-        # tensors at degree d not annihilated outright by the chain: paths
-        # extending the reversed ghost word (the pairing table is diagonal)
-        prefix = tuple(c[0] for c in reversed(csyms))
-        l = len(prefix)
-        if d < l or (l and not q.is_path(prefix)):
-            return []
-        if l == 0:
-            return None
-        end = q.r(prefix[-1])
-        return [prefix + ext for ext in q.paths_from(end, d - l)]
-
-    mod.annih_candidates = annih_candidates
     return mod
 
 

@@ -447,8 +447,10 @@ class TestVerify:
                                          monkeypatch):
         # 14 lifts: pi0 and pi1 of each x and phi, one lam0 per x and phi,
         # and pi0 of v and of the zero scalar on the pairing side; one
-        # lam1 per x and phi (49 try_mul each); the pi1 columns are read
-        # from pi0's column cache
+        # lam1 per x and phi (49 try_mul each).  505 columns: each basis
+        # symbol's pi0 leaf reads each key of the degrees its kind does not
+        # kill once, 63 for each x, 126 for each phi and 127 for v; pi1
+        # copies pi0's leaf, and the zero scalar splits into no leaf
         from pimsner.fock import HomotopyModel, ToeplitzAlgebra, TruncatedFock
         counts = {}
         for cls, name in [(HomotopyModel, "_lift_low"),
@@ -461,7 +463,7 @@ class TestVerify:
         code, _, _ = run(capsys, "verify", rose2_file,
                          "--fock-depth", "6", "--word-bound", "3")
         assert code == 0
-        assert counts == {"_lift_low": 14, "try_mul": 196, "_column": 568}
+        assert counts == {"_lift_low": 14, "try_mul": 196, "_column": 505}
 
     def test_verify_leaves_no_reference_cycles(self, capsys, tmp_path):
         # a finished verify op is freed by reference counting: the cycle

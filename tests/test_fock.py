@@ -1,6 +1,7 @@
 """Tests for truncated Fock operators, defects, and the rotational homotopy."""
 
 import random
+import re
 
 import pytest
 
@@ -16,6 +17,7 @@ from pimsner.fock import (
     OVERFLOW,
     ToeplitzAlgebra,
     TruncatedFock,
+    _Leaf,
     covariant_check,
     check_p0_form,
     homotopy_H,
@@ -173,6 +175,27 @@ class TestCreationAnnihilation:
         with pytest.raises(RingError):
             word_operator(fk, [("x", {"e": 1})], "pi2")
 
+    def test_a_generator_that_is_no_partial_map_is_refused(
+            self, monkeypatch):
+        # a leaf holds one coefficient-one key per column: a column of two
+        # keys, or of coefficient two, names the generator and the key
+        for col in (lambda t: {t: 1, ("bogus",) + t[1:]: 1},
+                    lambda t: {t: 2}):
+            fk = rose_fock(2, 3)
+            for d in range(4):
+                fk.basis(d)
+            monkeypatch.setattr(fk.module, "prepend_normal",
+                                lambda b, t, col=col: col((b,) + t))
+            with pytest.raises(RingError, match=re.escape(
+                    "('x', 'e0') is not a partial map of basis keys: its "
+                    "column at (1, ('e0',))")):
+                fk.token_op(("x", {"e0": 1}))
+        # a scaled token is a coefficient on its leaf's word
+        fk = rose_fock(2, 3)
+        op = fk.token_op(("x", {"e0": 2, "e1": 1}))
+        assert op.column((1, ("e1",))) == {(2, ("e0", "e1")): 2,
+                                            (2, ("e1", "e1")): 1}
+
     def test_the_empty_word_is_refused(self):
         # no normal word is empty; as in the Toeplitz algebra, the empty
         # word names no operator
@@ -323,20 +346,27 @@ class TestJIdealGenerators:
             j_ideal_generator([{"e0": 1}] * 3, i, [], fk)
 
 
-# -- hand-written one-leaf operators, whose columns the term-sum shortcut
+# -- hand-written one-leaf operators, whose leaves the term-sum shortcut
 # -- must not read
 
-def _leaf_operator(fk, column, covered, outs):
-    """The one-leaf word of a hand-written column function; ``outs`` maps
-    a covered degree to its target degrees, stored as a bitmask."""
-    return FockOperator(fk, {(column,): fk.k.one},
+class _RaisingLeaf:
+    """A leaf whose index lists raise when read."""
+
+    @property
+    def img(self):
+        raise AssertionError("a leaf was read")
+
+    live = out = img
+
+
+_raising_leaf = _RaisingLeaf()
+
+
+def _leaf_operator(fk, leaf, covered, outs):
+    """The one-leaf word of a hand-written leaf; ``outs`` maps a covered
+    degree to its target degrees, stored as a bitmask."""
+    return FockOperator(fk, {(leaf,): fk.k.one},
                         {d: sum(1 << e for e in outs[d]) for d in covered})
-
-
-def _target_sets(outs):
-    """A FockOperator's target masks as frozensets of target degrees."""
-    return {d: frozenset(e for e in range(mask.bit_length()) if mask >> e & 1)
-            for d, mask in outs.items()}
 
 
 class TestPiRepresentations:
@@ -364,13 +394,11 @@ class TestPiRepresentations:
         for key in fk.basis(2):
             assert op.column(key) == {key: 5}
 
-def _raising_leaf(key):
-    raise AssertionError(f"a column was read at {key}")
-
 
 class TestTermSumShortcut:
-    """``eq_on`` reads no column when both operators' terms are equal,
-    and chases every key when they differ."""
+    """``eq_on`` reads no leaf when both operators' terms are equal, and
+    each leaf reads each basis key's column once, however many words and
+    comparisons use it."""
 
     def test_equal_term_sums_read_no_column(self):
         fk = rose_fock(2, 4)
@@ -383,8 +411,8 @@ class TestTermSumShortcut:
         assert (a + b).eq_on(b + a, degrees)
         assert (a - a).eq_on(fk.zero_op(), degrees)
         assert b.compose(a + a).eq_on(b.compose(a).scale(2), degrees)
-        # different sums read the columns
-        with pytest.raises(AssertionError, match="column was read"):
+        # different sums read the leaves
+        with pytest.raises(AssertionError, match="leaf was read"):
             a.eq_on(a.scale(3), degrees)
 
     def test_coefficients_sum_in_the_ring(self):
@@ -395,33 +423,106 @@ class TestTermSumShortcut:
         assert (a.scale(3) + a.scale(3)).eq_on(fk.zero_op(), degrees)
         assert (a.scale(4) + a.scale(5)).eq_on(a.scale(3), degrees)
 
-    def test_different_terms_are_chased(self):
+    def test_each_leaf_reads_each_key_once(self, monkeypatch):
+        from collections import Counter
+        reads = Counter()
+        real = TruncatedFock._column
+
+        def counted(fk, kind, payload, key):
+            terms = payload.terms if kind == "r" else payload
+            reads[kind, tuple(terms.items()), key] += 1
+            return real(fk, kind, payload, key)
+
+        monkeypatch.setattr(TruncatedFock, "_column", counted)
         fk = rose_fock(2, 4)
-        reads = []
-
-        def counted(op):
-            [(leaf,)] = op.terms
-
-            def column(key):
-                reads.append(key)
-                return leaf(key)
-
-            return _leaf_operator(fk, column, op.covered,
-                                  _target_sets(op.outs))
-
-        x = counted(fk.token_op(("x", {"e0": 1})))
-        phi = counted(fk.token_op(("phi", {("e0", "*"): 1})))
-        v = counted(fk.token_op(("r", fk.ring.monomial("v"))))
+        x = fk.token_op(("x", {"e0": 1}))
+        phi = fk.token_op(("phi", {("e0", "*"): 1}))
+        v = fk.token_op(("r", fk.ring.monomial("v")))
         lhs = phi.compose(x)
         degrees = sorted(lhs.covered & v.covered)
-        keys = sum(len(fk.basis(d)) for d in degrees)
         # S(e0*) T(e0) = sigma(v): other words, the same columns
         assert lhs.eq_on(v, degrees)
-        assert len(reads) == 3 * keys
         # a perturbed coefficient still fails
         assert not lhs.eq_on(v.scale(2), degrees)
         assert not (lhs + x.scale(0)).eq_on(v.scale(-1), degrees)
         assert not lhs.eq_on(v + lhs, degrees)
+        # many words, both variants, the suites and their defects
+        assert covariant_check(fk).passed
+        for tokens in ([("x", {"e0": 1}), ("phi", {("e1", "*"): 1})],
+                       [("x", {"e1": 1}), ("x", {"e0": 1})],
+                       [("phi", {("e0", "*"): 1})] * 2):
+            quasi_hom_defect(fk, tokens)
+            a, b = pi1(fk, tokens), pi1(fk, tokens[::-1])
+            assert a.eq_on(b, sorted(a.covered & b.covered)) \
+                == (tokens == tokens[::-1])
+        # each key of each generator, read once: x below the top degree,
+        # phi above the vacuum, the scalar everywhere
+        keys = [sum(len(fk.basis(d)) for d in degrees)
+                for degrees in (range(4), range(1, 5), range(5))]
+        assert set(reads.values()) == {1}
+        assert sorted(Counter(kind for kind, _, _ in reads).items()) == [
+            ("phi", 2 * keys[1]), ("r", keys[2]), ("x", 2 * keys[0])]
+
+
+class TestEqOnAgainstColumns:
+    """``eq_on`` compares canonical forms on runs of degrees; it must
+    agree with comparing every basis column through ``column``."""
+
+    @staticmethod
+    def random_sum(fk, pool, rng):
+        """A sum of one to three random words of one to three tokens, each
+        scaled by a coefficient that can vanish over Z/6."""
+        op = fk.zero_op()
+        for _ in range(rng.randint(1, 3)):
+            tokens = [rng.choice(pool) for _ in range(rng.randint(1, 3))]
+            word = word_operator(fk, tokens, rng.choice(["pi0", "pi1"]))
+            op = op + word.scale(rng.choice([1, 1, 2, 3, -1]))
+        return op
+
+    @staticmethod
+    def end_of_run(fk, d):
+        """T_p T_p* for the last basis key p of degree d: on degrees 0..d
+        its only nonzero column is p's, the last index of the run."""
+        (_, p) = fk.basis(d)[-1]
+        xp = {c[0]: c for c in fk.module.xp_basis}
+        return pi0(fk, [("x", {e: 1}) for e in p]
+                   + [("phi", {xp[e]: 1}) for e in reversed(p)])
+
+    @pytest.mark.parametrize("ring", ["z", "zmod6"])
+    @pytest.mark.parametrize("index", range(3),
+                             ids=["rose2", "a2", "two-cycle"])
+    def test_random_sums_of_words(self, index, ring):
+        case = pathspace_cases(f"small-{ring}")[index]
+        fk, rng = case.fk, random.Random(3200 + index)
+        outcomes = {True: 0, False: 0}
+
+        def check(a, b, degrees):
+            want = all(a.column(key) == b.column(key)
+                       for d in degrees for key in fk.basis(d))
+            assert a.eq_on(b, degrees) == want, degrees
+            outcomes[want] += 1
+
+        for _ in range(60):
+            a = self.random_sum(fk, case.tokens, rng)
+            b = rng.choice([self.random_sum(fk, case.tokens, rng),
+                            a + self.random_sum(fk, case.tokens, rng),
+                            a.scale(rng.choice([2, 3, 5]))])
+            common = sorted(a.covered & b.covered)
+            if not common:
+                continue
+            lo = rng.randrange(len(common))
+            hi = rng.randrange(lo, len(common)) + 1
+            for degrees in (common, common[lo:hi],
+                            [d for d in common if rng.random() < 0.5]):
+                check(a, b, degrees)
+            # a difference only at the last index of a run of degrees
+            d = rng.randint(1, fk.depth)
+            if fk.basis(d):
+                c = a + self.end_of_run(fk, d)
+                if set(range(d + 1)) <= a.covered & c.covered:
+                    check(a, c, list(range(d + 1)))
+                    check(a, c, [d])
+        assert min(outcomes.values()) >= 10, outcomes
 
 
 def _rose2_case(depth, k):
@@ -541,19 +642,24 @@ class TestDefects:
                                   pi0(fk, tokens), pi1(fk, tokens))
 
     def test_support_checker_reads_the_annihilation_keys(self, monkeypatch):
-        # pi1 of T_{e0*} doubled at source degrees >= 3 moves the defect
-        # off its block on the paths that start with e0, which the check
-        # reads through the module's annihilation candidates
+        # pi1 of T_{e0*} sending the e0-paths of degree >= 3 to a wrong
+        # key moves the defect off its block on the paths that start with
+        # e0, which the check reads through the first leaf's live indices
         fk, phi = rose_fock(2, 4), ("phi", {("e0", "*"): 1})
         pi1_op, real = fk.token_op(phi, "pi1"), fk.token_op
         [(leaf,)] = pi1_op.terms
-        doubled = FockOperator(fk, {(lambda key: vscale(
-            fk.k, leaf(key), 2 if key[0] >= 3 else 1),): 1}, pi1_op.outs)
+        img = list(leaf.img)
+        for i, (d, t) in enumerate(fk._keys):
+            if d >= 3 and t[0] == "e0":
+                flip = "e1" if t[1] == "e0" else "e0"
+                img[i] = fk._index[d - 1, (flip,) + t[2:]]
+        wrong = FockOperator(fk, {(_Leaf(img, leaf.live),): 1}, pi1_op.outs)
         monkeypatch.setattr(fk, "token_op", lambda token, variant="pi0": (
-            doubled if (token, variant) == (phi, "pi1")
+            wrong if (token, variant) == (phi, "pi1")
             else real(token, variant)))
         for tokens in ([phi], [("x", {"e1": 1}), phi]):
-            with pytest.raises(InvariantViolation, match="escapes"):
+            with pytest.raises(InvariantViolation,
+                               match="escapes its block at degree 3"):
                 quasi_hom_defect(fk, tokens)
 
     def test_derivation_identity(self):

@@ -15,9 +15,8 @@ import pytest
 
 from pathspace import PathSpace
 from pimsner.fock import (
-    DepthError, TruncatedFock, _defect_keys_at, check_p0_form,
-    covariant_check, p0_compact_form, quasi_hom_defect, word_operator,
-    word_tokens_of)
+    DepthError, TruncatedFock, check_p0_form, covariant_check,
+    p0_compact_form, pi0, quasi_hom_defect, word_operator, word_tokens_of)
 from pimsner.leavitt import Quiver, quiver_correspondence, rose
 from pimsner.ringcore import QQ, ZZ, Zmod
 from test_acceptance import acceptance_quivers
@@ -176,7 +175,8 @@ def test_random_words_sums_scales_composites_and_defects(family):
 @pytest.mark.parametrize("family", FAMILIES)
 def test_normal_word_defects_and_the_keys_they_read(family):
     # the defect of a normal word p q* sits on block (|p|, |q|), and each
-    # key where its pi0 or pi1 column is nonzero is one the suite reads
+    # key where its pi0 or pi1 column is nonzero is among its first leaf's
+    # live indices, which are all the suite reads
     for case in cases(family):
         fk, space = case.fk, case.space
         xp = {case.xp(c): c for c in fk.module.xp_basis}
@@ -195,9 +195,9 @@ def test_normal_word_defects_and_the_keys_they_read(family):
             assert_same(case, defect, m0 - m1, (p, q))
             assert {(t[0], key[0]) for key, col in (m0 - m1).cols.items()
                     for t in col} == {(len(p), len(q))}
-            for d in m0.outs.keys() & m1.outs.keys():
-                live = {key for m in (m0, m1) for key in m.cols if key[0] == d}
-                assert live <= set(_defect_keys_at(fk, wkey, len(q), d))
+            [word] = pi0(fk, word_tokens_of(fk._talg, wkey)).terms
+            read = {fk._keys[i] for i in word[0].live}
+            assert {key for m in (m0, m1) for key in m.cols} <= read
 
 
 @pytest.mark.parametrize("family", FAMILIES)
