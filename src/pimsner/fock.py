@@ -35,17 +35,18 @@ The module also provides:
   rotational homotopy H(t) is realized with exact polynomial coefficients
   in t, so that its endpoint identities and pairing preservation become
   finite exact checks.  The model shares its Fock module's one Toeplitz
-  algebra and bounds word length per product, through ``try_mul``; its
-  pi (x) id is the cached Fock token operator, lifted once per model, its
-  columns are keyed by integer ids of the model keys, and no operator on
-  it stores a zero column.
+  algebra and bounds word length per product, through ``try_mul``.  Each
+  summand of H on one basis symbol is a block, a coefficient-one partial
+  map of integer model ids, built once per model (pi (x) id lifts the
+  cached Fock token operator), and an operator is a sum of words of
+  blocks with coefficients in k[t].
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from collections import defaultdict
-from functools import cache, reduce
+from functools import reduce
 from itertools import accumulate, compress
 
 from .ringcore import RingError, vadd, vapply, vclean, vdrop, vmul, vscale
@@ -957,6 +958,8 @@ def quasi_hom_defect(fock, tokens):
 # The homotopy model: T(X) (x) T truncated in degree and word length
 # ---------------------------------------------------------------------------
 
+# where a block sends a model id whose image leaves the word bound or the
+# truncation; ``HOperator._grouped`` is the only reader
 OVERFLOW = object()
 
 
@@ -966,27 +969,14 @@ class HomotopyModel:
     Columns of degree 0 and 1 are enumerated explicitly as pairs of a
     tensor part and a Toeplitz word of bounded length; columns of degree
     two and higher only ever carry tensor-part operators (the homotopy
-    summands that touch the word part vanish there), so operators store an
-    explicit low part plus a Fock-operator tensor part.
+    summands that touch the word part vanish there).
 
     A model key ``(degree, tensor, word)`` is interned once into an int
     id: ``_ids`` maps it to its id, ``_keys`` back, and ``_info`` an id to
     its (degree, Fock key, index in ``words``); ``low_keys`` take the ids
-    ``low_ids`` in order.  Low parts and columns are keyed by ids, and a
-    failure tag names the key.  ``lift`` carries Fock columns into the
-    model, lifting each Fock key once per word: ``pi_tensor`` and ``lam0``
-    lift ``fock.token_op`` on the low keys, ``HOperator.column`` the high
-    part.
-
-    Each low part is built once per model and kept in ``_lows``: that of
-    ``pi_tensor`` keyed by the Fock operator it lifts, that of ``lam0`` by
-    the token's pi0 and pi1 operators, and that of ``lam1`` by the token's
-    (kind, payload items).  Keying the lifts on the operators, which
-    ``fock.token_op`` keeps, means a different operator gets a fresh lift.
-    The model stores plain dicts and wraps them in a new ``HOperator`` on
-    every call; no caller may mutate a returned low part or column.  It
-    also keeps each word's left support, which every lift of a degree-0
-    key reads.
+    ``low_ids`` in order, and a failure tag names the key.  Each homotopy
+    summand of one basis symbol is a ``_Block`` (see ``_block``), built
+    once per model, and its images are tensored with words by ``lift``.
     """
 
     def __init__(self, fock, word_bound):
@@ -1006,15 +996,13 @@ class HomotopyModel:
         self.talg = fock._talg
         self.words = self._enumerate_words()
         self._wids = {wk: w for w, wk in enumerate(self.words)}
-        # word id -> Fock key -> its lift, a column over model ids
-        self._lifts = defaultdict(dict)
-        self._lows = {}
+        self._blocks = {}
+        # (Fock key, word id) -> the id of their lift, or None for zero
+        self._lifts = {}
         self._ids, self._keys, self._info = {}, [], []
         # j(u) . word for the ring symbol u of a degree-0 key, or the right
         # support u of the last tensor factor, keyed (degree 0?, symbol, word)
         self._absorbed = {}
-        # word id -> its left support, as (frozen items, degree-0 vector)
-        self._supports = {}
         self.c0_keys = [(0, (), wk) for wk in self.words]
         self.c1_keys = [(1, (b,), wk) for b in self.module.x_basis
                         for wk in self.words if self.make_key(1, (b,), wk)
@@ -1022,6 +1010,16 @@ class HomotopyModel:
         self.low_keys = self.c0_keys + self.c1_keys
         # interned first, so the low ids ascend: sorted ids are in low order
         self.low_ids = [self._id(key) for key in self.low_keys]
+        # the Fock key a low id stands on -> the ids and word ids on it; a
+        # degree-0 key stands on the left support of its word
+        self._sources = defaultdict(list)
+        for i in self.low_ids:
+            n, fkey, w = self._info[i]
+            if n == 0:
+                wk = self.words[w]
+                fkey = (0, (self._one("the left support", wk,
+                                      self.talg.left_support(wk).terms),))
+            self._sources[fkey].append((i, w))
 
     def _enumerate_words(self):
         words = dict.fromkeys(("s", rsym) for rsym in self.ring.basis)
@@ -1061,249 +1059,279 @@ class HomotopyModel:
         return {(n, tup, wk2): c
                 for wk2, c in self._absorbed[cache_key].items()}
 
+    def _one(self, name, key, col):
+        """The one key of ``col``, the column of ``name`` at ``key``, or None
+        for zero; a column of two keys, or another coefficient than one,
+        raises ``RingError``: a block is a partial map of model ids."""
+        if not col:
+            return None
+        (tkey, c), *more = col.items()
+        if more or c != self.k.one:
+            raise RingError(f"{name} is not a partial map of model ids: "
+                            f"its column at {key} is {col}")
+        return tkey
+
+    def lift(self, name, tkey, w):
+        """The id of the Fock key ``tkey``, an image under the block
+        ``name``, tensored with the word of id ``w`` through ``make_key``,
+        or None for zero; kept per key and word."""
+        pair = (tkey, w)
+        if pair not in self._lifts:
+            wk = self.words[w]
+            key = self._one(name, (tkey, wk), self.make_key(*tkey, wk))
+            self._lifts[pair] = None if key is None else self._id(key)
+        return self._lifts[pair]
+
     # -- homotopy summands -----------------------------------------------------
 
-    def _low(self, key, build):
-        """The low part stored under ``key``, built on first request."""
-        low = self._lows.get(key)
-        if low is None:
-            low = self._lows[key] = build()
-        return low
+    def _block(self, role, kind, sym):
+        """The ``role`` block of one basis symbol, built once per model and
+        kept by its name.  lam1 multiplies each degree-0 word by the
+        generator, through ``try_mul``.  pi0 and pi1 read the symbol's
+        ``fock.token_op`` once per Fock key of ``_sources`` and lift its
+        image to each key's word; lam0 is pi0's where pi1 kills."""
+        name = f"the {role} block of ({kind!r}, {sym!r})"
+        if name in self._blocks:
+            return self._blocks[name]
+        one = self.k.one
+        unit = (kind, self.ring.monomial(sym) if kind == "r" else {sym: one})
+        live, op = [], None
+        if role == "lam1":
+            gen = self.talg.from_tokens([unit])
+            for i, mkey in zip(self.low_ids, self.c0_keys):
+                prod = self.talg.try_mul(gen, {mkey[2]: one}, self.word_bound)
+                if prod is None:
+                    live.append((i, OVERFLOW))
+                    continue
+                wk = self._one(name, mkey, prod)
+                if wk is not None:
+                    live.append((i, self._id((0, (), wk))))
+        else:
+            op = self.fock.token_op(unit, "pi0" if role == "lam0" else role)
+            pi1_outs = self.fock.token_op(unit, "pi1").outs
+            for fkey, ids in self._sources.items():
+                if role == "lam0" and pi1_outs[fkey[0]]:
+                    continue
+                tkey = self._one(name, fkey, op.column(fkey))
+                if tkey is None:
+                    continue
+                for i, w in ids:
+                    j = self.lift(name, tkey, w)
+                    if j is not None:
+                        live.append((i, j))
+            live.sort()
+        block = self._blocks[name] = _Block(
+            name, live, None if role == "lam0" else op)
+        return block
 
-    def lam1(self, token):
-        """Left multiplication by the generator on the degree-0 column."""
-        return HOperator(self, low=self._low(
-            _token_key(token), lambda: self._lam1_low(token)), high=None)
-
-    def _lam1_low(self, token):
-        gen = self.talg.from_tokens([token])
-        low = {}
-        for i, (_, _, wk) in zip(self.low_ids, self.c0_keys):
-            prod = self.talg.try_mul(gen, {wk: self.k.one}, self.word_bound)
-            if prod is None:
-                low[i] = OVERFLOW
-            elif prod:
-                low[i] = {self._id((0, (), wk2)): c
-                          for wk2, c in prod.items()}
-        return low
-
-    def lift(self, fcol, w):
-        """A Fock column over (degree, tensor) keys, tensored with the word
-        of id ``w`` through ``make_key``: a clean column over model ids.
-        The lift of each Fock key is built once per word; a one-entry
-        column with coefficient one is that stored lift itself."""
-        lifts = self._lifts[w]
-        k = self.k
-        out = {}
-        for fkey, c in fcol.items():
-            col = lifts.get(fkey)
+    def _reach(self, block, j):
+        """The image under ``block`` of an id it does not list, kept in its
+        ``img``: a high id goes through the Fock operator ``block.op`` of a
+        pi0 or pi1 block, to OVERFLOW where it does not cover the key, and
+        every other image is zero."""
+        n, fkey, w = self._info[j]
+        t = None
+        if n >= 2 and block.op is not None:
+            col = block.op.column(fkey)
             if col is None:
-                col = lifts[fkey] = {
-                    self._id(key): c2 for key, c2 in
-                    self.make_key(*fkey, self.words[w]).items()}
-            if len(fcol) == 1 and c == k.one:
-                return col
-            for i, c2 in col.items():
-                out[i] = k.add(out.get(i, k.zero), k.mul(c, c2))
-        return vdrop(out)
+                t = OVERFLOW
+            elif col:
+                t = self.lift(block.name, self._one(block.name, fkey, col), w)
+        block.img[j] = t
+        return t
 
-    def _support(self, w):
-        """The left support of the word of id ``w``, kept per word: its
-        frozen items and its degree-0 Fock vector."""
-        support = self._supports.get(w)
-        if support is None:
-            u = self.talg.left_support(self.words[w]).terms
-            support = self._supports[w] = (
-                frozenset(u.items()),
-                {(0, (rsym,)): c for rsym, c in u.items()})
-        return support
+    def _terms(self, token, role):
+        """One word per basis symbol of the token, its ``role`` block, with
+        the symbol's coefficient, constant in t."""
+        kind, items = _token_key(token)
+        coeffs = {sym: self.k.coerce(c) for sym, c in items}
+        return {(self._block(role, kind, sym),): {0: c}
+                for sym, c in coeffs.items() if c}
 
-    def _lift_low(self, op, ids):
-        """op (x) id on the ids whose degree op does not kill, as a clean
-        low part; a degree-0 key is the left support of its word, as a
-        degree-0 Fock vector.  Every word reads the same Fock columns, so
-        each Fock key's column, and each left support's, is read once per
-        call."""
-        k = self.k
-        read = cache(op.column)
-        supports = {}
-        low = {}
-        for i in ids:
-            n, fkey, w = self._info[i]
-            if not op.outs[n]:
-                continue
-            if n == 0:
-                skey, svec = self._support(w)
-                fcol = supports.get(skey)
-                if fcol is None:
-                    fcol = supports[skey] = vapply(k, read, svec)
-            else:
-                fcol = read(fkey)
-            col = self.lift(fcol, w)
-            if col:
-                low[i] = col
-        return low
+    def pi_tensor(self, token, variant):
+        """pi0 (x) id or pi1 (x) id: the Fock token operator, lifted; its
+        tensor part is pi0's on degrees >= 2, where pi1 agrees."""
+        op0 = self.fock.token_op(token, "pi0")
+        return HOperator(self, self._terms(token, variant), FockOperator(
+            self.fock, op0.terms, {d: m for d, m in op0.outs.items() if d >= 2}))
 
     def lam0(self, token):
         """The corner of pi0 (x) id on the degrees that pi1 kills: degree 0
         for a creation, degree 1 for an annihilation."""
-        op0 = self.fock.token_op(token, "pi0")
-        op1 = self.fock.token_op(token, "pi1")
+        return HOperator(self, self._terms(token, "lam0"), None)
 
-        def build():
-            ids = [i for i in self.low_ids if not op1.outs[self._info[i][0]]]
-            return self._lift_low(op0, ids)
+    def lam1(self, token):
+        """Left multiplication by the generator on the degree-0 column."""
+        return HOperator(self, self._terms(token, "lam1"), None)
 
-        return HOperator(self, low=self._low((op0, op1), build), high=None)
 
-    def _tensor_high(self, token):
-        op = self.fock.token_op(token, "pi0")
-        return FockOperator(self.fock, op.terms,
-                            {d: m for d, m in op.outs.items() if d >= 2})
+class _Block:
+    """One homotopy summand of one basis symbol, ``name``, as a
+    coefficient-one partial map of model ids.
 
-    def pi_tensor(self, token, variant):
-        """pi0 (x) id or pi1 (x) id: the Fock token operator, lifted."""
-        op = self.fock.token_op(token, variant)
-        low = self._low(op, lambda: self._lift_low(op, self.low_ids))
-        return HOperator(self, low=low, high=self._tensor_high(token))
+    ``live`` lists, ascending, each low id that the block does not send to
+    zero, with its image: an id, or OVERFLOW past the word bound.  ``img``
+    maps each id asked for to its image, None for zero;
+    ``HomotopyModel._reach`` adds the high ids, through the Fock operator
+    ``op`` of a pi0 or pi1 block.  Operators share blocks: never mutate
+    ``live``.
+    """
 
-    def zero_h(self):
-        return HOperator(self, low={}, high=None)
+    __slots__ = ("name", "op", "live", "img")
+
+    def __init__(self, name, live, op):
+        self.name = name
+        self.op = op
+        self.live = live
+        self.img = dict(live)
 
 
 class HOperator:
-    """An operator on the homotopy model: explicit low part, tensor high part.
+    """An operator on the homotopy model: a sum of words of blocks with
+    coefficients in k[t], and a tensor part.
 
-    ``low`` maps low ids (``model.low_ids``, the degree-0/1 model keys) to
-    explicit columns over ids (or OVERFLOW when the word bound was
-    exceeded).  Low parts are always clean: a stored column is nonzero, a
-    missing low id is a zero column, and every operation below drops the
-    columns that vanish, so zeros never flow into a later product, sum or
-    comparison.  ``high`` is a Fock operator acting on the tensor part of
-    every column of degree >= 2 (the word part is inert there), or None
-    for zero.  Columns are clean vectors, as in ``FockOperator``.
-    Composition keeps this form only while the inner high part stays in
-    degrees >= 2, which holds for every homotopy identity; ``compose``
-    refuses any other chain.
+    ``terms`` maps each word, a non-empty tuple of ``_Block``s in the order
+    they apply, to a polynomial in t (power -> coefficient).  A word keeps
+    every power the rotation gives it, even where its coefficient vanishes
+    in the ring: there it still marks the ids where it reaches OVERFLOW.
+    ``high``, constant in t, is a Fock operator on the tensor part of every
+    column of degree >= 2 (the word part is inert there), or None for
+    zero.  Composition keeps this form only while the inner tensor part
+    stays in degrees >= 2, which holds for every homotopy identity;
+    ``compose`` refuses any other chain.
     """
 
-    def __init__(self, model, low, high):
+    __slots__ = ("model", "terms", "high", "_cols")
+
+    def __init__(self, model, terms, high):
         self.model = model
-        self.low = low
+        self.terms = terms
         self.high = high
+        self._cols = None
 
-    def column(self, i):
-        n, fkey, w = self.model._info[i]
-        if n <= 1:
-            return self.low.get(i, {})
-        if self.high is None:
-            return {}
-        fcol = self.high.column(fkey)
-        if fcol is None:
-            return OVERFLOW
-        return self.model.lift(fcol, w)
+    def column(self, i, power):
+        """The column of the low id ``i`` in the coefficient of t^power: a
+        clean vector over model ids, or None where a word there leaves the
+        word bound or the truncation."""
+        return self._grouped(power).get(i, {})
 
-    def apply_col(self, col):
-        if col is OVERFLOW or not col:
-            return col
-        k = self.model.k
-        low, info = self.low, self.model._info
-        out = {}
-        for i, c in col.items():
-            sub = low.get(i)
-            if sub is None:
-                if info[i][0] <= 1:
-                    continue        # a low id that is not stored is zero
-                sub = self.column(i)
-            if sub is OVERFLOW:
-                return OVERFLOW
-            if len(col) == 1 and c == k.one:
-                return sub
-            for j, c2 in sub.items():
-                out[j] = k.add(out.get(j, k.zero), k.mul(c, c2))
-        return vdrop(out)
+    def _grouped(self, power):
+        """The low ids whose column at t^power is not zero, with their
+        columns as ``column`` gives them, kept.  Each word is carried once
+        from its first block's live ids through each later block, and its
+        images are grouped per source at each power it has; a zero
+        coefficient adds only its OVERFLOW ids."""
+        if self._cols is None:
+            k, reach = self.model.k, self.model._reach
+            cols = defaultdict(dict)
+            for word, poly in self.terms.items():
+                pairs = word[0].live
+                for block in word[1:]:
+                    carried = []
+                    for i, j in pairs:
+                        if j is not OVERFLOW:
+                            j = block.img[j] if j in block.img \
+                                else reach(block, j)
+                        if j is not None:
+                            carried.append((i, j))
+                    pairs = carried
+                for p, c in poly.items():
+                    group = cols[p]
+                    for i, j in pairs:
+                        if j is OVERFLOW:
+                            group[i] = None
+                            continue
+                        col = group.setdefault(i, {}) if c else None
+                        if col is None:
+                            continue
+                        total = k.add(col.get(j, k.zero), c)
+                        if total:
+                            col[j] = total
+                            continue
+                        del col[j]
+                        if not col:
+                            del group[i]
+            self._cols = cols
+        return self._cols.get(power, {})
 
     def __add__(self, other):
-        low = dict(self.low)
         k = self.model.k
-        for i, col in other.low.items():
-            mine = low.get(i)
-            if mine is None:
-                low[i] = col
-            elif mine is OVERFLOW or col is OVERFLOW:
-                low[i] = OVERFLOW
-            elif total := vadd(k, mine, col):
-                low[i] = total
-            else:
-                del low[i]
+        terms = {word: dict(poly) for word, poly in self.terms.items()}
+        for word, poly in other.terms.items():
+            mine = terms.setdefault(word, {})
+            for p, c in poly.items():
+                mine[p] = k.add(mine.get(p, k.zero), c)
         high = self.high or other.high
         if self.high is not None and other.high is not None:
             high = self.high + other.high
-        return HOperator(self.model, low, high)
-
-    def scale(self, coeff):
-        """coeff times self; scaling by one is self, as nothing mutates an
-        HOperator.  A zero coefficient keeps only the OVERFLOW markers, and
-        a column that a zero divisor kills is dropped."""
-        k = self.model.k
-        coeff = k.coerce(coeff)
-        if coeff == k.one:
-            return self
-        low = {}
-        for i, col in self.low.items():
-            if col is OVERFLOW:
-                low[i] = OVERFLOW
-            elif col := vscale(k, col, coeff):
-                low[i] = col
-        high = None if self.high is None else self.high.scale(coeff)
-        return HOperator(self.model, low, high)
+        return HOperator(self.model, terms, high)
 
     def compose(self, other):
-        """self after other; ``other.high`` must stay in degrees >= 2.
-
-        Only the columns ``other`` stores are composed: a low id it lacks
-        is a zero column, and stays absent, so zero, in the composite, as
-        does a column that ``self`` maps to zero.
-        """
+        """self after other: every word of other, then every word of self,
+        with the product of their polynomials; ``other.high`` must stay in
+        degrees >= 2."""
         # bits 0 and 1 of a mask are the target degrees 0 and 1
         if other.high is not None and any(
                 mask & 0b11 for mask in other.high.outs.values()):
             raise RingError("the inner high part re-enters degrees 0 and 1; "
                             "the composition has no tensor form")
-        low = {}
-        for i, col in other.low.items():
-            if col := self.apply_col(col):
-                low[i] = col
+        k = self.model.k
+        terms = {}
+        for w2, q2 in other.terms.items():
+            for w1, q1 in self.terms.items():
+                poly = terms.setdefault(w2 + w1, {})
+                for p2, c2 in q2.items():
+                    for p1, c1 in q1.items():
+                        poly[p1 + p2] = k.add(poly.get(p1 + p2, k.zero),
+                                              k.mul(c1, c2))
         if self.high is None or other.high is None:
             high = None
         else:
             high = self.high.compose(other.high)
-        return HOperator(self.model, low, high)
+        return HOperator(self.model, terms, high)
 
-    def eq_report(self, other, report, tag):
-        """Exact comparison with coverage accounting into a CheckReport;
-        a failing low column is tagged with its model key, in low-id order.
+    def at(self, value):
+        """The operator at an exact scalar value of t, constant in t; every
+        word keeps its power t^0."""
+        k = self.model.k
+        terms = {}
+        for word, poly in self.terms.items():
+            c = k.zero
+            for p, cp in poly.items():
+                c = k.add(c, k.mul(cp, k.coerce(value ** p)))
+            terms[word] = {0: c}
+        return HOperator(self.model, terms, self.high)
 
-        Only the ids that either side stores are compared; every other low
-        id is a zero column on both sides, so a checked equal pair.
+    def eq_report(self, other, report, tag, power=0):
+        """Exact comparison of the coefficients of t^power, with coverage
+        accounting into a CheckReport: a low column that either side leaves
+        undefined is skipped, and a failing one is tagged with its model
+        key, in low-id order; the tensor part is compared at t^0.  Equal
+        groups (``_grouped``) need no column read; otherwise only the low
+        ids where either side is not zero are read.
         """
-        stored = sorted(self.low.keys() | other.low.keys())
-        report.checked += len(self.model.low_ids) - len(stored)
+        model = self.model
+        a, b = self._grouped(power), other._grouped(power)
+        if a == b:
+            stored, undefined = (), list(a.values()).count(None)
+        else:
+            stored, undefined = sorted(a.keys() | b.keys()), 0
+        report.skipped += undefined
+        report.checked += len(model.low_ids) - len(stored) - undefined
         for i in stored:
-            a = self.low.get(i, {})
-            b = other.low.get(i, {})
-            if a is OVERFLOW or b is OVERFLOW:
+            ca, cb = self.column(i, power), other.column(i, power)
+            if ca is None or cb is None:
                 report.skipped += 1
                 continue
             report.checked += 1
-            if a != b:
-                report.failures.append((tag, self.model._keys[i]))
-        if self.high is None and other.high is None:
+            if ca != cb:
+                report.failures.append((tag, model._keys[i]))
+        if power or (self.high is None and other.high is None):
             return
-        ha = self.high if self.high is not None else self.model.fock.zero_op()
-        hb = other.high if other.high is not None else self.model.fock.zero_op()
+        ha = self.high if self.high is not None else model.fock.zero_op()
+        hb = other.high if other.high is not None else model.fock.zero_op()
         degrees = sorted(d for d in ha.covered & hb.covered if d >= 2)
-        report.skipped += len([d for d in range(2, self.model.fock.depth + 1)
+        report.skipped += len([d for d in range(2, model.fock.depth + 1)
                                if d not in degrees])
         report.checked += len(degrees)
         if degrees and not ha.eq_on(hb, degrees):
@@ -1314,45 +1342,12 @@ class HOperator:
 # The rotational homotopy
 # ---------------------------------------------------------------------------
 
-class PolyOperator:
-    """A polynomial in t with HOperator coefficients."""
-
-    def __init__(self, model, parts):
-        self.model = model
-        self.parts = dict(parts)
-
-    def compose(self, other):
-        out = {}
-        for p1, op1 in self.parts.items():
-            for p2, op2 in other.parts.items():
-                comp = op1.compose(op2)
-                p = p1 + p2
-                out[p] = out[p] + comp if p in out else comp
-        return PolyOperator(self.model, out)
-
-    def at(self, value):
-        """Evaluate at an exact scalar value of t.  A part whose coefficient
-        vanishes adds only its OVERFLOW ids, which the comparison skips."""
-        out = None
-        for p, op in self.parts.items():
-            coeff = self.model.k.coerce(value ** p if p else 1)
-            term = op.scale(coeff)
-            out = term if out is None else out + term
-        return out if out is not None else self.model.zero_h()
-
-    def eq_report(self, other, report, tag):
-        powers = set(self.parts) | set(other.parts)
-        for p in sorted(powers):
-            a = self.parts.get(p, self.model.zero_h())
-            b = other.parts.get(p, self.model.zero_h())
-            a.eq_report(b, report, tag=(tag, f"t^{p}"))
-
-
 def homotopy_H(model, token):
     """The rotational homotopy on one generator, exact in t.
 
     H(T) = c0(t) lam0(T) + c1(t) lam1(T) + (pi1 (x) id)(T) for T = T_x or
-    T_phi, with c0 and c1 read from ``_ROTATION``:
+    T_phi, with c0 and c1 read from ``_ROTATION`` into the coefficients of
+    the lam0 and lam1 words:
 
     H(T_x) = (1 - t^2) lam0(T_x) + (2t - t^3) lam1(T_x) + (pi1 (x) id)(T_x)
     H(T_phi) = (1 - t^2) lam0(T_phi) + t lam1(T_phi) + (pi1 (x) id)(T_phi)
@@ -1360,17 +1355,16 @@ def homotopy_H(model, token):
     """
     kind = token[0]
     if kind == "r":
-        return PolyOperator(model, {0: model.pi_tensor(token, "pi0")})
-    # both raise RingError on a token that is not a generator
+        return model.pi_tensor(token, "pi0")
+    # all three raise RingError on a token that is not a generator
+    H = model.pi_tensor(token, "pi1")
     lams = (model.lam0(token), model.lam1(token))
-    parts = {}
-    for lam, coeffs in zip(lams, _ROTATION[kind]):
-        for p, c in coeffs.items():
-            term = lam.scale(c)
-            parts[p] = parts[p] + term if p in parts else term
-    pi1 = model.pi_tensor(token, "pi1")
-    parts[0] = parts[0] + pi1 if 0 in parts else pi1
-    return PolyOperator(model, dict(sorted(parts.items())))
+    k = model.k
+    for lam, rotation in zip(lams, _ROTATION[kind]):
+        for word, poly in lam.terms.items():
+            H.terms[word] = {p: k.mul(poly[0], k.coerce(c))
+                             for p, c in rotation.items()}
+    return H
 
 
 def homotopy_endpoints_check(model, token, H):
@@ -1398,7 +1392,10 @@ def homotopy_pairing_check(model, xvec, pvec, H_x, H_phi):
     """
     lhs = H_phi.compose(H_x)
     relt = model.module.pair(pvec, xvec)
-    rhs = PolyOperator(model, {0: model.pi_tensor(("r", relt), "pi0")})
+    rhs = model.pi_tensor(("r", relt), "pi0")
     report = CheckReport("homotopy-pairing")
-    lhs.eq_report(rhs, report, tag="pairing")
+    # every power of a word, and t^0 for the tensor parts
+    powers = set().union({0}, *lhs.terms.values(), *rhs.terms.values())
+    for p in sorted(powers):
+        lhs.eq_report(rhs, report, ("pairing", f"t^{p}"), p)
     return report

@@ -349,7 +349,10 @@ def free_module(ring, index_set):
 
     X symbols are pairs (i, b) with b a ring basis symbol; the pairing is
     <(alpha_i), (beta_i)> = sum_i alpha_i beta_i, and R acts coordinatewise
-    on both sides.
+    on both sides.  Over a ring with a finite basis a symbol splits off
+    its support idempotent; over one without (a group ring), as in
+    ``nek_module``, it splits into the unit symbol and the whole b, and
+    its support is the unit.
     """
     index = list(index_set)
     k = ring.k
@@ -377,22 +380,28 @@ def free_module(ring, index_set):
     def xp_right(c, rsym):
         return x_right(c, rsym)
 
-    def x_split(b):
-        i, a = b
-        return b, relt_of({ring.support_symbol(a): k.one})
-
-    def xp_split(c):
-        i, a = c
-        return relt_of({ring.support_symbol(a): k.one}), c
-
-    def support(b):
-        i, a = b
-        return relt_of({ring.support_symbol(a): k.one})
-
     if ring.basis is not None:
         basis = [(i, a) for i in index for a in ring.basis]
+
+        def x_split(b):
+            return b, support(b)
+
+        def xp_split(c):
+            return support(c), c
+
+        def support(b):
+            return relt_of({ring.support_symbol(b[1]): k.one})
     else:
         basis = [(i, ring.unit_symbol) for i in index]
+
+        def x_split(b):
+            return (b[0], ring.unit_symbol), relt_of({b[1]: k.one})
+
+        def xp_split(c):
+            return relt_of({c[1]: k.one}), (c[0], ring.unit_symbol)
+
+        def support(b):
+            return relt_of({ring.unit_symbol: k.one})
 
     mod = FunctionalModule(
         ring=ring, x_basis=basis, xp_basis=list(basis),

@@ -416,8 +416,12 @@ class TestVerify:
         # H(1) = lam1 + pi1 holds for any lam1, so only pairing fails
         from pimsner.fock import HomotopyModel
         real_lam1 = HomotopyModel.lam1
-        monkeypatch.setattr(HomotopyModel, "lam1",
-                            lambda self, token: real_lam1(self, token).scale(2))
+
+        def doubled(self, token):
+            lam1 = real_lam1(self, token)
+            return lam1 + lam1
+
+        monkeypatch.setattr(HomotopyModel, "lam1", doubled)
         code, out, _ = run(capsys, "verify", rose2_file,
                            "--fock-depth", "6", "--word-bound", "3")
         assert code == 4
@@ -445,15 +449,15 @@ class TestVerify:
 
     def test_rose2_builds_each_lift_once(self, capsys, rose2_file,
                                          monkeypatch):
-        # 14 lifts: pi0 and pi1 of each x and phi, one lam0 per x and phi,
-        # and pi0 of v and of the zero scalar on the pairing side; one
-        # lam1 per x and phi (49 try_mul each).  505 columns: each basis
-        # symbol's pi0 leaf reads each key of the degrees its kind does not
-        # kill once, 63 for each x, 126 for each phi and 127 for v; pi1
-        # copies pi0's leaf, and the zero scalar splits into no leaf
-        from pimsner.fock import HomotopyModel, ToeplitzAlgebra, TruncatedFock
+        # 17 blocks: pi0, pi1 and lam0 of each x and phi, pi0 of v, and
+        # one lam1 per x and phi (49 try_mul each); the zero scalar on the
+        # pairing side has no block.  505 columns: each basis symbol's pi0
+        # leaf reads each key of the degrees its kind does not kill once, 63
+        # for each x, 126 for each phi and 127 for v; pi1 copies pi0's leaf,
+        # and the zero scalar splits into no leaf
+        from pimsner.fock import ToeplitzAlgebra, TruncatedFock, _Block
         counts = {}
-        for cls, name in [(HomotopyModel, "_lift_low"),
+        for cls, name in [(_Block, "__init__"),
                           (ToeplitzAlgebra, "try_mul"),
                           (TruncatedFock, "_column")]:
             def counted(*args, _real=getattr(cls, name), _name=name):
@@ -463,7 +467,7 @@ class TestVerify:
         code, _, _ = run(capsys, "verify", rose2_file,
                          "--fock-depth", "6", "--word-bound", "3")
         assert code == 0
-        assert counts == {"_lift_low": 14, "try_mul": 196, "_column": 505}
+        assert counts == {"__init__": 17, "try_mul": 196, "_column": 505}
 
     def test_verify_leaves_no_reference_cycles(self, capsys, tmp_path):
         # a finished verify op is freed by reference counting: the cycle

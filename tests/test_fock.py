@@ -2,6 +2,7 @@
 
 import random
 import re
+from functools import reduce
 
 import pytest
 
@@ -14,7 +15,6 @@ from pimsner.fock import (
     HOperator,
     HomotopyModel,
     InvariantViolation,
-    OVERFLOW,
     ToeplitzAlgebra,
     TruncatedFock,
     _Leaf,
@@ -37,9 +37,7 @@ from pimsner.ringcore import (
     ZZ,
     RingError,
     Zmod,
-    vadd,
     vclean,
-    vscale,
 )
 from test_pathspace import (Case, assert_same, check_random_words,
                             j_ideal_generator)
@@ -804,39 +802,31 @@ class TestHomotopy:
     def test_vanishing_pairing_gives_zero_product(self):
         # <e1*, e0> = 0, so H(T_phi) H(T_x) must be the zero polynomial
         # operator on every checked key
-        from pimsner.fock import OVERFLOW
         fk = rose_fock(2, 4)
         model = HomotopyModel(fk, 3)
         lhs = homotopy_H(model, ("phi", {("e1", "*"): 1})).compose(
             homotopy_H(model, ("x", {"e0": 1})))
-        for p, op in lhs.parts.items():
-            for key, col in _by_key(model, op.low).items():
-                if col is not OVERFLOW:
-                    assert not col, (p, key, col)
+        defined = 0
+        for p in sorted(_powers(lhs)):
+            for key, col in _low_columns(model, lhs, p).items():
+                assert col is None, (p, key, col)
+            defined += sum(lhs.column(i, p) is not None
+                           for i in model.low_ids)
+        assert defined
 
     def test_pairing_rank_one_module(self):
         model = HomotopyModel(_rank_one_fock(), 3)
         rep = _pairing(model, {"e0": 1}, {("e0", "*"): 1})
         assert rep.passed
 
-    def test_perturbed_coefficients_fail(self):
+    def test_perturbed_coefficients_fail(self, monkeypatch):
         # replacing 2t - t^3 by t breaks pairing preservation
         fk = rose_fock(2, 4)
         model = HomotopyModel(fk, 3)
-        from pimsner.fock import CheckReport, PolyOperator
-        xvec, pvec = {"e0": 1}, {("e0", "*"): 1}
-        tok = ("x", xvec)
-        bad_x = PolyOperator(model, {
-            0: model.lam0(tok) + model.pi_tensor(tok, "pi1"),
-            1: model.lam1(tok),
-            2: model.lam0(tok).scale(-1),
-        })
-        lhs = homotopy_H(model, ("phi", pvec)).compose(bad_x)
-        relt = model.module.pair(pvec, xvec)
-        rhs = PolyOperator(model, {0: model.pi_tensor(("r", relt), "pi0")})
-        rep = CheckReport("bad-pairing")
-        lhs.eq_report(rhs, rep, tag="bad")
-        assert not rep.passed
+        assert _pairing(model, {"e0": 1}, {("e0", "*"): 1}).passed
+        monkeypatch.setitem(fock_module._ROTATION, "x",
+                            (fock_module._ROTATION["x"][0], {1: 1}))
+        assert not _pairing(model, {"e0": 1}, {("e0", "*"): 1}).passed
 
     def test_pairing_check_fails_on_doubled_lam1(self, monkeypatch):
         fk = rose_fock(2, 4)
@@ -846,8 +836,12 @@ class TestHomotopy:
         assert report.passed
         assert report.checked == 724
         real_lam1 = model.lam1
-        monkeypatch.setattr(model, "lam1",
-                            lambda token: real_lam1(token).scale(2))
+
+        def doubled(token):
+            lam1 = real_lam1(token)
+            return lam1 + lam1
+
+        monkeypatch.setattr(model, "lam1", doubled)
         report = _pairing(model, xvec, pvec)
         assert len(report.failures) == 34
         assert {key for _, key in report.failures} <= set(model.low_keys)
@@ -862,11 +856,15 @@ class TestHomotopy:
         phi = model.pi_tensor(("phi", {("e0", "*"): 1}), "pi0")
         with pytest.raises(RingError):
             x.compose(phi)
-        assert phi.compose(x).high is not None
+        # phi after x keeps a tensor part: a report counts degrees 2..4
+        report = CheckReport("tensor part")
+        phi.compose(x).eq_report(phi.compose(x), report, "t")
+        assert report.passed
+        assert report.checked + report.skipped == \
+            len(model.low_ids) + fk.depth - 1
 
     def test_H_multiplicative_on_bimodule_relations(self):
         # H(T_{r.x}) = H(r) H(T_x) and H(T_{x.r}) = H(T_x) H(r), per power
-        from pimsner.fock import CheckReport
         fk = rose_fock(2, 4)
         model = HomotopyModel(fk, 3)
         m = fk.module
@@ -876,26 +874,28 @@ class TestHomotopy:
             rhs = homotopy_H(model, ("r", r)).compose(
                 homotopy_H(model, ("x", {b: 1})))
             rep = CheckReport("left-law")
-            lhs.eq_report(rhs, rep, tag=("left", b))
+            for p in sorted(_powers(lhs) | _powers(rhs)):
+                lhs.eq_report(rhs, rep, ("left", b), p)
             assert rep.passed
             lhs = homotopy_H(model, ("x", m.act_right({b: 1}, r)))
             rhs = homotopy_H(model, ("x", {b: 1})).compose(
                 homotopy_H(model, ("r", r)))
             rep = CheckReport("right-law")
-            lhs.eq_report(rhs, rep, tag=("right", b))
+            for p in sorted(_powers(lhs) | _powers(rhs)):
+                lhs.eq_report(rhs, rep, ("right", b), p)
             assert rep.passed
 
     def test_endpoints_fail_on_perturbed_scalar_column(self):
-        # a scalar token's homotopy must be constant: a t^1 part that moves
+        # a scalar token's homotopy must be constant: a t^1 word that moves
         # one column breaks H(1) = r . id while H(0) still holds
         fk = rose_fock(2, 4)
         model = HomotopyModel(fk, 3)
         token = ("r", fk.ring.monomial("v"))
         assert _endpoints(model, token).passed
-        key = model.c0_keys[0]
-        H = homotopy_H(model, token)
-        H.parts[1] = HOperator(model, low=_by_id(model, {key: {key: 1}}),
-                               high=None)
+        key, i = model.c0_keys[0], model.low_ids[0]
+        moved = fock_module._Block("a t^1 perturbation", [(i, i)], None)
+        H = homotopy_H(model, token) + HOperator(model, {(moved,): {1: 1}},
+                                                 None)
         report = homotopy_endpoints_check(model, token, H)
         assert not report.passed
         assert {tag for tag, _ in report.failures} == {"H(1)"}
@@ -912,21 +912,49 @@ class TestHomotopy:
             assert _endpoints(model, tok).passed
         assert _pairing(model, {"e": 1}, {("e", "*"): 1}).passed
 
+    def test_the_zero_scalar_reads_no_fock_column(self, monkeypatch):
+        # a pairing row with <phi, x> = 0 compares with the zero scalar,
+        # which has no word; its tensor part keeps the row's counts
+        fk = rose_fock(2, 4)
+        model = HomotopyModel(fk, 3)
+        reads = []
+        real_column = FockOperator.column
 
-# -- model ids and model keys: low parts are keyed by ids, tests by keys --
+        def counted(op, key):
+            reads.append(key)
+            return real_column(op, key)
 
-def _by_key(model, low):
-    """An id-keyed low part, its ids translated to model keys."""
-    return {model._keys[i]: col if col is OVERFLOW else
-            {model._keys[j]: c for j, c in col.items()}
-            for i, col in low.items()}
+        with monkeypatch.context() as patch:
+            patch.setattr(FockOperator, "column", counted)
+            zero = model.pi_tensor(("r", fk.ring.zero()), "pi0")
+            report = CheckReport("zero")
+            zero.eq_report(zero, report, "z")
+        assert reads == []
+        assert (report.checked, report.skipped) == \
+            (len(model.low_ids) + fk.depth - 1, 0)
+        # the counts of the parent's rows, zero and nonzero pairings alike
+        for e, f in [("e0", "e1"), ("e1", "e0"), ("e0", "e0")]:
+            report = _pairing(model, {e: 1}, {(f, "*"): 1})
+            assert (report.checked, report.skipped, report.passed) == \
+                (724, 161, True)
 
 
-def _by_id(model, low):
-    """A key-keyed low part, its keys interned to model ids."""
-    return {model._id(key): col if col is OVERFLOW else
-            {model._id(k2): c for k2, c in col.items()}
-            for key, col in low.items()}
+# -- low columns by model key; the powers of an operator's words --
+
+def _low_columns(model, op, power=0):
+    """The low columns of ``op`` at t^power that are not zero, by model
+    key: None where undefined, else a vector over model keys."""
+    out = {}
+    for i in model.low_ids:
+        col = op.column(i, power)
+        if col is None or col:
+            out[model._keys[i]] = None if col is None else {
+                model._keys[j]: c for j, c in col.items()}
+    return out
+
+
+def _powers(op):
+    return set().union(*op.terms.values())
 
 
 # -- the hand-derived corners of pi (x) id, kept as an oracle for the lift --
@@ -1009,9 +1037,8 @@ def _cycle_fock(depth=4):
 class TestPiTensorLift:
     """pi (x) id is the Fock token operator lifted through ``make_key``."""
 
-    def assert_low_equal(self, model, got, want):
-        got = _by_key(model, got)
-        assert set(got) <= set(model.low_keys)
+    def assert_low_equal(self, model, op, want):
+        got = _low_columns(model, op)
         assert set(want) <= set(model.low_keys)
         for key in model.low_keys:
             assert got.get(key, {}) == want.get(key, {}), key
@@ -1027,7 +1054,7 @@ class TestPiTensorLift:
         for token in tokens:
             for variant in ("pi0", "pi1"):
                 self.assert_low_equal(
-                    model, model.pi_tensor(token, variant).low,
+                    model, model.pi_tensor(token, variant),
                     _oracle_pi_tensor_low(model, token, variant))
             kind, payload = token
             if kind == "x":
@@ -1037,8 +1064,11 @@ class TestPiTensorLift:
             else:
                 continue
             lam0 = model.lam0(token)
-            assert lam0.high is None
-            self.assert_low_equal(model, lam0.low, want)
+            # no tensor part: a report counts the low ids only
+            report = CheckReport("lam0")
+            lam0.eq_report(lam0, report, "t")
+            assert report.checked + report.skipped == len(model.low_ids)
+            self.assert_low_equal(model, lam0, want)
 
     def test_two_symbol_payloads(self):
         fk = rose_fock(2, 4)
@@ -1048,40 +1078,100 @@ class TestPiTensorLift:
                       ("r", fk.ring.monomial("v").scale(5))]:
             for variant in ("pi0", "pi1"):
                 self.assert_low_equal(
-                    model, model.pi_tensor(token, variant).low,
+                    model, model.pi_tensor(token, variant),
                     _oracle_pi_tensor_low(model, token, variant))
 
-    def test_scaled_pi1_creation_fails_endpoint_zero(self, monkeypatch):
-        # pi_tensor reads token_op, so a wrong pi1 creation shows at H(0);
-        # a hand-derived low part would ignore it
+    def test_pi1_creation_of_another_edge_fails_endpoint_zero(
+            self, monkeypatch):
+        # pi_tensor reads token_op, so a wrong pi1 creation shows at H(0)
+        # alone (H(1) reads the same pi1); a hand-derived low part would
+        # ignore it.  A model builds its blocks once, so the patched one is
+        # a new model
         fk = rose_fock(2, 4)
-        model = HomotopyModel(fk, 3)
         token = ("x", {"e0": 1})
-        assert _endpoints(model, token).passed
+        assert _endpoints(HomotopyModel(fk, 3), token).passed
         real_token_op = fk.token_op
+        other = {"e0": "e1", "e1": "e0"}
 
-        def scaled(tok, variant="pi0"):
-            op = real_token_op(tok, variant)
+        def swapped(tok, variant="pi0"):
             if tok[0] == "x" and variant == "pi1":
-                return op.scale(2)
-            return op
+                tok = ("x", {other[e]: c for e, c in tok[1].items()})
+            return real_token_op(tok, variant)
 
-        monkeypatch.setattr(fk, "token_op", scaled)
-        report = _endpoints(model, token)
+        monkeypatch.setattr(fk, "token_op", swapped)
+        report = _endpoints(HomotopyModel(fk, 3), token)
         assert not report.passed
         assert {tag for tag, _ in report.failures} == {"H(0)"}
 
+    def test_a_block_that_is_no_partial_map_is_refused(self, monkeypatch):
+        # a lift of two model keys, or of coefficient 2, is no partial map
+        # of model ids; the error names the block and the key
+        fk = rose_fock(2, 4)
+        model = HomotopyModel(fk, 3)
+        real_make_key = model.make_key
 
-# -- the dense composition the homotopy model used to do, kept as an oracle --
+        def two_keys(n, tup, wk):
+            return {**real_make_key(n, tup, wk), (n, tup, ("s", "v")): 1}
 
-def _dense_compose_low(outer, inner):
-    """outer after inner on every low id, reading an absent id as {}."""
-    return {i: outer.apply_col(inner.low.get(i, {}))
-            for i in outer.model.low_ids}
+        monkeypatch.setattr(model, "make_key", two_keys)
+        with pytest.raises(RingError, match=r"the pi0 block of \('x', 'e0'\)"
+                           r" is not a partial map of model ids: its column "
+                           r"at \(\(1, \('e0',\)\), "):
+            model.pi_tensor(("x", {"e0": 1}), "pi0")
+
+        def doubled(n, tup, wk):
+            return {key: 2 for key in real_make_key(n, tup, wk)}
+
+        monkeypatch.setattr(model, "make_key", doubled)
+        with pytest.raises(RingError, match=r"the pi1 block of \('x', 'e1'\)"
+                           r" is not a partial map .*: 2\}"):
+            model.pi_tensor(("x", {"e1": 1}), "pi1")
+        # a scaled generator is refused too: its column has coefficient 2
+        monkeypatch.setattr(model, "make_key", real_make_key)
+        real_token_op = fk.token_op
+        monkeypatch.setattr(fk, "token_op", lambda tok, variant="pi0":
+                            real_token_op(tok, variant).scale(2))
+        with pytest.raises(RingError, match=r"the pi0 block of \('phi', "
+                           r"\('e0', '\*'\)\) is not a partial map .*: 2\}"):
+            model.pi_tensor(("phi", {("e0", "*"): 1}), "pi0")
+
+
+# -- the composition word pair by word pair, kept as an oracle --
+
+def _dense_compose_low(outer, inner, power):
+    """outer after inner at t^power, on every low id: the sum over each
+    word w2 of inner and w1 of outer of the column of w2 then w1, read as
+    a one-word operator of coefficient one, times the sum of c1 * c2 over
+    the powers p1 of w1 and p2 of w2 with p1 + p2 = power.  A pair that
+    leaves the word bound or the truncation at an id undefines the sum
+    there, whether its coefficient vanishes or not."""
+    model = outer.model
+    k = model.k
+    out = {}
+    for w2, q2 in inner.terms.items():
+        for w1, q1 in outer.terms.items():
+            cs = [k.mul(q1[power - p2], c2) for p2, c2 in q2.items()
+                  if power - p2 in q1]
+            if not cs:
+                continue
+            c = reduce(k.add, cs, k.zero)
+            pair = HOperator(model, {w2 + w1: {0: k.one}}, None)
+            for i in model.low_ids:
+                col = pair.column(i, 0)
+                if col is None:
+                    out[i] = None
+                elif col and out.get(i, {}) is not None:
+                    assert list(col.values()) == [k.one]
+                    total = out.setdefault(i, {})
+                    for j in col:
+                        total[j] = k.add(total.get(j, k.zero), c)
+    return {i: col if col is None else vclean(k, col)
+            for i, col in out.items()}
 
 
 class TestSparseCompose:
-    """``HOperator.compose`` walks the inner operator's stored columns only."""
+    """``HOperator.compose`` concatenates words; its columns are those of
+    the dense composition, OVERFLOW included."""
 
     @pytest.mark.parametrize("make, word_bound, lam1_overflows", [
         (lambda: rose_fock(2, 4), 3, True), (a2_fock, 3, False),
@@ -1090,53 +1180,53 @@ class TestSparseCompose:
     ], ids=["rose2", "a2", "rose2-bound1", "rose2-bound2", "a2-bound1"])
     def test_matches_dense_compose_on_homotopy_parts(self, make, word_bound,
                                                      lam1_overflows):
-        # OVERFLOW columns of lam1 must reach the composite exactly where
+        # undefined columns of lam1 must reach the composite exactly where
         # the dense composition puts them
-        from pimsner.fock import OVERFLOW
         fk = make()
         model = HomotopyModel(fk, word_bound)
         tokens = _basis_tokens(fk)
         assert lam1_overflows == any(
-            col is OVERFLOW for token in tokens if token[0] != "r"
-            for col in model.lam1(token).low.values())
-        parts = [op for token in tokens
-                 for op in homotopy_H(model, token).parts.values()]
+            model.lam1(token).column(i, 0) is None
+            for token in tokens if token[0] != "r" for i in model.low_ids)
+        Hs = [homotopy_H(model, token) for token in tokens]
         composed = overflows = 0
-        for inner in parts:
-            for outer in parts:
+        for inner in Hs:
+            for outer in Hs:
                 try:
-                    got = _by_key(model, outer.compose(inner).low)
+                    got = outer.compose(inner)
                 except RingError:
                     continue
-                want = _by_key(model, _dense_compose_low(outer, inner))
-                assert set(got) <= set(model.low_keys)
-                for key in model.low_keys:
-                    assert got.get(key, {}) == want[key], key
+                for p in range(7):
+                    want = _dense_compose_low(outer, inner, p)
+                    for i in model.low_ids:
+                        assert got.column(i, p) == want.get(i, {}), \
+                            (p, model._keys[i])
+                    overflows += sum(col is None for col in want.values())
                 composed += 1
-                overflows += sum(col is OVERFLOW for col in want.values())
         assert composed
         assert (overflows > 0) == lam1_overflows
 
 
 # -- the dense low-part comparison eq_report used to make, kept as an oracle --
 
-def _dense_eq_report(a, b, tag=""):
-    """Compare the low parts of a and b on every low id of the model."""
+def _dense_eq_report(model, column_a, column_b, tag=""):
+    """Compare two low parts on every low id of the model; each is given
+    as a function from a low id to its column."""
     report = CheckReport("dense")
-    for i in a.model.low_ids:
-        ca = a.low.get(i, {})
-        cb = b.low.get(i, {})
-        if ca is OVERFLOW or cb is OVERFLOW:
+    for i in model.low_ids:
+        ca, cb = column_a(i), column_b(i)
+        if ca is None or cb is None:
             report.skipped += 1
             continue
         report.checked += 1
         if ca != cb:
-            report.failures.append((tag, a.model._keys[i]))
+            report.failures.append((tag, model._keys[i]))
     return report
 
 
 class TestSparseEqReport:
-    """``HOperator.eq_report`` compares only the low ids either side stores."""
+    """``HOperator.eq_report`` reads only the low ids where either side is
+    not zero, and no column of equal groups."""
 
     @pytest.mark.parametrize("make, word_bound, overflows", [
         (lambda: rose_fock(2, 4), 3, True), (a2_fock, 3, False),
@@ -1146,34 +1236,39 @@ class TestSparseEqReport:
                                                   overflows):
         fk = make()
         model = HomotopyModel(fk, word_bound)
-        parts = [op for token in _basis_tokens(fk)
-                 for op in homotopy_H(model, token).parts.values()]
-        # one part perturbed in two low columns: a stored one, and an id
-        # it does not store, so the sparse walk must merge both sides
-        base = next(op for op in parts if len(op.low) < len(model.low_ids)
-                    and any(col and col is not OVERFLOW
-                            for col in op.low.values()))
-        low = dict(base.low)
-        stored = next(i for i, col in low.items()
-                      if col and col is not OVERFLOW)
-        absent = next(i for i in model.low_ids if i not in low)
-        low[stored] = vscale(fk.k, low[stored], 2)
-        low[absent] = {absent: fk.k.one}
-        parts.append(HOperator(model, low, None))
+        tokens = _basis_tokens(fk)
+        # the homotopies' words without their tensor parts, and lam0, lam1
+        parts = [HOperator(model, homotopy_H(model, token).terms, None)
+                 for token in tokens]
+        parts += [lam(token) for token in tokens if token[0] != "r"
+                  for lam in (model.lam0, model.lam1)]
+        # one part perturbed in two low columns: one it does not send to
+        # zero, and one it does, so the sparse walk must merge both sides
+        base = next(op for op in parts
+                    if any(op.column(i, 0) == {} for i in model.low_ids)
+                    and any(op.column(i, 0) for i in model.low_ids))
+        stored = next(i for i in model.low_ids if base.column(i, 0))
+        absent = next(i for i in model.low_ids if base.column(i, 0) == {})
+        target = next(iter(base.column(stored, 0)))
+        bump = fock_module._Block("a perturbation",
+                                  [(stored, target), (absent, absent)], None)
+        parts.append(base + HOperator(model, {(bump,): {0: fk.k.one}}, None))
         failures = skipped = 0
         for a in parts:
             for b in parts:
-                got = CheckReport("sparse")
-                HOperator(model, a.low, None).eq_report(
-                    HOperator(model, b.low, None), got, tag="t")
-                want = _dense_eq_report(a, b, tag="t")
-                assert (got.checked, got.skipped, got.failures) == \
-                    (want.checked, want.skipped, want.failures)
-                failures += len(want.failures)
-                skipped += want.skipped
+                for p in range(4):
+                    got = CheckReport("sparse")
+                    a.eq_report(b, got, "t", p)
+                    want = _dense_eq_report(
+                        model, lambda i: a.column(i, p),
+                        lambda i: b.column(i, p), tag="t")
+                    assert (got.checked, got.skipped, got.failures) == \
+                        (want.checked, want.skipped, want.failures)
+                    failures += len(want.failures)
+                    skipped += want.skipped
         assert failures and bool(skipped) == overflows
         got = CheckReport("perturbed")
-        HOperator(model, base.low, None).eq_report(parts[-1], got, tag="p")
+        base.eq_report(parts[-1], got, tag="p")
         assert got.failures == sorted(
             [("p", model._keys[stored]), ("p", model._keys[absent])],
             key=lambda failure: model._ids[failure[1]])
@@ -1189,58 +1284,43 @@ class TestOnePassWordOperator:
             word_operator(fk, [("x", {"e0": 1}), ("x*", {"e0": 1})], "pi0")
 
 
-# -- the unclean operations the homotopy model used to make, kept as oracles:
-# every column is stored, a zero one too --
+# -- the scaled sums of the columns, power by power, kept as oracles --
 
-def _unclean_low(op):
-    """A low part that also stores every zero column of ``op`` ({})."""
-    return {i: op.low.get(i, {}) for i in op.model.low_ids}
-
-
-def _unclean_sum(k, lows_and_coeffs):
-    """The sum of ``coeff * low``, scaling and adding every stored column."""
+def _at_oracle(op, value):
+    """The low columns of ``op`` at t = value, on each low id where some
+    power is not zero: the sum of value^p times its t^p column, undefined
+    where any power's column is."""
+    k = op.model.k
     out = {}
-    for coeff, low in lows_and_coeffs:
-        for i, col in low.items():
-            col = col if col is OVERFLOW else vscale(k, col, coeff)
-            if i not in out:
-                out[i] = col
-            elif out[i] is OVERFLOW or col is OVERFLOW:
-                out[i] = OVERFLOW
-            else:
-                out[i] = vadd(k, out[i], col)
+    for i in op.model.low_ids:
+        cols = [(p, op.column(i, p)) for p in sorted(_powers(op))]
+        if all(col == {} for _, col in cols):
+            continue
+        total = {}
+        for p, col in cols:
+            if col is None:
+                total = None
+                break
+            for j, c in col.items():
+                total[j] = k.add(total.get(j, k.zero),
+                                 k.mul(k.coerce(value ** p), c))
+        out[i] = None if total is None else vclean(k, total)
     return out
 
 
-def _unclean_apply(outer, col):
-    """``outer`` on one column, reading every source column through
-    ``HOperator.column``: OVERFLOW if any of them overflows."""
-    if col is OVERFLOW:
-        return OVERFLOW
-    k = outer.model.k
+def _sum_oracle(a, b, power):
+    """The low columns of a + b at t^power, on each low id where a or b is
+    not zero: their sum, undefined where either is."""
+    k = a.model.k
     out = {}
-    for i, c in col.items():
-        sub = outer.column(i)
-        if sub is OVERFLOW:
-            return OVERFLOW
-        for j, c2 in sub.items():
-            out[j] = k.add(out.get(j, k.zero), k.mul(c, c2))
-    return vclean(k, out)
-
-
-def _scale_and_add_at(poly, value):
-    """``PolyOperator.at`` as it was: every part scaled and added, a part
-    whose coefficient vanishes too."""
-    k = poly.model.k
-    pairs = [(k.coerce(value ** p if p else 1), op)
-             for p, op in poly.parts.items()]
-    high = None
-    for coeff, op in pairs:
-        if op.high is not None:
-            h = op.high.scale(coeff)
-            high = h if high is None else high + h
-    return HOperator(poly.model, _unclean_sum(
-        k, [(coeff, op.low) for coeff, op in pairs]), high)
+    for i in a.model.low_ids:
+        ca, cb = a.column(i, power), b.column(i, power)
+        if ca == {} and cb == {}:
+            continue
+        out[i] = None if ca is None or cb is None else vclean(k, {
+            j: k.add(ca.get(j, k.zero), cb.get(j, k.zero))
+            for j in ca.keys() | cb.keys()})
+    return out
 
 
 def _zmod6_tokens(fk):
@@ -1255,81 +1335,94 @@ _CLEAN_MODELS = {
     "zmod6": (lambda: rose_fock(2, 4, k=Zmod(6)), 3, _zmod6_tokens),
 }
 
-
-def _assert_clean(op):
-    assert {} not in op.low.values()
-    assert set(op.low) <= set(op.model.low_ids)
+# the rotation with its odd powers tripled: over Z/6, 2t becomes 0 . t
+_BENT_ROTATION = {"x": ({0: 1, 2: -1}, {1: 6, 3: -3}),
+                  "phi": ({0: 1, 2: -1}, {1: 3})}
 
 
 class TestCleanLowParts:
-    """No low part stores a zero column; the values are those of the
-    unclean operations."""
+    """Every column read is clean, and equals the oracle's: a sum, a
+    composite and a value of t, columns that vanish included."""
 
     @pytest.mark.parametrize("name", sorted(_CLEAN_MODELS))
     def test_parts_products_sums_scales_and_endpoints(self, name):
         make, word_bound, tokens_of = _CLEAN_MODELS[name]
         fk = make()
         model = HomotopyModel(fk, word_bound)
-        k = fk.k
         Hs = [homotopy_H(model, token) for token in tokens_of(fk)]
-        parts = [op for H in Hs for op in H.parts.values()]
         dropped = 0
 
-        def check(got, want):
-            # got is clean and holds want's nonzero columns
+        def check(got, want, power):
+            # got is clean and equals want, where want drops nothing
             nonlocal dropped
-            _assert_clean(got)
             for i in model.low_ids:
-                assert got.low.get(i, {}) == want.get(i, {}), model._keys[i]
+                col = got.column(i, power)
+                assert col is None or all(col.values())
+                assert col == want.get(i, {}), (power, model._keys[i])
             dropped += sum(col == {} for col in want.values())
 
-        for a in parts:
-            check(a, _unclean_low(a))
-            for coeff in (0, 2, 3, -1):
-                check(a.scale(coeff), _unclean_sum(k, [(coeff, a.low)]))
-            for b in parts:
-                check(a + b, _unclean_sum(k, [(1, a.low), (1, b.low)]))
+        for a in Hs:
+            # t = 2 and t = 3 scale the parts by zero divisors over Z/6
+            for value in (0, 1, 2, 3, -1):
+                check(a.at(value), _at_oracle(a, value), 0)
+            for b in Hs:
+                for p in range(4):
+                    check(a + b, _sum_oracle(a, b, p), p)
+        # over Z/6 the lam1 word of H(3 T_e0) has coefficient 3 * 2 = 0 at
+        # t^1 and still leaves the bound, also inside a composite
+        for a in Hs:
+            for b in Hs:
                 try:
                     got = a.compose(b)
                 except RingError:
                     continue
-                check(got, {i: _unclean_apply(a, col)
-                            for i, col in _unclean_low(b).items()})
-        for H in Hs:
-            for value in (0, 1):
-                check(H.at(value), _scale_and_add_at(H, value).low)
+                for p in range(7):
+                    check(got, _dense_compose_low(a, b, p), p)
         assert dropped
 
     @pytest.mark.parametrize("name", sorted(_CLEAN_MODELS))
-    def test_endpoints_match_scale_and_add_at(self, name):
-        # at skips the columns of a part whose coefficient is zero, and
-        # keeps its OVERFLOW ids: the endpoint accounting is unchanged, for
-        # the true homotopy and for one whose lam1 parts are perturbed
+    def test_endpoints_match_scale_and_add_at(self, name, monkeypatch):
+        # at keeps the OVERFLOW ids of a word whose coefficient is zero:
+        # the endpoint accounting is that of the columns scaled and added
+        # power by power, for the true homotopy and for one whose odd
+        # powers are tripled, where 2t vanishes over Z/6
         make, word_bound, tokens_of = _CLEAN_MODELS[name]
         fk = make()
         model = HomotopyModel(fk, word_bound)
+        tokens = tokens_of(fk)
+        Hs = [homotopy_H(model, token) for token in tokens]
+        with monkeypatch.context() as patch:
+            for kind, rotation in _BENT_ROTATION.items():
+                patch.setitem(fock_module._ROTATION, kind, rotation)
+            bent = [homotopy_H(model, token) for token in tokens]
         failing = 0
-        for token in tokens_of(fk):
-            H = homotopy_H(model, token)
+        for token, H, B in zip(tokens, Hs, bent):
             rhs = {0: model.pi_tensor(token, "pi0"),
                    1: model.pi_tensor(token, "pi0") if token[0] == "r"
                    else model.lam1(token) + model.pi_tensor(token, "pi1")}
-            bent = fock_module.PolyOperator(model, {
-                p: op.scale(3) if p % 2 else op for p, op in H.parts.items()})
-            for poly in (H, bent):
+            for poly in (H, B):
                 for value in (0, 1):
-                    got, want = CheckReport("at"), CheckReport("oracle")
+                    got = CheckReport("at")
                     poly.at(value).eq_report(rhs[value], got, tag=value)
-                    _scale_and_add_at(poly, value).eq_report(
-                        rhs[value], want, tag=value)
-                    assert (got.checked, got.skipped, got.failures) == \
-                        (want.checked, want.skipped, want.failures)
+                    # the tensor parts count as rhs's against itself
+                    tensor = CheckReport("tensor")
+                    rhs[value].eq_report(rhs[value], tensor, tag=value)
+                    column = rhs[value].column
+                    low = _dense_eq_report(model, lambda i: column(i, 0),
+                                           lambda i: column(i, 0))
+                    cols = _at_oracle(poly, value)
+                    want = _dense_eq_report(model, lambda i: cols.get(i, {}),
+                                            lambda i: column(i, 0), value)
+                    assert (got.checked, got.skipped, got.failures) == (
+                        want.checked + tensor.checked - low.checked,
+                        want.skipped + tensor.skipped - low.skipped,
+                        want.failures)
                     failing += bool(got.failures)
         assert failing
 
 
 class TestLiftOnce:
-    """One low-part build reads each Fock column once."""
+    """One block build reads each Fock column once."""
 
     @pytest.mark.parametrize("make", [lambda: rose_fock(2, 4), a2_fock,
                                       _rank_one_fock],
@@ -1350,11 +1443,12 @@ class TestLiftOnce:
             for variant in ("pi0", "pi1"):
                 model = HomotopyModel(fk, 3)
                 reads.clear()
-                low = model.pi_tensor(token, variant).low
+                op = model.pi_tensor(token, variant)
                 assert set(reads.values()) <= {1}
                 total += len(reads)
-                # more columns stored than read: words share their reads
-                shared += len(reads) < len(low)
+                # more columns than reads: words share their reads
+                columns = sum(bool(op.column(i, 0)) for i in model.low_ids)
+                shared += len(reads) < columns
         assert total and shared
 
 
@@ -1422,7 +1516,7 @@ class TestModelWords:
 
 
 class TestDroppedLam1Column:
-    """A lam1 part is seen at t = 1 and by the pairing, never at t = 0."""
+    """A lam1 word is seen at t = 1 and by the pairing, never at t = 0."""
 
     def test_endpoints_fail_at_one_only_and_pairing_fails(self, monkeypatch):
         fk = rose_fock(2, 4)
@@ -1431,22 +1525,25 @@ class TestDroppedLam1Column:
         clean = {kind: _endpoints(model, tok)
                  for kind, tok in tokens.items()}
         assert all(report.passed for report in clean.values())
-        real_lam1_low = HomotopyModel._lam1_low
+        real_block = HomotopyModel._block
         dropped = {}
 
-        def drop_one(self, token):
-            low = real_lam1_low(self, token)
-            i = min(i for i, col in low.items() if col is not OVERFLOW)
-            dropped[token[0]] = self._keys[i]
-            return {j: col for j, col in low.items() if j != i}
+        def drop_one(self, role, kind, sym):
+            # the lam1 block less its first image that is a model id; the
+            # real block stays kept for the checks' right-hand sides
+            block = real_block(self, role, kind, sym)
+            if role != "lam1":
+                return block
+            i = next(i for i, j in block.live if isinstance(j, int))
+            dropped[kind] = self._keys[i]
+            return fock_module._Block(
+                block.name, [pair for pair in block.live if pair[0] != i],
+                None)
 
-        # a fresh model, so lam1 is built under the mutation; the checks'
-        # right-hand sides then rebuild it unmutated
         model = HomotopyModel(fk, 3)
         with monkeypatch.context() as patch:
-            patch.setattr(HomotopyModel, "_lam1_low", drop_one)
+            patch.setattr(HomotopyModel, "_block", drop_one)
             H = {kind: homotopy_H(model, tok) for kind, tok in tokens.items()}
-        model._lows.clear()
         for kind, tok in tokens.items():
             report = homotopy_endpoints_check(model, tok, H[kind])
             assert report.failures == [("H(1)", dropped[kind])]

@@ -35,7 +35,8 @@ from pimsner.ringcore import (
     vdrop,
     vscale,
 )
-from pimsner.selfsim import IDENTITY, nek_module, parse_selfsim
+from pimsner.selfsim import (IDENTITY, build_nek_correspondence,
+                             nek_module, parse_selfsim)
 
 from test_acceptance import acceptance_quivers
 from test_ringcore import laurent, t
@@ -308,6 +309,38 @@ class TestFrame:
     @pytest.mark.parametrize("name", POOL_GROUPS)
     def test_pool_groups(self, name):
         self.assert_frame(nek_module(pool_group(name), ZZ))
+
+
+class TestFreeModuleSplits:
+    """``free_module`` splits every symbol, over a ring with a finite basis
+    and over a group ring, which has none: b = b0 . r and c = r . c0, and
+    each left support fixes its symbol."""
+
+    @staticmethod
+    def assert_splits(m, syms):
+        one = m.k.one
+        for sym in syms:
+            b0, r = m.x_split(sym)
+            assert m.act_right({b0: one}, r) == {sym: one}
+            r, c0 = m.xp_split(sym)
+            assert m.act_xp_left(r, {c0: one}) == {sym: one}
+            assert m.act_left(m.x_left_support(sym), {sym: one}) == {sym: one}
+            assert m.act_xp_left(m.xp_left_support(sym),
+                                 {sym: one}) == {sym: one}
+
+    def test_direct_sum_ring(self):
+        m = free_module(DirectSumRing(ZZ, ["p", "q"]), [0, 1])
+        self.assert_splits(m, m.x_basis)
+
+    @pytest.mark.parametrize("name", POOL_GROUPS)
+    def test_pool_groups(self, name):
+        group = pool_group(name)
+        m = build_nek_correspondence(group, ZZ).hom.target
+        words = [IDENTITY] + [group.canonical(group.gen_word(g))
+                              for g in group.generators]
+        syms = [(i, w) for i, _ in m.x_basis for w in words]
+        assert len(syms) > len(m.x_basis)
+        self.assert_splits(m, syms)
 
 
 # ---------------------------------------------------------------------------
