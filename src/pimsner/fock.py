@@ -959,7 +959,8 @@ def quasi_hom_defect(fock, tokens):
 # ---------------------------------------------------------------------------
 
 # where a block sends a model id whose image leaves the word bound or the
-# truncation; ``HOperator._grouped`` is the only reader
+# truncation; ``HOperator._grouped`` reads it, and a ``_Block`` keeps its
+# OVERFLOW pairs apart for it
 OVERFLOW = object()
 
 
@@ -1052,7 +1053,8 @@ class HomotopyModel:
         """Canonicalize a raw (degree, tensor, word) triple to model keys."""
         cache_key = (n == 0, tup[-1], wk)
         if cache_key not in self._absorbed:
-            u = (self.ring.monomial(tup[0]) if n == 0
+            # in degree 0, tup holds the one ring symbol: tup[-1] is tup[0]
+            u = (self.ring.monomial(tup[-1]) if n == 0
                  else self.module.x_split(tup[-1])[1])
             self._absorbed[cache_key] = self.talg._scalar_times_word(u, wk)
         tup = () if n == 0 else tup
@@ -1121,7 +1123,7 @@ class HomotopyModel:
                         live.append((i, j))
             live.sort()
         block = self._blocks[name] = _Block(
-            name, live, None if role == "lam0" else op)
+            name, live, None if role == "lam0" else op, self._info)
         return block
 
     def _reach(self, block, j):
@@ -1175,15 +1177,33 @@ class _Block:
     ``HomotopyModel._reach`` adds the high ids, through the Fock operator
     ``op`` of a pi0 or pi1 block.  Operators share blocks: never mutate
     ``live``.
+
+    Two bitmasks of model degrees, read off the model's ``info`` (its
+    ``_info``), summarize the block: ``targets`` holds the degrees of the
+    images in ``live`` that are ids, and ``sources`` those of the ids in
+    ``live``, with every degree >= 2 when ``op`` is set, since ``_reach``
+    may send such an id somewhere.  A block whose ``targets`` miss the
+    next block's ``sources`` carries only its OVERFLOW pairs, kept in
+    ``overflow``, through it: every other pair reaches zero.
     """
 
-    __slots__ = ("name", "op", "live", "img")
+    __slots__ = ("name", "op", "live", "img", "sources", "targets",
+                 "overflow")
 
-    def __init__(self, name, live, op):
+    def __init__(self, name, live, op, info):
         self.name = name
         self.op = op
         self.live = live
         self.img = dict(live)
+        self.sources = 0 if op is None else ~0b11
+        self.targets = 0
+        self.overflow = []
+        for i, j in live:
+            self.sources |= 1 << info[i][0]
+            if j is OVERFLOW:
+                self.overflow.append((i, j))
+            else:
+                self.targets |= 1 << info[j][0]
 
 
 class HOperator:
@@ -1219,14 +1239,20 @@ class HOperator:
         """The low ids whose column at t^power is not zero, with their
         columns as ``column`` gives them, kept.  Each word is carried once
         from its first block's live ids through each later block, and its
-        images are grouped per source at each power it has; a zero
-        coefficient adds only its OVERFLOW ids."""
+        images are grouped per source at each power it has: the first
+        image of an id is its column, ``{j: c}``, and later ones add to
+        it; a zero coefficient adds only its OVERFLOW ids.  A word whose
+        first block's ``targets`` miss its second block's ``sources`` is
+        carried no further than its first block's OVERFLOW pairs: every
+        other pair would reach zero (see ``_Block``)."""
         if self._cols is None:
             k, reach = self.model.k, self.model._reach
             cols = defaultdict(dict)
             for word, poly in self.terms.items():
-                pairs = word[0].live
-                for block in word[1:]:
+                pairs, later = word[0].live, word[1:]
+                if later and not word[0].targets & later[0].sources:
+                    pairs, later = word[0].overflow, ()
+                for block in later:
                     carried = []
                     for i, j in pairs:
                         if j is not OVERFLOW:
@@ -1241,8 +1267,13 @@ class HOperator:
                         if j is OVERFLOW:
                             group[i] = None
                             continue
-                        col = group.setdefault(i, {}) if c else None
+                        if not c:
+                            continue
+                        col = group.get(i)
                         if col is None:
+                            # i's first image, unless i is undefined here
+                            if i not in group:
+                                group[i] = {j: c}
                             continue
                         total = k.add(col.get(j, k.zero), c)
                         if total:
@@ -1308,14 +1339,23 @@ class HOperator:
         undefined is skipped, and a failing one is tagged with its model
         key, in low-id order; the tensor part is compared at t^0.  Equal
         groups (``_grouped``) need no column read; otherwise only the low
-        ids where either side is not zero are read.
+        ids where the two groups differ are read.  An id that both hold
+        alike counts as checked, or as skipped where both leave it
+        undefined, as its column read would.
         """
         model = self.model
         a, b = self._grouped(power), other._grouped(power)
+        stored, undefined = [], 0
         if a == b:
-            stored, undefined = (), list(a.values()).count(None)
+            undefined = list(a.values()).count(None)
         else:
-            stored, undefined = sorted(a.keys() | b.keys()), 0
+            for i in a.keys() | b.keys():
+                ca = a.get(i, {})
+                if ca != b.get(i, {}):
+                    stored.append(i)
+                elif ca is None:
+                    undefined += 1
+            stored.sort()
         report.skipped += undefined
         report.checked += len(model.low_ids) - len(stored) - undefined
         for i in stored:

@@ -23,8 +23,10 @@ its zeros (``vdrop``, or ``vadd`` and ``vscale`` as they go); ``vclean``
 also coerces, for values from outside the scalar ops.
 
 Two kernels extend a rule ``f`` on symbols: ``vapply`` over one vector,
-``vmul`` over two.  ``f`` returns clean vectors; ``vapply`` of a one-entry
-vector of coefficient one is ``f(sym)`` itself, so no caller mutates a sum.
+``vmul`` over two.  ``f`` returns clean vectors.  Both take one step on a
+monomial: ``vapply`` of a one-entry vector of coefficient one is
+``f(sym)`` itself, and ``vmul`` of two such vectors is ``f(x, y)`` itself,
+which may be a memo, so no caller mutates a kernel's result.
 """
 
 from __future__ import annotations
@@ -242,7 +244,14 @@ def vapply(k, f, vec):
 
 def vmul(k, f, a, b):
     """The clean sum of ``ca * cb * f(x, y)`` over the entries x of ``a``
-    and y of ``b``, with ``a`` outermost; ``f`` returns clean vectors."""
+    and y of ``b``, with ``a`` outermost; ``f`` returns clean vectors, and
+    two one-entry vectors whose coefficients are one give ``f(x, y)``
+    itself, so callers never mutate the sum."""
+    if len(a) == 1 and len(b) == 1:
+        [(x, ca)] = a.items()
+        [(y, cb)] = b.items()
+        if ca == k.one and cb == k.one:
+            return f(x, y)
     add, mul, zero = k.add, k.mul, k.zero
     out = {}
     for x, ca in a.items():

@@ -893,7 +893,8 @@ class TestHomotopy:
         token = ("r", fk.ring.monomial("v"))
         assert _endpoints(model, token).passed
         key, i = model.c0_keys[0], model.low_ids[0]
-        moved = fock_module._Block("a t^1 perturbation", [(i, i)], None)
+        moved = fock_module._Block("a t^1 perturbation", [(i, i)], None,
+                                   model._info)
         H = homotopy_H(model, token) + HOperator(model, {(moved,): {1: 1}},
                                                  None)
         report = homotopy_endpoints_check(model, token, H)
@@ -1138,13 +1139,27 @@ class TestPiTensorLift:
 
 # -- the composition word pair by word pair, kept as an oracle --
 
+def _word_images(model, word):
+    """Each live id of the word's first block with its image through every
+    later block, carried pair by pair as ``HOperator._grouped`` would
+    without its pruning: a model id, OVERFLOW, or None for zero."""
+    out = {}
+    for i, j in word[0].live:
+        for block in word[1:]:
+            if j is None or j is fock_module.OVERFLOW:
+                break
+            j = block.img[j] if j in block.img else model._reach(block, j)
+        out[i] = j
+    return out
+
+
 def _dense_compose_low(outer, inner, power):
     """outer after inner at t^power, on every low id: the sum over each
-    word w2 of inner and w1 of outer of the column of w2 then w1, read as
-    a one-word operator of coefficient one, times the sum of c1 * c2 over
-    the powers p1 of w1 and p2 of w2 with p1 + p2 = power.  A pair that
-    leaves the word bound or the truncation at an id undefines the sum
-    there, whether its coefficient vanishes or not."""
+    word w2 of inner and w1 of outer of the image of w2 then w1 (see
+    ``_word_images``), times the sum of c1 * c2 over the powers p1 of w1
+    and p2 of w2 with p1 + p2 = power.  A pair that leaves the word bound
+    or the truncation at an id undefines the sum there, whether its
+    coefficient vanishes or not."""
     model = outer.model
     k = model.k
     out = {}
@@ -1155,16 +1170,12 @@ def _dense_compose_low(outer, inner, power):
             if not cs:
                 continue
             c = reduce(k.add, cs, k.zero)
-            pair = HOperator(model, {w2 + w1: {0: k.one}}, None)
-            for i in model.low_ids:
-                col = pair.column(i, 0)
-                if col is None:
+            for i, j in _word_images(model, w2 + w1).items():
+                if j is fock_module.OVERFLOW:
                     out[i] = None
-                elif col and out.get(i, {}) is not None:
-                    assert list(col.values()) == [k.one]
+                elif j is not None and out.get(i, {}) is not None:
                     total = out.setdefault(i, {})
-                    for j in col:
-                        total[j] = k.add(total.get(j, k.zero), c)
+                    total[j] = k.add(total.get(j, k.zero), c)
     return {i: col if col is None else vclean(k, col)
             for i, col in out.items()}
 
@@ -1251,7 +1262,8 @@ class TestSparseEqReport:
         absent = next(i for i in model.low_ids if base.column(i, 0) == {})
         target = next(iter(base.column(stored, 0)))
         bump = fock_module._Block("a perturbation",
-                                  [(stored, target), (absent, absent)], None)
+                                  [(stored, target), (absent, absent)], None,
+                                  model._info)
         parts.append(base + HOperator(model, {(bump,): {0: fk.k.one}}, None))
         failures = skipped = 0
         for a in parts:
@@ -1421,6 +1433,37 @@ class TestCleanLowParts:
         assert failing
 
 
+class TestPrunedWords:
+    """A composite word whose first block's images meet nothing its second
+    block sends anywhere keeps its first block's OVERFLOW ids, and only
+    those, at every power of t."""
+
+    @pytest.mark.parametrize("k, want", [
+        (ZZ, {1: 6, 3: -9, 5: 3}),
+        # 3 * 2t vanishes over Z/6: the t^1 coefficient is zero
+        (Zmod(6), {1: 0, 3: 3, 5: 3}),
+    ], ids=["ZZ", "zmod6"])
+    def test_lam1_then_lam0_keeps_its_overflow_ids(self, k, want):
+        fk = rose_fock(2, 4, k=k)
+        model = HomotopyModel(fk, 3)
+        x, phi = ("x", {"e0": 3}), ("phi", {("e0", "*"): 1})
+        lam1 = model._block("lam1", "x", "e0")
+        lam0 = model._block("lam0", "phi", ("e0", "*"))
+        # lam1 sends degree-0 ids to degree-0 ids, and lam0 maps degree 1
+        assert not lam1.targets & lam0.sources
+        assert all(lam0.img.get(j) is None for _, j in lam1.live
+                   if j is not fock_module.OVERFLOW)
+        undefined = [i for i, j in lam1.live if j is fock_module.OVERFLOW]
+        assert undefined and len(undefined) < len(lam1.live)
+        word = (lam1, lam0)
+        poly = homotopy_H(model, phi).compose(homotopy_H(model, x)).terms[word]
+        assert poly == want
+        alone = HOperator(model, {word: poly}, None)
+        for p in poly:
+            assert {i: alone.column(i, p) for i in model.low_ids
+                    if alone.column(i, p) != {}} == dict.fromkeys(undefined)
+
+
 class TestLiftOnce:
     """One block build reads each Fock column once."""
 
@@ -1538,7 +1581,7 @@ class TestDroppedLam1Column:
             dropped[kind] = self._keys[i]
             return fock_module._Block(
                 block.name, [pair for pair in block.live if pair[0] != i],
-                None)
+                None, self._info)
 
         model = HomotopyModel(fk, 3)
         with monkeypatch.context() as patch:

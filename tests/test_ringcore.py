@@ -383,6 +383,22 @@ class TestKernels:
         assert vapply(ZZ, memo.__getitem__, {"a": 3}) == {"x": 6, "y": 3}
         assert vapply(Zmod(6), memo.__getitem__, {"a": 3}) == {"y": 3}
 
+    def test_vmul_hands_on_a_one_entry_image(self):
+        # two one-entry vectors of coefficient one give f's value itself,
+        # which may be a memo; any other coefficient takes the double loop
+        memo = {("a", "b"): {"x": 2, "y": 1}}
+        f = lambda x, y: memo[x, y]  # noqa: E731
+        assert vmul(ZZ, f, {"a": 1}, {"b": 1}) is memo["a", "b"]
+        for k, a, b, want in [
+                (ZZ, {"a": 3}, {"b": 1}, {"x": 6, "y": 3}),
+                (ZZ, {"a": 1}, {"b": 3}, {"x": 6, "y": 3}),
+                (Zmod(6), {"a": 3}, {"b": 1}, {"y": 3}),
+                # 2 * 3 vanishes mod 6
+                (Zmod(6), {"a": 2}, {"b": 3}, {})]:
+            got = vmul(k, f, a, b)
+            assert got == want == _plain_vmul(k, f, a, b)
+            assert got is not memo["a", "b"]
+
 
 class TestIdempotents:
     def test_basis_idempotent(self):
