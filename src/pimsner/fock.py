@@ -10,9 +10,10 @@ R-system has no involution, so nothing here acts on a dual Fock module:
 ``_KINDS``, of degree shift and lowest live degree.  Every basis key of
 the truncation has a global index, and the generator of each basis symbol
 is one list, its leaf, mapping every index to the index of its image or to
--1.  Every operator is an exact flat sum of words in the leaves: a word's
-image is its first leaf's live indices, carried through each later leaf's
-list, and operators compare by these images.  Every operator knows which
+-1, read off the module once per key, one basis symbol at a time.  Every
+operator is an exact flat sum of words in the leaves: a word's image is
+its first leaf's live indices, carried through each later leaf's list,
+and operators compare by these images.  Every operator knows which
 source degrees its columns are defined on, so identities are only asserted
 within the truncation budget: a check at source degree d runs only when
 every intermediate degree of the word stays <= N, and checkers report how
@@ -25,7 +26,10 @@ The module also provides:
 * the pair of representations pi0 (canonical) and pi1 (shifted away from
   low degrees: each generator kills one degree more); their difference
   on any Toeplitz word is supported on a single block, which is what
-  makes the pair a quasi-homomorphism;
+  makes the pair a quasi-homomorphism.  ``quasi_hom_defect`` checks that
+  block per normal word and returns the difference as signed terms, which
+  ``linear_combination`` sums into one operator for a caller that reads
+  it;
 * a normal-form word algebra for the Toeplitz ring: every product of
   generators is rewritten to sums of words "creations, then annihilations"
   using the covariance relation S(phi) T(x) = sigma(<phi, x>) and the
@@ -38,8 +42,10 @@ The module also provides:
   algebra and bounds word length per product, through ``try_mul``.  Each
   summand of H on one basis symbol is a block, a coefficient-one partial
   map of integer model ids, built once per model (pi (x) id lifts the
-  cached Fock token operator), and an operator is a sum of words of
-  blocks with coefficients in k[t].
+  cached Fock token operator; lam1 multiplies the generator by j(u) once
+  per left support u of the degree-0 words, and only the words on the
+  supports it does not kill one by one), and an operator is a sum of
+  words of blocks with coefficients in k[t].
 """
 
 from __future__ import annotations
@@ -226,20 +232,20 @@ class TruncatedFock:
                 leaf = _Leaf(img, base.live)
             else:
                 one = self.k.one
-                payload = (self.ring.monomial(sym) if kind == "r"
-                           else {sym: one})
                 img = [-1] * (len(keys) + 1)
                 for i in range(offsets[low],
                                offsets[self.depth + 1 - max(shift, 0)]):
-                    col = self._column(kind, payload, keys[i])
+                    col = self._column(kind, sym, keys[i])
                     if col:
-                        (tkey, c), *more = col.items()
+                        (tup, c), *more = col.items()
+                        e = keys[i][0] + shift
                         if more or c != one:
+                            col = {(e, t): c for t, c in col.items()}
                             raise RingError(
                                 f"generator ({kind!r}, {sym!r}) is not a "
                                 f"partial map of basis keys: its column at "
                                 f"{keys[i]} is {col}")
-                        img[i] = index[tkey]
+                        img[i] = index[e, tup]
                 leaf = _Leaf(img, [i for i, j in enumerate(img) if j >= 0])
             self._leaves[kind, sym, variant] = leaf
         return leaf
@@ -292,43 +298,39 @@ class TruncatedFock:
     # -- operator constructors ----------------------------------------------
 
     def zero_op(self):
-        return _linear_combination(self, [])
+        return linear_combination(self, [])
 
-    def _prepend(self, xvec, t, d):
-        """x (x) t in normal form (t reduced), as a degree-d column."""
-        return vapply(self.k, lambda b: {
-            (d, tup): c for tup, c in
-            self.module.prepend_normal(b, t).items()}, xvec)
+    def _column(self, kind, sym, key):
+        """The column of one basis symbol's generator at a basis key, before
+        any low kill, as a clean vector of the tuples of degree d plus the
+        kind's shift: a single factor when that is 1 and d is 0, a ring
+        symbol when it is 0.
 
-    def _column(self, kind, payload, key):
-        """The column of a generator at a basis key, before any low kill.
-
-        Creation prepends x, annihilation pairs phi with the first factor
-        and scalars act on it.  The column sits in degree d plus the kind's
-        shift: a single factor when that is 1 and d is 0, a ring element
-        when it is 0.
+        Creation prepends the symbol, annihilation pairs it with the first
+        factor and a scalar acts on that factor.  ``_leaf`` turns each
+        tuple into the index of its key in that degree.
         """
         d, t = key
-        e = d + _KINDS[kind][0]
-        module, ring, one = self.module, self.ring, self.k.one
+        module, ring, k = self.module, self.ring, self.k
         if kind == "x":
             if d == 0:
-                vec = module.act_right(payload, ring.monomial(t[0]))
-                return {(e, (sym,)): c for sym, c in vec.items()}
-            return self._prepend(payload, t, e)
+                vec = module.act_right({sym: k.one}, ring.monomial(t[0]))
+                return {(b,): c for b, c in vec.items()}
+            return module.prepend_normal(sym, t)
         if kind == "r":
             if d == 0:
-                prod = payload * ring.monomial(t[0])
-                return {(e, (sym,)): c for sym, c in prod.terms.items()}
-            return self._prepend(module.act_left(payload, {t[0]: one}),
-                                 t[1:], e)
-        # phi pairs off the first factor
-        r = module.pair(payload, {t[0]: one})
-        if r.is_zero():
-            return {}
-        if d == 1:
-            return {(e, (sym,)): c for sym, c in r.terms.items()}
-        return self._prepend(module.act_left(r, {t[1]: one}), t[2:], e)
+                return {(s,): c for s, c in ring.mul_basis(sym, t[0]).items()}
+            xvec, rest = module.act_left(ring.monomial(sym),
+                                         {t[0]: k.one}), t[1:]
+        else:
+            # phi pairs off the first factor
+            r = module.pair({sym: k.one}, {t[0]: k.one})
+            if r.is_zero():
+                return {}
+            if d == 1:
+                return {(s,): c for s, c in r.terms.items()}
+            xvec, rest = module.act_left(r, {t[1]: k.one}), t[2:]
+        return vapply(k, lambda b: module.prepend_normal(b, rest), xvec)
 
 
 class _Leaf:
@@ -418,10 +420,10 @@ class FockOperator:
 
     def __add__(self, other):
         one = self.fock.k.one
-        return _linear_combination(self.fock, [(one, self), (one, other)])
+        return linear_combination(self.fock, [(one, self), (one, other)])
 
     def scale(self, coeff):
-        return _linear_combination(self.fock, [(coeff, self)])
+        return linear_combination(self.fock, [(coeff, self)])
 
     def __sub__(self, other):
         return self + other.scale(-1)
@@ -537,10 +539,10 @@ def _image(outs, mask):
     return reached
 
 
-def _linear_combination(fock, pairs):
-    """The sum of ``coeff * op`` over ``(coeff, op)`` pairs, as one clean
-    vector of words: covered where every op is, with the union of their
-    target degrees."""
+def linear_combination(fock, pairs):
+    """The sum of ``coeff * op`` over ``(coeff, op)`` pairs of operators on
+    ``fock``, as one clean vector of words: covered where every op is,
+    with the union of their target degrees.  The empty sum is zero."""
     k = fock.k
     outs = dict.fromkeys(range(fock.depth + 1), 0)
     terms = {}
@@ -668,7 +670,13 @@ def covariant_check(fock, T=None):
     sigma = {r: fock.token_op(("r", ring.monomial(r))) for r in ring.basis}
 
     def combo(ops, vec):
-        return _linear_combination(fock, [(c, ops[b]) for b, c in vec.items()])
+        # one entry of coefficient one is the cached operator itself, as in
+        # ``vapply``
+        if len(vec) == 1:
+            [(b, c)] = vec.items()
+            if c == one:
+                return ops[b]
+        return linear_combination(fock, [(c, ops[b]) for b, c in vec.items()])
 
     report = CheckReport("covariant-representation")
     for rsym in ring.basis:
@@ -923,7 +931,8 @@ def _check_defect_support(fock, wkey, ll, op0, op1):
 
 
 def quasi_hom_defect(fock, tokens):
-    """pi0 - pi1 on a generator word; a finite-rank block operator.
+    """pi0 - pi1 on a generator word, a finite-rank block operator, as its
+    signed terms and one info per normal word.
 
     The input word is first rewritten to normal form.  Each normal word
     is evaluated once under pi0 and once under pi1 by ``word_operator``,
@@ -933,13 +942,14 @@ def quasi_hom_defect(fock, tokens):
     exactly within budget, by ``_check_defect_support``, on the sources
     of the word's first leaf: elsewhere both columns are zero) and its
     surviving block sits at target degree k.  Requires l + 1 <= depth.
-    The returned operator is the plain term sum of coeff * (pi0 - pi1)
-    over the normal words, so building it costs no column; a caller that
-    wants just the support check reads none.
+    The terms are ``(coeff, pi0 word)`` and ``(-coeff, pi1 word)`` per
+    normal word, in normal-form order, and ``linear_combination`` sums
+    them to the defect; a caller that wants just the support check sums
+    nothing.
     """
     elt = fock._talg.from_tokens(tokens)
     k = fock.k
-    pairs = []
+    terms = []
     infos = []
     for key, coeff in elt.items():
         kk, ll = (0, 0) if key[0] == "s" else (len(key[1]), len(key[2]))
@@ -949,9 +959,9 @@ def quasi_hom_defect(fock, tokens):
         word = word_tokens_of(fock._talg, key)
         op0, op1 = pi0(fock, word), pi1(fock, word)
         _check_defect_support(fock, key, ll, op0, op1)
-        pairs += [(coeff, op0), (k.neg(coeff), op1)]
+        terms += [(coeff, op0), (k.neg(coeff), op1)]
         infos.append({"word": key, "block": (kk, ll)})
-    return _linear_combination(fock, pairs), infos
+    return terms, infos
 
 
 # ---------------------------------------------------------------------------
@@ -1001,9 +1011,10 @@ class HomotopyModel:
         # (Fock key, word id) -> the id of their lift, or None for zero
         self._lifts = {}
         self._ids, self._keys, self._info = {}, [], []
-        # j(u) . word for the ring symbol u of a degree-0 key, or the right
-        # support u of the last tensor factor, keyed (degree 0?, symbol, word)
-        self._absorbed = {}
+        # (degree 0?, symbol) -> u, as its terms and itself: the ring symbol
+        # of a degree-0 key, or the right support of a last tensor factor;
+        # and j(u) . word, keyed (u's terms, word); see ``make_key``
+        self._supports, self._absorbed = {}, {}
         self.c0_keys = [(0, (), wk) for wk in self.words]
         self.c1_keys = [(1, (b,), wk) for b in self.module.x_basis
                         for wk in self.words if self.make_key(1, (b,), wk)
@@ -1050,16 +1061,26 @@ class HomotopyModel:
         return i
 
     def make_key(self, n, tup, wk):
-        """Canonicalize a raw (degree, tensor, word) triple to model keys."""
-        cache_key = (n == 0, tup[-1], wk)
-        if cache_key not in self._absorbed:
+        """Canonicalize a raw (degree, tensor, word) triple to model keys.
+
+        The word absorbs u, the ring symbol of a degree-0 key or the right
+        support of the last tensor factor, read once per symbol into
+        ``_supports``.  j(u) . word depends on nothing else, so
+        ``_absorbed`` keeps it per u (its terms) and word: on a quiver one
+        entry per vertex and word, not per edge and word."""
+        u = self._supports.get((n == 0, tup[-1]))
+        if u is None:
             # in degree 0, tup holds the one ring symbol: tup[-1] is tup[0]
-            u = (self.ring.monomial(tup[-1]) if n == 0
-                 else self.module.x_split(tup[-1])[1])
-            self._absorbed[cache_key] = self.talg._scalar_times_word(u, wk)
+            relt = (self.ring.monomial(tup[-1]) if n == 0
+                    else self.module.x_split(tup[-1])[1])
+            u = self._supports[n == 0, tup[-1]] = (
+                tuple(relt.terms.items()), relt)
+        absorbed = self._absorbed.get((u[0], wk))
+        if absorbed is None:
+            absorbed = self._absorbed[u[0], wk] = \
+                self.talg._scalar_times_word(u[1], wk)
         tup = () if n == 0 else tup
-        return {(n, tup, wk2): c
-                for wk2, c in self._absorbed[cache_key].items()}
+        return {(n, tup, wk2): c for wk2, c in absorbed.items()}
 
     def _one(self, name, key, col):
         """The one key of ``col``, the column of ``name`` at ``key``, or None
@@ -1088,10 +1109,14 @@ class HomotopyModel:
 
     def _block(self, role, kind, sym):
         """The ``role`` block of one basis symbol, built once per model and
-        kept by its name.  lam1 multiplies each degree-0 word by the
-        generator, through ``try_mul``.  pi0 and pi1 read the symbol's
-        ``fock.token_op`` once per Fock key of ``_sources`` and lift its
-        image to each key's word; lam0 is pi0's where pi1 kills."""
+        kept by its name, its live pairs in ascending id order.  lam1
+        multiplies the generator by j(u) once per left support u of the
+        degree-0 words in ``_sources``: since j(u) . w == w, each word on
+        a u that the generator kills maps to zero, and only the words on
+        the other supports are multiplied, through ``try_mul``.  pi0 and
+        pi1 read the symbol's ``fock.token_op`` once per Fock key of
+        ``_sources`` and lift its image to each key's word; lam0 is pi0's
+        where pi1 kills."""
         name = f"the {role} block of ({kind!r}, {sym!r})"
         if name in self._blocks:
             return self._blocks[name]
@@ -1099,15 +1124,21 @@ class HomotopyModel:
         unit = (kind, self.ring.monomial(sym) if kind == "r" else {sym: one})
         live, op = [], None
         if role == "lam1":
-            gen = self.talg.from_tokens([unit])
-            for i, mkey in zip(self.low_ids, self.c0_keys):
-                prod = self.talg.try_mul(gen, {mkey[2]: one}, self.word_bound)
-                if prod is None:
-                    live.append((i, OVERFLOW))
+            talg = self.talg
+            gen = talg.from_tokens([unit])
+            for (n, (usym,)), ids in self._sources.items():
+                # j(u) . w == w, so a generator that kills j(u) kills w
+                if n or not talg.mul(gen, {("s", usym): one}):
                     continue
-                wk = self._one(name, mkey, prod)
-                if wk is not None:
-                    live.append((i, self._id((0, (), wk))))
+                for i, w in ids:
+                    prod = talg.try_mul(gen, {self.words[w]: one},
+                                        self.word_bound)
+                    if prod is None:
+                        live.append((i, OVERFLOW))
+                        continue
+                    wk = self._one(name, self._keys[i], prod)
+                    if wk is not None:
+                        live.append((i, self._id((0, (), wk))))
         else:
             op = self.fock.token_op(unit, "pi0" if role == "lam0" else role)
             pi1_outs = self.fock.token_op(unit, "pi1").outs
@@ -1121,7 +1152,7 @@ class HomotopyModel:
                     j = self.lift(name, tkey, w)
                     if j is not None:
                         live.append((i, j))
-            live.sort()
+        live.sort()
         block = self._blocks[name] = _Block(
             name, live, None if role == "lam0" else op, self._info)
         return block

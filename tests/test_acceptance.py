@@ -156,7 +156,7 @@ def test_criterion_4_defect_support(pinned_quivers):
         for p, g in normal_words(q, 4):
             tokens = [("x", {e: 1}) for e in p] + \
                      [("phi", {(e, "*"): 1}) for e in reversed(g)]
-            defect, infos = quasi_hom_defect(fk, tokens)
+            _, infos = quasi_hom_defect(fk, tokens)
             words_total += 1
             for info in infos:
                 ok = ok and info["block"] == (len(p), len(g))

@@ -410,6 +410,31 @@ class TestVerify:
         # two x, two phi and one scalar generator
         assert len(calls) == 5
 
+    def test_a_perturbed_pi1_leaf_fails_the_defect_suite(
+            self, capsys, rose2_file, monkeypatch):
+        # pi1 of T_e keeping the vacuum, as pi0 does, leaves pi1 alive on
+        # the vacuum of each creation word that applies T_e first: 7 of the
+        # 48 normal words.  The suite sums no defect, and still fails there
+        from pimsner.fock import TruncatedFock
+        real_leaf = TruncatedFock._leaf
+
+        def kept(fk, kind, sym, variant):
+            if (kind, sym, variant) == ("x", "e", "pi1"):
+                variant = "pi0"
+            return real_leaf(fk, kind, sym, variant)
+
+        monkeypatch.setattr(TruncatedFock, "_leaf", kept)
+        code, out, _ = run(capsys, "verify", rose2_file,
+                           "--fock-depth", "6", "--word-bound", "3")
+        assert code == 4
+        [defect] = [c for c in json.loads(out)["checks"]
+                    if c["name"] == "defect-support"]
+        assert (defect["checked"], len(defect["failures"])) == (41, 7)
+        assert set(defect["failures"]) == {
+            f"pi1 of {('w', p + ('e',), ())} does not vanish at degree 0"
+            for p in [(), ("e",), ("f",), ("e", "e"), ("e", "f"),
+                      ("f", "e"), ("f", "f")]}
+
     def test_doubled_lam1_fails_only_pairing(self, capsys, rose2_file,
                                             monkeypatch):
         # the shared homotopies are built from the perturbed model, and

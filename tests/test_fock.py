@@ -2,6 +2,7 @@
 
 import random
 import re
+from collections import Counter
 from functools import reduce
 
 import pytest
@@ -23,6 +24,7 @@ from pimsner.fock import (
     homotopy_H,
     homotopy_endpoints_check,
     homotopy_pairing_check,
+    linear_combination,
     p0_compact_form,
     pi0,
     pi1,
@@ -62,6 +64,13 @@ def _pairing(model, xvec, pvec):
     return homotopy_pairing_check(model, xvec, pvec,
                                   homotopy_H(model, ("x", xvec)),
                                   homotopy_H(model, ("phi", pvec)))
+
+
+def _defect(fk, tokens):
+    """The defect of a generator word, its returned terms summed, and its
+    infos."""
+    terms, infos = quasi_hom_defect(fk, tokens)
+    return linear_combination(fk, terms), infos
 
 
 def _support_blocks(fk, op, degrees=None):
@@ -193,6 +202,30 @@ class TestCreationAnnihilation:
         op = fk.token_op(("x", {"e0": 2, "e1": 1}))
         assert op.column((1, ("e1",))) == {(2, ("e0", "e1")): 2,
                                             (2, ("e1", "e1")): 1}
+
+    def test_a_two_key_column_is_named_with_its_degrees(self, monkeypatch):
+        # a leaf reads a column as tuples of the shifted degree; the error
+        # still names the generator and the degree-keyed column
+        fk = rose_fock(2, 3)
+        for d in range(4):
+            fk.basis(d)
+        monkeypatch.setattr(fk.module, "prepend_normal", lambda b, t: {
+            (b,) + t: 1, ("bogus",) + t: 1})
+        with pytest.raises(RingError, match=re.escape(
+                "generator ('x', 'e0') is not a partial map of basis keys: "
+                "its column at (1, ('e0',)) is {(2, ('e0', 'e0')): 1, "
+                "(2, ('bogus', 'e0')): 1}")):
+            fk.token_op(("x", {"e0": 1}))
+        # an annihilation lands in degree 0 on a ring element of two terms
+        fk = a2_fock(3)
+        ring, real_pair = fk.ring, fk.module.pair
+        monkeypatch.setattr(fk.module, "pair", lambda p, x: real_pair(p, x)
+                            + ring.monomial("v"))
+        with pytest.raises(RingError, match=re.escape(
+                "generator ('phi', ('e', '*')) is not a partial map of basis "
+                "keys: its column at (1, ('e',)) is {(0, ('w',)): 1, "
+                "(0, ('v',)): 1}")):
+            fk.token_op(("phi", {("e", "*"): 1}))
 
     def test_the_empty_word_is_refused(self):
         # no normal word is empty; as in the Toeplitz algebra, the empty
@@ -422,14 +455,12 @@ class TestTermSumShortcut:
         assert (a.scale(4) + a.scale(5)).eq_on(a.scale(3), degrees)
 
     def test_each_leaf_reads_each_key_once(self, monkeypatch):
-        from collections import Counter
         reads = Counter()
         real = TruncatedFock._column
 
-        def counted(fk, kind, payload, key):
-            terms = payload.terms if kind == "r" else payload
-            reads[kind, tuple(terms.items()), key] += 1
-            return real(fk, kind, payload, key)
+        def counted(fk, kind, sym, key):
+            reads[kind, sym, key] += 1
+            return real(fk, kind, sym, key)
 
         monkeypatch.setattr(TruncatedFock, "_column", counted)
         fk = rose_fock(2, 4)
@@ -598,7 +629,7 @@ class TestChaseAgainstClosures:
 class TestDefects:
     def test_creation_defect(self):
         fk = rose_fock(2, 4)
-        defect, infos = quasi_hom_defect(fk, [("x", {"e0": 1})])
+        defect, infos = _defect(fk, [("x", {"e0": 1})])
         assert infos[0]["block"] == (1, 0)
         assert defect.column((0, ("v",))) == {(1, ("e0",)): 1}
         assert _support_blocks(fk, defect) == {(1, 0)}
@@ -606,21 +637,21 @@ class TestDefects:
     def test_scalar_defect(self):
         fk = rose_fock(2, 4)
         r = fk.ring.monomial("v").scale(2)
-        defect, infos = quasi_hom_defect(fk, [("r", r)])
+        defect, infos = _defect(fk, [("r", r)])
         assert infos[0]["block"] == (0, 0)
         assert defect.column((0, ("v",))) == {(0, ("v",)): 2}
 
     def test_annihilation_then_creation_reduces_to_scalar(self):
         fk = rose_fock(2, 4)
         tokens = [("phi", {("e0", "*"): 1}), ("x", {"e0": 1})]
-        defect, infos = quasi_hom_defect(fk, tokens)
+        defect, infos = _defect(fk, tokens)
         assert [i["word"][0] for i in infos] == ["s"]
         assert defect.column((0, ("v",))) == {(0, ("v",)): 1}
 
     def test_mixed_word_block(self):
         fk = rose_fock(2, 5)
         tokens = [("x", {"e0": 1}), ("x", {"e1": 1}), ("phi", {("e0", "*"): 1})]
-        defect, infos = quasi_hom_defect(fk, tokens)
+        defect, infos = _defect(fk, tokens)
         assert infos[0]["block"] == (2, 1)
         assert _support_blocks(fk, defect) == {(2, 1)}
 
@@ -676,9 +707,9 @@ class TestDefects:
                 return out
 
             t1, t2 = rand_tokens(), rand_tokens()
-            d12, _ = quasi_hom_defect(fk, t1 + t2)
-            d1, _ = quasi_hom_defect(fk, t1)
-            d2, _ = quasi_hom_defect(fk, t2)
+            d12, _ = _defect(fk, t1 + t2)
+            d1, _ = _defect(fk, t1)
+            d2, _ = _defect(fk, t2)
             rhs = pi0(fk, t1).compose(d2) + d1.compose(pi1(fk, t2))
             degrees = sorted(d12.covered & rhs.covered)
             assert d12.eq_on(rhs, degrees)
@@ -1471,7 +1502,6 @@ class TestLiftOnce:
                                       _rank_one_fock],
                              ids=["rose2", "a2", "rank-one-QQ"])
     def test_pi_tensor_reads_each_fock_key_once(self, make, monkeypatch):
-        from collections import Counter
         fk = make()
         reads = Counter()
         real_column = FockOperator.column
@@ -1493,6 +1523,27 @@ class TestLiftOnce:
                 columns = sum(bool(op.column(i, 0)) for i in model.low_ids)
                 shared += len(reads) < columns
         assert total and shared
+
+    @pytest.mark.parametrize("make", [lambda: rose_fock(2, 4), a2_fock],
+                             ids=["rose2", "a2"])
+    def test_each_absorption_is_kept_per_support(self, make, monkeypatch):
+        # a model key's word absorbs the ring element u that its tensor
+        # part leaves on its right, which depends on u alone: one product
+        # per vertex and word, whichever edge ends at the vertex
+        fk = make()
+        absorbed = Counter()
+        real = ToeplitzAlgebra._scalar_times_word
+
+        def counted(talg, relt, key):
+            absorbed[tuple(relt.terms.items()), key] += 1
+            return real(talg, relt, key)
+
+        monkeypatch.setattr(ToeplitzAlgebra, "_scalar_times_word", counted)
+        model = HomotopyModel(fk, 3)
+        for token in _basis_tokens(fk):
+            assert _endpoints(model, token).passed
+        assert set(absorbed.values()) == {1}
+        assert {u for u, _ in absorbed} == {((v, 1),) for v in fk.ring.basis}
 
 
 class TestWordMemo:
@@ -1595,3 +1646,82 @@ class TestDroppedLam1Column:
         report = homotopy_pairing_check(model, {"e0": 1}, {("e0", "*"): 1},
                                         H_x=H["x"], H_phi=H["phi"])
         assert not report.passed
+
+
+def _lam1_per_word(model, kind, sym):
+    """The live pairs of lam1 of one basis symbol, one ``try_mul`` per
+    degree-0 word: the loop that lam1 ran before it read supports."""
+    one, talg = model.k.one, model.talg
+    unit = (kind, model.ring.monomial(sym) if kind == "r" else {sym: one})
+    gen = talg.from_tokens([unit])
+    live = []
+    for i, mkey in zip(model.low_ids, model.c0_keys):
+        prod = talg.try_mul(gen, {mkey[2]: one}, model.word_bound)
+        if prod is None:
+            live.append((i, fock_module.OVERFLOW))
+        elif prod:
+            [(wk, c)] = prod.items()
+            assert c == one
+            live.append((i, model._ids[0, (), wk]))
+    return live
+
+
+class TestLam1PerSupport:
+    """lam1 multiplies the generator by j(u) once per left support u of
+    the degree-0 words and skips every word on a u it kills, which holds
+    because j(u) . w == w."""
+
+    @staticmethod
+    def models(family):
+        for case in pathspace_cases(family):
+            fk = case.fk
+            for bound in range(1, fk.depth + 1):
+                yield HomotopyModel(fk, bound)
+
+    @pytest.mark.parametrize("family", ["acceptance-z", "acceptance-zmod6",
+                                        "small-z", "small-zmod6"])
+    def test_every_lam1_block_is_the_per_word_products(self, family):
+        # the 20 acceptance quivers at depth 3, and rose2, a2 and the
+        # two-cycle at depth 4, at every word bound: live pairs and
+        # OVERFLOW ids alike
+        overflow = Counter()
+        for model in self.models(family):
+            m, ring = model.module, model.ring
+            for kind, syms in [("x", m.x_basis), ("phi", m.xp_basis),
+                               ("r", ring.basis)]:
+                for sym in syms:
+                    want = _lam1_per_word(model, kind, sym)
+                    assert model._block("lam1", kind, sym).live == want, \
+                        (kind, sym, model.word_bound)
+                    overflow[any(j is fock_module.OVERFLOW
+                                 for _, j in want)] += 1
+        # bounds that overflow and bounds that do not
+        assert overflow[True] and overflow[False]
+
+    @pytest.mark.parametrize("family", ["acceptance-z", "acceptance-zmod6",
+                                        "small-z", "small-zmod6"])
+    def test_a_word_is_fixed_by_its_left_support(self, family):
+        for model in self.models(family):
+            talg, one = model.talg, model.k.one
+            for wk in model.words:
+                u = talg.scalar(talg.left_support(wk))
+                assert talg.mul(u, {wk: one}) == {wk: one}, wk
+
+    def test_a_support_the_generator_kills_costs_no_word_product(
+            self, monkeypatch):
+        # on a2 (e: v -> w) T_e kills j(v): the degree-0 words on v are
+        # never multiplied
+        model = HomotopyModel(a2_fock(), 2)
+        on_v = {model.words[w] for _, w in model._sources[0, ("v",)]}
+        assert on_v
+        seen = []
+        real = ToeplitzAlgebra.try_mul
+
+        def counted(talg, e1, e2, max_len):
+            seen.extend(e2)
+            return real(talg, e1, e2, max_len)
+
+        monkeypatch.setattr(ToeplitzAlgebra, "try_mul", counted)
+        block = model._block("lam1", "x", "e")
+        assert seen and not on_v & set(seen)
+        assert block.live == _lam1_per_word(model, "x", "e")
