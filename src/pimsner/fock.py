@@ -10,14 +10,17 @@ R-system has no involution, so nothing here acts on a dual Fock module:
 ``_KINDS``, of degree shift and lowest live degree.  Every basis key of
 the truncation has a global index, and the generator of each basis symbol
 is one list, its leaf, mapping every index to the index of its image or to
--1, read off the module once per key, one basis symbol at a time.  Every
-operator is an exact flat sum of words in the leaves: a word's image is
-its first leaf's live indices, carried through each later leaf's list,
-and operators compare by these images.  Every operator knows which
-source degrees its columns are defined on, so identities are only asserted
-within the truncation budget: a check at source degree d runs only when
-every intermediate degree of the word stays <= N, and checkers report how
-much was covered.
+-1.  Above the degree next to the vacuum a leaf is index arithmetic on
+tables that every leaf shares: each X symbol's normal forms before every
+key, read off the module once per truncation, and each key's tail and
+first factor; the kind's head on a key's leading factors is built once
+per leaf and leading factors.  Every operator is an exact flat sum of
+words in the leaves: a word's image is its first leaf's live indices,
+carried through each later leaf's list, and operators compare by these
+images.  Every operator knows which source degrees its columns are
+defined on, so identities are only asserted within the truncation budget:
+a check at source degree d runs only when every intermediate degree of
+the word stays <= N, and checkers report how much was covered.
 
 The module also provides:
 
@@ -138,14 +141,15 @@ class TruncatedFock:
     enumerated for the bases to exist.  Once a generator is built, every
     key of degrees 0..N has a global index, degree-major in ``basis``
     order: ``_keys`` lists the keys, ``_index`` maps a key to its index,
-    and degree d is the index range ``_offsets[d]:_offsets[d + 1]``.
-    ``token_op`` builds and caches every generator operator from the
-    ``_Leaf`` of each basis symbol, kept in ``_leaves``; ``zero_op`` is
-    the only other operator made here.  The cached operators refer back to
-    the module, so leaving a ``with`` block drops them and the leaves and
-    lets the module and any homotopy model built on it be freed by
-    reference counting; the module stays usable and rebuilds what it
-    needs.
+    and degree d is the index range ``_offsets[d]:_offsets[d + 1]``;
+    ``_ext`` keeps each X symbol's ``_row`` of normal forms, which every
+    leaf reads.  ``token_op`` builds and caches every generator operator
+    from the ``_Leaf`` of each basis symbol, kept in ``_leaves``;
+    ``zero_op`` is the only other operator made here.  The cached
+    operators refer back to the module, so leaving a ``with`` block drops
+    them and the leaves and lets the module and any homotopy model built
+    on it be freed by reference counting; the module stays usable and
+    rebuilds what it needs.
     """
 
     def __init__(self, corr, depth):
@@ -167,6 +171,7 @@ class TruncatedFock:
         self._dual = {0: [(0, (rsym,)) for rsym in self.ring.basis]}
         self._tok_ops = {}
         self._leaves = {}
+        self._ext = {}
         self._index = None
         self._talg = ToeplitzAlgebra(corr)
 
@@ -214,16 +219,24 @@ class TruncatedFock:
     def _leaf(self, kind, sym, variant):
         """The ``_Leaf`` of one basis symbol's generator, built once.
 
-        pi0's is read off ``_column`` once per key of the degrees the kind
-        does not kill; pi1's copies it with one more degree killed and
-        shares its live indices.  A column with two keys, or a coefficient
-        other than one, raises ``RingError``: a leaf is a partial map of
+        pi0's column at a key of the degree next to the vacuum (0 for x
+        and r, 1 for phi) is read off ``_column``.  Above it the column is
+        the kind's head on the key's leading factors, built by ``_head``
+        once per leaf and leading factors, then each head symbol b's normal
+        form b (x) rest, read off b's ``_row`` at the index of the rest of
+        the key: x's head is the symbol itself before the whole key, r's acts
+        on the first factor before the tail, and phi's pairs off the first
+        factor into the second before the tail's tail (``_tail`` and
+        ``_first`` hold each key's tail index and first factor).  pi1's
+        leaf copies pi0's with one more degree killed and shares its live
+        indices.  A column with two keys, or a coefficient other than one,
+        raises ``RingError`` (see ``_target``): a leaf is a partial map of
         basis keys.
         """
         leaf = self._leaves.get((kind, sym, variant))
         if leaf is None:
             shift, low = _KINDS[kind]
-            index, keys, offsets = self._numbering()
+            _, keys, offsets = self._numbering()
             if variant == "pi1":
                 base = self._leaf(kind, sym, "pi0")
                 img = base.img.copy()
@@ -231,21 +244,46 @@ class TruncatedFock:
                     [-1] * (offsets[low + 1] - offsets[low]))
                 leaf = _Leaf(img, base.live)
             else:
-                one = self.k.one
                 img = [-1] * (len(keys) + 1)
-                for i in range(offsets[low],
-                               offsets[self.depth + 1 - max(shift, 0)]):
-                    col = self._column(kind, sym, keys[i])
-                    if col:
-                        (tup, c), *more = col.items()
-                        e = keys[i][0] + shift
-                        if more or c != one:
-                            col = {(e, t): c for t, c in col.items()}
-                            raise RingError(
-                                f"generator ({kind!r}, {sym!r}) is not a "
-                                f"partial map of basis keys: its column at "
-                                f"{keys[i]} is {col}")
-                        img[i] = index[e, tup]
+                # _column reads the degree next to the vacuum, 0 for x and r
+                # (a key there is a ring symbol) and 1 for phi (it pairs off
+                # the one factor); the tables read every degree above it
+                mid = offsets[max(low, max(-shift, 0) + 1)]
+                for i in range(offsets[low], mid):
+                    img[i] = self._target(kind, sym, keys[i],
+                                          self._column(kind, sym, keys[i]))
+                k, tail, first = self.k, self._tail, self._first
+
+                def normal(b, rest):
+                    # b (x) the key of index rest, as a vector of tuples
+                    entry = self._row(b)[rest]
+                    if entry.__class__ is not int:
+                        return entry
+                    return {} if entry < 0 else {keys[entry][1]: k.one}
+
+                heads = {}
+                for i in range(mid, offsets[self.depth + 1 - max(shift, 0)]):
+                    if kind == "x":
+                        lead, rest = (), i
+                    elif kind == "r":
+                        lead, rest = (first[i],), tail[i]
+                    else:
+                        j = tail[i]
+                        lead, rest = (first[i], first[j]), tail[j]
+                    found = heads.get(lead)
+                    if found is None:
+                        head, row = self._head(kind, sym, lead), None
+                        if len(head) == 1:
+                            [(b, c)] = head.items()
+                            if c == k.one:
+                                row = self._row(b)
+                        found = heads[lead] = (head, row)
+                    head, row = found
+                    if row is not None and row[rest].__class__ is int:
+                        img[i] = row[rest]
+                    elif head:
+                        col = vapply(k, lambda b: normal(b, rest), head)
+                        img[i] = self._target(kind, sym, keys[i], col)
                 leaf = _Leaf(img, [i for i, j in enumerate(img) if j >= 0])
             self._leaves[kind, sym, variant] = leaf
         return leaf
@@ -253,15 +291,62 @@ class TruncatedFock:
     def _numbering(self):
         """``(_index, _keys, _offsets)``, built on first use from every
         degree's basis, so past ``MAX_FOCK_DIMENSION`` it raises as
-        ``basis`` does."""
+        ``basis`` does.  With them, ``_first`` holds each key's first
+        factor and ``_tail`` the index of its tail: the key itself without
+        its first factor, which is a key of one degree less (degree d's
+        keys are normal forms of X symbols before degree d - 1's), or for
+        degree 1 the empty tail's slot of ``_row``."""
         if self._index is None:
             self._keys = [key for d in range(self.depth + 1)
                           for key in self.basis(d)]
-            self._index = {key: i for i, key in enumerate(self._keys)}
+            self._index = index = {key: i for i, key in enumerate(self._keys)}
             self._offsets = list(accumulate(
                 (len(self.basis(d)) for d in range(self.depth + 1)),
                 initial=0))
+            empty = self._offsets[self.depth]
+            self._first = [t[0] for _, t in self._keys]
+            self._tail = [index[d - 1, t[1:]] if d >= 2 else empty
+                          for d, t in self._keys]
         return self._index, self._keys, self._offsets
+
+    def _row(self, b):
+        """The normal forms b (x) t, from ``module.prepend_normal``, built
+        on first read: at the index of each key t of degrees 1..N-1, and
+        for the empty tail at ``_offsets[N]``.  An entry is -1 for zero,
+        the index of the one key of coefficient one, or else the normal
+        form itself."""
+        row = self._ext.get(b)
+        if row is None:
+            index, keys, offsets = self._numbering()
+            one, prepend = self.k.one, self.module.prepend_normal
+            row = [-1] * offsets[1]
+            for d, t in keys[offsets[1]:offsets[self.depth]] + [(0, ())]:
+                col = prepend(b, t)
+                entry = col or -1
+                if len(col) == 1:
+                    [(tup, c)] = col.items()
+                    if c == one:
+                        entry = index.get((d + 1, tup), col)
+                row.append(entry)
+            self._ext[b] = row
+        return row
+
+    def _target(self, kind, sym, key, col):
+        """The index of the one key of ``col``, the column of one basis
+        symbol's generator at ``key`` as tuples of the shifted degree, or
+        -1 for zero; raises ``RingError`` naming the generator and the
+        degree-keyed column when it holds two keys or a coefficient other
+        than one."""
+        if not col:
+            return -1
+        (tup, c), *more = col.items()
+        e = key[0] + _KINDS[kind][0]
+        if more or c != self.k.one:
+            col = {(e, t): c for t, c in col.items()}
+            raise RingError(
+                f"generator ({kind!r}, {sym!r}) is not a partial map of "
+                f"basis keys: its column at {key} is {col}")
+        return self._index[e, tup]
 
     def basis(self, n):
         return self._graded(n, self._basis, self.module.x_basis,
@@ -301,36 +386,33 @@ class TruncatedFock:
         return linear_combination(self, [])
 
     def _column(self, kind, sym, key):
-        """The column of one basis symbol's generator at a basis key, before
-        any low kill, as a clean vector of the tuples of degree d plus the
-        kind's shift: a single factor when that is 1 and d is 0, a ring
-        symbol when it is 0.
-
-        Creation prepends the symbol, annihilation pairs it with the first
-        factor and a scalar acts on that factor.  ``_leaf`` turns each
-        tuple into the index of its key in that degree.
-        """
-        d, t = key
-        module, ring, k = self.module, self.ring, self.k
+        """The column of one basis symbol's generator at a key of the
+        degree next to the vacuum, before any low kill, as a clean vector
+        of tuples of degree 1 for x and of ring symbols for r and phi:
+        creation is the right action on the vacuum, a scalar multiplies
+        the ring symbol and annihilation pairs with the one factor."""
+        t, k = key[1], self.k
         if kind == "x":
-            if d == 0:
-                vec = module.act_right({sym: k.one}, ring.monomial(t[0]))
-                return {(b,): c for b, c in vec.items()}
-            return module.prepend_normal(sym, t)
+            vec = self.module.act_right({sym: k.one},
+                                        self.ring.monomial(t[0]))
+            return {(b,): c for b, c in vec.items()}
         if kind == "r":
-            if d == 0:
-                return {(s,): c for s, c in ring.mul_basis(sym, t[0]).items()}
-            xvec, rest = module.act_left(ring.monomial(sym),
-                                         {t[0]: k.one}), t[1:]
-        else:
-            # phi pairs off the first factor
-            r = module.pair({sym: k.one}, {t[0]: k.one})
-            if r.is_zero():
-                return {}
-            if d == 1:
-                return {(s,): c for s, c in r.terms.items()}
-            xvec, rest = module.act_left(r, {t[1]: k.one}), t[2:]
-        return vapply(k, lambda b: module.prepend_normal(b, rest), xvec)
+            return {(s,): c for s, c in self.ring.mul_basis(sym, t[0]).items()}
+        r = self.module.pair({sym: k.one}, {t[0]: k.one})
+        return {(s,): c for s, c in r.terms.items()}
+
+    def _head(self, kind, sym, lead):
+        """The head of one basis symbol's generator on a key's leading
+        factors ``lead``, the X vector that ``_leaf`` puts before the rest
+        of the key: the symbol itself for x, Delta(sym) t0 for r and
+        Delta(<sym, t0>) t1 for phi, zero where the pairing is."""
+        module, one = self.module, self.k.one
+        if kind == "x":
+            return {sym: one}
+        if kind == "r":
+            return module.act_left(self.ring.monomial(sym), {lead[0]: one})
+        r = module.pair({sym: one}, {lead[0]: one})
+        return {} if r.is_zero() else module.act_left(r, {lead[1]: one})
 
 
 class _Leaf:
@@ -1008,8 +1090,9 @@ class HomotopyModel:
         self.words = self._enumerate_words()
         self._wids = {wk: w for w, wk in enumerate(self.words)}
         self._blocks = {}
-        # (Fock key, word id) -> the id of their lift, or None for zero
-        self._lifts = {}
+        # (Fock key, word id) -> the id of their lift, or None for zero; and
+        # (image key, source key) -> the source's ids paired with their lifts
+        self._lifts, self._lifted = {}, {}
         self._ids, self._keys, self._info = {}, [], []
         # (degree 0?, symbol) -> u, as its terms and itself: the ring symbol
         # of a degree-0 key, or the right support of a last tensor factor;
@@ -1115,8 +1198,9 @@ class HomotopyModel:
         a u that the generator kills maps to zero, and only the words on
         the other supports are multiplied, through ``try_mul``.  pi0 and
         pi1 read the symbol's ``fock.token_op`` once per Fock key of
-        ``_sources`` and lift its image to each key's word; lam0 is pi0's
-        where pi1 kills."""
+        ``_sources`` and lift its image to each of the key's words, kept
+        as (id, image) pairs per (image key, source key), so pi1 and lam0
+        reuse pi0's lifts; lam0 is pi0's where pi1 kills."""
         name = f"the {role} block of ({kind!r}, {sym!r})"
         if name in self._blocks:
             return self._blocks[name]
@@ -1148,10 +1232,15 @@ class HomotopyModel:
                 tkey = self._one(name, fkey, op.column(fkey))
                 if tkey is None:
                     continue
-                for i, w in ids:
-                    j = self.lift(name, tkey, w)
-                    if j is not None:
-                        live.append((i, j))
+                pairs = self._lifted.get((tkey, fkey))
+                if pairs is None:
+                    pairs = []
+                    for i, w in ids:
+                        j = self.lift(name, tkey, w)
+                        if j is not None:
+                            pairs.append((i, j))
+                    self._lifted[tkey, fkey] = pairs
+                live += pairs
         live.sort()
         block = self._blocks[name] = _Block(
             name, live, None if role == "lam0" else op, self._info)

@@ -476,10 +476,12 @@ class TestVerify:
                                          monkeypatch):
         # 17 blocks: pi0, pi1 and lam0 of each x and phi, pi0 of v, and
         # one lam1 per x and phi (49 try_mul each); the zero scalar on the
-        # pairing side has no block.  505 columns: each basis symbol's pi0
-        # leaf reads each key of the degrees its kind does not kill once, 63
-        # for each x, 126 for each phi and 127 for v; pi1 copies pi0's leaf,
-        # and the zero scalar splits into no leaf
+        # pairing side has no block.  7 columns: each basis symbol's pi0
+        # leaf reads only the keys of the degree next to the vacuum through
+        # _column, 1 for each x (the vacuum), 2 for each phi (degree 1) and
+        # 1 for v, so 2 + 4 + 1; every higher key is read off the shared
+        # tables.  pi1 copies pi0's leaf, and the zero scalar splits into no
+        # leaf
         from pimsner.fock import ToeplitzAlgebra, TruncatedFock, _Block
         counts = {}
         for cls, name in [(_Block, "__init__"),
@@ -492,7 +494,7 @@ class TestVerify:
         code, _, _ = run(capsys, "verify", rose2_file,
                          "--fock-depth", "6", "--word-bound", "3")
         assert code == 0
-        assert counts == {"__init__": 17, "try_mul": 196, "_column": 505}
+        assert counts == {"__init__": 17, "try_mul": 196, "_column": 7}
 
     def test_verify_leaves_no_reference_cycles(self, capsys, tmp_path):
         # a finished verify op is freed by reference counting: the cycle

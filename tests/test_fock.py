@@ -39,13 +39,16 @@ from pimsner.ringcore import (
     ZZ,
     RingError,
     Zmod,
+    vapply,
     vclean,
 )
+from test_acceptance import acceptance_quivers
 from test_pathspace import (Case, assert_same, check_random_words,
                             j_ideal_generator)
 from test_pathspace import cases as pathspace_cases
 
 A2 = parse_quiver("vertices: v w\nedges: e: v -> w")
+CYCLE = parse_quiver("vertices: a b\nedges:\n e: a -> b\n f: b -> a")
 
 
 def a2_fock(depth=4):
@@ -428,8 +431,8 @@ class TestPiRepresentations:
 
 class TestTermSumShortcut:
     """``eq_on`` reads no leaf when both operators' terms are equal, and
-    each leaf reads each basis key's column once, however many words and
-    comparisons use it."""
+    the leaves read each normal form, head and vacuum column once, however
+    many words and comparisons use them."""
 
     def test_equal_term_sums_read_no_column(self):
         fk = rose_fock(2, 4)
@@ -455,15 +458,31 @@ class TestTermSumShortcut:
         assert (a.scale(4) + a.scale(5)).eq_on(a.scale(3), degrees)
 
     def test_each_leaf_reads_each_key_once(self, monkeypatch):
-        reads = Counter()
-        real = TruncatedFock._column
-
-        def counted(fk, kind, sym, key):
-            reads[kind, sym, key] += 1
-            return real(fk, kind, sym, key)
-
-        monkeypatch.setattr(TruncatedFock, "_column", counted)
+        # the module's normal forms are read once per (X symbol, key), each
+        # head once per (kind, symbol, leading factors), and _column once
+        # per key of the degree next to the vacuum
         fk = rose_fock(2, 4)
+        for d in range(fk.depth + 1):
+            fk.basis(d)
+        reads, heads, columns = Counter(), Counter(), Counter()
+        real_nf = fk.module.prepend_normal
+        real_head, real_column = TruncatedFock._head, TruncatedFock._column
+
+        def nf(b, t):
+            reads[b, t] += 1
+            return real_nf(b, t)
+
+        def head(fk, kind, sym, lead):
+            heads[kind, sym, lead] += 1
+            return real_head(fk, kind, sym, lead)
+
+        def column(fk, kind, sym, key):
+            columns[kind, sym, key] += 1
+            return real_column(fk, kind, sym, key)
+
+        monkeypatch.setattr(fk.module, "prepend_normal", nf)
+        monkeypatch.setattr(TruncatedFock, "_head", head)
+        monkeypatch.setattr(TruncatedFock, "_column", column)
         x = fk.token_op(("x", {"e0": 1}))
         phi = fk.token_op(("phi", {("e0", "*"): 1}))
         v = fk.token_op(("r", fk.ring.monomial("v")))
@@ -484,13 +503,20 @@ class TestTermSumShortcut:
             a, b = pi1(fk, tokens), pi1(fk, tokens[::-1])
             assert a.eq_on(b, sorted(a.covered & b.covered)) \
                 == (tokens == tokens[::-1])
-        # each key of each generator, read once: x below the top degree,
-        # phi above the vacuum, the scalar everywhere
-        keys = [sum(len(fk.basis(d)) for d in degrees)
-                for degrees in (range(4), range(1, 5), range(5))]
-        assert set(reads.values()) == {1}
-        assert sorted(Counter(kind for kind, _, _ in reads).items()) == [
-            ("phi", 2 * keys[1]), ("r", keys[2]), ("x", 2 * keys[0])]
+        # each symbol before each key of degrees 1..3 and the empty tail
+        edges, tails = ["e0", "e1"], [()] + [t for d in range(1, 4)
+                                             for _, t in fk.basis(d)]
+        assert reads == Counter({(b, t): 1 for b in edges for t in tails})
+        # x has no leading factor, r one and phi two
+        assert heads == Counter(
+            [("x", b, ()) for b in edges]
+            + [("r", "v", (b,)) for b in edges]
+            + [("phi", (c, "*"), (b0, b1))
+               for c in edges for b0 in edges for b1 in edges])
+        # x and r at the vacuum, phi at degree 1
+        assert columns == Counter(
+            [("x", b, (0, ("v",))) for b in edges] + [("r", "v", (0, ("v",)))]
+            + [("phi", (c, "*"), (1, (b,))) for c in edges for b in edges])
 
 
 class TestEqOnAgainstColumns:
@@ -1062,8 +1088,7 @@ def _rank_one_fock(depth=4):
 
 
 def _cycle_fock(depth=4):
-    return TruncatedFock(quiver_correspondence(parse_quiver(
-        "vertices: a b\nedges:\n e: a -> b\n f: b -> a")), depth)
+    return TruncatedFock(quiver_correspondence(CYCLE), depth)
 
 
 class TestPiTensorLift:
@@ -1725,3 +1750,166 @@ class TestLam1PerSupport:
         block = model._block("lam1", "x", "e")
         assert seen and not on_v & set(seen)
         assert block.live == _lam1_per_word(model, "x", "e")
+
+
+def _per_key_column(fk, kind, sym, key):
+    """The column of one basis symbol's generator at a key, before any low
+    kill, with one normal form per key: the reading that the leaf tables
+    replace, kept as their oracle."""
+    d, t = key
+    module, ring, k = fk.module, fk.ring, fk.k
+    if kind == "x":
+        if d == 0:
+            vec = module.act_right({sym: k.one}, ring.monomial(t[0]))
+            return {(b,): c for b, c in vec.items()}
+        return module.prepend_normal(sym, t)
+    if kind == "r":
+        if d == 0:
+            return {(s,): c for s, c in ring.mul_basis(sym, t[0]).items()}
+        xvec, rest = module.act_left(ring.monomial(sym),
+                                     {t[0]: k.one}), t[1:]
+    else:
+        r = module.pair({sym: k.one}, {t[0]: k.one})
+        if r.is_zero():
+            return {}
+        if d == 1:
+            return {(s,): c for s, c in r.terms.items()}
+        xvec, rest = module.act_left(r, {t[1]: k.one}), t[2:]
+    return vapply(k, lambda b: module.prepend_normal(b, rest), xvec)
+
+
+def _per_key_leaf(fk, kind, sym, variant):
+    """The image list of one generator's leaf, one ``_per_key_column`` per
+    key of the degrees the variant does not kill, or the ``RingError`` text
+    of its first column that is no partial map."""
+    shift, low = fock_module._KINDS[kind]
+    low += variant == "pi1"
+    index, keys, offsets = fk._numbering()
+    img = [-1] * (len(keys) + 1)
+    for i in range(offsets[low], offsets[fk.depth + 1 - max(shift, 0)]):
+        col = _per_key_column(fk, kind, sym, keys[i])
+        if col:
+            (tup, c), *more = col.items()
+            e = keys[i][0] + shift
+            if more or c != fk.k.one:
+                col = {(e, t): c for t, c in col.items()}
+                return (f"generator ({kind!r}, {sym!r}) is not a partial map "
+                        f"of basis keys: its column at {keys[i]} is {col}")
+            img[i] = index[e, tup]
+    return img
+
+
+def _leaf_or_error(fk, kind, sym, variant):
+    try:
+        return fk._leaf(kind, sym, variant).img
+    except RingError as exc:
+        return str(exc)
+
+
+def _generators(fk):
+    m = fk.module
+    return [("x", b) for b in m.x_basis] + [
+        ("phi", c) for c in m.xp_basis] + [("r", v) for v in fk.ring.basis]
+
+
+class TestLeafTables:
+    """Every leaf read off the shared tables (each X symbol's normal forms
+    before every key, each key's tail and first factor, each head once per
+    leading factors) equals the one read with one normal form per key."""
+
+    @staticmethod
+    def modules(family):
+        quivers, _, ring = family.rpartition("-")
+        k = {"z": ZZ, "zmod6": Zmod(6)}[ring]
+        if quivers == "acceptance":
+            return [TruncatedFock(quiver_correspondence(q, k), 3)
+                    for q in acceptance_quivers()]
+        return [TruncatedFock(quiver_correspondence(q, k), depth)
+                for q in (rose(2), A2, CYCLE)
+                for depth in (4, 6)]
+
+    @pytest.mark.parametrize("family", ["acceptance-z", "acceptance-zmod6",
+                                        "small-z", "small-zmod6"])
+    def test_every_leaf_is_the_per_key_columns(self, family):
+        # the 20 acceptance quivers at depth 3, and rose2, a2 and the
+        # two-cycle at depths 4 and 6; pi1's leaf shares pi0's live indices
+        kinds = Counter()
+        for fk in self.modules(family):
+            for kind, sym in _generators(fk):
+                want = _per_key_leaf(fk, kind, sym, "pi0")
+                live = [i for i, j in enumerate(want) if j >= 0]
+                for variant in ("pi0", "pi1"):
+                    leaf = fk._leaf(kind, sym, variant)
+                    assert leaf.img == _per_key_leaf(fk, kind, sym, variant), \
+                        (kind, sym, variant, fk.depth)
+                    assert leaf.live == live
+                kinds[kind] += bool(live)
+        assert set(kinds) == {"x", "phi", "r"} and all(kinds.values())
+
+    def _same_outcomes(self, make, patch):
+        # every pi0 and pi1 leaf, each on a fresh truncation whose module is
+        # patched after its basis, against the per-key reading
+        outcomes = []
+        for kind, sym in _generators(make()):
+            for variant in ("pi0", "pi1"):
+                fk = make()
+                for d in range(fk.depth + 1):
+                    fk.basis(d)
+                patch(fk.module)
+                want = _per_key_leaf(fk, kind, sym, variant)
+                assert _leaf_or_error(fk, kind, sym, variant) == want, \
+                    (kind, sym, variant)
+                outcomes.append(want)
+        return outcomes
+
+    def test_a_head_of_two_entries(self, monkeypatch):
+        # sigma_v on e1 gives e0 + e1: the r head on a first factor e1 and
+        # the phi head on a second factor e1 hold two entries, so their
+        # columns hold two keys (the module's reduce_pair cache, warm from
+        # the basis, keeps the normal forms as they were)
+        def two(module):
+            real = module.act_left
+            monkeypatch.setattr(module, "act_left", lambda r, x: (
+                {"e0": 1, "e1": 1} if x == {"e1": 1} else real(r, x)))
+
+        outcomes = self._same_outcomes(lambda: rose_fock(2, 4), two)
+        errors = [o for o in outcomes if isinstance(o, str)]
+        assert any("('r', 'v')" in o and "at (1, ('e1',))" in o
+                   for o in errors)
+        assert any("('phi', ('e0', '*'))" in o and "at (2, ('e0', 'e1'))" in o
+                   for o in errors)
+
+    def test_a_head_of_two_entries_that_meet_in_one_key(self, monkeypatch):
+        # with every e0 (x) t read as zero, the head e0 + e1 has the one key
+        # of e1 (x) t: each column is a partial map again
+        def meet(module):
+            real_act = module.act_left
+            monkeypatch.setattr(module, "act_left", lambda r, x: (
+                {"e0": 1, "e1": 1} if x == {"e1": 1} else real_act(r, x)))
+            real_nf = module.prepend_normal
+            monkeypatch.setattr(module, "prepend_normal", lambda b, t: (
+                {} if b == "e0" else real_nf(b, t)))
+
+        outcomes = self._same_outcomes(lambda: rose_fock(2, 4), meet)
+        assert not any(isinstance(o, str) for o in outcomes)
+        assert sum(j >= 0 for o in outcomes for j in o) > 0
+
+    @pytest.mark.parametrize("k", [ZZ, Zmod(6)], ids=["z", "zmod6"])
+    def test_a_normal_form_of_two_keys(self, monkeypatch, k):
+        # e1 (x) t reads as two keys, or as one key with coefficient 2, on
+        # the keys t of degree 2: every leaf that reaches it names the same
+        # column
+        for bent in (lambda t: {("e1",) + t: 1, ("e0",) + t: 1},
+                     lambda t: {("e1",) + t: 2}):
+            def patch(module, bent=bent):
+                real = module.prepend_normal
+                monkeypatch.setattr(module, "prepend_normal", lambda b, t: (
+                    bent(t) if b == "e1" and len(t) == 2 else real(b, t)))
+
+            outcomes = self._same_outcomes(lambda: rose_fock(2, 4, k=k),
+                                           patch)
+            errors = {o.split(":")[0] for o in outcomes if isinstance(o, str)}
+            assert errors == {
+                f"generator {g} is not a partial map of basis keys"
+                for g in [("x", "e1"), ("phi", ("e0", "*")),
+                          ("phi", ("e1", "*")), ("r", "v")]}
