@@ -42,13 +42,16 @@ The module also provides:
   rotational homotopy H(t) is realized with exact polynomial coefficients
   in t, so that its endpoint identities and pairing preservation become
   finite exact checks.  The model shares its Fock module's one Toeplitz
-  algebra and bounds word length per product, through ``try_mul``.  Each
-  summand of H on one basis symbol is a block, a coefficient-one partial
-  map of integer model ids, built once per model (pi (x) id lifts the
-  cached Fock token operator; lam1 multiplies the generator by j(u) once
-  per left support u of the degree-0 words, and only the words on the
-  supports it does not kill one by one), and an operator is a sum of
-  words of blocks with coefficients in k[t].
+  algebra and its tables.  Each summand of H on one basis symbol is a
+  block, a coefficient-one partial map of integer model ids, built once
+  per model (pi (x) id lifts the cached Fock token operator; lam1 reads
+  the generator's product with j(u) once per left support u of the
+  degree-0 words, and with each word on a support it does not kill, off
+  the normal forms that the Fock leaves are built from, so a product past
+  the word bound is known by its length), and an operator is a sum of
+  words of blocks with coefficients in k[t].  An identity whose two
+  sides are sums of single blocks with coefficient zero or one, as every
+  endpoint identity is, compares their merged pair lists.
 """
 
 from __future__ import annotations
@@ -56,7 +59,8 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import defaultdict
 from functools import reduce
-from itertools import accumulate, compress
+from itertools import accumulate, chain, compress
+from operator import itemgetter
 
 from .ringcore import RingError, vadd, vapply, vclean, vdrop, vmul, vscale
 
@@ -1134,7 +1138,7 @@ class HomotopyModel:
     def _id(self, key):
         """The id of a model key, interned on first sight.  Its word is one
         of ``words``, which are closed under scalar absorption and under
-        the products that ``try_mul`` bounds."""
+        lam1's products within the word bound."""
         i = self._ids.get(key)
         if i is None:
             n, tup, wk = key
@@ -1151,19 +1155,29 @@ class HomotopyModel:
         ``_supports``.  j(u) . word depends on nothing else, so
         ``_absorbed`` keeps it per u (its terms) and word: on a quiver one
         entry per vertex and word, not per edge and word."""
-        u = self._supports.get((n == 0, tup[-1]))
+        # in degree 0, tup holds the one ring symbol: tup[-1] is tup[0]
+        absorbed = self._absorb(self._support(n == 0, tup[-1]), wk)
+        tup = () if n == 0 else tup
+        return {(n, tup, wk2): c for wk2, c in absorbed.items()}
+
+    def _support(self, scalar, sym):
+        """u as (its terms, itself), kept in ``_supports``: the ring symbol
+        ``sym`` itself when ``scalar``, else the right support of the X
+        symbol ``sym``."""
+        u = self._supports.get((scalar, sym))
         if u is None:
-            # in degree 0, tup holds the one ring symbol: tup[-1] is tup[0]
-            relt = (self.ring.monomial(tup[-1]) if n == 0
-                    else self.module.x_split(tup[-1])[1])
-            u = self._supports[n == 0, tup[-1]] = (
-                tuple(relt.terms.items()), relt)
+            relt = (self.ring.monomial(sym) if scalar
+                    else self.module.x_split(sym)[1])
+            u = self._supports[scalar, sym] = (tuple(relt.terms.items()), relt)
+        return u
+
+    def _absorb(self, u, wk):
+        """j(u) . wk for u as (its terms, itself), kept in ``_absorbed``."""
         absorbed = self._absorbed.get((u[0], wk))
         if absorbed is None:
             absorbed = self._absorbed[u[0], wk] = \
                 self.talg._scalar_times_word(u[1], wk)
-        tup = () if n == 0 else tup
-        return {(n, tup, wk2): c for wk2, c in absorbed.items()}
+        return absorbed
 
     def _one(self, name, key, col):
         """The one key of ``col``, the column of ``name`` at ``key``, or None
@@ -1193,14 +1207,17 @@ class HomotopyModel:
     def _block(self, role, kind, sym):
         """The ``role`` block of one basis symbol, built once per model and
         kept by its name, its live pairs in ascending id order.  lam1
-        multiplies the generator by j(u) once per left support u of the
-        degree-0 words in ``_sources``: since j(u) . w == w, each word on
-        a u that the generator kills maps to zero, and only the words on
-        the other supports are multiplied, through ``try_mul``.  pi0 and
-        pi1 read the symbol's ``fock.token_op`` once per Fock key of
-        ``_sources`` and lift its image to each of the key's words, kept
-        as (id, image) pairs per (image key, source key), so pi1 and lam0
-        reuse pi0's lifts; lam0 is pi0's where pi1 kills."""
+        reads the generator's product with j(u) once per left support u
+        of the degree-0 words in ``_sources``: since j(u) . w == w, each
+        word on a u that the generator kills maps to zero.  The product
+        with each word on another support is read off tables by
+        ``_times``, and one that holds a word past the word bound is
+        OVERFLOW by that word's length; where no table decides it, the
+        product is ``try_mul``'s.  pi0 and pi1 read the symbol's
+        ``fock.token_op`` once per Fock key of ``_sources`` and lift its
+        image to each of the key's words, kept as (id, image) pairs per
+        (image key, source key), so pi1 and lam0 reuse pi0's lifts; lam0
+        is pi0's where pi1 kills."""
         name = f"the {role} block of ({kind!r}, {sym!r})"
         if name in self._blocks:
             return self._blocks[name]
@@ -1208,15 +1225,21 @@ class HomotopyModel:
         unit = (kind, self.ring.monomial(sym) if kind == "r" else {sym: one})
         live, op = [], None
         if role == "lam1":
-            talg = self.talg
-            gen = talg.from_tokens([unit])
+            talg, bound = self.talg, self.word_bound
             for (n, (usym,)), ids in self._sources.items():
                 # j(u) . w == w, so a generator that kills j(u) kills w
-                if n or not talg.mul(gen, {("s", usym): one}):
+                if n or not self._times(kind, sym, ("s", usym)):
                     continue
                 for i, w in ids:
-                    prod = talg.try_mul(gen, {self.words[w]: one},
-                                        self.word_bound)
+                    wk = self.words[w]
+                    prod = self._times(kind, sym, wk)
+                    if prod is None:
+                        # no table decides: the general product
+                        prod = talg.try_mul(talg.from_tokens([unit]),
+                                            {wk: one}, bound)
+                    elif any(key[0] == "w" and len(key[1]) + len(key[2])
+                             > bound for key in prod):
+                        prod = None
                     if prod is None:
                         live.append((i, OVERFLOW))
                         continue
@@ -1245,6 +1268,65 @@ class HomotopyModel:
         block = self._blocks[name] = _Block(
             name, live, None if role == "lam0" else op, self._info)
         return block
+
+    def _times(self, kind, sym, wk):
+        """The product of one basis symbol's generator and the model word
+        ``wk``, read off tables, or None where no table decides it.
+
+        Every key of the truncation and every part of a model word is
+        taken to be its own normal form.  r's product is j(sym) . wk, from
+        ``_absorbed``.  x and phi multiply a scalar word as their one-factor
+        word before that scalar (``_word_times_scalar``).  On T_p T_c*,
+        phi with no creation factor prepends sym to c through
+        ``reduce_pair_dual``, and with one it leaves the scalar <sym, p0>,
+        absorbed into T_c*.  Otherwise the generator's head on p's leading
+        factors (sym for x, ``TruncatedFock._head`` on two factors for
+        phi) is read off its ``_row``, the normal forms that the Fock
+        leaves are built from, at the rest of p: that is the new creation
+        part q, and the product is q before j(u) . T_c*, with u the right
+        support of q's last factor, again from ``_absorbed``, so the
+        junction with c moves with q.  A head or normal form other than
+        one key of coefficient one, and a rest of top degree, whose -1 in
+        a leaf would mean past the truncation and not zero, are left
+        undecided."""
+        m, one = self.module, self.k.one
+        if kind == "r":
+            return self._absorb(self._support(True, sym), wk)
+        if wk[0] == "s":
+            gen = ("w", (sym,), ()) if kind == "x" else ("w", (), (sym,))
+            return self.talg._word_times_scalar(
+                gen, self._support(True, wk[1])[1])
+        _, p, c = wk
+        if kind == "phi" and len(p) < 2:
+            if not p:
+                return {("w", (), pair + c[1:]): v
+                        for pair, v in m.reduce_pair_dual(sym, c[0]).items()}
+            mid = m.pair({sym: one}, {p[0]: one})
+            if not c or mid.is_zero():
+                return self.talg.scalar(mid)
+            return self._absorb((tuple(mid.terms.items()), mid), ("w", (), c))
+        fock = self.fock
+        index, keys, offsets = fock._numbering()
+        if kind == "x":
+            head, rest = {sym: one}, p
+        else:
+            head, rest = fock._head(kind, sym, p[:2]), p[2:]
+        if not head:
+            return {}
+        (b, cb), *more = head.items()
+        i = None
+        if not more and cb == one and len(rest) < fock.depth:
+            i = index.get((len(rest), rest)) if rest else offsets[fock.depth]
+        entry = None if i is None else fock._row(b)[i]
+        if entry.__class__ is not int:
+            return None
+        if entry < 0:
+            return {}
+        q = keys[entry][1]
+        if not c:
+            return {("w", q, ()): one}
+        return {("w", q, ct): v for (_, _, ct), v in self._absorb(
+            self._support(False, q[-1]), ("w", (), c)).items()}
 
     def _reach(self, block, j):
         """The image under ``block`` of an id it does not list, kept in its
@@ -1304,7 +1386,9 @@ class _Block:
     ``live``, with every degree >= 2 when ``op`` is set, since ``_reach``
     may send such an id somewhere.  A block whose ``targets`` miss the
     next block's ``sources`` carries only its OVERFLOW pairs, kept in
-    ``overflow``, through it: every other pair reaches zero.
+    ``overflow``, through it: every other pair reaches zero.  An operator
+    whose words are single blocks is compared by ``live`` and ``overflow``
+    alone (see ``HOperator.eq_report``).
     """
 
     __slots__ = ("name", "op", "live", "img", "sources", "targets",
@@ -1453,16 +1537,31 @@ class HOperator:
             terms[word] = {0: c}
         return HOperator(self.model, terms, self.high)
 
-    def eq_report(self, other, report, tag, power=0):
-        """Exact comparison of the coefficients of t^power, with coverage
-        accounting into a CheckReport: a low column that either side leaves
-        undefined is skipped, and a failing one is tagged with its model
-        key, in low-id order; the tensor part is compared at t^0.  Equal
-        groups (``_grouped``) need no column read; otherwise only the low
-        ids where the two groups differ are read.  An id that both hold
-        alike counts as checked, or as skipped where both leave it
-        undefined, as its column read would.
-        """
+    def _merged(self, power):
+        """The live pairs of the words of coefficient one at t^power,
+        merged by source id, and the ids that a word there marks OVERFLOW,
+        with any coefficient; None unless every word there is one block
+        with coefficient zero or one."""
+        one = self.model.k.one
+        lives, marked = [], set()
+        for word, poly in self.terms.items():
+            c = poly.get(power)
+            if c is None:
+                continue
+            if len(word) > 1 or c and c != one:
+                return None
+            if c:
+                lives.append(word[0].live)
+            marked.update(i for i, _ in word[0].overflow)
+        if len(lives) == 1:
+            return lives[0], marked
+        return sorted(chain.from_iterable(lives), key=itemgetter(0)), marked
+
+    def _grouped_report(self, other, report, tag, power):
+        """The low part of ``eq_report`` from the two groups: equal groups
+        need no column read; otherwise only the low ids where they differ
+        are read.  An id that both hold alike counts as checked, or as
+        skipped where both leave it undefined, as its column read would."""
         model = self.model
         a, b = self._grouped(power), other._grouped(power)
         stored, undefined = [], 0
@@ -1486,6 +1585,31 @@ class HOperator:
             report.checked += 1
             if ca != cb:
                 report.failures.append((tag, model._keys[i]))
+
+    def eq_report(self, other, report, tag, power=0):
+        """Exact comparison of the coefficients of t^power, with coverage
+        accounting into a CheckReport: a low column that either side leaves
+        undefined is skipped, and a failing one is tagged with its model
+        key, in low-id order; the tensor part is compared at t^0.
+
+        Where every word of both sides at t^power is one block with
+        coefficient zero or one, as in every endpoint identity, each side
+        is its coefficient-one blocks' live pairs merged by id (``_merged``).
+        Equal lists make equal groups, but for the ids that a word of
+        coefficient zero marks OVERFLOW: those ids and every OVERFLOW id
+        count as skipped, every other low id as checked, and nothing is
+        grouped.  Every other case compares the groups
+        (``_grouped_report``), so every failure is found there.
+        """
+        model = self.model
+        mine = self._merged(power)
+        theirs = mine and other._merged(power)
+        if theirs and mine[0] == theirs[0]:
+            undefined = len(mine[1] | theirs[1])
+            report.skipped += undefined
+            report.checked += len(model.low_ids) - undefined
+        else:
+            self._grouped_report(other, report, tag, power)
         if power or (self.high is None and other.high is None):
             return
         ha = self.high if self.high is not None else model.fock.zero_op()

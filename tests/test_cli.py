@@ -475,26 +475,33 @@ class TestVerify:
     def test_rose2_builds_each_lift_once(self, capsys, rose2_file,
                                          monkeypatch):
         # 17 blocks: pi0, pi1 and lam0 of each x and phi, pi0 of v, and
-        # one lam1 per x and phi (49 try_mul each); the zero scalar on the
-        # pairing side has no block.  7 columns: each basis symbol's pi0
-        # leaf reads only the keys of the degree next to the vacuum through
-        # _column, 1 for each x (the vacuum), 2 for each phi (degree 1) and
-        # 1 for v, so 2 + 4 + 1; every higher key is read off the shared
-        # tables.  pi1 copies pi0's leaf, and the zero scalar splits into no
-        # leaf
-        from pimsner.fock import ToeplitzAlgebra, TruncatedFock, _Block
+        # one lam1 per x and phi; the zero scalar on the pairing side has no
+        # block.  Each lam1 block reads off the tables its product with j(v),
+        # rose2's one left support, and with each of the 49 degree-0 words,
+        # so 4 x (1 + 49) _times reads, and makes no try_mul: no creation
+        # part is of top degree and every normal form has one key.  7
+        # columns: each basis symbol's pi0 leaf reads only the keys of the
+        # degree next to the vacuum through _column, 1 for each x (the
+        # vacuum), 2 for each phi (degree 1) and 1 for v, so 2 + 4 + 1;
+        # every higher key is read off the shared tables.  pi1 copies pi0's
+        # leaf, and the zero scalar splits into no leaf
+        from pimsner.fock import (HomotopyModel, ToeplitzAlgebra,
+                                  TruncatedFock, _Block)
         counts = {}
-        for cls, name in [(_Block, "__init__"),
+        for cls, name in [(_Block, "__init__"), (HomotopyModel, "_times"),
                           (ToeplitzAlgebra, "try_mul"),
                           (TruncatedFock, "_column")]:
+            counts[name] = 0
+
             def counted(*args, _real=getattr(cls, name), _name=name):
-                counts[_name] = counts.get(_name, 0) + 1
+                counts[_name] += 1
                 return _real(*args)
             monkeypatch.setattr(cls, name, counted)
         code, _, _ = run(capsys, "verify", rose2_file,
                          "--fock-depth", "6", "--word-bound", "3")
         assert code == 0
-        assert counts == {"__init__": 17, "try_mul": 196, "_column": 7}
+        assert counts == {"__init__": 17, "_times": 200, "try_mul": 0,
+                          "_column": 7}
 
     def test_verify_leaves_no_reference_cycles(self, capsys, tmp_path):
         # a finished verify op is freed by reference counting: the cycle

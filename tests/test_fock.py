@@ -1675,20 +1675,31 @@ class TestDroppedLam1Column:
 
 def _lam1_per_word(model, kind, sym):
     """The live pairs of lam1 of one basis symbol, one ``try_mul`` per
-    degree-0 word: the loop that lam1 ran before it read supports."""
+    degree-0 word, in the order of their left supports: the loop that lam1
+    ran before it read supports and tables.  A product that is no partial
+    map raises the block's ``RingError``."""
     one, talg = model.k.one, model.talg
     unit = (kind, model.ring.monomial(sym) if kind == "r" else {sym: one})
+    name = f"the lam1 block of ({kind!r}, {sym!r})"
     gen = talg.from_tokens([unit])
     live = []
-    for i, mkey in zip(model.low_ids, model.c0_keys):
-        prod = talg.try_mul(gen, {mkey[2]: one}, model.word_bound)
-        if prod is None:
-            live.append((i, fock_module.OVERFLOW))
-        elif prod:
-            [(wk, c)] = prod.items()
-            assert c == one
-            live.append((i, model._ids[0, (), wk]))
-    return live
+    for (n, _), ids in model._sources.items():
+        for i, w in ids if n == 0 else ():
+            prod = talg.try_mul(gen, {model.words[w]: one}, model.word_bound)
+            if prod is None:
+                live.append((i, fock_module.OVERFLOW))
+                continue
+            wk = model._one(name, model._keys[i], prod)
+            if wk is not None:
+                live.append((i, model._ids[0, (), wk]))
+    return sorted(live, key=lambda pair: pair[0])
+
+
+def _lam1_or_error(model, kind, sym, build):
+    try:
+        return build(model, kind, sym)
+    except RingError as exc:
+        return str(exc)
 
 
 class TestLam1PerSupport:
@@ -1732,23 +1743,88 @@ class TestLam1PerSupport:
                 u = talg.scalar(talg.left_support(wk))
                 assert talg.mul(u, {wk: one}) == {wk: one}, wk
 
+    @staticmethod
+    def _bent(monkeypatch, normal_form, k=ZZ, depth=3):
+        """A truncation of a quiver whose module reads g (x) g as
+        ``normal_form``, patched before any basis is built, or as itself
+        for None: g: a -> a, h: b -> a, and k, l: a -> b, so g is followed
+        by g, k or l, and k's right support b is not g's."""
+        corr = quiver_correspondence(parse_quiver(
+            "vertices: a b\nedges:\n g: a -> a\n h: b -> a\n"
+            " k: a -> b\n l: a -> b"), k)
+        real = corr.module.reduce_pair
+        if normal_form is not None:
+            monkeypatch.setattr(corr.module, "reduce_pair", lambda b1, b2: (
+                normal_form if (b1, b2) == ("g", "g") else real(b1, b2)))
+        return TruncatedFock(corr, depth)
+
+    def _same_outcomes(self, fk):
+        # every lam1 block at every word bound up to the depth, on a fresh
+        # model each, against the per-word products
+        outcomes = {}
+        for bound in range(1, fk.depth + 1):
+            for kind, sym in _generators(fk):
+                want = _lam1_or_error(HomotopyModel(fk, bound), kind, sym,
+                                      _lam1_per_word)
+                got = _lam1_or_error(
+                    HomotopyModel(fk, bound), kind, sym,
+                    lambda model, kind, sym:
+                        model._block("lam1", kind, sym).live)
+                assert got == want, (kind, sym, bound)
+                outcomes[kind, sym, bound] = want
+        return outcomes
+
+    def test_a_creation_part_whose_last_factor_moves(self, monkeypatch):
+        # g (x) g reads as g (x) k: x_g on T_g T_c* ends its creation part
+        # in k, whose right support b meets c where g's a did
+        fk = self._bent(monkeypatch, {("g", "k"): 1})
+        outcomes = self._same_outcomes(fk)
+        # T_g T_g* is on a, so x_g sends it to zero through k's b, where
+        # the plain module's g (x) g keeps it
+        word = ("w", ("g",), (("g", "*"),))
+        for normal_form, kept in [({("g", "k"): 1}, False), (None, True)]:
+            model = HomotopyModel(self._bent(monkeypatch, normal_form), 3)
+            i = model._ids[0, (), word]
+            assert (i in dict(model._block("lam1", "x", "g").live)) == kept
+        assert not any(isinstance(o, str) for o in outcomes.values())
+
+    @pytest.mark.parametrize("k", [ZZ, Zmod(6)], ids=["z", "zmod6"])
+    def test_a_normal_form_of_two_keys(self, monkeypatch, k):
+        # g (x) g reads as two keys, or as one key with coefficient 2: lam1
+        # of x_g takes the general product and names the same column
+        for normal_form in ({("g", "k"): 1, ("g", "l"): 1}, {("g", "k"): 2}):
+            with monkeypatch.context() as patch:
+                outcomes = self._same_outcomes(self._bent(patch, normal_form,
+                                                          k))
+            errors = {key for key, o in outcomes.items()
+                      if isinstance(o, str)}
+            # at bound 1 the product of x_g and T_g is past the bound
+            assert errors == {("x", "g", 2), ("x", "g", 3)}
+            assert all("is not a partial map of model ids" in outcomes[key]
+                       for key in errors)
+
     def test_a_support_the_generator_kills_costs_no_word_product(
             self, monkeypatch):
-        # on a2 (e: v -> w) T_e kills j(v): the degree-0 words on v are
-        # never multiplied
+        # on a2 (e: v -> w) T_e kills j(v): lam1 reads the product with
+        # j(v) and with j(w) off the tables, then the words on w, and never
+        # a word on v
         model = HomotopyModel(a2_fock(), 2)
         on_v = {model.words[w] for _, w in model._sources[0, ("v",)]}
         assert on_v
         seen = []
-        real = ToeplitzAlgebra.try_mul
+        real = HomotopyModel._times
 
-        def counted(talg, e1, e2, max_len):
-            seen.extend(e2)
-            return real(talg, e1, e2, max_len)
+        def counted(self, kind, sym, wk):
+            seen.append(wk)
+            return real(self, kind, sym, wk)
 
-        monkeypatch.setattr(ToeplitzAlgebra, "try_mul", counted)
-        block = model._block("lam1", "x", "e")
-        assert seen and not on_v & set(seen)
+        with monkeypatch.context() as patch:
+            patch.setattr(HomotopyModel, "_times", counted)
+            patch.setattr(ToeplitzAlgebra, "try_mul", None)
+            block = model._block("lam1", "x", "e")
+        # the one read of the word j(v) is the probe of its support
+        assert seen.count(("s", "v")) == 1 and ("s", "w") in seen
+        assert len(seen) > 2 and not on_v - {("s", "v")} & set(seen)
         assert block.live == _lam1_per_word(model, "x", "e")
 
 
@@ -1913,3 +1989,102 @@ class TestLeafTables:
                 f"generator {g} is not a partial map of basis keys"
                 for g in [("x", "e1"), ("phi", ("e0", "*")),
                           ("phi", ("e1", "*")), ("r", "v")]}
+
+
+class TestEndpointLists:
+    """An endpoint identity compared as merged block pair lists reports
+    what the grouped comparison reports: checked, skipped and failures."""
+
+    @staticmethod
+    def grouped(patch, run):
+        """``run()`` with every comparison on the grouped path: the one
+        that the merged pair lists replace, kept as their oracle."""
+        with patch.context() as grouped:
+            grouped.setattr(HOperator, "_merged", lambda self, power: None)
+            return run()
+
+    @pytest.mark.parametrize("family", ["acceptance-z", "acceptance-zmod6",
+                                        "small-z", "small-zmod6"])
+    def test_every_endpoint_report_is_the_grouped_one(self, family,
+                                                      monkeypatch):
+        # the 20 acceptance quivers at depth 3, and rose2, a2 and the
+        # two-cycle at depth 4, at every word bound; each identity once
+        # more with a perturbed left side: a pair dropped (lam0's among
+        # them), an image redirected (pi1's among them), or an OVERFLOW
+        # id removed (the zero-coefficient lam1's at t = 0 among them)
+        seen = Counter()
+        for model in TestLam1PerSupport.models(family):
+            one = model.k.one
+            tokens = [("x", {b: one}) for b in model.module.x_basis]
+            tokens += [("phi", {c: one}) for c in model.module.xp_basis]
+            tokens += [("r", model.ring.monomial(v)) for v in model.ring.basis]
+            for token in tokens:
+                H = homotopy_H(model, token)
+                got = homotopy_endpoints_check(model, token, H)
+                want = self.grouped(monkeypatch, lambda: _endpoints(model,
+                                                                    token))
+                assert got.passed and (got.checked, got.skipped) == \
+                    (want.checked, want.skipped), (token, model.word_bound)
+                rhs = {0: model.pi_tensor(token, "pi0"),
+                       1: model.lam1(token) + model.pi_tensor(token, "pi1")}
+                if token[0] == "r":
+                    rhs[1] = model.pi_tensor(token, "pi0")
+                for value, side in rhs.items():
+                    for left in _perturbed(model, H.at(value)):
+                        got, want = CheckReport("list"), CheckReport("grouped")
+                        left.eq_report(side, got, "t")
+                        listed = left._cols is None and side._cols is None
+                        self.grouped(monkeypatch, lambda: left.eq_report(
+                            side, want, "t"))
+                        assert (got.checked, got.skipped, got.failures) == \
+                            (want.checked, want.skipped, want.failures)
+                        seen["listed", listed] += 1
+                        seen["failed", bool(got.failures)] += 1
+        # both paths taken on perturbed sides, and failures found
+        assert all(seen[key, flag] for key in ("listed", "failed")
+                   for flag in (False, True)), seen
+
+    def test_passing_endpoints_build_no_grouping(self, monkeypatch):
+        # every endpoint identity of verify on rose2 compares pair lists
+        model = HomotopyModel(rose_fock(2, 6), 3)
+        built = []
+        real = HOperator._grouped
+
+        def counted(self, power):
+            built.append(power)
+            return real(self, power)
+
+        monkeypatch.setattr(HOperator, "_grouped", counted)
+        tokens = [("x", {b: 1}) for b in model.module.x_basis]
+        tokens += [("phi", {c: 1}) for c in model.module.xp_basis]
+        tokens += [("r", model.ring.monomial("v"))]
+        assert all(_endpoints(model, token).passed for token in tokens)
+        assert built == []
+
+
+def _perturbed(model, op):
+    """Copies of ``op`` with one word's block changed: its first pair
+    dropped, its first id image sent to another id, or its first OVERFLOW
+    pair removed, each where the block has one."""
+    out = []
+    for word, poly in op.terms.items():
+        block = word[0]
+        ids = [pair for pair in block.live
+               if pair[1] is not fock_module.OVERFLOW]
+        changes = []
+        if block.live:
+            changes.append(block.live[1:])
+        if ids:
+            i, j = ids[0]
+            other = next(k for k in model.low_ids if k != j)
+            changes.append(sorted([(i, other)] + [p for p in block.live
+                                                  if p[0] != i]))
+        if block.overflow:
+            changes.append([p for p in block.live if p != block.overflow[0]])
+        for live in changes:
+            bent = fock_module._Block("a perturbation", live, block.op,
+                                      model._info)
+            terms = {w: p for w, p in op.terms.items() if w != word}
+            terms[(bent,)] = poly
+            out.append(HOperator(model, terms, op.high))
+    return out
