@@ -17,10 +17,13 @@ first factor; the kind's head on a key's leading factors is built once
 per leaf and leading factors.  Every operator is an exact flat sum of
 words in the leaves: a word's image is its first leaf's live indices,
 carried through each later leaf's list, and operators compare by these
-images.  Every operator knows which source degrees its columns are
-defined on, so identities are only asserted within the truncation budget:
-a check at source degree d runs only when every intermediate degree of
-the word stays <= N, and checkers report how much was covered.
+images.  A word of basis symbols with coefficient one is read off a table
+of applied prefixes, each carried once per truncation from the prefix one
+leaf shorter, so words that share a prefix share its carry.  Every
+operator knows which source degrees its columns are defined on, so
+identities are only asserted within the truncation budget: a check at
+source degree d runs only when every intermediate degree of the word
+stays <= N, and checkers report how much was covered.
 
 The module also provides:
 
@@ -30,9 +33,10 @@ The module also provides:
   low degrees: each generator kills one degree more); their difference
   on any Toeplitz word is supported on a single block, which is what
   makes the pair a quasi-homomorphism.  ``quasi_hom_defect`` checks that
-  block per normal word and returns the difference as signed terms, which
-  ``linear_combination`` sums into one operator for a caller that reads
-  it;
+  block per normal word, reading the word's pi0 and pi1 targets once each
+  and comparing them one slice per maximal run of degrees, and returns
+  the difference as signed terms, which ``linear_combination`` sums into
+  one operator for a caller that reads it;
 * a normal-form word algebra for the Toeplitz ring: every product of
   generators is rewritten to sums of words "creations, then annihilations"
   using the covariance relation S(phi) T(x) = sigma(<phi, x>) and the
@@ -147,13 +151,14 @@ class TruncatedFock:
     order: ``_keys`` lists the keys, ``_index`` maps a key to its index,
     and degree d is the index range ``_offsets[d]:_offsets[d + 1]``;
     ``_ext`` keeps each X symbol's ``_row`` of normal forms, which every
-    leaf reads.  ``token_op`` builds and caches every generator operator
-    from the ``_Leaf`` of each basis symbol, kept in ``_leaves``;
-    ``zero_op`` is the only other operator made here.  The cached
-    operators refer back to the module, so leaving a ``with`` block drops
-    them and the leaves and lets the module and any homotopy model built
-    on it be freed by reference counting; the module stays usable and
-    rebuilds what it needs.
+    leaf reads, and ``_prefixes`` the applied prefixes of the words that
+    ``word_operator`` reads off it (see ``_chain``).  ``token_op`` builds
+    and caches every generator operator from the ``_Leaf`` of each basis
+    symbol, kept in ``_leaves``; ``zero_op`` is the only other operator
+    made here.  The cached operators refer back to the module, so leaving
+    a ``with`` block drops them, the leaves and the prefixes and lets the
+    module and any homotopy model built on it be freed by reference
+    counting; the module stays usable and rebuilds what it needs.
     """
 
     def __init__(self, corr, depth):
@@ -176,6 +181,11 @@ class TruncatedFock:
         self._tok_ops = {}
         self._leaves = {}
         self._ext = {}
+        # the proper applied prefixes of lone words, each a tuple of leaves
+        # -> (outs, lo, its targets on its first leaf's live indices from
+        # lo on), see ``_chain``; and a first leaf -> where each degree
+        # starts in its live indices
+        self._prefixes, self._cuts = {}, {}
         self._index = None
         self._talg = ToeplitzAlgebra(corr)
 
@@ -185,6 +195,8 @@ class TruncatedFock:
     def __exit__(self, *exc):
         self._tok_ops.clear()
         self._leaves.clear()
+        self._prefixes.clear()
+        self._cuts.clear()
 
     def token_op(self, token, variant="pi0"):
         """The operator of one generator token under pi0 or pi1.
@@ -418,6 +430,77 @@ class TruncatedFock:
         r = module.pair({sym: one}, {lead[0]: one})
         return {} if r.is_zero() else module.act_left(r, {lead[1]: one})
 
+    # -- lone words off the prefix table --------------------------------------
+
+    def _chain(self, ops, words):
+        """The word of the one-leaf generator operators ``ops``, given in
+        operator order (the last applies first) with their lone ``words``,
+        as an operator of coefficient one.
+
+        Each proper applied prefix of two or more leaves is kept in
+        ``_prefixes`` as its coverage, ``lo`` and its targets on the first
+        leaf's live indices from ``lo`` on, through the last degree it
+        covers, -1 where its column is zero; a prefix covers no degree
+        that its parent does not, so it is built once from the prefix one
+        leaf shorter, by one ``map`` over its own span and one mask step
+        per degree.  The word itself is one mask step from its parent and
+        is not kept: ``_targets`` maps it when it is read."""
+        word = tuple(map(itemgetter(0), reversed(words)))
+        n = len(word) - 1
+        m = n
+        while m > 1 and word[:m] not in self._prefixes:
+            m -= 1
+        outs, lo, tgt = (self._prefixes[word[:m]] if m > 1
+                         else (ops[-1].outs, 0, word[0].out))
+        cut = self._cut(word[0])
+        for i in range(m, n):
+            outs = _step(ops[-1 - i].outs, outs)
+            a, b = (cut[min(outs)], cut[max(outs) + 1]) if outs else (lo, lo)
+            tgt = list(map(word[i].img.__getitem__, tgt[a - lo:b - lo]))
+            lo = a
+            self._prefixes[word[:i + 1]] = (outs, lo, tgt)
+        return FockOperator(self, {word: self.k.one}, _step(ops[0].outs, outs))
+
+    def _targets(self, word, lo, hi):
+        """The targets of a lone word on ``leaf.live[lo:hi]``, its first
+        leaf's live indices in a span of degrees it covers, -1 where its
+        column is zero: one ``map`` from its parent prefix, kept in
+        ``_prefixes`` by ``_chain``."""
+        if len(word) == 1:
+            return word[0].out[lo:hi]
+        plo, tgt = (0, word[0].out) if len(word) == 2 else \
+            self._prefixes[word[:-1]][1:]
+        return list(map(word[-1].img.__getitem__, tgt[lo - plo:hi - plo]))
+
+    def _cut(self, leaf):
+        """Where each degree 0..N+1 starts in ``leaf.live``, bisected once
+        per leaf."""
+        cut = self._cuts.get(leaf)
+        if cut is None:
+            live = leaf.live
+            cut = self._cuts[leaf] = [bisect_left(live, i)
+                                      for i in self._numbering()[2]]
+        return cut
+
+
+def _step(outs, reached):
+    """The coverage of ``outs`` applied after an operator of coverage
+    ``reached``: each degree it covers, with the union of ``outs`` over
+    the target degrees of its mask, where ``outs`` covers every one."""
+    out = {}
+    for d, mask in reached.items():
+        image = 0
+        while mask:
+            low = mask & -mask
+            targets = outs.get(low.bit_length() - 1)
+            if targets is None:
+                break
+            image |= targets
+            mask ^= low
+        else:
+            out[d] = image
+    return out
+
 
 class _Leaf:
     """One generator as index lists over the truncation's global indices.
@@ -494,15 +577,10 @@ class FockOperator:
         coverage follows the reachable degree chains."""
         if self.fock is not other.fock:
             raise RingError("operators act on different modules")
-        outs = {}
-        for d, mask in other.outs.items():
-            reached = _image(self.outs, mask)
-            if reached is not None:
-                outs[d] = reached
         one = self.fock.k.one
         terms = vmul(self.fock.k, lambda w1, w2: {w2 + w1: one},
                      self.terms, other.terms)
-        return FockOperator(self.fock, terms, outs)
+        return FockOperator(self.fock, terms, _step(self.outs, other.outs))
 
     def __add__(self, other):
         one = self.fock.k.one
@@ -590,7 +668,6 @@ def _first_difference(a, b, degrees):
     consecutive degrees is one index range, compared at once; only a run
     that differs is compared degree by degree.  Two lone words that share
     their first leaf's live indices compare their targets directly."""
-    offsets = a.fock._numbering()[2]
     wa, wb = a._lone_word(), b._lone_word()
     if wa is not None and wb is not None and wa[0].live is wb[0].live:
         def same(lo, hi):
@@ -598,6 +675,14 @@ def _first_difference(a, b, degrees):
     else:
         def same(lo, hi):
             return a._form(lo, hi) == b._form(lo, hi)
+    return _first_failing(same, a.fock._numbering()[2], degrees)
+
+
+def _first_failing(same, cut, degrees):
+    """The first of the sorted ``degrees`` d for which ``same(cut[d],
+    cut[d + 1])`` is false, or None.  Each maximal run of consecutive
+    degrees is one range, read by one call; only a run that fails is read
+    degree by degree."""
     runs = []
     for d in degrees:
         if runs and runs[-1][-1] == d - 1:
@@ -605,24 +690,9 @@ def _first_difference(a, b, degrees):
         else:
             runs.append([d])
     for run in runs:
-        if not same(offsets[run[0]], offsets[run[-1] + 1]):
-            return next(d for d in run
-                        if not same(offsets[d], offsets[d + 1]))
+        if not same(cut[run[0]], cut[run[-1] + 1]):
+            return next(d for d in run if not same(cut[d], cut[d + 1]))
     return None
-
-
-def _image(outs, mask):
-    """The union of ``outs`` over the degrees set in ``mask``, as a mask,
-    or None when ``outs`` does not cover one of them."""
-    reached = 0
-    while mask:
-        low = mask & -mask
-        targets = outs.get(low.bit_length() - 1)
-        if targets is None:
-            return None
-        reached |= targets
-        mask ^= low
-    return reached
 
 
 def linear_combination(fock, pairs):
@@ -649,15 +719,24 @@ def word_operator(fock, tokens, variant):
     """The operator of a generator word under pi0 or pi1.
 
     Tokens are ``(kind, payload)`` with a kind of ``_KINDS``, in operator
-    order (the rightmost acts first).  The word composes the cached
-    ``fock.token_op`` operators, which refuse an unknown variant.  A
-    one-token word is the cached operator itself, so do not mutate it.
-    The empty word raises ``RingError``, as in ``ToeplitzAlgebra``.
+    order (the rightmost acts first); ``fock.token_op`` gives each its
+    cached operator and refuses an unknown variant.  A one-token word is
+    the cached operator itself, so do not mutate it.  A word of single
+    basis symbols with coefficient one is one word of their leaves, read
+    off the module's prefix table (``TruncatedFock._chain``), with its
+    coverage chained along it; any other token makes the word a
+    ``compose`` chain of the token operators.  The empty word raises
+    ``RingError``, as in ``ToeplitzAlgebra``.
     """
     if not tokens:
         raise RingError("empty generator word")
-    return reduce(FockOperator.compose,
-                  (fock.token_op(token, variant) for token in tokens))
+    ops = [fock.token_op(token, variant) for token in tokens]
+    if len(ops) == 1:
+        return ops[0]
+    words = [op._lone_word() for op in ops]
+    if None not in words:
+        return fock._chain(ops, words)
+    return reduce(FockOperator.compose, ops)
 
 
 def pi0(fock, tokens):
@@ -998,19 +1077,33 @@ def word_tokens_of(talg, key):
 def _check_defect_support(fock, wkey, ll, op0, op1):
     """Check that pi0 - pi1 of a normal word lives on source degree ll.
 
-    ``op0`` and ``op1`` are the word's operators under pi0 and pi1, lone
-    words that share their first leaf's live indices: at degree ll pi1
-    must have no live source, and on every other degree both cover they
-    must agree, compared by ``_first_difference``.  Raises
+    ``op0`` and ``op1`` are the word's operators under pi0 and pi1 from
+    ``word_operator``, lone words whose first leaves share their live
+    indices, so each word's targets (``TruncatedFock._targets``) are one
+    list over the same sources.  At degree ll pi1 must have no live
+    source, and on every other degree both cover the two lists must
+    agree: each maximal run of those degrees is one slice of each, cut
+    where the first leaf's live indices change degree (``_cut``), and
+    only a run that differs is compared degree by degree.  Raises
     InvariantViolation naming the first degree that fails.
     """
     degrees = sorted(op0.covered & op1.covered)
-    escape = _first_difference(op0, op1, [d for d in degrees if d != ll])
-    offsets = fock._numbering()[2]
-    if (ll in degrees and (escape is None or escape > ll)
-            and op1._form(offsets[ll], offsets[ll + 1])[0]):
-        raise InvariantViolation(
-            f"pi1 of {wkey} does not vanish at degree {ll}")
+    if not degrees:
+        return
+    w0, w1 = op0._lone_word(), op1._lone_word()
+    cut = fock._cut(w0[0])
+    base, end = cut[degrees[0]], cut[degrees[-1] + 1]
+    t0, t1 = fock._targets(w0, base, end), fock._targets(w1, base, end)
+
+    def same(lo, hi):
+        return t0[lo - base:hi - base] == t1[lo - base:hi - base]
+
+    escape = _first_failing(same, cut, [d for d in degrees if d != ll])
+    if ll in degrees and (escape is None or escape > ll):
+        lo, hi = cut[ll] - base, cut[ll + 1] - base
+        if t1[lo:hi].count(-1) < hi - lo:
+            raise InvariantViolation(
+                f"pi1 of {wkey} does not vanish at degree {ll}")
     if escape is not None:
         raise InvariantViolation(
             f"defect of {wkey} escapes its block at degree {escape}")
@@ -1020,10 +1113,12 @@ def quasi_hom_defect(fock, tokens):
     """pi0 - pi1 on a generator word, a finite-rank block operator, as its
     signed terms and one info per normal word.
 
-    The input word is first rewritten to normal form.  Each normal word
-    is evaluated once under pi0 and once under pi1 by ``word_operator``,
-    which composes the cached ``fock.token_op`` operators of its
-    generators.  For a normal word with k creations and l annihilations
+    The input word is first rewritten to normal form by the Toeplitz
+    algebra (``from_tokens``).  Each normal word is evaluated once under
+    pi0 and once under pi1 by ``word_operator``: its generators are basis
+    symbols of coefficient one, so each variant is one word of leaves whose
+    proper prefixes the module's prefix table carries once per
+    truncation.  For a normal word with k creations and l annihilations
     the difference vanishes on every source degree other than l (checked
     exactly within budget, by ``_check_defect_support``, on the sources
     of the word's first leaf: elsewhere both columns are zero) and its
@@ -1102,6 +1197,8 @@ class HomotopyModel:
         # of a degree-0 key, or the right support of a last tensor factor;
         # and j(u) . word, keyed (u's terms, word); see ``make_key``
         self._supports, self._absorbed = {}, {}
+        # (phi symbol, first two factors) -> the head ``_times`` reads
+        self._heads = {}
         self.c0_keys = [(0, (), wk) for wk in self.words]
         self.c1_keys = [(1, (b,), wk) for b in self.module.x_basis
                         for wk in self.words if self.make_key(1, (b,), wk)
@@ -1194,13 +1291,18 @@ class HomotopyModel:
     def lift(self, name, tkey, w):
         """The id of the Fock key ``tkey``, an image under the block
         ``name``, tensored with the word of id ``w`` through ``make_key``,
-        or None for zero; kept per key and word."""
-        pair = (tkey, w)
-        if pair not in self._lifts:
+        or None for zero; kept per key and word, and found with one lookup.
+        Only a result other than one key of coefficient one goes through
+        ``_one``, which returns None for zero and refuses the rest."""
+        j = self._lifts.get((tkey, w), False)
+        if j is False:
             wk = self.words[w]
-            key = self._one(name, (tkey, wk), self.make_key(*tkey, wk))
-            self._lifts[pair] = None if key is None else self._id(key)
-        return self._lifts[pair]
+            col = self.make_key(*tkey, wk)
+            [(key, c)] = col.items() if len(col) == 1 else [(None, None)]
+            if c != self.k.one:
+                key = self._one(name, (tkey, wk), col)
+            j = self._lifts[tkey, w] = None if key is None else self._id(key)
+        return j
 
     # -- homotopy summands -----------------------------------------------------
 
@@ -1281,14 +1383,14 @@ class HomotopyModel:
         ``reduce_pair_dual``, and with one it leaves the scalar <sym, p0>,
         absorbed into T_c*.  Otherwise the generator's head on p's leading
         factors (sym for x, ``TruncatedFock._head`` on two factors for
-        phi) is read off its ``_row``, the normal forms that the Fock
-        leaves are built from, at the rest of p: that is the new creation
-        part q, and the product is q before j(u) . T_c*, with u the right
-        support of q's last factor, again from ``_absorbed``, so the
-        junction with c moves with q.  A head or normal form other than
-        one key of coefficient one, and a rest of top degree, whose -1 in
-        a leaf would mean past the truncation and not zero, are left
-        undecided."""
+        phi, kept per symbol and factors in ``_heads``) is read off its
+        ``_row``, the normal forms that the Fock leaves are built from, at
+        the rest of p: that is the new creation part q, and the product is
+        q before j(u) . T_c*, with u the right support of q's last factor,
+        again from ``_absorbed``, so the junction with c moves with q.  A
+        head or normal form other than one key of coefficient one, and a
+        rest of top degree, whose -1 in a leaf would mean past the
+        truncation and not zero, are left undecided."""
         m, one = self.module, self.k.one
         if kind == "r":
             return self._absorb(self._support(True, sym), wk)
@@ -1310,7 +1412,9 @@ class HomotopyModel:
         if kind == "x":
             head, rest = {sym: one}, p
         else:
-            head, rest = fock._head(kind, sym, p[:2]), p[2:]
+            head, rest = self._heads.get((sym, p[:2])), p[2:]
+            if head is None:
+                head = self._heads[sym, p[:2]] = fock._head(kind, sym, p[:2])
         if not head:
             return {}
         (b, cb), *more = head.items()

@@ -484,13 +484,18 @@ class TestVerify:
         # degree next to the vacuum through _column, 1 for each x (the
         # vacuum), 2 for each phi (degree 1) and 1 for v, so 2 + 4 + 1;
         # every higher key is read off the shared tables.  pi1 copies pi0's
-        # leaf, and the zero scalar splits into no leaf
+        # leaf, and the zero scalar splits into no leaf.  20 heads: the
+        # leaves build one per leaf and leading factors, 1 for each x, 2
+        # for v (first factor e or f) and 4 for each phi (two factors), so
+        # 2 + 2 + 8; lam1's _times keeps its own per phi symbol and first
+        # two factors of a creation part, 2 x 4 more
         from pimsner.fock import (HomotopyModel, ToeplitzAlgebra,
                                   TruncatedFock, _Block)
         counts = {}
         for cls, name in [(_Block, "__init__"), (HomotopyModel, "_times"),
                           (ToeplitzAlgebra, "try_mul"),
-                          (TruncatedFock, "_column")]:
+                          (TruncatedFock, "_column"),
+                          (TruncatedFock, "_head")]:
             counts[name] = 0
 
             def counted(*args, _real=getattr(cls, name), _name=name):
@@ -501,7 +506,50 @@ class TestVerify:
                          "--fock-depth", "6", "--word-bound", "3")
         assert code == 0
         assert counts == {"__init__": 17, "_times": 200, "try_mul": 0,
-                          "_column": 7}
+                          "_column": 7, "_head": 20}
+
+    def test_rose2_carries_each_prefix_once(self, capsys, rose2_file,
+                                            monkeypatch):
+        # the 48 normal words p q* with |p| + |q| <= 3 apply q's
+        # annihilations, then p's creations, the last first; each proper
+        # applied prefix of two or more leaves is carried once per variant:
+        # those of the 32 words of three leaves, two annihilations (shared
+        # by q of length 3 and q of length 2 under one creation), an
+        # annihilation then a creation, or two creations, 4 each, so 12 per
+        # variant.
+        # The defect suite still builds each word's normal form with
+        # ToeplitzAlgebra.mul, 0, 1 or 2 products for the 4, 12 and 32 words
+        # of one, two and three tokens: 76.  It is the pipeline's only
+        # caller of mul, and perfbench's tracer reads fock.toeplitz_mul
+        from collections import Counter
+
+        from pimsner import fock
+        carried, muls = Counter(), Counter()
+
+        class Counted(dict):
+            def __setitem__(self, key, value):
+                carried[key] += 1
+                super().__setitem__(key, value)
+
+        real_init, real_mul = fock.TruncatedFock.__init__, \
+            fock.ToeplitzAlgebra.mul
+
+        def init(fk, *args):
+            real_init(fk, *args)
+            fk._prefixes = Counted()
+
+        def mul(talg, e1, e2):
+            muls["mul"] += 1
+            return real_mul(talg, e1, e2)
+
+        monkeypatch.setattr(fock.TruncatedFock, "__init__", init)
+        monkeypatch.setattr(fock.ToeplitzAlgebra, "mul", mul)
+        code, _, _ = run(capsys, "verify", rose2_file,
+                         "--fock-depth", "6", "--word-bound", "3")
+        assert code == 0
+        assert len(carried) == 24 and set(carried.values()) == {1}
+        assert {len(key) for key in carried} == {2}
+        assert muls == {"mul": 76}
 
     def test_verify_leaves_no_reference_cycles(self, capsys, tmp_path):
         # a finished verify op is freed by reference counting: the cycle

@@ -33,7 +33,8 @@ from pimsner.fock import (
     word_operator,
     word_tokens_of,
 )
-from pimsner.leavitt import parse_quiver, quiver_correspondence, rose
+from pimsner.leavitt import (normal_words, parse_quiver, quiver_correspondence,
+                             rose)
 from pimsner.ringcore import (
     QQ,
     ZZ,
@@ -2088,3 +2089,188 @@ def _perturbed(model, op):
             terms[(bent,)] = poly
             out.append(HOperator(model, terms, op.high))
     return out
+
+
+# -- the defect suite as it was before the prefix table: each word a
+# -- compose chain of its token operators, checked on operators
+
+def _composed_word(fk, tokens, variant):
+    """A generator word as the compose chain of its cached token
+    operators."""
+    return reduce(FockOperator.compose,
+                  (fk.token_op(token, variant) for token in tokens))
+
+
+def _operator_first_difference(a, b, degrees):
+    """The first of the sorted ``degrees`` at which two operators' columns
+    differ, or None, comparing each maximal run of degrees at once and a
+    differing run degree by degree: target lists for two lone words that
+    share their first leaf's live indices, canonical forms otherwise."""
+    offsets = a.fock._numbering()[2]
+    wa, wb = a._lone_word(), b._lone_word()
+    if wa is not None and wb is not None and wa[0].live is wb[0].live:
+        def same(lo, hi):
+            return (fock_module._carry(wa, lo, hi)[1]
+                    == fock_module._carry(wb, lo, hi)[1])
+    else:
+        def same(lo, hi):
+            return a._form(lo, hi) == b._form(lo, hi)
+    runs = []
+    for d in degrees:
+        if runs and runs[-1][-1] == d - 1:
+            runs[-1].append(d)
+        else:
+            runs.append([d])
+    for run in runs:
+        if not same(offsets[run[0]], offsets[run[-1] + 1]):
+            return next(d for d in run
+                        if not same(offsets[d], offsets[d + 1]))
+    return None
+
+
+def _operator_support_check(fk, wkey, ll, op0, op1):
+    """The support check on operators: every covered degree but ll by
+    ``_operator_first_difference``, and pi1's canonical form at ll."""
+    degrees = sorted(op0.covered & op1.covered)
+    escape = _operator_first_difference(
+        op0, op1, [d for d in degrees if d != ll])
+    offsets = fk._numbering()[2]
+    if (ll in degrees and (escape is None or escape > ll)
+            and op1._form(offsets[ll], offsets[ll + 1])[0]):
+        raise InvariantViolation(
+            f"pi1 of {wkey} does not vanish at degree {ll}")
+    if escape is not None:
+        raise InvariantViolation(
+            f"defect of {wkey} escapes its block at degree {escape}")
+
+
+def _composed_defect(fk, tokens):
+    """``quasi_hom_defect`` with composed words and the operator check."""
+    terms, infos = [], []
+    for key, coeff in fk._talg.from_tokens(tokens).items():
+        kk, ll = (0, 0) if key[0] == "s" else (len(key[1]), len(key[2]))
+        if ll + 1 > fk.depth:
+            raise DepthError(
+                f"word with {ll} annihilations needs depth >= {ll + 1}")
+        word = word_tokens_of(fk._talg, key)
+        op0 = _composed_word(fk, word, "pi0")
+        op1 = _composed_word(fk, word, "pi1")
+        _operator_support_check(fk, key, ll, op0, op1)
+        terms += [(coeff, op0), (fk.k.neg(coeff), op1)]
+        infos.append({"word": key, "block": (kk, ll)})
+    return terms, infos
+
+
+def _defect_outcome(defect, fk, tokens):
+    """The terms of ``defect`` on a word as (coefficient, words, outs), and
+    its infos; or the type and text of what it raised."""
+    try:
+        terms, infos = defect(fk, tokens)
+    except (DepthError, InvariantViolation, RingError) as exc:
+        return type(exc).__name__, str(exc)
+    return [(c, op.terms, op.outs) for c, op in terms], infos
+
+
+def _word_tokens(quiver, bound):
+    """The generator tokens of every normal word p q* of ``quiver`` with
+    |p| + |q| <= bound, as ``verify`` builds them."""
+    return [[("x", {e: 1}) for e in p]
+            + [("phi", {(e, "*"): 1}) for e in reversed(q)]
+            for p, q in normal_words(quiver, bound)]
+
+
+class TestDefectTables:
+    """Each normal word's defect, its pi0 and pi1 words carried off the
+    prefix table and compared as whole degree runs, equals the defect of
+    its compose-chain words checked on operators: the same terms, infos
+    and raised texts."""
+
+    @staticmethod
+    def modules(family):
+        quivers, _, ring = family.rpartition("-")
+        k = {"z": ZZ, "zmod6": Zmod(6)}[ring]
+        if quivers == "acceptance":
+            return [(q, TruncatedFock(quiver_correspondence(q, k), 3))
+                    for q in acceptance_quivers()]
+        return [(q, TruncatedFock(quiver_correspondence(q, k), depth))
+                for q in (rose(2), A2, CYCLE) for depth in (3, 4, 5)]
+
+    @staticmethod
+    def same_outcomes(quiver, fk):
+        """Both outcomes of every normal word of length up to one past the
+        depth, so every word bound's words up to it, per kind of
+        outcome."""
+        kinds = Counter()
+        for tokens in _word_tokens(quiver, fk.depth + 1):
+            want = _defect_outcome(_composed_defect, fk, tokens)
+            got = _defect_outcome(quasi_hom_defect, fk, tokens)
+            assert got == want, tokens
+            kinds[want[0] if isinstance(want[0], str) else "passed"] += 1
+        return kinds
+
+    @pytest.mark.parametrize("family", ["acceptance-z", "acceptance-zmod6",
+                                        "small-z", "small-zmod6"])
+    def test_every_normal_word_is_the_composed_one(self, family):
+        # the 20 acceptance quivers at depth 3, and rose2, a2 and the
+        # two-cycle at depths 3 to 5, each with every word up to one past
+        # its depth: those with as many annihilations as the depth raise
+        # DepthError, and those with more creations cover no degree
+        kinds = Counter()
+        for quiver, fk in self.modules(family):
+            kinds += self.same_outcomes(quiver, fk)
+        assert set(kinds) == {"passed", "DepthError"}, kinds
+
+    @staticmethod
+    def bent(fk, monkeypatch, token, variant, img):
+        """Patch ``fk.token_op`` so that ``token`` under ``variant`` is one
+        new leaf of the image list ``img(leaf)``, with the real live
+        indices and coverage."""
+        real = fk.token_op
+        op = real(token, variant)
+        [(leaf,)] = op.terms
+        wrong = FockOperator(fk, {(_Leaf(img(leaf), leaf.live),): 1}, op.outs)
+        monkeypatch.setattr(fk, "token_op", lambda tok, var="pi0": (
+            wrong if (tok, var) == (token, variant) else real(tok, var)))
+
+    @pytest.mark.parametrize("quiver", [rose(2), CYCLE],
+                             ids=["rose2", "cycle"])
+    def test_a_pi1_leaf_that_kills_nothing(self, monkeypatch, quiver):
+        # pi1 of T_e with pi0's images keeps the vacuum alive: every word
+        # that applies T_e first, with no annihilation, fails at degree 0
+        fk = TruncatedFock(quiver_correspondence(quiver), 4)
+        e = fk.module.x_basis[0]
+        [(leaf0,)] = fk.token_op(("x", {e: 1})).terms
+        self.bent(fk, monkeypatch, ("x", {e: 1}), "pi1",
+                  lambda leaf: list(leaf0.img))
+        kinds = self.same_outcomes(quiver, fk)
+        assert kinds["InvariantViolation"] and kinds["passed"], kinds
+        for tokens in _word_tokens(quiver, 3):
+            if tokens[-1] == ("x", {e: 1}):
+                with pytest.raises(InvariantViolation,
+                                   match="does not vanish at degree 0"):
+                    quasi_hom_defect(fk, tokens)
+
+    @pytest.mark.parametrize("quiver", [rose(2), CYCLE],
+                             ids=["rose2", "cycle"])
+    def test_a_pi0_image_redirected_above_the_block(self, monkeypatch,
+                                                     quiver):
+        # pi0 of T_{e*} sending each key of degree 3 to the last key of
+        # degree 2 moves the defect of every word that applies T_{e*} first
+        # off its block where it meets such a key
+        fk = TruncatedFock(quiver_correspondence(quiver), 5)
+        c = fk.module.xp_basis[0]
+        offsets, last = fk._numbering()[2], fk._numbering()[2][3] - 1
+
+        def redirect(leaf):
+            img = list(leaf.img)
+            for i in range(offsets[3], offsets[4]):
+                if img[i] >= 0 and img[i] != last:
+                    img[i] = last
+            return img
+
+        self.bent(fk, monkeypatch, ("phi", {c: 1}), "pi0", redirect)
+        kinds = self.same_outcomes(quiver, fk)
+        assert kinds["InvariantViolation"] and kinds["passed"], kinds
+        with pytest.raises(InvariantViolation,
+                           match="escapes its block at degree 3"):
+            quasi_hom_defect(fk, [("phi", {c: 1})])
